@@ -16,7 +16,10 @@
 //   csa profile         — ONE window scan per zone: every departure group
 //                         is a lane of the same connection sweep (the
 //                         production configuration)
-// plus the thread-pooled variants of the batched and profile engines.
+// plus pooled variants, each one util::ParallelLoop over the zones (the
+// calling thread plus N - 1 helpers of the shared pool): batched at the
+// hardware concurrency, and the profile engine at N = 2 and N = 4 — the
+// multicore rows of the cold-build scaling story (reported, not gated).
 // Labels are checked bit-identical across configurations before any number
 // is reported, and the binary exits non-zero unless the CSA profile engine
 // clears the speedup floor over the seed baseline — the regression gate
@@ -150,21 +153,25 @@ exp::RunResult RunLabelingBench() {
                     : static_cast<int>(
                           std::max(1u, std::thread::hardware_concurrency()));
   auto run_pooled = [&](const std::string& name, router::RouterOptions opts,
-                        core::LabelingMode mode) {
+                        core::LabelingMode mode, int participants) {
     ModeResult r;
-    r.name = name + "+pool(" + std::to_string(threads) + ")";
+    r.name = name + "+pool(" + std::to_string(participants) + ")";
     r.engine = opts.engine == router::RoutingEngine::kCsa ? "csa"
                                                           : "label_correcting";
     util::Stopwatch watch;
     r.labels = core::LabelZonesParallel(
         city, todam, zones, pois, core::CostKind::kJourneyTime,
-        gtfs::Day::kTuesday, threads, opts, {}, &r.spqs, mode);
+        gtfs::Day::kTuesday, participants, opts, {}, &r.spqs, mode,
+        &r.expansions);
     r.seconds = watch.ElapsedSeconds();
     return r;
   };
-  results.push_back(run_pooled("batched", {}, core::LabelingMode::kBatched));
   results.push_back(
-      run_pooled("csa profile", csa_opts, core::LabelingMode::kProfile));
+      run_pooled("batched", {}, core::LabelingMode::kBatched, threads));
+  for (int participants : {2, 4}) {
+    results.push_back(run_pooled("csa profile", csa_opts,
+                                 core::LabelingMode::kProfile, participants));
+  }
 
   // Equivalence gate: a throughput number for a mode that changes results
   // would be meaningless.

@@ -17,6 +17,14 @@ size_t TripCostColumns::AppendZone(size_t trips) {
   return base;
 }
 
+void TripCostColumns::StoreZone(size_t base, const TripCostColumns& zone) {
+  std::copy(zone.flags.begin(), zone.flags.end(), flags.begin() + base);
+  std::copy(zone.jt.begin(), zone.jt.end(), jt.begin() + base);
+  std::copy(zone.gac_parts.begin(), zone.gac_parts.end(),
+            gac_parts.begin() + base * kNumGacParts);
+  std::copy(zone.fare.begin(), zone.fare.end(), fare.begin() + base);
+}
+
 void TripCostColumns::Record(size_t index, const router::Journey& journey) {
   if (!journey.feasible) return;  // slot stays zeroed, flags stay 0
   uint8_t f = 1;

@@ -344,14 +344,4 @@ std::vector<ZoneLabel> LabelingEngine::LabelZones(
   return out;
 }
 
-void LabelingEngine::RelabelZones(const Todam& todam,
-                                  const std::vector<uint32_t>& zones,
-                                  const std::vector<synth::Poi>& pois,
-                                  CostKind kind, gtfs::Day day,
-                                  std::vector<ZoneLabel>* labels) {
-  for (uint32_t z : zones) {
-    (*labels)[z] = LabelZone(todam, z, pois, kind, day);
-  }
-}
-
 }  // namespace staq::core

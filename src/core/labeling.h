@@ -97,15 +97,6 @@ class LabelingEngine {
                              const std::vector<synth::Poi>& pois,
                              gtfs::Day day, TripCostColumns* columns);
 
-  /// Delta-labeling hook (serve subsystem): relabels exactly `zones` and
-  /// patches the full-size label vector `labels` (indexed by zone id) in
-  /// place. Each patched entry is bit-identical to what a fresh LabelZone
-  /// call would produce, so patching after a scenario edit equals a full
-  /// recompute on the zones that changed.
-  void RelabelZones(const Todam& todam, const std::vector<uint32_t>& zones,
-                    const std::vector<synth::Poi>& pois, CostKind kind,
-                    gtfs::Day day, std::vector<ZoneLabel>* labels);
-
   /// Rebinds the engine to a different router (e.g. after a scenario swap
   /// that replaced the walk table). Invalidates the access-stop cache —
   /// cached hops reference the previous router's stop set.

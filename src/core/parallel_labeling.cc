@@ -1,10 +1,10 @@
 #include "core/parallel_labeling.h"
 
-#include <algorithm>
 #include <atomic>
-#include <future>
+#include <memory>
 
 #include "router/connections.h"
+#include "util/parallel_loop.h"
 #include "util/thread_pool.h"
 
 namespace staq::core {
@@ -14,61 +14,68 @@ std::vector<ZoneLabel> LabelZonesParallel(
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,
     CostKind kind, gtfs::Day day, int num_threads,
     const router::RouterOptions& router_options,
-    router::GacWeights gac_weights, uint64_t* total_spqs, LabelingMode mode) {
-  // Build (or adopt) the connection array once, outside the workers: each
-  // per-worker Router then shares the immutable array instead of rebuilding
-  // it num_threads times.
+    router::GacWeights gac_weights, uint64_t* total_spqs, LabelingMode mode,
+    uint64_t* total_expansions) {
+  // Build (or adopt) the connection array once, outside the participants:
+  // each per-participant Router then shares the immutable array instead of
+  // rebuilding it num_threads times.
   router::RouterOptions options = router_options;
   if (options.engine == router::RoutingEngine::kCsa) {
     options.connections =
         router::ConnectionArray::EnsureFor(options.connections, &city.feed);
   }
-  const router::RouterOptions& router_options_shared = options;
 
   if (num_threads <= 1 || zones.size() <= 1) {
-    router::Router router(&city.feed, router_options_shared);
+    router::Router router(&city.feed, options);
     LabelingEngine engine(&city, &router, gac_weights, mode);
     auto labels = engine.LabelZones(todam, zones, pois, kind, day);
     if (total_spqs != nullptr) *total_spqs = engine.spq_count();
+    if (total_expansions != nullptr) {
+      *total_expansions = engine.expansion_count();
+    }
     return labels;
   }
 
-  size_t workers = std::min<size_t>(static_cast<size_t>(num_threads),
-                                    zones.size());
   std::vector<ZoneLabel> labels(zones.size());
-  std::atomic<size_t> next_index{0};
   std::atomic<uint64_t> spqs{0};
-
-  auto work = [&]() {
-    // Per-worker router: scratch space is instance-local.
-    router::Router router(&city.feed, router_options_shared);
-    LabelingEngine engine(&city, &router, gac_weights, mode);
-    while (true) {
-      size_t i = next_index.fetch_add(1);
-      if (i >= zones.size()) break;
-      labels[i] = engine.LabelZone(todam, zones[i], pois, kind, day);
+  std::atomic<uint64_t> expansions{0};
+  /// One participant's routing scratch; its counts are folded in when the
+  /// participant ends (the chunk function owning it is destroyed).
+  struct Participant {
+    Participant(const synth::City& city, const router::RouterOptions& options,
+                router::GacWeights gac, LabelingMode mode,
+                std::atomic<uint64_t>* spqs_out,
+                std::atomic<uint64_t>* expansions_out)
+        : router(&city.feed, options),
+          engine(&city, &router, gac, mode),
+          spqs(spqs_out),
+          expansions(expansions_out) {}
+    ~Participant() {
+      spqs->fetch_add(engine.spq_count());
+      expansions->fetch_add(engine.expansion_count());
     }
-    spqs.fetch_add(engine.spq_count());
+    router::Router router;  // per participant: scratch is instance-local
+    LabelingEngine engine;
+    std::atomic<uint64_t>* spqs;
+    std::atomic<uint64_t>* expansions;
   };
-
-  // Persistent workers instead of spawn-and-join threads; futures carry any
-  // worker exception, and all workers are drained before rethrowing (the
-  // tasks reference this frame).
-  util::ThreadPool& pool = util::ThreadPool::Shared();
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) futures.push_back(pool.Submit(work));
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  util::LoopOptions loop;
+  loop.max_helpers = static_cast<size_t>(num_threads) - 1;
+  util::ParallelLoop(
+      util::ThreadPool::Shared(), zones.size(), loop,
+      [&](bool /*helper*/) -> util::LoopChunk {
+        auto participant = std::make_shared<Participant>(
+            city, options, gac_weights, mode, &spqs, &expansions);
+        return [&, participant](util::LoopClaims&, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            labels[i] = participant->engine.LabelZone(todam, zones[i], pois,
+                                                      kind, day);
+          }
+        };
+      });
 
   if (total_spqs != nullptr) *total_spqs = spqs.load();
+  if (total_expansions != nullptr) *total_expansions = expansions.load();
   return labels;
 }
 

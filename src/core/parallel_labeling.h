@@ -2,11 +2,13 @@
 //
 // Labeling dominates the solution's run time (paper §IV-E) and the related
 // work notes that "parallelization can benefit an SSR approach too, as the
-// majority of the runtime is in labeling" (§II). This module shards the
-// zone list across the shared util::ThreadPool, each worker with its own
-// Router instance (the router's scratch space is not shareable), and
-// returns labels in the same order as the input zones — bit-identical to
-// the serial path.
+// majority of the runtime is in labeling" (§II). This module runs the zone
+// list as one util::ParallelLoop: the calling thread and helpers on the
+// shared util::ThreadPool claim zones one at a time, each participant with
+// its own Router instance (the router's scratch space is not shareable),
+// and labels come back in the same order as the input zones —
+// bit-identical to the serial path, because every zone is labeled
+// independently.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +21,11 @@
 
 namespace staq::core {
 
-/// Labels `zones` using `num_threads` workers. num_threads <= 1 degrades
-/// to the serial LabelingEngine. Results match LabelZones exactly.
-/// `total_spqs` (optional) receives the SPQ count across workers.
+/// Labels `zones` using `num_threads` participants (the caller plus
+/// num_threads - 1 pool helpers). num_threads <= 1 degrades to the serial
+/// LabelingEngine. Results match LabelZones exactly. `total_spqs` and
+/// `total_expansions` (optional) receive the SPQ and router-expansion
+/// counts across participants.
 ///
 /// With RoutingEngine::kCsa the connection array is built (or taken from
 /// router_options.connections) ONCE and shared read-only by every worker's
@@ -32,6 +36,7 @@ std::vector<ZoneLabel> LabelZonesParallel(
     CostKind kind, gtfs::Day day, int num_threads,
     const router::RouterOptions& router_options = {},
     router::GacWeights gac_weights = {}, uint64_t* total_spqs = nullptr,
-    LabelingMode mode = LabelingMode::kAuto);
+    LabelingMode mode = LabelingMode::kAuto,
+    uint64_t* total_expansions = nullptr);
 
 }  // namespace staq::core

@@ -132,14 +132,17 @@ util::Result<PipelineResult> RunSsr(
   watch.Reset();
   std::vector<ZoneLabel> labels;
   if (config.labeling_threads > 1) {
+    // The router's own options: threaded labeling must route (and pick
+    // the labeling mode) exactly like the serial path.
     labels = LabelZonesParallel(city, todam, result.labeled, pois,
                                 config.cost, day, config.labeling_threads,
-                                /*router_options=*/{}, config.gac,
-                                &result.spqs);
+                                router->options(), config.gac, &result.spqs,
+                                LabelingMode::kAuto, &result.expansions);
   } else {
     LabelingEngine labeler(&city, router, config.gac);
     labels = labeler.LabelZones(todam, result.labeled, pois, config.cost, day);
     result.spqs = labeler.spq_count();
+    result.expansions = labeler.expansion_count();
   }
   result.timings.labeling_s = watch.ElapsedSeconds();
 
@@ -200,12 +203,14 @@ GroundTruth SsrPipeline::ComputeGroundTruth(
   std::vector<ZoneLabel> labels;
   if (num_threads > 1) {
     labels = LabelZonesParallel(*city_, todam, all, pois, cost, interval_.day,
-                                num_threads, /*router_options=*/{}, gac,
-                                &truth.spqs);
+                                num_threads, router_->options(), gac,
+                                &truth.spqs, LabelingMode::kAuto,
+                                &truth.expansions);
   } else {
     LabelingEngine labeler(city_, router_.get(), gac);
     labels = labeler.LabelZones(todam, all, pois, cost, interval_.day);
     truth.spqs = labeler.spq_count();
+    truth.expansions = labeler.expansion_count();
   }
   truth.labeling_s = watch.ElapsedSeconds();
 

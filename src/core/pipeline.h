@@ -59,6 +59,7 @@ struct PipelineResult {
   std::vector<uint32_t> labeled;
   StageTimings timings;
   uint64_t spqs = 0;
+  uint64_t expansions = 0;  // router expansions behind those SPQs
 };
 
 /// The naive baseline: every zone labeled exactly.
@@ -67,6 +68,7 @@ struct GroundTruth {
   std::vector<double> acsd;
   double labeling_s = 0.0;
   uint64_t spqs = 0;
+  uint64_t expansions = 0;  // router expansions behind those SPQs
   double walk_only_fraction = 0.0;
 };
 

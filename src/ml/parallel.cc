@@ -1,9 +1,8 @@
 #include "ml/parallel.h"
 
 #include <algorithm>
-#include <future>
-#include <vector>
 
+#include "util/parallel_loop.h"
 #include "util/thread_pool.h"
 
 namespace staq::ml {
@@ -22,19 +21,15 @@ void ForEachChunk(int threads, size_t n, size_t chunk_size,
     }
     return;
   }
-  auto& pool = util::ThreadPool::Shared();
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (size_t t = 0; t < workers; ++t) {
-    futures.push_back(pool.Submit([t, workers, num_chunks, chunk_size, n,
-                                   &body] {
-      for (size_t c = t; c < num_chunks; c += workers) {
-        const size_t begin = c * chunk_size;
-        body(c, begin, std::min(n, begin + chunk_size));
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
+  util::LoopOptions options;
+  options.max_helpers = workers - 1;
+  util::ParallelLoop(util::ThreadPool::Shared(), num_chunks, options,
+                     [&](bool /*helper*/) -> util::LoopChunk {
+                       return [&](util::LoopClaims&, size_t c, size_t) {
+                         const size_t begin = c * chunk_size;
+                         body(c, begin, std::min(n, begin + chunk_size));
+                       };
+                     });
 }
 
 }  // namespace staq::ml

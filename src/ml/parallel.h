@@ -14,11 +14,10 @@ namespace staq::ml {
 
 /// Runs body(chunk_index, begin, end) for every chunk of [0, n). With
 /// threads <= 1 (or a single chunk) the chunks run inline in index order;
-/// otherwise min(threads, chunks) tasks on util::ThreadPool::Shared() each
-/// take the chunks congruent to their slot. `body` must only write
-/// chunk-private or per-slot state; chunks may run concurrently. Do not
-/// call from inside another ForEachChunk body (the shared pool's workers
-/// would wait on each other).
+/// otherwise the calling thread and up to threads - 1 helpers on
+/// util::ThreadPool::Shared() claim chunks dynamically (util::ParallelLoop).
+/// `body` must only write chunk-private state; chunks may run
+/// concurrently.
 void ForEachChunk(int threads, size_t n, size_t chunk_size,
                   const std::function<void(size_t, size_t, size_t)>& body);
 

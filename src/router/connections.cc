@@ -68,6 +68,18 @@ size_t ConnectionArray::DayView::LowerBound(gtfs::TimeOfDay t) const {
       dep_time.begin());
 }
 
+void ConnectionArray::DayView::SlotRange(gtfs::TimeOfDay lo,
+                                         gtfs::TimeOfDay hi, uint32_t* begin,
+                                         uint32_t* end) const {
+  *begin = static_cast<uint32_t>(
+      std::lower_bound(slot_first_dep.begin(), slot_first_dep.end(),
+                       lo - max_trip_span) -
+      slot_first_dep.begin());
+  *end = static_cast<uint32_t>(
+      std::upper_bound(slot_first_dep.begin(), slot_first_dep.end(), hi) -
+      slot_first_dep.begin());
+}
+
 const ConnectionArray::DayView& ConnectionArray::ForDay(gtfs::Day day) const {
   const size_t d = static_cast<size_t>(day);
   STAQ_CHECK(d < 7, "day out of range");
@@ -82,13 +94,26 @@ const ConnectionArray::DayView& ConnectionArray::ForDay(gtfs::Day day) const {
     view.dep_stop.reserve(n);
     view.arr_stop.reserve(n);
     view.trip.reserve(n);
+    view.slot.reserve(n);
+    // Connections arrive in departure order, so a trip's first sighting is
+    // its first departure and ranks it; its last sighting bounds its span.
+    constexpr uint32_t kUnranked = ~0u;
+    std::vector<uint32_t> trip_slot(feed_->num_trips(), kUnranked);
     for (size_t i = 0; i < days_.size(); ++i) {
       if (!gtfs::RunsOn(days_[i], day)) continue;
+      uint32_t& slot = trip_slot[trip_[i]];
+      if (slot == kUnranked) {
+        slot = static_cast<uint32_t>(view.slot_first_dep.size());
+        view.slot_first_dep.push_back(dep_time_[i]);
+      }
+      view.max_trip_span = std::max(
+          view.max_trip_span, dep_time_[i] - view.slot_first_dep[slot]);
       view.dep_time.push_back(dep_time_[i]);
       view.arr_time.push_back(arr_time_[i]);
       view.dep_stop.push_back(dep_stop_[i]);
       view.arr_stop.push_back(arr_stop_[i]);
       view.trip.push_back(trip_[i]);
+      view.slot.push_back(slot);
     }
   });
   return day_views_[d];

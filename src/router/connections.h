@@ -48,16 +48,32 @@ class ConnectionArray {
 
   /// Connections running on one service day, in base order, stored
   /// structure-of-arrays so the scan touches only the columns it reads.
+  ///
+  /// The day's trips are also ranked by first departure: `slot[i]` is the
+  /// rank of connection i's trip. A connection departing at τ belongs to a
+  /// trip whose first departure lies in [τ − max_trip_span, τ], so the
+  /// trips a scan over departures [lo, hi] can meet occupy one contiguous
+  /// slot range (SlotRange) — per-trip scan state sized to that range
+  /// instead of to every trip of the feed.
   struct DayView {
     std::vector<gtfs::TimeOfDay> dep_time;
     std::vector<gtfs::TimeOfDay> arr_time;
     std::vector<uint32_t> dep_stop;
     std::vector<uint32_t> arr_stop;
     std::vector<gtfs::TripId> trip;
+    std::vector<uint32_t> slot;  // the trip's first-departure rank
+    /// First departure of the trip holding each slot (ascending).
+    std::vector<gtfs::TimeOfDay> slot_first_dep;
+    /// Longest first-to-last departure span of any trip of the day.
+    gtfs::TimeOfDay max_trip_span = 0;
 
     size_t size() const { return dep_time.size(); }
     /// Index of the first connection departing at or after `t`.
     size_t LowerBound(gtfs::TimeOfDay t) const;
+    /// Slots [*begin, *end) of every trip with a connection departing in
+    /// [lo, hi].
+    void SlotRange(gtfs::TimeOfDay lo, gtfs::TimeOfDay hi, uint32_t* begin,
+                   uint32_t* end) const;
   };
 
   /// The day's filtered view, built on first use and memoised. Thread-safe;

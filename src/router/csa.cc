@@ -31,7 +31,6 @@ CsaEngine::CsaEngine(const gtfs::Feed* feed, const RouterOptions& options,
   egress_epoch_.assign(num_stops, 0);
   egress_head_.assign(num_stops, -1);
   min_arr_.assign(num_stops, kNever);
-  riding_cnt_.assign(feed_->num_trips(), 0);
 
   // Transfer CSR with the walk seconds rounded once: the footpath closure
   // is one of the scan's hottest loops and must not call lround per offer.
@@ -137,17 +136,28 @@ bool CsaEngine::Prunable(size_t col, uint32_t stop, gtfs::TimeOfDay at) const {
   return true;
 }
 
-void CsaEngine::EnsureLaneCapacity(size_t num_lanes) {
-  if (num_lanes <= lane_stride_ && !arr_.empty()) return;
+void CsaEngine::EnsureLaneCapacity(size_t num_lanes, size_t num_trip_rows) {
+  if (num_lanes <= lane_stride_ && !arr_.empty()) {
+    if (num_trip_rows > trip_rows_) {
+      // More rows at the same stride: every existing entry is already
+      // kNever between calls, so growing in place keeps rows clean.
+      trip_rows_ = num_trip_rows;
+      trip_time_.resize(trip_rows_ * lane_stride_, kNever);
+      trip_stop_.resize(trip_rows_ * lane_stride_, 0);
+      riding_cnt_.resize(trip_rows_, 0);
+    }
+    return;
+  }
   // Only ever grows between calls (no live columns), so the wholesale
   // re-fill cannot lose in-flight state.
   lane_stride_ = std::max(num_lanes, lane_stride_);
+  trip_rows_ = std::max(num_trip_rows, trip_rows_);
   const size_t stops = feed_->num_stops();
-  const size_t trips = feed_->num_trips();
   arr_.assign(stops * lane_stride_, kNever);
   meta_.assign(stops * lane_stride_, Label{});
-  trip_time_.assign(trips * lane_stride_, kNever);
-  trip_stop_.assign(trips * lane_stride_, 0);
+  trip_time_.assign(trip_rows_ * lane_stride_, kNever);
+  trip_stop_.assign(trip_rows_ * lane_stride_, 0);
+  riding_cnt_.assign(trip_rows_, 0);
   touched_.resize(lane_stride_);
   boarded_.resize(lane_stride_);
   for (auto& v : touched_) v.clear();
@@ -447,9 +457,9 @@ void CsaEngine::ClearColumn(size_t col) {
     arr_[stop * lane_stride_ + col] = kNever;
   }
   touched_[col].clear();
-  for (uint32_t trip : boarded_[col]) {
-    trip_time_[trip * lane_stride_ + col] = kNever;
-    --riding_cnt_[trip];
+  for (uint32_t row : boarded_[col]) {
+    trip_time_[row * lane_stride_ + col] = kNever;
+    --riding_cnt_[row];
   }
   boarded_[col].clear();
 }
@@ -566,7 +576,21 @@ void CsaEngine::RouteWindow(const geo::Point& origin,
                      return lanes[a].depart < lanes[b].depart;
                    });
 
-  EnsureLaneCapacity(num_lanes);
+  // Trip rows for the trips the sweep can meet: the sweep starts at the
+  // first lane's activation, and no lane outlives its latest arrival
+  // (depart + horizon), so every connection it offers departs in between.
+  const ConnectionArray::DayView& view = connections_->ForDay(day);
+  uint32_t slot_end = 0;
+  trip_slot_lo_ = 0;
+  if (!access_int_.empty()) {
+    view.SlotRange(
+        lanes[order.front()].depart + min_offset,
+        lanes[order.back()].depart +
+            static_cast<gtfs::TimeOfDay>(options_.horizon_s),
+        &trip_slot_lo_, &slot_end);
+  }
+  call_trip_rows_ = slot_end > trip_slot_lo_ ? slot_end - trip_slot_lo_ : 0;
+  EnsureLaneCapacity(num_lanes, call_trip_rows_);
   u_stride_ = num_unique;
   best_total_.resize(num_lanes * u_stride_);
   best_walk_.resize(num_lanes * u_stride_);
@@ -582,7 +606,6 @@ void CsaEngine::RouteWindow(const geo::Point& origin,
   size_t pi = 0;  // next column to activate
   size_t lo = 0;  // columns [lo, pi) hold every live lane
   if (!access_int_.empty()) {
-    const ConnectionArray::DayView& view = connections_->ForDay(day);
     auto activation = [&](size_t col) {
       return col_def_[col]->depart + min_offset;
     };
@@ -643,11 +666,14 @@ void CsaEngine::RouteWindow(const geo::Point& origin,
       // riding the trip and none has reached dep_stop by tau (min_arr_ is
       // a conservative lower bound — stale-low after retires), or the
       // connection arrives past every live lane's relax limit. In either
-      // case no lane could flag below.
-      const gtfs::TripId trip = view.trip[i];
+      // case no lane could flag below. A trip outside the call's row range
+      // cannot occur (every live lane's horizon covers tau); the row check
+      // only keeps that invariant from ever becoming a stray write.
+      const uint32_t row = view.slot[i] - trip_slot_lo_;
       const uint32_t dep_stop = view.dep_stop[i];
       const gtfs::TimeOfDay arr = view.arr_time[i];
-      if ((riding_cnt_[trip] == 0 && min_arr_[dep_stop] > tau) ||
+      if (row >= call_trip_rows_ ||
+          (riding_cnt_[row] == 0 && min_arr_[dep_stop] > tau) ||
           arr > max_relax_) {
         ++i;
         continue;
@@ -666,7 +692,7 @@ void CsaEngine::RouteWindow(const geo::Point& origin,
       // bytes of the 8-wide gather words are zeroed so the word-skip below
       // never reads stale flags.
       gtfs::TimeOfDay* tt = trip_time_.data() +
-                            static_cast<size_t>(trip) * lane_stride_;
+                            static_cast<size_t>(row) * lane_stride_;
       const gtfs::TimeOfDay* ar = arr_.data() +
                                   static_cast<size_t>(dep_stop) * lane_stride_;
       const uint32_t arr_stop = view.arr_stop[i];
@@ -702,13 +728,14 @@ void CsaEngine::RouteWindow(const geo::Point& origin,
       }
 
       if (!slow_cols_.empty()) {
+        const gtfs::TripId trip = view.trip[i];
         uint32_t* ts = trip_stop_.data() +
-                       static_cast<size_t>(trip) * lane_stride_;
+                       static_cast<size_t>(row) * lane_stride_;
         for (uint32_t col : slow_cols_) {
           if (tt[col] == kNever) {
             // Pre-filter guaranteed the boarding condition.
-            boarded_[col].push_back(trip);
-            ++riding_cnt_[trip];
+            boarded_[col].push_back(row);
+            ++riding_cnt_[row];
             tt[col] = tau;
             ts[col] = dep_stop;
           }

@@ -32,7 +32,10 @@
 // ~50KB private state block per lane, and a branch-free pre-filter walks
 // those rows to find the (rare) lanes that actually board or improve. The
 // slow path then replays the exact single-lane logic, so the layout is
-// invisible in the results.
+// invisible in the results. Trip rows exist only for the trips a call's
+// sweep can meet — the day view's first-departure slots of its scan range
+// (ConnectionArray::DayView::SlotRange) — so they cost a window's share of
+// the timetable, not the whole day's.
 #pragma once
 
 #include <cstdint>
@@ -133,10 +136,11 @@ class CsaEngine {
   /// prefix of an eventually-winning journey strictly beats the best of
   /// its time, so winning chains are never pruned.
   bool Prunable(size_t col, uint32_t stop, gtfs::TimeOfDay at) const;
-  /// Grows the lane-major arrays to hold `num_lanes` columns. Grow-only:
-  /// retired columns are wiped back to kNever, so rows stay clean across
-  /// calls as long as the stride never changes under them.
-  void EnsureLaneCapacity(size_t num_lanes);
+  /// Grows the lane-major arrays to hold `num_lanes` columns and
+  /// `num_trip_rows` trip rows. Grow-only: retired columns are wiped back
+  /// to kNever, so rows stay clean across calls as long as the stride never
+  /// changes under them.
+  void EnsureLaneCapacity(size_t num_lanes, size_t num_trip_rows);
   /// Recomputes a lane's pruning state from its own targets' bests.
   void UpdateWorst(size_t col);
   /// Relaxes egress candidates and closes footpaths after `stop` improved
@@ -186,10 +190,16 @@ class CsaEngine {
   size_t lane_stride_ = 0;
   std::vector<gtfs::TimeOfDay> arr_;        // [stop * stride + col]
   std::vector<Label> meta_;                 // [stop * stride + col]
-  std::vector<gtfs::TimeOfDay> trip_time_;  // board time; kNever = not riding
+  // Trip rows: row = the trip's day slot − trip_slot_lo_, for the slots of
+  // the in-flight call's scan range (trip_rows_ = grow-only capacity).
+  size_t trip_rows_ = 0;
+  uint32_t trip_slot_lo_ = 0;
+  size_t call_trip_rows_ = 0;  // rows the in-flight call's range spans
+  std::vector<gtfs::TimeOfDay> trip_time_;  // [row * stride + col] board
+                                            // time; kNever = not riding
   std::vector<uint32_t> trip_stop_;         // board stop, valid while riding
   std::vector<std::vector<uint32_t>> touched_;  // per col: stops written
-  std::vector<std::vector<uint32_t>> boarded_;  // per col: trips boarded
+  std::vector<std::vector<uint32_t>> boarded_;  // per col: trip rows boarded
 
   // Per-column lane scalars.
   std::vector<const WindowLane*> col_def_;
@@ -215,7 +225,7 @@ class CsaEngine {
   // Connection-skip summaries: a connection is offered to lanes only when
   // some live lane could possibly use it. min_arr_[stop] lower-bounds every
   // live lane's arrival at the stop (stale-low after retires — only ever
-  // conservative); riding_cnt_[trip] counts lanes currently riding;
+  // conservative); riding_cnt_[row] counts lanes riding the row's trip;
   // max_relax_ upper-bounds every live lane's relax limit.
   std::vector<gtfs::TimeOfDay> min_arr_;
   std::vector<uint16_t> riding_cnt_;

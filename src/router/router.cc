@@ -37,8 +37,15 @@ Router::Router(const gtfs::Feed* feed, RouterOptions options)
 
   if (options_.engine == RoutingEngine::kCsa) {
     connections_ = ConnectionArray::EnsureFor(options_.connections, feed_);
+    // options() then hands the shared array on: routers built from a
+    // router's options (parallel labeling participants) scan this one.
+    options_.connections = connections_;
     csa_ = std::make_unique<CsaEngine>(feed_, options_, connections_,
                                        &walk_table_);
+    // Every query goes to the CSA engine: the label-correcting scratch and
+    // departure index below would sit idle (about 1 MB per router on the
+    // bench city), so a CSA router never builds them.
+    return;
   }
 
   stop_epoch_.assign(feed_->num_stops(), 0);

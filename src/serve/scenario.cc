@@ -18,9 +18,9 @@ namespace staq::serve {
 
 namespace {
 
-/// Builds (or adopts) the shared connection array once per store, so the
-/// writer-side relabel router and every worker Router constructed from
-/// router_options() scan one immutable array.
+/// Builds (or adopts) the shared connection array once per store, so every
+/// labeling Router constructed from router_options() scans one immutable
+/// array.
 ScenarioStore::Options WithSharedConnections(ScenarioStore::Options options,
                                              const gtfs::Feed* feed) {
   if (options.router.engine == router::RoutingEngine::kCsa) {
@@ -67,6 +67,13 @@ std::vector<uint32_t> AllZones(size_t count) {
   return all;
 }
 
+/// Stamps every network a store builds — including ones whose mutation
+/// then fails — with an id no other network in the process shares.
+uint64_t NewNetworkId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 OfflineState::OfflineState(const synth::City& city,
@@ -100,9 +107,10 @@ Scenario::Scenario(uint64_t epoch, std::shared_ptr<const synth::City> base,
       pois_(std::move(pois)),
       offline_(std::move(offline)) {}
 
-void Scenario::SetNetwork(uint64_t version,
+void Scenario::SetNetwork(uint64_t version, uint64_t id,
                           const router::RouterOptions& options) {
   network_version_ = version;
+  network_id_ = id;
   router_options_ = options;
 }
 
@@ -115,7 +123,7 @@ std::vector<synth::Poi> Scenario::PoisOf(synth::PoiCategory category) const {
 }
 
 std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
-    const LabelKey& key, core::LabelingEngine* engine) const {
+    const LabelKey& key, core::LabelingEngine* engine, ZoneLoop* loop) const {
   // Fault site: a from-scratch state build failing (models OOM / engine
   // faults). GetOrBuildLabelState must propagate this to current waiters
   // without poisoning the memo key; see the catch there.
@@ -130,21 +138,35 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
                              key.gravity);
   state->todam = builder.BuildGravityStable(key.seed, state->zone_norm);
 
-  engine->set_gac_weights(key.gac);
-  std::vector<uint32_t> all(base_->zones.size());
-  std::iota(all.begin(), all.end(), 0u);
-  uint64_t spq_before = engine->spq_count();
-  state->labels =
-      engine->LabelZones(state->todam, all, state->pois, key.cost,
-                         interval().day);
-  state->build_spqs = engine->spq_count() - spq_before;
-  state->relabeled_zones = static_cast<uint32_t>(all.size());
+  const size_t num_zones = base_->zones.size();
+  const gtfs::Day day = interval().day;
+  state->labels.resize(num_zones);
+  // The body owns the state it reads and writes (ZoneLoop contract).
+  const ZoneLoopBody label_zone = [state, key, day](
+                                      core::LabelingEngine& labeler,
+                                      size_t z) -> std::function<void()> {
+    labeler.set_gac_weights(key.gac);
+    const core::ZoneLabel label =
+        labeler.LabelZone(state->todam, static_cast<uint32_t>(z), state->pois,
+                          key.cost, day);
+    return [state, z, label] { state->labels[z] = label; };
+  };
+  if (loop != nullptr) {
+    loop->Run(*this, engine, num_zones, label_zone);
+  } else {
+    for (size_t z = 0; z < num_zones; ++z) label_zone(*engine, z)();
+  }
+  // One SPQ per TODAM trip, whichever engine answered it.
+  for (const core::ZoneLabel& label : state->labels) {
+    state->build_spqs += label.num_trips;
+  }
+  state->relabeled_zones = static_cast<uint32_t>(num_zones);
   return state;
 }
 
 std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
-    const LabelKey& key, core::LabelingEngine* engine,
-    bool* built_fresh) const {
+    const LabelKey& key, core::LabelingEngine* engine, bool* built_fresh,
+    ZoneLoop* loop) const {
   if (built_fresh != nullptr) *built_fresh = false;
   const std::string canonical = key.Canonical();
   std::promise<std::shared_ptr<const ExactLabelState>> promise;
@@ -165,7 +187,7 @@ std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
 
   std::shared_ptr<const ExactLabelState> state;
   try {
-    state = BuildLabelState(key, engine);
+    state = BuildLabelState(key, engine, loop);
   } catch (...) {
     // Unfulfilled promises hang every waiter on the shared future, and a
     // dead entry would poison the key forever. Drop the entry first (so
@@ -214,15 +236,12 @@ ScenarioStore::ScenarioStore(synth::City city,
       network_city_(base_),
       network_router_(options_.router),
       network_iso_(options_.iso),
-      relabel_router_(
-          std::make_unique<router::Router>(&base_->feed, network_router_)),
-      relabel_engine_(std::make_unique<core::LabelingEngine>(
-          base_.get(), relabel_router_.get())) {
+      network_id_(NewNetworkId()) {
   auto offline =
       std::make_shared<const OfflineState>(*base_, interval, options_.iso);
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_, base_->pois,
                                              std::move(offline));
-  scenario->SetNetwork(network_version_, network_router_);
+  scenario->SetNetwork(network_version_, network_id_, network_router_);
   current_ = std::move(scenario);
   for (const synth::Poi& poi : base_->pois) {
     if (poi.id >= next_poi_id_) next_poi_id_ = poi.id + 1;
@@ -235,14 +254,11 @@ ScenarioStore::ScenarioStore(RestoredScenario restored, Options options)
       network_city_(base_),
       network_router_(options_.router),
       network_iso_(options_.iso),
-      relabel_router_(
-          std::make_unique<router::Router>(&base_->feed, network_router_)),
-      relabel_engine_(std::make_unique<core::LabelingEngine>(
-          base_.get(), relabel_router_.get())) {
+      network_id_(NewNetworkId()) {
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_,
                                              std::move(restored.pois),
                                              std::move(restored.offline));
-  scenario->SetNetwork(network_version_, network_router_);
+  scenario->SetNetwork(network_version_, network_id_, network_router_);
   for (auto& [key, state] : restored.label_states) {
     scenario->SeedLabelState(key, std::move(state));
   }
@@ -307,12 +323,7 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchAdd(
   // Fault site: relabeling the affected zones failing mid-mutation. Only
   // the un-installed copy is damaged; the store never publishes it.
   STAQ_FAILPOINT("serve.scenario.relabel");
-  relabel_engine_->set_gac_weights(key.gac);
-  uint64_t spq_before = relabel_engine_->spq_count();
-  relabel_engine_->RelabelZones(state->todam, affected, state->pois, key.cost,
-                               next.interval().day, &state->labels);
-  state->build_spqs = relabel_engine_->spq_count() - spq_before;
-  state->relabeled_zones = static_cast<uint32_t>(affected.size());
+  Relabel(next, key, std::move(affected), state);
   return state;
 }
 
@@ -340,12 +351,7 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchRemove(
   state->todam.RemovePoiColumn(index, &affected);
 
   STAQ_FAILPOINT("serve.scenario.relabel");
-  relabel_engine_->set_gac_weights(key.gac);
-  uint64_t spq_before = relabel_engine_->spq_count();
-  relabel_engine_->RelabelZones(state->todam, affected, state->pois, key.cost,
-                               next.interval().day, &state->labels);
-  state->build_spqs = relabel_engine_->spq_count() - spq_before;
-  state->relabeled_zones = static_cast<uint32_t>(affected.size());
+  Relabel(next, key, std::move(affected), state);
   return state;
 }
 
@@ -365,7 +371,7 @@ ScenarioStore::MutationReport ScenarioStore::AddPoi(
   auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
                                          std::move(pois),
                                          current->offline_ptr());
-  next->SetNetwork(network_version_, network_router_);
+  next->SetNetwork(network_version_, network_id_, network_router_);
 
   MutationReport report;
   report.epoch = next->epoch();
@@ -407,7 +413,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::RemovePoi(
   auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
                                          std::move(pois),
                                          current->offline_ptr());
-  next->SetNetwork(network_version_, network_router_);
+  next->SetNetwork(network_version_, network_id_, network_router_);
 
   MutationReport report;
   report.epoch = next->epoch();
@@ -440,12 +446,7 @@ ScenarioStore::MutationReport ScenarioStore::SetInterval(
                                                       network_iso_);
   auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
                                          current->pois(), std::move(offline));
-  next->SetNetwork(network_version_, network_router_);
-  // Mutation discipline: any swap of offline structures drops the writer
-  // engine's cached access stops. Today the walk table is feed-derived and
-  // survives interval switches, but the invalidation keeps the cache from
-  // outliving any future mutation that does touch stop geometry.
-  relabel_engine_->InvalidateAccessStopCache();
+  next->SetNetwork(network_version_, network_id_, network_router_);
 
   MutationReport report;
   report.epoch = next->epoch();
@@ -457,20 +458,46 @@ ScenarioStore::MutationReport ScenarioStore::SetInterval(
 
 std::shared_ptr<const ExactLabelState> ScenarioStore::PatchNetwork(
     const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
-    const std::vector<uint32_t>& affected, core::LabelingEngine* engine) {
+    const std::vector<uint32_t>& affected) {
   // The TODAM is demand-side (zones x POIs x interval) and carries over
-  // verbatim; only the screened zones resolve their trips again, against
-  // the engine built over the new network. Zones outside `affected` could
-  // never have used a removed connection, so their labels are already the
-  // exact labels of the mutated feed.
+  // verbatim; only the screened zones resolve their trips again, over the
+  // new network. Zones outside `affected` could never have used a removed
+  // connection, so their labels are already the exact labels of the
+  // mutated feed.
   auto state = std::make_shared<ExactLabelState>(parent);
-  engine->set_gac_weights(key.gac);
-  uint64_t spq_before = engine->spq_count();
-  engine->RelabelZones(state->todam, affected, state->pois, key.cost,
-                       next.interval().day, &state->labels);
-  state->build_spqs = engine->spq_count() - spq_before;
-  state->relabeled_zones = static_cast<uint32_t>(affected.size());
+  Relabel(next, key, affected, state);
   return state;
+}
+
+void ScenarioStore::Relabel(const Scenario& next, const LabelKey& key,
+                            std::vector<uint32_t> zones,
+                            const std::shared_ptr<ExactLabelState>& state) {
+  const gtfs::Day day = next.interval().day;
+  // The body owns what it touches (ZoneLoop contract).
+  auto shared_zones =
+      std::make_shared<const std::vector<uint32_t>>(std::move(zones));
+  const ZoneLoopBody relabel =
+      [state, key, day, shared_zones](core::LabelingEngine& engine,
+                                      size_t i) -> std::function<void()> {
+    const uint32_t z = (*shared_zones)[i];
+    engine.set_gac_weights(key.gac);
+    const core::ZoneLabel label =
+        engine.LabelZone(state->todam, z, state->pois, key.cost, day);
+    return [state, z, label] { state->labels[z] = label; };
+  };
+  const size_t n = shared_zones->size();
+  if (zone_loop_ != nullptr) {
+    zone_loop_->Run(next, nullptr, n, relabel);
+  } else {
+    router::Router router(&next.base_city().feed, next.router_options());
+    core::LabelingEngine engine(&next.base_city(), &router);
+    for (size_t i = 0; i < n; ++i) relabel(engine, i)();
+  }
+  state->build_spqs = 0;
+  for (uint32_t z : *shared_zones) {
+    state->build_spqs += state->labels[z].num_trips;
+  }
+  state->relabeled_zones = static_cast<uint32_t>(n);
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(
@@ -480,10 +507,11 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(
 
   // Screen on the OLD timetable: only zones that could have reached a
   // removed departure event can change label.
+  const router::WalkTable walk(&network_city_->feed, network_router_.walk);
   scenario::ImpactInputs impact;
   impact.city = network_city_.get();
   impact.feed = &network_city_->feed;
-  impact.walk = &relabel_router_->walk_table();
+  impact.walk = &walk;
   impact.interval = current->interval();
   impact.removed_trips = std::move(transformed.removed_trips);
   impact.closed_stop = transformed.closed_stop;
@@ -499,21 +527,19 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(
   auto city = std::make_shared<const synth::City>(std::move(disrupted));
   router::RouterOptions router_opts =
       RebindConnections(network_router_, &city->feed);
-  auto router = std::make_unique<router::Router>(&city->feed, router_opts);
-  auto engine =
-      std::make_unique<core::LabelingEngine>(city.get(), router.get());
   auto offline = RebuildOfflineKeepingIsochrones(*city, current->offline());
+  const uint64_t network_id = NewNetworkId();
 
   auto next = std::make_shared<Scenario>(current->epoch() + 1, city,
                                          current->pois(), std::move(offline));
-  next->SetNetwork(network_version_ + 1, router_opts);
+  next->SetNetwork(network_version_ + 1, network_id, router_opts);
 
   MutationReport report;
   report.epoch = next->epoch();
   report.poi_id = target;
   report.zones_total = static_cast<uint32_t>(base_->zones.size());
   for (const auto& [key, state] : current->MaterializedStates()) {
-    auto patched = PatchNetwork(*next, key, *state, affected, engine.get());
+    auto patched = PatchNetwork(*next, key, *state, affected);
     report.spqs += patched->build_spqs;
     report.zones_relabeled += patched->relabeled_zones;
     ++report.states_patched;
@@ -524,8 +550,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(
   // current one in the same breath as the epoch install.
   network_city_ = std::move(city);
   network_router_ = std::move(router_opts);
-  relabel_router_ = std::move(router);
-  relabel_engine_ = std::move(engine);
+  network_id_ = network_id;
   ++network_version_;
   Install(std::move(next));
   report.seconds = watch.ElapsedSeconds();
@@ -577,14 +602,12 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::SetFare(
   auto city = std::make_shared<const synth::City>(std::move(disrupted));
   router::RouterOptions router_opts =
       RebindConnections(network_router_, &city->feed);
-  auto router = std::make_unique<router::Router>(&city->feed, router_opts);
-  auto engine =
-      std::make_unique<core::LabelingEngine>(city.get(), router.get());
   auto offline = RebuildOfflineKeepingIsochrones(*city, current->offline());
+  const uint64_t network_id = NewNetworkId();
 
   auto next = std::make_shared<Scenario>(current->epoch() + 1, city,
                                          current->pois(), std::move(offline));
-  next->SetNetwork(network_version_ + 1, router_opts);
+  next->SetNetwork(network_version_ + 1, network_id, router_opts);
 
   // Fares enter GAC only: journey-time states are shared verbatim (their
   // rebuild over the new feed would reproduce the same bits), while every
@@ -601,7 +624,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::SetFare(
       ++report.states_shared;
       continue;
     }
-    auto patched = PatchNetwork(*next, key, *state, all, engine.get());
+    auto patched = PatchNetwork(*next, key, *state, all);
     report.spqs += patched->build_spqs;
     report.zones_relabeled += patched->relabeled_zones;
     ++report.states_patched;
@@ -610,8 +633,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::SetFare(
 
   network_city_ = std::move(city);
   network_router_ = std::move(router_opts);
-  relabel_router_ = std::move(router);
-  relabel_engine_ = std::move(engine);
+  network_id_ = network_id;
   ++network_version_;
   Install(std::move(next));
   report.seconds = watch.ElapsedSeconds();
@@ -638,17 +660,14 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleWalkSpeed(
   router_opts.walk.speed_mps *= factor;
   core::IsochroneConfig iso = network_iso_;
   iso.omega_kph *= factor;
-  auto router =
-      std::make_unique<router::Router>(&network_city_->feed, router_opts);
-  auto engine = std::make_unique<core::LabelingEngine>(network_city_.get(),
-                                                       router.get());
   // The isochrone config changed, so this is a full offline build.
   auto offline = std::make_shared<const OfflineState>(
       *network_city_, current->interval(), iso);
+  const uint64_t network_id = NewNetworkId();
 
   auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
                                          current->pois(), std::move(offline));
-  next->SetNetwork(network_version_ + 1, router_opts);
+  next->SetNetwork(network_version_ + 1, network_id, router_opts);
 
   // Every journey has walk legs, so every zone of every state relabels.
   const std::vector<uint32_t> all = AllZones(base_->zones.size());
@@ -656,7 +675,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleWalkSpeed(
   report.epoch = next->epoch();
   report.zones_total = static_cast<uint32_t>(base_->zones.size());
   for (const auto& [key, state] : current->MaterializedStates()) {
-    auto patched = PatchNetwork(*next, key, *state, all, engine.get());
+    auto patched = PatchNetwork(*next, key, *state, all);
     report.spqs += patched->build_spqs;
     report.zones_relabeled += patched->relabeled_zones;
     ++report.states_patched;
@@ -667,8 +686,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleWalkSpeed(
   network_iso_ = iso;
   walk_scale_.store(walk_scale_.load(std::memory_order_relaxed) * factor,
                     std::memory_order_release);
-  relabel_router_ = std::move(router);
-  relabel_engine_ = std::move(engine);
+  network_id_ = network_id;
   ++network_version_;
   Install(std::move(next));
   report.seconds = watch.ElapsedSeconds();

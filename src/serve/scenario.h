@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -106,6 +107,36 @@ struct ExactLabelState {
   uint32_t relabeled_zones = 0;
 };
 
+class Scenario;
+
+/// One work item of a zone loop: labels item `index` with `engine` and
+/// returns the step that stores the item's result.
+using ZoneLoopBody = std::function<std::function<void()>(
+    core::LabelingEngine& engine, size_t index)>;
+
+/// Runs the zone loops of label-state builds, patches and batch captures.
+/// Every zone is labeled independently, so how a loop is split across
+/// threads never shows in the labels: an implementation may hand items to
+/// any number of engines as long as each routes over `scenario`'s network,
+/// and may even label an item twice (the owning thread takes over an item
+/// a stalled helper still holds) — but it runs exactly one store step per
+/// item. A body can still be running on a straggling helper after Run
+/// returns, so it must own (by value or shared_ptr) everything it reads
+/// and writes. AqServer implements the loop with the owning thread plus
+/// idle-priority helpers leasing the server's contexts (DESIGN.md §16);
+/// without one, loops run serially.
+class ZoneLoop {
+ public:
+  virtual ~ZoneLoop() = default;
+
+  /// Labels and stores every item in [0, n), returning when all are
+  /// stored; rethrows the first exception a body threw. The calling thread
+  /// labels with `caller`, or — when null — with a context leased for
+  /// `scenario`'s network for the duration of the loop.
+  virtual void Run(const Scenario& scenario, core::LabelingEngine* caller,
+                   size_t n, const ZoneLoopBody& body) = 0;
+};
+
 /// Router configuration serve runs by default: the Connection Scan engine.
 /// Exact journey times, feasibility, and MAC/ACSD match the
 /// label-correcting engine (asserted by the golden equivalence suites);
@@ -143,6 +174,11 @@ class Scenario {
   /// mutation. Pooled worker contexts built for a different version are
   /// discarded rather than reused.
   uint64_t network_version() const { return network_version_; }
+  /// Process-unique identity of the network this scenario routes over.
+  /// Unlike network_version(), an id is never reused — not even by a
+  /// network built for a mutation that then failed — so pooled labeling
+  /// contexts key on it.
+  uint64_t network_id() const { return network_id_; }
   /// Router options matching this scenario's network: the (possibly
   /// rescaled) walk parameters plus the connection array of the scenario's
   /// own feed.
@@ -150,10 +186,11 @@ class Scenario {
     return router_options_;
   }
 
-  /// Stamps the network version and router options (mutation derivation,
-  /// ScenarioStore only). Must only be called before the scenario is
-  /// installed.
-  void SetNetwork(uint64_t version, const router::RouterOptions& options);
+  /// Stamps the network version, id and router options (mutation
+  /// derivation, ScenarioStore only). Must only be called before the
+  /// scenario is installed.
+  void SetNetwork(uint64_t version, uint64_t id,
+                  const router::RouterOptions& options);
 
   /// The scenario's POIs of one category, in stable-id order.
   std::vector<synth::Poi> PoisOf(synth::PoiCategory category) const;
@@ -161,15 +198,19 @@ class Scenario {
   /// Memoised exact label state: the first caller for a key builds it with
   /// `engine` (and sets *built_fresh when non-null); concurrent callers
   /// for the same key block until that build is published. `engine` is only
-  /// used by the caller that actually builds.
+  /// used by the caller that actually builds; `loop`, when non-null, lets
+  /// helpers label zones alongside it (see BuildLabelState).
   std::shared_ptr<const ExactLabelState> GetOrBuildLabelState(
       const LabelKey& key, core::LabelingEngine* engine,
-      bool* built_fresh = nullptr) const;
+      bool* built_fresh = nullptr, ZoneLoop* loop = nullptr) const;
 
   /// From-scratch build, bypassing the memo. This is the golden reference
-  /// the incremental path is checked against (tests, bench gates).
+  /// the incremental path is checked against (tests, bench gates). Zones
+  /// are labeled serially on `engine`, or through `loop` with `engine` as
+  /// the calling thread's engine — bit-identical either way.
   std::shared_ptr<const ExactLabelState> BuildLabelState(
-      const LabelKey& key, core::LabelingEngine* engine) const;
+      const LabelKey& key, core::LabelingEngine* engine,
+      ZoneLoop* loop = nullptr) const;
 
   /// Label states the scenario currently holds materialised (ready, not
   /// in-flight). Mutations patch these into the next epoch; a state still
@@ -195,6 +236,7 @@ class Scenario {
   std::vector<synth::Poi> pois_;
   std::shared_ptr<const OfflineState> offline_;
   uint64_t network_version_ = 0;
+  uint64_t network_id_ = 0;
   router::RouterOptions router_options_ = DefaultServeRouterOptions();
 
   mutable std::mutex states_mu_;
@@ -321,6 +363,14 @@ class ScenarioStore {
   /// every zone of every materialised state.
   util::Result<MutationReport> ScaleWalkSpeed(double factor);
 
+  /// Routes the zone loops of every later patch through `loop` (not owned;
+  /// must outlive the store's mutations). AqServer installs itself so
+  /// patches lease its contexts and helpers; with no loop installed (the
+  /// default), each patch labels serially on a context of its own built
+  /// for the patch and dropped after it. Not thread-safe against running
+  /// mutations: install before the first one.
+  void SetZoneLoop(ZoneLoop* loop) { zone_loop_ = loop; }
+
   /// Network stamp of the current epoch (0 until the first disruption).
   uint64_t network_version() const { return Acquire()->network_version(); }
   /// Cumulative walk-speed factor applied by ScaleWalkSpeed (diagnostic).
@@ -348,11 +398,16 @@ class ScenarioStore {
       const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
       uint32_t poi_id);
   /// Carries one label state across a network mutation: the TODAM is
-  /// demand-side and moves verbatim; `affected` zones relabel against
-  /// `engine` (built over the new network).
+  /// demand-side and moves verbatim; `affected` zones relabel over
+  /// `next`'s (new) network.
   std::shared_ptr<const ExactLabelState> PatchNetwork(
       const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
-      const std::vector<uint32_t>& affected, core::LabelingEngine* engine);
+      const std::vector<uint32_t>& affected);
+  /// Relabels `zones` of `state` over `next`'s network through the zone
+  /// loop and records the step's SPQ and zone counts.
+  void Relabel(const Scenario& next, const LabelKey& key,
+               std::vector<uint32_t> zones,
+               const std::shared_ptr<ExactLabelState>& state);
   /// Shared tail of SuspendRoute / CloseStop / ScaleHeadway: screens the
   /// affected zones on the old timetable, builds the new network aside,
   /// patches every state, and commits. Caller holds mutation_mu_.
@@ -376,13 +431,12 @@ class ScenarioStore {
   router::RouterOptions network_router_;
   core::IsochroneConfig network_iso_;
   uint64_t network_version_ = 0;
+  uint64_t network_id_ = 0;
   std::atomic<double> walk_scale_{1.0};
 
-  /// Writer-side labeling context over the current network, used only
-  /// under mutation_mu_; rebuilt (and committed together with
-  /// network_city_) whenever the network changes.
-  std::unique_ptr<router::Router> relabel_router_;
-  std::unique_ptr<core::LabelingEngine> relabel_engine_;
+  /// Where patches label their zones (SetZoneLoop); null = serially on a
+  /// per-patch context.
+  ZoneLoop* zone_loop_ = nullptr;
 
   /// Serialises mutations; never held while readers run queries.
   std::mutex mutation_mu_;

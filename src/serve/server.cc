@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "store/snapshot.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/parallel_loop.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 #include "wal/wal.h"
@@ -95,10 +97,13 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval,
         if (cache_options.clock == nullptr) cache_options.clock = clock_;
         return cache_options;
       }()),
-      pool_(ResolveThreads(options.num_threads)) {
+      context_cap_(ResolveThreads(options.num_threads)),
+      pool_(context_cap_) {
   if (options_.perturb.has_value()) {
     pool_.EnablePerturbation(*options_.perturb);
   }
+  // Patches label through this server's contexts and helpers.
+  store_.SetZoneLoop(this);
 }
 
 AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval)
@@ -353,36 +358,162 @@ util::Result<ScenarioStore::MutationReport> AqServer::ApplyMutation(
   return report;
 }
 
+AqServer::HelperPins::~HelperPins() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return pins_ == 0; });
+}
+
+std::shared_ptr<void> AqServer::HelperPins::Pin() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++pins_;
+  return std::shared_ptr<void>(nullptr, [this](void*) {
+    std::lock_guard<std::mutex> unpin(mu_);
+    if (--pins_ == 0) cv_.notify_all();
+  });
+}
+
+AqServer::Network AqServer::NetworkOf(const Scenario& scenario) {
+  return Network{scenario.city_ptr(), scenario.router_options(),
+                 scenario.network_id()};
+}
+
+std::unique_ptr<AqServer::WorkerContext> AqServer::PopContextLocked(
+    const Network& network, uint64_t stop_epoch) {
+  // Contexts built for another network route over the wrong feed or walk
+  // parameters: destroy them (freeing their slot under the cap) and keep
+  // looking.
+  std::erase_if(free_contexts_, [&](const std::unique_ptr<WorkerContext>& c) {
+    return c->network_id != network.id;
+  });
+  if (free_contexts_.empty()) return nullptr;
+  auto context = std::move(free_contexts_.back());
+  free_contexts_.pop_back();
+  if (context->stop_epoch != stop_epoch) {
+    context->engine.InvalidateAccessStopCache();
+    context->stop_epoch = stop_epoch;
+  }
+  return context;
+}
+
+std::unique_ptr<AqServer::WorkerContext> AqServer::NewContext(
+    const Network& network, uint64_t stop_epoch) {
+  // The caller already counted this context in live_contexts_ (under
+  // context_mu_, so helper leases see the slot taken); a failed build
+  // gives the slot back.
+  try {
+    auto context = std::make_unique<WorkerContext>(
+        network.city, network.options, network.id, &live_contexts_);
+    context->stop_epoch = stop_epoch;
+    return context;
+  } catch (...) {
+    live_contexts_.fetch_sub(1, std::memory_order_relaxed);
+    throw;
+  }
+}
+
 std::unique_ptr<AqServer::WorkerContext> AqServer::AcquireContext(
     const Scenario& scenario) {
+  const Network network = NetworkOf(scenario);
   const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
   {
     std::lock_guard<std::mutex> lock(context_mu_);
-    while (!free_contexts_.empty()) {
-      auto context = std::move(free_contexts_.back());
-      free_contexts_.pop_back();
-      if (context->network_version != scenario.network_version()) {
-        // Built for a different network — its router scans the wrong feed
-        // or the wrong walk parameters. Destroy it and keep looking.
-        continue;
-      }
-      if (context->stop_epoch != epoch) {
-        context->engine.InvalidateAccessStopCache();
-        context->stop_epoch = epoch;
-      }
-      return context;
-    }
+    if (auto context = PopContextLocked(network, epoch)) return context;
+    live_contexts_.fetch_add(1, std::memory_order_relaxed);
   }
-  auto context = std::make_unique<WorkerContext>(scenario.city_ptr(),
-                                                 scenario.router_options(),
-                                                 scenario.network_version());
-  context->stop_epoch = epoch;
-  return context;
+  return NewContext(network, epoch);
+}
+
+std::unique_ptr<AqServer::WorkerContext> AqServer::TryAcquireHelperContext(
+    const Network& network) {
+  const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
+  {
+    std::lock_guard<std::mutex> lock(context_mu_);
+    if (auto context = PopContextLocked(network, epoch)) return context;
+    if (live_contexts_.load(std::memory_order_relaxed) >= context_cap_) {
+      return nullptr;
+    }
+    live_contexts_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return NewContext(network, epoch);
 }
 
 void AqServer::ReleaseContext(std::unique_ptr<WorkerContext> context) {
   std::lock_guard<std::mutex> lock(context_mu_);
+  // Owners may lease past the cap; the surplus dies on return instead of
+  // pooling, so an idle server holds at most context_cap_ contexts.
+  if (live_contexts_.load(std::memory_order_relaxed) > context_cap_) return;
   free_contexts_.push_back(std::move(context));
+}
+
+void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
+                   size_t n, const ZoneLoopBody& body) {
+  if (n == 0) return;
+  std::unique_ptr<WorkerContext> own;
+  if (caller == nullptr) {
+    own = AcquireContext(scenario);
+    caller = &own->engine;
+  }
+  /// A helper's context, returned to the pool when the helper ends —
+  /// unless a body threw on it (possibly half-built engine state).
+  struct HelperLease {
+    AqServer* server = nullptr;
+    std::unique_ptr<WorkerContext> context;
+    bool failed = false;
+    ~HelperLease() {
+      if (context != nullptr && !failed) {
+        server->ReleaseContext(std::move(context));
+      }
+    }
+  };
+  // Labels one item and stores it through the publish gate.
+  auto label = [](const ZoneLoopBody& work, core::LabelingEngine& engine,
+                  util::LoopClaims& claims, size_t index) {
+    std::function<void()> store = work(engine, index);
+    if (claims.BeginPublish(index)) {
+      store();
+      claims.EndPublish(index);
+    }
+  };
+
+  // Helpers come from the hardware: one per core besides the caller's,
+  // and never more than the spare contexts the cap leaves.
+  util::ThreadPool& idle = util::ThreadPool::Idle();
+  util::LoopOptions loop;
+  loop.max_helpers =
+      std::min(std::max<size_t>(1, idle.num_threads() - 1), context_cap_ - 1);
+  loop.takeover = true;
+  // Everything the participants capture is owned: a straggling helper may
+  // still be running after this returns (util/parallel_loop.h).
+  util::ParallelLoop(
+      idle, n, loop,
+      [this, caller, body, label, network = NetworkOf(scenario),
+       pin = helper_pins_.Pin()](bool helper) -> util::LoopChunk {
+        if (!helper) {
+          // Used on this thread only, before ParallelLoop returns.
+          return [caller, &body, label](util::LoopClaims& claims,
+                                        size_t index, size_t) {
+            // Fault site (tests): parks or fails the owning thread mid-loop.
+            STAQ_FAILPOINT("serve.zone_loop.caller");
+            label(body, *caller, claims, index);
+          };
+        }
+        auto lease = std::make_shared<HelperLease>();
+        lease->server = this;
+        lease->context = TryAcquireHelperContext(network);
+        if (lease->context == nullptr) return {};  // no spare context
+        return [lease, body, label](util::LoopClaims& claims, size_t index,
+                                    size_t) {
+          try {
+            // Fault site: a helper failing (or stalling) holding one zone.
+            STAQ_FAILPOINT("serve.zone_loop.helper");
+            label(body, lease->context->engine, claims, index);
+          } catch (...) {
+            lease->failed = true;
+            throw;
+          }
+        };
+      });
+  if (own != nullptr) ReleaseContext(std::move(own));
 }
 
 AqTicket AqServer::Submit(const AqRequest& request) {
@@ -667,8 +798,11 @@ void AqServer::RunBatchGroup(
       auto context = AcquireContext(*snapshot);
       try {
         const synth::City& city = snapshot->base_city();
-        std::vector<synth::Poi> pois = snapshot->PoisOf(head.category);
-        if (pois.empty()) {
+        // Shared, not local: the zone loop's body must own what it
+        // touches (ZoneLoop contract).
+        auto pois = std::make_shared<const std::vector<synth::Poi>>(
+            snapshot->PoisOf(head.category));
+        if (pois->empty()) {
           fail_remaining(util::Status::NotFound(
                              "no POIs of requested category in scenario"),
                          &failed_);
@@ -682,19 +816,34 @@ void AqServer::RunBatchGroup(
           std::vector<double> zone_norm = core::StableGravityNormsColumnar(
               city.zones, city.PoisOf(head.category),
               head.options.gravity.decay_scale_m);
-          core::TodamBuilder builder(city.zones, pois, snapshot->interval(),
+          core::TodamBuilder builder(city.zones, *pois, snapshot->interval(),
                                      head.options.gravity);
-          core::Todam todam =
-              builder.BuildGravityStable(head.options.seed, zone_norm);
-          const uint64_t spqs_before = context->engine.spq_count();
-          core::TripCostColumns columns;
-          for (uint32_t z = 0; z < city.zones.size(); ++z) {
-            context->engine.CaptureZoneCosts(todam, z, pois,
-                                             snapshot->interval().day,
-                                             &columns);
+          auto todam = std::make_shared<const core::Todam>(
+              builder.BuildGravityStable(head.options.seed, zone_norm));
+          // Every zone's range is opened up front; each zone is captured
+          // into columns of its own and stored into its range, so zones
+          // can be captured on any participant.
+          auto shared_columns = std::make_shared<core::TripCostColumns>();
+          const size_t num_zones = city.zones.size();
+          for (uint32_t z = 0; z < num_zones; ++z) {
+            shared_columns->AppendZone(todam->TripsFor(z).size());
           }
-          const uint64_t pass_spqs =
-              context->engine.spq_count() - spqs_before;
+          const gtfs::Day day = snapshot->interval().day;
+          Run(*snapshot, &context->engine, num_zones,
+              [todam, pois, shared_columns, day](
+                  core::LabelingEngine& engine,
+                  size_t z) -> std::function<void()> {
+                auto zone = std::make_shared<core::TripCostColumns>();
+                engine.CaptureZoneCosts(*todam, static_cast<uint32_t>(z),
+                                        *pois, day, zone.get());
+                return [shared_columns, zone, z] {
+                  shared_columns->StoreZone(shared_columns->zone_offsets[z],
+                                            *zone);
+                };
+              });
+          const core::TripCostColumns& columns = *shared_columns;
+          // One SPQ per captured trip.
+          const uint64_t pass_spqs = columns.num_trips();
           exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
 
           std::vector<double> member_costs;
@@ -702,7 +851,7 @@ void AqServer::RunBatchGroup(
             const core::CostMember member{requests[i].options.cost,
                                           requests[i].options.gac};
             core::AccessQueryResult result;
-            result.gravity_trips = todam.num_trips();
+            result.gravity_trips = todam->num_trips();
             result.spqs = pass_spqs;
             core::MemberCostColumn(columns, member, &member_costs);
             std::vector<core::ZoneLabel> labels =
@@ -766,7 +915,8 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     std::shared_ptr<const ExactLabelState> state;
     if (use_caches) {
       bool built = false;
-      state = scenario.GetOrBuildLabelState(key, &context->engine, &built);
+      state = scenario.GetOrBuildLabelState(key, &context->engine, &built,
+                                            this);
       if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     } else {
       state = scenario.BuildLabelState(key, &context->engine);

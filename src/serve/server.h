@@ -20,10 +20,19 @@
 // QueryUncached() recomputes from scratch, bypassing every cache — it is
 // the golden reference that tests and the serve bench compare cached and
 // incremental answers against.
+//
+// Zone labeling (cold exact builds, every mutation's patch, batch captures)
+// runs as one caller-participating loop per job: the thread that owns the
+// job labels zones itself while helper tasks on the process-wide
+// idle-priority pool (util::ThreadPool::Idle) claim zones alongside it,
+// each leasing one of this server's labeling contexts. Contexts are capped
+// at the worker-pool size, so helpers only ever use spare contexts and
+// spare cores (DESIGN.md §16).
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -84,7 +93,7 @@ class AqTicket {
   uint64_t epoch_ = kNoEpoch;
 };
 
-class AqServer {
+class AqServer : private ZoneLoop {
  public:
   struct Options {
     /// Worker threads; 0 = hardware concurrency.
@@ -128,7 +137,7 @@ class AqServer {
   AqServer(synth::City city, const gtfs::TimeInterval& interval,
            Options options);
   AqServer(synth::City city, const gtfs::TimeInterval& interval);
-  ~AqServer();
+  ~AqServer() override;
 
   AqServer(const AqServer&) = delete;
   AqServer& operator=(const AqServer&) = delete;
@@ -255,32 +264,89 @@ class AqServer {
  private:
   friend class AqTicket;
 
-  /// Per-worker routing context: Router scratch is not shareable across
-  /// threads, so each concurrently running request leases one of these.
-  /// The context shares ownership of the city its router scans — a network
-  /// mutation can retire that city from the store while a leased context
-  /// still routes over it — and carries the network version it was built
-  /// for, so a pooled context never serves a scenario of a different
-  /// network.
+  /// Labeling context: Router scratch is not shareable across threads, so
+  /// each thread labeling for this server — a worker running a request, a
+  /// mutating thread, a zone-loop helper — leases one of these. The context
+  /// shares ownership of the city its router scans — a network mutation
+  /// can retire that city from the store while a leased context still
+  /// routes over it — and carries the id of the network it was built for,
+  /// so a pooled context never serves a scenario of a different network.
+  /// It counts itself in the server's live-context total for its whole
+  /// life, wherever it dies.
   struct WorkerContext {
     WorkerContext(std::shared_ptr<const synth::City> city_in,
-                  const router::RouterOptions& options, uint64_t version)
+                  const router::RouterOptions& options, uint64_t network,
+                  std::atomic<size_t>* live_count)
         : city(std::move(city_in)),
           router(&city->feed, options),
           engine(city.get(), &router),
-          network_version(version) {}
+          network_id(network),
+          live(live_count) {}
+    ~WorkerContext() { live->fetch_sub(1, std::memory_order_relaxed); }
     std::shared_ptr<const synth::City> city;
     router::Router router;
     core::LabelingEngine engine;
-    uint64_t network_version = 0;
+    uint64_t network_id = 0;
     /// stop_cache_epoch_ value this context's engine is known valid for.
     uint64_t stop_epoch = 0;
+    std::atomic<size_t>* live;
   };
 
+  /// What a context is built for: a scenario's network, held by value so
+  /// helpers that outlive a zone loop never reach back into the scenario.
+  struct Network {
+    std::shared_ptr<const synth::City> city;
+    router::RouterOptions options;
+    uint64_t id = 0;
+  };
+  static Network NetworkOf(const Scenario& scenario);
+
   /// Leases a context matching `scenario`'s network: pooled contexts built
-  /// for a different network version are discarded, not reused.
+  /// for a different network are discarded, not reused. Owners (the thread
+  /// a request or mutation runs on) always get one, even past the cap.
   std::unique_ptr<WorkerContext> AcquireContext(const Scenario& scenario);
+  /// Helper lease: like AcquireContext, but null when building a context
+  /// would take the server past its cap (context_cap_ live contexts).
+  std::unique_ptr<WorkerContext> TryAcquireHelperContext(
+      const Network& network);
+  /// Returns a context to the pool, or destroys it when the server holds
+  /// more than its cap.
   void ReleaseContext(std::unique_ptr<WorkerContext> context);
+  /// Pops a pooled context for `network` (stale ones are destroyed),
+  /// refreshing its access-stop cache. Caller holds context_mu_; null when
+  /// none is pooled.
+  std::unique_ptr<WorkerContext> PopContextLocked(const Network& network,
+                                                  uint64_t stop_epoch);
+  std::unique_ptr<WorkerContext> NewContext(const Network& network,
+                                            uint64_t stop_epoch);
+
+  /// ZoneLoop: a takeover-mode util::ParallelLoop (util/parallel_loop.h).
+  /// The calling thread labels with `caller` (or a leased context) while
+  /// up to hardware-concurrency − 1 helpers on the idle pool claim zones
+  /// one at a time, each with a helper lease; a helper that finds the cap
+  /// reached returns at once, and a zone a stalled helper holds is
+  /// relabeled by the caller rather than waited for.
+  void Run(const Scenario& scenario, core::LabelingEngine* caller, size_t n,
+           const ZoneLoopBody& body) override;
+
+  /// Counts the zone-loop helpers that may still touch this server — a
+  /// straggler can outlive the loop it helped — and makes ~AqServer wait
+  /// them out. Helpers still queued, or starting after their loop closed,
+  /// hold no pin and never touch the server.
+  class HelperPins {
+   public:
+    HelperPins() = default;
+    HelperPins(const HelperPins&) = delete;
+    HelperPins& operator=(const HelperPins&) = delete;
+    ~HelperPins();
+    /// A pin; the server stays alive until every pin is released.
+    std::shared_ptr<void> Pin();
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    size_t pins_ = 0;
+  };
 
   /// Folds one mutation report into the stats counters.
   void NoteMutation(const ScenarioStore::MutationReport& report);
@@ -324,6 +390,13 @@ class AqServer {
   std::mutex wal_mu_;
   wal::MutationWal* wal_ = nullptr;  // attached log; not owned
 
+  /// Most contexts the server keeps alive: its worker count. A plain copy
+  /// of pool_.num_threads(), readable by straggling helpers after pool_ is
+  /// gone.
+  const size_t context_cap_;
+  /// Contexts alive anywhere (pooled or leased). Declared before the pool
+  /// so it outlives every context destroyed with free_contexts_.
+  std::atomic<size_t> live_contexts_{0};
   std::mutex context_mu_;
   std::vector<std::unique_ptr<WorkerContext>> free_contexts_;
   /// Bumped by mutations that may stale a WorkerContext's cached access
@@ -349,6 +422,11 @@ class AqServer {
   /// lose a sample (load and store are separate relaxed atomic ops), which
   /// only perturbs the estimate by one decayed term.
   std::atomic<double> service_ewma_s_{0.0};
+
+  /// Destroyed right after pool_ (whose queued tasks may still start zone
+  /// loops) and before everything a straggling helper touches: its
+  /// destructor waits for the last helper pin.
+  HelperPins helper_pins_;
 
   /// Declared last so ~AqServer destroys it first: ~ThreadPool finishes
   /// already-queued RunRequest tasks before joining, and those tasks touch

@@ -1,11 +1,16 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "util/failpoint.h"
+#include "util/parallel_loop.h"
 
 namespace staq::util {
 
@@ -48,11 +53,11 @@ void TaskHandle::Wait() {
   }
 }
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads, Priority priority) {
   size_t n = std::max<size_t>(1, num_threads);
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this, priority] { WorkerLoop(priority); });
   }
 }
 
@@ -89,7 +94,18 @@ ThreadPool::Job ThreadPool::PopJob(uint32_t* delay_us) {
   return job;
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(Priority priority) {
+#if defined(__linux__)
+  if (priority == Priority::kIdle) {
+    // Lowering the own thread's policy needs no privileges. A refusal
+    // (seccomp, exotic kernels) leaves the worker at normal priority.
+    sched_param param{};
+    param.sched_priority = 0;
+    pthread_setschedparam(pthread_self(), SCHED_IDLE, &param);
+  }
+#else
+  (void)priority;
+#endif
   while (true) {
     Job job;
     uint32_t delay_us = 0;
@@ -172,39 +188,16 @@ size_t ThreadPool::PendingTasks() const {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  size_t workers = std::min(num_threads(), n);
-  if (workers <= 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
+  LoopOptions options;
+  options.max_helpers = num_threads();
   // Dynamic chunking: small enough for balance, large enough that the
   // shared counter is touched rarely.
-  size_t grain = std::max<size_t>(1, n / (workers * 8));
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    futures.push_back(Submit([next, n, grain, &body] {
-      while (true) {
-        size_t begin = next->fetch_add(grain);
-        if (begin >= n) break;
-        size_t end = std::min(n, begin + grain);
-        for (size_t i = begin; i < end; ++i) body(i);
-      }
-    }));
-  }
-  // Wait for every chunk before rethrowing: the tasks reference `body`,
-  // which lives in the caller's frame.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  options.grain = std::max<size_t>(1, n / ((num_threads() + 1) * 8));
+  ParallelLoop(*this, n, options, [&body](bool /*helper*/) -> LoopChunk {
+    return [&body](LoopClaims&, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) body(i);
+    };
+  });
 }
 
 PerturbingExecutor::PerturbingExecutor(size_t num_threads,
@@ -232,6 +225,12 @@ TaskHandle PerturbingExecutor::SubmitHandle(std::function<void()> task) {
 
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  return pool;
+}
+
+ThreadPool& ThreadPool::Idle() {
+  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()),
+                         Priority::kIdle);
   return pool;
 }
 

@@ -5,7 +5,8 @@
 // fixed set of workers alive for the process and feeds them from a single
 // mutex-guarded queue — no work stealing, because the tasks it carries
 // (zone shards, bench repetitions) are coarse enough that one queue never
-// becomes the bottleneck. Used by parallel labeling and the benches.
+// becomes the bottleneck. Loops over an index range go through
+// util::ParallelLoop (util/parallel_loop.h), which ParallelFor wraps.
 #pragma once
 
 #include <condition_variable>
@@ -88,8 +89,18 @@ class ThreadPool : public Executor {
     bool reorder = true;
   };
 
+  /// Scheduling class of the pool's workers.
+  enum class Priority : uint8_t {
+    kNormal,
+    /// Workers run only on otherwise idle cores: SCHED_IDLE on Linux, plain
+    /// priority elsewhere. For opportunistic helpers that must never take
+    /// CPU from normal-priority threads.
+    kIdle,
+  };
+
   /// Spawns `num_threads` workers (at least one).
-  explicit ThreadPool(size_t num_threads);
+  explicit ThreadPool(size_t num_threads,
+                      Priority priority = Priority::kNormal);
   ~ThreadPool() override;
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -115,17 +126,23 @@ class ThreadPool : public Executor {
   /// exactly the conservative reading admission control wants.
   size_t PendingTasks() const override;
 
-  /// Runs body(i) for every i in [0, n), handing dynamically sized chunks
-  /// to the workers; blocks until all indices are done. Rethrows the first
-  /// task exception after every chunk has finished. Runs inline on the
-  /// caller when the pool has a single worker (or n is tiny), so it is
-  /// safe at any machine size.
+  /// Runs body(i) for every i in [0, n) on the calling thread plus up to
+  /// num_threads() helpers of this pool (util::ParallelLoop), handing out
+  /// dynamically claimed chunks. Returns when every index is done and
+  /// rethrows the first exception a body threw. The caller does work
+  /// itself, so it is safe to call from inside the pool's own tasks — even
+  /// from every worker at once.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// Process-wide pool sized to the hardware concurrency, created on first
   /// use and joined at exit. Callers needing deterministic sizing (tests)
   /// construct their own pool instead.
   static ThreadPool& Shared();
+
+  /// Process-wide Priority::kIdle pool sized to the hardware concurrency:
+  /// the home of opportunistic loop helpers (serve zone labeling), which
+  /// use cores nothing else wants and yield them to everything else.
+  static ThreadPool& Idle();
 
  private:
   /// One queue entry: the work plus an optional handle state (null for
@@ -135,7 +152,7 @@ class ThreadPool : public Executor {
     std::shared_ptr<TaskHandle::Shared> handle;
   };
 
-  void WorkerLoop();
+  void WorkerLoop(Priority priority);
   void RunJob(Job& job);
   /// Pops the next job under mu_, honouring an active perturbation; writes
   /// the jitter to apply (microseconds) into *delay_us.

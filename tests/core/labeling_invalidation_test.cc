@@ -102,14 +102,13 @@ TEST_F(LabelingInvalidationTest, ExplicitInvalidationKeepsLabelsIdentical) {
 TEST_F(LabelingInvalidationTest, RepeatedRelabelingReusesCachedStops) {
   router::Router router(&city_.feed, {});
   LabelingEngine engine(&city_, &router);
-  std::vector<ZoneLabel> labels(city_.zones.size());
-  engine.RelabelZones(todam_, zones_, city_.pois, CostKind::kJourneyTime,
-                      gtfs::Day::kTuesday, &labels);
-  auto first = labels;
+  auto first = engine.LabelZones(todam_, zones_, city_.pois,
+                                 CostKind::kJourneyTime, gtfs::Day::kTuesday);
   // Second pass over the same zones hits the warm cache; labels must not
   // drift.
-  engine.RelabelZones(todam_, zones_, city_.pois, CostKind::kJourneyTime,
-                      gtfs::Day::kTuesday, &labels);
+  auto labels = engine.LabelZones(todam_, zones_, city_.pois,
+                                  CostKind::kJourneyTime, gtfs::Day::kTuesday);
+  ASSERT_EQ(labels.size(), first.size());
   for (size_t z = 0; z < labels.size(); ++z) {
     EXPECT_EQ(labels[z].mac, first[z].mac);
     EXPECT_EQ(labels[z].acsd, first[z].acsd);

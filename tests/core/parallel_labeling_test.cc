@@ -254,5 +254,46 @@ TEST_F(ParallelLabelingTest, ParallelGroundTruthMatches) {
   EXPECT_DOUBLE_EQ(serial.walk_only_fraction, parallel.walk_only_fraction);
 }
 
+TEST_F(ParallelLabelingTest, ThreadedPipelineRoutesLikeTheSerialOne) {
+  // A pipeline built over CSA must stay on CSA once threaded: profile mode
+  // answers each zone with one window scan, so both runs expand once per
+  // labeled zone that has trips (the label-correcting oracle would expand
+  // once per departure group instead).
+  router::RouterOptions csa;
+  csa.engine = router::RoutingEngine::kCsa;
+  SsrPipeline pipeline(&city_, gtfs::WeekdayAmPeak(), {}, csa);
+  auto zones_with_trips = [&](const std::vector<uint32_t>& zones) {
+    uint64_t count = 0;
+    for (uint32_t z : zones) count += todam_.TripsFor(z).empty() ? 0 : 1;
+    return count;
+  };
+
+  GroundTruth serial = pipeline.ComputeGroundTruth(
+      pois_, todam_, CostKind::kJourneyTime);
+  GroundTruth threaded = pipeline.ComputeGroundTruth(
+      pois_, todam_, CostKind::kJourneyTime, {}, /*num_threads=*/4);
+  EXPECT_EQ(serial.mac, threaded.mac);
+  EXPECT_EQ(serial.acsd, threaded.acsd);
+  EXPECT_EQ(serial.spqs, threaded.spqs);
+  EXPECT_EQ(threaded.expansions, serial.expansions);
+  EXPECT_EQ(threaded.expansions, zones_with_trips(all_zones_));
+  EXPECT_LT(threaded.expansions, threaded.spqs);
+
+  PipelineConfig config;
+  config.beta = 0.2;
+  config.model = ml::ModelKind::kOls;
+  config.seed = 3;
+  auto run_serial = pipeline.Run(pois_, todam_, config);
+  config.labeling_threads = 4;
+  auto run_threaded = pipeline.Run(pois_, todam_, config);
+  ASSERT_TRUE(run_serial.ok() && run_threaded.ok());
+  EXPECT_EQ(run_serial.value().mac, run_threaded.value().mac);
+  EXPECT_EQ(run_serial.value().acsd, run_threaded.value().acsd);
+  EXPECT_EQ(run_serial.value().spqs, run_threaded.value().spqs);
+  EXPECT_EQ(run_threaded.value().expansions, run_serial.value().expansions);
+  EXPECT_EQ(run_threaded.value().expansions,
+            zones_with_trips(run_threaded.value().labeled));
+}
+
 }  // namespace
 }  // namespace staq::core

@@ -2,7 +2,9 @@
 //
 // Each test instance runs one seed of a mixed query/mutate/cancel/destroy
 // workload against an AqServer whose worker pool is perturbed (seeded task
-// reordering + jitter, see ThreadPool::PerturbOptions), then model-checks
+// reordering + jitter, see ThreadPool::PerturbOptions) — cold builds, batch
+// captures and POI patches all run as helped zone loops racing each other
+// on the idle-priority helper pool — then model-checks
 // the invariant the serve design promises: every OK response is
 // bit-identical to the sequential answer on the scenario snapshot it was
 // admitted under (AqTicket::epoch). Mutations are serialised on the main
@@ -132,6 +134,7 @@ TEST_P(ServeStressTest, MixedWorkloadIsEpochConsistent) {
           AqBatchRequest batch =
               BatchSweep(rng() % 2 == 0 ? synth::PoiCategory::kSchool
                                         : synth::PoiCategory::kVaxCenter);
+          batch.request.options.seed += rng() % 3;  // cold captures too
           std::vector<AqRequest> derived = ExpandBatch(batch);
           std::vector<AqTicket> tickets = server->SubmitBatch(batch);
           for (size_t i = 0; i < tickets.size(); ++i) {
@@ -144,6 +147,11 @@ TEST_P(ServeStressTest, MixedWorkloadIsEpochConsistent) {
         }
         Issued entry;
         entry.request = mix[rng() % mix.size()];
+        if (entry.request.options.exact) {
+          // A fresh TODAM seed now and then makes the op a cold build, so
+          // helped builds race the patches below, not just cache hits.
+          entry.request.options.seed += rng() % 3;
+        }
         entry.ticket = server->Submit(entry.request);
         if (rng() % 4 == 0) {
           entry.cancelled = entry.ticket.TryCancel();

@@ -1,13 +1,18 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/parallel_loop.h"
 
 namespace staq::util {
 namespace {
@@ -105,6 +110,170 @@ TEST(ThreadPoolTest, ParallelForRethrowsAfterAllChunksFinish) {
   std::atomic<int> value{0};
   pool.ParallelFor(16, [&](size_t) { value.fetch_add(1); });
   EXPECT_EQ(value.load(), 16);
+}
+
+TEST(ThreadPoolTest, ParallelForFromEveryWorkerAtOnceCompletes) {
+  // Every worker of the pool runs a ParallelFor over the same pool at the
+  // same time, so no helper of any loop can start until its caller is
+  // done: each caller must finish its loop alone instead of waiting for
+  // help that never comes.
+  constexpr size_t kWorkers = 4;
+  constexpr size_t kN = 500;
+  ThreadPool pool(kWorkers);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t arrived = 0;
+  std::vector<std::vector<int>> hits(kWorkers, std::vector<int>(kN, 0));
+  std::vector<std::future<void>> futures;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    futures.push_back(pool.Submit([&, w] {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        ++arrived;
+        cv.notify_all();
+        cv.wait(lock, [&] { return arrived == kWorkers; });
+      }
+      pool.ParallelFor(kN, [&, w](size_t i) { ++hits[w][i]; });
+    }));
+  }
+  for (auto& f : futures) f.get();
+  for (size_t w = 0; w < kWorkers; ++w) {
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[w][i], 1) << "worker " << w << " index " << i;
+    }
+  }
+}
+
+/// Occupies every worker of `pool` until Release().
+class PoolBlocker {
+ public:
+  explicit PoolBlocker(ThreadPool& pool) : pool_(pool) {
+    for (size_t i = 0; i < pool_.num_threads(); ++i) {
+      done_.push_back(pool_.Submit([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++parked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }));
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_ == pool_.num_threads(); });
+  }
+  ~PoolBlocker() { Release(); }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    for (auto& f : done_) f.get();
+    done_.clear();
+  }
+
+ private:
+  ThreadPool& pool_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t parked_ = 0;
+  bool released_ = false;
+  std::vector<std::future<void>> done_;
+};
+
+TEST(ParallelLoopTest, LateHelpersNeverCallTheParticipant) {
+  ThreadPool pool(2);
+  std::atomic<int> helper_calls{0};
+  std::vector<int> out(64, 0);
+  {
+    PoolBlocker blocker(pool);
+    LoopOptions options;
+    options.max_helpers = 2;
+    ParallelLoop(pool, out.size(), options, [&](bool helper) -> LoopChunk {
+      if (helper) helper_calls.fetch_add(1);
+      return [&](LoopClaims&, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) out[i] = static_cast<int>(i);
+      };
+    });
+  }  // the blocker releases: both helpers start after the loop closed
+  pool.Submit([] {}).get();
+  pool.Submit([] {}).get();
+  EXPECT_EQ(helper_calls.load(), 0);
+  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i));
+}
+
+TEST(ParallelLoopTest, CallerTakesOverAChunkAStalledHelperHolds) {
+  // Takeover mode: a helper claims one chunk and stalls on it; the caller
+  // finishes everything else, recomputes the stalled chunk, and returns
+  // while the helper is still stalled. The helper's late result is
+  // discarded by the publish gate, so each chunk is written exactly once.
+  constexpr size_t kN = 32;
+  ThreadPool pool(1);
+  auto stall = std::make_shared<std::promise<void>>();
+  std::shared_future<void> resume = stall->get_future().share();
+  auto stalled_on = std::make_shared<std::atomic<int>>(-1);
+  auto out = std::make_shared<std::vector<std::atomic<int>>>(kN);
+  auto writes = std::make_shared<std::atomic<int>>(0);
+  auto entered = std::make_shared<std::promise<void>>();
+  std::shared_future<void> entered_future = entered->get_future().share();
+
+  LoopOptions options;
+  options.max_helpers = 1;
+  options.takeover = true;
+  ParallelLoop(pool, kN, options,
+               [=](bool helper) -> LoopChunk {
+                 return [=](LoopClaims& claims, size_t begin, size_t) {
+                   if (helper && stalled_on->load() < 0) {
+                     stalled_on->store(static_cast<int>(begin));
+                     entered->set_value();
+                     resume.wait();  // stalls holding `begin`
+                   } else if (!helper && begin == 0) {
+                     // Keep the caller busy until the helper has claimed.
+                     entered_future.wait();
+                   }
+                   if (claims.BeginPublish(begin)) {
+                     (*out)[begin].store(static_cast<int>(begin) + 1);
+                     writes->fetch_add(1);
+                     claims.EndPublish(begin);
+                   }
+                 };
+               });
+  ASSERT_GE(stalled_on->load(), 0);
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ((*out)[i].load(), static_cast<int>(i) + 1) << "chunk " << i;
+  }
+  EXPECT_EQ(writes->load(), static_cast<int>(kN));
+  stall->set_value();  // the straggler resumes, loses the gate, leaves
+  pool.Submit([] {}).get();
+  EXPECT_EQ(writes->load(), static_cast<int>(kN));
+}
+
+TEST(ParallelLoopTest, HelperExceptionReachesTheCaller) {
+  ThreadPool pool(2);
+  for (bool takeover : {false, true}) {
+    LoopOptions options;
+    options.max_helpers = 2;
+    options.takeover = takeover;
+    auto started = std::make_shared<std::promise<void>>();
+    std::shared_future<void> helper_started = started->get_future().share();
+    auto once = std::make_shared<std::atomic<bool>>(false);
+    EXPECT_THROW(
+        ParallelLoop(pool, 64, options,
+                     [=](bool helper) -> LoopChunk {
+                       return [=](LoopClaims& claims, size_t begin, size_t) {
+                         if (helper && !once->exchange(true)) {
+                           started->set_value();
+                           throw std::logic_error("helper fault");
+                         }
+                         // The caller waits for the helper's fault, so the
+                         // loop cannot finish before it.
+                         if (!helper) helper_started.wait();
+                         if (claims.BeginPublish(begin)) {
+                           claims.EndPublish(begin);
+                         }
+                       };
+                     }),
+        std::logic_error)
+        << "takeover " << takeover;
+  }
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {

@@ -63,14 +63,13 @@ std::vector<ZoneLabel> LabelZonesParallel(
   loop.max_helpers = static_cast<size_t>(num_threads) - 1;
   util::ParallelLoop(
       util::ThreadPool::Shared(), zones.size(), loop,
-      [&](bool /*helper*/) -> util::LoopChunk {
+      [&](bool /*helper*/) -> util::LoopTask {
         auto participant = std::make_shared<Participant>(
             city, options, gac_weights, mode, &spqs, &expansions);
-        return [&, participant](util::LoopClaims&, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            labels[i] = participant->engine.LabelZone(todam, zones[i], pois,
-                                                      kind, day);
-          }
+        return [&, participant](size_t i) -> util::LoopStore {
+          labels[i] =
+              participant->engine.LabelZone(todam, zones[i], pois, kind, day);
+          return {};
         };
       });
 

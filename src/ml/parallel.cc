@@ -24,10 +24,11 @@ void ForEachChunk(int threads, size_t n, size_t chunk_size,
   util::LoopOptions options;
   options.max_helpers = workers - 1;
   util::ParallelLoop(util::ThreadPool::Shared(), num_chunks, options,
-                     [&](bool /*helper*/) -> util::LoopChunk {
-                       return [&](util::LoopClaims&, size_t c, size_t) {
+                     [&](bool /*helper*/) -> util::LoopTask {
+                       return [&](size_t c) -> util::LoopStore {
                          const size_t begin = c * chunk_size;
                          body(c, begin, std::min(n, begin + chunk_size));
+                         return {};
                        };
                      });
 }

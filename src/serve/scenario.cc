@@ -489,8 +489,7 @@ void ScenarioStore::Relabel(const Scenario& next, const LabelKey& key,
   if (zone_loop_ != nullptr) {
     zone_loop_->Run(next, nullptr, n, relabel);
   } else {
-    router::Router router(&next.base_city().feed, next.router_options());
-    core::LabelingEngine engine(&next.base_city(), &router);
+    core::LabelingEngine& engine = SerialEngine(next);
     for (size_t i = 0; i < n; ++i) relabel(engine, i)();
   }
   state->build_spqs = 0;
@@ -498,6 +497,19 @@ void ScenarioStore::Relabel(const Scenario& next, const LabelKey& key,
     state->build_spqs += state->labels[z].num_trips;
   }
   state->relabeled_zones = static_cast<uint32_t>(n);
+}
+
+core::LabelingEngine& ScenarioStore::SerialEngine(const Scenario& next) {
+  if (serial_engine_ == nullptr || serial_network_id_ != next.network_id()) {
+    serial_engine_.reset();  // built over the old router
+    serial_city_ = next.city_ptr();
+    serial_router_ = std::make_unique<router::Router>(&serial_city_->feed,
+                                                      next.router_options());
+    serial_engine_ = std::make_unique<core::LabelingEngine>(
+        serial_city_.get(), serial_router_.get());
+    serial_network_id_ = next.network_id();
+  }
+  return *serial_engine_;
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(

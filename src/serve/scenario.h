@@ -199,7 +199,8 @@ class Scenario {
   /// `engine` (and sets *built_fresh when non-null); concurrent callers
   /// for the same key block until that build is published. `engine` is only
   /// used by the caller that actually builds; `loop`, when non-null, lets
-  /// helpers label zones alongside it (see BuildLabelState).
+  /// helpers label zones alongside it (see BuildLabelState), and `engine`
+  /// may then be null (the loop leases one for the calling thread).
   std::shared_ptr<const ExactLabelState> GetOrBuildLabelState(
       const LabelKey& key, core::LabelingEngine* engine,
       bool* built_fresh = nullptr, ZoneLoop* loop = nullptr) const;
@@ -207,7 +208,8 @@ class Scenario {
   /// From-scratch build, bypassing the memo. This is the golden reference
   /// the incremental path is checked against (tests, bench gates). Zones
   /// are labeled serially on `engine`, or through `loop` with `engine` as
-  /// the calling thread's engine — bit-identical either way.
+  /// the calling thread's engine (null: the loop leases one) —
+  /// bit-identical either way.
   std::shared_ptr<const ExactLabelState> BuildLabelState(
       const LabelKey& key, core::LabelingEngine* engine,
       ZoneLoop* loop = nullptr) const;
@@ -366,9 +368,10 @@ class ScenarioStore {
   /// Routes the zone loops of every later patch through `loop` (not owned;
   /// must outlive the store's mutations). AqServer installs itself so
   /// patches lease its contexts and helpers; with no loop installed (the
-  /// default), each patch labels serially on a context of its own built
-  /// for the patch and dropped after it. Not thread-safe against running
-  /// mutations: install before the first one.
+  /// default), patches label serially on one engine the store builds for
+  /// the current network on its first patch and keeps until the network
+  /// changes. Not thread-safe against running mutations: install before
+  /// the first one.
   void SetZoneLoop(ZoneLoop* loop) { zone_loop_ = loop; }
 
   /// Network stamp of the current epoch (0 until the first disruption).
@@ -408,6 +411,10 @@ class ScenarioStore {
   void Relabel(const Scenario& next, const LabelKey& key,
                std::vector<uint32_t> zones,
                const std::shared_ptr<ExactLabelState>& state);
+  /// The serial relabeling engine of a store with no zone loop, rebuilt
+  /// when `next`'s network differs from the one it was built for. Caller
+  /// holds mutation_mu_.
+  core::LabelingEngine& SerialEngine(const Scenario& next);
   /// Shared tail of SuspendRoute / CloseStop / ScaleHeadway: screens the
   /// affected zones on the old timetable, builds the new network aside,
   /// patches every state, and commits. Caller holds mutation_mu_.
@@ -434,9 +441,16 @@ class ScenarioStore {
   uint64_t network_id_ = 0;
   std::atomic<double> walk_scale_{1.0};
 
-  /// Where patches label their zones (SetZoneLoop); null = serially on a
-  /// per-patch context.
+  /// Where patches label their zones (SetZoneLoop); null = serially on
+  /// the serial engine below.
   ZoneLoop* zone_loop_ = nullptr;
+  /// SerialEngine()'s city, router and engine and the network id they
+  /// route over; empty while a zone loop is installed. Guarded by
+  /// mutation_mu_.
+  std::shared_ptr<const synth::City> serial_city_;
+  std::unique_ptr<router::Router> serial_router_;
+  std::unique_ptr<core::LabelingEngine> serial_engine_;
+  uint64_t serial_network_id_ = 0;
 
   /// Serialises mutations; never held while readers run queries.
   std::mutex mutation_mu_;

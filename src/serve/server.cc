@@ -182,8 +182,7 @@ util::Result<ScenarioStore::MutationReport> AqServer::SetInterval(
   }
   NoteMutation(report);
   // Mutation discipline (see LabelingEngine::InvalidateAccessStopCache):
-  // worker engines drop their cached access stops alongside the store's
-  // writer engine. Bumping the epoch invalidates lazily on the next
+  // worker engines drop their cached access stops. Bumping the epoch invalidates lazily on the next
   // AcquireContext, which also covers contexts leased while this mutation
   // runs — a free-list sweep would miss those.
   stop_cache_epoch_.fetch_add(1, std::memory_order_release);
@@ -359,16 +358,17 @@ util::Result<ScenarioStore::MutationReport> AqServer::ApplyMutation(
 }
 
 AqServer::HelperPins::~HelperPins() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return pins_ == 0; });
+  // Polled: a helper's release is its last touch of the server, so there
+  // is nothing for it to notify afterwards.
+  while (pins_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
 }
 
 std::shared_ptr<void> AqServer::HelperPins::Pin() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++pins_;
+  pins_.fetch_add(1, std::memory_order_relaxed);
   return std::shared_ptr<void>(nullptr, [this](void*) {
-    std::lock_guard<std::mutex> unpin(mu_);
-    if (--pins_ == 0) cv_.notify_all();
+    pins_.fetch_sub(1, std::memory_order_release);
   });
 }
 
@@ -379,27 +379,38 @@ AqServer::Network AqServer::NetworkOf(const Scenario& scenario) {
 
 std::unique_ptr<AqServer::WorkerContext> AqServer::PopContextLocked(
     const Network& network, uint64_t stop_epoch) {
-  // Contexts built for another network route over the wrong feed or walk
-  // parameters: destroy them (freeing their slot under the cap) and keep
-  // looking.
-  std::erase_if(free_contexts_, [&](const std::unique_ptr<WorkerContext>& c) {
-    return c->network_id != network.id;
-  });
-  if (free_contexts_.empty()) return nullptr;
-  auto context = std::move(free_contexts_.back());
-  free_contexts_.pop_back();
-  if (context->stop_epoch != stop_epoch) {
-    context->engine.InvalidateAccessStopCache();
-    context->stop_epoch = stop_epoch;
+  for (auto it = free_contexts_.rbegin(); it != free_contexts_.rend(); ++it) {
+    if ((*it)->network_id != network.id) continue;
+    auto context = std::move(*it);
+    free_contexts_.erase(std::next(it).base());
+    if (context->stop_epoch != stop_epoch) {
+      context->engine.InvalidateAccessStopCache();
+      context->stop_epoch = stop_epoch;
+    }
+    return context;
   }
-  return context;
+  return nullptr;
+}
+
+bool AqServer::EvictStaleLocked(
+    uint64_t network_id,
+    std::vector<std::unique_ptr<WorkerContext>>* evicted) {
+  // Oldest first: the front of the pool was returned longest ago.
+  auto it = std::find_if(free_contexts_.begin(), free_contexts_.end(),
+                         [&](const std::unique_ptr<WorkerContext>& c) {
+                           return c->network_id != network_id;
+                         });
+  if (it == free_contexts_.end()) return false;
+  evicted->push_back(std::move(*it));
+  free_contexts_.erase(it);
+  return true;
 }
 
 std::unique_ptr<AqServer::WorkerContext> AqServer::NewContext(
     const Network& network, uint64_t stop_epoch) {
   // The caller already counted this context in live_contexts_ (under
-  // context_mu_, so helper leases see the slot taken); a failed build
-  // gives the slot back.
+  // context_mu_, so other leases see the slot taken); a failed build gives
+  // the slot back.
   try {
     auto context = std::make_unique<WorkerContext>(
         network.city, network.options, network.id, &live_contexts_);
@@ -412,107 +423,218 @@ std::unique_ptr<AqServer::WorkerContext> AqServer::NewContext(
 }
 
 std::unique_ptr<AqServer::WorkerContext> AqServer::AcquireContext(
-    const Scenario& scenario) {
-  const Network network = NetworkOf(scenario);
-  const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lock(context_mu_);
-    if (auto context = PopContextLocked(network, epoch)) return context;
-    live_contexts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return NewContext(network, epoch);
-}
-
-std::unique_ptr<AqServer::WorkerContext> AqServer::TryAcquireHelperContext(
     const Network& network) {
   const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
+  std::vector<std::unique_ptr<WorkerContext>> evicted;
   {
     std::lock_guard<std::mutex> lock(context_mu_);
     if (auto context = PopContextLocked(network, epoch)) return context;
     if (live_contexts_.load(std::memory_order_relaxed) >= context_cap_) {
-      return nullptr;
+      EvictStaleLocked(network.id, &evicted);
     }
     live_contexts_.fetch_add(1, std::memory_order_relaxed);
   }
+  evicted.clear();  // destroyed outside the lock
   return NewContext(network, epoch);
 }
 
+void AqServer::ReleaseContexts(
+    std::vector<std::unique_ptr<WorkerContext>> contexts) {
+  std::vector<std::unique_ptr<WorkerContext>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(context_mu_);
+    // Owners may lease past the cap; the surplus is dropped on return
+    // instead of pooled, so an idle server holds at most context_cap_
+    // contexts. Contexts of another network go first.
+    const size_t live = live_contexts_.load(std::memory_order_relaxed);
+    size_t surplus = live > context_cap_ ? live - context_cap_ : 0;
+    for (auto& context : contexts) {
+      if (surplus > 0) {
+        --surplus;
+        if (!EvictStaleLocked(context->network_id, &evicted)) {
+          evicted.push_back(std::move(context));
+          continue;
+        }
+      }
+      free_contexts_.push_back(std::move(context));
+    }
+  }
+  // `evicted` and the moved-from `contexts` die here, outside the lock.
+}
+
 void AqServer::ReleaseContext(std::unique_ptr<WorkerContext> context) {
-  std::lock_guard<std::mutex> lock(context_mu_);
-  // Owners may lease past the cap; the surplus dies on return instead of
-  // pooling, so an idle server holds at most context_cap_ contexts.
-  if (live_contexts_.load(std::memory_order_relaxed) > context_cap_) return;
-  free_contexts_.push_back(std::move(context));
+  std::vector<std::unique_ptr<WorkerContext>> one;
+  one.push_back(std::move(context));
+  ReleaseContexts(std::move(one));
+}
+
+/// One helper's slot. The owning thread fills it before submitting
+/// helpers; afterwards `owner` says who may touch the rest: a helper while
+/// kInUse, the owning thread once it saw kFree or kDone while closing.
+struct AqServer::HelperSlot {
+  enum : uint8_t { kFree, kInUse, kDone, kClosed };
+  /// A pooled context, or null until the claiming helper builds one.
+  std::unique_ptr<WorkerContext> context;
+  /// A cap reservation no context carries yet.
+  bool reserved = false;
+  std::atomic<uint8_t> owner{kFree};
+};
+
+struct AqServer::HelperSlots {
+  HelperSlots(size_t n, uint64_t epoch) : slots(n), stop_epoch(epoch) {}
+  std::vector<HelperSlot> slots;
+  std::atomic<size_t> next{0};
+  /// stop_cache_epoch_ at lease time, for contexts helpers build.
+  const uint64_t stop_epoch;
+};
+
+/// A helper's hold on one slot, ended when the helper's task is destroyed
+/// (while the helper still pins the server).
+struct AqServer::HelperLease {
+  ~HelperLease() {
+    if (slot == nullptr) return;
+    // Fault site (tests): a helper parked on its way out of the loop.
+    try {
+      STAQ_FAILPOINT("serve.zone_loop.helper_release");
+    } catch (...) {
+    }
+    // A body that threw may have left half-built engine state behind.
+    if (failed) slot->context.reset();
+    uint8_t expected = HelperSlot::kInUse;
+    if (!slot->owner.compare_exchange_strong(expected, HelperSlot::kDone,
+                                             std::memory_order_acq_rel)) {
+      // The owning thread closed the slots first: the context is ours to
+      // drop (its destructor only touches an atomic of the server).
+      slot->context.reset();
+    }
+  }
+  std::shared_ptr<HelperSlots> slots;  // keeps `slot` alive
+  HelperSlot* slot = nullptr;
+  bool failed = false;
+};
+
+std::shared_ptr<AqServer::HelperSlots> AqServer::LeaseHelperSlots(
+    const Network& network, size_t wanted) {
+  const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
+  std::vector<std::unique_ptr<WorkerContext>> leased;  // null = reservation
+  std::vector<std::unique_ptr<WorkerContext>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(context_mu_);
+    while (leased.size() < wanted) {
+      if (auto context = PopContextLocked(network, epoch)) {
+        leased.push_back(std::move(context));
+        continue;
+      }
+      if (live_contexts_.load(std::memory_order_relaxed) >= context_cap_ &&
+          !EvictStaleLocked(network.id, &evicted)) {
+        break;  // no spare context under the cap: fewer helpers
+      }
+      live_contexts_.fetch_add(1, std::memory_order_relaxed);
+      leased.push_back(nullptr);
+    }
+  }
+  evicted.clear();  // destroyed outside the lock
+  auto slots = std::make_shared<HelperSlots>(leased.size(), epoch);
+  for (size_t i = 0; i < leased.size(); ++i) {
+    slots->slots[i].reserved = leased[i] == nullptr;
+    slots->slots[i].context = std::move(leased[i]);
+  }
+  return slots;
+}
+
+std::shared_ptr<AqServer::HelperLease> AqServer::ClaimHelperSlot(
+    const std::shared_ptr<HelperSlots>& slots, const Network& network) {
+  const size_t k = slots->next.fetch_add(1, std::memory_order_relaxed);
+  if (k >= slots->slots.size()) return nullptr;
+  auto lease = std::make_shared<HelperLease>();
+  lease->slots = slots;
+  HelperSlot& slot = slots->slots[k];
+  uint8_t expected = HelperSlot::kFree;
+  if (!slot.owner.compare_exchange_strong(expected, HelperSlot::kInUse,
+                                          std::memory_order_acq_rel)) {
+    return nullptr;  // the loop closed before this helper started
+  }
+  lease->slot = &slot;  // from here on the lease hands the slot back
+  // Fault site (tests): a helper parked while taking its context.
+  STAQ_FAILPOINT("serve.zone_loop.helper_lease");
+  if (slot.context == nullptr) {
+    slot.reserved = false;  // the new context carries the reservation
+    slot.context = NewContext(network, slots->stop_epoch);
+  }
+  return lease;
+}
+
+void AqServer::CloseHelperSlots(HelperSlots& slots) {
+  std::vector<std::unique_ptr<WorkerContext>> back;
+  size_t reservations = 0;
+  for (HelperSlot& slot : slots.slots) {
+    if (slot.owner.exchange(HelperSlot::kClosed, std::memory_order_acq_rel) ==
+        HelperSlot::kInUse) {
+      continue;  // a straggler still holds it and drops it itself
+    }
+    if (slot.context != nullptr) {
+      back.push_back(std::move(slot.context));
+    } else if (slot.reserved) {
+      slot.reserved = false;
+      ++reservations;
+    }
+  }
+  live_contexts_.fetch_sub(reservations, std::memory_order_relaxed);
+  if (!back.empty()) ReleaseContexts(std::move(back));
 }
 
 void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
                    size_t n, const ZoneLoopBody& body) {
   if (n == 0) return;
+  const Network network = NetworkOf(scenario);
   std::unique_ptr<WorkerContext> own;
   if (caller == nullptr) {
-    own = AcquireContext(scenario);
+    own = AcquireContext(network);
     caller = &own->engine;
   }
-  /// A helper's context, returned to the pool when the helper ends —
-  /// unless a body threw on it (possibly half-built engine state).
-  struct HelperLease {
-    AqServer* server = nullptr;
-    std::unique_ptr<WorkerContext> context;
-    bool failed = false;
-    ~HelperLease() {
-      if (context != nullptr && !failed) {
-        server->ReleaseContext(std::move(context));
-      }
-    }
-  };
-  // Labels one item and stores it through the publish gate.
-  auto label = [](const ZoneLoopBody& work, core::LabelingEngine& engine,
-                  util::LoopClaims& claims, size_t index) {
-    std::function<void()> store = work(engine, index);
-    if (claims.BeginPublish(index)) {
-      store();
-      claims.EndPublish(index);
-    }
-  };
-
   // Helpers come from the hardware: one per core besides the caller's,
   // and never more than the spare contexts the cap leaves.
   util::ThreadPool& idle = util::ThreadPool::Idle();
+  const size_t wanted =
+      std::min({std::max<size_t>(1, idle.num_threads() - 1),
+                context_cap_ - 1, n - 1});
+  std::shared_ptr<HelperSlots> slots = LeaseHelperSlots(network, wanted);
   util::LoopOptions loop;
-  loop.max_helpers =
-      std::min(std::max<size_t>(1, idle.num_threads() - 1), context_cap_ - 1);
+  loop.max_helpers = slots->slots.size();
   loop.takeover = true;
-  // Everything the participants capture is owned: a straggling helper may
-  // still be running after this returns (util/parallel_loop.h).
-  util::ParallelLoop(
-      idle, n, loop,
-      [this, caller, body, label, network = NetworkOf(scenario),
-       pin = helper_pins_.Pin()](bool helper) -> util::LoopChunk {
-        if (!helper) {
-          // Used on this thread only, before ParallelLoop returns.
-          return [caller, &body, label](util::LoopClaims& claims,
-                                        size_t index, size_t) {
-            // Fault site (tests): parks or fails the owning thread mid-loop.
-            STAQ_FAILPOINT("serve.zone_loop.caller");
-            label(body, *caller, claims, index);
-          };
-        }
-        auto lease = std::make_shared<HelperLease>();
-        lease->server = this;
-        lease->context = TryAcquireHelperContext(network);
-        if (lease->context == nullptr) return {};  // no spare context
-        return [lease, body, label](util::LoopClaims& claims, size_t index,
-                                    size_t) {
-          try {
-            // Fault site: a helper failing (or stalling) holding one zone.
-            STAQ_FAILPOINT("serve.zone_loop.helper");
-            label(body, lease->context->engine, claims, index);
-          } catch (...) {
-            lease->failed = true;
-            throw;
+  try {
+    // Everything the participants capture is owned: a straggling helper
+    // may still be running after this returns (util/parallel_loop.h).
+    util::ParallelLoop(
+        idle, n, loop,
+        [this, caller, body, slots, network,
+         pin = helper_pins_.Pin()](bool helper) -> util::LoopTask {
+          if (!helper) {
+            // Used on this thread only, before ParallelLoop returns.
+            return [caller, &body](size_t index) -> util::LoopStore {
+              // Fault site (tests): parks or fails the owning thread.
+              STAQ_FAILPOINT("serve.zone_loop.caller");
+              return body(*caller, index);
+            };
           }
-        };
-      });
+          std::shared_ptr<HelperLease> lease = ClaimHelperSlot(slots, network);
+          if (lease == nullptr) return {};  // no slot left for this helper
+          return [lease, body](size_t index) -> util::LoopStore {
+            try {
+              // Fault site: a helper failing (or stalling) holding a zone.
+              STAQ_FAILPOINT("serve.zone_loop.helper");
+              return body(lease->slot->context->engine, index);
+            } catch (...) {
+              lease->failed = true;
+              throw;
+            }
+          };
+        });
+  } catch (...) {
+    CloseHelperSlots(*slots);
+    throw;  // `own` dies with whatever half-built state it holds
+  }
+  CloseHelperSlots(*slots);
   if (own != nullptr) ReleaseContext(std::move(own));
 }
 
@@ -688,19 +810,11 @@ util::Result<core::AccessQueryResult> AqServer::QueryUncached(
 
 util::Result<core::AccessQueryResult> AqServer::QueryUncachedOn(
     const Scenario& scenario, const AqRequest& request) {
-  auto context = AcquireContext(scenario);
-  util::Result<core::AccessQueryResult> result =
-      util::Status::Internal("unreachable");
   try {
-    result = Execute(request, scenario, context.get(),
-                     /*use_caches=*/false);
+    return Execute(request, scenario, /*use_caches=*/false);
   } catch (...) {
-    // The context may hold a half-built engine state; drop it rather than
-    // returning it to the pool (a fresh one is built on demand).
     return StatusFromException("uncached query");
   }
-  ReleaseContext(std::move(context));
-  return result;
 }
 
 void AqServer::RunRequest(const AqRequest& request,
@@ -719,18 +833,10 @@ void AqServer::RunRequest(const AqRequest& request,
       return;
     }
 
-    auto context = AcquireContext(*snapshot);
-    try {
-      result = Execute(request, *snapshot, context.get(),
-                       /*use_caches=*/true);
-      ReleaseContext(std::move(context));
-    } catch (...) {
-      // Leave `context` to die (possibly half-built engine state) and
-      // degrade into a clean status; the promise below must always be
-      // fulfilled or Get() would hang forever.
-      result = StatusFromException("query execution");
-    }
+    result = Execute(request, *snapshot, /*use_caches=*/true);
   } catch (...) {
+    // Degrade into a clean status; the promise below must always be
+    // fulfilled or Get() would hang forever.
     result = StatusFromException("query execution");
   }
 
@@ -795,7 +901,6 @@ void AqServer::RunBatchGroup(
     }
 
     if (!missing.empty()) {
-      auto context = AcquireContext(*snapshot);
       try {
         const synth::City& city = snapshot->base_city();
         // Shared, not local: the zone loop's body must own what it
@@ -829,7 +934,7 @@ void AqServer::RunBatchGroup(
             shared_columns->AppendZone(todam->TripsFor(z).size());
           }
           const gtfs::Day day = snapshot->interval().day;
-          Run(*snapshot, &context->engine, num_zones,
+          Run(*snapshot, /*caller=*/nullptr, num_zones,
               [todam, pois, shared_columns, day](
                   core::LabelingEngine& engine,
                   size_t z) -> std::function<void()> {
@@ -875,9 +980,7 @@ void AqServer::RunBatchGroup(
             promises[i]->set_value(std::move(result));
           }
         }
-        ReleaseContext(std::move(context));
       } catch (...) {
-        // Drop the possibly half-built context; resolve the rest cleanly.
         fail_remaining(StatusFromException("batch execution"), &failed_);
       }
     }
@@ -888,8 +991,7 @@ void AqServer::RunBatchGroup(
 }
 
 util::Result<core::AccessQueryResult> AqServer::Execute(
-    const AqRequest& request, const Scenario& scenario, WorkerContext* context,
-    bool use_caches) {
+    const AqRequest& request, const Scenario& scenario, bool use_caches) {
   util::Stopwatch watch(clock_);
 
   std::string cache_key;
@@ -914,12 +1016,16 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     LabelKey key = LabelKeyFor(request);
     std::shared_ptr<const ExactLabelState> state;
     if (use_caches) {
+      // The zone loop leases the owning thread's context only on a build.
       bool built = false;
-      state = scenario.GetOrBuildLabelState(key, &context->engine, &built,
+      state = scenario.GetOrBuildLabelState(key, /*engine=*/nullptr, &built,
                                             this);
       if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     } else {
+      // A throw drops the context with its possibly half-built state.
+      auto context = AcquireContext(NetworkOf(scenario));
       state = scenario.BuildLabelState(key, &context->engine);
+      ReleaseContext(std::move(context));
       exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     }
     result.gravity_trips = state->todam.num_trips();
@@ -952,9 +1058,12 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     // Training parallelism is a server tuning knob, not part of the query
     // (results are bit-identical for any value, so it is not cache-keyed).
     config.ml_threads = options_.ml_threads;
+    // A throw drops the context with its possibly half-built state.
+    auto context = AcquireContext(NetworkOf(scenario));
     auto run = core::RunSsr(city, *scenario.offline().features,
                             &context->router, pois, todam,
                             scenario.interval().day, config);
+    ReleaseContext(std::move(context));
     if (!run.ok()) return run.status();
     result.mac = std::move(run.value().mac);
     result.acsd = std::move(run.value().acsd);

@@ -301,38 +301,64 @@ class AqServer : private ZoneLoop {
   };
   static Network NetworkOf(const Scenario& scenario);
 
-  /// Leases a context matching `scenario`'s network: pooled contexts built
-  /// for a different network are discarded, not reused. Owners (the thread
-  /// a request or mutation runs on) always get one, even past the cap.
-  std::unique_ptr<WorkerContext> AcquireContext(const Scenario& scenario);
-  /// Helper lease: like AcquireContext, but null when building a context
-  /// would take the server past its cap (context_cap_ live contexts).
-  std::unique_ptr<WorkerContext> TryAcquireHelperContext(
-      const Network& network);
-  /// Returns a context to the pool, or destroys it when the server holds
-  /// more than its cap.
+  /// Leases a context for `network`: a pooled one built for it, else a new
+  /// one. Owners (the thread a request or mutation runs on) always get one,
+  /// even past the cap; at the cap a pooled context of another network is
+  /// evicted to make room.
+  std::unique_ptr<WorkerContext> AcquireContext(const Network& network);
+  /// Returns contexts to the pool. Past the cap the surplus is evicted —
+  /// contexts of other networks first — and destroyed after the pool lock
+  /// is released.
+  void ReleaseContexts(std::vector<std::unique_ptr<WorkerContext>> contexts);
   void ReleaseContext(std::unique_ptr<WorkerContext> context);
-  /// Pops a pooled context for `network` (stale ones are destroyed),
-  /// refreshing its access-stop cache. Caller holds context_mu_; null when
-  /// none is pooled.
+  /// Pops a pooled context built for `network`, refreshing its access-stop
+  /// cache; contexts of other networks stay pooled for readers of older
+  /// epochs. Caller holds context_mu_; null when none is pooled.
   std::unique_ptr<WorkerContext> PopContextLocked(const Network& network,
                                                   uint64_t stop_epoch);
+  /// Moves one pooled context not built for `network_id` into `evicted`
+  /// (to be destroyed once context_mu_ is released). Caller holds
+  /// context_mu_; false when every pooled context is built for it.
+  bool EvictStaleLocked(
+      uint64_t network_id,
+      std::vector<std::unique_ptr<WorkerContext>>* evicted);
   std::unique_ptr<WorkerContext> NewContext(const Network& network,
                                             uint64_t stop_epoch);
+
+  /// The helper contexts of one zone loop, leased by the owning thread
+  /// before it submits helpers and handed to them without a lock: helpers
+  /// run at idle priority and must never hold a lock normal-priority
+  /// threads wait for (DESIGN.md §16).
+  struct HelperSlot;
+  struct HelperSlots;
+  struct HelperLease;
+  /// Leases up to `wanted` helper contexts: pooled ones for `network`, plus
+  /// cap reservations that the helper claiming the slot builds itself.
+  std::shared_ptr<HelperSlots> LeaseHelperSlots(const Network& network,
+                                                size_t wanted);
+  /// Helper side: claims the next slot, building its context if only a
+  /// reservation. Null when no slot is left or the loop has closed.
+  std::shared_ptr<HelperLease> ClaimHelperSlot(
+      const std::shared_ptr<HelperSlots>& slots, const Network& network);
+  /// Owner side, once the loop returned: takes back every slot no helper
+  /// still holds (pooling its context or dropping its reservation); a
+  /// straggler still holding one drops its context itself.
+  void CloseHelperSlots(HelperSlots& slots);
 
   /// ZoneLoop: a takeover-mode util::ParallelLoop (util/parallel_loop.h).
   /// The calling thread labels with `caller` (or a leased context) while
   /// up to hardware-concurrency − 1 helpers on the idle pool claim zones
-  /// one at a time, each with a helper lease; a helper that finds the cap
-  /// reached returns at once, and a zone a stalled helper holds is
-  /// relabeled by the caller rather than waited for.
+  /// one at a time, each with one of the leased helper slots, and hand
+  /// their store steps back to the calling thread; a zone a stalled helper
+  /// holds is relabeled by the caller rather than waited for.
   void Run(const Scenario& scenario, core::LabelingEngine* caller, size_t n,
            const ZoneLoopBody& body) override;
 
   /// Counts the zone-loop helpers that may still touch this server — a
   /// straggler can outlive the loop it helped — and makes ~AqServer wait
   /// them out. Helpers still queued, or starting after their loop closed,
-  /// hold no pin and never touch the server.
+  /// hold no pin and never touch the server. Releasing a pin takes no lock
+  /// (helpers release theirs at idle priority).
   class HelperPins {
    public:
     HelperPins() = default;
@@ -343,9 +369,7 @@ class AqServer : private ZoneLoop {
     std::shared_ptr<void> Pin();
 
    private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    size_t pins_ = 0;
+    std::atomic<size_t> pins_{0};
   };
 
   /// Folds one mutation report into the stats counters.
@@ -355,9 +379,11 @@ class AqServer : private ZoneLoop {
   /// record's epoch.
   util::Status LogMutation(const wal::MutationRecord& record);
 
-  util::Result<core::AccessQueryResult> Execute(
-      const AqRequest& request, const Scenario& scenario,
-      WorkerContext* context, bool use_caches);
+  /// Answers `request` against `scenario`. A labeling context is leased
+  /// only when the answer needs one (never for cache hits).
+  util::Result<core::AccessQueryResult> Execute(const AqRequest& request,
+                                                const Scenario& scenario,
+                                                bool use_caches);
   void RunRequest(const AqRequest& request,
                   util::Clock::TimePoint submitted_at,
                   std::shared_ptr<const Scenario> snapshot,

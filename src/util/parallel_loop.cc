@@ -7,6 +7,8 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -17,190 +19,242 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Publish-gate states of one chunk (takeover mode).
-constexpr uint8_t kUnpublished = 0;
-constexpr uint8_t kPublishing = 1;
-constexpr uint8_t kPublished = 2;
-
-/// Grace for in-flight chunks when the caller has no timing of its own.
+/// Grace for in-flight indices when the caller has no timing of its own.
 constexpr Clock::duration kDefaultGrace = std::chrono::milliseconds(1);
+/// How often a takeover caller checks for handed-over steps during grace.
+constexpr auto kGracePoll = std::chrono::microseconds(50);
 
-}  // namespace
+/// Participant word: bit 0 = closed, the rest counts participants inside
+/// (the caller included).
+constexpr size_t kClosed = 1;
+constexpr size_t kOneInside = 2;
+
+/// Marks an index whose result the caller has stored (takeover mode).
+LoopStore* CallerStored() {
+  static LoopStore marker;
+  return &marker;
+}
 
 /// Shared by the caller and its helper tasks. Helpers hold it by
 /// shared_ptr, so one that starts late still finds out the loop is closed.
-struct LoopState {
-  LoopState(size_t n_in, const LoopOptions& options,
-            std::shared_ptr<const LoopParticipant> factory_in)
-      : n(n_in),
-        grain(std::max<size_t>(1, options.grain)),
-        chunks((n_in + grain - 1) / grain),
-        takeover(options.takeover),
-        factory(std::move(factory_in)),
-        claims(this),
-        published_state(takeover ? chunks : 0) {}
+/// In takeover mode helpers touch only atomics here (plus the factory,
+/// while they count as inside); join mode adds a mutex for the caller's
+/// wait on normal-priority helpers.
+class LoopState {
+ public:
+  LoopState(size_t n, bool takeover,
+            std::shared_ptr<const LoopParticipant> factory)
+      : n_(n),
+        takeover_(takeover),
+        factory_(std::move(factory)),
+        handed_(takeover ? n : 0) {}
 
-  void Fail() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!error) error = std::current_exception();
-    next.store(n, std::memory_order_relaxed);
-    cv.notify_all();
+  ~LoopState() {
+    for (std::atomic<LoopStore*>& slot : handed_) {
+      LoopStore* step = slot.load(std::memory_order_relaxed);
+      if (step != CallerStored()) delete step;
+    }
+    delete error_.load(std::memory_order_relaxed);
   }
 
-  bool AllPublished() const {
-    return published.load(std::memory_order_acquire) == chunks;
+  /// Helper body: enters unless the loop has closed, then claims, computes
+  /// and stores (join) or hands over (takeover) indices until none is left.
+  void RunHelper() {
+    if (!Enter()) return;  // caller finished: its frame may be gone
+    try {
+      LoopTask task = (*factory_)(/*helper=*/true);
+      size_t index = 0;
+      while (task && Next(&index)) {
+        LoopStore step = task(index);
+        if (takeover_) {
+          Hand(index, std::move(step));
+        } else if (step) {
+          step();
+        }
+      }
+    } catch (...) {
+      Fail();
+    }
+    Leave();
+    if (!takeover_) {
+      { std::lock_guard<std::mutex> lock(mu_); }
+      cv_.notify_all();
+    }
   }
 
-  const size_t n;
-  const size_t grain;
-  const size_t chunks;
-  const bool takeover;
-  std::atomic<size_t> next{0};
+  /// Caller body: works the loop to completion, closes it, and rethrows
+  /// the first participant failure.
+  void RunCaller() {
+    try {
+      LoopTask task = (*factory_)(/*helper=*/false);
+      if (takeover_) {
+        TakeoverLoop(task);
+      } else {
+        size_t index = 0;
+        while (Next(&index)) {
+          LoopStore step = task(index);
+          if (step) step();
+        }
+      }
+    } catch (...) {
+      Fail();
+    }
+    word_.fetch_or(kClosed, std::memory_order_acq_rel);
+    if (!takeover_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] {
+        return word_.load(std::memory_order_acquire) / kOneInside == 1;
+      });
+    }
+    Leave();
+    if (!failed_.load(std::memory_order_acquire)) return;
+    if (std::exception_ptr* error = error_.load(std::memory_order_acquire)) {
+      std::rethrow_exception(*error);
+    }
+    throw std::bad_alloc();  // the failure's own record could not be made
+  }
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool closed = false;       // guarded by mu
-  size_t active = 0;         // join mode: helpers inside; guarded by mu
-  std::exception_ptr error;  // guarded by mu
-  /// The participant factory while the loop is open (guarded by mu);
-  /// entering helpers take their own reference.
-  std::shared_ptr<const LoopParticipant> factory;
-  LoopClaims claims;
+ private:
+  bool Enter() {
+    size_t word = word_.load(std::memory_order_relaxed);
+    do {
+      if (word & kClosed) return false;
+    } while (!word_.compare_exchange_weak(word, word + kOneInside,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed));
+    return true;
+  }
 
-  /// Takeover mode: per-chunk gate state and the published count (written
-  /// under mu, read lock-free by the takeover scan).
-  std::vector<std::atomic<uint8_t>> published_state;
-  std::atomic<size_t> published{0};
+  /// The last participant out of a closed loop drops the factory (and
+  /// whatever it owns); helpers entering later never reach it.
+  void Leave() {
+    if (word_.fetch_sub(kOneInside, std::memory_order_acq_rel) ==
+        kClosed + kOneInside) {
+      factory_.reset();
+    }
+  }
+
+  /// Claims the next index. False once the range is exhausted or a
+  /// participant has failed.
+  bool Next(size_t* index) {
+    // Cheap early-out keeps next_ from running far past n (every
+    // participant polls it one last time).
+    if (next_.load(std::memory_order_relaxed) >= n_) return false;
+    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n_) return false;
+    *index = i;
+    return true;
+  }
+
+  void Fail() noexcept {
+    auto* error = new (std::nothrow) std::exception_ptr(std::current_exception());
+    std::exception_ptr* expected = nullptr;
+    if (error != nullptr &&
+        !error_.compare_exchange_strong(expected, error,
+                                        std::memory_order_acq_rel)) {
+      delete error;
+    }
+    failed_.store(true, std::memory_order_release);
+    next_.store(n_, std::memory_order_relaxed);
+  }
+
+  bool failed() const { return failed_.load(std::memory_order_acquire); }
+
+  /// Takeover mode: a helper offers index `index`'s store step; it is
+  /// dropped when the caller already stored the index.
+  void Hand(size_t index, LoopStore step) {
+    auto* offered = new LoopStore(std::move(step));
+    LoopStore* expected = nullptr;
+    if (handed_[index].compare_exchange_strong(expected, offered,
+                                               std::memory_order_acq_rel)) {
+      handed_count_.fetch_add(1, std::memory_order_release);
+    } else {
+      delete offered;
+    }
+  }
+
+  /// Takeover tail included: the caller claims and stores what it can,
+  /// waits a grace for in-flight helper indices, recomputes every index
+  /// still missing, and finally runs the steps helpers handed over.
+  void TakeoverLoop(const LoopTask& task) {
+    size_t own = 0;
+    size_t index = 0;
+    const Clock::time_point start = Clock::now();
+    while (Next(&index)) {
+      LoopStore step = task(index);
+      if (step) step();
+      handed_[index].store(CallerStored(), std::memory_order_relaxed);
+      ++own;
+    }
+    const Clock::duration grace =
+        own > 0 ? 2 * (Clock::now() - start) / static_cast<int64_t>(own)
+                : kDefaultGrace;
+    const Clock::time_point deadline = Clock::now() + grace;
+    while (!failed() &&
+           own + handed_count_.load(std::memory_order_acquire) < n_ &&
+           Clock::now() < deadline) {
+      std::this_thread::sleep_for(kGracePoll);
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      if (failed()) return;
+      if (handed_[i].load(std::memory_order_acquire) != nullptr) continue;
+      LoopStore step = task(i);
+      LoopStore* expected = nullptr;
+      if (handed_[i].compare_exchange_strong(expected, CallerStored(),
+                                             std::memory_order_acq_rel)) {
+        if (step) step();
+      }  // else a helper handed it over meanwhile: stored below
+    }
+    for (std::atomic<LoopStore*>& slot : handed_) {
+      LoopStore* step = slot.load(std::memory_order_acquire);
+      if (step != CallerStored() && *step) (*step)();
+    }
+  }
+
+  const size_t n_;
+  const bool takeover_;
+  /// Read by participants while they count as inside; reset by the last
+  /// one out once the loop is closed.
+  std::shared_ptr<const LoopParticipant> factory_;
+  std::atomic<size_t> word_{kOneInside};  // the caller starts inside
+  std::atomic<size_t> next_{0};
+  std::atomic<bool> failed_{false};
+  std::atomic<std::exception_ptr*> error_{nullptr};  // the first failure
+
+  /// Takeover mode: per index, the store step a helper handed over, or
+  /// CallerStored(); and how many helpers handed over.
+  std::vector<std::atomic<LoopStore*>> handed_;
+  std::atomic<size_t> handed_count_{0};
+
+  /// Join mode: the caller waits here for entered helpers to leave.
+  std::mutex mu_;
+  std::condition_variable cv_;
 };
-
-bool LoopClaims::Next(size_t* begin, size_t* end) {
-  // Cheap early-out keeps next from running far past n once the loop is
-  // drained (every participant polls it one last time).
-  if (state_->next.load(std::memory_order_relaxed) >= state_->n) return false;
-  const size_t b =
-      state_->next.fetch_add(state_->grain, std::memory_order_relaxed);
-  if (b >= state_->n) return false;
-  *begin = b;
-  *end = std::min(state_->n, b + state_->grain);
-  return true;
-}
-
-bool LoopClaims::BeginPublish(size_t begin) {
-  if (!state_->takeover) return true;
-  uint8_t expected = kUnpublished;
-  return state_->published_state[begin / state_->grain]
-      .compare_exchange_strong(expected, kPublishing,
-                               std::memory_order_acq_rel);
-}
-
-void LoopClaims::EndPublish(size_t begin) {
-  if (!state_->takeover) return;
-  state_->published_state[begin / state_->grain].store(
-      kPublished, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(state_->mu);
-  if (state_->published.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      state_->chunks) {
-    state_->cv.notify_all();
-  }
-}
-
-namespace {
-
-void RunHelper(const std::shared_ptr<LoopState>& state) {
-  std::shared_ptr<const LoopParticipant> factory;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->closed) return;  // caller finished: its frame may be gone
-    factory = state->factory;
-    if (!state->takeover) ++state->active;
-  }
-  try {
-    LoopChunk chunk = (*factory)(/*helper=*/true);
-    size_t begin = 0, end = 0;
-    while (chunk && state->claims.Next(&begin, &end)) {
-      chunk(state->claims, begin, end);
-    }
-  } catch (...) {
-    state->Fail();
-  }
-  if (!state->takeover) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (--state->active == 0) state->cv.notify_all();
-  }
-  // `factory` is released last, after the chunk function (and whatever it
-  // owned) is gone.
-}
-
-/// Takeover tail on the caller: waits a grace for in-flight chunks, then
-/// recomputes every chunk still unpublished and waits out the ones a
-/// participant is writing right now. Returns early on a failure.
-void TakeOver(LoopState& state, const LoopChunk& chunk,
-              Clock::duration grace) {
-  {
-    std::unique_lock<std::mutex> lock(state.mu);
-    state.cv.wait_for(lock, grace,
-                      [&] { return state.error || state.AllPublished(); });
-    if (state.error) return;
-  }
-  for (size_t c = 0; c < state.chunks && !state.AllPublished(); ++c) {
-    if (state.published_state[c].load(std::memory_order_acquire) !=
-        kUnpublished) {
-      continue;
-    }
-    const size_t begin = c * state.grain;
-    chunk(state.claims, begin, std::min(state.n, begin + state.grain));
-  }
-  std::unique_lock<std::mutex> lock(state.mu);
-  state.cv.wait(lock, [&] { return state.error || state.AllPublished(); });
-}
 
 }  // namespace
 
 void ParallelLoop(ThreadPool& pool, size_t n, const LoopOptions& options,
                   LoopParticipant participant) {
   if (n == 0) return;
-  auto factory =
-      std::make_shared<const LoopParticipant>(std::move(participant));
-  auto state = std::make_shared<LoopState>(n, options, factory);
-  const size_t helpers = std::min(options.max_helpers, state->chunks - 1);
+  auto state = std::make_shared<LoopState>(
+      n, options.takeover,
+      std::make_shared<const LoopParticipant>(std::move(participant)));
+  const size_t helpers = std::min(options.max_helpers, n - 1);
   for (size_t h = 0; h < helpers; ++h) {
     try {
-      pool.Submit([state] { RunHelper(state); });
+      auto helper = [state] { state->RunHelper(); };
+      // Takeover helpers live on an idle-priority pool: never queue behind
+      // a lock one of its workers may hold.
+      if (options.takeover) {
+        if (!pool.TrySubmit(helper)) break;
+      } else {
+        pool.Submit(helper);
+      }
     } catch (...) {
       break;  // the caller covers whatever the missing helpers would have
     }
   }
-
-  try {
-    LoopChunk chunk = (*factory)(/*helper=*/false);
-    size_t begin = 0, end = 0;
-    size_t done = 0;
-    const Clock::time_point start = Clock::now();
-    while (state->claims.Next(&begin, &end)) {
-      chunk(state->claims, begin, end);
-      ++done;
-    }
-    if (state->takeover) {
-      const Clock::duration grace =
-          done > 0 ? 2 * (Clock::now() - start) / static_cast<int64_t>(done)
-                   : kDefaultGrace;
-      TakeOver(*state, chunk, grace);
-    }
-  } catch (...) {
-    state->Fail();
-  }
-
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    if (!state->takeover) {
-      state->cv.wait(lock, [&] { return state->active == 0; });
-    }
-    state->closed = true;
-    state->factory.reset();
-    error = state->error;
-  }
-  if (error) std::rethrow_exception(error);
+  state->RunCaller();
 }
 
 }  // namespace staq::util

@@ -1,37 +1,38 @@
 // Caller-participating parallel loop — the library's one parallel loop.
 //
-// The thread that owns a loop always works on it: it claims chunks like any
-// helper and never blocks waiting for work it could do itself. Helper tasks
-// submitted to a ThreadPool claim chunks dynamically while they run, so a
-// loop finishes even when no helper ever starts (every worker of the pool
-// busy, or the pool's workers are themselves callers of loops) — which is
-// what makes nested and all-workers-at-once use deadlock-free.
+// The thread that owns a loop always works on it: it claims indices like
+// any helper and never blocks waiting for work it could do itself. Helper
+// tasks submitted to a ThreadPool claim indices one at a time while they
+// run, so a loop finishes even when no helper ever starts (every worker of
+// the pool busy, or the pool's workers are themselves callers of loops) —
+// which is what makes nested and all-workers-at-once use deadlock-free.
 //
 // Every participant — the caller and each helper that starts while the
-// loop is open — asks the loop's participant factory once for its chunk
+// loop is open — asks the loop's participant factory once for its task
 // function (a helper may decline by returning an empty one) and runs it on
-// the chunks it claims. A helper that starts after the loop has closed
-// returns without calling the factory, so it never touches the caller's
-// frame. A participant that throws stops further claims; the caller
-// rethrows the first exception.
+// the indices it claims. A task computes one index and returns the step
+// that stores its result (or an empty step). A helper that starts after
+// the loop has closed returns without calling the factory, so it never
+// touches the caller's frame. A participant that throws stops further
+// claims; the caller rethrows the first exception.
 //
 // Two completion modes:
 //
-//  * Join (default): the caller returns once every helper that entered has
-//    left. Chunk functions may reference the caller's frame and write
-//    results directly.
-//  * Takeover: the caller never waits on a helper that stalls mid-chunk
-//    (an idle-priority helper preempted on a saturated machine). Once the
-//    caller runs out of unclaimed chunks it grants in-flight chunks a short
-//    grace — twice its own mean chunk time — and then recomputes every
-//    chunk still unpublished itself. A chunk's results therefore go through
-//    a publish gate: compute into private storage, then
-//        if (claims.BeginPublish(begin)) { write; claims.EndPublish(begin); }
-//    and exactly one participant writes each chunk. The caller returns once
-//    every chunk is published, possibly while a straggler is still
-//    computing; the factory and chunk functions must therefore own —
-//    by value or shared_ptr — everything they touch. The factory lives
-//    until the last participant that called it is gone.
+//  * Join (default): each participant runs its own store steps, and the
+//    caller returns once every helper that entered has left. Tasks may
+//    reference the caller's frame and write results directly.
+//  * Takeover: for helpers on an idle-priority pool, which a loaded
+//    machine may preempt for a long time at any instruction. The caller
+//    never waits on such a helper: helpers hand their store steps to the
+//    caller through lock-free slots and take no lock the caller (or any
+//    other thread) needs, and the caller runs every store step itself.
+//    Once the caller runs out of unclaimed indices it grants in-flight
+//    ones a short grace — twice its own mean index time — and then
+//    recomputes every index still missing; a helper's late step is
+//    discarded. The caller returns possibly while a straggler is still
+//    computing, so the factory and tasks must own — by value or
+//    shared_ptr — everything they touch. The factory lives until the last
+//    participant that called it is gone.
 #pragma once
 
 #include <cstddef>
@@ -40,55 +41,33 @@
 namespace staq::util {
 
 class ThreadPool;
-struct LoopState;
 
-/// Chunk dispenser and publish gate shared by one loop's participants.
-class LoopClaims {
- public:
-  /// Claims the next chunk [*begin, *end). False once the range is
-  /// exhausted or a participant has failed.
-  bool Next(size_t* begin, size_t* end);
+/// Stores one index's result. Takeover mode runs it on the calling thread.
+using LoopStore = std::function<void()>;
 
-  /// Takeover mode: call once the chunk starting at `begin` is computed and
-  /// before writing its results. True = write them, then EndPublish(begin);
-  /// false = another participant publishes the chunk, discard them. Always
-  /// true in join mode.
-  bool BeginPublish(size_t begin);
-  void EndPublish(size_t begin);
-
- private:
-  friend struct LoopState;
-  explicit LoopClaims(LoopState* state) : state_(state) {}
-  LoopState* state_;
-};
-
-/// One participant's work: computes (and in takeover mode publishes)
-/// chunk [begin, end).
-using LoopChunk =
-    std::function<void(LoopClaims& claims, size_t begin, size_t end)>;
+/// One participant's work: computes index `index` and returns the step
+/// that stores it (empty when the task already wrote its result, which
+/// only join mode allows).
+using LoopTask = std::function<LoopStore(size_t index)>;
 
 /// Called once per participant, on its own thread (`helper` is false on the
-/// calling thread); returns the participant's chunk function, or an empty
-/// one to sit the loop out. Destroying the chunk function ends the
-/// participant (release per-participant resources there).
-using LoopParticipant = std::function<LoopChunk(bool helper)>;
+/// calling thread); returns the participant's task, or an empty one to sit
+/// the loop out. Destroying the task ends the participant (release
+/// per-participant resources there).
+using LoopParticipant = std::function<LoopTask(bool helper)>;
 
 struct LoopOptions {
   /// Helper tasks submitted to the pool (each may or may not start in time
   /// to help). 0 = the caller runs the loop alone.
   size_t max_helpers = 0;
-  /// Indices per claim (0 is treated as 1). A stalled helper holds back at
-  /// most one chunk.
-  size_t grain = 1;
   /// Takeover mode (see the file comment); join mode when false.
   bool takeover = false;
 };
 
 /// Runs one loop over [0, n) on the calling thread plus up to
-/// options.max_helpers helper tasks on `pool`, and returns when every chunk
-/// is done (join) or published (takeover). Rethrows the first participant
-/// exception. Helper submission never fails the loop: the caller simply
-/// does more of it.
+/// options.max_helpers helper tasks on `pool`, and returns when every
+/// index is stored. Rethrows the first participant exception. Helper
+/// submission never fails the loop: the caller simply does more of it.
 void ParallelLoop(ThreadPool& pool, size_t n, const LoopOptions& options,
                   LoopParticipant participant);
 

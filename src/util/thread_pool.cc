@@ -166,6 +166,16 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   return future;
 }
 
+bool ThreadPool::TrySubmit(std::function<void()> task) {
+  {
+    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+    if (!lock.owns_lock()) return false;
+    queue_.push_back(Job{std::packaged_task<void()>(std::move(task)), nullptr});
+  }
+  cv_.notify_one();
+  return true;
+}
+
 TaskHandle ThreadPool::SubmitHandle(std::function<void()> task) {
   // Fault site: a throw here models submission failing before the task is
   // ever queued (caller still holds everything it handed in).
@@ -190,12 +200,10 @@ void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   LoopOptions options;
   options.max_helpers = num_threads();
-  // Dynamic chunking: small enough for balance, large enough that the
-  // shared counter is touched rarely.
-  options.grain = std::max<size_t>(1, n / ((num_threads() + 1) * 8));
-  ParallelLoop(*this, n, options, [&body](bool /*helper*/) -> LoopChunk {
-    return [&body](LoopClaims&, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) body(i);
+  ParallelLoop(*this, n, options, [&body](bool /*helper*/) -> LoopTask {
+    return [&body](size_t i) -> LoopStore {
+      body(i);
+      return {};
     };
   });
 }

@@ -115,6 +115,12 @@ class ThreadPool : public Executor {
   /// and rethrows anything the task threw.
   std::future<void> Submit(std::function<void()> task);
 
+  /// Enqueues `task` unless another thread holds the queue lock right now;
+  /// never waits on the pool's workers (so an idle-priority worker that is
+  /// preempted while popping a job cannot stall a normal-priority caller).
+  /// False = not enqueued. Exceptions the task throws are dropped.
+  bool TrySubmit(std::function<void()> task);
+
   /// Enqueues `task` and returns a cancellable handle to it. Used by
   /// serving-style callers that need admission control (PendingTasks) and
   /// the ability to withdraw work whose deadline has already passed while
@@ -127,8 +133,8 @@ class ThreadPool : public Executor {
   size_t PendingTasks() const override;
 
   /// Runs body(i) for every i in [0, n) on the calling thread plus up to
-  /// num_threads() helpers of this pool (util::ParallelLoop), handing out
-  /// dynamically claimed chunks. Returns when every index is done and
+  /// num_threads() helpers of this pool (util::ParallelLoop), each claiming
+  /// one index at a time. Returns when every index is done and
   /// rethrows the first exception a body threw. The caller does work
   /// itself, so it is safe to call from inside the pool's own tasks — even
   /// from every worker at once.

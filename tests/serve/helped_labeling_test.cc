@@ -7,8 +7,10 @@
 // disruption kinds. The rest pins the helpers' contracts: they stay out of
 // admission, shedding and the stats; the owning thread finishes a loop
 // while a helper is parked on a zone; a server can die with stale helpers
-// still queued (run under STAQ_ASAN via the `faultinjection` label); and a
-// helper fault degrades into a clean kInternal with the epoch intact.
+// still queued (run under STAQ_ASAN via the `faultinjection` label); a
+// helper fault degrades into a clean kInternal with the epoch intact; and
+// a helper parked while taking or returning its context holds up no
+// request.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -419,6 +421,56 @@ TEST_F(HelperFaultTest, HelperFaultRollsThePatchBack) {
                            server_->base_city().Centre())
                   .ok());
   ExpectEpochMatchesSerialRebuild(*server_);
+}
+
+TEST(HelperParkingTest, NoRequestWaitsOnAHelperParkedInItsLeaseOrRelease) {
+  // Helpers run at idle priority: a loaded machine can preempt one for a
+  // long time anywhere, including while it takes or returns its context.
+  // Parked there, it must hold nothing a normal-priority thread waits for:
+  // cache hits, SSR answers (which lease a context) and further cold
+  // builds all complete while it stays parked.
+  for (const char* site :
+       {"serve.zone_loop.helper_lease", "serve.zone_loop.helper_release"}) {
+    SCOPED_TRACE(site);
+    AqServer::Options options;
+    options.num_threads = 4;
+    AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+    const AqRequest warm = ExactRequest(synth::PoiCategory::kSchool, 3);
+    ASSERT_TRUE(server.Query(warm).ok());  // now a cache hit
+
+    FailPoints::Arm(site, FailPointConfig::Block());
+    // The owning thread waits on its second zone until a helper is
+    // parked, so the loop provably has one.
+    FailPointConfig park_caller = FailPointConfig::Block();
+    park_caller.skip = 1;
+    FailPoints::Arm("serve.zone_loop.caller", park_caller);
+    AqTicket cold =
+        server.Submit(ExactRequest(synth::PoiCategory::kSchool, 5));
+    WaitFor([&] { return FailPoints::BlockedCount(site) >= 1; });
+    FailPoints::Disarm("serve.zone_loop.caller");
+
+    auto others = std::async(std::launch::async, [&] {
+      EXPECT_TRUE(server.Query(warm).ok());
+      EXPECT_TRUE(server.Query(SsrRequest()).ok());
+      EXPECT_TRUE(
+          server.Query(ExactRequest(synth::PoiCategory::kSchool, 6)).ok());
+    });
+    auto helped = std::async(std::launch::async, [&] { return cold.Get(); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    EXPECT_EQ(others.wait_until(deadline), std::future_status::ready)
+        << "a request waited on the parked helper";
+    EXPECT_EQ(helped.wait_until(deadline), std::future_status::ready)
+        << "the helped build waited on its parked helper";
+    EXPECT_GE(FailPoints::BlockedCount(site), 1u);
+
+    FailPoints::Disarm(site);  // stragglers drop their contexts and leave
+    others.get();
+    auto cold_answer = helped.get();
+    EXPECT_TRUE(cold_answer.ok()) << cold_answer.status();
+    ExpectHelpedMatchesSerial(server,
+                              ExactRequest(synth::PoiCategory::kSchool, 7));
+  }
 }
 
 #endif  // STAQ_FAILPOINTS

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -187,10 +188,11 @@ TEST(ParallelLoopTest, LateHelpersNeverCallTheParticipant) {
     PoolBlocker blocker(pool);
     LoopOptions options;
     options.max_helpers = 2;
-    ParallelLoop(pool, out.size(), options, [&](bool helper) -> LoopChunk {
+    ParallelLoop(pool, out.size(), options, [&](bool helper) -> LoopTask {
       if (helper) helper_calls.fetch_add(1);
-      return [&](LoopClaims&, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) out[i] = static_cast<int>(i);
+      return [&](size_t i) -> LoopStore {
+        out[i] = static_cast<int>(i);
+        return {};
       };
     });
   }  // the blocker releases: both helpers start after the loop closed
@@ -200,11 +202,12 @@ TEST(ParallelLoopTest, LateHelpersNeverCallTheParticipant) {
   for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i));
 }
 
-TEST(ParallelLoopTest, CallerTakesOverAChunkAStalledHelperHolds) {
-  // Takeover mode: a helper claims one chunk and stalls on it; the caller
-  // finishes everything else, recomputes the stalled chunk, and returns
-  // while the helper is still stalled. The helper's late result is
-  // discarded by the publish gate, so each chunk is written exactly once.
+TEST(ParallelLoopTest, CallerTakesOverAnIndexAStalledHelperHolds) {
+  // Takeover mode: a helper claims one index and stalls on it; the caller
+  // finishes everything else, recomputes the stalled index, and returns
+  // while the helper is still stalled. Every store step runs on the
+  // calling thread, exactly once per index; the helper's late step is
+  // dropped.
   constexpr size_t kN = 32;
   ThreadPool pool(1);
   auto stall = std::make_shared<std::promise<void>>();
@@ -212,38 +215,40 @@ TEST(ParallelLoopTest, CallerTakesOverAChunkAStalledHelperHolds) {
   auto stalled_on = std::make_shared<std::atomic<int>>(-1);
   auto out = std::make_shared<std::vector<std::atomic<int>>>(kN);
   auto writes = std::make_shared<std::atomic<int>>(0);
+  auto foreign_writes = std::make_shared<std::atomic<int>>(0);
   auto entered = std::make_shared<std::promise<void>>();
   std::shared_future<void> entered_future = entered->get_future().share();
+  const std::thread::id caller = std::this_thread::get_id();
 
   LoopOptions options;
   options.max_helpers = 1;
   options.takeover = true;
-  ParallelLoop(pool, kN, options,
-               [=](bool helper) -> LoopChunk {
-                 return [=](LoopClaims& claims, size_t begin, size_t) {
-                   if (helper && stalled_on->load() < 0) {
-                     stalled_on->store(static_cast<int>(begin));
-                     entered->set_value();
-                     resume.wait();  // stalls holding `begin`
-                   } else if (!helper && begin == 0) {
-                     // Keep the caller busy until the helper has claimed.
-                     entered_future.wait();
-                   }
-                   if (claims.BeginPublish(begin)) {
-                     (*out)[begin].store(static_cast<int>(begin) + 1);
-                     writes->fetch_add(1);
-                     claims.EndPublish(begin);
-                   }
-                 };
-               });
+  ParallelLoop(pool, kN, options, [=](bool helper) -> LoopTask {
+    return [=](size_t i) -> LoopStore {
+      if (helper && stalled_on->load() < 0) {
+        stalled_on->store(static_cast<int>(i));
+        entered->set_value();
+        resume.wait();  // stalls holding `i`
+      } else if (!helper && i == 0) {
+        // Keep the caller busy until the helper has claimed.
+        entered_future.wait();
+      }
+      return [=] {
+        if (std::this_thread::get_id() != caller) foreign_writes->fetch_add(1);
+        (*out)[i].store(static_cast<int>(i) + 1);
+        writes->fetch_add(1);
+      };
+    };
+  });
   ASSERT_GE(stalled_on->load(), 0);
   for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ((*out)[i].load(), static_cast<int>(i) + 1) << "chunk " << i;
+    EXPECT_EQ((*out)[i].load(), static_cast<int>(i) + 1) << "index " << i;
   }
   EXPECT_EQ(writes->load(), static_cast<int>(kN));
-  stall->set_value();  // the straggler resumes, loses the gate, leaves
+  stall->set_value();  // the straggler resumes, finds its index stored
   pool.Submit([] {}).get();
   EXPECT_EQ(writes->load(), static_cast<int>(kN));
+  EXPECT_EQ(foreign_writes->load(), 0);
 }
 
 TEST(ParallelLoopTest, HelperExceptionReachesTheCaller) {
@@ -252,23 +257,27 @@ TEST(ParallelLoopTest, HelperExceptionReachesTheCaller) {
     LoopOptions options;
     options.max_helpers = 2;
     options.takeover = takeover;
-    auto started = std::make_shared<std::promise<void>>();
-    std::shared_future<void> helper_started = started->get_future().share();
+    auto failed = std::make_shared<std::promise<void>>();
+    std::shared_future<void> helper_failed = failed->get_future().share();
     auto once = std::make_shared<std::atomic<bool>>(false);
+    auto caller_waited = std::make_shared<std::atomic<bool>>(false);
     EXPECT_THROW(
         ParallelLoop(pool, 64, options,
-                     [=](bool helper) -> LoopChunk {
-                       return [=](LoopClaims& claims, size_t begin, size_t) {
+                     [=](bool helper) -> LoopTask {
+                       return [=](size_t) -> LoopStore {
                          if (helper && !once->exchange(true)) {
-                           started->set_value();
+                           failed->set_value();
                            throw std::logic_error("helper fault");
                          }
-                         // The caller waits for the helper's fault, so the
+                         // The caller waits for the helper's fault (and, in
+                         // takeover mode, for it to reach the loop), so the
                          // loop cannot finish before it.
-                         if (!helper) helper_started.wait();
-                         if (claims.BeginPublish(begin)) {
-                           claims.EndPublish(begin);
+                         if (!helper && !caller_waited->exchange(true)) {
+                           helper_failed.wait();
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(20));
                          }
+                         return {};
                        };
                      }),
         std::logic_error)

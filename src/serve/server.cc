@@ -98,6 +98,7 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval,
         return cache_options;
       }()),
       context_cap_(ResolveThreads(options.num_threads)),
+      contexts_(context_cap_),
       pool_(context_cap_) {
   if (options_.perturb.has_value()) {
     pool_.EnablePerturbation(*options_.perturb);
@@ -377,40 +378,69 @@ AqServer::Network AqServer::NetworkOf(const Scenario& scenario) {
                  scenario.network_id()};
 }
 
-std::unique_ptr<AqServer::WorkerContext> AqServer::PopContextLocked(
-    const Network& network, uint64_t stop_epoch) {
-  for (auto it = free_contexts_.rbegin(); it != free_contexts_.rend(); ++it) {
-    if ((*it)->network_id != network.id) continue;
-    auto context = std::move(*it);
-    free_contexts_.erase(std::next(it).base());
-    if (context->stop_epoch != stop_epoch) {
-      context->engine.InvalidateAccessStopCache();
-      context->stop_epoch = stop_epoch;
+AqServer::ContextPool::~ContextPool() {
+  for (std::atomic<WorkerContext*>& slot : slots_) {
+    delete slot.load(std::memory_order_acquire);
+  }
+}
+
+template <typename Match>
+std::unique_ptr<AqServer::WorkerContext> AqServer::ContextPool::TakeIf(
+    Match match) {
+  for (std::atomic<WorkerContext*>& slot : slots_) {
+    // Exchanging first makes the context ours to inspect; one that does
+    // not match goes back (or, when a put filled the slot meanwhile, to
+    // any free slot; it dies when none is left).
+    std::unique_ptr<WorkerContext> context(
+        slot.exchange(nullptr, std::memory_order_acq_rel));
+    if (context == nullptr) continue;
+    if (match(*context)) return context;
+    WorkerContext* expected = nullptr;
+    if (slot.compare_exchange_strong(expected, context.get(),
+                                     std::memory_order_acq_rel)) {
+      context.release();
+    } else {
+      Put(std::move(context));
     }
-    return context;
   }
   return nullptr;
 }
 
-bool AqServer::EvictStaleLocked(
-    uint64_t network_id,
-    std::vector<std::unique_ptr<WorkerContext>>* evicted) {
-  // Oldest first: the front of the pool was returned longest ago.
-  auto it = std::find_if(free_contexts_.begin(), free_contexts_.end(),
-                         [&](const std::unique_ptr<WorkerContext>& c) {
-                           return c->network_id != network_id;
-                         });
-  if (it == free_contexts_.end()) return false;
-  evicted->push_back(std::move(*it));
-  free_contexts_.erase(it);
-  return true;
+std::unique_ptr<AqServer::WorkerContext> AqServer::ContextPool::Take(
+    uint64_t id) {
+  return TakeIf([id](const WorkerContext& c) { return c.network_id == id; });
+}
+
+std::unique_ptr<AqServer::WorkerContext> AqServer::ContextPool::TakeStale(
+    uint64_t id) {
+  return TakeIf([id](const WorkerContext& c) { return c.network_id != id; });
+}
+
+std::unique_ptr<AqServer::WorkerContext> AqServer::ContextPool::Put(
+    std::unique_ptr<WorkerContext> context) {
+  for (std::atomic<WorkerContext*>& slot : slots_) {
+    WorkerContext* expected = nullptr;
+    if (slot.compare_exchange_strong(expected, context.get(),
+                                     std::memory_order_acq_rel)) {
+      context.release();
+      return nullptr;
+    }
+  }
+  return context;
+}
+
+std::unique_ptr<AqServer::WorkerContext> AqServer::Refreshed(
+    std::unique_ptr<WorkerContext> context, uint64_t stop_epoch) {
+  if (context->stop_epoch != stop_epoch) {
+    context->engine.InvalidateAccessStopCache();
+    context->stop_epoch = stop_epoch;
+  }
+  return context;
 }
 
 std::unique_ptr<AqServer::WorkerContext> AqServer::NewContext(
     const Network& network, uint64_t stop_epoch) {
-  // The caller already counted this context in live_contexts_ (under
-  // context_mu_, so other leases see the slot taken); a failed build gives
-  // the slot back.
+  // A failed build gives the counted slot back.
   try {
     auto context = std::make_unique<WorkerContext>(
         network.city, network.options, network.id, &live_contexts_);
@@ -425,162 +455,46 @@ std::unique_ptr<AqServer::WorkerContext> AqServer::NewContext(
 std::unique_ptr<AqServer::WorkerContext> AqServer::AcquireContext(
     const Network& network) {
   const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
-  std::vector<std::unique_ptr<WorkerContext>> evicted;
-  {
-    std::lock_guard<std::mutex> lock(context_mu_);
-    if (auto context = PopContextLocked(network, epoch)) return context;
-    if (live_contexts_.load(std::memory_order_relaxed) >= context_cap_) {
-      EvictStaleLocked(network.id, &evicted);
-    }
-    live_contexts_.fetch_add(1, std::memory_order_relaxed);
+  if (auto context = contexts_.Take(network.id)) {
+    return Refreshed(std::move(context), epoch);
   }
-  evicted.clear();  // destroyed outside the lock
+  if (live_contexts_.load(std::memory_order_relaxed) >= context_cap_) {
+    contexts_.TakeStale(network.id).reset();  // make room, if one is stale
+  }
+  live_contexts_.fetch_add(1, std::memory_order_relaxed);
   return NewContext(network, epoch);
 }
 
-void AqServer::ReleaseContexts(
-    std::vector<std::unique_ptr<WorkerContext>> contexts) {
-  std::vector<std::unique_ptr<WorkerContext>> evicted;
-  {
-    std::lock_guard<std::mutex> lock(context_mu_);
-    // Owners may lease past the cap; the surplus is dropped on return
-    // instead of pooled, so an idle server holds at most context_cap_
-    // contexts. Contexts of another network go first.
-    const size_t live = live_contexts_.load(std::memory_order_relaxed);
-    size_t surplus = live > context_cap_ ? live - context_cap_ : 0;
-    for (auto& context : contexts) {
-      if (surplus > 0) {
-        --surplus;
-        if (!EvictStaleLocked(context->network_id, &evicted)) {
-          evicted.push_back(std::move(context));
-          continue;
-        }
-      }
-      free_contexts_.push_back(std::move(context));
+std::unique_ptr<AqServer::WorkerContext> AqServer::TryAcquireHelperContext(
+    const Network& network) {
+  const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
+  auto context = contexts_.Take(network.id);
+  // Fault site (tests): a helper parked while taking its context.
+  STAQ_FAILPOINT("serve.zone_loop.helper_lease");
+  if (context != nullptr) return Refreshed(std::move(context), epoch);
+  // Counts the new context under the cap, evicting a pooled context of
+  // another network when the cap is reached.
+  size_t live = live_contexts_.load(std::memory_order_relaxed);
+  while (true) {
+    if (live >= context_cap_) {
+      if (contexts_.TakeStale(network.id) == nullptr) return nullptr;
+      live = live_contexts_.load(std::memory_order_relaxed);
+    } else if (live_contexts_.compare_exchange_weak(
+                   live, live + 1, std::memory_order_relaxed)) {
+      return NewContext(network, epoch);
     }
   }
-  // `evicted` and the moved-from `contexts` die here, outside the lock.
 }
 
 void AqServer::ReleaseContext(std::unique_ptr<WorkerContext> context) {
-  std::vector<std::unique_ptr<WorkerContext>> one;
-  one.push_back(std::move(context));
-  ReleaseContexts(std::move(one));
-}
-
-/// One helper's slot. The owning thread fills it before submitting
-/// helpers; afterwards `owner` says who may touch the rest: a helper while
-/// kInUse, the owning thread once it saw kFree or kDone while closing.
-struct AqServer::HelperSlot {
-  enum : uint8_t { kFree, kInUse, kDone, kClosed };
-  /// A pooled context, or null until the claiming helper builds one.
-  std::unique_ptr<WorkerContext> context;
-  /// A cap reservation no context carries yet.
-  bool reserved = false;
-  std::atomic<uint8_t> owner{kFree};
-};
-
-struct AqServer::HelperSlots {
-  HelperSlots(size_t n, uint64_t epoch) : slots(n), stop_epoch(epoch) {}
-  std::vector<HelperSlot> slots;
-  std::atomic<size_t> next{0};
-  /// stop_cache_epoch_ at lease time, for contexts helpers build.
-  const uint64_t stop_epoch;
-};
-
-/// A helper's hold on one slot, ended when the helper's task is destroyed
-/// (while the helper still pins the server).
-struct AqServer::HelperLease {
-  ~HelperLease() {
-    if (slot == nullptr) return;
-    // Fault site (tests): a helper parked on its way out of the loop.
-    try {
-      STAQ_FAILPOINT("serve.zone_loop.helper_release");
-    } catch (...) {
-    }
-    // A body that threw may have left half-built engine state behind.
-    if (failed) slot->context.reset();
-    uint8_t expected = HelperSlot::kInUse;
-    if (!slot->owner.compare_exchange_strong(expected, HelperSlot::kDone,
-                                             std::memory_order_acq_rel)) {
-      // The owning thread closed the slots first: the context is ours to
-      // drop (its destructor only touches an atomic of the server).
-      slot->context.reset();
-    }
+  // Owners may lease past the cap; the surplus dies on return instead of
+  // pooling — a pooled context of another network in its place when there
+  // is one — so an idle server holds at most context_cap_ contexts.
+  if (live_contexts_.load(std::memory_order_relaxed) > context_cap_ &&
+      contexts_.TakeStale(context->network_id) == nullptr) {
+    return;
   }
-  std::shared_ptr<HelperSlots> slots;  // keeps `slot` alive
-  HelperSlot* slot = nullptr;
-  bool failed = false;
-};
-
-std::shared_ptr<AqServer::HelperSlots> AqServer::LeaseHelperSlots(
-    const Network& network, size_t wanted) {
-  const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
-  std::vector<std::unique_ptr<WorkerContext>> leased;  // null = reservation
-  std::vector<std::unique_ptr<WorkerContext>> evicted;
-  {
-    std::lock_guard<std::mutex> lock(context_mu_);
-    while (leased.size() < wanted) {
-      if (auto context = PopContextLocked(network, epoch)) {
-        leased.push_back(std::move(context));
-        continue;
-      }
-      if (live_contexts_.load(std::memory_order_relaxed) >= context_cap_ &&
-          !EvictStaleLocked(network.id, &evicted)) {
-        break;  // no spare context under the cap: fewer helpers
-      }
-      live_contexts_.fetch_add(1, std::memory_order_relaxed);
-      leased.push_back(nullptr);
-    }
-  }
-  evicted.clear();  // destroyed outside the lock
-  auto slots = std::make_shared<HelperSlots>(leased.size(), epoch);
-  for (size_t i = 0; i < leased.size(); ++i) {
-    slots->slots[i].reserved = leased[i] == nullptr;
-    slots->slots[i].context = std::move(leased[i]);
-  }
-  return slots;
-}
-
-std::shared_ptr<AqServer::HelperLease> AqServer::ClaimHelperSlot(
-    const std::shared_ptr<HelperSlots>& slots, const Network& network) {
-  const size_t k = slots->next.fetch_add(1, std::memory_order_relaxed);
-  if (k >= slots->slots.size()) return nullptr;
-  auto lease = std::make_shared<HelperLease>();
-  lease->slots = slots;
-  HelperSlot& slot = slots->slots[k];
-  uint8_t expected = HelperSlot::kFree;
-  if (!slot.owner.compare_exchange_strong(expected, HelperSlot::kInUse,
-                                          std::memory_order_acq_rel)) {
-    return nullptr;  // the loop closed before this helper started
-  }
-  lease->slot = &slot;  // from here on the lease hands the slot back
-  // Fault site (tests): a helper parked while taking its context.
-  STAQ_FAILPOINT("serve.zone_loop.helper_lease");
-  if (slot.context == nullptr) {
-    slot.reserved = false;  // the new context carries the reservation
-    slot.context = NewContext(network, slots->stop_epoch);
-  }
-  return lease;
-}
-
-void AqServer::CloseHelperSlots(HelperSlots& slots) {
-  std::vector<std::unique_ptr<WorkerContext>> back;
-  size_t reservations = 0;
-  for (HelperSlot& slot : slots.slots) {
-    if (slot.owner.exchange(HelperSlot::kClosed, std::memory_order_acq_rel) ==
-        HelperSlot::kInUse) {
-      continue;  // a straggler still holds it and drops it itself
-    }
-    if (slot.context != nullptr) {
-      back.push_back(std::move(slot.context));
-    } else if (slot.reserved) {
-      slot.reserved = false;
-      ++reservations;
-    }
-  }
-  live_contexts_.fetch_sub(reservations, std::memory_order_relaxed);
-  if (!back.empty()) ReleaseContexts(std::move(back));
+  contexts_.Put(std::move(context));  // a context handed back dies here
 }
 
 void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
@@ -592,49 +506,59 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
     own = AcquireContext(network);
     caller = &own->engine;
   }
+  /// A helper's context, returned to the pool when the helper ends —
+  /// unless a body threw on it (possibly half-built engine state).
+  struct HelperLease {
+    ~HelperLease() {
+      if (context == nullptr) return;
+      // Fault site (tests): a helper parked on its way out of the loop.
+      try {
+        STAQ_FAILPOINT("serve.zone_loop.helper_release");
+      } catch (...) {
+      }
+      if (!failed) server->ReleaseContext(std::move(context));
+    }
+    AqServer* server = nullptr;
+    std::unique_ptr<WorkerContext> context;
+    bool failed = false;
+  };
+
   // Helpers come from the hardware: one per core besides the caller's,
   // and never more than the spare contexts the cap leaves.
   util::ThreadPool& idle = util::ThreadPool::Idle();
-  const size_t wanted =
-      std::min({std::max<size_t>(1, idle.num_threads() - 1),
-                context_cap_ - 1, n - 1});
-  std::shared_ptr<HelperSlots> slots = LeaseHelperSlots(network, wanted);
   util::LoopOptions loop;
-  loop.max_helpers = slots->slots.size();
+  loop.max_helpers =
+      std::min(std::max<size_t>(1, idle.num_threads() - 1), context_cap_ - 1);
   loop.takeover = true;
-  try {
-    // Everything the participants capture is owned: a straggling helper
-    // may still be running after this returns (util/parallel_loop.h).
-    util::ParallelLoop(
-        idle, n, loop,
-        [this, caller, body, slots, network,
-         pin = helper_pins_.Pin()](bool helper) -> util::LoopTask {
-          if (!helper) {
-            // Used on this thread only, before ParallelLoop returns.
-            return [caller, &body](size_t index) -> util::LoopStore {
-              // Fault site (tests): parks or fails the owning thread.
-              STAQ_FAILPOINT("serve.zone_loop.caller");
-              return body(*caller, index);
-            };
-          }
-          std::shared_ptr<HelperLease> lease = ClaimHelperSlot(slots, network);
-          if (lease == nullptr) return {};  // no slot left for this helper
-          return [lease, body](size_t index) -> util::LoopStore {
-            try {
-              // Fault site: a helper failing (or stalling) holding a zone.
-              STAQ_FAILPOINT("serve.zone_loop.helper");
-              return body(lease->slot->context->engine, index);
-            } catch (...) {
-              lease->failed = true;
-              throw;
-            }
+  // Everything the participants capture is owned: a straggling helper may
+  // still be running after this returns (util/parallel_loop.h).
+  util::ParallelLoop(
+      idle, n, loop,
+      [this, caller, body, network,
+       pin = helper_pins_.Pin()](bool helper) -> util::LoopTask {
+        if (!helper) {
+          // Used on this thread only, before ParallelLoop returns.
+          return [caller, &body](size_t index) -> util::LoopStore {
+            // Fault site (tests): parks or fails the owning thread.
+            STAQ_FAILPOINT("serve.zone_loop.caller");
+            return body(*caller, index);
           };
-        });
-  } catch (...) {
-    CloseHelperSlots(*slots);
-    throw;  // `own` dies with whatever half-built state it holds
-  }
-  CloseHelperSlots(*slots);
+        }
+        auto lease = std::make_shared<HelperLease>();
+        lease->server = this;
+        lease->context = TryAcquireHelperContext(network);
+        if (lease->context == nullptr) return {};  // no spare context
+        return [lease, body](size_t index) -> util::LoopStore {
+          try {
+            // Fault site: a helper failing (or stalling) holding a zone.
+            STAQ_FAILPOINT("serve.zone_loop.helper");
+            return body(lease->context->engine, index);
+          } catch (...) {
+            lease->failed = true;
+            throw;
+          }
+        };
+      });
   if (own != nullptr) ReleaseContext(std::move(own));
 }
 

@@ -301,56 +301,57 @@ class AqServer : private ZoneLoop {
   };
   static Network NetworkOf(const Scenario& scenario);
 
+  /// Pooled contexts, handed between threads without a lock: a thread
+  /// takes one with an atomic exchange and returns one with a
+  /// compare-and-swap, so no thread — an idle-priority helper preempted
+  /// mid-lease included — ever holds up another (DESIGN.md §16).
+  class ContextPool {
+   public:
+    explicit ContextPool(size_t slots) : slots_(slots) {}
+    ContextPool(const ContextPool&) = delete;
+    ContextPool& operator=(const ContextPool&) = delete;
+    ~ContextPool();
+    /// Takes a pooled context built for network `id` (contexts of other
+    /// networks stay pooled, for readers of older epochs); null when none.
+    std::unique_ptr<WorkerContext> Take(uint64_t id);
+    /// Takes a pooled context built for any other network than `id`, to
+    /// evict it; null when none.
+    std::unique_ptr<WorkerContext> TakeStale(uint64_t id);
+    /// Pools `context`; hands it back when every slot is taken.
+    std::unique_ptr<WorkerContext> Put(std::unique_ptr<WorkerContext> context);
+
+   private:
+    template <typename Match>
+    std::unique_ptr<WorkerContext> TakeIf(Match match);
+    std::vector<std::atomic<WorkerContext*>> slots_;
+  };
+
   /// Leases a context for `network`: a pooled one built for it, else a new
   /// one. Owners (the thread a request or mutation runs on) always get one,
   /// even past the cap; at the cap a pooled context of another network is
   /// evicted to make room.
   std::unique_ptr<WorkerContext> AcquireContext(const Network& network);
-  /// Returns contexts to the pool. Past the cap the surplus is evicted —
-  /// contexts of other networks first — and destroyed after the pool lock
-  /// is released.
-  void ReleaseContexts(std::vector<std::unique_ptr<WorkerContext>> contexts);
+  /// Helper lease: like AcquireContext, but null when building a context
+  /// would take the server past its cap. Takes no lock.
+  std::unique_ptr<WorkerContext> TryAcquireHelperContext(
+      const Network& network);
+  /// Returns a context to the pool. Past the cap the surplus dies — a
+  /// pooled context of another network first. Takes no lock.
   void ReleaseContext(std::unique_ptr<WorkerContext> context);
-  /// Pops a pooled context built for `network`, refreshing its access-stop
-  /// cache; contexts of other networks stay pooled for readers of older
-  /// epochs. Caller holds context_mu_; null when none is pooled.
-  std::unique_ptr<WorkerContext> PopContextLocked(const Network& network,
-                                                  uint64_t stop_epoch);
-  /// Moves one pooled context not built for `network_id` into `evicted`
-  /// (to be destroyed once context_mu_ is released). Caller holds
-  /// context_mu_; false when every pooled context is built for it.
-  bool EvictStaleLocked(
-      uint64_t network_id,
-      std::vector<std::unique_ptr<WorkerContext>>* evicted);
+  /// Refreshes a pooled context's access-stop cache to `stop_epoch`.
+  static std::unique_ptr<WorkerContext> Refreshed(
+      std::unique_ptr<WorkerContext> context, uint64_t stop_epoch);
+  /// Builds a context; the caller already counted it in live_contexts_.
   std::unique_ptr<WorkerContext> NewContext(const Network& network,
                                             uint64_t stop_epoch);
-
-  /// The helper contexts of one zone loop, leased by the owning thread
-  /// before it submits helpers and handed to them without a lock: helpers
-  /// run at idle priority and must never hold a lock normal-priority
-  /// threads wait for (DESIGN.md §16).
-  struct HelperSlot;
-  struct HelperSlots;
-  struct HelperLease;
-  /// Leases up to `wanted` helper contexts: pooled ones for `network`, plus
-  /// cap reservations that the helper claiming the slot builds itself.
-  std::shared_ptr<HelperSlots> LeaseHelperSlots(const Network& network,
-                                                size_t wanted);
-  /// Helper side: claims the next slot, building its context if only a
-  /// reservation. Null when no slot is left or the loop has closed.
-  std::shared_ptr<HelperLease> ClaimHelperSlot(
-      const std::shared_ptr<HelperSlots>& slots, const Network& network);
-  /// Owner side, once the loop returned: takes back every slot no helper
-  /// still holds (pooling its context or dropping its reservation); a
-  /// straggler still holding one drops its context itself.
-  void CloseHelperSlots(HelperSlots& slots);
 
   /// ZoneLoop: a takeover-mode util::ParallelLoop (util/parallel_loop.h).
   /// The calling thread labels with `caller` (or a leased context) while
   /// up to hardware-concurrency − 1 helpers on the idle pool claim zones
-  /// one at a time, each with one of the leased helper slots, and hand
-  /// their store steps back to the calling thread; a zone a stalled helper
-  /// holds is relabeled by the caller rather than waited for.
+  /// one at a time, each with a helper lease, and hand their store steps
+  /// back to the calling thread; a helper that finds the cap reached
+  /// returns at once, and a zone a stalled helper holds is relabeled by
+  /// the caller rather than waited for.
   void Run(const Scenario& scenario, core::LabelingEngine* caller, size_t n,
            const ZoneLoopBody& body) override;
 
@@ -421,10 +422,9 @@ class AqServer : private ZoneLoop {
   /// gone.
   const size_t context_cap_;
   /// Contexts alive anywhere (pooled or leased). Declared before the pool
-  /// so it outlives every context destroyed with free_contexts_.
+  /// so it outlives every context destroyed with contexts_.
   std::atomic<size_t> live_contexts_{0};
-  std::mutex context_mu_;
-  std::vector<std::unique_ptr<WorkerContext>> free_contexts_;
+  ContextPool contexts_;
   /// Bumped by mutations that may stale a WorkerContext's cached access
   /// stops; contexts are invalidated lazily on Acquire when their stamp
   /// lags, so leased contexts are covered too (not just the free list).

@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>

@@ -414,6 +414,7 @@ exp::RunResult RunLoadBench() {
   w.Uint("cache_hits", stats.cache_hits);
   w.Uint("cache_misses", stats.cache_misses);
   w.Uint("exact_state_builds", stats.exact_state_builds);
+  w.Uint("ssr_feature_builds", stats.ssr_feature_builds);
   w.EndObject();
   w.EndObject();
   std::string json = w.Take();

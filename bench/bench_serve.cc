@@ -397,12 +397,13 @@ exp::RunResult RunServeBench() {
               static_cast<unsigned long long>(disruption_zones),
               static_cast<unsigned long long>(disruption_spqs));
   std::printf("  server: %llu submitted, %llu cache hits / %llu misses, "
-              "%llu exact state builds, %llu states patched across %llu "
-              "mutations\n",
+              "%llu exact state builds, %llu SSR feature builds, %llu "
+              "states patched across %llu mutations\n",
               static_cast<unsigned long long>(stats.submitted),
               static_cast<unsigned long long>(stats.cache_hits),
               static_cast<unsigned long long>(stats.cache_misses),
               static_cast<unsigned long long>(stats.exact_state_builds),
+              static_cast<unsigned long long>(stats.ssr_feature_builds),
               static_cast<unsigned long long>(stats.states_patched),
               static_cast<unsigned long long>(stats.mutations));
 
@@ -456,6 +457,7 @@ exp::RunResult RunServeBench() {
   w.Uint("cache_hits", stats.cache_hits);
   w.Uint("cache_misses", stats.cache_misses);
   w.Uint("exact_state_builds", stats.exact_state_builds);
+  w.Uint("ssr_feature_builds", stats.ssr_feature_builds);
   w.Uint("states_patched", stats.states_patched);
   w.Uint("mutations", stats.mutations);
   w.EndObject();

@@ -87,6 +87,9 @@ struct ServerStats {
 
   /// Exact label states built from scratch (full labeling sweeps).
   uint64_t exact_state_builds = 0;
+  /// SSR zone feature matrices built for the per-epoch feature memo (at
+  /// most one per category and decay scale per epoch).
+  uint64_t ssr_feature_builds = 0;
 
   uint64_t mutations = 0;
   uint64_t states_patched = 0;    // label states carried across epochs by patching

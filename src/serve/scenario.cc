@@ -126,7 +126,7 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
     const LabelKey& key, core::LabelingEngine* engine, ZoneLoop* loop) const {
   // Fault site: a from-scratch state build failing (models OOM / engine
   // faults). GetOrBuildLabelState must propagate this to current waiters
-  // without poisoning the memo key; see the catch there.
+  // without poisoning the memo key (BuildOnceMemo::GetOrBuild).
   STAQ_FAILPOINT("serve.scenario.build_label_state");
   auto state = std::make_shared<ExactLabelState>();
   state->pois = PoisOf(key.category);
@@ -167,65 +167,45 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
 std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
     const LabelKey& key, core::LabelingEngine* engine, bool* built_fresh,
     ZoneLoop* loop) const {
-  if (built_fresh != nullptr) *built_fresh = false;
-  const std::string canonical = key.Canonical();
-  std::promise<std::shared_ptr<const ExactLabelState>> promise;
-  std::shared_future<std::shared_ptr<const ExactLabelState>> future;
-  bool is_builder = false;
-  {
-    std::lock_guard<std::mutex> lock(states_mu_);
-    auto it = states_.find(canonical);
-    if (it != states_.end()) {
-      future = it->second.future;
-    } else {
-      future = promise.get_future().share();
-      states_.emplace(canonical, StateEntry{key, future});
-      is_builder = true;
-    }
-  }
-  if (!is_builder) return future.get();
+  return states_.GetOrBuild(
+      key, [&] { return BuildLabelState(key, engine, loop); }, built_fresh);
+}
 
-  std::shared_ptr<const ExactLabelState> state;
-  try {
-    state = BuildLabelState(key, engine, loop);
-  } catch (...) {
-    // Unfulfilled promises hang every waiter on the shared future, and a
-    // dead entry would poison the key forever. Drop the entry first (so
-    // MaterializedStates and later callers never see the broken future),
-    // then propagate the failure to current waiters and the caller.
-    {
-      std::lock_guard<std::mutex> lock(states_mu_);
-      states_.erase(canonical);
-    }
-    promise.set_exception(std::current_exception());
-    throw;
-  }
-  promise.set_value(state);
-  if (built_fresh != nullptr) *built_fresh = true;
-  return state;
+std::string ZoneFeatureKey::Canonical() const {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "cat=%d|decay=%.17g",
+                static_cast<int>(category), decay_scale_m);
+  return buf;
+}
+
+std::shared_ptr<const ml::Matrix> Scenario::GetOrBuildZoneFeatures(
+    const ZoneFeatureKey& key, bool* built_fresh) const {
+  return features_.GetOrBuild(
+      key,
+      [&] {
+        // Fault site: a feature build failing (models OOM). Every waiter
+        // must fail with it and the key must stay buildable.
+        STAQ_FAILPOINT("serve.scenario.build_zone_features");
+        // The α rows of the SSR path's TODAM (Execute), without its trips.
+        const std::vector<synth::Poi> pois = PoisOf(key.category);
+        const std::vector<double> zone_norm = core::StableGravityNorms(
+            base_->zones, base_->PoisOf(key.category), key.decay_scale_m);
+        return std::make_shared<const ml::Matrix>(
+            offline_->features->ExtractZoneMatrix(
+                pois, core::StableAlphaMatrix(base_->zones, pois,
+                                              key.decay_scale_m, zone_norm)));
+      },
+      built_fresh);
 }
 
 std::vector<std::pair<LabelKey, std::shared_ptr<const ExactLabelState>>>
 Scenario::MaterializedStates() const {
-  std::vector<std::pair<LabelKey, std::shared_ptr<const ExactLabelState>>> out;
-  std::lock_guard<std::mutex> lock(states_mu_);
-  out.reserve(states_.size());
-  for (const auto& [canonical, entry] : states_) {
-    if (entry.future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      out.emplace_back(entry.key, entry.future.get());
-    }
-  }
-  return out;
+  return states_.Ready();
 }
 
 void Scenario::SeedLabelState(const LabelKey& key,
                               std::shared_ptr<const ExactLabelState> state) {
-  std::promise<std::shared_ptr<const ExactLabelState>> promise;
-  promise.set_value(std::move(state));
-  std::lock_guard<std::mutex> lock(states_mu_);
-  states_.emplace(key.Canonical(),
-                  StateEntry{key, promise.get_future().share()});
+  states_.Seed(key, std::move(state));
 }
 
 ScenarioStore::ScenarioStore(synth::City city,

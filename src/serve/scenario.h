@@ -41,6 +41,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -56,6 +57,7 @@
 #include "core/isochrone.h"
 #include "core/labeling.h"
 #include "core/todam.h"
+#include "ml/matrix.h"
 #include "router/router.h"
 #include "scenario/transform.h"
 #include "serve/request.h"
@@ -147,8 +149,99 @@ inline router::RouterOptions DefaultServeRouterOptions() {
   return options;
 }
 
+/// Build-once memo of shared immutable values keyed by `Key::Canonical()`.
+/// The first caller for a key builds the value; concurrent callers for the
+/// key wait for that build. A failed build fails its waiters and erases the
+/// key, so a later caller builds afresh instead of inheriting the failure.
+template <typename Key, typename Value>
+class BuildOnceMemo {
+ public:
+  using Ptr = std::shared_ptr<const Value>;
+
+  /// The value for `key`; `build()` makes it when absent (and *built_fresh
+  /// is set, when non-null). The build's exception reaches the builder and
+  /// every waiter.
+  template <typename Build>
+  Ptr GetOrBuild(const Key& key, const Build& build,
+                 bool* built_fresh = nullptr) {
+    if (built_fresh != nullptr) *built_fresh = false;
+    const std::string canonical = key.Canonical();
+    std::promise<Ptr> promise;
+    std::shared_future<Ptr> future;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = entries_.find(canonical);
+      if (it != entries_.end()) {
+        future = it->second.future;
+      } else {
+        entries_.emplace(canonical,
+                         Entry{key, promise.get_future().share()});
+      }
+    }
+    if (future.valid()) return future.get();
+
+    Ptr value;
+    try {
+      value = build();
+    } catch (...) {
+      // An unfulfilled promise would hang every waiter, and a dead entry
+      // would poison the key forever. Drop the entry first (so Ready and
+      // later callers never see the broken future), then fail the waiters.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        entries_.erase(canonical);
+      }
+      promise.set_exception(std::current_exception());
+      throw;
+    }
+    promise.set_value(value);
+    if (built_fresh != nullptr) *built_fresh = true;
+    return value;
+  }
+
+  /// Pre-publishes a value under `key`.
+  void Seed(const Key& key, Ptr value) {
+    std::promise<Ptr> promise;
+    promise.set_value(std::move(value));
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.emplace(key.Canonical(), Entry{key, promise.get_future().share()});
+  }
+
+  /// The values built so far (in-flight builds are skipped).
+  std::vector<std::pair<Key, Ptr>> Ready() const {
+    std::vector<std::pair<Key, Ptr>> out;
+    std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(entries_.size());
+    for (const auto& [canonical, entry] : entries_) {
+      if (entry.future.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        out.emplace_back(entry.key, entry.future.get());
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    std::shared_future<Ptr> future;
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Entry> entries_;
+};
+
+/// What a scenario's zone feature matrix depends on besides the scenario:
+/// the category's POIs and the gravity decay scale of their α rows.
+struct ZoneFeatureKey {
+  synth::PoiCategory category = synth::PoiCategory::kSchool;
+  double decay_scale_m = 0.0;
+
+  std::string Canonical() const;
+};
+
 /// Immutable scenario snapshot. Thread-safe: all mutable state is the
-/// internal label-state memo, which is guarded and memoised per key.
+/// internal label-state and feature memos, guarded and built once per key.
 class Scenario {
  public:
   Scenario(uint64_t epoch, std::shared_ptr<const synth::City> base,
@@ -205,6 +298,16 @@ class Scenario {
       const LabelKey& key, core::LabelingEngine* engine,
       bool* built_fresh = nullptr, ZoneLoop* loop = nullptr) const;
 
+  /// Memoised zone feature matrix (|Z| x core::kNumFeatures) of `key`'s
+  /// category POIs, aggregated over the edit-stable α rows — the matrix
+  /// every SSR request for the key extracts. α reads neither the seed nor
+  /// the keep scale nor the sample rate (core::StableAlphaMatrix), so one
+  /// build serves every such request of this epoch. The first caller builds
+  /// it (and sets *built_fresh when non-null); concurrent callers wait for
+  /// that build, and a failed build fails them without poisoning the key.
+  std::shared_ptr<const ml::Matrix> GetOrBuildZoneFeatures(
+      const ZoneFeatureKey& key, bool* built_fresh = nullptr) const;
+
   /// From-scratch build, bypassing the memo. This is the golden reference
   /// the incremental path is checked against (tests, bench gates). Zones
   /// are labeled serially on `engine`, or through `loop` with `engine` as
@@ -228,11 +331,6 @@ class Scenario {
                       std::shared_ptr<const ExactLabelState> state);
 
  private:
-  struct StateEntry {
-    LabelKey key;
-    std::shared_future<std::shared_ptr<const ExactLabelState>> future;
-  };
-
   uint64_t epoch_;
   std::shared_ptr<const synth::City> base_;
   std::vector<synth::Poi> pois_;
@@ -241,8 +339,10 @@ class Scenario {
   uint64_t network_id_ = 0;
   router::RouterOptions router_options_ = DefaultServeRouterOptions();
 
-  mutable std::mutex states_mu_;
-  mutable std::unordered_map<std::string, StateEntry> states_;
+  /// Both memos live and die with the epoch: a new epoch starts with only
+  /// the label states its mutation seeded, and builds its own features.
+  mutable BuildOnceMemo<LabelKey, ExactLabelState> states_;
+  mutable BuildOnceMemo<ZoneFeatureKey, ml::Matrix> features_;
 };
 
 /// Everything store::LoadSnapshot recovers from disk: the ingredients of a

@@ -97,9 +97,10 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval,
         if (cache_options.clock == nullptr) cache_options.clock = clock_;
         return cache_options;
       }()),
-      context_cap_(ResolveThreads(options.num_threads)),
+      context_cap_(ResolveThreads(options.num_threads) +
+                   util::ThreadPool::Idle().num_threads()),
       contexts_(context_cap_),
-      pool_(context_cap_) {
+      pool_(ResolveThreads(options.num_threads)) {
   if (options_.perturb.has_value()) {
     pool_.EnablePerturbation(*options_.perturb);
   }
@@ -524,11 +525,11 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
   };
 
   // Helpers come from the hardware: one per core besides the caller's,
-  // and never more than the spare contexts the cap leaves.
+  // and never more than one per other worker of this server.
   util::ThreadPool& idle = util::ThreadPool::Idle();
   util::LoopOptions loop;
-  loop.max_helpers =
-      std::min(std::max<size_t>(1, idle.num_threads() - 1), context_cap_ - 1);
+  loop.max_helpers = std::min(std::max<size_t>(1, idle.num_threads() - 1),
+                              num_threads() - 1);
   loop.takeover = true;
   // Everything the participants capture is owned: a straggling helper may
   // still be running after this returns (util/parallel_loop.h).
@@ -979,14 +980,23 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     config.cost = request.options.cost;
     config.gac = request.options.gac;
     config.seed = request.options.seed;
-    // Training parallelism is a server tuning knob, not part of the query
-    // (results are bit-identical for any value, so it is not cache-keyed).
-    config.ml_threads = options_.ml_threads;
+    // The feature matrix depends only on the epoch, the category and the
+    // decay scale, so it comes from the scenario's memo; the uncached
+    // reference extracts it afresh from the TODAM's α rows.
+    std::shared_ptr<const ml::Matrix> features;
+    if (use_caches) {
+      bool built = false;
+      features = scenario.GetOrBuildZoneFeatures(
+          ZoneFeatureKey{request.category,
+                         request.options.gravity.decay_scale_m},
+          &built);
+      if (built) ssr_feature_builds_.fetch_add(1, std::memory_order_relaxed);
+    }
     // A throw drops the context with its possibly half-built state.
     auto context = AcquireContext(NetworkOf(scenario));
     auto run = core::RunSsr(city, *scenario.offline().features,
                             &context->router, pois, todam,
-                            scenario.interval().day, config);
+                            scenario.interval().day, config, features.get());
     ReleaseContext(std::move(context));
     if (!run.ok()) return run.status();
     result.mac = std::move(run.value().mac);
@@ -1025,6 +1035,8 @@ ServerStats AqServer::stats() const {
   stats.cache_expired = cache_.expired();
   stats.exact_state_builds =
       exact_state_builds_.load(std::memory_order_relaxed);
+  stats.ssr_feature_builds =
+      ssr_feature_builds_.load(std::memory_order_relaxed);
   stats.mutations = mutations_.load(std::memory_order_relaxed);
   stats.states_patched = states_patched_.load(std::memory_order_relaxed);
   stats.zones_relabeled = zones_relabeled_.load(std::memory_order_relaxed);

@@ -13,9 +13,10 @@
 //     up fails with kDeadlineExceeded without doing any work; a ticket can
 //     also be withdrawn explicitly while still queued.
 //   * Caching: results are memoised in a sharded LRU keyed by (epoch,
-//     canonical request), and exact label states are memoised per scenario,
-//     so repeated analytical queries against a stable scenario cost one
-//     cache probe.
+//     canonical request), and exact label states and SSR zone feature
+//     matrices are memoised per scenario, so repeated analytical queries
+//     against a stable scenario cost one cache probe and a cold SSR answer
+//     pays only for its own sampling, labeling and fits.
 //
 // QueryUncached() recomputes from scratch, bypassing every cache — it is
 // the golden reference that tests and the serve bench compare cached and
@@ -26,8 +27,9 @@
 // job labels zones itself while helper tasks on the process-wide
 // idle-priority pool (util::ThreadPool::Idle) claim zones alongside it,
 // each leasing one of this server's labeling contexts. Contexts are capped
-// at the worker-pool size, so helpers only ever use spare contexts and
-// spare cores (DESIGN.md §16).
+// at one per worker plus one per idle-pool thread, so a loop that starts
+// while another holds helpers still finds contexts for its own, and helpers
+// only ever use spare cores (DESIGN.md §16, §17.3).
 #pragma once
 
 #include <atomic>
@@ -97,11 +99,6 @@ class AqServer : private ZoneLoop {
   struct Options {
     /// Worker threads; 0 = hardware concurrency.
     size_t num_threads = 0;
-    /// Worker threads for SSR model training inside each access query
-    /// (COREG pool screening, MLP gradient chunks). Training is
-    /// bit-identical for every value, so this is deliberately NOT part of
-    /// the result-cache key — changing it never changes answers.
-    int ml_threads = 1;
     /// Admission bound: Submit() rejects once this many tasks are pending.
     size_t max_pending = 256;
     /// Latency-based admission bound (the load-shedding path): when > 0,
@@ -247,7 +244,8 @@ class AqServer : private ZoneLoop {
       const AqBatchRequest& batch);
 
   /// Golden reference: recomputes the answer from scratch on the caller's
-  /// thread, bypassing the result cache and the label-state memo.
+  /// thread, bypassing the result cache and the label-state and feature
+  /// memos.
   util::Result<core::AccessQueryResult> QueryUncached(const AqRequest& request);
 
   /// Sequential reference against an explicit snapshot: like QueryUncached
@@ -416,9 +414,10 @@ class AqServer : private ZoneLoop {
   std::mutex wal_mu_;
   wal::MutationWal* wal_ = nullptr;  // attached log; not owned
 
-  /// Most contexts the server keeps alive: its worker count. A plain copy
-  /// of pool_.num_threads(), readable by straggling helpers after pool_ is
-  /// gone.
+  /// Most contexts the server keeps alive: one per worker and one per
+  /// idle-pool thread, so the owners of concurrent loops and every helper
+  /// the idle pool can run at once each hold one. Readable by straggling
+  /// helpers after pool_ is gone.
   const size_t context_cap_;
   /// Contexts alive anywhere (pooled or leased). Declared before the pool
   /// so it outlives every context destroyed with contexts_.
@@ -437,6 +436,7 @@ class AqServer : private ZoneLoop {
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> exact_state_builds_{0};
+  std::atomic<uint64_t> ssr_feature_builds_{0};
   std::atomic<uint64_t> mutations_{0};
   std::atomic<uint64_t> states_patched_{0};
   std::atomic<uint64_t> zones_relabeled_{0};

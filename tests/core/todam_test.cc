@@ -162,5 +162,27 @@ TEST_F(TodamTest, AlphaExposedForAggregation) {
   ASSERT_EQ(gravity.alpha()[0].size(), pois_.size());
 }
 
+TEST_F(TodamTest, StableAlphaMatrixIsBuildGravityStablesAlpha) {
+  // The serve feature memo keys the zone feature matrix on the decay scale
+  // alone: the stable α rows must not depend on the seed, the keep scale or
+  // the sample rate.
+  const std::vector<double> norms =
+      StableGravityNorms(city_.zones, pois_, config_.decay_scale_m);
+  const auto alpha =
+      StableAlphaMatrix(city_.zones, pois_, config_.decay_scale_m, norms);
+  for (double keep_scale : {0.5, 2.0, 25.0}) {
+    for (int rate : {2, 30}) {
+      GravityConfig config = config_;
+      config.keep_scale = keep_scale;
+      config.sample_rate_per_hour = rate;
+      TodamBuilder builder(city_.zones, pois_, interval_, config);
+      for (uint64_t seed : {1, 7, 7919}) {
+        EXPECT_EQ(builder.BuildGravityStable(seed, norms).alpha(), alpha)
+            << "keep " << keep_scale << " rate " << rate << " seed " << seed;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace staq::core

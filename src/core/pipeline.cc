@@ -1,13 +1,9 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <array>
 
 #include "core/parallel_labeling.h"
-#include "util/failpoint.h"
-#include "util/parallel_loop.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace staq::core {
 
@@ -157,64 +153,29 @@ util::Result<PipelineResult> RunSsr(
   }
 
   // --- SSR training + transductive inference, one model per target --------
-  // The MAC model (seed) and the ACSD model (seed + 1) are independent fits
-  // over the same features: the calling thread fits one while an
-  // idle-priority helper fits the other (a takeover-mode util::ParallelLoop,
-  // so a helper stalled inside its fit is refitted by the caller after a
-  // grace). Fits are deterministic, so the answer is the serial one
-  // whichever thread fits which target. Each target's dataset is shared
-  // with the tasks, which may outlive this frame on a straggling helper.
   watch.Reset();
-  auto mac_data = std::make_shared<ml::Dataset>();
-  mac_data->x = std::move(features);
-  mac_data->labeled = result.labeled;
-  mac_data->positions = std::move(zone_positions);
-  mac_data->y.assign(city.zones.size(), 0.0);
-  auto acsd_data = std::make_shared<ml::Dataset>(*mac_data);
+  ml::Dataset dataset;
+  dataset.x = std::move(features);
+  dataset.labeled = result.labeled;
+  dataset.positions = std::move(zone_positions);
+
+  dataset.y.assign(city.zones.size(), 0.0);
   for (size_t i = 0; i < result.labeled.size(); ++i) {
-    mac_data->y[result.labeled[i]] = mac_labels[i];
-    acsd_data->y[result.labeled[i]] = acsd_labels[i];
+    dataset.y[result.labeled[i]] = mac_labels[i];
   }
-  const std::array<std::shared_ptr<const ml::Dataset>, 2> data = {
-      std::move(mac_data), std::move(acsd_data)};
-  struct TargetFit {
-    util::Status status;
-    std::vector<double> prediction;
-  };
-  std::array<TargetFit, 2> fits;
-  util::LoopOptions options;
-  options.takeover = true;
-  // A fit that fans out its own chunks already keeps the shared pool busy,
-  // and an idle-priority thread must not queue work behind that pool's lock.
-  options.max_helpers = config.ml_threads > 1 ? 0 : 1;
-  const ml::ModelKind kind = config.model;
-  const uint64_t seed = config.seed;
-  const int ml_threads = config.ml_threads;
-  TargetFit* out = fits.data();  // written only by store steps, run here
-  util::ParallelLoop(
-      util::ThreadPool::Idle(), fits.size(), options,
-      [data, kind, seed, ml_threads, out](bool helper) -> util::LoopTask {
-        return [data, kind, seed, ml_threads, out,
-                helper](size_t target) -> util::LoopStore {
-          if (helper) {
-            STAQ_FAILPOINT("core.ssr.helper_fit");
-          } else {
-            STAQ_FAILPOINT("core.ssr.caller_fit");
-          }
-          auto model = ml::CreateModel(kind, seed + target, ml_threads);
-          TargetFit fit;
-          fit.status = model->Fit(*data[target]);
-          if (fit.status.ok()) fit.prediction = model->Predict();
-          return [out, target, fit = std::move(fit)]() mutable {
-            out[target] = std::move(fit);
-          };
-        };
-      });
+  auto mac_model =
+      ml::CreateModel(config.model, config.seed, config.ml_threads);
+  STAQ_RETURN_NOT_OK(mac_model->Fit(dataset));
+  std::vector<double> mac_pred = mac_model->Predict();
+
+  for (size_t i = 0; i < result.labeled.size(); ++i) {
+    dataset.y[result.labeled[i]] = acsd_labels[i];
+  }
+  auto acsd_model =
+      ml::CreateModel(config.model, config.seed + 1, config.ml_threads);
+  STAQ_RETURN_NOT_OK(acsd_model->Fit(dataset));
+  std::vector<double> acsd_pred = acsd_model->Predict();
   result.timings.training_s = watch.ElapsedSeconds();
-  // The serial order's first failure: MAC before ACSD.
-  for (const TargetFit& fit : fits) STAQ_RETURN_NOT_OK(fit.status);
-  std::vector<double> mac_pred = std::move(fits[0].prediction);
-  std::vector<double> acsd_pred = std::move(fits[1].prediction);
 
   ClampNonNegative(&mac_pred);
   ClampNonNegative(&acsd_pred);

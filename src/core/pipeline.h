@@ -101,12 +101,6 @@ EvaluationMetrics Evaluate(const GroundTruth& truth,
 /// share one set of offline structures across many threads (the serve
 /// subsystem) can pass a per-thread router — Router scratch is not
 /// shareable. `pois` may differ from `city.pois` (scenario edits).
-///
-/// The MAC and ACSD models train side by side: the calling thread fits one
-/// while a helper on util::ThreadPool::Idle() fits the other, and the
-/// caller refits a target whose helper stalls. The result is bit-identical
-/// to fitting both on the calling thread. With config.ml_threads > 1 each
-/// fit fans out its own chunks instead and the two run one after the other.
 util::Result<PipelineResult> RunSsr(
     const synth::City& city, const FeatureExtractor& features,
     router::Router* router, const std::vector<synth::Poi>& pois,

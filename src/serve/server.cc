@@ -97,10 +97,9 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval,
         if (cache_options.clock == nullptr) cache_options.clock = clock_;
         return cache_options;
       }()),
-      context_cap_(ResolveThreads(options.num_threads) +
-                   util::ThreadPool::Idle().num_threads()),
+      context_cap_(ResolveThreads(options.num_threads)),
       contexts_(context_cap_),
-      pool_(ResolveThreads(options.num_threads)) {
+      pool_(context_cap_) {
   if (options_.perturb.has_value()) {
     pool_.EnablePerturbation(*options_.perturb);
   }
@@ -525,11 +524,11 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
   };
 
   // Helpers come from the hardware: one per core besides the caller's,
-  // and never more than one per other worker of this server.
+  // and never more than the spare contexts the cap leaves.
   util::ThreadPool& idle = util::ThreadPool::Idle();
   util::LoopOptions loop;
-  loop.max_helpers = std::min(std::max<size_t>(1, idle.num_threads() - 1),
-                              num_threads() - 1);
+  loop.max_helpers =
+      std::min(std::max<size_t>(1, idle.num_threads() - 1), context_cap_ - 1);
   loop.takeover = true;
   // Everything the participants capture is owned: a straggling helper may
   // still be running after this returns (util/parallel_loop.h).

@@ -16,7 +16,7 @@
 //     canonical request), and exact label states and SSR zone feature
 //     matrices are memoised per scenario, so repeated analytical queries
 //     against a stable scenario cost one cache probe and a cold SSR answer
-//     pays only for its own sampling, labeling and fits.
+//     skips the feature extraction its epoch already did.
 //
 // QueryUncached() recomputes from scratch, bypassing every cache — it is
 // the golden reference that tests and the serve bench compare cached and
@@ -27,9 +27,8 @@
 // job labels zones itself while helper tasks on the process-wide
 // idle-priority pool (util::ThreadPool::Idle) claim zones alongside it,
 // each leasing one of this server's labeling contexts. Contexts are capped
-// at one per worker plus one per idle-pool thread, so a loop that starts
-// while another holds helpers still finds contexts for its own, and helpers
-// only ever use spare cores (DESIGN.md §16, §17.3).
+// at the worker-pool size, so helpers only ever use spare contexts and
+// spare cores (DESIGN.md §16).
 #pragma once
 
 #include <atomic>
@@ -414,10 +413,9 @@ class AqServer : private ZoneLoop {
   std::mutex wal_mu_;
   wal::MutationWal* wal_ = nullptr;  // attached log; not owned
 
-  /// Most contexts the server keeps alive: one per worker and one per
-  /// idle-pool thread, so the owners of concurrent loops and every helper
-  /// the idle pool can run at once each hold one. Readable by straggling
-  /// helpers after pool_ is gone.
+  /// Most contexts the server keeps alive: its worker count. A plain copy
+  /// of pool_.num_threads(), readable by straggling helpers after pool_ is
+  /// gone.
   const size_t context_cap_;
   /// Contexts alive anywhere (pooled or leased). Declared before the pool
   /// so it outlives every context destroyed with contexts_.

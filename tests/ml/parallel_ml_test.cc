@@ -5,18 +5,11 @@
 // every reduction runs serially in a fixed order — so any thread count must
 // produce byte-for-byte the same model. These suites EXPECT_EQ (not NEAR)
 // whole prediction vectors across ml_threads values, at the model level and
-// through the full pipeline on both synthetic city families, where the MAC
-// and ACSD fits also run side by side on the caller and an idle-priority
-// helper. Labeled `concurrency`, so the TSAN build covers the fan-out.
+// through the full pipeline on both synthetic city families. Labeled
+// `concurrency`, so the TSAN build covers the fan-out.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <future>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -25,7 +18,6 @@
 #include "ml/mlp.h"
 #include "ml/parallel.h"
 #include "testing/test_data.h"
-#include "util/failpoint.h"
 
 namespace staq::ml {
 namespace {
@@ -125,72 +117,36 @@ TEST(ParallelMeanTeacherTest, BatchedMatchesPerSample) {
   EXPECT_EQ(fast.Predict(), foil.Predict());
 }
 
-/// The serial two-fit reference: the MAC model (seed) then the ACSD model
-/// (seed + 1) fitted one after the other on the calling thread over `run`'s
-/// labeled set and labels, clamped and blended exactly as RunSsr does.
-void SerialTwoFit(const synth::City& city, const ml::Matrix& features,
-                  const core::PipelineConfig& config,
-                  const core::PipelineResult& run, std::vector<double>* mac,
-                  std::vector<double>* acsd) {
-  Dataset data;
-  data.x = features;
-  data.labeled = run.labeled;
-  for (const synth::Zone& zone : city.zones) {
-    data.positions.push_back(zone.centroid);
-  }
-  for (int target = 0; target < 2; ++target) {
-    const std::vector<double>& labels = target == 0 ? run.mac : run.acsd;
-    data.y.assign(city.zones.size(), 0.0);
-    for (uint32_t z : run.labeled) data.y[z] = labels[z];
-    auto model = CreateModel(config.model, config.seed + target, 1);
-    ASSERT_TRUE(model->Fit(data).ok());
-    std::vector<double> predicted = model->Predict();
-    for (double& v : predicted) v = std::max(v, 0.0);
-    for (uint32_t z : run.labeled) predicted[z] = labels[z];
-    *(target == 0 ? mac : acsd) = std::move(predicted);
-  }
-}
+// Full-pipeline check: an access query answered with COREG must not depend
+// on the server's ml_threads tuning, on either synthetic city family.
+class ParallelPipelineTest : public ::testing::TestWithParam<const char*> {};
 
-synth::City CityFor(const std::string& family) {
-  synth::CitySpec spec = family == "brindale"
+TEST_P(ParallelPipelineTest, CoregRunBitIdenticalAcrossMlThreads) {
+  synth::CitySpec spec = std::string(GetParam()) == "brindale"
                              ? synth::CitySpec::Brindale(0.06, 5)
                              : synth::CitySpec::Covely(0.06, 5);
   auto built = synth::BuildCity(spec);
-  if (!built.ok()) std::abort();
-  return std::move(built).value();
-}
-
-// Full-pipeline check: an access query must not depend on whether the MAC
-// and ACSD models train side by side (ml_threads = 1: caller plus an idle
-// helper) or one after the other with chunked fits (ml_threads > 1), nor
-// on the chunk fan-out — every input equals the serial two-fit reference,
-// for every model kind on either synthetic city family.
-class ParallelPipelineTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ParallelPipelineTest, RunBitIdenticalToSerialFitsAcrossMlThreads) {
-  synth::City city = CityFor(GetParam());
+  ASSERT_TRUE(built.ok());
+  synth::City city = std::move(built).value();
   core::SsrPipeline pipeline(&city, gtfs::WeekdayAmPeak());
   auto pois = city.PoisOf(synth::PoiCategory::kSchool);
   core::GravityConfig gravity = core::CalibratedGravityConfig(city.spec);
   gravity.sample_rate_per_hour = 4;  // keep the test fast
   core::Todam todam = pipeline.BuildGravityTodam(pois, gravity, 1);
-  const ml::Matrix features =
-      pipeline.feature_extractor().ExtractZoneMatrix(pois, todam.alpha());
 
-  for (ModelKind kind : AllModelKinds()) {
-    SCOPED_TRACE(ModelKindName(kind));
-    std::vector<double> mac, acsd;  // the serial two-fit reference
-    for (int threads : {1, 2, 8}) {
-      core::PipelineConfig config;
-      config.beta = 0.2;
-      config.model = kind;
-      config.seed = 3;
-      config.ml_threads = threads;
-      auto run = pipeline.Run(pois, todam, config);
-      ASSERT_TRUE(run.ok()) << run.status();
-      if (mac.empty()) {
-        SerialTwoFit(city, features, config, run.value(), &mac, &acsd);
-      }
+  std::vector<double> mac, acsd;
+  for (int threads : {1, 2, 8}) {
+    core::PipelineConfig config;
+    config.beta = 0.2;
+    config.model = ml::ModelKind::kCoreg;
+    config.seed = 3;
+    config.ml_threads = threads;
+    auto run = pipeline.Run(pois, todam, config);
+    ASSERT_TRUE(run.ok()) << run.status();
+    if (threads == 1) {
+      mac = run.value().mac;
+      acsd = run.value().acsd;
+    } else {
       EXPECT_EQ(run.value().mac, mac) << "ml_threads=" << threads;
       EXPECT_EQ(run.value().acsd, acsd) << "ml_threads=" << threads;
     }
@@ -199,62 +155,6 @@ TEST_P(ParallelPipelineTest, RunBitIdenticalToSerialFitsAcrossMlThreads) {
 
 INSTANTIATE_TEST_SUITE_P(Cities, ParallelPipelineTest,
                          ::testing::Values("brindale", "covely"));
-
-#if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS
-
-template <typename Pred>
-void WaitFor(Pred done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!done()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "timed out";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-TEST(SsrHelperParkingTest, HelperStalledInItsFitYieldsTheSerialAnswer) {
-  // The fit helper runs at idle priority, so a loaded machine can stall it
-  // for a long time mid-fit. The caller must not wait it out: after its
-  // grace it refits the helper's target itself, and the answer is the
-  // serial one while the helper is still parked.
-  using util::FailPointConfig;
-  using util::FailPoints;
-  synth::City city = CityFor("covely");
-  core::SsrPipeline pipeline(&city, gtfs::WeekdayAmPeak());
-  auto pois = city.PoisOf(synth::PoiCategory::kSchool);
-  core::GravityConfig gravity = core::CalibratedGravityConfig(city.spec);
-  gravity.sample_rate_per_hour = 4;
-  core::Todam todam = pipeline.BuildGravityTodam(pois, gravity, 1);
-  const ml::Matrix features =
-      pipeline.feature_extractor().ExtractZoneMatrix(pois, todam.alpha());
-  core::PipelineConfig config;
-  config.beta = 0.2;
-  config.model = ModelKind::kMlp;
-  config.seed = 3;
-
-  FailPoints::Arm("core.ssr.helper_fit", FailPointConfig::Block());
-  // The caller waits at its first fit until a helper is parked, so the
-  // loop provably has one.
-  FailPoints::Arm("core.ssr.caller_fit", FailPointConfig::Block());
-  auto helped = std::async(std::launch::async,
-                           [&] { return pipeline.Run(pois, todam, config); });
-  WaitFor([] { return FailPoints::BlockedCount("core.ssr.helper_fit") >= 1; });
-  FailPoints::Disarm("core.ssr.caller_fit");
-  ASSERT_EQ(helped.wait_for(std::chrono::seconds(20)),
-            std::future_status::ready)
-      << "the caller waited on its parked helper";
-  EXPECT_EQ(FailPoints::BlockedCount("core.ssr.helper_fit"), 1u);
-  auto run = helped.get();
-  FailPoints::Disarm("core.ssr.helper_fit");  // the straggler's fit is dropped
-  ASSERT_TRUE(run.ok()) << run.status();
-
-  std::vector<double> mac, acsd;
-  SerialTwoFit(city, features, config, run.value(), &mac, &acsd);
-  EXPECT_EQ(run.value().mac, mac);
-  EXPECT_EQ(run.value().acsd, acsd);
-}
-
-#endif  // STAQ_FAILPOINTS
 
 }  // namespace
 }  // namespace staq::ml

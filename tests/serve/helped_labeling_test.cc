@@ -473,46 +473,6 @@ TEST(HelperParkingTest, NoRequestWaitsOnAHelperParkedInItsLeaseOrRelease) {
   }
 }
 
-TEST(HelperParkingTest, LoopStartedWhileAnotherHoldsAHelperGetsOneToo) {
-  // Two workers, so a cap of one context per worker would leave nothing
-  // for a second loop's helpers while the first loop's straggler holds its
-  // context: that loop would run on its owning thread alone, however long.
-  // The cap adds one context per idle-pool thread, so a helper joins it.
-  const char* kHelper = "serve.zone_loop.helper";
-  const char* kCaller = "serve.zone_loop.caller";
-  AqServer::Options options;
-  options.num_threads = 2;
-  AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
-
-  // The first loop's first helper parks inside a zone, holding its
-  // context; the owning thread takes that zone over and answers.
-  FailPointConfig park_one = FailPointConfig::Block();
-  park_one.limit = 1;
-  FailPoints::Arm(kHelper, park_one);
-  FailPointConfig park_caller = FailPointConfig::Block();
-  park_caller.skip = 1;
-  FailPoints::Arm(kCaller, park_caller);
-  AqTicket first = server.Submit(ExactRequest(synth::PoiCategory::kSchool, 3));
-  WaitFor([&] { return FailPoints::BlockedCount(kHelper) == 1; });
-  FailPoints::Disarm(kCaller);
-  ASSERT_TRUE(first.Get().ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // settle
-  const uint64_t hits = FailPoints::HitCount(kHelper);
-
-  // A second loop, its owning thread parked on its first zone: only a
-  // helper of its own can label anything now.
-  FailPoints::Arm(kCaller, FailPointConfig::Block());
-  AqTicket second =
-      server.Submit(ExactRequest(synth::PoiCategory::kHospital, 5));
-  WaitFor([&] { return FailPoints::HitCount(kHelper) > hits; });
-  EXPECT_EQ(FailPoints::BlockedCount(kHelper), 1u);  // still parked
-  FailPoints::Disarm(kCaller);
-  FailPoints::Disarm(kHelper);
-  ASSERT_TRUE(second.Get().ok());
-  ExpectHelpedMatchesSerial(server,
-                            ExactRequest(synth::PoiCategory::kHospital, 5));
-}
-
 #endif  // STAQ_FAILPOINTS
 
 }  // namespace

@@ -1,7 +1,6 @@
 // SSR serving (DESIGN.md §17): a cold SSR answer reads its zone feature
 // matrix from a per-epoch memo on the Scenario, keyed by (category, decay
-// scale), and fits its MAC and ACSD models side by side. The memo is only
-// sound because the stable α rows read neither the seed, the keep scale,
+// scale). The memo is only sound because the stable α rows read neither the seed, the keep scale,
 // the sample rate, β nor the model, so every memoised answer must equal
 // QueryUncached — which extracts the matrix afresh from the request's own
 // TODAM — across models, β, categories, seeds and keep scales; after a POI

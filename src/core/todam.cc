@@ -67,22 +67,6 @@ std::vector<double> StableGravityNormsColumnar(
   return norms;
 }
 
-std::vector<std::vector<double>> StableAlphaMatrix(
-    const std::vector<synth::Zone>& zones, const std::vector<synth::Poi>& pois,
-    double decay_scale_m, const std::vector<double>& zone_norm) {
-  // The same per-pair expression as BuildGravityStable's α rows.
-  std::vector<std::vector<double>> alpha(zones.size());
-  for (size_t z = 0; z < zones.size(); ++z) {
-    alpha[z].reserve(pois.size());
-    for (const synth::Poi& poi : pois) {
-      double decay = DistanceDecay(
-          geo::Distance(zones[z].centroid, poi.position), decay_scale_m);
-      alpha[z].push_back(StableAlphaValue(decay, zone_norm[z]));
-    }
-  }
-  return alpha;
-}
-
 void SampleStablePairTrips(uint64_t seed, uint32_t zone, uint32_t poi_id,
                            uint32_t poi_index, double keep_probability,
                            const gtfs::TimeInterval& interval,

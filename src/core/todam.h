@@ -83,15 +83,6 @@ inline double StableAlphaValue(double decay, double zone_norm) {
   return zone_norm <= 0.0 ? 0.0 : decay / zone_norm;
 }
 
-/// The α matrix BuildGravityStable records, without sampling a trip: row z
-/// holds StableAlphaValue(decay_zj, zone_norm[z]) over `pois`. It reads
-/// neither the seed nor the keep scale nor the sample rate, so every
-/// request over one (POI set, decay scale) shares it — and with it the
-/// zone feature matrix aggregated over it (serve's per-epoch feature memo).
-std::vector<std::vector<double>> StableAlphaMatrix(
-    const std::vector<synth::Zone>& zones, const std::vector<synth::Poi>& pois,
-    double decay_scale_m, const std::vector<double>& zone_norm);
-
 /// Materialised TODAM over one POI set and one time interval.
 class Todam {
  public:

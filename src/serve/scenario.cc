@@ -179,21 +179,17 @@ std::string ZoneFeatureKey::Canonical() const {
 }
 
 std::shared_ptr<const ml::Matrix> Scenario::GetOrBuildZoneFeatures(
-    const ZoneFeatureKey& key, bool* built_fresh) const {
+    const ZoneFeatureKey& key, const std::vector<std::vector<double>>& alpha,
+    bool* built_fresh) const {
   return features_.GetOrBuild(
       key,
       [&] {
         // Fault site: a feature build failing (models OOM). Every waiter
         // must fail with it and the key must stay buildable.
         STAQ_FAILPOINT("serve.scenario.build_zone_features");
-        // The α rows of the SSR path's TODAM (Execute), without its trips.
-        const std::vector<synth::Poi> pois = PoisOf(key.category);
-        const std::vector<double> zone_norm = core::StableGravityNorms(
-            base_->zones, base_->PoisOf(key.category), key.decay_scale_m);
         return std::make_shared<const ml::Matrix>(
-            offline_->features->ExtractZoneMatrix(
-                pois, core::StableAlphaMatrix(base_->zones, pois,
-                                              key.decay_scale_m, zone_norm)));
+            offline_->features->ExtractZoneMatrix(PoisOf(key.category),
+                                                  alpha));
       },
       built_fresh);
 }

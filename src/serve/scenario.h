@@ -299,14 +299,17 @@ class Scenario {
       bool* built_fresh = nullptr, ZoneLoop* loop = nullptr) const;
 
   /// Memoised zone feature matrix (|Z| x core::kNumFeatures) of `key`'s
-  /// category POIs, aggregated over the edit-stable α rows — the matrix
-  /// every SSR request for the key extracts. α reads neither the seed nor
-  /// the keep scale nor the sample rate (core::StableAlphaMatrix), so one
-  /// build serves every such request of this epoch. The first caller builds
+  /// category POIs, aggregated over `alpha` — the α rows of the request's
+  /// edit-stable TODAM (Todam::alpha()), as core::RunSsr would aggregate
+  /// them. Those rows read neither the seed nor the keep scale nor the
+  /// sample rate, only the POIs and the decay scale, so one build serves
+  /// every SSR request for the key in this epoch. The first caller builds
   /// it (and sets *built_fresh when non-null); concurrent callers wait for
   /// that build, and a failed build fails them without poisoning the key.
   std::shared_ptr<const ml::Matrix> GetOrBuildZoneFeatures(
-      const ZoneFeatureKey& key, bool* built_fresh = nullptr) const;
+      const ZoneFeatureKey& key,
+      const std::vector<std::vector<double>>& alpha,
+      bool* built_fresh = nullptr) const;
 
   /// From-scratch build, bypassing the memo. This is the golden reference
   /// the incremental path is checked against (tests, bench gates). Zones

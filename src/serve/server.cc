@@ -988,7 +988,7 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
       features = scenario.GetOrBuildZoneFeatures(
           ZoneFeatureKey{request.category,
                          request.options.gravity.decay_scale_m},
-          &built);
+          todam.alpha(), &built);
       if (built) ssr_feature_builds_.fetch_add(1, std::memory_order_relaxed);
     }
     // A throw drops the context with its possibly half-built state.

@@ -162,14 +162,16 @@ TEST_F(TodamTest, AlphaExposedForAggregation) {
   ASSERT_EQ(gravity.alpha()[0].size(), pois_.size());
 }
 
-TEST_F(TodamTest, StableAlphaMatrixIsBuildGravityStablesAlpha) {
+TEST_F(TodamTest, StableAlphaIgnoresSeedKeepScaleAndRate) {
   // The serve feature memo keys the zone feature matrix on the decay scale
   // alone: the stable α rows must not depend on the seed, the keep scale or
   // the sample rate.
   const std::vector<double> norms =
       StableGravityNorms(city_.zones, pois_, config_.decay_scale_m);
-  const auto alpha =
-      StableAlphaMatrix(city_.zones, pois_, config_.decay_scale_m, norms);
+  const auto alpha = TodamBuilder(city_.zones, pois_, interval_, config_)
+                         .BuildGravityStable(1, norms)
+                         .alpha();
+  ASSERT_EQ(alpha.size(), city_.zones.size());
   for (double keep_scale : {0.5, 2.0, 25.0}) {
     for (int rate : {2, 30}) {
       GravityConfig config = config_;

@@ -97,17 +97,30 @@ util::Result<PipelineResult> RunSsr(
     router::Router* router, const std::vector<synth::Poi>& pois,
     const Todam& todam, gtfs::Day day, const PipelineConfig& config,
     const ml::Matrix* precomputed_features, double precomputed_features_s) {
+  auto sample = LabelSsrSample(city, features_extractor, router, pois, todam,
+                               day, config, precomputed_features,
+                               precomputed_features_s);
+  if (!sample.ok()) return sample.status();
+  return FitSsr(std::move(sample).value(), config);
+}
+
+util::Result<SsrSample> LabelSsrSample(
+    const synth::City& city, const FeatureExtractor& features_extractor,
+    router::Router* router, const std::vector<synth::Poi>& pois,
+    const Todam& todam, gtfs::Day day, const PipelineConfig& config,
+    const ml::Matrix* precomputed_features, double precomputed_features_s) {
   if (config.cost == CostKind::kGeneralizedCost && !config.gac.Valid()) {
     return util::Status::InvalidArgument(
         "invalid GAC weights (negative λ or non-positive value of time)");
   }
 
-  PipelineResult result;
+  SsrSample sample;
+  PipelineResult& result = sample.result;
   util::Stopwatch watch;
 
   // --- online feature extraction, aggregated to origin level -------------
   watch.Reset();
-  ml::Matrix features;
+  ml::Matrix& features = sample.dataset.x;
   if (precomputed_features != nullptr) {
     features = *precomputed_features;
     result.timings.features_s = precomputed_features_s;
@@ -117,7 +130,7 @@ util::Result<PipelineResult> RunSsr(
   }
 
   // --- sampling -----------------------------------------------------------
-  std::vector<geo::Point> zone_positions;
+  std::vector<geo::Point>& zone_positions = sample.dataset.positions;
   zone_positions.reserve(city.zones.size());
   for (const synth::Zone& z : city.zones) {
     zone_positions.push_back(z.centroid);
@@ -127,6 +140,7 @@ util::Result<PipelineResult> RunSsr(
                          config.seed, &zone_positions, &features);
   if (!labeled.ok()) return labeled.status();
   result.labeled = std::move(labeled).value();
+  sample.dataset.labeled = result.labeled;
 
   // --- labeling (SPQs) -----------------------------------------------------
   watch.Reset();
@@ -146,22 +160,25 @@ util::Result<PipelineResult> RunSsr(
   }
   result.timings.labeling_s = watch.ElapsedSeconds();
 
-  std::vector<double> mac_labels(labels.size()), acsd_labels(labels.size());
+  sample.mac_labels.resize(labels.size());
+  sample.acsd_labels.resize(labels.size());
   for (size_t i = 0; i < labels.size(); ++i) {
-    mac_labels[i] = labels[i].mac;
-    acsd_labels[i] = labels[i].acsd;
+    sample.mac_labels[i] = labels[i].mac;
+    sample.acsd_labels[i] = labels[i].acsd;
   }
+  return sample;
+}
+
+util::Result<PipelineResult> FitSsr(SsrSample sample,
+                                    const PipelineConfig& config) {
+  PipelineResult result = std::move(sample.result);
+  ml::Dataset& dataset = sample.dataset;
+  util::Stopwatch watch;
 
   // --- SSR training + transductive inference, one model per target --------
-  watch.Reset();
-  ml::Dataset dataset;
-  dataset.x = std::move(features);
-  dataset.labeled = result.labeled;
-  dataset.positions = std::move(zone_positions);
-
-  dataset.y.assign(city.zones.size(), 0.0);
+  dataset.y.assign(dataset.positions.size(), 0.0);  // one per zone
   for (size_t i = 0; i < result.labeled.size(); ++i) {
-    dataset.y[result.labeled[i]] = mac_labels[i];
+    dataset.y[result.labeled[i]] = sample.mac_labels[i];
   }
   auto mac_model =
       ml::CreateModel(config.model, config.seed, config.ml_threads);
@@ -169,7 +186,7 @@ util::Result<PipelineResult> RunSsr(
   std::vector<double> mac_pred = mac_model->Predict();
 
   for (size_t i = 0; i < result.labeled.size(); ++i) {
-    dataset.y[result.labeled[i]] = acsd_labels[i];
+    dataset.y[result.labeled[i]] = sample.acsd_labels[i];
   }
   auto acsd_model =
       ml::CreateModel(config.model, config.seed + 1, config.ml_threads);
@@ -179,8 +196,8 @@ util::Result<PipelineResult> RunSsr(
 
   ClampNonNegative(&mac_pred);
   ClampNonNegative(&acsd_pred);
-  result.mac = Blend(mac_pred, result.labeled, mac_labels);
-  result.acsd = Blend(acsd_pred, result.labeled, acsd_labels);
+  result.mac = Blend(mac_pred, result.labeled, sample.mac_labels);
+  result.acsd = Blend(acsd_pred, result.labeled, sample.acsd_labels);
   return result;
 }
 

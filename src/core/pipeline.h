@@ -100,13 +100,41 @@ EvaluationMetrics Evaluate(const GroundTruth& truth,
 /// inference. This is the body of SsrPipeline::Run, exposed so callers that
 /// share one set of offline structures across many threads (the serve
 /// subsystem) can pass a per-thread router — Router scratch is not
-/// shareable. `pois` may differ from `city.pois` (scenario edits).
+/// shareable. `pois` may differ from `city.pois` (scenario edits). It is
+/// LabelSsrSample followed by FitSsr.
 util::Result<PipelineResult> RunSsr(
     const synth::City& city, const FeatureExtractor& features,
     router::Router* router, const std::vector<synth::Poi>& pois,
     const Todam& todam, gtfs::Day day, const PipelineConfig& config,
     const ml::Matrix* precomputed_features = nullptr,
     double precomputed_features_s = 0.0);
+
+/// The first half of an SSR run: what labeling the β sample produced.
+struct SsrSample {
+  /// Everything but the measures: labeled zones, SPQ and expansion counts,
+  /// feature and labeling timings. FitSsr completes it.
+  PipelineResult result;
+  /// Zone features, positions and the labeled set; targets unset.
+  ml::Dataset dataset;
+  std::vector<double> mac_labels;   // per labeled zone, in result.labeled order
+  std::vector<double> acsd_labels;
+};
+
+/// Feature extraction, sampling and labeling — the only SSR stage that uses
+/// `router`. Arguments as RunSsr.
+util::Result<SsrSample> LabelSsrSample(
+    const synth::City& city, const FeatureExtractor& features,
+    router::Router* router, const std::vector<synth::Poi>& pois,
+    const Todam& todam, gtfs::Day day, const PipelineConfig& config,
+    const ml::Matrix* precomputed_features = nullptr,
+    double precomputed_features_s = 0.0);
+
+/// SSR training and transductive inference over a labeled sample: one model
+/// per target (MAC under config.seed, ACSD under config.seed + 1), the
+/// predictions clamped non-negative and the labeled zones' exact values
+/// blended in. Needs no router, so a server runs it without a context.
+util::Result<PipelineResult> FitSsr(SsrSample sample,
+                                    const PipelineConfig& config);
 
 /// Orchestrates the full solution over one city and time interval. The
 /// constructor performs the offline phase (isochrones + hop trees + router

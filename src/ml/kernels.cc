@@ -7,54 +7,126 @@ namespace staq::ml::kernels {
 
 namespace {
 
-// Blocking parameters. kKc bounds the B panel touched per pass so it stays
-// in L1/L2 across the m sweep; kMr is the register-tile height (independent
-// A rows sharing one streamed B row). Neither affects results: per-element
-// accumulation order stays ascending k (blocks ascend, k ascends within).
-constexpr size_t kKc = 64;
-constexpr size_t kMr = 4;
+// Two doubles: one SSE2 register on baseline x86-64. The vector extension
+// keeps the kernels free of ISA intrinsics; its + and * are the lane-wise
+// IEEE operations, so every lane rounds exactly like the scalar expression.
+typedef double V2 __attribute__((vector_size(16)));
+
+inline V2 Load(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void Store(double* p, V2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// (a0, a1), (b0, b1) -> (a0, b0), (a1, b1).
+inline void Transpose2(V2* a, V2* b) {
+  const V2 lo = __builtin_shufflevector(*a, *b, 0, 2);
+  *b = __builtin_shufflevector(*a, *b, 1, 3);
+  *a = lo;
+}
+
+// The one GEMM core behind every public product:
+//   D(p, q) += sum over t in [0, kt) of X(p, t) * V(t, q), t ascending,
+// with X(p, t) = x[p * xp + t * xt], V's row t contiguous at v + t * ldv,
+// and D(p, q) = d[p * ldd + q] (kDT false) or d[q * ldd + p] (kDT true).
+//
+// A tile of MR rows x 2*NV columns of D (NV == 0: one column) is loaded
+// into accumulators once, updated over the whole t loop and stored once;
+// MR * NV <= 8 accumulators plus NV V lanes and MR broadcasts fit the 16
+// SSE registers. Each accumulator lane is one D element that starts at its
+// stored value and adds its terms in ascending t — the naive loop's order.
+template <size_t MR, size_t NV, bool kDT>
+inline void Tile(size_t kt, const double* x, size_t xp, size_t xt,
+                 const double* v, size_t ldv, double* d, size_t ldd) {
+  if constexpr (NV == 0) {
+    double acc[MR];
+    for (size_t p = 0; p < MR; ++p) acc[p] = d[p * (kDT ? 1 : ldd)];
+    for (size_t t = 0; t < kt; ++t) {
+      const double vt = v[t * ldv];
+      for (size_t p = 0; p < MR; ++p) acc[p] += x[p * xp + t * xt] * vt;
+    }
+    for (size_t p = 0; p < MR; ++p) d[p * (kDT ? 1 : ldd)] = acc[p];
+  } else {
+    V2 acc[MR][NV];
+    for (size_t s = 0; s < NV; ++s) {
+      if constexpr (!kDT) {
+        for (size_t p = 0; p < MR; ++p) acc[p][s] = Load(d + p * ldd + 2 * s);
+      } else if constexpr (MR == 2) {
+        // Memory rows q, q+1 hold (D(0, q), D(1, q)) and (D(0, q+1),
+        // D(1, q+1)): a 2x2 transpose turns them into the two accumulators.
+        acc[0][s] = Load(d + 2 * s * ldd);
+        acc[1][s] = Load(d + (2 * s + 1) * ldd);
+        Transpose2(&acc[0][s], &acc[1][s]);
+      } else {
+        acc[0][s] = V2{d[2 * s * ldd], d[(2 * s + 1) * ldd]};
+      }
+    }
+    for (size_t t = 0; t < kt; ++t) {
+      const double* vt = v + t * ldv;
+      V2 vs[NV];
+      for (size_t s = 0; s < NV; ++s) vs[s] = Load(vt + 2 * s);
+      for (size_t p = 0; p < MR; ++p) {
+        const double xv = x[p * xp + t * xt];
+        const V2 xs = {xv, xv};
+        for (size_t s = 0; s < NV; ++s) acc[p][s] += xs * vs[s];
+      }
+    }
+    for (size_t s = 0; s < NV; ++s) {
+      if constexpr (!kDT) {
+        for (size_t p = 0; p < MR; ++p) Store(d + p * ldd + 2 * s, acc[p][s]);
+      } else if constexpr (MR == 2) {
+        Transpose2(&acc[0][s], &acc[1][s]);
+        Store(d + 2 * s * ldd, acc[0][s]);
+        Store(d + (2 * s + 1) * ldd, acc[1][s]);
+      } else {
+        d[2 * s * ldd] = acc[0][s][0];
+        d[(2 * s + 1) * ldd] = acc[0][s][1];
+      }
+    }
+  }
+}
+
+// One band of MR rows of D: 8-column tiles, then the 4-, 2- and 1-column
+// tails, so no tile reads or writes past column nq.
+template <size_t MR, bool kDT>
+void Band(size_t kt, size_t nq, const double* x, size_t xp, size_t xt,
+          const double* v, size_t ldv, double* d, size_t ldd) {
+  const size_t dq = kDT ? ldd : 1;  // distance between adjacent D columns
+  size_t q = 0;
+  for (; q + 8 <= nq; q += 8) {
+    Tile<MR, 4, kDT>(kt, x, xp, xt, v + q, ldv, d + q * dq, ldd);
+  }
+  if (q + 4 <= nq) {
+    Tile<MR, 2, kDT>(kt, x, xp, xt, v + q, ldv, d + q * dq, ldd);
+    q += 4;
+  }
+  if (q + 2 <= nq) {
+    Tile<MR, 1, kDT>(kt, x, xp, xt, v + q, ldv, d + q * dq, ldd);
+    q += 2;
+  }
+  if (q < nq) Tile<MR, 0, kDT>(kt, x, xp, xt, v + q, ldv, d + q * dq, ldd);
+}
+
+template <bool kDT>
+void TiledGemm(size_t np, size_t kt, size_t nq, const double* x, size_t xp,
+               size_t xt, const double* v, size_t ldv, double* d,
+               size_t ldd) {
+  const size_t dp = kDT ? 1 : ldd;  // distance between adjacent D rows
+  size_t p = 0;
+  for (; p + 2 <= np; p += 2) {
+    Band<2, kDT>(kt, nq, x + p * xp, xp, xt, v, ldv, d + p * dp, ldd);
+  }
+  if (p < np) Band<1, kDT>(kt, nq, x + p * xp, xp, xt, v, ldv, d + p * dp, ldd);
+}
 
 }  // namespace
 
 void GemmAccumulate(size_t m, size_t k, size_t n, const double* a, size_t lda,
                     const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t k0 = 0; k0 < k; k0 += kKc) {
-    const size_t k1 = k0 + kKc < k ? k0 + kKc : k;
-    size_t i = 0;
-    for (; i + kMr <= m; i += kMr) {
-      const double* __restrict a0 = a + (i + 0) * lda;
-      const double* __restrict a1 = a + (i + 1) * lda;
-      const double* __restrict a2 = a + (i + 2) * lda;
-      const double* __restrict a3 = a + (i + 3) * lda;
-      double* __restrict c0 = c + (i + 0) * ldc;
-      double* __restrict c1 = c + (i + 1) * ldc;
-      double* __restrict c2 = c + (i + 2) * ldc;
-      double* __restrict c3 = c + (i + 3) * ldc;
-      for (size_t kk = k0; kk < k1; ++kk) {
-        const double av0 = a0[kk];
-        const double av1 = a1[kk];
-        const double av2 = a2[kk];
-        const double av3 = a3[kk];
-        const double* __restrict br = b + kk * ldb;
-        for (size_t j = 0; j < n; ++j) {
-          const double bv = br[j];
-          c0[j] += av0 * bv;
-          c1[j] += av1 * bv;
-          c2[j] += av2 * bv;
-          c3[j] += av3 * bv;
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      const double* __restrict ar = a + i * lda;
-      double* __restrict cr = c + i * ldc;
-      for (size_t kk = k0; kk < k1; ++kk) {
-        const double av = ar[kk];
-        const double* __restrict br = b + kk * ldb;
-        for (size_t j = 0; j < n; ++j) cr[j] += av * br[j];
-      }
-    }
-  }
+  // D = C, X = A, V = B.
+  TiledGemm<false>(m, k, n, a, lda, 1, b, ldb, c, ldc);
 }
 
 void Gemm(size_t m, size_t k, size_t n, const double* a, size_t lda,
@@ -70,44 +142,14 @@ void Gemm(size_t m, size_t k, size_t n, const double* a, size_t lda,
 
 void GemmAtB(size_t l, size_t m, size_t n, const double* a, size_t lda,
              const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t ll = 0; ll < l; ++ll) {
-    const double* __restrict ar = a + ll * lda;
-    const double* __restrict br = b + ll * ldb;
-    for (size_t i = 0; i < m; ++i) {
-      const double av = ar[i];
-      double* __restrict cr = c + i * ldc;
-      for (size_t j = 0; j < n; ++j) cr[j] += av * br[j];
-    }
-  }
+  // D = C, X(i, t) = A(t, i), V = B.
+  TiledGemm<false>(m, l, n, a, 1, lda, b, ldb, c, ldc);
 }
 
-void Gemv(size_t m, size_t k, const double* a, size_t lda, const double* x,
-          double* y) {
-  size_t i = 0;
-  for (; i + kMr <= m; i += kMr) {
-    const double* __restrict a0 = a + (i + 0) * lda;
-    const double* __restrict a1 = a + (i + 1) * lda;
-    const double* __restrict a2 = a + (i + 2) * lda;
-    const double* __restrict a3 = a + (i + 3) * lda;
-    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (size_t j = 0; j < k; ++j) {
-      const double xj = x[j];
-      acc0 += a0[j] * xj;
-      acc1 += a1[j] * xj;
-      acc2 += a2[j] * xj;
-      acc3 += a3[j] * xj;
-    }
-    y[i + 0] = acc0;
-    y[i + 1] = acc1;
-    y[i + 2] = acc2;
-    y[i + 3] = acc3;
-  }
-  for (; i < m; ++i) {
-    const double* __restrict ar = a + i * lda;
-    double acc = 0.0;
-    for (size_t j = 0; j < k; ++j) acc += ar[j] * x[j];
-    y[i] = acc;
-  }
+void GemmAtBt(size_t k, size_t m, size_t n, const double* a, size_t lda,
+              const double* b, size_t ldb, double* c, size_t ldc) {
+  // Vectorised along C's rows: D = C^T, X = B, V = A.
+  TiledGemm<true>(n, k, m, b, ldb, 1, a, lda, c, ldc);
 }
 
 void Axpy(size_t n, double alpha, const double* x, double* y) {

@@ -6,12 +6,12 @@
 //
 // Determinism contract: every kernel accumulates each *output element* in
 // one fixed order — ascending k for the GEMM family, ascending index for
-// the reductions — regardless of blocking parameters. The cache blocking
-// and register tiling only reorder work *across* output elements, never
-// the additions *into* one element, so results are bit-identical to the
-// straightforward loops they replace and independent of tile sizes. This
-// is what lets the models above keep the repo's bit-identical culture
-// while the kernels get faster.
+// the reductions. The GEMMs keep a register tile of C in vector
+// accumulators across the whole k loop; that reorders work *across* output
+// elements, never the additions *into* one element, so results are
+// bit-identical to the straightforward loops they replace and independent
+// of the tile shape. This is what lets the models above keep the repo's
+// bit-identical culture while the kernels get faster.
 #pragma once
 
 #include <cstddef>
@@ -34,9 +34,12 @@ void Gemm(size_t m, size_t k, size_t n, const double* a, size_t lda,
 void GemmAtB(size_t l, size_t m, size_t n, const double* a, size_t lda,
              const double* b, size_t ldb, double* c, size_t ldc);
 
-/// y (m) = A (m x k, lda) * x. One accumulator per row, ascending-k.
-void Gemv(size_t m, size_t k, const double* a, size_t lda, const double* x,
-          double* y);
+/// C (m x n, ldc) += A^T * B^T for A (k x m, lda) and B (n x k, ldb): each
+/// C(i, j) adds A(t, i) * B(j, t) in ascending t. On a zeroed C every
+/// element is a single-accumulator dot product from +0.0 — per row, the
+/// order a matrix-vector product over B's rows uses.
+void GemmAtBt(size_t k, size_t m, size_t n, const double* a, size_t lda,
+              const double* b, size_t ldb, double* c, size_t ldc);
 
 /// y[i] += alpha * x[i] for i in [0, n).
 void Axpy(size_t n, double alpha, const double* x, double* y);

@@ -62,9 +62,11 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
 
 std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
   STAQ_CHECK(a.cols() == x.size(), "MatVec: dimension mismatch");
+  // y as a 1 x rows product x^T A^T: each y[i] sums A(i, j) x[j] from +0.0
+  // in ascending j.
   std::vector<double> y(a.rows(), 0.0);
-  kernels::Gemv(a.rows(), a.cols(), a.data().data(), a.cols(), x.data(),
-                y.data());
+  kernels::GemmAtBt(a.cols(), 1, a.rows(), x.data(), 1, a.data().data(),
+                    a.cols(), y.data(), a.rows());
   return y;
 }
 

@@ -84,19 +84,20 @@ void DenseNet::ForwardBatch(const double* x, size_t batch,
     const double* b = w + in * out;
     Matrix& a = scratch->acts[l];
     a.Reset(batch, out);
+    double* ad = a.data().data();
     // Accumulates ascending-k from zero, then bias, then ReLU — the same
     // per-element order Forward() uses for one sample.
-    kernels::GemmAccumulate(batch, in, out, current, current_ld, w, out,
-                            a.data().data(), out);
+    kernels::GemmAccumulate(batch, in, out, current, current_ld, w, out, ad,
+                            out);
     const bool is_output = (l + 1 == num_layers);
     for (size_t r = 0; r < batch; ++r) {
-      double* ar = a.row(r);
+      double* ar = ad + r * out;
       for (size_t j = 0; j < out; ++j) {
         ar[j] += b[j];
         if (!is_output && ar[j] < 0.0) ar[j] = 0.0;  // ReLU
       }
     }
-    current = a.data().data();
+    current = ad;
     current_ld = out;
   }
 }
@@ -152,8 +153,16 @@ void DenseNet::BackwardBatch(const double* x, size_t batch,
   STAQ_CHECK(dloss.size() >= batch,
              "DenseNet::BackwardBatch: dloss shorter than batch");
   const size_t num_layers = dims_.size() - 1;
+  STAQ_CHECK(scratch->acts.size() == num_layers,
+             "DenseNet::BackwardBatch: activations not from ForwardBatch");
+  for (size_t l = 0; l < num_layers; ++l) {
+    STAQ_CHECK(scratch->acts[l].rows() == batch &&
+                   scratch->acts[l].cols() == dims_[l + 1],
+               "DenseNet::BackwardBatch: activation shape differs");
+  }
   scratch->delta.Reset(batch, 1);
-  for (size_t r = 0; r < batch; ++r) scratch->delta(r, 0) = dloss[r];
+  std::copy(dloss.begin(), dloss.begin() + batch,
+            scratch->delta.data().begin());
 
   for (size_t l = num_layers; l-- > 0;) {
     const size_t in = dims_[l], out = dims_[l + 1];
@@ -162,34 +171,36 @@ void DenseNet::BackwardBatch(const double* x, size_t batch,
     double* gw = grad->data() + layer_offset_[l];
     double* gb = gw + in * out;
 
-    Matrix& local = scratch->delta;  // masked in place
+    // delta is batch x out: the ReLU gate masks it in place (hidden layers
+    // only; the output layer is linear).
+    double* local = scratch->delta.data().data();
     const bool is_output = (l + 1 == num_layers);
     if (!is_output) {
-      for (size_t r = 0; r < batch; ++r) {
-        double* lr = local.row(r);
-        const double* ar = scratch->acts[l].row(r);
-        for (size_t j = 0; j < out; ++j) {
-          if (ar[j] <= 0.0) lr[j] = 0.0;  // ReLU gate
-        }
+      const double* act = scratch->acts[l].data().data();
+      for (size_t i = 0; i < batch * out; ++i) {
+        local[i] = act[i] <= 0.0 ? 0.0 : local[i];  // ReLU gate
       }
     }
 
     // gb[j] += sum over samples of local(r, j), ascending r.
     for (size_t r = 0; r < batch; ++r) {
-      const double* lr = local.row(r);
+      const double* lr = local + r * out;
       for (size_t j = 0; j < out; ++j) gb[j] += lr[j];
     }
-    // gW += X^T local: rank-1 updates in ascending sample order.
-    kernels::GemmAtB(batch, in, out, input, in, local.data().data(), out, gw,
-                     out);
+    // gW += X^T local: per element, ascending sample order.
+    kernels::GemmAtB(batch, in, out, input, in, local, out, gw, out);
     if (l > 0) {
-      // next_delta(r, .) = W local(r, .): one Gemv per sample, each row
-      // accumulating ascending j as the per-sample loop did.
-      scratch->next_delta.Reset(batch, in);
+      // next_delta(r, i) = sum_j W(i, j) local(r, j) from +0.0 in ascending
+      // j, the per-sample Backward's dot product. GemmAtBt reads local
+      // transposed (out x batch) and vectorises across samples.
+      scratch->delta_t.Reset(out, batch);
+      double* lt = scratch->delta_t.data().data();
       for (size_t r = 0; r < batch; ++r) {
-        kernels::Gemv(in, out, w, out, local.row(r),
-                      scratch->next_delta.row(r));
+        for (size_t j = 0; j < out; ++j) lt[j * batch + r] = local[r * out + j];
       }
+      scratch->next_delta.Reset(batch, in);
+      kernels::GemmAtBt(out, batch, in, lt, batch, w, out,
+                        scratch->next_delta.data().data(), in);
       std::swap(scratch->delta, scratch->next_delta);
     }
   }
@@ -206,15 +217,24 @@ void AdamOptimizer::Step(std::vector<double>* params,
   STAQ_CHECK(params->size() == m_.size() && grad.size() == m_.size(),
              "AdamOptimizer::Step: size mismatch");
   ++t_;
-  double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (size_t i = 0; i < grad.size(); ++i) {
-    m_[i] = beta1_ * m_[i] + (1 - beta1_) * grad[i];
-    v_[i] = beta2_ * v_[i] + (1 - beta2_) * grad[i] * grad[i];
-    double m_hat = m_[i] / bc1;
-    double v_hat = v_[i] / bc2;
-    (*params)[i] -= lr_ * (m_hat / (std::sqrt(v_hat) + eps_) +
-                           weight_decay_ * (*params)[i]);
+  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  // Locals and unaliased pointers let the loop vectorise (sqrt becomes
+  // sqrtpd under -fno-math-errno). The expression is unchanged: division
+  // and square root round correctly in every lane.
+  const double beta1 = beta1_, beta2 = beta2_, eps = eps_, lr = lr_,
+               weight_decay = weight_decay_;
+  double* __restrict p = params->data();
+  const double* __restrict g = grad.data();
+  double* __restrict m = m_.data();
+  double* __restrict v = v_.data();
+  const size_t n = grad.size();
+  for (size_t i = 0; i < n; ++i) {
+    m[i] = beta1 * m[i] + (1 - beta1) * g[i];
+    v[i] = beta2 * v[i] + (1 - beta2) * g[i] * g[i];
+    const double m_hat = m[i] / bc1;
+    const double v_hat = v[i] / bc2;
+    p[i] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + weight_decay * p[i]);
   }
 }
 

@@ -5,7 +5,7 @@
 // this is the C++ substitute for the paper's PyTorch MLP, and the Mean
 // Teacher model reuses both.
 //
-// Training runs mini-batches through the blocked GEMM kernels
+// Training runs mini-batches through the register-tiled GEMM kernels
 // (ForwardBatch/BackwardBatch); per parameter, gradient terms accumulate in
 // ascending sample order — exactly the order the per-sample loops used —
 // so batched results match the original implementation and are
@@ -28,6 +28,7 @@ namespace staq::ml {
 struct DenseNetScratch {
   std::vector<Matrix> acts;  // per-layer activations, batch x width
   Matrix delta;              // gradient wrt current layer output
+  Matrix delta_t;            // delta transposed, out x batch
   Matrix next_delta;
 };
 

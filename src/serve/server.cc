@@ -991,12 +991,18 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
           todam.alpha(), &built);
       if (built) ssr_feature_builds_.fetch_add(1, std::memory_order_relaxed);
     }
+    // Only labeling routes: the context goes back before the fits, so a
+    // concurrent build's helpers can lease it meanwhile (DESIGN.md §16.4).
     // A throw drops the context with its possibly half-built state.
     auto context = AcquireContext(NetworkOf(scenario));
-    auto run = core::RunSsr(city, *scenario.offline().features,
-                            &context->router, pois, todam,
-                            scenario.interval().day, config, features.get());
+    auto sample = core::LabelSsrSample(
+        city, *scenario.offline().features, &context->router, pois, todam,
+        scenario.interval().day, config, features.get());
     ReleaseContext(std::move(context));
+    if (!sample.ok()) return sample.status();
+    // Fault site (tests): an SSR answer parked between labeling and fit.
+    STAQ_FAILPOINT("serve.ssr.fit");
+    auto run = core::FitSsr(std::move(sample).value(), config);
     if (!run.ok()) return run.status();
     result.mac = std::move(run.value().mac);
     result.acsd = std::move(run.value().acsd);

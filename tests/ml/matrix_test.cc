@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
 
+#include "ml/kernels.h"
 #include "util/rng.h"
 
 namespace staq::ml {
@@ -173,10 +177,11 @@ TEST(SolveTest, DimensionMismatchRejected) {
   EXPECT_FALSE(SolveLinearSystem(sq, {1, 2, 3}).ok());
 }
 
-// ---- blocked kernels vs straightforward reference -------------------------
-// The GEMM is register-tiled and k-blocked, but per output element it must
-// accumulate in plain ascending-k order: results are compared EXPECT_EQ
-// against the naive triple loop, not within a tolerance.
+// ---- register-tiled kernels vs straightforward reference -----------------
+// The GEMMs keep register tiles of C across the whole k loop, but per
+// output element they must accumulate from C's initial value in plain
+// ascending-k order: results are compared bit for bit against the naive
+// loops, not within a tolerance.
 
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
@@ -189,9 +194,49 @@ Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+bool SameBits(const std::vector<double>& x, const std::vector<double>& y) {
+  if (x.size() != y.size()) return false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (std::bit_cast<uint64_t>(x[i]) != std::bit_cast<uint64_t>(y[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A rows x cols operand with leading dimension ld > cols: NaN padding, so
+/// a kernel that read past a row would poison its result. Row 0 and column
+/// 0 hold only signed zeros, so in each kernel one row or column of C sums
+/// nothing but zeros and keeps C's initial sign of zero only if the kernel
+/// accumulates onto C's initial value.
+std::vector<double> Operand(size_t rows, size_t cols, size_t ld,
+                            util::Rng* rng) {
+  std::vector<double> v(rows * ld, std::nan(""));
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      v[r * ld + c] =
+          r == 0 || c == 0 ? ((r + c) % 2 ? -0.0 : 0.0) : rng->Uniform(-1, 1);
+    }
+  }
+  return v;
+}
+
+/// C's initial contents: a mix of -0.0, +0.0 and values, NaN padding.
+std::vector<double> Accumulator(size_t rows, size_t cols, size_t ld,
+                                util::Rng* rng) {
+  std::vector<double> v(rows * ld, std::nan(""));
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      const size_t pick = (r + 2 * c) % 3;
+      v[r * ld + c] = pick == 0 ? -0.0 : pick == 1 ? 0.0 : rng->Uniform(-1, 1);
+    }
+  }
+  return v;
+}
+
 TEST(KernelTest, BlockedGemmBitIdenticalToNaive) {
   util::Rng rng(5);
-  // Sizes straddling the register tile (4 rows) and the k panel (64).
+  // Through MatMul: sizes straddling the 2 x 8 register tile.
   for (auto [m, k, n] : {std::tuple<size_t, size_t, size_t>{1, 1, 1},
                          {3, 5, 2},
                          {4, 64, 8},
@@ -203,6 +248,75 @@ TEST(KernelTest, BlockedGemmBitIdenticalToNaive) {
     Matrix fast = MatMul(a, b);
     Matrix naive = NaiveMatMul(a, b);
     EXPECT_EQ(fast, naive) << m << "x" << k << "x" << n;
+  }
+
+  // Raw kernels over every tile/tail combination (n = 1 is the MLP output
+  // layer), with leading dimensions wider than the matrices and C seeded
+  // with signed zeros.
+  const size_t k = 20;
+  const size_t sizes[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 32, 33, 64};
+  for (size_t m : sizes) {
+    for (size_t n : sizes) {
+      SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n);
+      const size_t ldc = n + 2;
+      const std::vector<double> c0 = Accumulator(m, n, ldc, &rng);
+
+      // GemmAccumulate: C += A (m x k) B (k x n).
+      {
+        const size_t lda = k + 3, ldb = n + 5;
+        const auto a = Operand(m, k, lda, &rng);
+        const auto b = Operand(k, n, ldb, &rng);
+        std::vector<double> fast = c0, naive = c0;
+        kernels::GemmAccumulate(m, k, n, a.data(), lda, b.data(), ldb,
+                                fast.data(), ldc);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t kk = 0; kk < k; ++kk) {
+            for (size_t j = 0; j < n; ++j) {
+              naive[i * ldc + j] += a[i * lda + kk] * b[kk * ldb + j];
+            }
+          }
+        }
+        EXPECT_TRUE(SameBits(fast, naive)) << "GemmAccumulate";
+      }
+      // GemmAtB: C += A^T B for A (k x m), B (k x n), ascending sample k.
+      {
+        const size_t lda = m + 3, ldb = n + 5;
+        const auto a = Operand(k, m, lda, &rng);
+        const auto b = Operand(k, n, ldb, &rng);
+        std::vector<double> fast = c0, naive = c0;
+        kernels::GemmAtB(k, m, n, a.data(), lda, b.data(), ldb, fast.data(),
+                         ldc);
+        for (size_t l = 0; l < k; ++l) {
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+              naive[i * ldc + j] += a[l * lda + i] * b[l * ldb + j];
+            }
+          }
+        }
+        EXPECT_TRUE(SameBits(fast, naive)) << "GemmAtB";
+      }
+      // GemmAtBt: C += A^T B^T for A (k x m), B (n x k) — the MLP's
+      // next-delta L W^T with A = L^T. The reference is a dot product per
+      // element, ascending t, starting from C's value.
+      {
+        const size_t lda = m + 3, ldb = k + 5;
+        const auto a = Operand(k, m, lda, &rng);
+        const auto b = Operand(n, k, ldb, &rng);
+        std::vector<double> fast = c0, naive = c0;
+        kernels::GemmAtBt(k, m, n, a.data(), lda, b.data(), ldb, fast.data(),
+                          ldc);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            double acc = naive[i * ldc + j];
+            for (size_t t = 0; t < k; ++t) {
+              acc += b[j * ldb + t] * a[t * lda + i];
+            }
+            naive[i * ldc + j] = acc;
+          }
+        }
+        EXPECT_TRUE(SameBits(fast, naive)) << "GemmAtBt";
+      }
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include "ml/mlp.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +86,53 @@ TEST(AdamTest, WeightDecayShrinksTowardZero) {
     opt.Step(&params, {0.0});  // no gradient, only decay
   }
   EXPECT_LT(std::abs(params[0]), 1.0);
+}
+
+TEST(AdamTest, VectorisedStepMatchesScalarLoopBitForBit) {
+  // The scalar loop Step replaced, verbatim: the vectorised step must keep
+  // its expression and operation order, so every bit must agree.
+  struct ScalarAdam {
+    ScalarAdam(size_t n, double lr, double weight_decay)
+        : lr(lr), weight_decay(weight_decay), m(n, 0.0), v(n, 0.0) {}
+    double lr, weight_decay, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+    int64_t t = 0;
+    std::vector<double> m, v;
+    void Step(std::vector<double>* params, const std::vector<double>& grad) {
+      ++t;
+      double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+      double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+      for (size_t i = 0; i < grad.size(); ++i) {
+        m[i] = beta1 * m[i] + (1 - beta1) * grad[i];
+        v[i] = beta2 * v[i] + (1 - beta2) * grad[i] * grad[i];
+        double m_hat = m[i] / bc1;
+        double v_hat = v[i] / bc2;
+        (*params)[i] -= lr * (m_hat / (std::sqrt(v_hat) + eps) +
+                              weight_decay * (*params)[i]);
+      }
+    }
+  };
+  // The default MLP's parameter count (odd, so the vector loop has a tail).
+  const size_t n = 20 * 64 + 64 + 64 * 32 + 32 + 32 + 1;
+  util::Rng rng(11);
+  std::vector<double> params(n);
+  for (double& p : params) p = rng.Normal(0.0, 0.3);
+  std::vector<double> reference = params;
+  AdamOptimizer opt(n, 1e-3, 1e-4);
+  ScalarAdam scalar(n, 1e-3, 1e-4);
+  std::vector<double> grad(n);
+  for (int step = 0; step < 300; ++step) {
+    for (size_t i = 0; i < n; ++i) {
+      // Some exact zeros and tiny magnitudes keep v near eps's scale.
+      grad[i] = i % 7 == 0 ? 0.0 : rng.Normal(0.0, i % 5 == 0 ? 1e-9 : 1.0);
+    }
+    opt.Step(&params, grad);
+    scalar.Step(&reference, grad);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(params[i]),
+              std::bit_cast<uint64_t>(reference[i]))
+        << "param " << i;
+  }
 }
 
 MlpConfig FastMlp(uint64_t seed) {

@@ -8,9 +8,9 @@
 // admission, shedding and the stats; the owning thread finishes a loop
 // while a helper is parked on a zone; a server can die with stale helpers
 // still queued (run under STAQ_ASAN via the `faultinjection` label); a
-// helper fault degrades into a clean kInternal with the epoch intact; and
-// a helper parked while taking or returning its context holds up no
-// request.
+// helper fault degrades into a clean kInternal with the epoch intact; a
+// helper parked while taking or returning its context holds up no
+// request; and an SSR answer holds no context while it fits.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -471,6 +471,52 @@ TEST(HelperParkingTest, NoRequestWaitsOnAHelperParkedInItsLeaseOrRelease) {
     ExpectHelpedMatchesSerial(server,
                               ExactRequest(synth::PoiCategory::kSchool, 7));
   }
+}
+
+TEST(SsrContextLeaseTest, AnSsrFitLeavesItsContextToABuildsHelper) {
+  // A request leases a context only while it labels (DESIGN.md §16.4). On
+  // a 2-worker server the cap is two contexts: an MLP answer parked
+  // between labeling and fit must already have returned its own, so a cold
+  // build running meanwhile takes one as its owner and its loop's helper
+  // leases the other.
+  AqServer::Options options;
+  options.num_threads = 2;
+  AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+  AqRequest ssr = SsrRequest();
+  ssr.options.model = ml::ModelKind::kMlp;
+
+  FailPoints::Arm("serve.ssr.fit", FailPointConfig::Block());
+  AqTicket parked = server.Submit(ssr);
+  WaitFor([] { return FailPoints::BlockedCount("serve.ssr.fit") >= 1; });
+
+  // The build's owner waits on its second zone until a helper has labeled
+  // one, which a helper does only with a leased context.
+  const uint64_t helper_zones = FailPoints::HitCount("serve.zone_loop.helper");
+  FailPointConfig park_caller = FailPointConfig::Block();
+  park_caller.skip = 1;
+  FailPoints::Arm("serve.zone_loop.caller", park_caller);
+  const AqRequest exact = ExactRequest(synth::PoiCategory::kSchool, 5);
+  AqTicket cold = server.Submit(exact);
+  WaitFor([&] {
+    return FailPoints::HitCount("serve.zone_loop.helper") > helper_zones;
+  });
+  EXPECT_GT(FailPoints::HitCount("serve.zone_loop.helper"), helper_zones)
+      << "the cold build got no helper context";
+  EXPECT_EQ(FailPoints::BlockedCount("serve.ssr.fit"), 1u);
+  FailPoints::Disarm("serve.zone_loop.caller");
+
+  auto cold_answer = cold.Get();
+  ASSERT_TRUE(cold_answer.ok()) << cold_answer.status();
+  auto cold_serial = server.QueryUncached(exact);
+  ASSERT_TRUE(cold_serial.ok());
+  ExpectSameAnswer(cold_answer.value(), cold_serial.value());
+
+  FailPoints::Disarm("serve.ssr.fit");
+  auto ssr_answer = parked.Get();
+  ASSERT_TRUE(ssr_answer.ok()) << ssr_answer.status();
+  auto ssr_serial = server.QueryUncached(ssr);
+  ASSERT_TRUE(ssr_serial.ok());
+  ExpectSameAnswer(ssr_answer.value(), ssr_serial.value());
 }
 
 #endif  // STAQ_FAILPOINTS

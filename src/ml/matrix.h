@@ -2,7 +2,7 @@
 // need: products, transposed products, and SPD solves (Cholesky with a
 // partial-pivot Gaussian fallback) for ridge-regularised normal equations.
 //
-// Products run on the blocked kernels in ml/kernels.h; per-element
+// Products run on the register-tiled kernels in ml/kernels.h; per-element
 // accumulation order is fixed (ascending k), so results are bit-identical
 // to the straightforward loops the kernels replaced. Shape mismatches are
 // hard errors (STAQ_CHECK) in every build type — these used to be

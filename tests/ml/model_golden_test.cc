@@ -51,13 +51,9 @@ TEST_P(ModelGoldenTest, PredictionsMatchRecordedDigest) {
   ASSERT_TRUE(model->Fit(data).ok()) << model->name();
   const auto pred = model->Predict();
   ASSERT_EQ(pred.size(), data.num_instances());
-  char got[32];
-  std::snprintf(got, sizeof(got), "0x%016llxull",
-                static_cast<unsigned long long>(HexFloatDigest(pred)));
-  char want[32];
-  std::snprintf(want, sizeof(want), "0x%016llxull",
-                static_cast<unsigned long long>(GoldenDigest(GetParam())));
-  EXPECT_STREQ(got, want) << model->name();
+  const uint64_t digest = HexFloatDigest(pred);
+  EXPECT_EQ(digest, GoldenDigest(GetParam()))
+      << model->name() << " digest 0x" << std::hex << digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(

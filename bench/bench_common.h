@@ -10,8 +10,8 @@
 //                          the paper's matrices correspond to ~30)
 //        STAQ_BENCH_SEED   master seed (default 42)
 //        STAQ_BENCH_OUT    directory for CSV/JSON outputs (default ".")
-//        STAQ_BENCH_THREADS, STAQ_SERVE_ENGINE, STAQ_BENCH_SPQ_MS,
-//        STAQ_BENCH_RELAX_GATES (see BenchParams fields);
+//        STAQ_BENCH_THREADS, STAQ_BENCH_SPQ_MS, STAQ_BENCH_RELAX_GATES
+//        (see BenchParams fields);
 //   3. experiment-cell parameters when a bench runs under the staq::exp
 //      runner (ScopedBenchParams installs them for the cell's duration).
 //
@@ -47,8 +47,6 @@ struct BenchParams {
   std::string out_dir = ".";
   /// Worker threads for pooled modes; 0 = hardware concurrency.
   int threads = 0;
-  /// Serve-bench engine selector ("", "csa", "label_correcting").
-  std::string engine;
   /// Per-SPQ latency budget override for the Table II bench; <0 = default.
   double spq_budget_ms = -1.0;
   /// Soften inline perf gates to warnings (sanitizer builds, where wall
@@ -73,7 +71,6 @@ struct BenchParams {
     if (const char* env = std::getenv("STAQ_BENCH_THREADS")) {
       p.threads = std::atoi(env);
     }
-    if (const char* env = std::getenv("STAQ_SERVE_ENGINE")) p.engine = env;
     if (const char* env = std::getenv("STAQ_BENCH_SPQ_MS")) {
       p.spq_budget_ms = std::atof(env);
     }
@@ -95,8 +92,6 @@ struct BenchParams {
         seed = std::strtoull(value.c_str(), nullptr, 10);
       } else if (key == "threads") {
         threads = std::atoi(value.c_str());
-      } else if (key == "engine") {
-        engine = value;
       } else if (key == "spq_budget_ms") {
         spq_budget_ms = std::atof(value.c_str());
       } else if (key == "relax_gates") {

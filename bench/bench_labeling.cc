@@ -1,30 +1,23 @@
-// Zone-labeling throughput: per-trip vs batched SPQ execution.
+// Zone-labeling throughput: label-correcting vs Connection Scan labeling.
 //
 // Labeling is the dominant cost of the whole solution (paper §IV-E), so
-// this bench measures exactly that hot path in three result-identical
+// this bench measures exactly that hot path in two result-identical
 // configurations:
-//   per-trip (seed)     — one Route per TODAM trip on the original engine:
-//                         binary heap, full-window boarding scans, unbounded
-//                         relaxation (the speedup baseline)
-//   per-trip+pruning    — one Route per trip with the optimized search
-//                         (bucket queue, route-break scans, bound-aware
-//                         pruning)
-//   batched             — RouteMany per departure group on the optimized
-//                         search + cached access stops
-//   csa batched         — RouteMany per departure group on the Connection
-//                         Scan engine over the shared connection array
-//   csa profile         — ONE window scan per zone: every departure group
-//                         is a lane of the same connection sweep (the
-//                         production configuration)
+//   batched       — RouteMany per departure group on the label-correcting
+//                   router (the routing oracle) + cached access stops: the
+//                   speedup baseline
+//   csa profile   — ONE window scan per zone on the Connection Scan engine:
+//                   every departure group is a lane of the same connection
+//                   sweep (the production configuration)
 // plus pooled variants, each one util::ParallelLoop over the zones (the
 // calling thread plus N - 1 helpers of the shared pool): batched at the
 // hardware concurrency, and the profile engine at N = 2 and N = 4 — the
 // multicore rows of the cold-build scaling story (reported, not gated).
 // Labels are checked bit-identical across configurations before any number
 // is reported, and the binary exits non-zero unless the CSA profile engine
-// clears the speedup floor over the seed baseline — the regression gate
-// for the routing core. The issue's 10x design target is reported
-// alongside (see kCsaTargetSpeedup).
+// clears the speedup floor over the batched baseline — the regression gate
+// for the routing core. The 10x design target is reported alongside (see
+// kCsaTargetSpeedup).
 //
 // Output: paper-style table on stdout and a machine-readable
 // BENCH_labeling.json in STAQ_BENCH_OUT.
@@ -45,19 +38,21 @@
 namespace staq::bench {
 namespace {
 
-/// Regression floor: the serial CSA profile engine must beat the seed
-/// per-trip baseline by at least this factor or the bench exits non-zero.
-/// Set below the ~4.3x the engine holds on the 1-core reference box (with
-/// headroom for machine noise) so a regression of the achieved win fails
-/// loudly; the design target below is reported separately.
-constexpr double kCsaSpeedupFloor = 3.0;
+/// Regression floor: the serial CSA profile engine (array build included)
+/// must beat the batched label-correcting baseline by at least this factor
+/// or the bench exits non-zero. It keeps the share of the measured ratio
+/// that the earlier floor had: 3.0x over the per-trip binary-heap engine
+/// against a median of 4.40x (0.68), here 1.18x against a median of 1.72x
+/// (10 runs at the default scale on a shared 4-core host).
+constexpr double kCsaSpeedupFloor = 1.18;
 
-/// The issue's design target for cold builds. Not met serially on the
-/// 1-core reference machine — the remaining scan is memory-bandwidth-bound
-/// at ~1 label write per (live lane, stop) — so it is reported in the JSON
-/// (`csa_target_speedup` / `target_met`) rather than enforced. The pooled
-/// profile configuration is expected to clear it on multicore hardware.
-constexpr double kCsaTargetSpeedup = 10.0;
+/// The cold-build design target, restated against the batched baseline:
+/// 10x the per-trip binary-heap engine, which the batched engine itself
+/// beats by ~2.3x. Not met serially — the remaining scan is
+/// memory-bandwidth-bound at ~1 label write per (live lane, stop) — so it
+/// is reported in the JSON (`csa_target_speedup` / `target_met`) rather
+/// than enforced.
+constexpr double kCsaTargetSpeedup = 4.3;
 
 struct ModeResult {
   std::string name;
@@ -85,7 +80,7 @@ bool SameLabels(const std::vector<core::ZoneLabel>& a,
 }  // namespace
 
 exp::RunResult RunLabelingBench() {
-  PrintHeader("Zone-labeling throughput: per-trip vs batched SPQ engine");
+  PrintHeader("Zone-labeling throughput: label-correcting vs CSA labeling");
 
   BenchCity bc =
       MakeBenchCity(synth::CitySpec::Brindale(BenchScale(), BenchSeed()));
@@ -112,14 +107,16 @@ exp::RunResult RunLabelingBench() {
   csa_opts.engine = router::RoutingEngine::kCsa;
   csa_opts.connections = connections;
 
-  auto run_serial = [&](const char* name, router::RouterOptions opts,
-                        core::LabelingMode mode) {
+  auto engine_name = [](const router::RouterOptions& opts) {
+    return opts.engine == router::RoutingEngine::kCsa ? "csa"
+                                                      : "label_correcting";
+  };
+  auto run_serial = [&](const char* name, router::RouterOptions opts) {
     router::Router router(&city.feed, opts);
-    core::LabelingEngine engine(&city, &router, {}, mode);
+    core::LabelingEngine engine(&city, &router);
     ModeResult r;
     r.name = name;
-    r.engine = opts.engine == router::RoutingEngine::kCsa ? "csa"
-                                                          : "label_correcting";
+    r.engine = engine_name(opts);
     util::Stopwatch watch;
     r.labels = engine.LabelZones(todam, zones, pois,
                                  core::CostKind::kJourneyTime,
@@ -130,47 +127,30 @@ exp::RunResult RunLabelingBench() {
     return r;
   };
 
-  // The baseline runs the original engine: binary heap, full-window
-  // boarding scans, unbounded relaxation.
-  router::RouterOptions seed_opts;
-  seed_opts.bounded_relaxation = false;
-  seed_opts.boarding_route_break = false;
-  seed_opts.bucket_queue = false;
-
   std::vector<ModeResult> results;
-  results.push_back(
-      run_serial("per-trip (seed)", seed_opts, core::LabelingMode::kPerTrip));
-  results.push_back(run_serial("per-trip+pruning", {},
-                               core::LabelingMode::kPerTrip));
-  results.push_back(run_serial("batched", {}, core::LabelingMode::kBatched));
-  results.push_back(
-      run_serial("csa batched", csa_opts, core::LabelingMode::kBatched));
-  results.push_back(
-      run_serial("csa profile", csa_opts, core::LabelingMode::kProfile));
+  results.push_back(run_serial("batched", {}));
+  results.push_back(run_serial("csa profile", csa_opts));
 
   int threads = Params().threads > 0
                     ? Params().threads
                     : static_cast<int>(
                           std::max(1u, std::thread::hardware_concurrency()));
   auto run_pooled = [&](const std::string& name, router::RouterOptions opts,
-                        core::LabelingMode mode, int participants) {
+                        int participants) {
     ModeResult r;
     r.name = name + "+pool(" + std::to_string(participants) + ")";
-    r.engine = opts.engine == router::RoutingEngine::kCsa ? "csa"
-                                                          : "label_correcting";
+    r.engine = engine_name(opts);
     util::Stopwatch watch;
     r.labels = core::LabelZonesParallel(
         city, todam, zones, pois, core::CostKind::kJourneyTime,
-        gtfs::Day::kTuesday, participants, opts, {}, &r.spqs, mode,
+        gtfs::Day::kTuesday, participants, opts, {}, &r.spqs,
         &r.expansions);
     r.seconds = watch.ElapsedSeconds();
     return r;
   };
-  results.push_back(
-      run_pooled("batched", {}, core::LabelingMode::kBatched, threads));
+  results.push_back(run_pooled("batched", {}, threads));
   for (int participants : {2, 4}) {
-    results.push_back(run_pooled("csa profile", csa_opts,
-                                 core::LabelingMode::kProfile, participants));
+    results.push_back(run_pooled("csa profile", csa_opts, participants));
   }
 
   // Equivalence gate: a throughput number for a mode that changes results
@@ -205,8 +185,8 @@ exp::RunResult RunLabelingBench() {
   double csa_speedup = results[0].seconds / csa_total;
   bool gate_passed = csa_speedup >= kCsaSpeedupFloor;
   bool target_met = csa_speedup >= kCsaTargetSpeedup;
-  std::printf("\n  gate: csa profile %.2fx vs seed (incl. %.3fs array build, "
-              "floor %.0fx) -> %s  [design target %.0fx: %s]\n",
+  std::printf("\n  gate: csa profile %.2fx vs batched (incl. %.3fs array "
+              "build, floor %.2fx) -> %s  [design target %.1fx: %s]\n",
               csa_speedup, connections->build_seconds(), kCsaSpeedupFloor,
               gate_passed ? "PASS" : "FAIL", kCsaTargetSpeedup,
               target_met ? "met" : "not met serially");
@@ -236,8 +216,8 @@ exp::RunResult RunLabelingBench() {
     w.EndObject();
   }
   w.EndArray();
-  w.Fixed("csa_speedup_floor", kCsaSpeedupFloor, 1);
-  w.Fixed("csa_target_speedup", kCsaTargetSpeedup, 1);
+  w.Fixed("csa_speedup_floor", kCsaSpeedupFloor, 2);
+  w.Fixed("csa_target_speedup", kCsaTargetSpeedup, 2);
   w.Fixed("csa_profile_speedup", csa_speedup, 4);
   w.Bool("gate_passed", gate_passed);
   w.Bool("target_met", target_met);

@@ -1,22 +1,17 @@
-// SSR training throughput: fast kernels vs the original implementations.
+// SSR training throughput and thread-count bit-identity.
 //
-// Training is the third cost component of Table II, and PR "fast SSR
-// kernels" rebuilt it: blocked GEMM/GEMV under ml::Matrix, incremental
-// cached kNN screening under COREG, and mini-batch forward/backward for the
-// neural models. Every fast path is bit-identical to the implementation it
-// replaced, and the originals are kept behind config foils:
-//   COREG  use_seed_screening  — full-rescan tentative add/remove screening
-//   MLP    per_sample_updates  — one-sample-at-a-time forward/backward
-//   MT     per_sample_updates  — ditto, plus per-sample noise/teacher passes
-// This bench fits every model both ways on a Table-VI-like dataset
-// (3217·scale zones, 20 features, β = 0.05), checks the predictions (and
-// COREG's pseudo-label count) bit-identical before reporting, then prints
-// fit/predict timings and speedups.
+// Training is the third cost component of Table II. This bench fits every
+// model on a Table-VI-like dataset (3217·scale zones, 20 features,
+// β = 0.05) and prints fit/predict timings. MLP and COREG fan their fits
+// out over `threads` workers; each is also fitted on one thread, and the
+// two fits' predictions (and COREG's pseudo-label count) must be
+// bit-identical before any number is reported. The outputs the training
+// paths once matched against their slower originals are pinned by
+// TrainingPathGoldenTest (tests/ml/model_golden_test.cc).
 //
-// Gate: COREG fit speedup must be >= 3x (the PR's acceptance floor); the
-// binary exits non-zero otherwise, so CI can run it as a perf regression
-// test. Output: paper-style table on stdout and BENCH_ml.json in
-// STAQ_BENCH_OUT.
+// Fit throughput (`fit_zones_per_s`) is gated against the checked-in
+// baseline by bench/baselines/policy.rules. Output: paper-style table on
+// stdout and BENCH_ml.json in STAQ_BENCH_OUT.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -36,8 +31,6 @@
 
 namespace staq::bench {
 namespace {
-
-constexpr double kCoregFitSpeedupGate = 3.0;
 
 struct Timed {
   double fit_s = 0.0;
@@ -76,16 +69,16 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
 
 struct ModelReport {
   std::string name;
-  Timed fast;
-  bool has_foil = false;
-  Timed foil;
+  Timed fit;
+  bool has_serial = false;  // fitted again on one thread
+  Timed serial;
   bool bit_identical = true;
 };
 
 }  // namespace
 
 exp::RunResult RunMlBench() {
-  PrintHeader("SSR training throughput: fast kernels vs seed implementations");
+  PrintHeader("SSR training throughput: threaded fits vs one thread");
 
   const size_t zones = std::max<size_t>(
       64, static_cast<size_t>(std::lround(3217.0 * BenchScale())));
@@ -105,98 +98,79 @@ exp::RunResult RunMlBench() {
     ModelReport r;
     r.name = "OLS";
     ml::OlsRegressor model;
-    r.fast = FitAndPredict(&model, data);
+    r.fit = FitAndPredict(&model, data);
     reports.push_back(std::move(r));
   }
   {
     ModelReport r;
     r.name = "MLP";
-    ml::MlpConfig fast_cfg;
-    fast_cfg.threads = threads;
-    ml::MlpRegressor fast(fast_cfg);
-    r.fast = FitAndPredict(&fast, data);
-    ml::MlpConfig foil_cfg;
-    foil_cfg.per_sample_updates = true;
-    ml::MlpRegressor foil(foil_cfg);
-    r.foil = FitAndPredict(&foil, data);
-    r.has_foil = true;
-    r.bit_identical = BitIdentical(r.fast.predictions, r.foil.predictions);
+    ml::MlpConfig config;
+    config.threads = threads;
+    ml::MlpRegressor model(config);
+    r.fit = FitAndPredict(&model, data);
+    config.threads = 1;
+    ml::MlpRegressor serial(config);
+    r.serial = FitAndPredict(&serial, data);
+    r.has_serial = true;
+    r.bit_identical = BitIdentical(r.fit.predictions, r.serial.predictions);
     reports.push_back(std::move(r));
   }
   {
     ModelReport r;
     r.name = "COREG";
-    ml::CoregConfig fast_cfg;
-    fast_cfg.threads = threads;
-    ml::Coreg fast(fast_cfg);
-    r.fast = FitAndPredict(&fast, data);
-    ml::CoregConfig foil_cfg;
-    foil_cfg.use_seed_screening = true;
-    ml::Coreg foil(foil_cfg);
-    r.foil = FitAndPredict(&foil, data);
-    r.has_foil = true;
+    ml::CoregConfig config;
+    config.threads = threads;
+    ml::Coreg model(config);
+    r.fit = FitAndPredict(&model, data);
+    config.threads = 1;
+    ml::Coreg serial(config);
+    r.serial = FitAndPredict(&serial, data);
+    r.has_serial = true;
     r.bit_identical =
-        BitIdentical(r.fast.predictions, r.foil.predictions) &&
-        r.fast.coreg_pseudo_labels == r.foil.coreg_pseudo_labels;
+        BitIdentical(r.fit.predictions, r.serial.predictions) &&
+        r.fit.coreg_pseudo_labels == r.serial.coreg_pseudo_labels;
     reports.push_back(std::move(r));
   }
   {
     ModelReport r;
     r.name = "MT";
-    ml::MeanTeacherConfig fast_cfg;
-    ml::MeanTeacher fast(fast_cfg);
-    r.fast = FitAndPredict(&fast, data);
-    ml::MeanTeacherConfig foil_cfg;
-    foil_cfg.per_sample_updates = true;
-    ml::MeanTeacher foil(foil_cfg);
-    r.foil = FitAndPredict(&foil, data);
-    r.has_foil = true;
-    r.bit_identical = BitIdentical(r.fast.predictions, r.foil.predictions);
+    ml::MeanTeacher model;
+    r.fit = FitAndPredict(&model, data);
     reports.push_back(std::move(r));
   }
   {
     ModelReport r;
     r.name = "GNN";
     ml::GnnRegressor model;
-    r.fast = FitAndPredict(&model, data);
+    r.fit = FitAndPredict(&model, data);
     reports.push_back(std::move(r));
   }
 
-  // Equivalence gate first: a speedup for a path that changes results
-  // would be meaningless.
+  // Equivalence gate first: the thread count must never be observable in
+  // a model, so a timing for a fit that depends on it would be meaningless.
   for (const ModelReport& r : reports) {
-    if (r.has_foil && !r.bit_identical) {
+    if (r.has_serial && !r.bit_identical) {
       std::fprintf(stderr,
-                   "FATAL: %s fast path is not bit-identical to its foil\n",
-                   r.name.c_str());
+                   "FATAL: %s %d-thread fit is not bit-identical to its "
+                   "1-thread fit\n",
+                   r.name.c_str(), threads);
       return {1, ""};
     }
   }
-  std::printf("  all fast paths bit-identical to their foils\n\n");
+  std::printf("  threaded fits bit-identical to 1-thread fits\n\n");
 
-  std::printf("  %-7s %10s %10s %12s %12s %9s %9s\n", "model", "fit_s",
-              "predict_s", "foil_fit_s", "zones/s", "fit_spd", "pred_spd");
+  std::printf("  %-7s %10s %12s %10s %12s %12s\n", "model", "fit_s",
+              "fit zones/s", "predict_s", "zones/s", "1-thread fit_s");
   for (const ModelReport& r : reports) {
-    double zps = static_cast<double>(zones) / r.fast.predict_s;
-    if (r.has_foil) {
-      std::printf("  %-7s %10.3f %10.4f %12.3f %12.0f %8.2fx %8.2fx\n",
-                  r.name.c_str(), r.fast.fit_s, r.fast.predict_s, r.foil.fit_s,
-                  zps, r.foil.fit_s / r.fast.fit_s,
-                  r.foil.predict_s / r.fast.predict_s);
+    std::printf("  %-7s %10.4f %12.0f %10.4f %12.0f", r.name.c_str(),
+                r.fit.fit_s, static_cast<double>(zones) / r.fit.fit_s,
+                r.fit.predict_s, static_cast<double>(zones) / r.fit.predict_s);
+    if (r.has_serial) {
+      std::printf(" %14.4f\n", r.serial.fit_s);
     } else {
-      std::printf("  %-7s %10.3f %10.4f %12s %12.0f %9s %9s\n", r.name.c_str(),
-                  r.fast.fit_s, r.fast.predict_s, "-", zps, "-", "-");
+      std::printf(" %14s\n", "-");
     }
   }
-
-  double coreg_speedup = 0.0;
-  for (const ModelReport& r : reports) {
-    if (r.name == "COREG") coreg_speedup = r.foil.fit_s / r.fast.fit_s;
-  }
-  bool gate_passed = coreg_speedup >= kCoregFitSpeedupGate;
-  std::printf("\n  COREG fit speedup %.2fx (gate >= %.1fx): %s\n",
-              coreg_speedup, kCoregFitSpeedupGate,
-              gate_passed ? "PASS" : "FAIL");
 
   JsonWriter w;
   w.BeginObject();
@@ -212,36 +186,25 @@ exp::RunResult RunMlBench() {
   for (const ModelReport& r : reports) {
     w.BeginObject();
     w.String("name", r.name);
-    w.Fixed("fit_s", r.fast.fit_s, 6);
-    w.Fixed("predict_s", r.fast.predict_s, 6);
+    w.Fixed("fit_s", r.fit.fit_s, 6);
+    w.Fixed("fit_zones_per_s", static_cast<double>(zones) / r.fit.fit_s, 1);
+    w.Fixed("predict_s", r.fit.predict_s, 6);
     w.Fixed("predict_zones_per_s",
-            static_cast<double>(zones) / r.fast.predict_s, 1);
-    if (r.has_foil) {
-      w.Fixed("foil_fit_s", r.foil.fit_s, 6);
-      w.Fixed("foil_predict_s", r.foil.predict_s, 6);
-      w.Fixed("fit_speedup", r.foil.fit_s / r.fast.fit_s, 4);
-      w.Fixed("predict_speedup", r.foil.predict_s / r.fast.predict_s, 4);
+            static_cast<double>(zones) / r.fit.predict_s, 1);
+    if (r.has_serial) {
+      w.Fixed("serial_fit_s", r.serial.fit_s, 6);
       w.Bool("bit_identical", true);
     }
-    if (r.fast.coreg_pseudo_labels >= 0) {
-      w.Int("pseudo_labels", r.fast.coreg_pseudo_labels);
+    if (r.fit.coreg_pseudo_labels >= 0) {
+      w.Int("pseudo_labels", r.fit.coreg_pseudo_labels);
     }
     w.EndObject();
   }
   w.EndArray();
-  w.Fixed("coreg_fit_speedup", coreg_speedup, 4);
-  w.Fixed("coreg_fit_speedup_gate", kCoregFitSpeedupGate, 1);
-  w.Bool("gate_passed", gate_passed);
   w.EndObject();
   std::string json = w.Take();
   EmitBenchJson("ml", json);
-
-  int exit_code = gate_passed ? 0 : 1;
-  if (!gate_passed && Params().relax_gates) {
-    std::printf("  (gate relaxed: reporting only)\n");
-    exit_code = 0;
-  }
-  return {exit_code, std::move(json)};
+  return {0, std::move(json)};
 }
 
 }  // namespace staq::bench

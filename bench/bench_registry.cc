@@ -10,7 +10,7 @@ const std::vector<BenchInfo>& BenchTable() {
   static const std::vector<BenchInfo> kTable = {
       {"labeling", "perf", "zone-labeling throughput + CSA speedup gate",
        &RunLabelingBench},
-      {"ml", "perf", "SSR model fit/predict throughput + COREG gate",
+      {"ml", "perf", "SSR model fit/predict throughput + thread bit-identity",
        &RunMlBench},
       {"store", "perf", "snapshot warm-start vs cold rebuild gate",
        &RunStoreBench},

@@ -106,12 +106,6 @@ exp::RunResult RunServeBench() {
       Params().threads > 0
           ? static_cast<unsigned>(Params().threads)
           : std::max(2u, std::thread::hardware_concurrency());
-  // STAQ_SERVE_ENGINE=label_correcting runs the identical workload on the
-  // pre-CSA engine — the apples-to-apples baseline for the cold/mutation
-  // means reported by the default (csa) run.
-  if (Params().engine == "label_correcting") {
-    options.scenario.router = router::RouterOptions{};
-  }
   serve::AqServer server(std::move(city), gtfs::WeekdayAmPeak(), options);
   const router::RouterOptions& router_opts = server.router_options();
   const char* engine_name =

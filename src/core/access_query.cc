@@ -131,20 +131,6 @@ util::Result<std::vector<AccessQueryResult>> AccessQueryEngine::QueryVector(
   std::vector<double> member_costs;
   for (synth::PoiCategory cat : categories) {
     for (uint64_t seed : seeds) {
-      if (!spec.use_columnar) {
-        // Scalar foil: each derived member is an independent full query.
-        for (const CostMember& m : members) {
-          AccessQueryOptions options = base;
-          options.seed = seed;
-          options.cost = m.cost;
-          options.gac = m.gac;
-          auto result = Query(cat, options);
-          if (!result.ok()) return result.status();
-          out.push_back(std::move(result.value()));
-        }
-        continue;
-      }
-
       std::vector<synth::Poi> pois = city_.PoisOf(cat);
       if (pois.empty()) {
         return util::Status::NotFound("no POIs of requested category");

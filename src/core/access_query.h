@@ -70,10 +70,6 @@ struct VectorQuerySpec {
   std::vector<synth::PoiCategory> categories;
   std::vector<uint64_t> seeds;
   std::vector<CostMember> cost_members;
-  /// false selects the scalar foil: one independent Query per derived
-  /// member, sharing nothing. Kept for equivalence tests and the
-  /// bench_load speedup gate.
-  bool use_columnar = true;
 };
 
 /// Owns a city and serves access queries against it.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/columnar.h"
-#include "util/check.h"
 
 namespace staq::core {
 
@@ -20,9 +19,8 @@ const char* CostKindName(CostKind kind) {
 
 LabelingEngine::LabelingEngine(const synth::City* city,
                                router::Router* router,
-                               router::GacWeights gac_weights,
-                               LabelingMode mode)
-    : city_(city), router_(router), gac_weights_(gac_weights), mode_(mode) {}
+                               router::GacWeights gac_weights)
+    : city_(city), router_(router), gac_weights_(gac_weights) {}
 
 void LabelingEngine::SetRouter(router::Router* router) {
   router_ = router;
@@ -50,84 +48,81 @@ const std::vector<router::WalkHop>& LabelingEngine::CachedAccessStops(
 ZoneLabel LabelingEngine::LabelZone(const Todam& todam, uint32_t zone,
                                     const std::vector<synth::Poi>& pois,
                                     CostKind kind, gtfs::Day day) {
-  LabelingMode mode = mode_;
-  if (mode == LabelingMode::kAuto) {
-    mode = router_->csa() != nullptr ? LabelingMode::kProfile
-                                     : LabelingMode::kBatched;
-  }
-  switch (mode) {
-    case LabelingMode::kPerTrip:
-      return LabelZonePerTrip(todam, zone, pois, kind, day);
-    case LabelingMode::kProfile:
-      return LabelZoneProfile(todam, zone, pois, kind, day);
-    default:
-      return LabelZoneBatched(todam, zone, pois, kind, day);
-  }
-}
-
-ZoneLabel LabelingEngine::LabelZonePerTrip(const Todam& todam, uint32_t zone,
-                                           const std::vector<synth::Poi>& pois,
-                                           CostKind kind, gtfs::Day day) {
-  ZoneLabel label;
-  const geo::Point& origin = city_->zones[zone].centroid;
-  double sum = 0.0, sum_sq = 0.0;
-  uint32_t feasible = 0;
-
-  const std::vector<TripEntry>& trips = todam.TripsFor(zone);
-  for (size_t i = 0; i < trips.size(); ++i) {
-    const TripEntry& trip = trips[i];
-    router::Journey journey = router_->Route(origin, pois[trip.poi].position,
-                                             day, trip.depart);
-    ++spq_count_;
-    ++expansion_count_;
-    ++label.num_trips;
-    if (capture_ != nullptr) capture_->Record(capture_base_ + i, journey);
-    if (!journey.feasible) {
-      ++label.num_infeasible;
-      continue;
-    }
-    if (journey.IsWalkOnly()) ++label.num_walk_only;
-    double cost = kind == CostKind::kJourneyTime
-                      ? journey.JourneyTimeSeconds()
-                      : router::GeneralizedAccessCost(journey, gac_weights_);
-    sum += cost;
-    sum_sq += cost * cost;
-    ++feasible;
-  }
-
-  if (feasible > 0) {
-    double n = static_cast<double>(feasible);
-    label.mac = sum / n;
-    double var = sum_sq / n - label.mac * label.mac;
-    label.acsd = var > 0 ? std::sqrt(var) : 0.0;
-  }
-  return label;
-}
-
-ZoneLabel LabelingEngine::LabelZoneBatched(const Todam& todam, uint32_t zone,
-                                           const std::vector<synth::Poi>& pois,
-                                           CostKind kind, gtfs::Day day) {
   ZoneLabel label;
   const std::vector<TripEntry>& trips = todam.TripsFor(zone);
   label.num_trips = static_cast<uint32_t>(trips.size());
   spq_count_ += trips.size();
   if (trips.empty()) return label;
 
-  const geo::Point& origin = city_->zones[zone].centroid;
-  const std::vector<router::WalkHop>& origin_access = CachedAccessStops(zone);
-
+  // Trip indices sorted by departure: both strategies walk the zone's
+  // departure groups in this order.
   order_.resize(trips.size());
   for (uint32_t i = 0; i < trips.size(); ++i) order_[i] = i;
   std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
     return trips[a].depart < trips[b].depart;
   });
-
   if (poi_stamp_.size() < pois.size()) {
     poi_stamp_.resize(pois.size(), 0);
     poi_slot_.resize(pois.size(), 0);
   }
   trip_cost_.resize(trips.size());
   trip_flags_.resize(trips.size());
+
+  if (router_->csa() != nullptr) {
+    RouteZoneWindow(trips, zone, pois, kind, day);
+  } else {
+    RouteZoneGroups(trips, zone, pois, kind, day);
+  }
+  AggregateInTripOrder(&label);
+  return label;
+}
+
+void LabelingEngine::RecordTrip(uint32_t idx, const router::Journey& journey,
+                                CostKind kind) {
+  if (capture_ != nullptr) capture_->Record(capture_base_ + idx, journey);
+  uint8_t flags = 0;
+  double cost = 0.0;
+  if (journey.feasible) {
+    flags |= 1;
+    if (journey.IsWalkOnly()) flags |= 2;
+    cost = kind == CostKind::kJourneyTime
+               ? journey.JourneyTimeSeconds()
+               : router::GeneralizedAccessCost(journey, gac_weights_);
+  }
+  trip_cost_[idx] = cost;
+  trip_flags_[idx] = flags;
+}
+
+void LabelingEngine::AggregateInTripOrder(ZoneLabel* label) const {
+  // ORIGINAL trip order, so the floating-point sums equal one Route per
+  // trip accumulated as the TODAM lists them, bit for bit.
+  double sum = 0.0, sum_sq = 0.0;
+  uint32_t feasible = 0;
+  for (size_t i = 0; i < label->num_trips; ++i) {
+    if (!(trip_flags_[i] & 1)) {
+      ++label->num_infeasible;
+      continue;
+    }
+    if (trip_flags_[i] & 2) ++label->num_walk_only;
+    double cost = trip_cost_[i];
+    sum += cost;
+    sum_sq += cost * cost;
+    ++feasible;
+  }
+  if (feasible > 0) {
+    double n = static_cast<double>(feasible);
+    label->mac = sum / n;
+    double var = sum_sq / n - label->mac * label->mac;
+    label->acsd = var > 0 ? std::sqrt(var) : 0.0;
+  }
+}
+
+void LabelingEngine::RouteZoneGroups(const std::vector<TripEntry>& trips,
+                                     uint32_t zone,
+                                     const std::vector<synth::Poi>& pois,
+                                     CostKind kind, gtfs::Day day) {
+  const geo::Point& origin = city_->zones[zone].centroid;
+  const std::vector<router::WalkHop>& origin_access = CachedAccessStops(zone);
 
   // One RouteMany per departure group, with repeated POIs inside a group
   // collapsed to a single target.
@@ -155,81 +150,22 @@ ZoneLabel LabelingEngine::LabelZoneBatched(const Todam& todam, uint32_t zone,
     ++expansion_count_;
 
     for (size_t k = g; k < g_end; ++k) {
-      const router::Journey& journey = group_journeys_[group_slots_[k - g]];
-      uint32_t idx = order_[k];
-      if (capture_ != nullptr) capture_->Record(capture_base_ + idx, journey);
-      uint8_t flags = 0;
-      double cost = 0.0;
-      if (journey.feasible) {
-        flags |= 1;
-        if (journey.IsWalkOnly()) flags |= 2;
-        cost = kind == CostKind::kJourneyTime
-                   ? journey.JourneyTimeSeconds()
-                   : router::GeneralizedAccessCost(journey, gac_weights_);
-      }
-      trip_cost_[idx] = cost;
-      trip_flags_[idx] = flags;
+      RecordTrip(order_[k], group_journeys_[group_slots_[k - g]], kind);
     }
     g = g_end;
   }
-
-  // Accumulate in ORIGINAL trip order so the floating-point sums match the
-  // per-trip path bit for bit.
-  double sum = 0.0, sum_sq = 0.0;
-  uint32_t feasible = 0;
-  for (size_t i = 0; i < trips.size(); ++i) {
-    if (!(trip_flags_[i] & 1)) {
-      ++label.num_infeasible;
-      continue;
-    }
-    if (trip_flags_[i] & 2) ++label.num_walk_only;
-    double cost = trip_cost_[i];
-    sum += cost;
-    sum_sq += cost * cost;
-    ++feasible;
-  }
-
-  if (feasible > 0) {
-    double n = static_cast<double>(feasible);
-    label.mac = sum / n;
-    double var = sum_sq / n - label.mac * label.mac;
-    label.acsd = var > 0 ? std::sqrt(var) : 0.0;
-  }
-  return label;
 }
 
-ZoneLabel LabelingEngine::LabelZoneProfile(const Todam& todam, uint32_t zone,
-                                           const std::vector<synth::Poi>& pois,
-                                           CostKind kind, gtfs::Day day) {
-  router::CsaEngine* csa = router_->csa();
-  STAQ_CHECK(csa != nullptr,
-             "LabelingMode::kProfile requires RoutingEngine::kCsa");
-
-  ZoneLabel label;
-  const std::vector<TripEntry>& trips = todam.TripsFor(zone);
-  label.num_trips = static_cast<uint32_t>(trips.size());
-  spq_count_ += trips.size();
-  if (trips.empty()) return label;
-
+void LabelingEngine::RouteZoneWindow(const std::vector<TripEntry>& trips,
+                                     uint32_t zone,
+                                     const std::vector<synth::Poi>& pois,
+                                     CostKind kind, gtfs::Day day) {
   const geo::Point& origin = city_->zones[zone].centroid;
   const std::vector<router::WalkHop>& origin_access = CachedAccessStops(zone);
-
-  order_.resize(trips.size());
-  for (uint32_t i = 0; i < trips.size(); ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
-    return trips[a].depart < trips[b].depart;
-  });
-
-  if (poi_stamp_.size() < pois.size()) {
-    poi_stamp_.resize(pois.size(), 0);
-    poi_slot_.resize(pois.size(), 0);
-  }
   if (poi_zone_stamp_.size() < pois.size()) {
     poi_zone_stamp_.resize(pois.size(), 0);
     poi_zone_slot_.resize(pois.size(), 0);
   }
-  trip_cost_.resize(trips.size());
-  trip_flags_.resize(trips.size());
 
   // Every departure group becomes one lane of a single window scan. The
   // zone's POIs are deduplicated twice: once zone-wide (the unique-target
@@ -276,50 +212,14 @@ ZoneLabel LabelingEngine::LabelZoneProfile(const Todam& todam, uint32_t zone,
     lanes_[l].num_targets = lane_offsets_[l + 1] - lane_offsets_[l];
     lanes_[l].out = profile_journeys_.data() + lane_offsets_[l];
   }
-  csa->RouteWindow(origin, unique_points_.data(), unique_points_.size(),
-                   lanes_.data(), lanes_.size(), day, &origin_access);
+  router_->csa()->RouteWindow(origin, unique_points_.data(),
+                              unique_points_.size(), lanes_.data(),
+                              lanes_.size(), day, &origin_access);
   ++expansion_count_;
 
   for (size_t k = 0; k < order_.size(); ++k) {
-    const router::Journey& journey = profile_journeys_[group_slots_[k]];
-    uint32_t idx = order_[k];
-    if (capture_ != nullptr) capture_->Record(capture_base_ + idx, journey);
-    uint8_t flags = 0;
-    double cost = 0.0;
-    if (journey.feasible) {
-      flags |= 1;
-      if (journey.IsWalkOnly()) flags |= 2;
-      cost = kind == CostKind::kJourneyTime
-                 ? journey.JourneyTimeSeconds()
-                 : router::GeneralizedAccessCost(journey, gac_weights_);
-    }
-    trip_cost_[idx] = cost;
-    trip_flags_[idx] = flags;
+    RecordTrip(order_[k], profile_journeys_[group_slots_[k]], kind);
   }
-
-  // Accumulate in ORIGINAL trip order so the floating-point sums match the
-  // per-trip path bit for bit.
-  double sum = 0.0, sum_sq = 0.0;
-  uint32_t feasible = 0;
-  for (size_t i = 0; i < trips.size(); ++i) {
-    if (!(trip_flags_[i] & 1)) {
-      ++label.num_infeasible;
-      continue;
-    }
-    if (trip_flags_[i] & 2) ++label.num_walk_only;
-    double cost = trip_cost_[i];
-    sum += cost;
-    sum_sq += cost * cost;
-    ++feasible;
-  }
-
-  if (feasible > 0) {
-    double n = static_cast<double>(feasible);
-    label.mac = sum / n;
-    double var = sum_sq / n - label.mac * label.mac;
-    label.acsd = var > 0 ? std::sqrt(var) : 0.0;
-  }
-  return label;
 }
 
 ZoneLabel LabelingEngine::CaptureZoneCosts(const Todam& todam, uint32_t zone,

@@ -8,14 +8,16 @@
 // the whole solution and is proportional to β — the scalability lever of
 // §IV-E.
 //
-// Two execution strategies produce bit-identical labels:
-//  * kPerTrip issues one Router::Route call per TODAM trip (the original
-//    formulation, kept as the equivalence baseline);
-//  * kBatched groups a zone's trips by departure time and answers each
-//    group with one Router::RouteMany expansion, deduplicating repeated
-//    POIs within a group and reusing the zone's access-stop lookup across
-//    all groups. Costs are still accumulated in original trip order, so
-//    the floating-point aggregates match the per-trip path exactly.
+// The engine never routes trip by trip. It sorts a zone's trips by
+// departure and deduplicates repeated POIs, then follows the bound router:
+//  * on the label-correcting router, each departure group is one
+//    Router::RouteMany expansion;
+//  * on a router with a CSA engine, the whole zone is one
+//    CsaEngine::RouteWindow scan with one lane per departure group.
+// Both reuse the zone's access-stop lookup across groups and accumulate
+// costs in original trip order, so the floating-point aggregates equal one
+// Router::Route per trip bit for bit (tests/testing/per_trip_labeling.h is
+// that reference loop).
 #pragma once
 
 #include <cstdint>
@@ -36,22 +38,6 @@ enum class CostKind {
 
 const char* CostKindName(CostKind kind);
 
-/// How the engine dispatches a zone's SPQs to the router. All modes give
-/// bit-identical ZoneLabels; kBatched shares one expansion per departure
-/// group, kProfile shares ONE connection-scan sweep across every departure
-/// group of the zone.
-enum class LabelingMode {
-  kBatched,
-  kPerTrip,
-  /// One CsaEngine::RouteWindow per zone: every departure group becomes a
-  /// lane of a single profile scan. Requires the bound Router to run
-  /// RoutingEngine::kCsa (checked at labeling time).
-  kProfile,
-  /// Resolves per call: kProfile when the bound Router has a CSA engine,
-  /// kBatched otherwise. The default for the parallel pipeline and serve.
-  kAuto,
-};
-
 /// Zone-level label: the access measures of §III-D restricted to one zone.
 struct ZoneLabel {
   double mac = 0.0;   // mean access cost
@@ -67,12 +53,11 @@ struct TripCostColumns;  // core/columnar.h
 /// engine per thread.
 class LabelingEngine {
  public:
-  /// `city` and `router` must outlive the engine. The default kAuto mode
-  /// follows the router's engine: window scans when it runs CSA, batched
-  /// expansions otherwise.
+  /// `city` and `router` must outlive the engine. Labeling follows the
+  /// router's engine: window scans when it runs CSA, grouped expansions
+  /// otherwise.
   LabelingEngine(const synth::City* city, router::Router* router,
-                 router::GacWeights gac_weights = {},
-                 LabelingMode mode = LabelingMode::kAuto);
+                 router::GacWeights gac_weights = {});
 
   /// Labels one zone: resolves every trip of `zone` in `todam` against the
   /// given POI set and aggregates `kind` costs. Infeasible trips are
@@ -91,7 +76,7 @@ class LabelingEngine {
   /// LabelZone while appending every trip's cost *basis* (JT seconds, the
   /// five GAC components, fare) to `columns` in original trip order. One
   /// captured pass derives any number of cost definitions bit-identically
-  /// — journeys do not depend on the cost kind. Routing mode, SPQ
+  /// — journeys do not depend on the cost kind. Routing strategy, SPQ
   /// accounting and the returned label (kJourneyTime) are unchanged.
   ZoneLabel CaptureZoneCosts(const Todam& todam, uint32_t zone,
                              const std::vector<synth::Poi>& pois,
@@ -113,30 +98,37 @@ class LabelingEngine {
   void set_gac_weights(router::GacWeights weights) { gac_weights_ = weights; }
 
   /// Total SPQs answered since construction (for cost accounting). One per
-  /// TODAM trip regardless of mode — batching changes how queries are
+  /// TODAM trip regardless of engine — batching changes how queries are
   /// executed, not how many are asked.
   uint64_t spq_count() const { return spq_count_; }
 
-  /// Router expansions actually dispatched. Equals spq_count() in kPerTrip
-  /// mode; in kBatched mode each departure group costs one expansion; in
-  /// kProfile mode each zone costs one window scan.
+  /// Router expansions actually dispatched: on the label-correcting router
+  /// each departure group costs one expansion, on CSA each zone with trips
+  /// costs one window scan.
   uint64_t expansion_count() const { return expansion_count_; }
 
  private:
-  ZoneLabel LabelZonePerTrip(const Todam& todam, uint32_t zone,
-                             const std::vector<synth::Poi>& pois,
-                             CostKind kind, gtfs::Day day);
-  ZoneLabel LabelZoneBatched(const Todam& todam, uint32_t zone,
-                             const std::vector<synth::Poi>& pois,
-                             CostKind kind, gtfs::Day day);
-  ZoneLabel LabelZoneProfile(const Todam& todam, uint32_t zone,
-                             const std::vector<synth::Poi>& pois,
-                             CostKind kind, gtfs::Day day);
+  /// Routes every trip of `zone` (already sorted into order_) and records
+  /// each journey at its original index: one RouteMany per departure
+  /// group on the label-correcting router, or one window scan whose lanes
+  /// are the departure groups on a CSA router.
+  void RouteZoneGroups(const std::vector<TripEntry>& trips, uint32_t zone,
+                       const std::vector<synth::Poi>& pois, CostKind kind,
+                       gtfs::Day day);
+  void RouteZoneWindow(const std::vector<TripEntry>& trips, uint32_t zone,
+                       const std::vector<synth::Poi>& pois, CostKind kind,
+                       gtfs::Day day);
+  /// Records original trip `idx`'s journey: its cost and flags, and its
+  /// cost basis when capturing.
+  void RecordTrip(uint32_t idx, const router::Journey& journey,
+                  CostKind kind);
+  /// Folds the recorded trips (label->num_trips of them) into MAC/ACSD and
+  /// the infeasible/walk-only counts.
+  void AggregateInTripOrder(ZoneLabel* label) const;
 
   const synth::City* city_;
   router::Router* router_;
   router::GacWeights gac_weights_;
-  LabelingMode mode_;
   uint64_t spq_count_ = 0;
   uint64_t expansion_count_ = 0;
 
@@ -146,17 +138,17 @@ class LabelingEngine {
   TripCostColumns* capture_ = nullptr;
   size_t capture_base_ = 0;
 
-  /// The zone's access stops, from the per-zone cache when warm. Batched
-  /// mode only; the serve hot path relabels the same zones over and over,
-  /// which makes the walk-table lookup worth caching across calls.
+  /// The zone's access stops, from the per-zone cache when warm. The serve
+  /// hot path relabels the same zones over and over, which makes the
+  /// walk-table lookup worth caching across calls.
   const std::vector<router::WalkHop>& CachedAccessStops(uint32_t zone);
 
-  // Per-zone AccessStops cache (batched mode). zone_access_valid_[z] gates
-  // zone_access_[z]; InvalidateAccessStopCache / SetRouter reset it.
+  // Per-zone AccessStops cache. zone_access_valid_[z] gates zone_access_[z];
+  // InvalidateAccessStopCache / SetRouter reset it.
   std::vector<std::vector<router::WalkHop>> zone_access_;
   std::vector<uint8_t> zone_access_valid_;
 
-  // Batched-mode scratch (capacity persists across zones).
+  // Scratch shared by both strategies (capacity persists across zones).
   std::vector<uint32_t> order_;          // trip indices sorted by departure
   std::vector<uint64_t> poi_stamp_;      // per-POI: last group it appeared in
   std::vector<uint32_t> poi_slot_;       // per-POI: its slot in that group
@@ -168,7 +160,7 @@ class LabelingEngine {
   std::vector<uint8_t> trip_flags_;      // bit0 feasible, bit1 walk-only
   std::vector<geo::Neighbor> neighbor_scratch_;
 
-  // Profile-mode scratch: the zone's POIs deduplicated once across every
+  // Window-scan scratch: the zone's POIs deduplicated once across every
   // departure group (poi_zone_* stamps, like the per-group poi_* pair), one
   // WindowLane per group, and the lanes' target/journey lists stored flat
   // so lane pointers index into two shared arrays.

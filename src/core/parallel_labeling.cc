@@ -14,7 +14,7 @@ std::vector<ZoneLabel> LabelZonesParallel(
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,
     CostKind kind, gtfs::Day day, int num_threads,
     const router::RouterOptions& router_options,
-    router::GacWeights gac_weights, uint64_t* total_spqs, LabelingMode mode,
+    router::GacWeights gac_weights, uint64_t* total_spqs,
     uint64_t* total_expansions) {
   // Build (or adopt) the connection array once, outside the participants:
   // each per-participant Router then shares the immutable array instead of
@@ -27,7 +27,7 @@ std::vector<ZoneLabel> LabelZonesParallel(
 
   if (num_threads <= 1 || zones.size() <= 1) {
     router::Router router(&city.feed, options);
-    LabelingEngine engine(&city, &router, gac_weights, mode);
+    LabelingEngine engine(&city, &router, gac_weights);
     auto labels = engine.LabelZones(todam, zones, pois, kind, day);
     if (total_spqs != nullptr) *total_spqs = engine.spq_count();
     if (total_expansions != nullptr) {
@@ -43,11 +43,10 @@ std::vector<ZoneLabel> LabelZonesParallel(
   /// participant ends (the chunk function owning it is destroyed).
   struct Participant {
     Participant(const synth::City& city, const router::RouterOptions& options,
-                router::GacWeights gac, LabelingMode mode,
-                std::atomic<uint64_t>* spqs_out,
+                router::GacWeights gac, std::atomic<uint64_t>* spqs_out,
                 std::atomic<uint64_t>* expansions_out)
         : router(&city.feed, options),
-          engine(&city, &router, gac, mode),
+          engine(&city, &router, gac),
           spqs(spqs_out),
           expansions(expansions_out) {}
     ~Participant() {
@@ -65,7 +64,7 @@ std::vector<ZoneLabel> LabelZonesParallel(
       util::ThreadPool::Shared(), zones.size(), loop,
       [&](bool /*helper*/) -> util::LoopTask {
         auto participant = std::make_shared<Participant>(
-            city, options, gac_weights, mode, &spqs, &expansions);
+            city, options, gac_weights, &spqs, &expansions);
         return [&, participant](size_t i) -> util::LoopStore {
           labels[i] =
               participant->engine.LabelZone(todam, zones[i], pois, kind, day);

@@ -29,14 +29,13 @@ namespace staq::core {
 ///
 /// With RoutingEngine::kCsa the connection array is built (or taken from
 /// router_options.connections) ONCE and shared read-only by every worker's
-/// Router; the default kAuto mode then labels via window scans.
+/// Router, and every zone is labeled by one window scan.
 std::vector<ZoneLabel> LabelZonesParallel(
     const synth::City& city, const Todam& todam,
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,
     CostKind kind, gtfs::Day day, int num_threads,
     const router::RouterOptions& router_options = {},
     router::GacWeights gac_weights = {}, uint64_t* total_spqs = nullptr,
-    LabelingMode mode = LabelingMode::kAuto,
     uint64_t* total_expansions = nullptr);
 
 }  // namespace staq::core

@@ -146,12 +146,12 @@ util::Result<SsrSample> LabelSsrSample(
   watch.Reset();
   std::vector<ZoneLabel> labels;
   if (config.labeling_threads > 1) {
-    // The router's own options: threaded labeling must route (and pick
-    // the labeling mode) exactly like the serial path.
+    // The router's own options: threaded labeling must route (and so
+    // label) exactly like the serial path.
     labels = LabelZonesParallel(city, todam, result.labeled, pois,
                                 config.cost, day, config.labeling_threads,
                                 router->options(), config.gac, &result.spqs,
-                                LabelingMode::kAuto, &result.expansions);
+                                &result.expansions);
   } else {
     LabelingEngine labeler(&city, router, config.gac);
     labels = labeler.LabelZones(todam, result.labeled, pois, config.cost, day);
@@ -221,8 +221,7 @@ GroundTruth SsrPipeline::ComputeGroundTruth(
   if (num_threads > 1) {
     labels = LabelZonesParallel(*city_, todam, all, pois, cost, interval_.day,
                                 num_threads, router_->options(), gac,
-                                &truth.spqs, LabelingMode::kAuto,
-                                &truth.expansions);
+                                &truth.spqs, &truth.expansions);
   } else {
     LabelingEngine labeler(city_, router_.get(), gac);
     labels = labeler.LabelZones(todam, all, pois, cost, interval_.day);

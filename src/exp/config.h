@@ -18,8 +18,8 @@
 // '#' comments, blank lines anywhere. Every parse error names its
 // line:column. Keys are free-form ([a-z0-9_]); the bench side decides
 // which it understands ("bench" is required, "scale"/"rate"/"seed"/
-// "threads"/"engine"/"relax_gates" configure the shared bench parameters,
-// anything else reaches the bench as an extra parameter).
+// "threads"/"spq_budget_ms"/"relax_gates" configure the shared bench
+// parameters, anything else reaches the bench as an extra parameter).
 //
 // Expansion order is deterministic (blocks in file order; within a block
 // the odometer ticks the last-declared key fastest), so two runs of the

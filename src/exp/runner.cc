@@ -180,8 +180,8 @@ std::string BuildTables(const std::vector<CellOutcome>& outcomes) {
   // --- per-cell summary ---------------------------------------------------
   out += util::Format("%-14s %-10s %5s %6s  %s\n", "matrix", "bench", "exit",
                       "cached", "params / headline");
-  const char* headline_metrics[] = {"csa_profile_speedup", "coreg_fit_speedup",
-                                    "speedup", "jt_mae_min"};
+  const char* headline_metrics[] = {"csa_profile_speedup", "speedup",
+                                    "jt_mae_min"};
   for (const CellOutcome& o : outcomes) {
     std::string headline;
     if (!o.json.empty()) {

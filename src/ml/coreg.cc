@@ -15,34 +15,6 @@ namespace {
 /// the thread count never changes which slot a candidate lands in.
 constexpr size_t kScreenChunkSlots = 8;
 
-/// Original screening criterion, kept as the benchmark foil: error
-/// reduction over `candidate`'s labeled neighbourhood when (candidate,
-/// pseudo_label) is tentatively added to `model`, recomputing every
-/// neighbourhood from scratch around a real add/remove. Positive means the
-/// addition helps (Zhou & Li's confidence criterion).
-double ErrorReductionSeed(KnnCore* model, const double* candidate, size_t dim,
-                          double pseudo_label) {
-  auto neighborhood = model->Neighbors(candidate, dim);
-  if (neighborhood.empty()) return 0.0;
-
-  double before = 0.0;
-  for (uint32_t i : neighborhood) {
-    double pred = model->PredictOneExcluding(model->features(i), dim, i);
-    double err = model->target(i) - pred;
-    before += err * err;
-  }
-
-  model->Add(std::vector<double>(candidate, candidate + dim), pseudo_label);
-  double after = 0.0;
-  for (uint32_t i : neighborhood) {
-    double pred = model->PredictOneExcluding(model->features(i), dim, i);
-    double err = model->target(i) - pred;
-    after += err * err;
-  }
-  model->RemoveLast();
-  return before - after;
-}
-
 /// Incremental screening state for one component regressor. Holds, for
 /// every stored example, its leave-one-out neighbour list and cached
 /// squared LOO error, and for every pool candidate its top-k list; all of
@@ -93,10 +65,12 @@ class ScreeningState {
 
   void EraseCandidate(uint32_t zone) { candidates_.erase(zone); }
 
-  /// Error reduction for one candidate; also reports its pseudo-label.
-  /// Bit-identical to ErrorReductionSeed (with the pseudo-label from
-  /// PredictOne) by construction: every sum below accumulates the same
-  /// terms in the same order the seed paths produced them.
+  /// Error reduction for one candidate; also reports its pseudo-label
+  /// (Zhou & Li's criterion: the squared LOO error over the candidate's
+  /// labeled neighbourhood before minus after a tentative add, labeled with
+  /// the regressor's own prediction). Every sum accumulates its terms in
+  /// the order a real add/remove followed by full neighbourhood rescans
+  /// would.
   double Screen(uint32_t zone, const double* row, NeighborScratch* scratch,
                 double* pseudo_out) {
     CachedNeighbors& cache = candidates_.find(zone)->second;
@@ -186,48 +160,34 @@ util::Status Coreg::Fit(const Dataset& data) {
     KnnCore* models[2] = {h1_.get(), h2_.get()};
     ScreeningState* states[2] = {&s1, &s2};
     for (int j = 0; j < 2; ++j) {
-      KnnCore* self = models[j];
       KnnCore* other = models[1 - j];
 
       double best_delta = 0.0;
       size_t best_pos = SIZE_MAX;
       double best_label = 0.0;
-      if (config_.use_seed_screening) {
-        for (size_t p = 0; p < pool_end; ++p) {
-          const double* row = x_all_scaled_.row(unlabeled[p]);
-          double pseudo = self->PredictOne(row, dim);
-          double delta = ErrorReductionSeed(self, row, dim, pseudo);
-          if (delta > best_delta) {
-            best_delta = delta;
-            best_pos = p;
-            best_label = pseudo;
-          }
-        }
-      } else {
-        ScreeningState* state = states[j];
-        state->SyncStore(&scratch);
-        state->EnsureCandidates(unlabeled, pool_end);
-        deltas.assign(pool_end, 0.0);
-        pseudos.assign(pool_end, 0.0);
-        // Read-only screening over per-slot buffers: safe to fan out, and
-        // the serial ascending-slot argmax below keeps selection (and so
-        // the whole fit) bit-identical for any thread count.
-        ForEachChunk(config_.threads, pool_end, kScreenChunkSlots,
-                     [&](size_t, size_t begin, size_t end) {
-                       NeighborScratch local;
-                       for (size_t p = begin; p < end; ++p) {
-                         const uint32_t zone = unlabeled[p];
-                         deltas[p] = state->Screen(
-                             zone, x_all_scaled_.row(zone), &local,
-                             &pseudos[p]);
-                       }
-                     });
-        for (size_t p = 0; p < pool_end; ++p) {
-          if (deltas[p] > best_delta) {
-            best_delta = deltas[p];
-            best_pos = p;
-            best_label = pseudos[p];
-          }
+      ScreeningState* state = states[j];
+      state->SyncStore(&scratch);
+      state->EnsureCandidates(unlabeled, pool_end);
+      deltas.assign(pool_end, 0.0);
+      pseudos.assign(pool_end, 0.0);
+      // Read-only screening over per-slot buffers: safe to fan out, and
+      // the serial ascending-slot argmax below keeps selection (and so
+      // the whole fit) bit-identical for any thread count.
+      ForEachChunk(config_.threads, pool_end, kScreenChunkSlots,
+                   [&](size_t, size_t begin, size_t end) {
+                     NeighborScratch local;
+                     for (size_t p = begin; p < end; ++p) {
+                       const uint32_t zone = unlabeled[p];
+                       deltas[p] = state->Screen(
+                           zone, x_all_scaled_.row(zone), &local,
+                           &pseudos[p]);
+                     }
+                   });
+      for (size_t p = 0; p < pool_end; ++p) {
+        if (deltas[p] > best_delta) {
+          best_delta = deltas[p];
+          best_pos = p;
+          best_label = pseudos[p];
         }
       }
       if (best_pos != SIZE_MAX) {

@@ -8,10 +8,9 @@
 // Pool screening runs on incremental caches (per-candidate top-k lists and
 // per-stored-example leave-one-out neighbourhoods, both updated in O(k) per
 // pseudo-label add) instead of rescanning the full store per candidate per
-// iteration; the resulting model is bit-identical to the original
-// rescanning implementation, which is kept behind `use_seed_screening` as a
-// benchmark foil. Screening fans out across util::ThreadPool with a
-// fixed-order argmax reduction, so `threads` never changes results.
+// iteration, with the same result as the rescan. Screening fans out across
+// util::ThreadPool with a fixed-order argmax reduction, so `threads` never
+// changes results.
 #pragma once
 
 #include <memory>
@@ -34,10 +33,6 @@ struct CoregConfig {
   /// screened into per-slot buffers and reduced by a serial fixed-order
   /// argmax, so Fit and Predict are bit-identical for every value.
   int threads = 1;
-  /// Benchmark foil: screen with the original full-rescan tentative
-  /// add/remove implementation instead of the incremental caches. Produces
-  /// an identical model, much more slowly.
-  bool use_seed_screening = false;
 };
 
 class Coreg : public SsrModel {

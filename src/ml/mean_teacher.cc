@@ -49,64 +49,9 @@ util::Status MeanTeacher::Fit(const Dataset& data) {
   int rampup_epochs =
       std::max(1, static_cast<int>(config_.epochs * config_.rampup_fraction));
 
-  if (config_.per_sample_updates) {
-    // Foil: the original scalar path.
-    std::vector<std::vector<double>> acts;
-    std::vector<double> noisy(dim), noisy_teacher(dim);
-    for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-      double consistency =
-          config_.consistency_weight_max *
-          RampUp(static_cast<double>(epoch) / rampup_epochs);
-      rng.Shuffle(&order);
-      for (size_t start = 0; start < n; start += config_.batch_size) {
-        size_t end = std::min(n, start + config_.batch_size);
-        size_t batch = end - start;
-        std::fill(grad.begin(), grad.end(), 0.0);
-
-        // Supervised term.
-        for (size_t b = start; b < end; ++b) {
-          size_t i = order[b];
-          double pred = student.Forward(xs.row(i), &acts);
-          double dloss = (pred - ys[i]) / static_cast<double>(batch);
-          student.Backward(xs.row(i), acts, dloss, &grad);
-        }
-
-        // Consistency term on a same-sized sample of unlabeled zones.
-        if (!unlabeled.empty() && consistency > 0.0) {
-          for (size_t b = 0; b < batch; ++b) {
-            uint32_t u = unlabeled[static_cast<size_t>(
-                rng.UniformU64(unlabeled.size()))];
-            const double* row = x_all_scaled_.row(u);
-            for (size_t c = 0; c < dim; ++c) {
-              noisy[c] = row[c] + rng.Normal(0.0, config_.input_noise);
-              noisy_teacher[c] = row[c] + rng.Normal(0.0, config_.input_noise);
-            }
-            double target = teacher_->Forward(noisy_teacher.data());
-            double pred = student.Forward(noisy.data(), &acts);
-            double dloss =
-                consistency * (pred - target) / static_cast<double>(batch);
-            student.Backward(noisy.data(), acts, dloss, &grad);
-          }
-        }
-
-        opt.Step(&student.params(), grad);
-
-        // EMA teacher update.
-        auto& tp = teacher_->params();
-        const auto& sp = student.params();
-        for (size_t i = 0; i < tp.size(); ++i) {
-          tp[i] =
-              config_.ema_decay * tp[i] + (1.0 - config_.ema_decay) * sp[i];
-        }
-      }
-    }
-    return util::Status::OK();
-  }
-
-  // Batched path. RNG draws happen in exactly the order the per-sample
-  // loop made them (per consistency sample: the pool pick, then the
-  // student/teacher noise interleaved per feature), and gradient terms
-  // accumulate in the same sample order, so results match the foil.
+  // RNG draws follow the per-sample order (per consistency sample: the
+  // pool pick, then the student/teacher noise interleaved per feature), and
+  // gradient terms accumulate in ascending sample order.
   DenseNetScratch scratch, teacher_scratch;
   Matrix batch_x, noisy_x, noisy_teacher_x;
   std::vector<double> dloss;

@@ -29,11 +29,6 @@ struct MeanTeacherConfig {
   /// standardised, so this is in units of feature sigma).
   double input_noise = 0.1;
   uint64_t seed = 13;
-  /// Benchmark foil: the original one-sample-at-a-time forward/backward
-  /// loops instead of batched GEMM passes. Identical results, much more
-  /// slowly (RNG draw order and gradient accumulation order are preserved
-  /// by the batched path).
-  bool per_sample_updates = false;
 };
 
 class MeanTeacher : public SsrModel {

@@ -16,7 +16,7 @@ namespace {
 /// count — so the chunk layout, and with it the chunk-order gradient
 /// reduction, is identical for every MlpConfig::threads value. At the
 /// default batch size (16) a batch is a single chunk, which makes the
-/// batched path bit-identical to the per-sample foil as well.
+/// batched path bit-identical to per-sample Forward/Backward as well.
 constexpr size_t kGradChunkSamples = 32;
 
 }  // namespace
@@ -262,29 +262,7 @@ util::Status MlpRegressor::Fit(const Dataset& data) {
   for (size_t i = 0; i < n; ++i) order[i] = i;
   std::vector<double> grad(net_->num_params());
 
-  if (config_.per_sample_updates) {
-    // Foil: the original scalar path, one forward/backward per sample.
-    std::vector<std::vector<double>> acts;
-    for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-      rng.Shuffle(&order);
-      for (size_t start = 0; start < n; start += config_.batch_size) {
-        size_t end = std::min(n, start + config_.batch_size);
-        std::fill(grad.begin(), grad.end(), 0.0);
-        for (size_t b = start; b < end; ++b) {
-          size_t i = order[b];
-          double pred = net_->Forward(xs.row(i), &acts);
-          // d(0.5 (pred - y)^2)/dpred, averaged over the batch.
-          double dloss = (pred - ys[i]) / static_cast<double>(end - start);
-          net_->Backward(xs.row(i), acts, dloss, &grad);
-        }
-        opt.Step(&net_->params(), grad);
-      }
-    }
-    x_all_scaled_ = scaler_.Transform(data.x);
-    return util::Status::OK();
-  }
-
-  // Batched path. Each batch is cut into fixed-size sample chunks; every
+  // Each batch is cut into fixed-size sample chunks; every
   // chunk gathers its rows, runs one batched forward/backward, and (when
   // there is more than one chunk) accumulates into its own buffer. The
   // buffers reduce in chunk order, so the gradient — and the whole fit —

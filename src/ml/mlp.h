@@ -7,10 +7,9 @@
 //
 // Training runs mini-batches through the register-tiled GEMM kernels
 // (ForwardBatch/BackwardBatch); per parameter, gradient terms accumulate in
-// ascending sample order — exactly the order the per-sample loops used —
-// so batched results match the original implementation and are
-// deterministic per (seed, batch size). The per-sample path is kept behind
-// MlpConfig::per_sample_updates as a benchmark foil.
+// ascending sample order — the order of the per-sample Forward/Backward
+// pair, which stays as the gradient reference the tests check against —
+// so results are deterministic per (seed, batch size).
 #pragma once
 
 #include <cstdint>
@@ -112,9 +111,6 @@ struct MlpConfig {
   /// whose partial gradients reduce in chunk order, so Fit is bit-identical
   /// for every value, including 1.
   int threads = 1;
-  /// Benchmark foil: the original one-sample-at-a-time forward/backward.
-  /// Identical results at the default batch size, much more slowly.
-  bool per_sample_updates = false;
 };
 
 /// Supervised MLP on the labeled rows (the paper's strongest model).

@@ -72,8 +72,11 @@ class AqTcpServer {
 
  private:
   /// One live connection's socket, shared with Stop() so shutdown can
-  /// interrupt a blocked read.
+  /// interrupt a blocked read. `close_mu` serialises the handler's Close()
+  /// with Stop()'s check-and-shutdown: without it Stop could read the
+  /// descriptor mid-close, or shut down a number the OS already reused.
   struct Conn {
+    std::mutex close_mu;
     Socket socket;
     std::thread thread;
   };

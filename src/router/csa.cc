@@ -52,21 +52,6 @@ CsaEngine::CsaEngine(const gtfs::Feed* feed, const RouterOptions& options,
   }
 }
 
-gtfs::TimeOfDay CsaEngine::RelaxLimit(double worst_total,
-                                      gtfs::TimeOfDay depart,
-                                      gtfs::TimeOfDay latest_arrival) const {
-  if (!options_.bounded_relaxation || !std::isfinite(worst_total)) {
-    return latest_arrival;
-  }
-  // Same bound as Router::RelaxLimit: keep labels whose arrival - depart is
-  // strictly below the worst still-improvable total.
-  double cutoff = std::ceil(worst_total);
-  if (cutoff >= static_cast<double>(latest_arrival - depart)) {
-    return latest_arrival;
-  }
-  return depart + static_cast<gtfs::TimeOfDay>(cutoff) - 1;
-}
-
 void CsaEngine::EnsureBounds() {
   bounds_built_ = true;
   const size_t num_stops = feed_->num_stops();

@@ -10,9 +10,8 @@
 // final per-target bests — journey times, feasibility, and therefore every
 // MAC/ACSD aggregate — exactly equal to the Router's (the golden
 // equivalence suite pins this). Equal-cost journeys may decompose into
-// different legs than the Router's, exactly like the Router's own
-// heap-vs-bucket tie-breaks; see DESIGN.md §11 for the equivalence
-// contract.
+// different legs than the Router's: the two engines settle ties in
+// different orders; see DESIGN.md §11 for the equivalence contract.
 //
 // The profile (window) entry point is what the labeling hot path uses: all
 // departure times of one TODAM rate window are answered with ONE sweep.
@@ -121,8 +120,6 @@ class CsaEngine {
     float walk_f = 0.0f;
   };
 
-  gtfs::TimeOfDay RelaxLimit(double worst_total, gtfs::TimeOfDay depart,
-                             gtfs::TimeOfDay latest_arrival) const;
   /// Builds lb_to_, the admissible stop→stop lower-bound matrix behind
   /// target-directed write pruning (see Prunable). Runs once per engine,
   /// lazily on the first window call; skipped (pruning stays off) above a

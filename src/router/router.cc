@@ -109,12 +109,6 @@ Router::Router(const gtfs::Feed* feed, RouterOptions options)
 Router::~Router() = default;
 
 void Router::PushQueue(gtfs::TimeOfDay at, uint32_t stop) {
-  if (!options_.bucket_queue) {
-    queue_storage_.push_back(QueueEntry{at, stop});
-    std::push_heap(queue_storage_.begin(), queue_storage_.end(),
-                   std::greater<>());
-    return;
-  }
   size_t idx = static_cast<size_t>(at - query_depart_);
   if (bucket_epoch_[idx] != epoch_) {
     bucket_epoch_[idx] = epoch_;
@@ -134,11 +128,9 @@ Router::Label& Router::Touch(uint32_t stop) {
   return labels_[stop];
 }
 
-gtfs::TimeOfDay Router::RelaxLimit(double worst_total, gtfs::TimeOfDay depart,
-                                   gtfs::TimeOfDay latest_arrival) const {
-  if (!options_.bounded_relaxation || !std::isfinite(worst_total)) {
-    return latest_arrival;
-  }
+gtfs::TimeOfDay RelaxLimit(double worst_total, gtfs::TimeOfDay depart,
+                           gtfs::TimeOfDay latest_arrival) {
+  if (!std::isfinite(worst_total)) return latest_arrival;
   // Keep labels with arrival - depart < worst_total; for integer arrivals
   // the latest such value is depart + ceil(worst_total) - 1.
   double cutoff = std::ceil(worst_total);
@@ -156,9 +148,8 @@ void Router::RideTrip(gtfs::TripId trip, uint32_t from_stop_time_index,
 
   // If this trip was already ridden from an earlier (or equal) call, the
   // earlier ride already relaxed everything downstream at least as well.
-  // (With bounded relaxation the earlier ride may have pruned more, but
-  // only labels past the — monotonically shrinking — relax limit, which
-  // stay prunable now.)
+  // (The earlier ride may have pruned more, but only labels past the —
+  // monotonically shrinking — relax limit, which stay prunable now.)
   if (trip_epoch_[trip] == epoch_ &&
       trip_board_index_[trip] <= from_stop_time_index) {
     return;
@@ -219,8 +210,7 @@ void Router::SettleStop(uint32_t stop, gtfs::TimeOfDay now, gtfs::Day day,
   while (i < deps.size() && deps[i].time < now) ++i;
   gtfs::TimeOfDay scan_limit =
       now + static_cast<gtfs::TimeOfDay>(options_.max_boarding_wait_s);
-  const size_t line_count =
-      options_.boarding_route_break ? stop_line_count_[stop] : SIZE_MAX;
+  const size_t line_count = stop_line_count_[stop];
   for (; i < deps.size() && deps[i].time <= scan_limit; ++i) {
     if (seen_lines_scratch_.size() >= line_count) break;
     const gtfs::Departure& dep = deps[i];
@@ -283,7 +273,6 @@ void Router::RouteMany(const geo::Point& origin, const geo::Point* targets,
   query_depart_ = depart;
   queue_pending_ = 0;
   max_bucket_ = 0;
-  queue_storage_.clear();
   egress_pool_.clear();
 
   gtfs::TimeOfDay latest_arrival =
@@ -343,47 +332,27 @@ void Router::RouteMany(const geo::Point& origin, const geo::Point* targets,
     }
   }
 
-  // Settle loop. Once the earliest unsettled time alone reaches every
-  // target's best known total, nothing can improve (egress walk is
-  // non-negative), so the search breaks.
-  if (options_.bucket_queue) {
-    // Bucket cursor walk. Within one bucket new entries may be appended
-    // mid-iteration (zero-second relaxations), so the inner loop re-reads
-    // size(). Pushes are never behind the cursor: every relaxation from
-    // `now` arrives at or after `now`.
-    bool done = false;
-    for (size_t b = 0; !done && queue_pending_ > 0 && b <= max_bucket_;
-         ++b) {
-      if (static_cast<double>(b) >= worst) break;
-      if (bucket_epoch_[b] != epoch_) continue;
-      gtfs::TimeOfDay now = depart + static_cast<gtfs::TimeOfDay>(b);
-      std::vector<uint32_t>& bucket = buckets_[b];
-      for (size_t k = 0; k < bucket.size(); ++k) {
-        uint32_t stop = bucket[k];
-        --queue_pending_;
-        if (now > Touch(stop).arrival) continue;  // stale
-        if (static_cast<double>(now - depart) >= worst) {
-          done = true;
-          break;
-        }
-        SettleStop(stop, now, day, depart, latest_arrival, worst,
-                   relax_limit);
+  // Settle loop: a bucket cursor walk. Once the earliest unsettled time
+  // alone reaches every target's best known total, nothing can improve
+  // (egress walk is non-negative), so the search breaks. Within one bucket
+  // new entries may be appended mid-iteration (zero-second relaxations), so
+  // the inner loop re-reads size(). Pushes are never behind the cursor:
+  // every relaxation from `now` arrives at or after `now`.
+  bool done = false;
+  for (size_t b = 0; !done && queue_pending_ > 0 && b <= max_bucket_; ++b) {
+    if (static_cast<double>(b) >= worst) break;
+    if (bucket_epoch_[b] != epoch_) continue;
+    gtfs::TimeOfDay now = depart + static_cast<gtfs::TimeOfDay>(b);
+    std::vector<uint32_t>& bucket = buckets_[b];
+    for (size_t k = 0; k < bucket.size(); ++k) {
+      uint32_t stop = bucket[k];
+      --queue_pending_;
+      if (now > Touch(stop).arrival) continue;  // stale
+      if (static_cast<double>(now - depart) >= worst) {
+        done = true;
+        break;
       }
-    }
-  } else {
-    // Binary-heap discipline (the original engine). Equal arrival times pop
-    // in heap order rather than insertion order, so tie-broken path
-    // decompositions may differ from the bucket queue; arrival times and
-    // journey times are identical either way.
-    while (!queue_storage_.empty()) {
-      std::pop_heap(queue_storage_.begin(), queue_storage_.end(),
-                    std::greater<>());
-      QueueEntry entry = queue_storage_.back();
-      queue_storage_.pop_back();
-      if (entry.time > Touch(entry.stop).arrival) continue;  // stale
-      if (static_cast<double>(entry.time - depart) >= worst) break;
-      SettleStop(entry.stop, entry.time, day, depart, latest_arrival, worst,
-                 relax_limit);
+      SettleStop(stop, now, day, depart, latest_arrival, worst, relax_limit);
     }
   }
 

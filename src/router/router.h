@@ -12,8 +12,8 @@
 // arbitrary points to stops within the walking budget; a pure-walk journey
 // is always considered.
 //
-// Two batching levers keep the zone-labeling hot path fast without changing
-// a single output bit:
+// Three levers keep the zone-labeling hot path fast without changing an
+// earliest arrival:
 //  * RouteMany answers all SPQs that share an origin and departure with ONE
 //    expansion — the expansion itself never depends on the destination, so
 //    each target reads its answer out of the shared search (per-target
@@ -22,8 +22,15 @@
 //  * Bounded relaxation prunes every label write that would arrive at or
 //    after depart + (worst best-known total across targets). Such entries
 //    would pop only after the search has already stopped improving, and
-//    can never appear on a reconstructed path, so results are bit-identical
-//    to the unpruned search (see RouterOptions::bounded_relaxation).
+//    can never appear on a reconstructed path (see RelaxLimit).
+//  * The boarding scan at a stop stops once every distinct line — (route,
+//    direction), keyed by the trip's next stop — has claimed its earliest
+//    departure: FIFO timetables make later same-direction departures of a
+//    claimed line irrelevant.
+// The queue is a Dial-style bucket queue (O(1) push, cursor-scan pop); the
+// order it settles equal-time entries in fixes how equal-cost journeys
+// decompose into legs. RouteManyTest.JourneysMatchRecordedDigest pins every
+// leg of the router's answers across commits.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +49,12 @@ class CsaEngine;
 /// Which engine answers SPQs (see router/csa.h for the contract between
 /// the two).
 enum class RoutingEngine : uint8_t {
-  /// Label-correcting Dijkstra (this file) — the oracle foil.
+  /// Label-correcting Dijkstra (this file) — the routing oracle.
   kLabelCorrecting,
   /// Connection Scan over a preprocessed connection array. Journey times,
   /// feasibility, and the MAC/ACSD aggregates built from them are
   /// bit-identical to kLabelCorrecting; equal-cost journeys may decompose
-  /// into different legs (same bounded equivalence as the Router's own
-  /// heap-vs-bucket tie-breaks).
+  /// into different legs (the engines settle ties in different orders).
   kCsa,
 };
 
@@ -62,28 +68,6 @@ struct RouterOptions {
   double horizon_s = 3 * 3600;
   /// Maximum wait for any single boarding.
   double max_boarding_wait_s = 3600;
-  /// Prune relaxations that provably cannot improve any target: a label
-  /// arriving at or after depart + best-known-total would be popped only
-  /// after the search breaks, so skipping it is result-preserving (the
-  /// equivalence is asserted by tests). Off reproduces the pre-batching
-  /// search frontier exactly — kept as the benchmark baseline and as a
-  /// verification foil.
-  bool bounded_relaxation = true;
-  /// Stop the boarding scan once every distinct line — (route, direction),
-  /// keyed by the trip's next stop — serving the stop has claimed its
-  /// earliest departure (FIFO timetables make later same-direction
-  /// departures of a claimed line irrelevant). Skipped iterations can never
-  /// board, so results are unchanged; off reproduces the original scan,
-  /// which walks the full max_boarding_wait_s window — kept for the
-  /// benchmark baseline.
-  bool boarding_route_break = true;
-  /// Queue discipline. true (default): Dial-style bucket queue — O(1) push,
-  /// cursor-scan pop, lazily epoch-reset. false: the original binary heap.
-  /// Arrival times (hence journey times, feasibility, MAC/ACSD) are
-  /// identical under both disciplines; only the tie-break among equal-time
-  /// relaxations — and therefore the decomposition of some equal-cost
-  /// journeys into legs — can differ. Kept for the benchmark baseline.
-  bool bucket_queue = true;
   /// Engine selection. kCsa answers every query via the Connection Scan
   /// engine (router/csa.h), exposed through Router::csa() for the profile
   /// (window) entry point the labeling hot path uses.
@@ -95,6 +79,14 @@ struct RouterOptions {
   /// one array alive across scenario epochs.
   std::shared_ptr<const ConnectionArray> connections;
 };
+
+/// Latest arrival still worth labeling in a search from `depart` whose
+/// slackest still-improvable target total is `worst_total` seconds: a label
+/// arriving at or after depart + worst_total would be popped only after the
+/// search stops improving, so writing it cannot change any answer. Shared
+/// by both engines.
+gtfs::TimeOfDay RelaxLimit(double worst_total, gtfs::TimeOfDay depart,
+                           gtfs::TimeOfDay latest_arrival);
 
 /// Earliest-arrival router over one Feed. Reuses internal scratch space
 /// across queries via epoch versioning; a Router instance is therefore NOT
@@ -165,11 +157,6 @@ class Router {
   bool Fresh(uint32_t stop) const { return stop_epoch_[stop] == epoch_; }
   Label& Touch(uint32_t stop);
 
-  /// Latest arrival still worth labeling: relaxations past this bound can
-  /// never improve any target (see bounded_relaxation).
-  gtfs::TimeOfDay RelaxLimit(double worst_total, gtfs::TimeOfDay depart,
-                             gtfs::TimeOfDay latest_arrival) const;
-
   /// Identity of a FIFO-comparable line through a stop: the route plus the
   /// trip's next stop (the direction proxy). Two directions of one route
   /// usually share a RouteId; only same-direction trips obey the FIFO
@@ -199,8 +186,8 @@ class Router {
   WalkTable walk_table_;
 
   // Connection Scan engine (options_.engine == kCsa): every RouteMany is
-  // dispatched to it, and the label-correcting machinery below sits idle as
-  // the equivalence oracle.
+  // dispatched to it, and the label-correcting machinery below is never
+  // built.
   std::shared_ptr<const ConnectionArray> connections_;
   std::unique_ptr<CsaEngine> csa_;
 
@@ -216,8 +203,7 @@ class Router {
   size_t dep_cells_ = 0;
   std::vector<uint32_t> dep_index_;
 
-  /// Enqueues `stop` at arrival time `at` under the configured queue
-  /// discipline.
+  /// Enqueues `stop` in the bucket for arrival time `at`.
   void PushQueue(gtfs::TimeOfDay at, uint32_t stop);
 
   // Scratch: labels + queue, versioned by epoch_ so a new query needs no
@@ -241,16 +227,6 @@ class Router {
   std::vector<uint32_t> bucket_epoch_;
   uint32_t queue_pending_ = 0;
   size_t max_bucket_ = 0;
-
-  // Binary-heap fallback (RouterOptions::bucket_queue == false).
-  struct QueueEntry {
-    gtfs::TimeOfDay time;
-    uint32_t stop;
-    friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-      return a.time > b.time;
-    }
-  };
-  std::vector<QueueEntry> queue_storage_;
 
   // Merged egress map, versioned by the same epoch (replaces the per-query
   // O(num_stops) egress table).

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/per_trip_labeling.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
@@ -133,36 +134,29 @@ TEST_F(LabelingTest, ZoneWithNoTripsGetsZeroLabel) {
 }
 
 TEST_F(LabelingTest, BatchedModeBitIdenticalToPerTrip) {
-  // The tentpole invariant: the one-to-many batched scheduler (with bounded
-  // relaxation on) must reproduce the per-trip per-query path EXACTLY —
-  // same floating-point aggregates, not merely close ones.
-  router::Router batched_router(&city_.feed, router::RouterOptions{});
-  router::RouterOptions unpruned;
-  unpruned.bounded_relaxation = false;
-  router::Router per_trip_router(&city_.feed, unpruned);
-
+  // The tentpole invariant: the one-to-many batched scheduler must
+  // reproduce one Route per trip EXACTLY — same floating-point aggregates,
+  // not merely close ones.
+  router::Router oracle_router(&city_.feed, router::RouterOptions{});
   for (CostKind kind : {CostKind::kJourneyTime, CostKind::kGeneralizedCost}) {
-    LabelingEngine batched(&city_, &batched_router, {},
-                           LabelingMode::kBatched);
-    LabelingEngine per_trip(&city_, &per_trip_router, {},
-                            LabelingMode::kPerTrip);
+    LabelingEngine batched(&city_, &router_);
     for (uint32_t zone = 0; zone < todam_.num_zones(); ++zone) {
       ZoneLabel a = batched.LabelZone(todam_, zone, pois_, kind,
                                       gtfs::Day::kTuesday);
-      ZoneLabel b = per_trip.LabelZone(todam_, zone, pois_, kind,
-                                       gtfs::Day::kTuesday);
+      ZoneLabel b = testing::PerTripLabel(&oracle_router, city_, todam_, zone,
+                                          pois_, kind, gtfs::Day::kTuesday);
       EXPECT_EQ(a.mac, b.mac) << "zone " << zone;
       EXPECT_EQ(a.acsd, b.acsd) << "zone " << zone;
       EXPECT_EQ(a.num_trips, b.num_trips) << "zone " << zone;
       EXPECT_EQ(a.num_infeasible, b.num_infeasible) << "zone " << zone;
       EXPECT_EQ(a.num_walk_only, b.num_walk_only) << "zone " << zone;
     }
-    EXPECT_EQ(batched.spq_count(), per_trip.spq_count());
+    EXPECT_EQ(batched.spq_count(), todam_.num_trips());
   }
 }
 
 TEST_F(LabelingTest, BatchedModeDispatchesFewerExpansions) {
-  LabelingEngine batched(&city_, &router_, {}, LabelingMode::kBatched);
+  LabelingEngine batched(&city_, &router_);
   uint64_t trips = 0;
   for (uint32_t zone = 0; zone < todam_.num_zones(); ++zone) {
     batched.LabelZone(todam_, zone, pois_, CostKind::kJourneyTime,

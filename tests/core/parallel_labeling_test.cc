@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "testing/per_trip_labeling.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
@@ -79,19 +80,15 @@ TEST_F(ParallelLabelingTest, EmptyZoneList) {
 }
 
 TEST_F(ParallelLabelingTest, BatchedAndPerTripModesAgreeAcrossThreads) {
-  uint64_t batched_spqs = 0, per_trip_spqs = 0;
+  uint64_t batched_spqs = 0;
   auto batched = LabelZonesParallel(
       city_, todam_, all_zones_, pois_, CostKind::kJourneyTime,
-      gtfs::Day::kTuesday, /*num_threads=*/4, {}, {}, &batched_spqs,
-      LabelingMode::kBatched);
-  router::RouterOptions unpruned;
-  unpruned.bounded_relaxation = false;
-  auto per_trip = LabelZonesParallel(
-      city_, todam_, all_zones_, pois_, CostKind::kJourneyTime,
-      gtfs::Day::kTuesday, /*num_threads=*/4, unpruned, {}, &per_trip_spqs,
-      LabelingMode::kPerTrip);
+      gtfs::Day::kTuesday, /*num_threads=*/4, {}, {}, &batched_spqs);
+  auto per_trip =
+      testing::PerTripLabels(city_, todam_, all_zones_, pois_,
+                             CostKind::kJourneyTime, gtfs::Day::kTuesday);
   ASSERT_EQ(batched.size(), per_trip.size());
-  EXPECT_EQ(batched_spqs, per_trip_spqs);
+  EXPECT_EQ(batched_spqs, todam_.num_trips());
   for (size_t i = 0; i < batched.size(); ++i) {
     EXPECT_EQ(batched[i].mac, per_trip[i].mac) << "zone " << i;
     EXPECT_EQ(batched[i].acsd, per_trip[i].acsd) << "zone " << i;
@@ -116,29 +113,23 @@ void ExpectBitIdentical(const std::vector<ZoneLabel>& a,
 }
 
 TEST_F(ParallelLabelingTest, ThreadCountSweepIsBitIdentical) {
-  // Golden-seed determinism across the whole thread sweep, in both labeling
-  // modes: 1, 2, and 8 workers partition the zones differently, yet every
-  // label and the SPQ count must come out bit-identical.
-  for (LabelingMode mode : {LabelingMode::kBatched, LabelingMode::kPerTrip}) {
-    router::RouterOptions options;
-    if (mode == LabelingMode::kPerTrip) options.bounded_relaxation = false;
-    uint64_t baseline_spqs = 0;
-    auto baseline = LabelZonesParallel(city_, todam_, all_zones_, pois_,
-                                       CostKind::kJourneyTime,
-                                       gtfs::Day::kTuesday, /*num_threads=*/1,
-                                       options, {}, &baseline_spqs, mode);
-    for (size_t threads : {2u, 8u}) {
-      uint64_t spqs = 0;
-      auto labels = LabelZonesParallel(city_, todam_, all_zones_, pois_,
-                                       CostKind::kJourneyTime,
-                                       gtfs::Day::kTuesday, threads, options,
-                                       {}, &spqs, mode);
-      SCOPED_TRACE(::testing::Message()
-                   << "mode " << static_cast<int>(mode) << " threads "
-                   << threads);
-      EXPECT_EQ(spqs, baseline_spqs);
-      ExpectBitIdentical(baseline, labels);
-    }
+  // Golden-seed determinism across the whole thread sweep: 1, 2, and 8
+  // workers partition the zones differently, yet every label and the SPQ
+  // count must come out bit-identical.
+  uint64_t baseline_spqs = 0;
+  auto baseline = LabelZonesParallel(city_, todam_, all_zones_, pois_,
+                                     CostKind::kJourneyTime,
+                                     gtfs::Day::kTuesday, /*num_threads=*/1,
+                                     {}, {}, &baseline_spqs);
+  for (size_t threads : {2u, 8u}) {
+    uint64_t spqs = 0;
+    auto labels = LabelZonesParallel(city_, todam_, all_zones_, pois_,
+                                     CostKind::kJourneyTime,
+                                     gtfs::Day::kTuesday, threads, {}, {},
+                                     &spqs);
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    EXPECT_EQ(spqs, baseline_spqs);
+    ExpectBitIdentical(baseline, labels);
   }
 }
 
@@ -152,8 +143,7 @@ TEST_F(ParallelLabelingTest, ProfileModeMatchesBatchedAcrossThreads) {
   auto batched = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                     CostKind::kJourneyTime,
                                     gtfs::Day::kTuesday, /*num_threads=*/1,
-                                    {}, {}, &batched_spqs,
-                                    LabelingMode::kBatched);
+                                    {}, {}, &batched_spqs);
   router::RouterOptions csa;
   csa.engine = router::RoutingEngine::kCsa;
   for (size_t threads : {1u, 4u, 8u}) {
@@ -161,7 +151,7 @@ TEST_F(ParallelLabelingTest, ProfileModeMatchesBatchedAcrossThreads) {
     auto profile = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                       CostKind::kJourneyTime,
                                       gtfs::Day::kTuesday, threads, csa, {},
-                                      &spqs, LabelingMode::kAuto);
+                                      &spqs);
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     EXPECT_EQ(spqs, batched_spqs);
     ExpectBitIdentical(batched, profile);
@@ -178,14 +168,13 @@ TEST_F(ParallelLabelingTest, ProfileGacSweepIsBitIdentical) {
   auto baseline = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                      CostKind::kGeneralizedCost,
                                      gtfs::Day::kTuesday, /*num_threads=*/1,
-                                     csa, {}, &baseline_spqs,
-                                     LabelingMode::kProfile);
+                                     csa, {}, &baseline_spqs);
   for (size_t threads : {2u, 8u}) {
     uint64_t spqs = 0;
     auto labels = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                      CostKind::kGeneralizedCost,
                                      gtfs::Day::kTuesday, threads, csa, {},
-                                     &spqs, LabelingMode::kProfile);
+                                     &spqs);
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     EXPECT_EQ(spqs, baseline_spqs);
     ExpectBitIdentical(baseline, labels);

@@ -105,23 +105,6 @@ TEST(CoregTest, ExhaustsReplenishedPool) {
   EXPECT_EQ(model.Predict().size(), 40u);
 }
 
-// The incremental-cache screening must reproduce the original full-rescan
-// screening bit for bit — same pseudo-label choices, same final model.
-TEST(CoregTest, FastScreeningMatchesSeedScreeningExactly) {
-  for (uint64_t seed : {29u, 30u, 31u}) {
-    auto data = testing::LinearDataset(160, 3, 24, 0.15, seed);
-    CoregConfig fast_config;
-    fast_config.max_iterations = 30;
-    CoregConfig seed_config = fast_config;
-    seed_config.use_seed_screening = true;
-    Coreg fast(fast_config), reference(seed_config);
-    ASSERT_TRUE(fast.Fit(data).ok());
-    ASSERT_TRUE(reference.Fit(data).ok());
-    EXPECT_EQ(fast.pseudo_labels_added(), reference.pseudo_labels_added());
-    EXPECT_EQ(fast.Predict(), reference.Predict()) << "seed " << seed;
-  }
-}
-
 TEST(CoregTest, ThreadCountDoesNotChangeFit) {
   auto data = testing::LinearDataset(150, 3, 24, 0.15, 33);
   std::vector<double> reference;

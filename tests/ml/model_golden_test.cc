@@ -1,4 +1,4 @@
-// Cross-commit golden for every SSR model's predictions.
+// Cross-commit goldens for the SSR models' predictions.
 //
 // GNN, OLS and COREG have no per-sample oracle to compare against, so a
 // change to the shared numeric kernels (ml/kernels.h) that altered one of
@@ -8,29 +8,27 @@
 // predictions are reduced to a digest of their exact bits: FNV-1a over the
 // "%a" hex-float text of every value. The digests were recorded before the
 // kernels were register-tiled; a kernel rewrite must leave them unchanged.
+//
+// TrainingPathGoldenTest pins the training paths on the inputs where they
+// were once checked bit for bit against the originals they replaced (COREG's
+// full-rescan screening, per-sample MLP and Mean Teacher updates), so those
+// originals' outputs stay guarded after their removal.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
+#include <tuple>
 
+#include "ml/coreg.h"
+#include "ml/mean_teacher.h"
+#include "ml/mlp.h"
 #include "ml/model_factory.h"
+#include "testing/digest.h"
 #include "testing/test_data.h"
 
 namespace staq::ml {
 namespace {
 
-uint64_t HexFloatDigest(const std::vector<double>& values) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis
-  char buf[64];
-  for (double v : values) {
-    const int len = std::snprintf(buf, sizeof(buf), "%a;", v);
-    for (int i = 0; i < len; ++i) {
-      h ^= static_cast<unsigned char>(buf[i]);
-      h *= 1099511628211ull;  // FNV-1a 64 prime
-    }
-  }
-  return h;
-}
+using testing::HexFloatDigest;
 
 uint64_t GoldenDigest(ModelKind kind) {
   switch (kind) {
@@ -61,6 +59,59 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ModelKind>& info) {
       return std::string(ModelKindName(info.param));
     });
+
+TEST(TrainingPathGoldenTest, CoregScreening) {
+  struct Case {
+    uint64_t seed;
+    int pseudo_labels;
+    uint64_t digest;
+  };
+  for (const Case& c : {Case{29, 60, 0x602da9fb4c1466c3ull},
+                        Case{30, 60, 0x66ae73f19cd4e6bcull},
+                        Case{31, 60, 0xe094f9f3f7bb6454ull}}) {
+    auto data = testing::LinearDataset(160, 3, 24, 0.15, c.seed);
+    CoregConfig config;
+    config.max_iterations = 30;
+    Coreg model(config);
+    ASSERT_TRUE(model.Fit(data).ok());
+    EXPECT_EQ(model.pseudo_labels_added(), c.pseudo_labels)
+        << "seed " << c.seed;
+    const uint64_t digest = HexFloatDigest(model.Predict());
+    EXPECT_EQ(digest, c.digest) << "seed " << c.seed << " digest 0x"
+                                << std::hex << digest;
+  }
+}
+
+TEST(TrainingPathGoldenTest, MlpAtDefaultBatchSize) {
+  // The last two shapes are the serve shape: 324 zones x 20 features, 16
+  // and 32 labeled.
+  for (auto [n, d, labeled, golden] :
+       {std::tuple<size_t, size_t, size_t, uint64_t>{
+            120, 3, 60, 0xc6cf989f6964a9f3ull},
+        {324, 20, 16, 0x28eda40f80b31f16ull},
+        {324, 20, 32, 0xc9e1b27a5a78349aull}}) {
+    auto data = testing::LinearDataset(n, d, labeled, 0.1, 43);
+    MlpConfig config;
+    config.epochs = 30;
+    config.threads = 8;
+    MlpRegressor model(config);
+    ASSERT_TRUE(model.Fit(data).ok());
+    const uint64_t digest = HexFloatDigest(model.Predict());
+    EXPECT_EQ(digest, golden) << n << " x " << d << ", " << labeled
+                              << " labeled: digest 0x" << std::hex << digest;
+  }
+}
+
+TEST(TrainingPathGoldenTest, MeanTeacher) {
+  auto data = testing::LinearDataset(150, 3, 40, 0.1, 44);
+  MeanTeacherConfig config;
+  config.epochs = 30;
+  MeanTeacher model(config);
+  ASSERT_TRUE(model.Fit(data).ok());
+  const uint64_t digest = HexFloatDigest(model.Predict());
+  EXPECT_EQ(digest, 0x02fb43ceb9242a99ull) << "digest 0x" << std::hex
+                                           << digest;
+}
 
 }  // namespace
 }  // namespace staq::ml

@@ -10,12 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <tuple>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "ml/coreg.h"
-#include "ml/mean_teacher.h"
 #include "ml/mlp.h"
 #include "ml/parallel.h"
 #include "testing/test_data.h"
@@ -87,41 +85,6 @@ TEST(ParallelMlpTest, ThreadCountDoesNotChangeMultiChunkFit) {
       EXPECT_EQ(pred, reference) << "threads=" << threads;
     }
   }
-}
-
-TEST(ParallelMlpTest, BatchedMatchesPerSampleAtDefaultBatchSize) {
-  // At the default batch size (16 <= one 32-sample chunk) the batched path
-  // accumulates gradients in exactly the per-sample order, so it must be
-  // bit-identical to the original loop — threads included. The last two
-  // inputs are the serve shape: 324 zones x 20 features, 16 and 32 labeled.
-  for (auto [n, d, labeled] : {std::tuple<size_t, size_t, size_t>{120, 3, 60},
-                               {324, 20, 16},
-                               {324, 20, 32}}) {
-    auto data = testing::LinearDataset(n, d, labeled, 0.1, 43);
-    MlpConfig batched;
-    batched.epochs = 30;
-    batched.threads = 8;
-    MlpConfig per_sample = batched;
-    per_sample.threads = 1;
-    per_sample.per_sample_updates = true;
-    MlpRegressor fast(batched), foil(per_sample);
-    ASSERT_TRUE(fast.Fit(data).ok());
-    ASSERT_TRUE(foil.Fit(data).ok());
-    EXPECT_EQ(fast.Predict(), foil.Predict())
-        << n << " x " << d << ", " << labeled << " labeled";
-  }
-}
-
-TEST(ParallelMeanTeacherTest, BatchedMatchesPerSample) {
-  auto data = testing::LinearDataset(150, 3, 40, 0.1, 44);
-  MeanTeacherConfig batched;
-  batched.epochs = 30;
-  MeanTeacherConfig per_sample = batched;
-  per_sample.per_sample_updates = true;
-  MeanTeacher fast(batched), foil(per_sample);
-  ASSERT_TRUE(fast.Fit(data).ok());
-  ASSERT_TRUE(foil.Fit(data).ok());
-  EXPECT_EQ(fast.Predict(), foil.Predict());
 }
 
 // Full-pipeline check: an access query answered with COREG must not depend

@@ -4,8 +4,8 @@
 //
 // The cross-engine contract (DESIGN.md §11): journey times, feasibility,
 // and departure/arrival instants are bit-identical; equal-cost journeys may
-// decompose into different legs (the same bounded equivalence the Router's
-// own heap-vs-bucket disciplines exhibit). The within-engine contract is
+// decompose into different legs (the engines settle equal-time ties in
+// different orders). The within-engine contract is
 // stronger: a window scan's lanes are bit-identical — legs and all — to
 // running each departure's scan alone.
 #include <cmath>
@@ -160,34 +160,6 @@ TEST(CsaEquivalenceTest, MatchesOracleOnHandBuiltFeeds) {
       for (size_t t = 0; t < targets.size(); ++t) {
         ExpectEquivalentJourney(want[t], got[t]);
         ExpectSelfConsistent(got[t]);
-      }
-    }
-  }
-}
-
-TEST(CsaEquivalenceTest, MatchesOracleWithoutPruning) {
-  // The bounded-relaxation and route-break levers are result-preserving in
-  // both engines; switching them off must not change what CSA returns.
-  synth::City city = testing::TinyCity();
-  RouterOptions unpruned = CsaOptions();
-  unpruned.bounded_relaxation = false;
-  Router pruned(&city.feed, CsaOptions());
-  Router full(&city.feed, unpruned);
-  Router oracle(&city.feed, RouterOptions{});
-  std::vector<geo::Point> origins = SampleOrigins(city, 3, 3);
-  std::vector<geo::Point> targets = SampleTargets(city, 4, 6);
-  for (const geo::Point& origin : origins) {
-    for (gtfs::TimeOfDay depart :
-         {gtfs::MakeTime(7, 45), gtfs::MakeTime(9, 3) + 41}) {
-      std::vector<Journey> a =
-          pruned.RouteMany(origin, targets, gtfs::Day::kWednesday, depart);
-      std::vector<Journey> b =
-          full.RouteMany(origin, targets, gtfs::Day::kWednesday, depart);
-      std::vector<Journey> want =
-          oracle.RouteMany(origin, targets, gtfs::Day::kWednesday, depart);
-      for (size_t t = 0; t < targets.size(); ++t) {
-        ExpectSameJourney(a[t], b[t]);
-        ExpectEquivalentJourney(want[t], a[t]);
       }
     }
   }

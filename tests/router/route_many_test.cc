@@ -1,6 +1,7 @@
-// Golden equivalence for the batched SPQ path: RouteMany and the bounded
-// relaxation must reproduce the per-query router bit for bit — the batched
-// labeling pipeline depends on this being exact, not approximate.
+// Golden equivalence for the batched SPQ path: RouteMany must reproduce the
+// per-query router bit for bit — the batched labeling pipeline depends on
+// this being exact, not approximate — and the router's answers must match
+// the digests recorded across commits.
 #include <cmath>
 #include <vector>
 
@@ -8,6 +9,7 @@
 
 #include "router/cost.h"
 #include "router/router.h"
+#include "testing/digest.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -90,75 +92,85 @@ TEST(RouteManyTest, MatchesPerTargetRouteOnSyntheticCity) {
   }
 }
 
-TEST(RouteManyTest, BoundedRelaxationMatchesUnbounded) {
-  synth::City city = testing::TinyCity();
-  RouterOptions unbounded;
-  unbounded.bounded_relaxation = false;
-  Router pruned(&city.feed, RouterOptions{});
-  Router full(&city.feed, unbounded);
-  QuerySet q = SampleQueries(city, /*seed=*/17);
-
-  for (const geo::Point& origin : q.origins) {
-    for (const geo::Point& target : q.targets) {
-      for (gtfs::TimeOfDay depart :
-           {gtfs::MakeTime(7, 45), gtfs::MakeTime(9, 3) + 41}) {
-        Journey a = pruned.Route(origin, target, gtfs::Day::kWednesday,
-                                 depart);
-        Journey b = full.Route(origin, target, gtfs::Day::kWednesday, depart);
-        ExpectSameJourney(a, b);
-      }
-    }
+// Every field of a journey, legs included, as exact doubles for a digest.
+void AppendJourney(const Journey& j, std::vector<double>* out) {
+  out->insert(out->end(),
+              {static_cast<double>(j.feasible), static_cast<double>(j.depart),
+               static_cast<double>(j.arrive), j.access_walk_s,
+               j.transfer_walk_s, j.wait_s, j.in_vehicle_s, j.egress_walk_s,
+               static_cast<double>(j.num_boardings), j.total_fare,
+               static_cast<double>(j.legs.size())});
+  for (const JourneyLeg& leg : j.legs) {
+    out->insert(out->end(), {static_cast<double>(leg.type),
+                             static_cast<double>(leg.start),
+                             static_cast<double>(leg.end),
+                             static_cast<double>(leg.route),
+                             static_cast<double>(leg.from_stop),
+                             static_cast<double>(leg.to_stop)});
   }
 }
 
-TEST(RouteManyTest, BoardingRouteBreakMatchesFullWindowScan) {
-  // The route-break scan skips only departures whose route already claimed
-  // an earlier (FIFO-dominant) boarding, so it must be exactly equivalent
-  // to walking the full max_boarding_wait_s window.
+// Cross-commit golden for the label-correcting router's answers: the
+// sampled synthetic-city queries and the hand-built feeds, each journey
+// reduced to its exact bits. The search's pruning (bounded relaxation,
+// per-line boarding break) and its bucket queue must not change a leg,
+// arrival, walk, boarding or fare; the digests were recorded when those
+// were still checked against the unpruned binary-heap search.
+TEST(RouteManyTest, JourneysMatchRecordedDigest) {
   synth::City city = testing::TinyCity();
-  RouterOptions full_scan;
-  full_scan.boarding_route_break = false;
-  full_scan.bounded_relaxation = false;
-  Router pruned(&city.feed, RouterOptions{});
-  Router full(&city.feed, full_scan);
-  QuerySet q = SampleQueries(city, /*seed=*/19);
-
-  for (const geo::Point& origin : q.origins) {
-    for (const geo::Point& target : q.targets) {
-      for (gtfs::TimeOfDay depart :
-           {gtfs::MakeTime(8, 12) + 7, gtfs::MakeTime(17, 30)}) {
-        Journey a = pruned.Route(origin, target, gtfs::Day::kFriday, depart);
-        Journey b = full.Route(origin, target, gtfs::Day::kFriday, depart);
-        ExpectSameJourney(a, b);
+  Router router(&city.feed, RouterOptions{});
+  struct Case {
+    uint64_t seed;
+    gtfs::Day day;
+    gtfs::TimeOfDay departs[2];
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {17, gtfs::Day::kWednesday,
+       {gtfs::MakeTime(7, 45), gtfs::MakeTime(9, 3) + 41},
+       0xb97643dd7669ddaeull},
+      {19, gtfs::Day::kFriday,
+       {gtfs::MakeTime(8, 12) + 7, gtfs::MakeTime(17, 30)},
+       0x1d1d56835f9e1cdbull},
+      {31, gtfs::Day::kTuesday,
+       {gtfs::MakeTime(7, 58), gtfs::MakeTime(12, 4) + 13},
+       0x53ac042b926194d5ull},
+  };
+  for (const Case& c : cases) {
+    QuerySet q = SampleQueries(city, c.seed);
+    std::vector<double> bits;
+    for (const geo::Point& origin : q.origins) {
+      for (const geo::Point& target : q.targets) {
+        for (gtfs::TimeOfDay depart : c.departs) {
+          AppendJourney(router.Route(origin, target, c.day, depart), &bits);
+        }
       }
     }
+    const uint64_t digest = testing::HexFloatDigest(bits);
+    EXPECT_EQ(digest, c.digest)
+        << "seed " << c.seed << " digest 0x" << std::hex << digest;
   }
-}
 
-TEST(RouteManyTest, HeapAndBucketQueuesAgreeOnArrivals) {
-  // The two queue disciplines settle equal-time entries in different
-  // orders, which may tie-break equal-cost journeys into different leg
-  // decompositions — but earliest arrivals (hence feasibility and journey
-  // time) are discipline-invariant.
-  synth::City city = testing::TinyCity();
-  RouterOptions heap_opts;
-  heap_opts.bucket_queue = false;
-  Router bucket(&city.feed, RouterOptions{});
-  Router heap(&city.feed, heap_opts);
-  QuerySet q = SampleQueries(city, /*seed=*/31);
-
-  for (const geo::Point& origin : q.origins) {
-    for (const geo::Point& target : q.targets) {
+  gtfs::Feed line = testing::LineFeed(600);
+  gtfs::Feed transfer = testing::TransferFeed();
+  const uint64_t feed_digests[] = {0x1eb8802c3b125daaull,
+                                   0xb984683096d58c2cull};
+  const gtfs::Feed* feeds[] = {&line, &transfer};
+  for (size_t f = 0; f < 2; ++f) {
+    Router feed_router(feeds[f], RouterOptions{});
+    std::vector<double> bits;
+    for (const geo::Point& target : std::vector<geo::Point>{
+             {4000, 100}, {300, 0}, {6000, 100}, {0, 0}, {1e7, 1e7}}) {
       for (gtfs::TimeOfDay depart :
-           {gtfs::MakeTime(7, 58), gtfs::MakeTime(12, 4) + 13}) {
-        Journey a = bucket.Route(origin, target, gtfs::Day::kTuesday, depart);
-        Journey b = heap.Route(origin, target, gtfs::Day::kTuesday, depart);
-        EXPECT_EQ(a.feasible, b.feasible);
-        EXPECT_EQ(a.depart, b.depart);
-        EXPECT_EQ(a.arrive, b.arrive);
-        EXPECT_EQ(a.JourneyTimeSeconds(), b.JourneyTimeSeconds());
+           {gtfs::MakeTime(7, 0), gtfs::MakeTime(7, 4) + 30}) {
+        AppendJourney(
+            feed_router.Route({0, 50}, target, gtfs::Day::kMonday, depart),
+            &bits);
       }
     }
+    const uint64_t digest = testing::HexFloatDigest(bits);
+    EXPECT_EQ(digest, feed_digests[f])
+        << "feed " << f << " digest 0x" << std::hex << digest;
   }
 }
 

@@ -60,9 +60,10 @@ struct TripCostColumns {
   /// Infeasible journeys leave the zeroed slot and clear the flags.
   void Record(size_t index, const router::Journey& journey);
 
-  /// Copies `zone` — one zone captured into columns of its own — into the
-  /// range this object opened for that zone at `base`. Lets zones be
-  /// captured on different threads and stored into one shared set.
+  /// Copies `zone` — one zone, or a run of consecutive zones, captured
+  /// into columns of its own — into the range this object opened for those
+  /// zones at `base`. Lets zones be captured on different threads and
+  /// stored into one shared set.
   void StoreZone(size_t base, const TripCostColumns& zone);
 
   void Clear();

@@ -45,35 +45,64 @@ const std::vector<router::WalkHop>& LabelingEngine::CachedAccessStops(
   return zone_access_[zone];
 }
 
-ZoneLabel LabelingEngine::LabelZone(const Todam& todam, uint32_t zone,
-                                    const std::vector<synth::Poi>& pois,
-                                    CostKind kind, gtfs::Day day) {
-  ZoneLabel label;
-  const std::vector<TripEntry>& trips = todam.TripsFor(zone);
-  label.num_trips = static_cast<uint32_t>(trips.size());
-  spq_count_ += trips.size();
-  if (trips.empty()) return label;
-
-  // Trip indices sorted by departure: both strategies walk the zone's
-  // departure groups in this order.
-  order_.resize(trips.size());
-  for (uint32_t i = 0; i < trips.size(); ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
-    return trips[a].depart < trips[b].depart;
-  });
+void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
+                                size_t num_zones,
+                                const std::vector<synth::Poi>& pois,
+                                CostKind kind, gtfs::Day day, ZoneLabel* out,
+                                TripCostColumns* capture) {
+  // Flat trip numbering and, per zone, its trip indices sorted by
+  // departure: both strategies walk each zone's departure groups in this
+  // order.
+  zone_trip_off_.assign(1, 0);
+  order_.clear();
+  for (size_t b = 0; b < num_zones; ++b) {
+    const std::vector<TripEntry>& trips = todam.TripsFor(zones[b]);
+    const uint32_t base = static_cast<uint32_t>(zone_trip_off_.back());
+    for (uint32_t i = 0; i < trips.size(); ++i) order_.push_back(base + i);
+    std::sort(order_.begin() + base, order_.end(),
+              [&](uint32_t x, uint32_t y) {
+                return trips[x - base].depart < trips[y - base].depart;
+              });
+    zone_trip_off_.push_back(order_.size());
+  }
+  const size_t num_trips = order_.size();
+  spq_count_ += num_trips;
   if (poi_stamp_.size() < pois.size()) {
     poi_stamp_.resize(pois.size(), 0);
     poi_slot_.resize(pois.size(), 0);
   }
-  trip_cost_.resize(trips.size());
-  trip_flags_.resize(trips.size());
+  trip_cost_.resize(num_trips);
+  trip_flags_.resize(num_trips);
 
-  if (router_->csa() != nullptr) {
-    RouteZoneWindow(trips, zone, pois, kind, day);
-  } else {
-    RouteZoneGroups(trips, zone, pois, kind, day);
+  // Every zone opens its own trip range; consecutive ranges make the
+  // block's flat numbering the capture index.
+  capture_ = capture;
+  for (size_t b = 0; capture != nullptr && b < num_zones; ++b) {
+    const size_t base = capture->AppendZone(zone_trip_off_[b + 1] -
+                                            zone_trip_off_[b]);
+    if (b == 0) capture_base_ = base;
   }
-  AggregateInTripOrder(&label);
+  if (num_trips > 0) {
+    if (router_->csa() != nullptr) {
+      RouteBlockWindow(todam, zones, num_zones, pois, kind, day);
+    } else {
+      RouteBlockGroups(todam, zones, num_zones, pois, kind, day);
+    }
+  }
+  capture_ = nullptr;
+  for (size_t b = 0; b < num_zones; ++b) {
+    out[b] = ZoneLabel{};
+    out[b].num_trips =
+        static_cast<uint32_t>(zone_trip_off_[b + 1] - zone_trip_off_[b]);
+    AggregateInTripOrder(zone_trip_off_[b], &out[b]);
+  }
+}
+
+ZoneLabel LabelingEngine::LabelZone(const Todam& todam, uint32_t zone,
+                                    const std::vector<synth::Poi>& pois,
+                                    CostKind kind, gtfs::Day day) {
+  ZoneLabel label;
+  LabelBlock(todam, &zone, 1, pois, kind, day, &label);
   return label;
 }
 
@@ -93,12 +122,13 @@ void LabelingEngine::RecordTrip(uint32_t idx, const router::Journey& journey,
   trip_flags_[idx] = flags;
 }
 
-void LabelingEngine::AggregateInTripOrder(ZoneLabel* label) const {
+void LabelingEngine::AggregateInTripOrder(size_t begin,
+                                          ZoneLabel* label) const {
   // ORIGINAL trip order, so the floating-point sums equal one Route per
   // trip accumulated as the TODAM lists them, bit for bit.
   double sum = 0.0, sum_sq = 0.0;
   uint32_t feasible = 0;
-  for (size_t i = 0; i < label->num_trips; ++i) {
+  for (size_t i = begin; i < begin + label->num_trips; ++i) {
     if (!(trip_flags_[i] & 1)) {
       ++label->num_infeasible;
       continue;
@@ -117,91 +147,111 @@ void LabelingEngine::AggregateInTripOrder(ZoneLabel* label) const {
   }
 }
 
-void LabelingEngine::RouteZoneGroups(const std::vector<TripEntry>& trips,
-                                     uint32_t zone,
-                                     const std::vector<synth::Poi>& pois,
-                                     CostKind kind, gtfs::Day day) {
-  const geo::Point& origin = city_->zones[zone].centroid;
-  const std::vector<router::WalkHop>& origin_access = CachedAccessStops(zone);
+void LabelingEngine::RouteBlockGroups(const Todam& todam,
+                                      const uint32_t* zones, size_t num_zones,
+                                      const std::vector<synth::Poi>& pois,
+                                      CostKind kind, gtfs::Day day) {
+  for (size_t b = 0; b < num_zones; ++b) {
+    const std::vector<TripEntry>& trips = todam.TripsFor(zones[b]);
+    const geo::Point& origin = city_->zones[zones[b]].centroid;
+    const std::vector<router::WalkHop>& origin_access =
+        CachedAccessStops(zones[b]);
+    const size_t base = zone_trip_off_[b];
+    auto trip_of = [&](size_t k) -> const TripEntry& {
+      return trips[order_[k] - base];
+    };
 
-  // One RouteMany per departure group, with repeated POIs inside a group
-  // collapsed to a single target.
-  size_t g = 0;
-  while (g < order_.size()) {
-    gtfs::TimeOfDay depart = trips[order_[g]].depart;
-    size_t g_end = g;
-    ++group_stamp_;
-    group_points_.clear();
-    group_slots_.clear();
-    while (g_end < order_.size() && trips[order_[g_end]].depart == depart) {
-      uint32_t poi = trips[order_[g_end]].poi;
-      if (poi_stamp_[poi] != group_stamp_) {
-        poi_stamp_[poi] = group_stamp_;
-        poi_slot_[poi] = static_cast<uint32_t>(group_points_.size());
-        group_points_.push_back(pois[poi].position);
+    // One RouteMany per departure group, with repeated POIs inside a group
+    // collapsed to a single target.
+    size_t g = base;
+    while (g < zone_trip_off_[b + 1]) {
+      gtfs::TimeOfDay depart = trip_of(g).depart;
+      size_t g_end = g;
+      ++group_stamp_;
+      group_points_.clear();
+      group_slots_.clear();
+      while (g_end < zone_trip_off_[b + 1] && trip_of(g_end).depart == depart) {
+        uint32_t poi = trip_of(g_end).poi;
+        if (poi_stamp_[poi] != group_stamp_) {
+          poi_stamp_[poi] = group_stamp_;
+          poi_slot_[poi] = static_cast<uint32_t>(group_points_.size());
+          group_points_.push_back(pois[poi].position);
+        }
+        group_slots_.push_back(poi_slot_[poi]);
+        ++g_end;
       }
-      group_slots_.push_back(poi_slot_[poi]);
-      ++g_end;
-    }
 
-    group_journeys_.resize(group_points_.size());
-    router_->RouteMany(origin, group_points_.data(), group_points_.size(),
-                       day, depart, group_journeys_.data(), &origin_access);
-    ++expansion_count_;
+      group_journeys_.resize(group_points_.size());
+      router_->RouteMany(origin, group_points_.data(), group_points_.size(),
+                         day, depart, group_journeys_.data(), &origin_access);
+      ++expansion_count_;
 
-    for (size_t k = g; k < g_end; ++k) {
-      RecordTrip(order_[k], group_journeys_[group_slots_[k - g]], kind);
+      for (size_t k = g; k < g_end; ++k) {
+        RecordTrip(order_[k], group_journeys_[group_slots_[k - g]], kind);
+      }
+      g = g_end;
     }
-    g = g_end;
   }
 }
 
-void LabelingEngine::RouteZoneWindow(const std::vector<TripEntry>& trips,
-                                     uint32_t zone,
-                                     const std::vector<synth::Poi>& pois,
-                                     CostKind kind, gtfs::Day day) {
-  const geo::Point& origin = city_->zones[zone].centroid;
-  const std::vector<router::WalkHop>& origin_access = CachedAccessStops(zone);
-  if (poi_zone_stamp_.size() < pois.size()) {
-    poi_zone_stamp_.resize(pois.size(), 0);
-    poi_zone_slot_.resize(pois.size(), 0);
+void LabelingEngine::RouteBlockWindow(const Todam& todam,
+                                      const uint32_t* zones, size_t num_zones,
+                                      const std::vector<synth::Poi>& pois,
+                                      CostKind kind, gtfs::Day day) {
+  if (poi_block_stamp_.size() < pois.size()) {
+    poi_block_stamp_.resize(pois.size(), 0);
+    poi_block_slot_.resize(pois.size(), 0);
+  }
+  // Access lists first: the cache may grow on a zone's first lookup, so
+  // the origin table takes its pointers once every lookup is done.
+  for (size_t b = 0; b < num_zones; ++b) CachedAccessStops(zones[b]);
+  origins_.clear();
+  for (size_t b = 0; b < num_zones; ++b) {
+    origins_.push_back(router::WindowOrigin{city_->zones[zones[b]].centroid,
+                                            &zone_access_[zones[b]]});
   }
 
-  // Every departure group becomes one lane of a single window scan. The
-  // zone's POIs are deduplicated twice: once zone-wide (the unique-target
-  // table every lane indexes into) and once per group (a lane must list
-  // each of its targets exactly once). Lane member/journey lists are flat
-  // slices of two shared arrays; group_slots_ records each trip's flat
-  // journey position.
-  ++zone_stamp_;
+  // Every departure group of every zone becomes one lane of a single
+  // window scan, with its zone as origin. The block's POIs are
+  // deduplicated twice: once block-wide (the unique-target table every
+  // lane indexes into) and once per group (a lane must list each of its
+  // targets exactly once). Lane member/journey lists are flat slices of
+  // two shared arrays; group_slots_ records each trip's flat journey
+  // position, in order_'s order.
+  ++block_stamp_;
   unique_points_.clear();
   profile_members_.clear();
   lane_offsets_.clear();
   lanes_.clear();
   group_slots_.clear();
-  size_t g = 0;
-  while (g < order_.size()) {
-    gtfs::TimeOfDay depart = trips[order_[g]].depart;
-    lane_offsets_.push_back(profile_members_.size());
-    router::WindowLane lane;
-    lane.depart = depart;
-    lanes_.push_back(lane);
-    ++group_stamp_;
-    while (g < order_.size() && trips[order_[g]].depart == depart) {
-      uint32_t poi = trips[order_[g]].poi;
-      if (poi_zone_stamp_[poi] != zone_stamp_) {
-        poi_zone_stamp_[poi] = zone_stamp_;
-        poi_zone_slot_[poi] =
-            static_cast<uint32_t>(unique_points_.size());
-        unique_points_.push_back(pois[poi].position);
+  for (size_t b = 0; b < num_zones; ++b) {
+    const std::vector<TripEntry>& trips = todam.TripsFor(zones[b]);
+    const size_t base = zone_trip_off_[b];
+    size_t g = base;
+    while (g < zone_trip_off_[b + 1]) {
+      const gtfs::TimeOfDay depart = trips[order_[g] - base].depart;
+      lane_offsets_.push_back(profile_members_.size());
+      router::WindowLane lane;
+      lane.depart = depart;
+      lane.origin = static_cast<uint32_t>(b);
+      lanes_.push_back(lane);
+      ++group_stamp_;
+      while (g < zone_trip_off_[b + 1] &&
+             trips[order_[g] - base].depart == depart) {
+        const uint32_t poi = trips[order_[g] - base].poi;
+        if (poi_block_stamp_[poi] != block_stamp_) {
+          poi_block_stamp_[poi] = block_stamp_;
+          poi_block_slot_[poi] = static_cast<uint32_t>(unique_points_.size());
+          unique_points_.push_back(pois[poi].position);
+        }
+        if (poi_stamp_[poi] != group_stamp_) {
+          poi_stamp_[poi] = group_stamp_;
+          poi_slot_[poi] = static_cast<uint32_t>(profile_members_.size());
+          profile_members_.push_back(poi_block_slot_[poi]);
+        }
+        group_slots_.push_back(poi_slot_[poi]);
+        ++g;
       }
-      if (poi_stamp_[poi] != group_stamp_) {
-        poi_stamp_[poi] = group_stamp_;
-        poi_slot_[poi] = static_cast<uint32_t>(profile_members_.size());
-        profile_members_.push_back(poi_zone_slot_[poi]);
-      }
-      group_slots_.push_back(poi_slot_[poi]);
-      ++g;
     }
   }
   lane_offsets_.push_back(profile_members_.size());
@@ -212,9 +262,9 @@ void LabelingEngine::RouteZoneWindow(const std::vector<TripEntry>& trips,
     lanes_[l].num_targets = lane_offsets_[l + 1] - lane_offsets_[l];
     lanes_[l].out = profile_journeys_.data() + lane_offsets_[l];
   }
-  router_->csa()->RouteWindow(origin, unique_points_.data(),
-                              unique_points_.size(), lanes_.data(),
-                              lanes_.size(), day, &origin_access);
+  router_->csa()->RouteWindow(origins_.data(), origins_.size(),
+                              unique_points_.data(), unique_points_.size(),
+                              lanes_.data(), lanes_.size(), day);
   ++expansion_count_;
 
   for (size_t k = 0; k < order_.size(); ++k) {
@@ -226,20 +276,19 @@ ZoneLabel LabelingEngine::CaptureZoneCosts(const Todam& todam, uint32_t zone,
                                            const std::vector<synth::Poi>& pois,
                                            gtfs::Day day,
                                            TripCostColumns* columns) {
-  capture_ = columns;
-  capture_base_ = columns->AppendZone(todam.TripsFor(zone).size());
-  ZoneLabel label = LabelZone(todam, zone, pois, CostKind::kJourneyTime, day);
-  capture_ = nullptr;
+  ZoneLabel label;
+  LabelBlock(todam, &zone, 1, pois, CostKind::kJourneyTime, day, &label,
+             columns);
   return label;
 }
 
 std::vector<ZoneLabel> LabelingEngine::LabelZones(
     const Todam& todam, const std::vector<uint32_t>& zones,
     const std::vector<synth::Poi>& pois, CostKind kind, gtfs::Day day) {
-  std::vector<ZoneLabel> out;
-  out.reserve(zones.size());
-  for (uint32_t z : zones) {
-    out.push_back(LabelZone(todam, z, pois, kind, day));
+  std::vector<ZoneLabel> out(zones.size());
+  for (size_t b = 0; b < zones.size(); b += kZoneBlock) {
+    LabelBlock(todam, zones.data() + b, std::min(kZoneBlock, zones.size() - b),
+               pois, kind, day, out.data() + b);
   }
   return out;
 }

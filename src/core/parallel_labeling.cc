@@ -1,5 +1,6 @@
 #include "core/parallel_labeling.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -61,13 +62,16 @@ std::vector<ZoneLabel> LabelZonesParallel(
   util::LoopOptions loop;
   loop.max_helpers = static_cast<size_t>(num_threads) - 1;
   util::ParallelLoop(
-      util::ThreadPool::Shared(), zones.size(), loop,
+      util::ThreadPool::Shared(), NumZoneBlocks(zones.size()), loop,
       [&](bool /*helper*/) -> util::LoopTask {
         auto participant = std::make_shared<Participant>(
             city, options, gac_weights, &spqs, &expansions);
         return [&, participant](size_t i) -> util::LoopStore {
-          labels[i] =
-              participant->engine.LabelZone(todam, zones[i], pois, kind, day);
+          const size_t first = i * kZoneBlock;
+          participant->engine.LabelBlock(
+              todam, zones.data() + first,
+              std::min(kZoneBlock, zones.size() - first), pois, kind, day,
+              labels.data() + first);
           return {};
         };
       });

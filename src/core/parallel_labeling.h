@@ -4,11 +4,11 @@
 // work notes that "parallelization can benefit an SSR approach too, as the
 // majority of the runtime is in labeling" (§II). This module runs the zone
 // list as one util::ParallelLoop: the calling thread and helpers on the
-// shared util::ThreadPool claim zones one at a time, each participant with
-// its own Router instance (the router's scratch space is not shareable),
-// and labels come back in the same order as the input zones —
-// bit-identical to the serial path, because every zone is labeled
-// independently.
+// shared util::ThreadPool claim blocks of kZoneBlock zones one at a time,
+// each participant with its own Router instance (the router's scratch
+// space is not shareable), and labels come back in the same order as the
+// input zones — bit-identical to the serial path, because every zone is
+// labeled independently of its block.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@ namespace staq::core {
 ///
 /// With RoutingEngine::kCsa the connection array is built (or taken from
 /// router_options.connections) ONCE and shared read-only by every worker's
-/// Router, and every zone is labeled by one window scan.
+/// Router, and every block of zones is labeled by one window scan.
 std::vector<ZoneLabel> LabelZonesParallel(
     const synth::City& city, const Todam& todam,
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,

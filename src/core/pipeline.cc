@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/parallel_labeling.h"
 #include "util/stopwatch.h"
@@ -250,9 +251,14 @@ CapturedCosts SsrPipeline::CaptureGroundTruthColumns(
   CapturedCosts captured;
   util::Stopwatch watch;
   LabelingEngine labeler(city_, router_.get());
-  for (uint32_t z = 0; z < city_->zones.size(); ++z) {
-    labeler.CaptureZoneCosts(todam, z, pois, interval_.day,
-                             &captured.columns);
+  std::vector<uint32_t> zones(city_->zones.size());
+  std::iota(zones.begin(), zones.end(), 0u);
+  std::vector<ZoneLabel> labels(kZoneBlock);
+  for (size_t first = 0; first < zones.size(); first += kZoneBlock) {
+    labeler.LabelBlock(todam, zones.data() + first,
+                       std::min(kZoneBlock, zones.size() - first), pois,
+                       CostKind::kJourneyTime, interval_.day, labels.data(),
+                       &captured.columns);
   }
   captured.spqs = labeler.spq_count();
   captured.labeling_s = watch.ElapsedSeconds();

@@ -19,12 +19,6 @@ void KnnCore::Add(const double* features, size_t dim, double target) {
   targets_.push_back(target);
 }
 
-void KnnCore::RemoveLast() {
-  STAQ_CHECK(!targets_.empty(), "KnnCore::RemoveLast on empty store");
-  flat_.resize(flat_.size() - dim_);
-  targets_.pop_back();
-}
-
 double KnnCore::DistanceTo(uint32_t i, const double* row, size_t dim) const {
   STAQ_CHECK(dim == dim_, "KnnCore: query dimension differs from store");
   const double* stored = features(i);
@@ -115,16 +109,6 @@ bool KnnCore::UpdateNeighbors(const double* row, uint32_t exclude,
   return changed;
 }
 
-std::vector<uint32_t> KnnCore::Neighbors(const double* row, size_t dim,
-                                         uint32_t exclude) const {
-  NeighborScratch scratch;
-  const size_t len = SelectTopK(row, dim, exclude, &scratch);
-  std::vector<uint32_t> out;
-  out.reserve(len);
-  for (size_t i = 0; i < len; ++i) out.push_back(scratch.heap[i].second);
-  return out;
-}
-
 double KnnCore::PredictFromList(const std::pair<double, uint32_t>* list,
                                 size_t len, double extra_target) const {
   const uint32_t extra = static_cast<uint32_t>(size());
@@ -152,21 +136,6 @@ double KnnCore::PredictOne(const double* row, size_t dim,
 double KnnCore::PredictOne(const double* row, size_t dim) const {
   NeighborScratch scratch;
   return PredictOne(row, dim, &scratch);
-}
-
-double KnnCore::PredictOneExcluding(const double* row, size_t dim,
-                                    uint32_t exclude,
-                                    NeighborScratch* scratch) const {
-  STAQ_CHECK(targets_.size() >= 2,
-             "KnnCore::PredictOneExcluding needs at least 2 examples");
-  const size_t len = SelectTopK(row, dim, exclude, scratch);
-  return PredictFromList(scratch->heap.data(), len);
-}
-
-double KnnCore::PredictOneExcluding(const double* row, size_t dim,
-                                    uint32_t exclude) const {
-  NeighborScratch scratch;
-  return PredictOneExcluding(row, dim, exclude, &scratch);
 }
 
 util::Status KnnRegressor::Fit(const Dataset& data) {

@@ -68,8 +68,6 @@ class KnnCore {
   void Add(const std::vector<double>& features, double target) {
     Add(features.data(), features.size(), target);
   }
-  /// Removes the most recently added example (for tentative additions).
-  void RemoveLast();
   size_t size() const { return targets_.size(); }
   size_t dim() const { return dim_; }
   const KnnConfig& config() const { return config_; }
@@ -78,18 +76,6 @@ class KnnCore {
   double PredictOne(const double* row, size_t dim) const;
   double PredictOne(const double* row, size_t dim,
                     NeighborScratch* scratch) const;
-
-  /// Predicts for one row while ignoring the stored example at `exclude`
-  /// (leave-one-out evaluation). Requires at least 2 examples.
-  double PredictOneExcluding(const double* row, size_t dim,
-                             uint32_t exclude) const;
-  double PredictOneExcluding(const double* row, size_t dim, uint32_t exclude,
-                             NeighborScratch* scratch) const;
-
-  /// Indices (into insertion order) of the k nearest stored examples,
-  /// optionally skipping `exclude`.
-  std::vector<uint32_t> Neighbors(const double* row, size_t dim,
-                                  uint32_t exclude = UINT32_MAX) const;
 
   /// Fills scratch->heap with the k nearest (distance, index) pairs for
   /// `row`, sorted ascending; returns how many were found.

@@ -1,6 +1,7 @@
 #include "router/connections.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "util/check.h"
@@ -117,6 +118,67 @@ const ConnectionArray::DayView& ConnectionArray::ForDay(gtfs::Day day) const {
     }
   });
   return day_views_[d];
+}
+
+std::shared_ptr<const std::vector<int32_t>> ConnectionArray::LowerBounds(
+    const WalkTable& walk) const {
+  const size_t num_stops = feed_->num_stops();
+  if (num_stops == 0 || num_stops > kMaxBoundStops) return nullptr;
+  // Transfers depend on exactly these walk parameters.
+  const WalkParams& p = walk.params();
+  std::lock_guard<std::mutex> lock(bounds_mu_);
+  if (bounds_ != nullptr && bounds_params_.speed_mps == p.speed_mps &&
+      bounds_params_.detour_factor == p.detour_factor &&
+      bounds_params_.max_transfer_walk_s == p.max_transfer_walk_s) {
+    return bounds_;
+  }
+
+  // Admissible edge costs: a connection's pure ride time (waits, dwells and
+  // service-day masks dropped — only ever an underestimate) and the exact
+  // integer footpath costs the scan adds.
+  std::vector<int32_t> d(num_stops * num_stops, kFar);
+  for (size_t i = 0; i < num_stops; ++i) d[i * num_stops + i] = 0;
+  for (gtfs::TripId t = 0; t < static_cast<gtfs::TripId>(feed_->num_trips());
+       ++t) {
+    const gtfs::StopTime* end = feed_->trip_end(t);
+    for (const gtfs::StopTime* st = feed_->trip_begin(t); st + 1 < end; ++st) {
+      int32_t w = (st + 1)->arrival - st->departure;
+      if (w < 0) w = 0;
+      int32_t& cell = d[st->stop * num_stops + (st + 1)->stop];
+      cell = std::min(cell, w);
+    }
+  }
+  for (uint32_t s = 0; s < num_stops; ++s) {
+    for (const WalkHop& hop : walk.Transfers(s)) {
+      int32_t& cell = d[s * num_stops + hop.stop];
+      cell = std::min(cell, static_cast<int32_t>(std::lround(hop.walk_s)));
+    }
+  }
+
+  // Floyd–Warshall min-plus closure, row-contiguous inner loop.
+  for (size_t k = 0; k < num_stops; ++k) {
+    const int32_t* dk = d.data() + k * num_stops;
+    for (size_t i = 0; i < num_stops; ++i) {
+      const int32_t dik = d[i * num_stops + k];
+      if (dik >= kFar) continue;
+      int32_t* di = d.data() + i * num_stops;
+      for (size_t j = 0; j < num_stops; ++j) {
+        di[j] = std::min(di[j], dik + dk[j]);
+      }
+    }
+  }
+
+  // Transposed so one egress stop's bounds over all source stops are one
+  // contiguous row in the engine's per-call target bound build.
+  auto lb = std::make_shared<std::vector<int32_t>>(num_stops * num_stops);
+  for (size_t s = 0; s < num_stops; ++s) {
+    for (size_t e = 0; e < num_stops; ++e) {
+      (*lb)[e * num_stops + s] = d[s * num_stops + e];
+    }
+  }
+  bounds_params_ = p;
+  bounds_ = std::move(lb);
+  return bounds_;
 }
 
 std::shared_ptr<const ConnectionArray> ConnectionArray::EnsureFor(

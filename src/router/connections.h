@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "gtfs/feed.h"
+#include "router/walk_table.h"
 
 namespace staq::router {
 
@@ -80,6 +81,23 @@ class ConnectionArray {
   /// the returned reference lives as long as the array.
   const DayView& ForDay(gtfs::Day day) const;
 
+  /// "Unreachable" entry of the LowerBounds table. Small enough that
+  /// kFar + kFar and arrival + kFar stay far from int32 overflow.
+  static constexpr int32_t kFar = 1 << 29;
+  /// LowerBounds stays off above this many stops: the min-plus closure is
+  /// cubic in stops and would not pay off.
+  static constexpr size_t kMaxBoundStops = 1024;
+
+  /// Admissible stop-to-stop lower bounds behind the CSA engine's
+  /// target-directed pruning (router/csa.h): entry [e * num_stops + s]
+  /// lower-bounds any ride/footpath continuation from s to e (kFar: none).
+  /// Footpaths come from `walk` (built over this array's feed), so the
+  /// table is memoised for one walk-parameter set and rebuilt when another
+  /// asks; engines share it read-only. Null above kMaxBoundStops.
+  /// Thread-safe.
+  std::shared_ptr<const std::vector<int32_t>> LowerBounds(
+      const WalkTable& walk) const;
+
   /// Epoch-rebuild hook: returns `existing` when it was built from `feed`
   /// (the timetable is unchanged, so the rebuild is a share), otherwise
   /// builds a fresh array. This is what keeps one array alive across every
@@ -104,6 +122,11 @@ class ConnectionArray {
   // the slots stay valid references; the array itself is non-movable.
   mutable std::array<std::unique_ptr<std::once_flag>, 7> once_;
   mutable std::array<DayView, 7> day_views_;
+
+  // LowerBounds memo: the table for one walk-parameter set.
+  mutable std::mutex bounds_mu_;
+  mutable WalkParams bounds_params_;
+  mutable std::shared_ptr<const std::vector<int32_t>> bounds_;
 };
 
 }  // namespace staq::router

@@ -4,19 +4,17 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 namespace staq::router {
 
 namespace {
 constexpr gtfs::TimeOfDay kNever = INT32_MAX;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// "Unreachable" sentinel for the lower-bound matrices. Small enough that
-/// kFar + kFar and arrival + kFar stay far from int32 overflow.
-constexpr int32_t kFar = 1 << 29;
-/// The min-plus closure is cubic in stops; above this, pruning stays off.
-constexpr size_t kMaxBoundStops = 1024;
+constexpr int32_t kFar = ConnectionArray::kFar;
 }  // namespace
 
 CsaEngine::CsaEngine(const gtfs::Feed* feed, const RouterOptions& options,
@@ -52,126 +50,126 @@ CsaEngine::CsaEngine(const gtfs::Feed* feed, const RouterOptions& options,
   }
 }
 
-void CsaEngine::EnsureBounds() {
-  bounds_built_ = true;
-  const size_t num_stops = feed_->num_stops();
-  if (num_stops == 0 || num_stops > kMaxBoundStops) return;
-
-  // Admissible edge costs: a connection's pure ride time (waits, dwells and
-  // service-day masks dropped — only ever an underestimate) and the exact
-  // integer footpath costs the scan adds.
-  std::vector<int32_t> d(num_stops * num_stops, kFar);
-  for (size_t i = 0; i < num_stops; ++i) d[i * num_stops + i] = 0;
-  for (gtfs::TripId t = 0; t < static_cast<gtfs::TripId>(feed_->num_trips());
-       ++t) {
-    const gtfs::StopTime* end = feed_->trip_end(t);
-    for (const gtfs::StopTime* st = feed_->trip_begin(t); st + 1 < end; ++st) {
-      int32_t w = (st + 1)->arrival - st->departure;
-      if (w < 0) w = 0;
-      int32_t& cell = d[st->stop * num_stops + (st + 1)->stop];
-      cell = std::min(cell, w);
-    }
-  }
-  for (uint32_t s = 0; s < num_stops; ++s) {
-    const uint32_t t1 = transfer_offset_[s + 1];
-    for (uint32_t h = transfer_offset_[s]; h < t1; ++h) {
-      int32_t& cell = d[s * num_stops + transfer_hops_[h].stop];
-      cell = std::min(cell, transfer_hops_[h].walk);
-    }
-  }
-
-  // Floyd–Warshall min-plus closure, row-contiguous inner loop.
-  for (size_t k = 0; k < num_stops; ++k) {
-    const int32_t* dk = d.data() + k * num_stops;
-    for (size_t i = 0; i < num_stops; ++i) {
-      const int32_t dik = d[i * num_stops + k];
-      if (dik >= kFar) continue;
-      int32_t* di = d.data() + i * num_stops;
-      for (size_t j = 0; j < num_stops; ++j) {
-        di[j] = std::min(di[j], dik + dk[j]);
-      }
-    }
-  }
-
-  // Transposed so one egress stop's bounds over all source stops are one
-  // contiguous row in the per-call target_lb_ build.
-  lb_to_.resize(num_stops * num_stops);
-  for (size_t s = 0; s < num_stops; ++s) {
-    for (size_t e = 0; e < num_stops; ++e) {
-      lb_to_[e * num_stops + s] = d[s * num_stops + e];
-    }
-  }
-}
-
 bool CsaEngine::Prunable(size_t col, uint32_t stop, gtfs::TimeOfDay at) const {
   const WindowLane& def = *col_def_[col];
   const double elapsed = static_cast<double>(at - def.depart);
-  const double* best = best_total_.data() + col * u_stride_;
+  const double* best = best_total_.data() + col * t_stride_;
   const size_t num_stops = feed_->num_stops();
   for (size_t k = 0; k < def.num_targets; ++k) {
-    const uint32_t u = def.targets[k];
     const int32_t lb =
-        target_lb_[static_cast<size_t>(u) * num_stops + stop];
+        target_lb_[static_cast<size_t>(def.targets[k]) * num_stops + stop];
     // lb >= kFar means this target's egress set is unreachable from the
     // stop, so the write cannot serve the target at all.
-    if (lb < kFar && elapsed + static_cast<double>(lb) < best[u]) {
+    if (lb < kFar && elapsed + static_cast<double>(lb) < best[k]) {
       return false;
     }
   }
   return true;
 }
 
-void CsaEngine::EnsureLaneCapacity(size_t num_lanes, size_t num_trip_rows) {
-  if (num_lanes <= lane_stride_ && !arr_.empty()) {
-    if (num_trip_rows > trip_rows_) {
-      // More rows at the same stride: every existing entry is already
-      // kNever between calls, so growing in place keeps rows clean.
-      trip_rows_ = num_trip_rows;
+size_t CsaEngine::scratch_bytes() const {
+  auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  size_t total = bytes(arr_) + bytes(meta_) + bytes(trip_time_) +
+                 bytes(trip_stop_) + bytes(riding_cnt_) + bytes(best_total_) +
+                 bytes(best_walk_) + bytes(best_stop_) + bytes(target_lb_) +
+                 bytes(min_arr_) + bytes(egress_pool_) + bytes(direct_walk_) +
+                 bytes(acc_lb_) + bytes(flags_);
+  for (const auto& v : touched_) total += bytes(v);
+  for (const auto& v : boarded_) total += bytes(v);
+  return total;
+}
+
+void CsaEngine::Reserve(size_t stride, size_t trip_rows) {
+  if (stride == lane_stride_) {
+    if (trip_rows > trip_rows_) {
+      // More rows at the same stride: every existing entry of a free
+      // column is already kNever, so growing in place keeps rows clean.
+      trip_rows_ = trip_rows;
       trip_time_.resize(trip_rows_ * lane_stride_, kNever);
       trip_stop_.resize(trip_rows_ * lane_stride_, 0);
       riding_cnt_.resize(trip_rows_, 0);
     }
     return;
   }
-  // Only ever grows between calls (no live columns), so the wholesale
-  // re-fill cannot lose in-flight state.
-  lane_stride_ = std::max(num_lanes, lane_stride_);
-  trip_rows_ = std::max(num_trip_rows, trip_rows_);
+  // Re-stride mid-call: copy every row's existing columns into the wider
+  // layout (live lanes keep their state) and start the new columns clean.
+  const size_t old = lane_stride_;
+  trip_rows_ = std::max(trip_rows, trip_rows_);
+  auto restride = [&](auto& v, size_t rows, auto fill) {
+    std::decay_t<decltype(v)> next(rows * stride, fill);
+    for (size_t r = 0; r * old < v.size(); ++r) {
+      std::copy(v.begin() + r * old, v.begin() + (r + 1) * old,
+                next.begin() + r * stride);
+    }
+    v.swap(next);
+  };
   const size_t stops = feed_->num_stops();
-  arr_.assign(stops * lane_stride_, kNever);
-  meta_.assign(stops * lane_stride_, Label{});
-  trip_time_.assign(trip_rows_ * lane_stride_, kNever);
-  trip_stop_.assign(trip_rows_ * lane_stride_, 0);
-  riding_cnt_.assign(trip_rows_, 0);
-  touched_.resize(lane_stride_);
-  boarded_.resize(lane_stride_);
-  for (auto& v : touched_) v.clear();
-  for (auto& v : boarded_) v.clear();
-  col_def_.resize(lane_stride_);
-  col_latest_.resize(lane_stride_);
-  col_worst_.resize(lane_stride_);
-  col_worst_ret_.resize(lane_stride_);
-  col_relax_.resize(lane_stride_);
-  col_retire_.resize(lane_stride_);
-  col_retired_.resize(lane_stride_);
-  flags_.assign(lane_stride_ + 8, 0);
+  restride(arr_, stops, kNever);
+  restride(meta_, stops, Label{});
+  restride(trip_time_, trip_rows_, kNever);
+  restride(trip_stop_, trip_rows_, 0u);
+  riding_cnt_.resize(trip_rows_, 0);
+  lane_stride_ = stride;
+  touched_.resize(stride);
+  boarded_.resize(stride);
+  col_def_.resize(stride);
+  col_latest_.resize(stride);
+  col_worst_.resize(stride);
+  col_worst_ret_.resize(stride);
+  col_relax_.resize(stride);
+  col_retire_.resize(stride);
+  col_live_.resize(stride, 0);
+  flags_.resize(stride + 8, 0);
+  best_total_.resize(stride * t_stride_);
+  best_walk_.resize(stride * t_stride_);
+  best_stop_.resize(stride * t_stride_);
+  for (size_t col = old; col < stride; ++col) {
+    free_cols_.push_back(static_cast<uint32_t>(col));
+    std::push_heap(free_cols_.begin(), free_cols_.end(), std::greater<>());
+  }
+}
+
+size_t CsaEngine::TakeColumn(const WindowLane* lane) {
+  if (free_cols_.empty()) {
+    // Grow by half (at least 8 columns), in multiples of 8 to keep the
+    // pre-filter's 8-wide words whole.
+    const size_t grown = std::max(lane_stride_ + 8, lane_stride_ * 3 / 2);
+    Reserve((grown + 7) & ~size_t{7}, trip_rows_);
+  }
+  std::pop_heap(free_cols_.begin(), free_cols_.end(), std::greater<>());
+  const size_t col = free_cols_.back();
+  free_cols_.pop_back();
+  col_def_[col] = lane;
+  return col;
+}
+
+void CsaEngine::Retire(size_t col) {
+  Finalize(col);
+  ClearColumn(col);
+  if (col_live_[col]) {
+    col_live_[col] = 0;
+    --active_count_;
+  }
+  free_cols_.push_back(static_cast<uint32_t>(col));
+  std::push_heap(free_cols_.begin(), free_cols_.end(), std::greater<>());
 }
 
 void CsaEngine::UpdateWorst(size_t col) {
   const WindowLane& def = *col_def_[col];
-  const double* best = best_total_.data() + col * u_stride_;
+  const double* best = best_total_.data() + col * t_stride_;
   double worst = 0.0;
   double worst_ret = 0.0;
   for (size_t k = 0; k < def.num_targets; ++k) {
-    const uint32_t u = def.targets[k];
-    worst = std::max(worst, best[u]);
+    worst = std::max(worst, best[k]);
     if (prune_) {
-      if (min_tlb_[u] < kFar) {
-        worst_ret =
-            std::max(worst_ret, best[u] - static_cast<double>(min_tlb_[u]));
+      const int32_t m = min_tlb_[def.targets[k]];
+      if (m < kFar) {
+        worst_ret = std::max(worst_ret, best[k] - static_cast<double>(m));
       }
     } else {
-      worst_ret = std::max(worst_ret, best[u]);
+      worst_ret = std::max(worst_ret, best[k]);
     }
   }
   col_worst_[col] = worst;
@@ -183,26 +181,43 @@ void CsaEngine::UpdateWorst(size_t col) {
   next_retire_ = std::min(next_retire_, retire);
 }
 
+void CsaEngine::MapLaneTargets(size_t col) {
+  const WindowLane* lane = col_def_[col];
+  if (slot_lane_ == lane) return;
+  slot_lane_ = lane;
+  if (++slot_gen_ == 0) {  // wrapped: no stale stamp may read as current
+    std::fill(slot_stamp_.begin(), slot_stamp_.end(), 0);
+    slot_gen_ = 1;
+  }
+  for (size_t k = 0; k < lane->num_targets; ++k) {
+    slot_stamp_[lane->targets[k]] = slot_gen_;
+    slot_k_[lane->targets[k]] = static_cast<uint32_t>(k);
+  }
+}
+
 void CsaEngine::Improve(size_t col, uint32_t stop, gtfs::TimeOfDay arrival) {
-  // Egress relaxation across every unique target wanting this stop. Router
+  // Egress relaxation across the lane's targets wanting this stop. Router
   // settles targets when the stop pops; settling at write time instead sees
   // the same final bests because arrivals only ever decrease — and a write
   // the Router's settle loop would have cut off (arrival past its stopping
-  // bound) can by the same bound never beat a recorded best. Foreign
-  // targets hold -inf, so a shared entry can never improve them.
+  // bound) can by the same bound never beat a recorded best. Entries of
+  // targets outside the lane's subset are skipped.
   if (egress_epoch_[stop] == call_epoch_) {
+    MapLaneTargets(col);
     const gtfs::TimeOfDay depart = col_def_[col]->depart;
-    double* best_total = best_total_.data() + col * u_stride_;
-    double* best_walk = best_walk_.data() + col * u_stride_;
-    uint32_t* best_stop = best_stop_.data() + col * u_stride_;
+    double* best_total = best_total_.data() + col * t_stride_;
+    double* best_walk = best_walk_.data() + col * t_stride_;
+    uint32_t* best_stop = best_stop_.data() + col * t_stride_;
     bool improved = false;
     for (int32_t e = egress_head_[stop]; e >= 0; e = egress_pool_[e].next) {
       const EgressEntry& eg = egress_pool_[e];
+      if (slot_stamp_[eg.target] != slot_gen_) continue;
+      const uint32_t k = slot_k_[eg.target];
       double total = static_cast<double>(arrival - depart) + eg.walk_s;
-      if (total < best_total[eg.target]) {
-        best_total[eg.target] = total;
-        best_stop[eg.target] = stop;
-        best_walk[eg.target] = eg.walk_s;
+      if (total < best_total[k]) {
+        best_total[k] = total;
+        best_stop[k] = stop;
+        best_walk[k] = eg.walk_s;
         improved = true;
       }
     }
@@ -245,34 +260,32 @@ bool CsaEngine::Activate(size_t col) {
   const WindowLane& def = *col_def_[col];
   const double horizon = options_.horizon_s;
   col_latest_[col] = def.depart + static_cast<gtfs::TimeOfDay>(horizon);
-  col_retired_[col] = 0;
 
-  // Per-target walk-only baselines (identical to Router::RouteMany);
-  // foreign targets get -inf so the shared egress map skips them.
-  double* best_total = best_total_.data() + col * u_stride_;
-  double* best_walk = best_walk_.data() + col * u_stride_;
-  uint32_t* best_stop = best_stop_.data() + col * u_stride_;
-  std::fill(best_total, best_total + u_stride_, -kInf);
+  // Per-target walk-only baselines (identical to Router::RouteMany).
+  const size_t pair0 = static_cast<size_t>(def.origin) * num_unique_;
+  double* best_total = best_total_.data() + col * t_stride_;
+  double* best_walk = best_walk_.data() + col * t_stride_;
+  uint32_t* best_stop = best_stop_.data() + col * t_stride_;
   double worst = 0.0;
   double worst_ret = 0.0;
   bool dead = prune_;
   for (size_t k = 0; k < def.num_targets; ++k) {
     const uint32_t u = def.targets[k];
-    double direct = direct_walk_[u];
-    best_total[u] = direct <= horizon ? direct : kInf;
-    best_walk[u] = 0.0;
-    best_stop[u] = gtfs::kInvalidId;
-    worst = std::max(worst, best_total[u]);
+    double direct = direct_walk_[pair0 + u];
+    best_total[k] = direct <= horizon ? direct : kInf;
+    best_walk[k] = 0.0;
+    best_stop[k] = gtfs::kInvalidId;
+    worst = std::max(worst, best_total[k]);
     if (prune_) {
-      if (acc_lb_[u] < kFar) dead = false;
+      if (acc_lb_[pair0 + u] < kFar) dead = false;
       // Unreachable targets (min_tlb_ >= kFar) can never change and drop
       // out of the retirement bound entirely.
       if (min_tlb_[u] < kFar) {
         worst_ret = std::max(
-            worst_ret, best_total[u] - static_cast<double>(min_tlb_[u]));
+            worst_ret, best_total[k] - static_cast<double>(min_tlb_[u]));
       }
     } else {
-      worst_ret = std::max(worst_ret, best_total[u]);
+      worst_ret = std::max(worst_ret, best_total[k]);
     }
   }
   // Every target decided at birth: no ride or footpath chain reaches any
@@ -290,26 +303,28 @@ bool CsaEngine::Activate(size_t col) {
 
   // Seed every access label first — the Router's seeding order — then run
   // egress/footpath closure from the seeds.
-  for (const IntHop& hop : access_int_) {
-    gtfs::TimeOfDay at = def.depart + hop.walk;
+  const IntHop* hops = access_int_.data() + access_offset_[def.origin];
+  const IntHop* hops_end = access_int_.data() + access_offset_[def.origin + 1];
+  for (const IntHop* hop = hops; hop != hops_end; ++hop) {
+    gtfs::TimeOfDay at = def.depart + hop->walk;
     if (at > col_relax_[col]) continue;
-    gtfs::TimeOfDay& cur = arr_[hop.stop * lane_stride_ + col];
+    gtfs::TimeOfDay& cur = arr_[hop->stop * lane_stride_ + col];
     if (at < cur) {
-      if (prune_ && Prunable(col, hop.stop, at)) continue;
-      if (cur == kNever) touched_[col].push_back(hop.stop);
+      if (prune_ && Prunable(col, hop->stop, at)) continue;
+      if (cur == kNever) touched_[col].push_back(hop->stop);
       cur = at;
-      min_arr_[hop.stop] = std::min(min_arr_[hop.stop], at);
-      Label& label = meta_[hop.stop * lane_stride_ + col];
+      min_arr_[hop->stop] = std::min(min_arr_[hop->stop], at);
+      Label& label = meta_[hop->stop * lane_stride_ + col];
       label.arrival = at;
       label.kind = Label::Kind::kAccess;
       label.pred_stop = gtfs::kInvalidId;
       label.trip = gtfs::kInvalidId;
-      label.walk_s = hop.walk_f;
+      label.walk_s = hop->walk_f;
     }
   }
-  for (const IntHop& hop : access_int_) {
-    gtfs::TimeOfDay at = arr_[hop.stop * lane_stride_ + col];
-    if (at != kNever) Improve(col, hop.stop, at);
+  for (const IntHop* hop = hops; hop != hops_end; ++hop) {
+    gtfs::TimeOfDay at = arr_[hop->stop * lane_stride_ + col];
+    if (at != kNever) Improve(col, hop->stop, at);
   }
   return true;
 }
@@ -406,25 +421,26 @@ Journey CsaEngine::Reconstruct(size_t col, gtfs::TimeOfDay depart,
 void CsaEngine::Finalize(size_t col) {
   const WindowLane& def = *col_def_[col];
   const gtfs::TimeOfDay depart = def.depart;
-  const double* best_total = best_total_.data() + col * u_stride_;
-  const double* best_walk = best_walk_.data() + col * u_stride_;
-  const uint32_t* best_stop = best_stop_.data() + col * u_stride_;
+  const double* direct = direct_walk_.data() +
+                         static_cast<size_t>(def.origin) * num_unique_;
+  const double* best_total = best_total_.data() + col * t_stride_;
+  const double* best_walk = best_walk_.data() + col * t_stride_;
+  const uint32_t* best_stop = best_stop_.data() + col * t_stride_;
   for (size_t k = 0; k < def.num_targets; ++k) {
-    const uint32_t u = def.targets[k];
     Journey& j = def.out[k];
-    if (best_total[u] == kInf) {
+    if (best_total[k] == kInf) {
       j = Journey{};
       j.depart = depart;  // infeasible
       continue;
     }
-    if (best_stop[u] == gtfs::kInvalidId) {
+    if (best_stop[k] == gtfs::kInvalidId) {
       // Pure walk wins.
+      const double walk = direct[def.targets[k]];
       j = Journey{};
       j.feasible = true;
       j.depart = depart;
-      j.arrive = depart + static_cast<gtfs::TimeOfDay>(
-                              std::lround(direct_walk_[u]));
-      j.access_walk_s = direct_walk_[u];
+      j.arrive = depart + static_cast<gtfs::TimeOfDay>(std::lround(walk));
+      j.access_walk_s = walk;
       JourneyLeg leg;
       leg.type = JourneyLeg::Type::kWalk;
       leg.start = depart;
@@ -433,7 +449,7 @@ void CsaEngine::Finalize(size_t col) {
       j.legs.push_back(leg);
       continue;
     }
-    j = Reconstruct(col, depart, best_stop[u], best_walk[u]);
+    j = Reconstruct(col, depart, best_stop[k], best_walk[k]);
   }
 }
 
@@ -456,37 +472,37 @@ void CsaEngine::RouteMany(const geo::Point& origin, const geo::Point* targets,
   if (num_targets == 0) return;
   identity_targets_.resize(num_targets);
   std::iota(identity_targets_.begin(), identity_targets_.end(), 0u);
+  WindowOrigin from{origin, origin_access};
   WindowLane lane;
   lane.depart = depart;
   lane.targets = identity_targets_.data();
   lane.num_targets = num_targets;
   lane.out = out;
-  RouteWindow(origin, targets, num_targets, &lane, 1, day, origin_access);
+  RouteWindow(&from, 1, targets, num_targets, &lane, 1, day);
 }
 
-void CsaEngine::RouteWindow(const geo::Point& origin,
+void CsaEngine::RouteWindow(const WindowOrigin* origins, size_t num_origins,
                             const geo::Point* unique_targets,
                             size_t num_unique, const WindowLane* lanes,
-                            size_t num_lanes, gtfs::Day day,
-                            const std::vector<WalkHop>* origin_access) {
+                            size_t num_lanes, gtfs::Day day) {
   if (num_lanes == 0) return;
   ++call_epoch_;
   egress_pool_.clear();
 
-  // Window calls amortise the one-time lower-bound closure behind
-  // target-directed write pruning; single-departure calls never pay for it
-  // (but reuse it when a prior window call on this engine built it).
-  if (num_lanes > 1 && !bounds_built_) EnsureBounds();
+  // Window calls fetch the feed's shared lower-bound table behind
+  // target-directed pruning; single-departure calls never ask for it (but
+  // reuse it when a prior window call on this engine fetched it).
+  if (num_lanes > 1 && !bounds_fetched_) {
+    bounds_fetched_ = true;
+    lb_to_ = connections_->LowerBounds(*walk_table_);
+  }
   const size_t num_stops = feed_->num_stops();
-  prune_ = !lb_to_.empty();
+  prune_ = lb_to_ != nullptr;
   if (prune_) target_lb_.assign(num_unique * num_stops, kFar);
 
-  // Shared zone-level egress map + direct-walk baselines over the unique
-  // targets; built once, read by every lane.
-  direct_walk_.resize(num_unique);
+  // Shared egress map over the unique targets of every origin; built once,
+  // read by every lane.
   for (size_t u = 0; u < num_unique; ++u) {
-    direct_walk_[u] = walk_table_->WalkSecondsBetween(origin,
-                                                      unique_targets[u]);
     walk_table_->AccessStops(unique_targets[u], &egress_scratch_,
                              &neighbor_scratch_);
     for (const WalkHop& hop : egress_scratch_) {
@@ -501,8 +517,8 @@ void CsaEngine::RouteWindow(const geo::Point& origin,
         // Fold this egress candidate into the target's remaining-time
         // bound: floor() keeps the (double) walk admissible.
         const int32_t walk = static_cast<int32_t>(std::floor(hop.walk_s));
-        const int32_t* row = lb_to_.data() +
-                             static_cast<size_t>(hop.stop) * num_stops;
+        const int32_t* row =
+            lb_to_->data() + static_cast<size_t>(hop.stop) * num_stops;
         int32_t* tl = target_lb_.data() + u * num_stops;
         for (size_t s = 0; s < num_stops; ++s) {
           tl[s] = std::min(tl[s], row[s] + walk);
@@ -510,260 +526,288 @@ void CsaEngine::RouteWindow(const geo::Point& origin,
       }
     }
   }
-
-  if (origin_access == nullptr) {
-    walk_table_->AccessStops(origin, &access_scratch_, &neighbor_scratch_);
-    origin_access = &access_scratch_;
-  }
-  access_int_.resize(origin_access->size());
-  for (size_t a = 0; a < origin_access->size(); ++a) {
-    const WalkHop& hop = (*origin_access)[a];
-    access_int_[a] =
-        IntHop{hop.stop, static_cast<gtfs::TimeOfDay>(std::lround(hop.walk_s)),
-               static_cast<float>(hop.walk_s)};
-  }
-
-  // Per-target derived bounds for this call. min_tlb_ feeds lane
-  // retirement: a journey settled from sweep time tau onward costs at
-  // least (tau - depart) + min_tlb_[u]. acc_lb_ >= kFar proves the target
-  // unreachable (by rides OR footpath chains) from every access stop of
-  // this origin, which decides the target at lane birth.
+  // min_tlb_ feeds lane retirement: a journey settled from sweep time tau
+  // onward costs at least (tau - depart) + min_tlb_[u].
   if (prune_) {
-    min_tlb_.assign(num_unique, kFar);
-    acc_lb_.assign(num_unique, kFar);
+    min_tlb_.resize(num_unique);
     for (size_t u = 0; u < num_unique; ++u) {
       const int32_t* tl = target_lb_.data() + u * num_stops;
-      int32_t m = kFar;
-      for (size_t s = 0; s < num_stops; ++s) m = std::min(m, tl[s]);
-      min_tlb_[u] = m;
-      int32_t a = kFar;
-      for (const IntHop& hop : access_int_) a = std::min(a, tl[hop.stop]);
-      acc_lb_[u] = a;
+      min_tlb_[u] = *std::min_element(tl, tl + num_stops);
     }
   }
 
-  // A lane's transit search can only start once the sweep reaches its
-  // earliest seeded arrival: depart + the origin's closest access walk.
-  gtfs::TimeOfDay min_offset = 0;
-  if (!access_int_.empty()) {
-    gtfs::TimeOfDay best = kNever;
-    for (const IntHop& hop : access_int_) best = std::min(best, hop.walk);
-    min_offset = best;
+  // The origin table: access hops and closest access walk per origin.
+  access_int_.clear();
+  access_offset_.assign(1, 0);
+  origin_min_walk_.assign(num_origins, kNever);
+  for (size_t o = 0; o < num_origins; ++o) {
+    const std::vector<WalkHop>* access = origins[o].access;
+    if (access == nullptr) {
+      walk_table_->AccessStops(origins[o].point, &access_scratch_,
+                               &neighbor_scratch_);
+      access = &access_scratch_;
+    }
+    for (const WalkHop& hop : *access) {
+      const IntHop ih{hop.stop,
+                      static_cast<gtfs::TimeOfDay>(std::lround(hop.walk_s)),
+                      static_cast<float>(hop.walk_s)};
+      access_int_.push_back(ih);
+      origin_min_walk_[o] = std::min(origin_min_walk_[o], ih.walk);
+    }
+    access_offset_.push_back(static_cast<uint32_t>(access_int_.size()));
   }
 
-  // Pending lanes in activation (= departure) order; the lane's rank in
-  // this order is its column in the lane-major arrays.
+  // Per-(origin, target) tables for the pairs the lanes ask for: the
+  // direct-walk baseline, and acc_lb_ >= kFar proving the target
+  // unreachable (by rides OR footpath chains) from every access stop of
+  // the origin, which decides the target at lane birth.
+  num_unique_ = num_unique;
+  direct_walk_.assign(num_origins * num_unique, -1.0);
+  if (prune_) acc_lb_.resize(num_origins * num_unique);
+  t_stride_ = 0;
+  for (size_t l = 0; l < num_lanes; ++l) {
+    const WindowLane& lane = lanes[l];
+    t_stride_ = std::max(t_stride_, lane.num_targets);
+    const size_t pair0 = static_cast<size_t>(lane.origin) * num_unique;
+    for (size_t k = 0; k < lane.num_targets; ++k) {
+      const uint32_t u = lane.targets[k];
+      if (direct_walk_[pair0 + u] >= 0.0) continue;
+      direct_walk_[pair0 + u] = walk_table_->WalkSecondsBetween(
+          origins[lane.origin].point, unique_targets[u]);
+      if (prune_) {
+        const int32_t* tl = target_lb_.data() + u * num_stops;
+        int32_t a = kFar;
+        for (uint32_t h = access_offset_[lane.origin];
+             h < access_offset_[lane.origin + 1]; ++h) {
+          a = std::min(a, tl[access_int_[h].stop]);
+        }
+        acc_lb_[pair0 + u] = a;
+      }
+    }
+  }
+  best_total_.resize(lane_stride_ * t_stride_);
+  best_walk_.resize(lane_stride_ * t_stride_);
+  best_stop_.resize(lane_stride_ * t_stride_);
+  if (slot_stamp_.size() < num_unique) {
+    slot_stamp_.resize(num_unique, 0);
+    slot_k_.resize(num_unique, 0);
+  }
+  slot_lane_ = nullptr;
+
+  // A lane's transit search can only start once the sweep reaches its
+  // earliest seeded arrival: depart + its origin's closest access walk.
+  // Lanes of an origin without access stops have no search; they are
+  // decided (walk-only or infeasible) up front. The rest wait in
+  // activation order.
+  auto activation = [&](uint32_t l) {
+    return lanes[l].depart + origin_min_walk_[lanes[l].origin];
+  };
   std::vector<uint32_t>& order = lane_order_;
-  order.resize(num_lanes);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [lanes](uint32_t a, uint32_t b) {
-                     return lanes[a].depart < lanes[b].depart;
-                   });
+  order.clear();
+  gtfs::TimeOfDay last_depart = 0;
+  for (uint32_t l = 0; l < num_lanes; ++l) {
+    if (origin_min_walk_[lanes[l].origin] == kNever) {
+      const size_t col = TakeColumn(&lanes[l]);
+      Activate(col);
+      Retire(col);
+      continue;
+    }
+    order.push_back(l);
+    last_depart = std::max(last_depart, lanes[l].depart);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return activation(a) < activation(b);
+  });
+  const size_t num_pending = order.size();
+  if (num_pending == 0) return;
 
   // Trip rows for the trips the sweep can meet: the sweep starts at the
   // first lane's activation, and no lane outlives its latest arrival
   // (depart + horizon), so every connection it offers departs in between.
   const ConnectionArray::DayView& view = connections_->ForDay(day);
   uint32_t slot_end = 0;
-  trip_slot_lo_ = 0;
-  if (!access_int_.empty()) {
-    view.SlotRange(
-        lanes[order.front()].depart + min_offset,
-        lanes[order.back()].depart +
-            static_cast<gtfs::TimeOfDay>(options_.horizon_s),
-        &trip_slot_lo_, &slot_end);
-  }
+  view.SlotRange(activation(order.front()),
+                 last_depart + static_cast<gtfs::TimeOfDay>(options_.horizon_s),
+                 &trip_slot_lo_, &slot_end);
   call_trip_rows_ = slot_end > trip_slot_lo_ ? slot_end - trip_slot_lo_ : 0;
-  EnsureLaneCapacity(num_lanes, call_trip_rows_);
-  u_stride_ = num_unique;
-  best_total_.resize(num_lanes * u_stride_);
-  best_walk_.resize(num_lanes * u_stride_);
-  best_stop_.resize(num_lanes * u_stride_);
-  for (size_t col = 0; col < num_lanes; ++col) {
-    col_def_[col] = &lanes[order[col]];
-  }
+  Reserve(lane_stride_, call_trip_rows_);
+  std::fill(min_arr_.begin(), min_arr_.end(), kNever);
   next_retire_ = kInf;
   active_count_ = 0;
   max_relax_ = -1;
-  std::fill(min_arr_.begin(), min_arr_.end(), kNever);
+  col_lo_ = col_hi_ = 0;
 
-  size_t pi = 0;  // next column to activate
-  size_t lo = 0;  // columns [lo, pi) hold every live lane
-  if (!access_int_.empty()) {
-    auto activation = [&](size_t col) {
-      return col_def_[col]->depart + min_offset;
-    };
-    size_t i = view.LowerBound(activation(0));
-    while (i < view.size() && (pi < num_lanes || active_count_ > 0)) {
-      const gtfs::TimeOfDay tau = view.dep_time[i];
+  size_t pi = 0;  // next lane (in activation order) to activate
+  size_t i = view.LowerBound(activation(order[0]));
+  while (i < view.size() && (pi < num_pending || active_count_ > 0)) {
+    const gtfs::TimeOfDay tau = view.dep_time[i];
 
-      while (pi < num_lanes && activation(pi) <= tau) {
-        if (Activate(pi)) {
-          ++active_count_;
+    while (pi < num_pending && activation(order[pi]) <= tau) {
+      const size_t col = TakeColumn(&lanes[order[pi]]);
+      if (Activate(col)) {
+        col_live_[col] = 1;
+        if (active_count_++ == 0) {
+          col_lo_ = col;
+          col_hi_ = col + 1;
         } else {
-          Finalize(pi);
-          ClearColumn(pi);
-          col_retired_[pi] = 1;
+          col_lo_ = std::min(col_lo_, col);
+          col_hi_ = std::max(col_hi_, col + 1);
         }
-        ++pi;
+      } else {
+        Retire(col);
       }
-      while (lo < pi && col_retired_[lo]) ++lo;
-
-      // Retire lanes no later connection can improve: every journey found
-      // from here on departs a stop at >= tau, so its total exceeds
-      // tau - depart (the Router's settle-loop stopping bound). The pass
-      // runs only when tau crosses the earliest retire bound — retiring a
-      // lane late is result-neutral because relax_limit already rejects
-      // every write past the same bound. The pass also refreshes
-      // max_relax_, the live lanes' shared relax upper bound.
-      if (active_count_ > 0 && static_cast<double>(tau) >= next_retire_) {
-        next_retire_ = kInf;
-        max_relax_ = -1;
-        for (size_t col = lo; col < pi; ++col) {
-          if (col_retired_[col]) continue;
-          // Exact bound, not the (rounded) col_retire_ schedule: retiring a
-          // lane even one time-unit early could drop a boundary write.
-          const gtfs::TimeOfDay depart = col_def_[col]->depart;
-          if (static_cast<double>(tau - depart) >= col_worst_ret_[col] ||
-              tau > col_latest_[col]) {
-            Finalize(col);
-            ClearColumn(col);
-            col_retired_[col] = 1;
-            --active_count_;
-          } else {
-            next_retire_ = std::min(
-                next_retire_,
-                std::max(col_retire_[col], static_cast<double>(tau) + 1.0));
-            max_relax_ = std::max(max_relax_, col_relax_[col]);
-          }
-        }
-        while (lo < pi && col_retired_[lo]) ++lo;
-      }
-
-      if (active_count_ == 0) {
-        if (pi >= num_lanes) break;
-        i = view.LowerBound(activation(pi));
-        continue;
-      }
-
-      // Whole-connection skip before any lane row is touched: no lane is
-      // riding the trip and none has reached dep_stop by tau (min_arr_ is
-      // a conservative lower bound — stale-low after retires), or the
-      // connection arrives past every live lane's relax limit. In either
-      // case no lane could flag below. A trip outside the call's row range
-      // cannot occur (every live lane's horizon covers tau); the row check
-      // only keeps that invariant from ever becoming a stray write.
-      const uint32_t row = view.slot[i] - trip_slot_lo_;
-      const uint32_t dep_stop = view.dep_stop[i];
-      const gtfs::TimeOfDay arr = view.arr_time[i];
-      if (row >= call_trip_rows_ ||
-          (riding_cnt_[row] == 0 && min_arr_[dep_stop] > tau) ||
-          arr > max_relax_) {
-        ++i;
-        continue;
-      }
-
-      // Pre-filter: one branch-free pass over the connection's lane-major
-      // rows flags exactly the columns the slow path must touch — a lane
-      // whose boarding window is open and that is not yet riding (it must
-      // board, even if this connection's write fails, because the board
-      // time feeds every later label of the trip), or a riding lane whose
-      // arrival actually improves arr_stop. Lanes whose relax limit the
-      // arrival exceeds never flag: skipping such a boarding outright is
-      // result-neutral, since the trip's later connections arrive later
-      // still and relax limits only shrink, so no later write was possible
-      // either. Cleared/retired columns read kNever and cannot flag. Edge
-      // bytes of the 8-wide gather words are zeroed so the word-skip below
-      // never reads stale flags.
-      gtfs::TimeOfDay* tt = trip_time_.data() +
-                            static_cast<size_t>(row) * lane_stride_;
-      const gtfs::TimeOfDay* ar = arr_.data() +
-                                  static_cast<size_t>(dep_stop) * lane_stride_;
-      const uint32_t arr_stop = view.arr_stop[i];
-      const gtfs::TimeOfDay* cu = arr_.data() +
-                                  static_cast<size_t>(arr_stop) * lane_stride_;
-      const gtfs::TimeOfDay* relax = col_relax_.data();
-      const gtfs::TimeOfDay window_lo = tau - wait_cap_;
-      uint8_t* flags = flags_.data();
-      const size_t b0 = lo & ~size_t{7};
-      const size_t b1 = (pi + 7) & ~size_t{7};
-      for (size_t col = b0; col < lo; ++col) flags[col] = 0;
-      for (size_t col = pi; col < b1; ++col) flags[col] = 0;
-      for (size_t col = lo; col < pi; ++col) {
-        const gtfs::TimeOfDay at = ar[col];
-        const uint8_t riding = static_cast<uint8_t>(tt[col] != kNever);
-        const uint8_t window = static_cast<uint8_t>(at >= window_lo) &
-                               static_cast<uint8_t>(at <= tau);
-        const uint8_t write = static_cast<uint8_t>(arr < cu[col]);
-        flags[col] = static_cast<uint8_t>(
-            ((window & static_cast<uint8_t>(riding ^ 1)) | (riding & write)) &
-            static_cast<uint8_t>(arr <= relax[col]));
-      }
-      slow_cols_.clear();
-      for (size_t base = b0; base < b1; base += 8) {
-        uint64_t word;
-        std::memcpy(&word, flags + base, sizeof(word));
-        if (word == 0) continue;
-        for (size_t b = 0; b < 8; ++b) {
-          if (flags[base + b]) {
-            slow_cols_.push_back(static_cast<uint32_t>(base + b));
-          }
-        }
-      }
-
-      if (!slow_cols_.empty()) {
-        const gtfs::TripId trip = view.trip[i];
-        uint32_t* ts = trip_stop_.data() +
-                       static_cast<size_t>(row) * lane_stride_;
-        for (uint32_t col : slow_cols_) {
-          if (tt[col] == kNever) {
-            // Pre-filter guaranteed the boarding condition.
-            boarded_[col].push_back(row);
-            ++riding_cnt_[row];
-            tt[col] = tau;
-            ts[col] = dep_stop;
-          }
-          gtfs::TimeOfDay& cur = arr_[static_cast<size_t>(arr_stop) *
-                                          lane_stride_ + col];
-          if (arr < cur) {
-            // Boarding above stays unguarded: a provably-useless arrival
-            // write says nothing about later stops of the same trip.
-            if (prune_ && Prunable(col, arr_stop, arr)) continue;
-            if (cur == kNever) touched_[col].push_back(arr_stop);
-            cur = arr;
-            min_arr_[arr_stop] = std::min(min_arr_[arr_stop], arr);
-            Label& label = meta_[static_cast<size_t>(arr_stop) *
-                                     lane_stride_ + col];
-            label.arrival = arr;
-            label.kind = Label::Kind::kRide;
-            label.pred_stop = ts[col];
-            label.trip = trip;
-            label.board_time = tt[col];
-            label.walk_s = 0;
-            Improve(col, arr_stop, arr);
-          }
-        }
-      }
-      ++i;
+      ++pi;
     }
+
+    // Retire lanes no later connection can improve: every journey found
+    // from here on departs a stop at >= tau, so its total exceeds
+    // tau - depart (the Router's settle-loop stopping bound). The pass
+    // runs only when tau crosses the earliest retire bound — retiring a
+    // lane late is result-neutral because relax_limit already rejects
+    // every write past the same bound. The pass also refreshes
+    // max_relax_, the live lanes' shared relax upper bound.
+    if (active_count_ > 0 && static_cast<double>(tau) >= next_retire_) {
+      next_retire_ = kInf;
+      max_relax_ = -1;
+      for (size_t col = col_lo_; col < col_hi_; ++col) {
+        if (!col_live_[col]) continue;
+        // Exact bound, not the (rounded) col_retire_ schedule: retiring a
+        // lane even one time-unit early could drop a boundary write.
+        const gtfs::TimeOfDay depart = col_def_[col]->depart;
+        if (static_cast<double>(tau - depart) >= col_worst_ret_[col] ||
+            tau > col_latest_[col]) {
+          Retire(col);
+        } else {
+          next_retire_ = std::min(
+              next_retire_,
+              std::max(col_retire_[col], static_cast<double>(tau) + 1.0));
+          max_relax_ = std::max(max_relax_, col_relax_[col]);
+        }
+      }
+      while (col_hi_ > col_lo_ && !col_live_[col_hi_ - 1]) --col_hi_;
+      while (col_lo_ < col_hi_ && !col_live_[col_lo_]) ++col_lo_;
+    }
+
+    if (active_count_ == 0) {
+      if (pi >= num_pending) break;
+      i = view.LowerBound(activation(order[pi]));
+      continue;
+    }
+
+    // Whole-connection skip before any lane row is touched: no lane is
+    // riding the trip and none has reached dep_stop by tau (min_arr_ is
+    // a conservative lower bound — stale-low after retires), or the
+    // connection arrives past every live lane's relax limit. In either
+    // case no lane could flag below. A trip outside the call's row range
+    // cannot occur (every live lane's horizon covers tau); the row check
+    // only keeps that invariant from ever becoming a stray write.
+    const uint32_t row = view.slot[i] - trip_slot_lo_;
+    const uint32_t dep_stop = view.dep_stop[i];
+    const gtfs::TimeOfDay arr = view.arr_time[i];
+    if (row >= call_trip_rows_ ||
+        (riding_cnt_[row] == 0 && min_arr_[dep_stop] > tau) ||
+        arr > max_relax_) {
+      ++i;
+      continue;
+    }
+
+    // Pre-filter: one branch-free pass over the connection's lane-major
+    // rows flags exactly the columns the slow path must touch — a lane
+    // whose boarding window is open and that is not yet riding (it must
+    // board, even if this connection's write fails, because the board
+    // time feeds every later label of the trip), or a riding lane whose
+    // arrival actually improves arr_stop. Lanes whose relax limit the
+    // arrival exceeds never flag: skipping such a boarding outright is
+    // result-neutral, since the trip's later connections arrive later
+    // still and relax limits only shrink, so no later write was possible
+    // either. Free columns read kNever and cannot flag. Edge bytes of the
+    // 8-wide gather words are zeroed so the word-skip below never reads
+    // stale flags.
+    gtfs::TimeOfDay* tt =
+        trip_time_.data() + static_cast<size_t>(row) * lane_stride_;
+    const gtfs::TimeOfDay* ar =
+        arr_.data() + static_cast<size_t>(dep_stop) * lane_stride_;
+    const uint32_t arr_stop = view.arr_stop[i];
+    const gtfs::TimeOfDay* cu =
+        arr_.data() + static_cast<size_t>(arr_stop) * lane_stride_;
+    const gtfs::TimeOfDay* relax = col_relax_.data();
+    const gtfs::TimeOfDay window_lo = tau - wait_cap_;
+    uint8_t* flags = flags_.data();
+    const size_t lo = col_lo_;
+    const size_t hi = col_hi_;
+    const size_t b0 = lo & ~size_t{7};
+    const size_t b1 = (hi + 7) & ~size_t{7};
+    for (size_t col = b0; col < lo; ++col) flags[col] = 0;
+    for (size_t col = hi; col < b1; ++col) flags[col] = 0;
+    for (size_t col = lo; col < hi; ++col) {
+      const gtfs::TimeOfDay at = ar[col];
+      const uint8_t riding = static_cast<uint8_t>(tt[col] != kNever);
+      const uint8_t window = static_cast<uint8_t>(at >= window_lo) &
+                             static_cast<uint8_t>(at <= tau);
+      const uint8_t write = static_cast<uint8_t>(arr < cu[col]);
+      flags[col] = static_cast<uint8_t>(
+          ((window & static_cast<uint8_t>(riding ^ 1)) | (riding & write)) &
+          static_cast<uint8_t>(arr <= relax[col]));
+    }
+    slow_cols_.clear();
+    for (size_t base = b0; base < b1; base += 8) {
+      uint64_t word;
+      std::memcpy(&word, flags + base, sizeof(word));
+      if (word == 0) continue;
+      for (size_t b = 0; b < 8; ++b) {
+        if (flags[base + b]) {
+          slow_cols_.push_back(static_cast<uint32_t>(base + b));
+        }
+      }
+    }
+
+    if (!slow_cols_.empty()) {
+      const gtfs::TripId trip = view.trip[i];
+      uint32_t* ts =
+          trip_stop_.data() + static_cast<size_t>(row) * lane_stride_;
+      for (uint32_t col : slow_cols_) {
+        if (tt[col] == kNever) {
+          // Pre-filter guaranteed the boarding condition.
+          boarded_[col].push_back(row);
+          ++riding_cnt_[row];
+          tt[col] = tau;
+          ts[col] = dep_stop;
+        }
+        gtfs::TimeOfDay& cur =
+            arr_[static_cast<size_t>(arr_stop) * lane_stride_ + col];
+        if (arr < cur) {
+          // Boarding above stays unguarded: a provably-useless arrival
+          // write says nothing about later stops of the same trip.
+          if (prune_ && Prunable(col, arr_stop, arr)) continue;
+          if (cur == kNever) touched_[col].push_back(arr_stop);
+          cur = arr;
+          min_arr_[arr_stop] = std::min(min_arr_[arr_stop], arr);
+          Label& label =
+              meta_[static_cast<size_t>(arr_stop) * lane_stride_ + col];
+          label.arrival = arr;
+          label.kind = Label::Kind::kRide;
+          label.pred_stop = ts[col];
+          label.trip = trip;
+          label.board_time = tt[col];
+          label.walk_s = 0;
+          Improve(col, arr_stop, arr);
+        }
+      }
+    }
+    ++i;
   }
 
   // Drain: lanes still live when the connections ran out, plus lanes the
-  // sweep never reached (or that had no access stops at all). The latter
-  // still seed and close footpaths — a rounded multi-hop walk can beat the
-  // direct walk — exactly like an activated lane that boarded nothing.
-  for (size_t col = lo; col < pi; ++col) {
-    if (col_retired_[col]) continue;
-    Finalize(col);
-    ClearColumn(col);
-    col_retired_[col] = 1;
+  // sweep never reached. The latter still seed and close footpaths — a
+  // rounded multi-hop walk can beat the direct walk — exactly like an
+  // activated lane that boarded nothing.
+  for (size_t col = col_lo_; col < col_hi_; ++col) {
+    if (col_live_[col]) Retire(col);
   }
-  for (; pi < num_lanes; ++pi) {
-    Activate(pi);
-    Finalize(pi);
-    ClearColumn(pi);
-    col_retired_[pi] = 1;
+  for (; pi < num_pending; ++pi) {
+    const size_t col = TakeColumn(&lanes[order[pi]]);
+    Activate(col);
+    Retire(col);
   }
 }
 

@@ -142,19 +142,26 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
   const gtfs::Day day = interval().day;
   state->labels.resize(num_zones);
   // The body owns the state it reads and writes (ZoneLoop contract).
-  const ZoneLoopBody label_zone = [state, key, day](
-                                      core::LabelingEngine& labeler,
-                                      size_t z) -> std::function<void()> {
+  const ZoneLoopBody label_block = [state, key, day, num_zones](
+                                       core::LabelingEngine& labeler,
+                                       size_t i) -> std::function<void()> {
     labeler.set_gac_weights(key.gac);
-    const core::ZoneLabel label =
-        labeler.LabelZone(state->todam, static_cast<uint32_t>(z), state->pois,
-                          key.cost, day);
-    return [state, z, label] { state->labels[z] = label; };
+    const size_t first = i * core::kZoneBlock;
+    const size_t n = std::min(core::kZoneBlock, num_zones - first);
+    std::vector<uint32_t> zones(n);
+    std::iota(zones.begin(), zones.end(), static_cast<uint32_t>(first));
+    std::vector<core::ZoneLabel> labels(n);
+    labeler.LabelBlock(state->todam, zones.data(), n, state->pois, key.cost,
+                       day, labels.data());
+    return [state, first, labels = std::move(labels)] {
+      std::copy(labels.begin(), labels.end(), state->labels.begin() + first);
+    };
   };
+  const size_t num_blocks = core::NumZoneBlocks(num_zones);
   if (loop != nullptr) {
-    loop->Run(*this, engine, num_zones, label_zone);
+    loop->Run(*this, engine, num_blocks, label_block);
   } else {
-    for (size_t z = 0; z < num_zones; ++z) label_zone(*engine, z)();
+    for (size_t i = 0; i < num_blocks; ++i) label_block(*engine, i)();
   }
   // One SPQ per TODAM trip, whichever engine answered it.
   for (const core::ZoneLabel& label : state->labels) {
@@ -455,18 +462,25 @@ void ScenarioStore::Relabel(const Scenario& next, const LabelKey& key,
   const ZoneLoopBody relabel =
       [state, key, day, shared_zones](core::LabelingEngine& engine,
                                       size_t i) -> std::function<void()> {
-    const uint32_t z = (*shared_zones)[i];
+    const size_t first = i * core::kZoneBlock;
+    const size_t n = std::min(core::kZoneBlock, shared_zones->size() - first);
     engine.set_gac_weights(key.gac);
-    const core::ZoneLabel label =
-        engine.LabelZone(state->todam, z, state->pois, key.cost, day);
-    return [state, z, label] { state->labels[z] = label; };
+    std::vector<core::ZoneLabel> labels(n);
+    engine.LabelBlock(state->todam, shared_zones->data() + first, n,
+                      state->pois, key.cost, day, labels.data());
+    return [state, shared_zones, first, labels = std::move(labels)] {
+      for (size_t b = 0; b < labels.size(); ++b) {
+        state->labels[(*shared_zones)[first + b]] = labels[b];
+      }
+    };
   };
   const size_t n = shared_zones->size();
+  const size_t num_blocks = core::NumZoneBlocks(n);
   if (zone_loop_ != nullptr) {
-    zone_loop_->Run(next, nullptr, n, relabel);
+    zone_loop_->Run(next, nullptr, num_blocks, relabel);
   } else {
     core::LabelingEngine& engine = SerialEngine(next);
-    for (size_t i = 0; i < n; ++i) relabel(engine, i)();
+    for (size_t i = 0; i < num_blocks; ++i) relabel(engine, i)();
   }
   state->build_spqs = 0;
   for (uint32_t z : *shared_zones) {

@@ -111,14 +111,15 @@ struct ExactLabelState {
 
 class Scenario;
 
-/// One work item of a zone loop: labels item `index` with `engine` and
-/// returns the step that stores the item's result.
+/// One work item of a zone loop: labels item `index` — a block of up to
+/// core::kZoneBlock zones, one window scan — with `engine` and returns the
+/// step that stores the item's results.
 using ZoneLoopBody = std::function<std::function<void()>(
     core::LabelingEngine& engine, size_t index)>;
 
 /// Runs the zone loops of label-state builds, patches and batch captures.
-/// Every zone is labeled independently, so how a loop is split across
-/// threads never shows in the labels: an implementation may hand items to
+/// Every zone is labeled independently of its block, so how a loop is
+/// split across threads never shows in the labels: an implementation may hand items to
 /// any number of engines as long as each routes over `scenario`'s network,
 /// and may even label an item twice (the owning thread takes over an item
 /// a stalled helper still holds) — but it runs exactly one store step per

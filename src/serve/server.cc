@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -849,8 +850,9 @@ void AqServer::RunBatchGroup(
                                      head.options.gravity);
           auto todam = std::make_shared<const core::Todam>(
               builder.BuildGravityStable(head.options.seed, zone_norm));
-          // Every zone's range is opened up front; each zone is captured
-          // into columns of its own and stored into its range, so zones
+          // Every zone's range is opened up front; each block of zones is
+          // captured into columns of its own and stored into its zones'
+          // ranges (consecutive zones, so one contiguous copy), so blocks
           // can be captured on any participant.
           auto shared_columns = std::make_shared<core::TripCostColumns>();
           const size_t num_zones = city.zones.size();
@@ -858,16 +860,23 @@ void AqServer::RunBatchGroup(
             shared_columns->AppendZone(todam->TripsFor(z).size());
           }
           const gtfs::Day day = snapshot->interval().day;
-          Run(*snapshot, /*caller=*/nullptr, num_zones,
-              [todam, pois, shared_columns, day](
+          Run(*snapshot, /*caller=*/nullptr, core::NumZoneBlocks(num_zones),
+              [todam, pois, shared_columns, day, num_zones](
                   core::LabelingEngine& engine,
-                  size_t z) -> std::function<void()> {
-                auto zone = std::make_shared<core::TripCostColumns>();
-                engine.CaptureZoneCosts(*todam, static_cast<uint32_t>(z),
-                                        *pois, day, zone.get());
-                return [shared_columns, zone, z] {
-                  shared_columns->StoreZone(shared_columns->zone_offsets[z],
-                                            *zone);
+                  size_t i) -> std::function<void()> {
+                const size_t first = i * core::kZoneBlock;
+                const size_t n = std::min(core::kZoneBlock, num_zones - first);
+                std::vector<uint32_t> zones(n);
+                std::iota(zones.begin(), zones.end(),
+                          static_cast<uint32_t>(first));
+                std::vector<core::ZoneLabel> labels(n);
+                auto block = std::make_shared<core::TripCostColumns>();
+                engine.LabelBlock(*todam, zones.data(), n, *pois,
+                                  core::CostKind::kJourneyTime, day,
+                                  labels.data(), block.get());
+                return [shared_columns, block, first] {
+                  shared_columns->StoreZone(
+                      shared_columns->zone_offsets[first], *block);
                 };
               });
           const core::TripCostColumns& columns = *shared_columns;

@@ -1,9 +1,14 @@
 #include "core/labeling.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "core/columnar.h"
+#include "core/gravity.h"
+#include "synth/city_spec.h"
 #include "testing/per_trip_labeling.h"
 #include "testing/test_city.h"
 
@@ -180,6 +185,67 @@ TEST_F(LabelingTest, DeterministicAcrossEngines) {
                              gtfs::Day::kTuesday);
   EXPECT_DOUBLE_EQ(la.mac, lb.mac);
   EXPECT_DOUBLE_EQ(la.acsd, lb.acsd);
+}
+
+// Blocks on the bench city: LabelZones (kZoneBlock zones per window scan)
+// equals labeling one zone at a time bit for bit, for both cost kinds and
+// for a peak and an off-peak interval, and a block capture fills the same
+// columns as one CaptureZoneCosts per zone.
+TEST(LabelingBlockTest, BlocksEqualOneZoneAtATimeOnTheBenchCity) {
+  const synth::CitySpec spec = synth::CitySpec::Brindale(0.1, 42);
+  synth::City city = std::move(synth::BuildCity(spec)).value();
+  GravityConfig gravity = CalibratedGravityConfig(spec);
+  gravity.sample_rate_per_hour = 12;
+  const std::vector<synth::Poi> pois =
+      city.PoisOf(synth::PoiCategory::kSchool);
+  router::RouterOptions csa;
+  csa.engine = router::RoutingEngine::kCsa;
+  router::Router block_router(&city.feed, csa);
+  router::Router zone_router(&city.feed, csa);
+  std::vector<uint32_t> zones(city.zones.size());
+  std::iota(zones.begin(), zones.end(), 0u);
+
+  for (const gtfs::TimeInterval& interval :
+       {gtfs::WeekdayAmPeak(), gtfs::WeekdayOffPeak()}) {
+    SCOPED_TRACE(interval.label);
+    TodamBuilder builder(city.zones, pois, interval, gravity);
+    const Todam todam = builder.BuildGravity(42);
+    LabelingEngine blocks(&city, &block_router);
+    LabelingEngine single(&city, &zone_router);
+    for (CostKind kind : {CostKind::kJourneyTime, CostKind::kGeneralizedCost}) {
+      const std::vector<ZoneLabel> labels =
+          blocks.LabelZones(todam, zones, pois, kind, interval.day);
+      for (uint32_t z : zones) {
+        const ZoneLabel one =
+            single.LabelZone(todam, z, pois, kind, interval.day);
+        EXPECT_EQ(labels[z].mac, one.mac) << "zone " << z;
+        EXPECT_EQ(labels[z].acsd, one.acsd) << "zone " << z;
+        EXPECT_EQ(labels[z].num_trips, one.num_trips) << "zone " << z;
+        EXPECT_EQ(labels[z].num_infeasible, one.num_infeasible) << "zone " << z;
+        EXPECT_EQ(labels[z].num_walk_only, one.num_walk_only) << "zone " << z;
+      }
+    }
+    EXPECT_EQ(blocks.spq_count(), single.spq_count());
+    EXPECT_LT(blocks.expansion_count(), single.expansion_count());
+
+    TripCostColumns block_columns;
+    TripCostColumns zone_columns;
+    std::vector<ZoneLabel> block_labels(kZoneBlock);
+    for (size_t first = 0; first < zones.size(); first += kZoneBlock) {
+      blocks.LabelBlock(todam, zones.data() + first,
+                        std::min(kZoneBlock, zones.size() - first), pois,
+                        CostKind::kJourneyTime, interval.day,
+                        block_labels.data(), &block_columns);
+    }
+    for (uint32_t z : zones) {
+      single.CaptureZoneCosts(todam, z, pois, interval.day, &zone_columns);
+    }
+    EXPECT_EQ(block_columns.zone_offsets, zone_columns.zone_offsets);
+    EXPECT_EQ(block_columns.flags, zone_columns.flags);
+    EXPECT_EQ(block_columns.jt, zone_columns.jt);
+    EXPECT_EQ(block_columns.gac_parts, zone_columns.gac_parts);
+    EXPECT_EQ(block_columns.fare, zone_columns.fare);
+  }
 }
 
 }  // namespace

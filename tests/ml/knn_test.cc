@@ -50,36 +50,6 @@ TEST(KnnCoreTest, MinkowskiOrderChangesNeighbors) {
   EXPECT_DOUBLE_EQ(b.PredictOne(q, 2), 1.0);
 }
 
-TEST(KnnCoreTest, NeighborsExcludeIndex) {
-  KnnCore core(KnnConfig{2, 2.0, true});
-  core.Add({0.0}, 1.0);
-  core.Add({0.1}, 2.0);
-  core.Add({5.0}, 3.0);
-  double q[1] = {0.0};
-  auto with = core.Neighbors(q, 1);
-  auto without = core.Neighbors(q, 1, /*exclude=*/0);
-  EXPECT_EQ(with[0], 0u);
-  for (uint32_t idx : without) EXPECT_NE(idx, 0u);
-}
-
-TEST(KnnCoreTest, PredictExcludingIgnoresSelf) {
-  KnnCore core(KnnConfig{1, 2.0, true});
-  core.Add({0.0}, 100.0);
-  core.Add({1.0}, 7.0);
-  double q[1] = {0.0};
-  EXPECT_NEAR(core.PredictOneExcluding(q, 1, 0), 7.0, 1e-9);
-}
-
-TEST(KnnCoreTest, RemoveLastUndoesAdd) {
-  KnnCore core(KnnConfig{1, 2.0, true});
-  core.Add({0.0}, 1.0);
-  core.Add({0.01}, 50.0);
-  core.RemoveLast();
-  EXPECT_EQ(core.size(), 1u);
-  double q[1] = {0.0};
-  EXPECT_DOUBLE_EQ(core.PredictOne(q, 1), 1.0);
-}
-
 TEST(KnnRegressorTest, FitsSmoothFunction) {
   auto data = testing::LinearDataset(300, 3, 150, 0.1, 11);
   KnnRegressor model(KnnConfig{5, 2.0, true});
@@ -235,8 +205,6 @@ TEST(KnnCacheTest, ScratchReuseMatchesAllocatingPath) {
     double q[3] = {rng.Uniform(-2, 2), rng.Uniform(-2, 2),
                    rng.Uniform(-2, 2)};
     EXPECT_EQ(core.PredictOne(q, 3, &scratch), core.PredictOne(q, 3));
-    EXPECT_EQ(core.PredictOneExcluding(q, 3, 0, &scratch),
-              core.PredictOneExcluding(q, 3, 0));
   }
 }
 

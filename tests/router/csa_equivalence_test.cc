@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "router/connections.h"
 #include "router/cost.h"
 #include "router/csa.h"
 #include "router/router.h"
@@ -271,7 +272,8 @@ TEST(CsaProfileTest, WindowScanEqualsPerDepartureScans) {
       lanes[l].num_targets = subsets[l].size();
       lanes[l].out = out[l].data();
     }
-    csa->RouteWindow(origin, unique.data(), unique.size(), lanes.data(),
+    const WindowOrigin from{origin};
+    csa->RouteWindow(&from, 1, unique.data(), unique.size(), lanes.data(),
                      lanes.size(), gtfs::Day::kTuesday);
 
     for (size_t l = 0; l < departs.size(); ++l) {
@@ -317,7 +319,8 @@ TEST(CsaProfileTest, WindowScanMatchesOracleAcrossRateWindows) {
       lanes[l].num_targets = all.size();
       lanes[l].out = out[l].data();
     }
-    csa->RouteWindow(origin, unique.data(), unique.size(), lanes.data(),
+    const WindowOrigin from{origin};
+    csa->RouteWindow(&from, 1, unique.data(), unique.size(), lanes.data(),
                      lanes.size(), gtfs::Day::kTuesday);
     for (size_t l = 0; l < lanes.size(); ++l) {
       std::vector<Journey> want = oracle.RouteMany(
@@ -325,6 +328,206 @@ TEST(CsaProfileTest, WindowScanMatchesOracleAcrossRateWindows) {
       for (size_t k = 0; k < unique.size(); ++k) {
         ExpectEquivalentJourney(want[k], out[l][k]);
       }
+    }
+  }
+}
+
+/// One lane of a multi-origin window test: its origin (index into the
+/// test's origin table), departure and unique-target subset.
+struct LaneSpec {
+  uint32_t origin = 0;
+  gtfs::TimeOfDay depart = 0;
+  std::vector<uint32_t> targets;
+};
+
+std::vector<std::vector<Journey>> RunWindow(
+    CsaEngine* csa, const std::vector<WindowOrigin>& origins,
+    const std::vector<geo::Point>& unique, const std::vector<LaneSpec>& specs,
+    gtfs::Day day) {
+  std::vector<WindowLane> lanes(specs.size());
+  std::vector<std::vector<Journey>> out(specs.size());
+  for (size_t l = 0; l < specs.size(); ++l) {
+    out[l].resize(specs[l].targets.size());
+    lanes[l].depart = specs[l].depart;
+    lanes[l].origin = specs[l].origin;
+    lanes[l].targets = specs[l].targets.data();
+    lanes[l].num_targets = specs[l].targets.size();
+    lanes[l].out = out[l].data();
+  }
+  csa->RouteWindow(origins.data(), origins.size(), unique.data(),
+                   unique.size(), lanes.data(), lanes.size(), day);
+  return out;
+}
+
+/// The block contract: one window over every origin's lanes answers each
+/// lane exactly like one window per origin — legs included.
+void ExpectBlockEqualsPerOrigin(CsaEngine* block, CsaEngine* solo,
+                                const std::vector<WindowOrigin>& origins,
+                                const std::vector<geo::Point>& unique,
+                                const std::vector<LaneSpec>& specs,
+                                gtfs::Day day) {
+  const std::vector<std::vector<Journey>> got =
+      RunWindow(block, origins, unique, specs, day);
+  for (uint32_t o = 0; o < origins.size(); ++o) {
+    std::vector<LaneSpec> own;
+    std::vector<size_t> at;
+    for (size_t l = 0; l < specs.size(); ++l) {
+      if (specs[l].origin != o) continue;
+      own.push_back(specs[l]);
+      own.back().origin = 0;
+      at.push_back(l);
+    }
+    const std::vector<std::vector<Journey>> want =
+        RunWindow(solo, {origins[o]}, unique, own, day);
+    for (size_t i = 0; i < own.size(); ++i) {
+      for (size_t k = 0; k < want[i].size(); ++k) {
+        SCOPED_TRACE(::testing::Message()
+                     << "origin " << o << " lane " << at[i] << " target " << k);
+        ExpectSameJourney(want[i][k], got[at[i]][k]);
+      }
+    }
+  }
+}
+
+// Multi-origin windows on the equivalence fixtures, on a served and an
+// unserved-or-thin day. The origin table mixes ordinary origins (two with
+// identical departure lists), an origin with no access stops, and an
+// origin whose lanes only ask for the unreachable target, so every lane
+// dies at birth.
+TEST(CsaProfileTest, MultiOriginWindowEqualsOneWindowPerOrigin) {
+  for (uint64_t seed : {11ull, 29ull}) {
+    std::vector<synth::City> cities;
+    cities.push_back(
+        std::move(synth::BuildCity(synth::CitySpec::Brindale(0.05, seed)))
+            .value());
+    cities.push_back(
+        std::move(synth::BuildCity(synth::CitySpec::Covely(0.06, seed)))
+            .value());
+    for (const synth::City& city : cities) {
+      Router block(&city.feed, CsaOptions());
+      Router solo(&city.feed, CsaOptions());
+      std::vector<geo::Point> unique = SampleTargets(city, seed + 3, 10);
+      const uint32_t unreachable = static_cast<uint32_t>(unique.size() - 1);
+
+      std::vector<WindowOrigin> origins;
+      for (const geo::Point& p : SampleOrigins(city, seed + 4, 4)) {
+        origins.push_back(WindowOrigin{p});
+      }
+      const uint32_t no_access = static_cast<uint32_t>(origins.size());
+      origins.push_back(WindowOrigin{geo::Point{-1e7, -1e7}});
+      ASSERT_TRUE(block.walk_table().AccessStops(origins.back().point).empty());
+      const uint32_t dead = static_cast<uint32_t>(origins.size());
+      origins.push_back(WindowOrigin{SampleOrigins(city, seed + 5, 1)[0]});
+
+      util::Rng rng(seed + 6);
+      std::vector<LaneSpec> specs;
+      for (uint32_t o = 0; o < no_access; ++o) {
+        for (int j = 0; j < 12; ++j) {
+          LaneSpec lane;
+          lane.origin = o;
+          // Origins 0 and 1 share every departure.
+          lane.depart = gtfs::MakeTime(7, 0) +
+                        (o == 1 ? 0 : static_cast<gtfs::TimeOfDay>(o) * 97) +
+                        j * 433;
+          for (uint32_t u = 0; u < unique.size(); ++u) {
+            if (rng.UniformInt(0, 2) != 0) lane.targets.push_back(u);
+          }
+          if (lane.targets.empty()) lane.targets.push_back(0);
+          specs.push_back(std::move(lane));
+        }
+      }
+      std::vector<uint32_t> all(unique.size());
+      std::iota(all.begin(), all.end(), 0u);
+      for (int j = 0; j < 3; ++j) {
+        specs.push_back(LaneSpec{no_access, gtfs::MakeTime(7, 30) + j * 600,
+                                 all});
+        specs.push_back(LaneSpec{dead, gtfs::MakeTime(7, 0) + j * 433,
+                                 {unreachable}});
+      }
+      for (gtfs::Day day : {gtfs::Day::kTuesday, gtfs::Day::kSunday}) {
+        ExpectBlockEqualsPerOrigin(block.csa(), solo.csa(), origins, unique,
+                                   specs, day);
+      }
+    }
+  }
+}
+
+// A block whose live lanes outnumber the engine's columns grows the stride
+// mid-scan, and lanes that retire hand their columns to later ones: the
+// stride ends above what the engine had but below the block's lane count.
+TEST(CsaProfileTest, BlockBeyondThePreviousStrideRecyclesColumns) {
+  synth::City city =
+      std::move(synth::BuildCity(synth::CitySpec::Brindale(0.05, 13)))
+          .value();
+  Router block(&city.feed, CsaOptions());
+  Router solo(&city.feed, CsaOptions());
+  std::vector<geo::Point> unique = SampleTargets(city, 51, 8);
+
+  std::vector<WindowOrigin> origins;
+  for (const geo::Point& p : SampleOrigins(city, 52, 6)) {
+    origins.push_back(WindowOrigin{p});
+  }
+  // Departures spread over four hours: lanes overlap for about an hour, so
+  // the live count peaks well below the lane count.
+  std::vector<LaneSpec> specs;
+  util::Rng rng(53);
+  for (uint32_t o = 0; o < origins.size(); ++o) {
+    for (int j = 0; j < 24; ++j) {
+      LaneSpec lane;
+      lane.origin = o;
+      lane.depart = gtfs::MakeTime(6, 30) + j * 600 +
+                    static_cast<gtfs::TimeOfDay>(rng.UniformInt(0, 59));
+      for (uint32_t u = 0; u < unique.size(); ++u) {
+        if (rng.UniformInt(0, 1) != 0) lane.targets.push_back(u);
+      }
+      if (lane.targets.empty()) lane.targets.push_back(0);
+      specs.push_back(std::move(lane));
+    }
+  }
+
+  block.RouteMany(origins[0].point, unique, gtfs::Day::kTuesday,
+                  gtfs::MakeTime(7, 0));
+  const size_t stride_before = block.csa()->lane_stride();
+  ExpectBlockEqualsPerOrigin(block.csa(), solo.csa(), origins, unique, specs,
+                             gtfs::Day::kTuesday);
+  EXPECT_GT(block.csa()->lane_stride(), stride_before);
+  EXPECT_LT(block.csa()->lane_stride(), specs.size());
+}
+
+// The lower-bound closure behind pruning is built once per connection
+// array and walk-parameter set: routers sharing an array prune with the
+// same table, and a router over a private array answers identically.
+TEST(CsaBoundsTest, RoutersOnOneArrayShareOneLowerBoundTable) {
+  synth::City city = testing::TinyCity();
+  RouterOptions shared = CsaOptions();
+  shared.connections = ConnectionArray::EnsureFor(nullptr, &city.feed);
+  Router a(&city.feed, shared);
+  Router b(&city.feed, shared);
+  Router own(&city.feed, CsaOptions());
+
+  std::vector<geo::Point> unique = SampleTargets(city, 61, 6);
+  std::vector<uint32_t> all(unique.size());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<WindowOrigin> origins = {
+      WindowOrigin{SampleOrigins(city, 62, 1)[0]}};
+  std::vector<LaneSpec> specs;
+  for (int j = 0; j < 8; ++j) {
+    specs.push_back(LaneSpec{0, gtfs::MakeTime(7, 0) + j * 450, all});
+  }
+  EXPECT_EQ(a.csa()->lower_bounds(), nullptr);  // fetched on first window
+  auto got_a = RunWindow(a.csa(), origins, unique, specs, gtfs::Day::kTuesday);
+  auto got_b = RunWindow(b.csa(), origins, unique, specs, gtfs::Day::kTuesday);
+  auto got_own =
+      RunWindow(own.csa(), origins, unique, specs, gtfs::Day::kTuesday);
+  ASSERT_NE(a.csa()->lower_bounds(), nullptr);
+  EXPECT_EQ(a.csa()->lower_bounds(), b.csa()->lower_bounds());
+  ASSERT_NE(own.csa()->lower_bounds(), nullptr);
+  EXPECT_NE(own.csa()->lower_bounds(), a.csa()->lower_bounds());
+  EXPECT_EQ(*own.csa()->lower_bounds(), *a.csa()->lower_bounds());
+  for (size_t l = 0; l < specs.size(); ++l) {
+    for (size_t k = 0; k < all.size(); ++k) {
+      ExpectSameJourney(got_a[l][k], got_b[l][k]);
+      ExpectSameJourney(got_a[l][k], got_own[l][k]);
     }
   }
 }

@@ -109,42 +109,6 @@ util::Result<MutateResultMsg> AqClient::Mutate(
   return result;
 }
 
-util::Result<MutateResultMsg> AqClient::AddPoi(synth::PoiCategory category,
-                                               const geo::Point& position) {
-  // sequence/poi_id 0: the primary assigns both (see net/wire.h).
-  return Mutate(wal::MutationRecord::AddPoi(0, category, position, 0));
-}
-
-util::Result<MutateResultMsg> AqClient::RemovePoi(uint32_t poi_id) {
-  return Mutate(wal::MutationRecord::RemovePoi(0, poi_id));
-}
-
-util::Result<MutateResultMsg> AqClient::SetInterval(
-    const gtfs::TimeInterval& interval) {
-  return Mutate(wal::MutationRecord::SetInterval(0, interval));
-}
-
-util::Result<MutateResultMsg> AqClient::SuspendRoute(uint32_t route) {
-  return Mutate(wal::MutationRecord::SuspendRoute(0, route));
-}
-
-util::Result<MutateResultMsg> AqClient::CloseStop(uint32_t stop) {
-  return Mutate(wal::MutationRecord::CloseStop(0, stop));
-}
-
-util::Result<MutateResultMsg> AqClient::ScaleHeadway(uint32_t route,
-                                                     uint32_t factor) {
-  return Mutate(wal::MutationRecord::ScaleHeadway(0, route, factor));
-}
-
-util::Result<MutateResultMsg> AqClient::SetFare(uint32_t route, double fare) {
-  return Mutate(wal::MutationRecord::SetFare(0, route, fare));
-}
-
-util::Result<MutateResultMsg> AqClient::ScaleWalkSpeed(double factor) {
-  return Mutate(wal::MutationRecord::ScaleWalkSpeed(0, factor));
-}
-
 util::Result<InfoResultMsg> AqClient::Info() {
   auto frame = Call(MsgType::kInfo, {});
   if (!frame.ok()) return frame.status();

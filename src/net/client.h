@@ -45,20 +45,11 @@ class AqClient {
   util::Result<QueryResultMsg> Query(const serve::AqRequest& request,
                                      uint64_t min_sequence = 0);
 
-  /// Mutations. The backend assigns sequence and (for AddPoi) the POI id.
-  util::Result<MutateResultMsg> AddPoi(synth::PoiCategory category,
-                                       const geo::Point& position);
-  util::Result<MutateResultMsg> RemovePoi(uint32_t poi_id);
-  util::Result<MutateResultMsg> SetInterval(const gtfs::TimeInterval& interval);
-
-  /// Timetable disruptions (scenario subsystem). Targets are resolved
-  /// route/stop ids in the backend's feed; wal::kAllTargets selects every
-  /// route where the mutation allows it.
-  util::Result<MutateResultMsg> SuspendRoute(uint32_t route);
-  util::Result<MutateResultMsg> CloseStop(uint32_t stop);
-  util::Result<MutateResultMsg> ScaleHeadway(uint32_t route, uint32_t factor);
-  util::Result<MutateResultMsg> SetFare(uint32_t route, double fare);
-  util::Result<MutateResultMsg> ScaleWalkSpeed(double factor);
+  /// Sends one mutation record — any of the eight kinds — to the backend,
+  /// which assigns its sequence and (for kAddPoi) the POI id. Disruption
+  /// targets are resolved route/stop ids in the backend's feed;
+  /// wal::kAllTargets selects every route where the mutation allows it.
+  util::Result<MutateResultMsg> Mutate(const wal::MutationRecord& record);
 
   /// Replication position probe.
   util::Result<InfoResultMsg> Info();
@@ -67,8 +58,6 @@ class AqClient {
   /// Sends `payload` as `type` and reads the response frame, unwrapping
   /// kError payloads into their status and checking the echoed request id.
   util::Result<Frame> Call(MsgType type, const std::vector<uint8_t>& payload);
-
-  util::Result<MutateResultMsg> Mutate(const wal::MutationRecord& record);
 
   Socket socket_;
   uint64_t next_request_id_ = 1;

@@ -87,41 +87,13 @@ util::Result<QueryResultMsg> QueryRouter::Query(const ShardKey& key,
   return last;
 }
 
-util::Result<MutateResultMsg> QueryRouter::MutateOnPrimary(
+util::Result<MutateResultMsg> QueryRouter::Mutate(
     const ShardKey& key, const wal::MutationRecord& record) {
   ++stats_.mutations;
   const size_t shard = ShardOf(key, shards_.size());
   auto client = Acquire(shard, /*replica=*/0);
   if (!client.ok()) return client.status();
-
-  util::Result<MutateResultMsg> result =
-      util::Status::Internal("unreachable");
-  switch (record.type) {
-    case wal::MutationType::kAddPoi:
-      result = client.value()->AddPoi(record.category, record.position);
-      break;
-    case wal::MutationType::kRemovePoi:
-      result = client.value()->RemovePoi(record.poi_id);
-      break;
-    case wal::MutationType::kSetInterval:
-      result = client.value()->SetInterval(record.interval);
-      break;
-    case wal::MutationType::kSuspendRoute:
-      result = client.value()->SuspendRoute(record.target);
-      break;
-    case wal::MutationType::kCloseStop:
-      result = client.value()->CloseStop(record.target);
-      break;
-    case wal::MutationType::kScaleHeadway:
-      result = client.value()->ScaleHeadway(record.target, record.factor);
-      break;
-    case wal::MutationType::kSetFare:
-      result = client.value()->SetFare(record.target, record.value);
-      break;
-    case wal::MutationType::kScaleWalkSpeed:
-      result = client.value()->ScaleWalkSpeed(record.value);
-      break;
-  }
+  auto result = client.value()->Mutate(record);
   if (result.ok()) {
     // Read-your-writes: reads through this router now require the write's
     // sequence, whichever replica answers them.
@@ -129,51 +101,6 @@ util::Result<MutateResultMsg> QueryRouter::MutateOnPrimary(
                                     result.value().sequence);
   }
   return result;
-}
-
-util::Result<MutateResultMsg> QueryRouter::AddPoi(const ShardKey& key,
-                                                  synth::PoiCategory category,
-                                                  const geo::Point& position) {
-  return MutateOnPrimary(key,
-                         wal::MutationRecord::AddPoi(0, category, position, 0));
-}
-
-util::Result<MutateResultMsg> QueryRouter::RemovePoi(const ShardKey& key,
-                                                     uint32_t poi_id) {
-  return MutateOnPrimary(key, wal::MutationRecord::RemovePoi(0, poi_id));
-}
-
-util::Result<MutateResultMsg> QueryRouter::SetInterval(
-    const ShardKey& key, const gtfs::TimeInterval& interval) {
-  return MutateOnPrimary(key, wal::MutationRecord::SetInterval(0, interval));
-}
-
-util::Result<MutateResultMsg> QueryRouter::SuspendRoute(const ShardKey& key,
-                                                        uint32_t route) {
-  return MutateOnPrimary(key, wal::MutationRecord::SuspendRoute(0, route));
-}
-
-util::Result<MutateResultMsg> QueryRouter::CloseStop(const ShardKey& key,
-                                                     uint32_t stop) {
-  return MutateOnPrimary(key, wal::MutationRecord::CloseStop(0, stop));
-}
-
-util::Result<MutateResultMsg> QueryRouter::ScaleHeadway(const ShardKey& key,
-                                                        uint32_t route,
-                                                        uint32_t factor) {
-  return MutateOnPrimary(key,
-                         wal::MutationRecord::ScaleHeadway(0, route, factor));
-}
-
-util::Result<MutateResultMsg> QueryRouter::SetFare(const ShardKey& key,
-                                                   uint32_t route,
-                                                   double fare) {
-  return MutateOnPrimary(key, wal::MutationRecord::SetFare(0, route, fare));
-}
-
-util::Result<MutateResultMsg> QueryRouter::ScaleWalkSpeed(const ShardKey& key,
-                                                          double factor) {
-  return MutateOnPrimary(key, wal::MutationRecord::ScaleWalkSpeed(0, factor));
 }
 
 }  // namespace staq::net

@@ -86,27 +86,22 @@ class QueryRouter {
                                      const serve::AqRequest& request,
                                      uint64_t min_sequence = 0);
 
-  /// Routes a mutation to `key`'s primary (no failover: a write that may
-  /// or may not have landed must surface, not silently retry) and raises
-  /// the shard's read floor on success.
+  /// Routes a mutation record, unchanged, to `key`'s primary (no
+  /// failover: a write that may or may not have landed must surface, not
+  /// silently retry) and raises the shard's read floor on success.
+  util::Result<MutateResultMsg> Mutate(const ShardKey& key,
+                                       const wal::MutationRecord& record);
+
+  // The POI edits the benches drive, spelled as Mutate.
   util::Result<MutateResultMsg> AddPoi(const ShardKey& key,
                                        synth::PoiCategory category,
-                                       const geo::Point& position);
+                                       const geo::Point& position) {
+    return Mutate(key, wal::MutationRecord::AddPoi(0, category, position, 0));
+  }
   util::Result<MutateResultMsg> RemovePoi(const ShardKey& key,
-                                          uint32_t poi_id);
-  util::Result<MutateResultMsg> SetInterval(const ShardKey& key,
-                                            const gtfs::TimeInterval& interval);
-
-  /// Timetable disruptions — routed to the shard primary like every write.
-  util::Result<MutateResultMsg> SuspendRoute(const ShardKey& key,
-                                             uint32_t route);
-  util::Result<MutateResultMsg> CloseStop(const ShardKey& key, uint32_t stop);
-  util::Result<MutateResultMsg> ScaleHeadway(const ShardKey& key,
-                                             uint32_t route, uint32_t factor);
-  util::Result<MutateResultMsg> SetFare(const ShardKey& key, uint32_t route,
-                                        double fare);
-  util::Result<MutateResultMsg> ScaleWalkSpeed(const ShardKey& key,
-                                               double factor);
+                                          uint32_t poi_id) {
+    return Mutate(key, wal::MutationRecord::RemovePoi(0, poi_id));
+  }
 
  private:
   struct Slot {
@@ -116,8 +111,6 @@ class QueryRouter {
 
   /// The connected client for shard/replica, dialing if necessary.
   util::Result<AqClient*> Acquire(size_t shard, size_t replica);
-  util::Result<MutateResultMsg> MutateOnPrimary(
-      const ShardKey& key, const wal::MutationRecord& record);
 
   std::vector<std::vector<Slot>> shards_;
   /// Round-robin read cursor per shard (spreads load across replicas).

@@ -162,34 +162,7 @@ bool AqTcpServer::ServeFrame(Socket& socket, const Frame& frame) {
                              "primary"))
             .ok();
       }
-      util::Result<serve::ScenarioStore::MutationReport> report =
-          util::Status::Internal("unreachable");
-      switch (record.type) {
-        case wal::MutationType::kAddPoi:
-          report = server_->AddPoi(record.category, record.position);
-          break;
-        case wal::MutationType::kRemovePoi:
-          report = server_->RemovePoi(record.poi_id);
-          break;
-        case wal::MutationType::kSetInterval:
-          report = server_->SetInterval(record.interval);
-          break;
-        case wal::MutationType::kSuspendRoute:
-          report = server_->SuspendRoute(record.target);
-          break;
-        case wal::MutationType::kCloseStop:
-          report = server_->CloseStop(record.target);
-          break;
-        case wal::MutationType::kScaleHeadway:
-          report = server_->ScaleHeadway(record.target, record.factor);
-          break;
-        case wal::MutationType::kSetFare:
-          report = server_->SetFare(record.target, record.value);
-          break;
-        case wal::MutationType::kScaleWalkSpeed:
-          report = server_->ScaleWalkSpeed(record.value);
-          break;
-      }
+      auto report = server_->Mutate(record);
       if (!report.ok()) {
         return SendError(socket, frame.request_id, report.status()).ok();
       }

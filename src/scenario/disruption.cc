@@ -180,18 +180,14 @@ util::Result<wal::MutationRecord> ResolveDisruption(const Disruption& d,
       break;
   }
 
-  switch (d.kind) {
-    case wal::MutationType::kSuspendRoute:
-      return wal::MutationRecord::SuspendRoute(0, target);
-    case wal::MutationType::kCloseStop:
-      return wal::MutationRecord::CloseStop(0, target);
-    case wal::MutationType::kScaleHeadway:
-      return wal::MutationRecord::ScaleHeadway(0, target, d.factor);
-    case wal::MutationType::kSetFare:
-      return wal::MutationRecord::SetFare(0, target, d.value);
-    default:
-      return util::Status::Internal("unreachable disruption kind");
-  }
+  // The spec carries only its kind's parameters (the rest stay zero), so
+  // the record is the spec with its target resolved.
+  wal::MutationRecord record;
+  record.type = d.kind;
+  record.target = target;
+  record.factor = d.factor;
+  record.value = d.value;
+  return record;
 }
 
 }  // namespace staq::scenario

@@ -14,17 +14,12 @@ namespace {
 /// Human-readable "spec => resolved target" line for the report header.
 std::string DescribeResolved(const Disruption& d,
                              const wal::MutationRecord& record) {
-  switch (record.type) {
-    case wal::MutationType::kSuspendRoute:
-    case wal::MutationType::kScaleHeadway:
-    case wal::MutationType::kSetFare:
-      if (record.target == wal::kAllTargets) return d.spec + " => all routes";
-      return util::Format("%s => route %u", d.spec.c_str(), record.target);
-    case wal::MutationType::kCloseStop:
-      return util::Format("%s => stop %u", d.spec.c_str(), record.target);
-    default:
-      return d.spec;
+  if (d.kind == wal::MutationType::kScaleWalkSpeed) return d.spec;
+  if (d.kind == wal::MutationType::kCloseStop) {
+    return util::Format("%s => stop %u", d.spec.c_str(), record.target);
   }
+  if (record.target == wal::kAllTargets) return d.spec + " => all routes";
+  return util::Format("%s => route %u", d.spec.c_str(), record.target);
 }
 
 util::Status WriteFile(const std::string& path, const std::string& text) {
@@ -70,28 +65,7 @@ util::Result<EquityReport> RunScenario(const CityFactory& factory,
     auto record = ResolveDisruption(d, server.Snapshot()->base_city().feed);
     if (!record.ok()) return record.status();
 
-    util::Result<serve::ScenarioStore::MutationReport> applied =
-        util::Status::Internal("unreachable");
-    switch (record.value().type) {
-      case wal::MutationType::kSuspendRoute:
-        applied = server.SuspendRoute(record.value().target);
-        break;
-      case wal::MutationType::kCloseStop:
-        applied = server.CloseStop(record.value().target);
-        break;
-      case wal::MutationType::kScaleHeadway:
-        applied = server.ScaleHeadway(record.value().target,
-                                      record.value().factor);
-        break;
-      case wal::MutationType::kSetFare:
-        applied = server.SetFare(record.value().target, record.value().value);
-        break;
-      case wal::MutationType::kScaleWalkSpeed:
-        applied = server.ScaleWalkSpeed(record.value().value);
-        break;
-      default:
-        return util::Status::Internal("pack resolved a non-disruption record");
-    }
+    auto applied = server.Mutate(record.value());
     if (!applied.ok()) {
       return util::Status::FromCode(
           applied.status().code(), "scenario '" + scenario.name + "', " +

@@ -132,7 +132,7 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
   state->pois = PoisOf(key.category);
   // Normalisers are frozen over the *base* city's category POIs so that
   // every epoch — and every patch — sees the same keep probabilities.
-  state->zone_norm = core::StableGravityNorms(
+  state->zone_norm = core::StableGravityNormsColumnar(
       base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
   core::TodamBuilder builder(base_->zones, state->pois, interval(),
                              key.gravity);
@@ -274,7 +274,7 @@ void ScenarioStore::Install(std::shared_ptr<const Scenario> next) {
   current_ = std::move(next);
 }
 
-std::shared_ptr<const ExactLabelState> ScenarioStore::PatchAdd(
+ScenarioStore::StatePtr ScenarioStore::PatchAdd(
     const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
     const synth::Poi& poi) {
   // Fault site: the TODAM column patch failing before the parent state is
@@ -310,7 +310,7 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchAdd(
   return state;
 }
 
-std::shared_ptr<const ExactLabelState> ScenarioStore::PatchRemove(
+ScenarioStore::StatePtr ScenarioStore::PatchRemove(
     const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
     uint32_t poi_id) {
   // Fault site: mirror of serve.scenario.patch_add for the remove path.
@@ -338,108 +338,7 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchRemove(
   return state;
 }
 
-ScenarioStore::MutationReport ScenarioStore::AddPoi(
-    synth::PoiCategory category, const geo::Point& position) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  auto current = Acquire();
-
-  synth::Poi poi;
-  poi.id = next_poi_id_++;
-  poi.category = category;
-  poi.position = position;
-
-  std::vector<synth::Poi> pois = current->pois();
-  pois.push_back(poi);
-  auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
-                                         std::move(pois),
-                                         current->offline_ptr());
-  next->SetNetwork(network_version_, network_id_, network_router_);
-
-  MutationReport report;
-  report.epoch = next->epoch();
-  report.poi_id = poi.id;
-  report.zones_total = static_cast<uint32_t>(base_->zones.size());
-  for (const auto& [key, state] : current->MaterializedStates()) {
-    if (key.category != category) {
-      next->SeedLabelState(key, state);
-      ++report.states_shared;
-      continue;
-    }
-    auto patched = PatchAdd(*next, key, *state, poi);
-    report.spqs += patched->build_spqs;
-    report.zones_relabeled += patched->relabeled_zones;
-    ++report.states_patched;
-    next->SeedLabelState(key, std::move(patched));
-  }
-  Install(std::move(next));
-  report.seconds = watch.ElapsedSeconds();
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> ScenarioStore::RemovePoi(
-    uint32_t poi_id) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  auto current = Acquire();
-
-  auto it = std::find_if(
-      current->pois().begin(), current->pois().end(),
-      [poi_id](const synth::Poi& p) { return p.id == poi_id; });
-  if (it == current->pois().end()) {
-    return util::Status::NotFound("no POI with id " + std::to_string(poi_id));
-  }
-  const synth::PoiCategory category = it->category;
-
-  std::vector<synth::Poi> pois = current->pois();
-  pois.erase(pois.begin() + (it - current->pois().begin()));
-  auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
-                                         std::move(pois),
-                                         current->offline_ptr());
-  next->SetNetwork(network_version_, network_id_, network_router_);
-
-  MutationReport report;
-  report.epoch = next->epoch();
-  report.poi_id = poi_id;
-  report.zones_total = static_cast<uint32_t>(base_->zones.size());
-  for (const auto& [key, state] : current->MaterializedStates()) {
-    if (key.category != category) {
-      next->SeedLabelState(key, state);
-      ++report.states_shared;
-      continue;
-    }
-    auto patched = PatchRemove(*next, key, *state, poi_id);
-    report.spqs += patched->build_spqs;
-    report.zones_relabeled += patched->relabeled_zones;
-    ++report.states_patched;
-    next->SeedLabelState(key, std::move(patched));
-  }
-  Install(std::move(next));
-  report.seconds = watch.ElapsedSeconds();
-  return report;
-}
-
-ScenarioStore::MutationReport ScenarioStore::SetInterval(
-    const gtfs::TimeInterval& interval) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  auto current = Acquire();
-
-  auto offline = std::make_shared<const OfflineState>(*network_city_, interval,
-                                                      network_iso_);
-  auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
-                                         current->pois(), std::move(offline));
-  next->SetNetwork(network_version_, network_id_, network_router_);
-
-  MutationReport report;
-  report.epoch = next->epoch();
-  report.zones_total = static_cast<uint32_t>(base_->zones.size());
-  Install(std::move(next));
-  report.seconds = watch.ElapsedSeconds();
-  return report;
-}
-
-std::shared_ptr<const ExactLabelState> ScenarioStore::PatchNetwork(
+ScenarioStore::StatePtr ScenarioStore::PatchNetwork(
     const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
     const std::vector<uint32_t>& affected) {
   // The TODAM is demand-side (zones x POIs x interval) and carries over
@@ -502,11 +401,168 @@ core::LabelingEngine& ScenarioStore::SerialEngine(const Scenario& next) {
   return *serial_engine_;
 }
 
-util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(
-    scenario::TransformResult transformed, uint32_t target,
-    util::Stopwatch watch) {
+util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
+    const DeriveFn& derive) {
+  std::lock_guard<std::mutex> mutation(mutation_mu_);
+  util::Stopwatch watch;
   auto current = Acquire();
+  util::Result<Draft> drafted = derive(*current);
+  if (!drafted.ok()) return drafted.status();
+  Draft& draft = drafted.value();
+  if (draft.new_network) {
+    // Fault site: the network patch failing before any label state is
+    // carried. Everything so far is built aside, so an abort here (or in
+    // any patch below) leaves the current epoch and network untouched.
+    STAQ_FAILPOINT("serve.scenario.patch_network");
+  }
+  const uint64_t version = network_version_ + (draft.new_network ? 1 : 0);
+  const uint64_t network_id = draft.new_network ? NewNetworkId() : network_id_;
+  auto next = std::make_shared<Scenario>(current->epoch() + 1, draft.city,
+                                         std::move(draft.pois),
+                                         std::move(draft.offline));
+  next->SetNetwork(version, network_id, draft.router);
 
+  MutationReport report;
+  report.epoch = next->epoch();
+  report.poi_id = draft.report_id;
+  report.zones_total = static_cast<uint32_t>(base_->zones.size());
+  if (draft.carry) {
+    for (const auto& [key, state] : current->MaterializedStates()) {
+      StatePtr carried = draft.carry(*next, key, state);
+      if (carried == state) {
+        ++report.states_shared;
+      } else {
+        report.spqs += carried->build_spqs;
+        report.zones_relabeled += carried->relabeled_zones;
+        ++report.states_patched;
+      }
+      next->SeedLabelState(key, std::move(carried));
+    }
+  }
+
+  // Commit: every patch succeeded, so the epoch's network (the current one
+  // unless the draft built a new one) becomes the store's current network
+  // in the same breath as the epoch install.
+  network_city_ = std::move(draft.city);
+  network_router_ = std::move(draft.router);
+  network_iso_ = draft.iso;
+  walk_scale_.store(draft.walk_scale, std::memory_order_release);
+  network_id_ = network_id;
+  network_version_ = version;
+  Install(std::move(next));
+  report.seconds = watch.ElapsedSeconds();
+  return report;
+}
+
+ScenarioStore::Draft ScenarioStore::DraftFrom(const Scenario& current) const {
+  Draft draft;
+  draft.pois = current.pois();
+  draft.offline = current.offline_ptr();
+  draft.city = network_city_;
+  draft.router = network_router_;
+  draft.iso = network_iso_;
+  draft.walk_scale = walk_scale_.load(std::memory_order_relaxed);
+  return draft;
+}
+
+ScenarioStore::Draft ScenarioStore::FeedDraft(const Scenario& current,
+                                              gtfs::Feed feed) const {
+  Draft draft = DraftFrom(current);
+  synth::City disrupted = *network_city_;
+  disrupted.feed = std::move(feed);
+  draft.city = std::make_shared<const synth::City>(std::move(disrupted));
+  draft.router = RebindConnections(network_router_, &draft.city->feed);
+  draft.offline = RebuildOfflineKeepingIsochrones(*draft.city,
+                                                  current.offline());
+  draft.new_network = true;
+  return draft;
+}
+
+util::Result<ScenarioStore::MutationReport> ScenarioStore::Apply(
+    const wal::MutationRecord& record) {
+  switch (record.type) {
+    case wal::MutationType::kAddPoi:
+      return AddPoi(record.category, record.position);
+    case wal::MutationType::kRemovePoi:
+      return RemovePoi(record.poi_id);
+    case wal::MutationType::kSetInterval:
+      return SetInterval(record.interval);
+    // Disruption replay: the records carry resolved ids, and every
+    // transform plus the affected-zone screen is a pure function of the
+    // current feed, so replicas install bit-identical epochs.
+    case wal::MutationType::kSuspendRoute:
+      return SuspendRoute(record.target);
+    case wal::MutationType::kCloseStop:
+      return CloseStop(record.target);
+    case wal::MutationType::kScaleHeadway:
+      return ScaleHeadway(record.target, record.factor);
+    case wal::MutationType::kSetFare:
+      return SetFare(record.target, record.value);
+    case wal::MutationType::kScaleWalkSpeed:
+      return ScaleWalkSpeed(record.value);
+  }
+  return util::Status::InvalidArgument("unknown mutation type");
+}
+
+ScenarioStore::MutationReport ScenarioStore::AddPoi(
+    synth::PoiCategory category, const geo::Point& position) {
+  return Advance([&](const Scenario& current) -> util::Result<Draft> {
+           synth::Poi poi;
+           poi.id = next_poi_id_++;
+           poi.category = category;
+           poi.position = position;
+           Draft draft = DraftFrom(current);
+           draft.pois.push_back(poi);
+           draft.report_id = poi.id;
+           draft.carry = [this, poi](const Scenario& next, const LabelKey& key,
+                                     const StatePtr& parent) -> StatePtr {
+             if (key.category != poi.category) return parent;
+             return PatchAdd(next, key, *parent, poi);
+           };
+           return draft;
+         })
+      .value();
+}
+
+util::Result<ScenarioStore::MutationReport> ScenarioStore::RemovePoi(
+    uint32_t poi_id) {
+  return Advance([&](const Scenario& current) -> util::Result<Draft> {
+    auto it = std::find_if(
+        current.pois().begin(), current.pois().end(),
+        [poi_id](const synth::Poi& p) { return p.id == poi_id; });
+    if (it == current.pois().end()) {
+      return util::Status::NotFound("no POI with id " +
+                                    std::to_string(poi_id));
+    }
+    Draft draft = DraftFrom(current);
+    draft.pois.erase(draft.pois.begin() + (it - current.pois().begin()));
+    draft.report_id = poi_id;
+    draft.carry = [this, poi_id, category = it->category](
+                      const Scenario& next, const LabelKey& key,
+                      const StatePtr& parent) -> StatePtr {
+      if (key.category != category) return parent;
+      return PatchRemove(next, key, *parent, poi_id);
+    };
+    return draft;
+  });
+}
+
+ScenarioStore::MutationReport ScenarioStore::SetInterval(
+    const gtfs::TimeInterval& interval) {
+  return Advance([&](const Scenario& current) -> util::Result<Draft> {
+           // Label states are interval-dependent: none is carried.
+           Draft draft = DraftFrom(current);
+           draft.offline = std::make_shared<const OfflineState>(
+               *draft.city, interval, draft.iso);
+           return draft;
+         })
+      .value();
+}
+
+util::Result<ScenarioStore::Draft> ScenarioStore::TimetableDraft(
+    const Scenario& current,
+    util::Result<scenario::TransformResult> transformed, uint32_t target) {
+  if (!transformed.ok()) return transformed.status();
   // Screen on the OLD timetable: only zones that could have reached a
   // removed departure event can change label.
   const router::WalkTable walk(&network_city_->feed, network_router_.walk);
@@ -514,185 +570,94 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(
   impact.city = network_city_.get();
   impact.feed = &network_city_->feed;
   impact.walk = &walk;
-  impact.interval = current->interval();
-  impact.removed_trips = std::move(transformed.removed_trips);
-  impact.closed_stop = transformed.closed_stop;
-  const std::vector<uint32_t> affected = scenario::AffectedZones(impact);
+  impact.interval = current.interval();
+  impact.removed_trips = std::move(transformed.value().removed_trips);
+  impact.closed_stop = transformed.value().closed_stop;
+  std::vector<uint32_t> affected = scenario::AffectedZones(impact);
 
-  // Fault site: the network patch failing before any member state changes.
-  // Everything below is built aside; an abort here (or in any patch) leaves
-  // the current epoch and network untouched.
-  STAQ_FAILPOINT("serve.scenario.patch_network");
-
-  synth::City disrupted = *network_city_;
-  disrupted.feed = std::move(transformed.feed);
-  auto city = std::make_shared<const synth::City>(std::move(disrupted));
-  router::RouterOptions router_opts =
-      RebindConnections(network_router_, &city->feed);
-  auto offline = RebuildOfflineKeepingIsochrones(*city, current->offline());
-  const uint64_t network_id = NewNetworkId();
-
-  auto next = std::make_shared<Scenario>(current->epoch() + 1, city,
-                                         current->pois(), std::move(offline));
-  next->SetNetwork(network_version_ + 1, network_id, router_opts);
-
-  MutationReport report;
-  report.epoch = next->epoch();
-  report.poi_id = target;
-  report.zones_total = static_cast<uint32_t>(base_->zones.size());
-  for (const auto& [key, state] : current->MaterializedStates()) {
-    auto patched = PatchNetwork(*next, key, *state, affected);
-    report.spqs += patched->build_spqs;
-    report.zones_relabeled += patched->relabeled_zones;
-    ++report.states_patched;
-    next->SeedLabelState(key, std::move(patched));
-  }
-
-  // Commit: every patch succeeded, so the new network becomes the store's
-  // current one in the same breath as the epoch install.
-  network_city_ = std::move(city);
-  network_router_ = std::move(router_opts);
-  network_id_ = network_id;
-  ++network_version_;
-  Install(std::move(next));
-  report.seconds = watch.ElapsedSeconds();
-  return report;
+  Draft draft = FeedDraft(current, std::move(transformed.value().feed));
+  draft.report_id = target;
+  draft.carry = [this, affected = std::move(affected)](
+                    const Scenario& next, const LabelKey& key,
+                    const StatePtr& parent) {
+    return PatchNetwork(next, key, *parent, affected);
+  };
+  return draft;
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::SuspendRoute(
     uint32_t route) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  auto transformed = scenario::SuspendRoute(network_city_->feed, route);
-  if (!transformed.ok()) return transformed.status();
-  return ApplyTimetable(std::move(transformed).value(), route, watch);
+  return Advance([&](const Scenario& current) {
+    return TimetableDraft(
+        current, scenario::SuspendRoute(network_city_->feed, route), route);
+  });
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::CloseStop(
     uint32_t stop) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  auto transformed = scenario::CloseStop(network_city_->feed, stop);
-  if (!transformed.ok()) return transformed.status();
-  return ApplyTimetable(std::move(transformed).value(), stop, watch);
+  return Advance([&](const Scenario& current) {
+    return TimetableDraft(current,
+                          scenario::CloseStop(network_city_->feed, stop), stop);
+  });
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleHeadway(
     uint32_t route, uint32_t factor) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  auto transformed =
-      scenario::ScaleHeadway(network_city_->feed, route, factor);
-  if (!transformed.ok()) return transformed.status();
-  return ApplyTimetable(std::move(transformed).value(), route, watch);
+  return Advance([&](const Scenario& current) {
+    return TimetableDraft(
+        current, scenario::ScaleHeadway(network_city_->feed, route, factor),
+        route);
+  });
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::SetFare(
     uint32_t route, double fare) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  auto transformed = scenario::SetFlatFare(network_city_->feed, route, fare);
-  if (!transformed.ok()) return transformed.status();
-  auto current = Acquire();
-
-  // Same fault site as the timetable path: nothing below mutates store
-  // state until the commit block.
-  STAQ_FAILPOINT("serve.scenario.patch_network");
-
-  synth::City disrupted = *network_city_;
-  disrupted.feed = std::move(transformed).value();
-  auto city = std::make_shared<const synth::City>(std::move(disrupted));
-  router::RouterOptions router_opts =
-      RebindConnections(network_router_, &city->feed);
-  auto offline = RebuildOfflineKeepingIsochrones(*city, current->offline());
-  const uint64_t network_id = NewNetworkId();
-
-  auto next = std::make_shared<Scenario>(current->epoch() + 1, city,
-                                         current->pois(), std::move(offline));
-  next->SetNetwork(network_version_ + 1, network_id, router_opts);
-
-  // Fares enter GAC only: journey-time states are shared verbatim (their
-  // rebuild over the new feed would reproduce the same bits), while every
-  // generalized-cost state relabels all zones — any trip may board the
-  // repriced route mid-journey, so no cheaper screen is sound.
-  const std::vector<uint32_t> all = AllZones(base_->zones.size());
-  MutationReport report;
-  report.epoch = next->epoch();
-  report.poi_id = route;
-  report.zones_total = static_cast<uint32_t>(base_->zones.size());
-  for (const auto& [key, state] : current->MaterializedStates()) {
-    if (key.cost != core::CostKind::kGeneralizedCost) {
-      next->SeedLabelState(key, state);
-      ++report.states_shared;
-      continue;
-    }
-    auto patched = PatchNetwork(*next, key, *state, all);
-    report.spqs += patched->build_spqs;
-    report.zones_relabeled += patched->relabeled_zones;
-    ++report.states_patched;
-    next->SeedLabelState(key, std::move(patched));
-  }
-
-  network_city_ = std::move(city);
-  network_router_ = std::move(router_opts);
-  network_id_ = network_id;
-  ++network_version_;
-  Install(std::move(next));
-  report.seconds = watch.ElapsedSeconds();
-  return report;
+  return Advance([&](const Scenario& current) -> util::Result<Draft> {
+    auto feed = scenario::SetFlatFare(network_city_->feed, route, fare);
+    if (!feed.ok()) return feed.status();
+    Draft draft = FeedDraft(current, std::move(feed).value());
+    draft.report_id = route;
+    // Fares enter GAC only: journey-time states are shared verbatim (their
+    // rebuild over the new feed would reproduce the same bits), while every
+    // generalized-cost state relabels all zones — any trip may board the
+    // repriced route mid-journey, so no cheaper screen is sound.
+    draft.carry = [this, all = AllZones(base_->zones.size())](
+                      const Scenario& next, const LabelKey& key,
+                      const StatePtr& parent) -> StatePtr {
+      if (key.cost != core::CostKind::kGeneralizedCost) return parent;
+      return PatchNetwork(next, key, *parent, all);
+    };
+    return draft;
+  });
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleWalkSpeed(
     double factor) {
-  std::lock_guard<std::mutex> mutation(mutation_mu_);
-  util::Stopwatch watch;
-  if (!(factor > 0.0) || !std::isfinite(factor)) {
-    return util::Status::InvalidArgument(
-        "walk-speed factor must be positive and finite");
-  }
-  auto current = Acquire();
-
-  STAQ_FAILPOINT("serve.scenario.patch_network");
-
-  // Same city and feed (the connection array is shared); only the walk
-  // parameters change — the router's walk table and the isochrone speed ω
-  // scale together so online routing and the offline reachability
-  // structures describe the same pedestrian.
-  router::RouterOptions router_opts = network_router_;
-  router_opts.walk.speed_mps *= factor;
-  core::IsochroneConfig iso = network_iso_;
-  iso.omega_kph *= factor;
-  // The isochrone config changed, so this is a full offline build.
-  auto offline = std::make_shared<const OfflineState>(
-      *network_city_, current->interval(), iso);
-  const uint64_t network_id = NewNetworkId();
-
-  auto next = std::make_shared<Scenario>(current->epoch() + 1, network_city_,
-                                         current->pois(), std::move(offline));
-  next->SetNetwork(network_version_ + 1, network_id, router_opts);
-
-  // Every journey has walk legs, so every zone of every state relabels.
-  const std::vector<uint32_t> all = AllZones(base_->zones.size());
-  MutationReport report;
-  report.epoch = next->epoch();
-  report.zones_total = static_cast<uint32_t>(base_->zones.size());
-  for (const auto& [key, state] : current->MaterializedStates()) {
-    auto patched = PatchNetwork(*next, key, *state, all);
-    report.spqs += patched->build_spqs;
-    report.zones_relabeled += patched->relabeled_zones;
-    ++report.states_patched;
-    next->SeedLabelState(key, std::move(patched));
-  }
-
-  network_router_ = std::move(router_opts);
-  network_iso_ = iso;
-  walk_scale_.store(walk_scale_.load(std::memory_order_relaxed) * factor,
-                    std::memory_order_release);
-  network_id_ = network_id;
-  ++network_version_;
-  Install(std::move(next));
-  report.seconds = watch.ElapsedSeconds();
-  return report;
+  return Advance([&](const Scenario& current) -> util::Result<Draft> {
+    if (!(factor > 0.0) || !std::isfinite(factor)) {
+      return util::Status::InvalidArgument(
+          "walk-speed factor must be positive and finite");
+    }
+    // Same city and feed (the connection array is shared); only the walk
+    // parameters change — the router's walk table and the isochrone speed ω
+    // scale together so online routing and the offline reachability
+    // structures describe the same pedestrian.
+    Draft draft = DraftFrom(current);
+    draft.router.walk.speed_mps *= factor;
+    draft.iso.omega_kph *= factor;
+    draft.walk_scale *= factor;
+    // The isochrone config changed, so this is a full offline build.
+    draft.offline = std::make_shared<const OfflineState>(
+        *draft.city, current.interval(), draft.iso);
+    draft.new_network = true;
+    // Every journey has walk legs, so every zone of every state relabels.
+    draft.carry = [this, all = AllZones(base_->zones.size())](
+                      const Scenario& next, const LabelKey& key,
+                      const StatePtr& parent) {
+      return PatchNetwork(next, key, *parent, all);
+    };
+    return draft;
+  });
 }
 
 }  // namespace staq::serve

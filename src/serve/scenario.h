@@ -5,9 +5,9 @@
 // (isochrones, hop trees, feature extractor). Scenarios are published
 // RCU-style by a ScenarioStore: readers Acquire() a shared_ptr to the
 // current snapshot and keep using it for as long as they like; a mutation
-// (POI add/remove, interval switch) builds the *next* snapshot off to the
-// side and installs it with one pointer swap. In-flight queries never
-// observe a half-mutated scenario and never block writers.
+// (any of the eight wal::MutationRecord kinds) builds the *next* snapshot
+// off to the side and installs it with one pointer swap. In-flight queries
+// never observe a half-mutated scenario and never block writers.
 //
 // Incremental relabeling (the reason mutations are cheap): exact answers
 // are derived from an ExactLabelState — the edit-stable TODAM plus every
@@ -63,7 +63,7 @@
 #include "serve/request.h"
 #include "synth/city_builder.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
+#include "wal/record.h"
 
 namespace staq::serve {
 
@@ -449,6 +449,12 @@ class ScenarioStore {
   /// not carried over.
   MutationReport SetInterval(const gtfs::TimeInterval& interval);
 
+  /// Applies one mutation record through the typed method of its kind —
+  /// the only dispatch over wal::MutationType below the codec. The record's
+  /// sequence and (for kAddPoi) poi_id are not read: AqServer checks or
+  /// assigns those around the call.
+  util::Result<MutationReport> Apply(const wal::MutationRecord& record);
+
   /// Timetable disruptions (scenario subsystem). Each builds the disrupted
   /// feed through scenario/transform.h, screens the zones that could have
   /// used a removed connection on the old timetable (scenario/impact.h),
@@ -498,18 +504,60 @@ class ScenarioStore {
   }
 
  private:
-  std::shared_ptr<const ExactLabelState> PatchAdd(
-      const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
-      const synth::Poi& poi);
-  std::shared_ptr<const ExactLabelState> PatchRemove(
-      const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
-      uint32_t poi_id);
+  using StatePtr = std::shared_ptr<const ExactLabelState>;
+
+  /// One mutation's next epoch as its kind decides it, before anything is
+  /// installed. Every field starts as the current epoch's (DraftFrom).
+  struct Draft {
+    std::vector<synth::Poi> pois;
+    std::shared_ptr<const OfflineState> offline;
+    /// The next epoch's network, the store's current one once committed.
+    /// `new_network` gives it a fresh id and version.
+    std::shared_ptr<const synth::City> city;
+    router::RouterOptions router;
+    core::IsochroneConfig iso;
+    double walk_scale = 1.0;
+    bool new_network = false;
+    /// Reported as MutationReport::poi_id.
+    uint32_t report_id = 0;
+    /// Carries one materialised label state into `next`: returns `parent`
+    /// to share it verbatim, or its patched copy. Empty: no state is
+    /// carried (an interval switch).
+    std::function<StatePtr(const Scenario& next, const LabelKey& key,
+                           const StatePtr& parent)>
+        carry;
+  };
+  using DeriveFn = std::function<util::Result<Draft>(const Scenario&)>;
+
+  /// The one mutation routine: under mutation_mu_, `derive` drafts the
+  /// next epoch from the current one; the epoch is then built aside, every
+  /// materialised label state goes through draft.carry, and the network is
+  /// committed with the epoch install. A derive error or a throw anywhere
+  /// (failpoints included) leaves the current epoch and network untouched.
+  util::Result<MutationReport> Advance(const DeriveFn& derive);
+  /// The current epoch over the current network. Caller holds mutation_mu_.
+  Draft DraftFrom(const Scenario& current) const;
+  /// A new network over a copy of the current city with `feed`: isochrones
+  /// adopted (they never read the timetable), hop trees and features
+  /// rebuilt. Caller holds mutation_mu_.
+  Draft FeedDraft(const Scenario& current, gtfs::Feed feed) const;
+  /// SuspendRoute / CloseStop / ScaleHeadway: screens the affected zones
+  /// on the old timetable and relabels only those. Caller holds
+  /// mutation_mu_.
+  util::Result<Draft> TimetableDraft(
+      const Scenario& current,
+      util::Result<scenario::TransformResult> transformed, uint32_t target);
+
+  StatePtr PatchAdd(const Scenario& next, const LabelKey& key,
+                    const ExactLabelState& parent, const synth::Poi& poi);
+  StatePtr PatchRemove(const Scenario& next, const LabelKey& key,
+                       const ExactLabelState& parent, uint32_t poi_id);
   /// Carries one label state across a network mutation: the TODAM is
   /// demand-side and moves verbatim; `affected` zones relabel over
   /// `next`'s (new) network.
-  std::shared_ptr<const ExactLabelState> PatchNetwork(
-      const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
-      const std::vector<uint32_t>& affected);
+  StatePtr PatchNetwork(const Scenario& next, const LabelKey& key,
+                        const ExactLabelState& parent,
+                        const std::vector<uint32_t>& affected);
   /// Relabels `zones` of `state` over `next`'s network through the zone
   /// loop and records the step's SPQ and zone counts.
   void Relabel(const Scenario& next, const LabelKey& key,
@@ -519,12 +567,6 @@ class ScenarioStore {
   /// when `next`'s network differs from the one it was built for. Caller
   /// holds mutation_mu_.
   core::LabelingEngine& SerialEngine(const Scenario& next);
-  /// Shared tail of SuspendRoute / CloseStop / ScaleHeadway: screens the
-  /// affected zones on the old timetable, builds the new network aside,
-  /// patches every state, and commits. Caller holds mutation_mu_.
-  util::Result<MutationReport> ApplyTimetable(
-      scenario::TransformResult transformed, uint32_t target,
-      util::Stopwatch watch);
   void Install(std::shared_ptr<const Scenario> next);
 
   std::shared_ptr<const synth::City> base_;

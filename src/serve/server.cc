@@ -29,14 +29,13 @@ size_t ResolveThreads(size_t requested) {
 /// Degrades an escaped exception into the clean Status the serve API
 /// promises (failpoint throws, bad_alloc, anything the core engines
 /// raise). The server must never hang a waiter or kill a worker over one.
-util::Status StatusFromException(const char* where) {
+util::Status StatusFromException(const std::string& where) {
   try {
     throw;
   } catch (const std::exception& e) {
-    return util::Status::Internal(std::string(where) + " failed: " + e.what());
+    return util::Status::Internal(where + " failed: " + e.what());
   } catch (...) {
-    return util::Status::Internal(std::string(where) +
-                                  " failed: unknown exception");
+    return util::Status::Internal(where + " failed: unknown exception");
   }
 }
 
@@ -113,19 +112,6 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval)
 
 AqServer::~AqServer() = default;
 
-void AqServer::NoteMutation(const ScenarioStore::MutationReport& report) {
-  mutations_.fetch_add(1, std::memory_order_relaxed);
-  states_patched_.fetch_add(report.states_patched, std::memory_order_relaxed);
-  zones_relabeled_.fetch_add(report.zones_relabeled,
-                             std::memory_order_relaxed);
-  patch_spqs_.fetch_add(report.spqs, std::memory_order_relaxed);
-}
-
-util::Status AqServer::LogMutation(const wal::MutationRecord& record) {
-  if (wal_ == nullptr) return util::Status::OK();
-  return wal_->Append(record);
-}
-
 util::Status AqServer::AttachWal(wal::MutationWal* wal) {
   std::lock_guard<std::mutex> lock(wal_mu_);
   if (wal != nullptr && wal->last_sequence() != sequence()) {
@@ -139,223 +125,52 @@ util::Status AqServer::AttachWal(wal::MutationWal* wal) {
   return util::Status::OK();
 }
 
-util::Result<ScenarioStore::MutationReport> AqServer::AddPoi(
-    synth::PoiCategory category, const geo::Point& position) {
+util::Result<ScenarioStore::MutationReport> AqServer::ApplyRecord(
+    const wal::MutationRecord& record, bool replay) {
   std::lock_guard<std::mutex> lock(wal_mu_);
-  ScenarioStore::MutationReport report;
-  try {
-    report = store_.AddPoi(category, position);
-  } catch (...) {
-    // The store installs the next epoch only as its last step, so an
-    // aborted patch/relabel leaves the previous scenario fully intact.
-    return StatusFromException("AddPoi mutation");
-  }
-  NoteMutation(report);
-  STAQ_RETURN_NOT_OK(LogMutation(wal::MutationRecord::AddPoi(
-      sequence(), category, position, report.poi_id)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::RemovePoi(
-    uint32_t poi_id) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  util::Result<ScenarioStore::MutationReport> report =
-      util::Status::Internal("unreachable");
-  try {
-    report = store_.RemovePoi(poi_id);
-  } catch (...) {
-    return StatusFromException("RemovePoi mutation");
-  }
-  if (!report.ok()) return report;
-  NoteMutation(report.value());
-  STAQ_RETURN_NOT_OK(
-      LogMutation(wal::MutationRecord::RemovePoi(sequence(), poi_id)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::SetInterval(
-    const gtfs::TimeInterval& interval) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  ScenarioStore::MutationReport report;
-  try {
-    report = store_.SetInterval(interval);
-  } catch (...) {
-    return StatusFromException("SetInterval mutation");
-  }
-  NoteMutation(report);
-  // Mutation discipline (see LabelingEngine::InvalidateAccessStopCache):
-  // worker engines drop their cached access stops. Bumping the epoch invalidates lazily on the next
-  // AcquireContext, which also covers contexts leased while this mutation
-  // runs — a free-list sweep would miss those.
-  stop_cache_epoch_.fetch_add(1, std::memory_order_release);
-  STAQ_RETURN_NOT_OK(
-      LogMutation(wal::MutationRecord::SetInterval(sequence(), interval)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::SuspendRoute(
-    uint32_t route) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  util::Result<ScenarioStore::MutationReport> report =
-      util::Status::Internal("unreachable");
-  try {
-    report = store_.SuspendRoute(route);
-  } catch (...) {
-    return StatusFromException("SuspendRoute mutation");
-  }
-  if (!report.ok()) return report;
-  NoteMutation(report.value());
-  STAQ_RETURN_NOT_OK(
-      LogMutation(wal::MutationRecord::SuspendRoute(sequence(), route)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::CloseStop(
-    uint32_t stop) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  util::Result<ScenarioStore::MutationReport> report =
-      util::Status::Internal("unreachable");
-  try {
-    report = store_.CloseStop(stop);
-  } catch (...) {
-    return StatusFromException("CloseStop mutation");
-  }
-  if (!report.ok()) return report;
-  NoteMutation(report.value());
-  STAQ_RETURN_NOT_OK(
-      LogMutation(wal::MutationRecord::CloseStop(sequence(), stop)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::ScaleHeadway(
-    uint32_t route, uint32_t factor) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  util::Result<ScenarioStore::MutationReport> report =
-      util::Status::Internal("unreachable");
-  try {
-    report = store_.ScaleHeadway(route, factor);
-  } catch (...) {
-    return StatusFromException("ScaleHeadway mutation");
-  }
-  if (!report.ok()) return report;
-  NoteMutation(report.value());
-  STAQ_RETURN_NOT_OK(LogMutation(
-      wal::MutationRecord::ScaleHeadway(sequence(), route, factor)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::SetFare(uint32_t route,
-                                                              double fare) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  util::Result<ScenarioStore::MutationReport> report =
-      util::Status::Internal("unreachable");
-  try {
-    report = store_.SetFare(route, fare);
-  } catch (...) {
-    return StatusFromException("SetFare mutation");
-  }
-  if (!report.ok()) return report;
-  NoteMutation(report.value());
-  STAQ_RETURN_NOT_OK(
-      LogMutation(wal::MutationRecord::SetFare(sequence(), route, fare)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::ScaleWalkSpeed(
-    double factor) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  util::Result<ScenarioStore::MutationReport> report =
-      util::Status::Internal("unreachable");
-  try {
-    report = store_.ScaleWalkSpeed(factor);
-  } catch (...) {
-    return StatusFromException("ScaleWalkSpeed mutation");
-  }
-  if (!report.ok()) return report;
-  NoteMutation(report.value());
-  STAQ_RETURN_NOT_OK(
-      LogMutation(wal::MutationRecord::ScaleWalkSpeed(sequence(), factor)));
-  return report;
-}
-
-util::Result<ScenarioStore::MutationReport> AqServer::ApplyMutation(
-    const wal::MutationRecord& record) {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  if (record.sequence != sequence() + 1) {
+  if (replay && record.sequence != sequence() + 1) {
     return util::Status::Aborted(util::Format(
         "cannot replay record #%llu at sequence %llu: history must stay "
         "gap-free",
         static_cast<unsigned long long>(record.sequence),
         static_cast<unsigned long long>(sequence())));
   }
-  ScenarioStore::MutationReport report;
-  try {
-    switch (record.type) {
-      case wal::MutationType::kAddPoi: {
-        // The id drives the POI's RNG streams: a different id means this
-        // replica's answers would diverge from the primary's. Checked
-        // against the store's cursor BEFORE applying, so the abort leaves
-        // the last consistent epoch serving instead of installing a fork.
-        const uint32_t local_id = store_.next_poi_id();
-        if (local_id != record.poi_id) {
-          return util::Status::Aborted(util::Format(
-              "replayed AddPoi #%llu would assign POI id %u where the log "
-              "records %u — replica diverged; nothing was applied",
-              static_cast<unsigned long long>(record.sequence), local_id,
-              record.poi_id));
-        }
-        report = store_.AddPoi(record.category, record.position);
-        break;
-      }
-      case wal::MutationType::kRemovePoi: {
-        auto result = store_.RemovePoi(record.poi_id);
-        if (!result.ok()) return result;
-        report = result.value();
-        break;
-      }
-      case wal::MutationType::kSetInterval: {
-        report = store_.SetInterval(record.interval);
-        stop_cache_epoch_.fetch_add(1, std::memory_order_release);
-        break;
-      }
-      // Disruption replay: the records carry resolved ids, and every
-      // transform plus the affected-zone screen is a pure function of the
-      // current feed, so replicas install bit-identical epochs.
-      case wal::MutationType::kSuspendRoute: {
-        auto result = store_.SuspendRoute(record.target);
-        if (!result.ok()) return result;
-        report = result.value();
-        break;
-      }
-      case wal::MutationType::kCloseStop: {
-        auto result = store_.CloseStop(record.target);
-        if (!result.ok()) return result;
-        report = result.value();
-        break;
-      }
-      case wal::MutationType::kScaleHeadway: {
-        auto result = store_.ScaleHeadway(record.target, record.factor);
-        if (!result.ok()) return result;
-        report = result.value();
-        break;
-      }
-      case wal::MutationType::kSetFare: {
-        auto result = store_.SetFare(record.target, record.value);
-        if (!result.ok()) return result;
-        report = result.value();
-        break;
-      }
-      case wal::MutationType::kScaleWalkSpeed: {
-        auto result = store_.ScaleWalkSpeed(record.value);
-        if (!result.ok()) return result;
-        report = result.value();
-        break;
-      }
-    }
-  } catch (...) {
-    return StatusFromException("mutation replay");
+  // The id drives the POI's RNG streams: a different id means this
+  // replica's answers would diverge from the primary's. Checked against the
+  // store's cursor BEFORE applying, so the abort leaves the last consistent
+  // epoch serving instead of installing a fork.
+  if (replay && record.assigns_poi_id() &&
+      store_.next_poi_id() != record.poi_id) {
+    return util::Status::Aborted(util::Format(
+        "replayed %s #%llu would assign POI id %u where the log records %u "
+        "— replica diverged; nothing was applied",
+        wal::MutationTypeName(record.type),
+        static_cast<unsigned long long>(record.sequence),
+        store_.next_poi_id(), record.poi_id));
   }
-  NoteMutation(report);
+  util::Result<ScenarioStore::MutationReport> report =
+      util::Status::Internal("unreachable");
+  try {
+    report = store_.Apply(record);
+  } catch (...) {
+    // The store installs the next epoch only as its last step, so an
+    // aborted patch/relabel leaves the previous scenario fully intact.
+    return StatusFromException(std::string(wal::MutationTypeName(record.type)) +
+                               " mutation");
+  }
+  if (!report.ok()) return report;
+  const ScenarioStore::MutationReport& applied = report.value();
+  mutations_.fetch_add(1, std::memory_order_relaxed);
+  states_patched_.fetch_add(applied.states_patched, std::memory_order_relaxed);
+  zones_relabeled_.fetch_add(applied.zones_relabeled,
+                             std::memory_order_relaxed);
+  patch_spqs_.fetch_add(applied.spqs, std::memory_order_relaxed);
+  if (replay || wal_ == nullptr) return report;
+
+  wal::MutationRecord logged = record;
+  logged.sequence = sequence();
+  if (logged.assigns_poi_id()) logged.poi_id = applied.poi_id;
+  STAQ_RETURN_NOT_OK(wal_->Append(logged));
   return report;
 }
 
@@ -430,23 +245,12 @@ std::unique_ptr<AqServer::WorkerContext> AqServer::ContextPool::Put(
   return context;
 }
 
-std::unique_ptr<AqServer::WorkerContext> AqServer::Refreshed(
-    std::unique_ptr<WorkerContext> context, uint64_t stop_epoch) {
-  if (context->stop_epoch != stop_epoch) {
-    context->engine.InvalidateAccessStopCache();
-    context->stop_epoch = stop_epoch;
-  }
-  return context;
-}
-
 std::unique_ptr<AqServer::WorkerContext> AqServer::NewContext(
-    const Network& network, uint64_t stop_epoch) {
+    const Network& network) {
   // A failed build gives the counted slot back.
   try {
-    auto context = std::make_unique<WorkerContext>(
-        network.city, network.options, network.id, &live_contexts_);
-    context->stop_epoch = stop_epoch;
-    return context;
+    return std::make_unique<WorkerContext>(network.city, network.options,
+                                           network.id, &live_contexts_);
   } catch (...) {
     live_contexts_.fetch_sub(1, std::memory_order_relaxed);
     throw;
@@ -455,24 +259,20 @@ std::unique_ptr<AqServer::WorkerContext> AqServer::NewContext(
 
 std::unique_ptr<AqServer::WorkerContext> AqServer::AcquireContext(
     const Network& network) {
-  const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
-  if (auto context = contexts_.Take(network.id)) {
-    return Refreshed(std::move(context), epoch);
-  }
+  if (auto context = contexts_.Take(network.id)) return context;
   if (live_contexts_.load(std::memory_order_relaxed) >= context_cap_) {
     contexts_.TakeStale(network.id).reset();  // make room, if one is stale
   }
   live_contexts_.fetch_add(1, std::memory_order_relaxed);
-  return NewContext(network, epoch);
+  return NewContext(network);
 }
 
 std::unique_ptr<AqServer::WorkerContext> AqServer::TryAcquireHelperContext(
     const Network& network) {
-  const uint64_t epoch = stop_cache_epoch_.load(std::memory_order_acquire);
   auto context = contexts_.Take(network.id);
   // Fault site (tests): a helper parked while taking its context.
   STAQ_FAILPOINT("serve.zone_loop.helper_lease");
-  if (context != nullptr) return Refreshed(std::move(context), epoch);
+  if (context != nullptr) return context;
   // Counts the new context under the cap, evicting a pooled context of
   // another network when the cap is reached.
   size_t live = live_contexts_.load(std::memory_order_relaxed);
@@ -482,7 +282,7 @@ std::unique_ptr<AqServer::WorkerContext> AqServer::TryAcquireHelperContext(
       live = live_contexts_.load(std::memory_order_relaxed);
     } else if (live_contexts_.compare_exchange_weak(
                    live, live + 1, std::memory_order_relaxed)) {
-      return NewContext(network, epoch);
+      return NewContext(network);
     }
   }
 }
@@ -973,7 +773,7 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     // SSR path: the TODAM uses the same edit-stable construction as the
     // exact path, so SSR answers are deterministic functions of the
     // scenario (cacheable per epoch) and comparable across epochs.
-    std::vector<double> zone_norm = core::StableGravityNorms(
+    std::vector<double> zone_norm = core::StableGravityNormsColumnar(
         city.zones, city.PoisOf(request.category),
         request.options.gravity.decay_scale_m);
     core::TodamBuilder builder(city.zones, pois, scenario.interval(),
@@ -1018,7 +818,7 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     result.spqs = run.value().spqs;
   }
 
-  core::FinalizeAccessQueryResult(city.zones, &result);
+  core::FinalizeAccessQueryResultColumnar(city.zones, &result);
   result.elapsed_s = watch.ElapsedSeconds();
 
   if (use_caches) {

@@ -170,28 +170,52 @@ class AqServer : private ZoneLoop {
     return store_.ExportSnapshot(scenario, path);
   }
 
-  // Mutations are transactional: a failure (NotFound, or an exception out
-  // of the patch/relabel machinery, e.g. an injected fault) leaves the
-  // store at the previous epoch with every label state intact, and is
-  // reported as a clean Status instead of escaping as an exception.
-  util::Result<ScenarioStore::MutationReport> AddPoi(
-      synth::PoiCategory category, const geo::Point& position);
-  util::Result<ScenarioStore::MutationReport> RemovePoi(uint32_t poi_id);
-  util::Result<ScenarioStore::MutationReport> SetInterval(
-      const gtfs::TimeInterval& interval);
+  // Mutations are transactional: a failure (NotFound, InvalidArgument, or
+  // an exception out of the patch/relabel machinery, e.g. an injected
+  // fault) leaves the store at the previous epoch with every label state
+  // intact, and is reported as a clean Status instead of escaping as an
+  // exception. In-flight queries keep answering against the epoch (and
+  // network) they were admitted under; worker contexts are keyed by the
+  // scenario's network id, so routing always matches the snapshot served.
 
-  // Timetable disruptions (scenario subsystem) — same transactional
-  // contract, same WAL logging. In-flight queries keep answering against
-  // the epoch (and network) they were admitted under; worker contexts are
-  // keyed by the scenario's network version, so routing always matches the
-  // snapshot being served.
-  util::Result<ScenarioStore::MutationReport> SuspendRoute(uint32_t route);
-  util::Result<ScenarioStore::MutationReport> CloseStop(uint32_t stop);
+  /// Applies one mutation as the primary: ScenarioStore::Apply decides what
+  /// the record's kind does. The incoming sequence is ignored (and so is
+  /// poi_id for kAddPoi); the server assigns both and appends the completed
+  /// record to the attached WAL.
+  util::Result<ScenarioStore::MutationReport> Mutate(
+      const wal::MutationRecord& record) {
+    return ApplyRecord(record, /*replay=*/false);
+  }
+
+  // Typed spellings of Mutate, one per record kind.
+  util::Result<ScenarioStore::MutationReport> AddPoi(
+      synth::PoiCategory category, const geo::Point& position) {
+    return Mutate(wal::MutationRecord::AddPoi(0, category, position, 0));
+  }
+  util::Result<ScenarioStore::MutationReport> RemovePoi(uint32_t poi_id) {
+    return Mutate(wal::MutationRecord::RemovePoi(0, poi_id));
+  }
+  util::Result<ScenarioStore::MutationReport> SetInterval(
+      const gtfs::TimeInterval& interval) {
+    return Mutate(wal::MutationRecord::SetInterval(0, interval));
+  }
+  util::Result<ScenarioStore::MutationReport> SuspendRoute(uint32_t route) {
+    return Mutate(wal::MutationRecord::SuspendRoute(0, route));
+  }
+  util::Result<ScenarioStore::MutationReport> CloseStop(uint32_t stop) {
+    return Mutate(wal::MutationRecord::CloseStop(0, stop));
+  }
   util::Result<ScenarioStore::MutationReport> ScaleHeadway(uint32_t route,
-                                                           uint32_t factor);
+                                                           uint32_t factor) {
+    return Mutate(wal::MutationRecord::ScaleHeadway(0, route, factor));
+  }
   util::Result<ScenarioStore::MutationReport> SetFare(uint32_t route,
-                                                      double fare);
-  util::Result<ScenarioStore::MutationReport> ScaleWalkSpeed(double factor);
+                                                      double fare) {
+    return Mutate(wal::MutationRecord::SetFare(0, route, fare));
+  }
+  util::Result<ScenarioStore::MutationReport> ScaleWalkSpeed(double factor) {
+    return Mutate(wal::MutationRecord::ScaleWalkSpeed(0, factor));
+  }
 
   // --- replication API ---------------------------------------------------
   /// Makes this server a logging primary: every accepted mutation appends
@@ -214,7 +238,9 @@ class AqServer : private ZoneLoop {
   /// must stop applying rather than serve silently different answers.
   /// Records applied here are not re-logged to an attached WAL.
   util::Result<ScenarioStore::MutationReport> ApplyMutation(
-      const wal::MutationRecord& record);
+      const wal::MutationRecord& record) {
+    return ApplyRecord(record, /*replay=*/true);
+  }
 
   // --- query API ---------------------------------------------------------
   /// Asynchronous submission. Never blocks on query work; returns a
@@ -283,8 +309,6 @@ class AqServer : private ZoneLoop {
     router::Router router;
     core::LabelingEngine engine;
     uint64_t network_id = 0;
-    /// stop_cache_epoch_ value this context's engine is known valid for.
-    uint64_t stop_epoch = 0;
     std::atomic<size_t>* live;
   };
 
@@ -334,12 +358,11 @@ class AqServer : private ZoneLoop {
   /// Returns a context to the pool. Past the cap the surplus dies — a
   /// pooled context of another network first. Takes no lock.
   void ReleaseContext(std::unique_ptr<WorkerContext> context);
-  /// Refreshes a pooled context's access-stop cache to `stop_epoch`.
-  static std::unique_ptr<WorkerContext> Refreshed(
-      std::unique_ptr<WorkerContext> context, uint64_t stop_epoch);
   /// Builds a context; the caller already counted it in live_contexts_.
-  std::unique_ptr<WorkerContext> NewContext(const Network& network,
-                                            uint64_t stop_epoch);
+  /// Pooled contexts never refresh their access-stop caches: those depend
+  /// only on the network's stops and walk parameters, and every mutation
+  /// that changes either installs a new network id.
+  std::unique_ptr<WorkerContext> NewContext(const Network& network);
 
   /// ZoneLoop: a takeover-mode util::ParallelLoop (util/parallel_loop.h).
   /// The calling thread labels with `caller` (or a leased context) while
@@ -369,12 +392,13 @@ class AqServer : private ZoneLoop {
     std::atomic<size_t> pins_{0};
   };
 
-  /// Folds one mutation report into the stats counters.
-  void NoteMutation(const ScenarioStore::MutationReport& report);
-  /// Appends `record` to the attached WAL (no-op when none is attached).
-  /// Must be called with wal_mu_ held, right after the store installed the
-  /// record's epoch.
-  util::Status LogMutation(const wal::MutationRecord& record);
+  /// The one mutation body behind Mutate and ApplyMutation. Under wal_mu_
+  /// it applies `record` to the store, turns an escaped exception into a
+  /// Status and counts the mutation. A replay first checks that the record
+  /// extends this server's history and never logs; a primary assigns the
+  /// sequence (and the POI id of kAddPoi) and logs the completed record.
+  util::Result<ScenarioStore::MutationReport> ApplyRecord(
+      const wal::MutationRecord& record, bool replay);
 
   /// Answers `request` against `scenario`. A labeling context is leased
   /// only when the answer needs one (never for cache hits).
@@ -421,10 +445,6 @@ class AqServer : private ZoneLoop {
   /// so it outlives every context destroyed with contexts_.
   std::atomic<size_t> live_contexts_{0};
   ContextPool contexts_;
-  /// Bumped by mutations that may stale a WorkerContext's cached access
-  /// stops; contexts are invalidated lazily on Acquire when their stamp
-  /// lags, so leased contexts are covered too (not just the free list).
-  std::atomic<uint64_t> stop_cache_epoch_{0};
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};

@@ -1,7 +1,10 @@
 // Mutation records — the replication unit of staq.
 //
-// Every scenario mutation an AqServer accepts (POI add/remove, interval
-// switch) is describable as one small, self-contained record. Because the
+// Every scenario mutation an AqServer accepts — POI add/remove, interval
+// switch, and the five timetable disruptions (route suspension, stop
+// closure, headway thinning, flat fare, walk-speed scaling) — is one small,
+// self-contained record, and it is the only form a mutation takes from the
+// wire through AqServer::Mutate to ScenarioStore::Apply. Because the
 // mutation semantics are bit-identical under replay (edit-stable TODAM,
 // PRs 2-4), a replica that applies the same records in the same order *is*
 // the primary: same epochs, same label states, same query answers. The
@@ -80,7 +83,7 @@ struct MutationRecord {
   double value = 0.0;
   uint32_t factor = 0;
 
-  /// Factories mirroring the AqServer mutation API.
+  /// One factory per kind; each sets exactly the fields of its kind.
   static MutationRecord AddPoi(uint64_t sequence, synth::PoiCategory category,
                                const geo::Point& position, uint32_t poi_id);
   static MutationRecord RemovePoi(uint64_t sequence, uint32_t poi_id);
@@ -92,6 +95,10 @@ struct MutationRecord {
                                      uint32_t factor);
   static MutationRecord SetFare(uint64_t sequence, uint32_t route, double fare);
   static MutationRecord ScaleWalkSpeed(uint64_t sequence, double factor);
+
+  /// True for the kind whose poi_id the primary assigns (kAddPoi): the
+  /// incoming id is ignored there, and replay must reproduce the logged one.
+  bool assigns_poi_id() const { return type == MutationType::kAddPoi; }
 
   /// Human-readable one-liner for `staq_cli wal inspect`.
   std::string ToString() const;

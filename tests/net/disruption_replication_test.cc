@@ -107,7 +107,7 @@ TEST(DisruptionReplicationTest, BrindaleReplicaIsBitIdentical) {
 
 TEST(DisruptionReplicationTest, AllKindsTravelOverTcp) {
   // The oracle applies the chain in-process; the same chain goes through
-  // AqClient's typed mutation calls over loopback TCP.
+  // AqClient::Mutate over loopback TCP.
   serve::AqServer oracle(testing::TinyCity(), gtfs::WeekdayAmPeak());
   ApplyAllKinds(&oracle);
 
@@ -117,21 +117,31 @@ TEST(DisruptionReplicationTest, AllKindsTravelOverTcp) {
   auto client = AqClient::Connect("127.0.0.1", tcp.port());
   ASSERT_TRUE(client.ok()) << client.status();
 
-  auto suspended = client.value().SuspendRoute(0);
+  auto suspended =
+      client.value().Mutate(wal::MutationRecord::SuspendRoute(0, 0));
   ASSERT_TRUE(suspended.ok()) << suspended.status();
   EXPECT_EQ(suspended.value().sequence, 1u);
   ASSERT_TRUE(client.value()
-                  .CloseStop(testing::StopServedOutsideRoute(
-                      server.base_city().feed, 0))
+                  .Mutate(wal::MutationRecord::CloseStop(
+                      0, testing::StopServedOutsideRoute(
+                             server.base_city().feed, 0)))
                   .ok());
-  ASSERT_TRUE(client.value().ScaleHeadway(wal::kAllTargets, 2).ok());
-  ASSERT_TRUE(client.value().SetFare(wal::kAllTargets, 4.25).ok());
-  auto snowed = client.value().ScaleWalkSpeed(0.5);
+  ASSERT_TRUE(client.value()
+                  .Mutate(wal::MutationRecord::ScaleHeadway(
+                      0, wal::kAllTargets, 2))
+                  .ok());
+  ASSERT_TRUE(client.value()
+                  .Mutate(wal::MutationRecord::SetFare(0, wal::kAllTargets,
+                                                       4.25))
+                  .ok());
+  auto snowed =
+      client.value().Mutate(wal::MutationRecord::ScaleWalkSpeed(0, 0.5));
   ASSERT_TRUE(snowed.ok()) << snowed.status();
   EXPECT_EQ(snowed.value().sequence, 5u);
 
   // Out-of-domain requests come back as clean remote errors.
-  auto bad = client.value().SuspendRoute(100000);
+  auto bad =
+      client.value().Mutate(wal::MutationRecord::SuspendRoute(0, 100000));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(server.sequence(), 5u);

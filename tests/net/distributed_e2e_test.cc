@@ -135,43 +135,8 @@ TEST(DistributedE2eTest, RouterOverPrimaryAndThreeReplicasMatchesTheOracle) {
       if (mutation.type == wal::MutationType::kRemovePoi) {
         mutation.poi_id = first_added_id;
       }
-      util::Result<MutateResultMsg> remote = util::Status::Internal("");
-      util::Result<serve::ScenarioStore::MutationReport> local =
-          util::Status::Internal("");
-      switch (mutation.type) {
-        case wal::MutationType::kAddPoi:
-          remote = router.AddPoi(key, mutation.category, mutation.position);
-          local = oracle.AddPoi(mutation.category, mutation.position);
-          break;
-        case wal::MutationType::kRemovePoi:
-          remote = router.RemovePoi(key, mutation.poi_id);
-          local = oracle.RemovePoi(mutation.poi_id);
-          break;
-        case wal::MutationType::kSetInterval:
-          remote = router.SetInterval(key, mutation.interval);
-          local = oracle.SetInterval(mutation.interval);
-          break;
-        case wal::MutationType::kSuspendRoute:
-          remote = router.SuspendRoute(key, mutation.target);
-          local = oracle.SuspendRoute(mutation.target);
-          break;
-        case wal::MutationType::kCloseStop:
-          remote = router.CloseStop(key, mutation.target);
-          local = oracle.CloseStop(mutation.target);
-          break;
-        case wal::MutationType::kScaleHeadway:
-          remote = router.ScaleHeadway(key, mutation.target, mutation.factor);
-          local = oracle.ScaleHeadway(mutation.target, mutation.factor);
-          break;
-        case wal::MutationType::kSetFare:
-          remote = router.SetFare(key, mutation.target, mutation.value);
-          local = oracle.SetFare(mutation.target, mutation.value);
-          break;
-        case wal::MutationType::kScaleWalkSpeed:
-          remote = router.ScaleWalkSpeed(key, mutation.value);
-          local = oracle.ScaleWalkSpeed(mutation.value);
-          break;
-      }
+      auto remote = router.Mutate(key, mutation);
+      auto local = oracle.Mutate(mutation);
       ASSERT_TRUE(remote.ok()) << "step " << step << ": " << remote.status();
       ASSERT_TRUE(local.ok()) << "step " << step << ": " << local.status();
       ++expected_sequence;

@@ -165,8 +165,8 @@ TEST(ReplicaTest, TailsThePrimaryAndServesConsistentReads) {
   ASSERT_TRUE(golden.ok());
   ExpectSameAnswer(remote.value().result, golden.value());
 
-  auto refused =
-      client.value().AddPoi(synth::PoiCategory::kSchool, geo::Point{0, 0});
+  auto refused = client.value().Mutate(wal::MutationRecord::AddPoi(
+      0, synth::PoiCategory::kSchool, geo::Point{0, 0}, 0));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
 
@@ -252,6 +252,120 @@ TEST(ApplyMutationTest, SequenceGapsAndIdMismatchesAreAborted) {
   ASSERT_TRUE(applied.ok()) << applied.status();
   EXPECT_EQ(applied.value().poi_id, real_id);
   EXPECT_EQ(server.sequence(), 1u);
+}
+
+/// One record of every kind, each at sequence 0 (and poi_id 0 for AddPoi):
+/// what a client sends. RemovePoi's id is filled in once AddPoi assigned
+/// it.
+std::vector<wal::MutationRecord> EveryKind(const synth::City& city) {
+  return {
+      wal::MutationRecord::AddPoi(0, synth::PoiCategory::kSchool,
+                                  geo::Point{city.extent.min_x,
+                                             city.extent.min_y},
+                                  0),
+      wal::MutationRecord::RemovePoi(0, 0),
+      wal::MutationRecord::SetInterval(0, gtfs::WeekdayPmPeak()),
+      wal::MutationRecord::SuspendRoute(0, 0),
+      wal::MutationRecord::CloseStop(
+          0, testing::StopServedOutsideRoute(city.feed, 0)),
+      wal::MutationRecord::ScaleHeadway(0, wal::kAllTargets, 2),
+      wal::MutationRecord::SetFare(0, wal::kAllTargets, 4.25),
+      wal::MutationRecord::ScaleWalkSpeed(0, 0.5),
+  };
+}
+
+TEST(ApplyMutationTest, EveryKindLogsWhatItAppliedAndReplaysBitIdentically) {
+  Primary primary(testing::TinyCity(), "every_kind");
+  serve::AqServer replica(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  serve::AqRequest gac = FastExactRequest();
+  gac.options.cost = core::CostKind::kGeneralizedCost;
+  const std::vector<serve::AqRequest> requests = {FastExactRequest(), gac};
+
+  uint32_t added_id = 0;
+  uint64_t sequence = 0;
+  for (wal::MutationRecord input : EveryKind(primary.server->base_city())) {
+    const std::string kind = wal::MutationTypeName(input.type);
+    if (input.type == wal::MutationType::kRemovePoi) input.poi_id = added_id;
+    // Materialise the label states on both sides, so the mutation patches
+    // them rather than dropping nothing.
+    for (const serve::AqRequest& request : requests) {
+      ASSERT_TRUE(primary.server->Query(request).ok()) << kind;
+      ASSERT_TRUE(replica.Query(request).ok()) << kind;
+    }
+
+    auto report = primary.server->Mutate(input);
+    ASSERT_TRUE(report.ok()) << kind << ": " << report.status();
+    ++sequence;
+    if (input.assigns_poi_id()) added_id = report.value().poi_id;
+
+    // The log holds the input with only the sequence (and an AddPoi's POI
+    // id) filled in by the primary.
+    auto log = wal::ReadLog(primary.wal_dir);
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_EQ(log.value().records.size(), sequence) << kind;
+    const wal::MutationRecord& logged = log.value().records.back();
+    wal::MutationRecord expected = input;
+    expected.sequence = sequence;
+    if (input.assigns_poi_id()) expected.poi_id = report.value().poi_id;
+    EXPECT_TRUE(logged == expected) << kind << ": logged " << logged.ToString()
+                                    << ", expected " << expected.ToString();
+
+    // A replica refuses a record that skips one, and (AddPoi) one whose
+    // POI id it would not assign, before touching anything.
+    const uint64_t epoch = replica.epoch();
+    const uint64_t mutations = replica.stats().mutations;
+    std::vector<wal::MutationRecord> diverged = {logged};
+    diverged[0].sequence = logged.sequence + 1;
+    if (logged.assigns_poi_id()) {
+      diverged.push_back(logged);
+      diverged[1].poi_id = logged.poi_id + 1;
+    }
+    for (const wal::MutationRecord& bad : diverged) {
+      auto refused = replica.ApplyMutation(bad);
+      ASSERT_FALSE(refused.ok()) << kind << ": " << bad.ToString();
+      EXPECT_EQ(refused.status().code(), util::StatusCode::kAborted) << kind;
+      EXPECT_EQ(replica.epoch(), epoch) << kind;
+      EXPECT_EQ(replica.stats().mutations, mutations) << kind;
+    }
+
+    // The logged record replays into the same scenario.
+    auto replayed = replica.ApplyMutation(logged);
+    ASSERT_TRUE(replayed.ok()) << kind << ": " << replayed.status();
+    EXPECT_EQ(replayed.value().poi_id, report.value().poi_id) << kind;
+    EXPECT_EQ(replica.sequence(), sequence) << kind;
+    for (const serve::AqRequest& request : requests) {
+      auto golden = primary.server->QueryUncached(request);
+      ASSERT_TRUE(golden.ok()) << kind << ": " << golden.status();
+      auto answer = replica.Query(request);
+      ASSERT_TRUE(answer.ok()) << kind << ": " << answer.status();
+      ExpectSameAnswer(answer.value(), golden.value());
+    }
+  }
+  EXPECT_EQ(primary.wal->last_sequence(), sequence);
+}
+
+TEST(ApplyMutationTest, OutOfDomainRecordsAreRejectedWithoutAnEpoch) {
+  serve::AqServer primary(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  serve::AqServer replica(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  const std::vector<wal::MutationRecord> out_of_domain = {
+      wal::MutationRecord::ScaleWalkSpeed(1, 0.0),
+      wal::MutationRecord::ScaleWalkSpeed(1, -1.0),
+      wal::MutationRecord::ScaleHeadway(1, 0, 1),
+      wal::MutationRecord::SetFare(1, wal::kAllTargets, -1.0),
+      wal::MutationRecord::SuspendRoute(1, 100000),
+      wal::MutationRecord::CloseStop(1, 100000),
+  };
+  for (const wal::MutationRecord& record : out_of_domain) {
+    for (serve::AqServer* server : {&primary, &replica}) {
+      auto result = server == &primary ? server->Mutate(record)
+                                       : server->ApplyMutation(record);
+      ASSERT_FALSE(result.ok()) << record.ToString();
+      EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument)
+          << record.ToString() << ": " << result.status();
+      EXPECT_EQ(server->epoch(), 0u) << record.ToString();
+      EXPECT_EQ(server->stats().mutations, 0u) << record.ToString();
+    }
+  }
 }
 
 TEST(PrimaryRestartTest, RecoversThroughSnapshotAndReplayThenReattaches) {

@@ -77,8 +77,9 @@ TEST_F(TcpServerTest, RemoteMutationsAdvanceTheSequence) {
   auto before = client.Query(FastExactRequest());
   ASSERT_TRUE(before.ok());
 
-  auto added = client.AddPoi(synth::PoiCategory::kSchool,
-                             geo::Point{extent.min_x, extent.min_y});
+  auto added = client.Mutate(wal::MutationRecord::AddPoi(
+      0, synth::PoiCategory::kSchool, geo::Point{extent.min_x, extent.min_y},
+      0));
   ASSERT_TRUE(added.ok()) << added.status();
   EXPECT_EQ(added.value().sequence, 1u);
   EXPECT_EQ(added.value().report.epoch, 1u);
@@ -90,11 +91,13 @@ TEST_F(TcpServerTest, RemoteMutationsAdvanceTheSequence) {
   EXPECT_GT(after.value().result.gravity_trips,
             before.value().result.gravity_trips);
 
-  auto removed = client.RemovePoi(added.value().report.poi_id);
+  auto removed = client.Mutate(
+      wal::MutationRecord::RemovePoi(0, added.value().report.poi_id));
   ASSERT_TRUE(removed.ok()) << removed.status();
   EXPECT_EQ(removed.value().sequence, 2u);
 
-  auto switched = client.SetInterval(gtfs::WeekdayPmPeak());
+  auto switched =
+      client.Mutate(wal::MutationRecord::SetInterval(0, gtfs::WeekdayPmPeak()));
   ASSERT_TRUE(switched.ok()) << switched.status();
   EXPECT_EQ(switched.value().sequence, 3u);
 }
@@ -107,8 +110,8 @@ TEST_F(TcpServerTest, ReadOnlyReplicaRefusesMutations) {
 
   auto client = AqClient::Connect("127.0.0.1", replica.port());
   ASSERT_TRUE(client.ok());
-  auto refused =
-      client.value().AddPoi(synth::PoiCategory::kSchool, geo::Point{0, 0});
+  auto refused = client.value().Mutate(wal::MutationRecord::AddPoi(
+      0, synth::PoiCategory::kSchool, geo::Point{0, 0}, 0));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
   // The connection survives a refused mutation: reads still work.
@@ -128,7 +131,7 @@ TEST_F(TcpServerTest, QueryBehindMinSequenceIsUnavailable) {
 
 TEST_F(TcpServerTest, RemoteErrorsCarryTheServersStatus) {
   AqClient client = MustConnect();
-  auto missing = client.RemovePoi(9999999);
+  auto missing = client.Mutate(wal::MutationRecord::RemovePoi(0, 9999999));
   ASSERT_FALSE(missing.ok());
   // The exact status an in-process RemovePoi would return, not a generic
   // "request failed".

@@ -358,5 +358,44 @@ TEST_F(AqServerTest, StatsAccumulateAcrossTheLifetime) {
   EXPECT_EQ(stats.rejected, 0u);
 }
 
+/// An interval switch changes neither the stop set nor the walk parameters
+/// behind a network, so contexts pooled before it keep their cached access
+/// stops: every answer after the switch, through SetInterval on a primary
+/// or ApplyMutation on a replica, equals a server built at the new interval.
+TEST(IntervalSwitchTest, PooledContextsAnswerLikeAFreshServer) {
+  AqRequest gac = FastExactRequest();
+  gac.options.cost = core::CostKind::kGeneralizedCost;
+  const std::vector<AqRequest> requests = {
+      FastExactRequest(), gac, FastSsrRequest(),
+      FastExactRequest(synth::PoiCategory::kHospital)};
+  AqServer::Options options;
+  options.num_threads = 2;
+  AqServer fresh(testing::TinyCity(), gtfs::WeekdayPmPeak(), options);
+
+  for (const bool replica : {false, true}) {
+    AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+    // Submitted together, the requests spread over both workers' contexts.
+    std::vector<AqTicket> warm;
+    for (const AqRequest& request : requests) {
+      warm.push_back(server.Submit(request));
+    }
+    for (AqTicket& ticket : warm) ASSERT_TRUE(ticket.Get().ok());
+
+    auto switched =
+        replica ? server.ApplyMutation(
+                      wal::MutationRecord::SetInterval(1, gtfs::WeekdayPmPeak()))
+                : server.SetInterval(gtfs::WeekdayPmPeak());
+    ASSERT_TRUE(switched.ok()) << switched.status();
+
+    for (const AqRequest& request : requests) {
+      auto golden = fresh.Query(request);
+      ASSERT_TRUE(golden.ok()) << golden.status();
+      auto answer = server.Query(request);
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      ExpectSameAnswer(answer.value(), golden.value());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace staq::serve

@@ -4,9 +4,11 @@
 //
 //   measure_eval — the tentpole perf claim. A 16-member cost sweep (journey
 //       time + 15 GAC variants) over one (category, seed) is evaluated two
-//       ways on the same engine: the scalar foil (16 independent uncached
-//       exact queries, sharing nothing) and the columnar vector path (ONE
-//       labeling pass, per-member SoA derivation through ml::kernels).
+//       ways over the same city: the scalar foil (16 independent
+//       per-cost ground-truth passes with scalar measures, sharing
+//       nothing; tests/testing/exact_reference.h) and the columnar vector
+//       path (ONE labeling pass, per-member SoA derivation through
+//       ml::kernels).
 //       Every member pair is gated bit-identical first; then the speedup
 //       must clear the 10x floor or the bench exits non-zero.
 //
@@ -35,6 +37,7 @@
 #include "bench_registry.h"
 #include "core/access_query.h"
 #include "serve/server.h"
+#include "testing/exact_reference.h"
 #include "util/stopwatch.h"
 
 namespace staq::bench {
@@ -211,15 +214,16 @@ exp::RunResult RunLoadBench() {
   base.gravity = gravity;
   base.seed = BenchSeed();
 
-  // The scalar foil: one independent exact Query per member, sharing
-  // nothing.
+  // The scalar foil: one independent ground-truth pass per member,
+  // sharing nothing, on a pipeline of its own (offline phase untimed).
+  testing::ExactReference reference(&engine.city(), engine.interval());
   std::vector<core::AccessQueryResult> scalar;
   util::Stopwatch scalar_watch;
   for (const core::CostMember& m : members) {
     core::AccessQueryOptions options = base;
     options.cost = m.cost;
     options.gac = m.gac;
-    auto result = engine.Query(synth::PoiCategory::kSchool, options);
+    auto result = reference.Query(synth::PoiCategory::kSchool, options);
     if (!result.ok()) {
       std::fprintf(stderr, "scalar foil failed: %s\n",
                    result.status().ToString().c_str());

@@ -32,6 +32,16 @@ void FinalizeAccessQueryResult(const std::vector<synth::Zone>& zones,
       WeightedJainIndex(result->mac, vulnerable_weights);
 }
 
+void SetZoneMeasures(const std::vector<ZoneLabel>& labels,
+                     AccessQueryResult* result) {
+  result->mac.resize(labels.size());
+  result->acsd.resize(labels.size());
+  for (size_t z = 0; z < labels.size(); ++z) {
+    result->mac[z] = labels[z].mac;
+    result->acsd[z] = labels[z].acsd;
+  }
+}
+
 void FinalizeAccessQueryResultColumnar(const std::vector<synth::Zone>& zones,
                                        AccessQueryResult* result) {
   result->classes = ClassifyAccessibilityColumnar(result->mac, result->acsd);
@@ -63,6 +73,11 @@ AccessQueryEngine::AccessQueryEngine(synth::City city,
 
 util::Result<AccessQueryResult> AccessQueryEngine::Query(
     synth::PoiCategory category, const AccessQueryOptions& options) {
+  if (options.exact) {
+    auto answers = QueryVector(category, options, VectorQuerySpec{});
+    if (!answers.ok()) return answers.status();
+    return std::move(answers.value().front());
+  }
   std::vector<synth::Poi> pois = city_.PoisOf(category);
   if (pois.empty()) {
     return util::Status::NotFound("no POIs of requested category");
@@ -71,32 +86,21 @@ util::Result<AccessQueryResult> AccessQueryEngine::Query(
   util::Stopwatch watch;
   Todam todam = pipeline_->BuildGravityTodam(pois, options.gravity,
                                              options.seed);
+  PipelineConfig config;
+  config.beta = options.beta;
+  config.model = options.model;
+  config.cost = options.cost;
+  config.gac = options.gac;
+  config.seed = options.seed;
+  auto run = pipeline_->Run(pois, todam, config);
+  if (!run.ok()) return run.status();
 
   AccessQueryResult result;
   result.gravity_trips = todam.num_trips();
-
-  if (options.exact) {
-    GroundTruth truth =
-        pipeline_->ComputeGroundTruth(pois, todam, options.cost, options.gac);
-    result.mac = std::move(truth.mac);
-    result.acsd = std::move(truth.acsd);
-    result.spqs = truth.spqs;
-  } else {
-    PipelineConfig config;
-    config.beta = options.beta;
-    config.model = options.model;
-    config.cost = options.cost;
-    config.gac = options.gac;
-    config.seed = options.seed;
-    auto run = pipeline_->Run(pois, todam, config);
-    if (!run.ok()) return run.status();
-    result.mac = std::move(run.value().mac);
-    result.acsd = std::move(run.value().acsd);
-    result.spqs = run.value().spqs;
-  }
-
+  result.mac = std::move(run.value().mac);
+  result.acsd = std::move(run.value().acsd);
+  result.spqs = run.value().spqs;
   FinalizeAccessQueryResult(city_.zones, &result);
-
   result.elapsed_s = watch.ElapsedSeconds();
   return result;
 }
@@ -143,14 +147,8 @@ util::Result<std::vector<AccessQueryResult>> AccessQueryEngine::QueryVector(
         AccessQueryResult result;
         result.gravity_trips = todam.num_trips();
         MemberCostColumn(captured.columns, m, &member_costs);
-        std::vector<ZoneLabel> labels =
-            AggregateZoneLabels(captured.columns, member_costs);
-        result.mac.resize(labels.size());
-        result.acsd.resize(labels.size());
-        for (size_t z = 0; z < labels.size(); ++z) {
-          result.mac[z] = labels[z].mac;
-          result.acsd[z] = labels[z].acsd;
-        }
+        SetZoneMeasures(AggregateZoneLabels(captured.columns, member_costs),
+                        &result);
         // Each member reports the full pass it would have paid alone.
         result.spqs = captured.spqs;
         FinalizeAccessQueryResultColumnar(city_.zones, &result);

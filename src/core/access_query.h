@@ -55,6 +55,11 @@ struct AccessQueryResult {
 void FinalizeAccessQueryResult(const std::vector<synth::Zone>& zones,
                                AccessQueryResult* result);
 
+/// Copies each zone label's MAC and ACSD into `result` (one entry per
+/// label, in zone order).
+void SetZoneMeasures(const std::vector<ZoneLabel>& labels,
+                     AccessQueryResult* result);
+
 /// Kernel-backed FinalizeAccessQueryResult, bit-identical to the scalar
 /// form (which stays as the foil): the summary means, classes and the
 /// three Jain indices reduce through the columnar measure variants.
@@ -83,7 +88,10 @@ class AccessQueryEngine {
   const gtfs::TimeInterval& interval() const { return interval_; }
   double offline_seconds() const { return pipeline_->offline_seconds(); }
 
-  /// Answers an AQ for one POI category under the current scenario.
+  /// Answers an AQ for one POI category under the current scenario. An
+  /// exact query is a QueryVector of one, so a generalized-cost one whose
+  /// weights fail GacWeights::Valid() is refused (InvalidArgument), as the
+  /// SSR path already refused it.
   util::Result<AccessQueryResult> Query(synth::PoiCategory category,
                                         const AccessQueryOptions& options);
 

@@ -10,6 +10,7 @@
 //    money into equivalent seconds via the value of time.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,10 +67,14 @@ struct GacWeights {
   double transfer_penalty_s = 600;  // TP per interchange (boardings - 1)
   double value_of_time = 9.0 / 3600.0;  // VOT in currency units per second
 
-  /// Validates that every weight is usable (non-negative, VOT positive).
+  /// Validates that every weight is usable (finite, non-negative, VOT
+  /// positive); an infinite weight would turn every cost non-finite.
   bool Valid() const {
-    return lambda_tan >= 0 && lambda_wt >= 0 && lambda_ivt >= 0 &&
-           lambda_et >= 0 && transfer_penalty_s >= 0 && value_of_time > 0;
+    for (double w : {lambda_tan, lambda_wt, lambda_ivt, lambda_et,
+                     transfer_penalty_s, value_of_time}) {
+      if (!std::isfinite(w) || w < 0) return false;
+    }
+    return value_of_time > 0;
   }
 };
 

@@ -8,10 +8,12 @@
 // boarding-wait budget. Footpaths are closed eagerly on every arrival
 // improvement and egress targets are settled at write time, which makes the
 // final per-target bests — journey times, feasibility, and therefore every
-// MAC/ACSD aggregate — exactly equal to the Router's (the golden
-// equivalence suite pins this). Equal-cost journeys may decompose into
-// different legs than the Router's: the two engines settle ties in
-// different orders; see DESIGN.md §11 for the equivalence contract.
+// journey-time MAC/ACSD aggregate — exactly equal to the Router's (the
+// golden equivalence suite pins this). Journeys that tie on arrival may
+// decompose into different legs than the Router's, because the two engines
+// settle ties in different orders, so generalized-cost labels differ: 18 %
+// of one Brindale 0.1 school TODAM's journeys, and GAC MAC in 59-84 % of
+// zones; see DESIGN.md §11 for the equivalence contract and the numbers.
 //
 // The profile (window) entry point is what the labeling hot path uses: all
 // departure times of a block of zones' TODAM rate windows are answered

@@ -83,7 +83,6 @@ struct ServerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  uint64_t cache_expired = 0;  // entries aged out by the TTL (see ResultCache)
 
   /// Exact label states built from scratch (full labeling sweeps).
   uint64_t exact_state_builds = 0;

@@ -9,7 +9,6 @@ namespace staq::serve {
 ResultCache::ResultCache(Options options) : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
   if (options_.entries_per_shard == 0) options_.entries_per_shard = 1;
-  if (options_.clock == nullptr) options_.clock = util::Clock::Real();
   shards_.reserve(options_.shards);
   for (size_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -30,16 +29,6 @@ std::shared_ptr<const core::AccessQueryResult> ResultCache::Get(
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  if (options_.ttl_s > 0.0 &&
-      options_.clock->SecondsSince(it->second->inserted) > options_.ttl_s) {
-    // Lazy aging: the entry outlived its TTL, so it no longer exists as far
-    // as callers are concerned. Erase it now rather than on some sweep.
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    expired_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->value;
@@ -55,11 +44,10 @@ void ResultCache::Put(const std::string& key,
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     it->second->value = std::move(value);
-    it->second->inserted = options_.clock->Now();
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, std::move(value), options_.clock->Now()});
+  shard.lru.push_front(Entry{key, std::move(value)});
   shard.index[key] = shard.lru.begin();
   // `while`, not `if`: a previous eviction aborted by the fault site below
   // can leave the shard over capacity; the next insert drains the excess.

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/access_query.h"
-#include "util/clock.h"
 
 namespace staq::serve {
 
@@ -34,22 +33,12 @@ class ResultCache {
     size_t shards = 8;
     /// Per-shard entry capacity; total capacity = shards x this.
     size_t entries_per_shard = 64;
-    /// Age bound in seconds: an entry older than this is treated as absent
-    /// by Get (lazily erased, counted as `expired`). 0 disables aging —
-    /// epoch keying already prevents stale answers, so the TTL exists for
-    /// deployments that also want bounded result lifetime (e.g. results
-    /// derived from feeds that go stale in wall-clock terms).
-    double ttl_s = 0.0;
-    /// Time source for aging; null = the real clock. Tests pass a
-    /// VirtualClock and advance it instead of sleeping.
-    const util::Clock* clock = nullptr;
   };
 
   explicit ResultCache(Options options);
 
   /// Returns the cached result or nullptr. A hit promotes the entry to
-  /// most-recently-used in its shard; an entry past the TTL is erased and
-  /// reported as a miss.
+  /// most-recently-used in its shard.
   std::shared_ptr<const core::AccessQueryResult> Get(const std::string& key);
 
   /// Inserts (or refreshes) `value` under `key`, evicting the shard's
@@ -62,14 +51,12 @@ class ResultCache {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  uint64_t expired() const { return expired_.load(std::memory_order_relaxed); }
   size_t size() const;  // total entries across shards
 
  private:
   struct Entry {
     std::string key;
     std::shared_ptr<const core::AccessQueryResult> value;
-    util::Clock::TimePoint inserted;
   };
   struct Shard {
     std::mutex mu;
@@ -85,7 +72,6 @@ class ResultCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> expired_{0};
 };
 
 }  // namespace staq::serve

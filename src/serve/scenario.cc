@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <numeric>
 
+#include "core/columnar.h"
 #include "core/gravity.h"
 #include "router/connections.h"
 #include "scenario/impact.h"
@@ -61,12 +62,6 @@ std::shared_ptr<const OfflineState> RebuildOfflineKeepingIsochrones(
       city, parent.interval, std::move(isochrones), std::move(hop_trees));
 }
 
-std::vector<uint32_t> AllZones(size_t count) {
-  std::vector<uint32_t> all(count);
-  std::iota(all.begin(), all.end(), 0u);
-  return all;
-}
-
 /// Stamps every network a store builds — including ones whose mutation
 /// then fails — with an id no other network in the process shares.
 uint64_t NewNetworkId() {
@@ -75,6 +70,12 @@ uint64_t NewNetworkId() {
 }
 
 }  // namespace
+
+std::vector<uint32_t> AllZones(size_t count) {
+  std::vector<uint32_t> all(count);
+  std::iota(all.begin(), all.end(), 0u);
+  return all;
+}
 
 OfflineState::OfflineState(const synth::City& city,
                            const gtfs::TimeInterval& interval_in,
@@ -128,47 +129,81 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
   // faults). GetOrBuildLabelState must propagate this to current waiters
   // without poisoning the memo key (BuildOnceMemo::GetOrBuild).
   STAQ_FAILPOINT("serve.scenario.build_label_state");
-  auto state = std::make_shared<ExactLabelState>();
-  state->pois = PoisOf(key.category);
-  // Normalisers are frozen over the *base* city's category POIs so that
-  // every epoch — and every patch — sees the same keep probabilities.
-  state->zone_norm = core::StableGravityNormsColumnar(
-      base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
-  core::TodamBuilder builder(base_->zones, state->pois, interval(),
-                             key.gravity);
-  state->todam = builder.BuildGravityStable(key.seed, state->zone_norm);
+  std::shared_ptr<ExactLabelState> state =
+      NewLabelState(key, PoisOf(key.category));
+  LabelZoneBlocks(loop, engine, key, state, AllZones(base_->zones.size()));
+  return state;
+}
 
-  const size_t num_zones = base_->zones.size();
+core::Todam Scenario::StableTodam(const LabelKey& key,
+                                  const std::vector<synth::Poi>& pois,
+                                  std::vector<double>* zone_norm) const {
+  std::vector<double> norm = core::StableGravityNormsColumnar(
+      base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
+  core::TodamBuilder builder(base_->zones, pois, interval(), key.gravity);
+  core::Todam todam = builder.BuildGravityStable(key.seed, norm);
+  if (zone_norm != nullptr) *zone_norm = std::move(norm);
+  return todam;
+}
+
+std::shared_ptr<ExactLabelState> Scenario::NewLabelState(
+    const LabelKey& key, std::vector<synth::Poi> pois) const {
+  auto state = std::make_shared<ExactLabelState>();
+  state->pois = std::move(pois);
+  state->todam = StableTodam(key, state->pois, &state->zone_norm);
+  state->labels.resize(base_->zones.size());
+  return state;
+}
+
+void Scenario::LabelZoneBlocks(
+    ZoneLoop* loop, core::LabelingEngine* engine, const LabelKey& key,
+    const std::shared_ptr<ExactLabelState>& state, std::vector<uint32_t> zones,
+    const std::shared_ptr<core::TripCostColumns>& capture) const {
   const gtfs::Day day = interval().day;
-  state->labels.resize(num_zones);
-  // The body owns the state it reads and writes (ZoneLoop contract).
-  const ZoneLoopBody label_block = [state, key, day, num_zones](
-                                       core::LabelingEngine& labeler,
-                                       size_t i) -> std::function<void()> {
-    labeler.set_gac_weights(key.gac);
+  // The body owns what it touches (ZoneLoop contract).
+  auto shared_zones =
+      std::make_shared<const std::vector<uint32_t>>(std::move(zones));
+  if (capture != nullptr) {
+    // Every range is opened up front, so each block is captured into
+    // columns of its own on any participant and stored into its entries'
+    // ranges (consecutive entries, so one contiguous copy).
+    for (uint32_t z : *shared_zones) {
+      capture->AppendZone(state->todam.TripsFor(z).size());
+    }
+  }
+  const ZoneLoopBody label_block =
+      [state, key, day, shared_zones, capture](
+          core::LabelingEngine& labeler, size_t i) -> std::function<void()> {
     const size_t first = i * core::kZoneBlock;
-    const size_t n = std::min(core::kZoneBlock, num_zones - first);
-    std::vector<uint32_t> zones(n);
-    std::iota(zones.begin(), zones.end(), static_cast<uint32_t>(first));
+    const size_t n = std::min(core::kZoneBlock, shared_zones->size() - first);
+    labeler.set_gac_weights(key.gac);
     std::vector<core::ZoneLabel> labels(n);
-    labeler.LabelBlock(state->todam, zones.data(), n, state->pois, key.cost,
-                       day, labels.data());
-    return [state, first, labels = std::move(labels)] {
-      std::copy(labels.begin(), labels.end(), state->labels.begin() + first);
+    auto block = capture != nullptr ? std::make_shared<core::TripCostColumns>()
+                                    : nullptr;
+    labeler.LabelBlock(state->todam, shared_zones->data() + first, n,
+                       state->pois, key.cost, day, labels.data(), block.get());
+    return [state, shared_zones, first, labels = std::move(labels), capture,
+            block] {
+      for (size_t b = 0; b < labels.size(); ++b) {
+        state->labels[(*shared_zones)[first + b]] = labels[b];
+      }
+      if (capture != nullptr) {
+        capture->StoreZone(capture->zone_offsets[first], *block);
+      }
     };
   };
-  const size_t num_blocks = core::NumZoneBlocks(num_zones);
+  const size_t num_blocks = core::NumZoneBlocks(shared_zones->size());
   if (loop != nullptr) {
     loop->Run(*this, engine, num_blocks, label_block);
   } else {
     for (size_t i = 0; i < num_blocks; ++i) label_block(*engine, i)();
   }
   // One SPQ per TODAM trip, whichever engine answered it.
-  for (const core::ZoneLabel& label : state->labels) {
-    state->build_spqs += label.num_trips;
+  state->build_spqs = 0;
+  for (uint32_t z : *shared_zones) {
+    state->build_spqs += state->labels[z].num_trips;
   }
-  state->relabeled_zones = static_cast<uint32_t>(num_zones);
-  return state;
+  state->relabeled_zones = static_cast<uint32_t>(shared_zones->size());
 }
 
 std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
@@ -354,38 +389,9 @@ ScenarioStore::StatePtr ScenarioStore::PatchNetwork(
 void ScenarioStore::Relabel(const Scenario& next, const LabelKey& key,
                             std::vector<uint32_t> zones,
                             const std::shared_ptr<ExactLabelState>& state) {
-  const gtfs::Day day = next.interval().day;
-  // The body owns what it touches (ZoneLoop contract).
-  auto shared_zones =
-      std::make_shared<const std::vector<uint32_t>>(std::move(zones));
-  const ZoneLoopBody relabel =
-      [state, key, day, shared_zones](core::LabelingEngine& engine,
-                                      size_t i) -> std::function<void()> {
-    const size_t first = i * core::kZoneBlock;
-    const size_t n = std::min(core::kZoneBlock, shared_zones->size() - first);
-    engine.set_gac_weights(key.gac);
-    std::vector<core::ZoneLabel> labels(n);
-    engine.LabelBlock(state->todam, shared_zones->data() + first, n,
-                      state->pois, key.cost, day, labels.data());
-    return [state, shared_zones, first, labels = std::move(labels)] {
-      for (size_t b = 0; b < labels.size(); ++b) {
-        state->labels[(*shared_zones)[first + b]] = labels[b];
-      }
-    };
-  };
-  const size_t n = shared_zones->size();
-  const size_t num_blocks = core::NumZoneBlocks(n);
-  if (zone_loop_ != nullptr) {
-    zone_loop_->Run(next, nullptr, num_blocks, relabel);
-  } else {
-    core::LabelingEngine& engine = SerialEngine(next);
-    for (size_t i = 0; i < num_blocks; ++i) relabel(engine, i)();
-  }
-  state->build_spqs = 0;
-  for (uint32_t z : *shared_zones) {
-    state->build_spqs += state->labels[z].num_trips;
-  }
-  state->relabeled_zones = static_cast<uint32_t>(n);
+  next.LabelZoneBlocks(zone_loop_,
+                       zone_loop_ != nullptr ? nullptr : &SerialEngine(next),
+                       key, state, std::move(zones));
 }
 
 core::LabelingEngine& ScenarioStore::SerialEngine(const Scenario& next) {
@@ -449,6 +455,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
   walk_scale_.store(draft.walk_scale, std::memory_order_release);
   network_id_ = network_id;
   network_version_ = version;
+  next_poi_id_.store(draft.next_poi_id, std::memory_order_release);
   Install(std::move(next));
   report.seconds = watch.ElapsedSeconds();
   return report;
@@ -462,6 +469,7 @@ ScenarioStore::Draft ScenarioStore::DraftFrom(const Scenario& current) const {
   draft.router = network_router_;
   draft.iso = network_iso_;
   draft.walk_scale = walk_scale_.load(std::memory_order_relaxed);
+  draft.next_poi_id = next_poi_id_.load(std::memory_order_relaxed);
   return draft;
 }
 
@@ -507,11 +515,11 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::Apply(
 ScenarioStore::MutationReport ScenarioStore::AddPoi(
     synth::PoiCategory category, const geo::Point& position) {
   return Advance([&](const Scenario& current) -> util::Result<Draft> {
+           Draft draft = DraftFrom(current);
            synth::Poi poi;
-           poi.id = next_poi_id_++;
+           poi.id = draft.next_poi_id++;
            poi.category = category;
            poi.position = position;
-           Draft draft = DraftFrom(current);
            draft.pois.push_back(poi);
            draft.report_id = poi.id;
            draft.carry = [this, poi](const Scenario& next, const LabelKey& key,

@@ -140,6 +140,9 @@ class ZoneLoop {
                    size_t n, const ZoneLoopBody& body) = 0;
 };
 
+/// Every zone id of a city with `count` zones, ascending.
+std::vector<uint32_t> AllZones(size_t count);
+
 /// Router configuration serve runs by default: the Connection Scan engine.
 /// Exact journey times, feasibility, and MAC/ACSD match the
 /// label-correcting engine (asserted by the golden equivalence suites);
@@ -312,14 +315,41 @@ class Scenario {
       const std::vector<std::vector<double>>& alpha,
       bool* built_fresh = nullptr) const;
 
-  /// From-scratch build, bypassing the memo. This is the golden reference
-  /// the incremental path is checked against (tests, bench gates). Zones
-  /// are labeled serially on `engine`, or through `loop` with `engine` as
-  /// the calling thread's engine (null: the loop leases one) —
-  /// bit-identical either way.
+  /// From-scratch build, bypassing the memo: NewLabelState plus
+  /// LabelZoneBlocks over every zone. This is the golden reference the
+  /// incremental path is checked against (tests, bench gates).
   std::shared_ptr<const ExactLabelState> BuildLabelState(
       const LabelKey& key, core::LabelingEngine* engine,
       ZoneLoop* loop = nullptr) const;
+
+  /// The edit-stable TODAM of `key` over `pois`, this scenario's POIs of
+  /// key.category. Its gravity normalisers are frozen over the *base*
+  /// city's POIs of the category, so every epoch — and every patch — sees
+  /// the same keep probabilities; `zone_norm`, when non-null, receives
+  /// them.
+  core::Todam StableTodam(const LabelKey& key,
+                          const std::vector<synth::Poi>& pois,
+                          std::vector<double>* zone_norm = nullptr) const;
+
+  /// A state of `key` holding `pois` (PoisOf(key.category)), their
+  /// normalisers and StableTodam, with no zone labeled yet.
+  std::shared_ptr<ExactLabelState> NewLabelState(
+      const LabelKey& key, std::vector<synth::Poi> pois) const;
+
+  /// The one zone-block routine of state builds, patches and batch
+  /// captures: labels `zones` of `state` under key.cost and key.gac over
+  /// this scenario's network, core::kZoneBlock entries of `zones` per loop
+  /// item. Runs through `loop` (the calling thread labels with `engine`,
+  /// or a leased context when null) or, when `loop` is null, serially on
+  /// `engine`. Stores every label at its zone and records the pass's SPQs
+  /// and zone count in the state. `capture`, when non-null, must be empty;
+  /// it receives one trip range per entry of `zones`, in order, holding
+  /// every trip's cost basis (LabelingEngine::LabelBlock's capture sink).
+  void LabelZoneBlocks(
+      ZoneLoop* loop, core::LabelingEngine* engine, const LabelKey& key,
+      const std::shared_ptr<ExactLabelState>& state,
+      std::vector<uint32_t> zones,
+      const std::shared_ptr<core::TripCostColumns>& capture = nullptr) const;
 
   /// Label states the scenario currently holds materialised (ready, not
   /// in-flight). Mutations patch these into the next epoch; a state still
@@ -520,6 +550,9 @@ class ScenarioStore {
     bool new_network = false;
     /// Reported as MutationReport::poi_id.
     uint32_t report_id = 0;
+    /// The POI id cursor after the mutation; committed with the epoch, so
+    /// a mutation that fails never uses up an id.
+    uint32_t next_poi_id = 0;
     /// Carries one materialised label state into `next`: returns `parent`
     /// to share it verbatim, or its patched copy. Empty: no state is
     /// carried (an interval switch).
@@ -559,7 +592,7 @@ class ScenarioStore {
                         const ExactLabelState& parent,
                         const std::vector<uint32_t>& affected);
   /// Relabels `zones` of `state` over `next`'s network through the zone
-  /// loop and records the step's SPQ and zone counts.
+  /// loop, or serially on SerialEngine when none is installed.
   void Relabel(const Scenario& next, const LabelKey& key,
                std::vector<uint32_t> zones,
                const std::shared_ptr<ExactLabelState>& state);
@@ -601,8 +634,9 @@ class ScenarioStore {
   /// Serialises mutations; never held while readers run queries.
   std::mutex mutation_mu_;
   /// Next stable POI id (monotonic, never reused: a reused id would splice
-  /// a new POI onto a removed POI's RNG stream). Written under mutation_mu_;
-  /// atomic so ExportSnapshot can read it without joining the writer queue.
+  /// a new POI onto a removed POI's RNG stream). Written only by Advance's
+  /// commit, under mutation_mu_; atomic so ExportSnapshot can read it
+  /// without joining the writer queue.
   std::atomic<uint32_t> next_poi_id_{0};
 
   mutable std::mutex current_mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -37,6 +36,24 @@ util::Status StatusFromException(const std::string& where) {
   } catch (...) {
     return util::Status::Internal(where + " failed: unknown exception");
   }
+}
+
+/// Result-cache key of `request` within `scenario`'s epoch.
+std::string CacheKey(const Scenario& scenario, const AqRequest& request) {
+  return "e=" + std::to_string(scenario.epoch()) + '|' +
+         CanonicalRequestKey(request);
+}
+
+/// OK, or why `request` is refused before any work is done: GAC weights
+/// arrive unchecked over the wire, and journey time never reads them.
+util::Status CheckGacWeights(const AqRequest& request) {
+  if (request.options.cost != core::CostKind::kGeneralizedCost ||
+      request.options.gac.Valid()) {
+    return util::Status::OK();
+  }
+  return util::Status::InvalidArgument(
+      "invalid GAC weights: every weight must be finite and non-negative, "
+      "the value of time positive");
 }
 
 /// Builds the server's ScenarioStore, preferring a snapshot warm start.
@@ -90,13 +107,7 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval,
     : options_(options),
       clock_(options.clock != nullptr ? options.clock : util::Clock::Real()),
       store_(MakeStore(std::move(city), interval, options, &warm_started_)),
-      cache_([&options, this] {
-        // The result cache ages on the server's clock unless the caller
-        // wired a dedicated one.
-        ResultCache::Options cache_options = options.cache;
-        if (cache_options.clock == nullptr) cache_options.clock = clock_;
-        return cache_options;
-      }()),
+      cache_(options.cache),
       context_cap_(ResolveThreads(options.num_threads)),
       contexts_(context_cap_),
       pool_(context_cap_) {
@@ -364,50 +375,124 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
 }
 
 AqTicket AqServer::Submit(const AqRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-
   AqTicket ticket;
-  ticket.server_ = this;
-  ticket.promise_ = std::make_shared<AqTicket::Promise>();
-  ticket.future_ = ticket.promise_->get_future();
-
-  if (pool_.PendingTasks() >= options_.max_pending) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    ticket.promise_->set_value(util::Status::ResourceExhausted(
-        "serve queue full (" + std::to_string(options_.max_pending) +
-        " pending)"));
-    return ticket;
-  }
-
-  if (ShouldShed()) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    ticket.promise_->set_value(util::Status::Unavailable(
-        "request shed: estimated queue delay exceeds the admission budget"));
-    return ticket;
-  }
-
-  // The snapshot is captured at admission: the request answers against the
-  // epoch it was accepted under, whatever mutations land meanwhile.
-  auto snapshot = store_.Acquire();
-  ticket.epoch_ = snapshot->epoch();
-  auto submitted_at = clock_->Now();
-  auto promise = ticket.promise_;
-  try {
-    ticket.handle_ = pool_.SubmitHandle(
-        [this, request, submitted_at, snapshot = std::move(snapshot),
-         promise]() { RunRequest(request, submitted_at, snapshot, promise); });
-  } catch (...) {
-    // Enqueue failed (injected fault): nothing reached the pool, so the
-    // ticket owns the promise — resolve it instead of hanging Get().
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    promise->set_value(StatusFromException("submission"));
-  }
+  Admit(&request, &ticket, 1, /*batch=*/false);
   return ticket;
 }
 
 util::Result<core::AccessQueryResult> AqServer::Query(
     const AqRequest& request) {
   return Submit(request).Get();
+}
+
+std::vector<AqTicket> AqServer::SubmitBatch(const AqBatchRequest& batch) {
+  std::vector<AqRequest> derived = ExpandBatch(batch);
+  std::vector<AqTicket> tickets(derived.size());
+  Admit(derived.data(), tickets.data(), derived.size(), /*batch=*/true);
+  return tickets;
+}
+
+std::vector<util::Result<core::AccessQueryResult>> AqServer::QueryBatch(
+    const AqBatchRequest& batch) {
+  std::vector<AqTicket> tickets = SubmitBatch(batch);
+  std::vector<util::Result<core::AccessQueryResult>> out;
+  out.reserve(tickets.size());
+  for (AqTicket& ticket : tickets) out.push_back(ticket.Get());
+  return out;
+}
+
+void AqServer::Admit(const AqRequest* requests, AqTicket* tickets, size_t n,
+                     bool batch) {
+  if (n == 0) return;
+  submitted_.fetch_add(n, std::memory_order_relaxed);
+  for (size_t i = 0; i < n; ++i) {
+    tickets[i].server_ = this;
+    tickets[i].promise_ = std::make_shared<AqTicket::Promise>();
+    tickets[i].future_ = tickets[i].promise_->get_future();
+  }
+
+  // Admission is all-or-nothing: a batch is one burst of work, so either
+  // every member is accepted or every ticket carries one status to retry
+  // against.
+  for (size_t i = 0; i < n; ++i) {
+    util::Status weights = CheckGacWeights(requests[i]);
+    if (!weights.ok()) return Refuse(tickets, n, weights, &failed_);
+  }
+  if (pool_.PendingTasks() >= options_.max_pending) {
+    return Refuse(tickets, n,
+                  util::Status::ResourceExhausted(
+                      "serve queue full (" +
+                      std::to_string(options_.max_pending) + " pending)"),
+                  &rejected_);
+  }
+  if (ShouldShed()) {
+    return Refuse(tickets, n,
+                  util::Status::Unavailable(
+                      "request shed: estimated queue delay exceeds the "
+                      "admission budget"),
+                  &shed_);
+  }
+
+  // The snapshot is captured at admission: every request answers against
+  // the epoch it was accepted under, whatever mutations land meanwhile.
+  auto snapshot = store_.Acquire();
+  const util::Clock::TimePoint submitted_at = clock_->Now();
+  for (size_t i = 0; i < n; ++i) tickets[i].epoch_ = snapshot->epoch();
+
+  // Exact batch members of one (category, seed) — a contiguous run, as
+  // ExpandBatch orders category-major then seed — share one labeling pass
+  // in one task; their tickets have no queue slot of their own to cancel.
+  // Every other request is a task of its own with a cancel handle.
+  for (size_t begin = 0, end; begin < n; begin = end) {
+    end = begin + 1;
+    const bool grouped = batch && requests[begin].options.exact;
+    while (grouped && end < n &&
+           requests[end].category == requests[begin].category &&
+           requests[end].options.seed == requests[begin].options.seed) {
+      ++end;
+    }
+    try {
+      if (grouped) {
+        std::vector<PromisePtr> promises;
+        promises.reserve(end - begin);
+        for (size_t i = begin; i < end; ++i) {
+          promises.push_back(tickets[i].promise_);
+        }
+        pool_.SubmitHandle(
+            [this, group = std::vector<AqRequest>(requests + begin,
+                                                  requests + end),
+             submitted_at, snapshot,
+             promises = std::move(promises)]() mutable {
+              RunTask(submitted_at, group.front().deadline_s, promises.data(),
+                      promises.size(), [&](Task& task) {
+                        AnswerGroup(group, *snapshot, task);
+                      });
+            });
+      } else {
+        tickets[begin].handle_ = pool_.SubmitHandle(
+            [this, request = requests[begin], submitted_at, snapshot,
+             promise = tickets[begin].promise_]() mutable {
+              RunTask(submitted_at, request.deadline_s, &promise, 1,
+                      [&](Task& task) {
+                        Resolve(task, 0,
+                                Execute(request, *snapshot,
+                                        /*use_caches=*/true));
+                      });
+            });
+      }
+    } catch (...) {
+      // Enqueue failed (injected fault): nothing reached the pool, so the
+      // tickets own their promises — resolve them instead of hanging Get().
+      Refuse(tickets + begin, end - begin, StatusFromException("submission"),
+             &failed_);
+    }
+  }
+}
+
+void AqServer::Refuse(AqTicket* tickets, size_t n, const util::Status& status,
+                      std::atomic<uint64_t>* counter) {
+  counter->fetch_add(n, std::memory_order_relaxed);
+  for (size_t i = 0; i < n; ++i) tickets[i].promise_->set_value(status);
 }
 
 bool AqServer::ShouldShed() const {
@@ -428,103 +513,67 @@ void AqServer::NoteServiceTime(double seconds) {
   service_ewma_s_.store(next, std::memory_order_relaxed);
 }
 
-std::vector<AqTicket> AqServer::SubmitBatch(const AqBatchRequest& batch) {
-  std::vector<AqRequest> derived = ExpandBatch(batch);
-  std::vector<AqTicket> tickets(derived.size());
-  if (derived.empty()) return tickets;
-  submitted_.fetch_add(derived.size(), std::memory_order_relaxed);
-  for (AqTicket& ticket : tickets) {
-    ticket.server_ = this;
-    ticket.promise_ = std::make_shared<AqTicket::Promise>();
-    ticket.future_ = ticket.promise_->get_future();
+template <typename Body>
+void AqServer::RunTask(util::Clock::TimePoint submitted_at, double deadline_s,
+                       PromisePtr* promises, size_t n, Body&& body) {
+  // An expired task does no work and feeds no service time: its near-zero
+  // "service" would drag the shedding estimate toward zero exactly when the
+  // server is most overloaded. Batch members share their template's
+  // deadline.
+  if (deadline_s > 0.0 && clock_->SecondsSince(submitted_at) > deadline_s) {
+    deadline_exceeded_.fetch_add(n, std::memory_order_relaxed);
+    for (size_t i = 0; i < n; ++i) {
+      promises[i]->set_value(util::Status::DeadlineExceeded(
+          "deadline expired before execution started"));
+    }
+    return;
   }
-
-  // Admission is all-or-nothing: a batch is one burst of work, so either
-  // the whole sweep is accepted or the caller gets a uniform backpressure
-  // signal to retry against.
-  if (pool_.PendingTasks() >= options_.max_pending) {
-    rejected_.fetch_add(derived.size(), std::memory_order_relaxed);
-    for (AqTicket& ticket : tickets) {
-      ticket.promise_->set_value(util::Status::ResourceExhausted(
-          "serve queue full (" + std::to_string(options_.max_pending) +
-          " pending)"));
+  Task task{promises, n, util::Stopwatch(clock_)};
+  try {
+    body(task);
+  } catch (...) {
+    // Degrade into a clean status: every promise must be fulfilled or
+    // Get() would hang forever.
+    const util::Status status = StatusFromException("query execution");
+    for (size_t i = 0; i < n; ++i) {
+      if (promises[i] != nullptr) Resolve(task, i, status);
     }
-    return tickets;
   }
-  if (ShouldShed()) {
-    shed_.fetch_add(derived.size(), std::memory_order_relaxed);
-    for (AqTicket& ticket : tickets) {
-      ticket.promise_->set_value(util::Status::Unavailable(
-          "batch shed: estimated queue delay exceeds the admission budget"));
-    }
-    return tickets;
-  }
-
-  auto snapshot = store_.Acquire();
-  auto submitted_at = clock_->Now();
-  for (AqTicket& ticket : tickets) ticket.epoch_ = snapshot->epoch();
-
-  if (!batch.request.options.exact) {
-    // SSR members train per-member models and share no labeling pass:
-    // each derived request runs as an ordinary individual task (and keeps
-    // an individual cancellation handle).
-    for (size_t i = 0; i < derived.size(); ++i) {
-      auto promise = tickets[i].promise_;
-      try {
-        tickets[i].handle_ = pool_.SubmitHandle(
-            [this, request = derived[i], submitted_at, snapshot, promise]() {
-              RunRequest(request, submitted_at, snapshot, promise);
-            });
-      } catch (...) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        promise->set_value(StatusFromException("submission"));
-      }
-    }
-    return tickets;
-  }
-
-  // Exact members: ExpandBatch orders category-major then seed, so each
-  // (category, seed) group — the unit that shares one labeling pass — is a
-  // contiguous run. One worker task per group.
-  size_t begin = 0;
-  while (begin < derived.size()) {
-    size_t end = begin + 1;
-    while (end < derived.size() &&
-           derived[end].category == derived[begin].category &&
-           derived[end].options.seed == derived[begin].options.seed) {
-      ++end;
-    }
-    std::vector<AqRequest> group(derived.begin() + begin,
-                                 derived.begin() + end);
-    std::vector<std::shared_ptr<AqTicket::Promise>> group_promises;
-    group_promises.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      group_promises.push_back(tickets[i].promise_);
-    }
-    try {
-      pool_.SubmitHandle([this, group = std::move(group), submitted_at,
-                          snapshot, promises = std::move(group_promises)]() {
-        RunBatchGroup(group, submitted_at, snapshot, promises);
-      });
-    } catch (...) {
-      util::Status status = StatusFromException("submission");
-      for (size_t i = begin; i < end; ++i) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        tickets[i].promise_->set_value(status);
-      }
-    }
-    begin = end;
-  }
-  return tickets;
 }
 
-std::vector<util::Result<core::AccessQueryResult>> AqServer::QueryBatch(
-    const AqBatchRequest& batch) {
-  std::vector<AqTicket> tickets = SubmitBatch(batch);
-  std::vector<util::Result<core::AccessQueryResult>> out;
-  out.reserve(tickets.size());
-  for (AqTicket& ticket : tickets) out.push_back(ticket.Get());
-  return out;
+void AqServer::Resolve(Task& task, size_t i,
+                       util::Result<core::AccessQueryResult> result) {
+  (result.ok() ? completed_ : failed_)
+      .fetch_add(1, std::memory_order_relaxed);
+  // Noted before the last answer is handed out, so a caller that has its
+  // answer submits against an estimate that includes this task.
+  if (--task.unresolved == 0) NoteServiceTime(task.watch.ElapsedSeconds());
+  task.promises[i]->set_value(std::move(result));
+  task.promises[i].reset();
+}
+
+std::optional<core::AccessQueryResult> AqServer::CachedAnswer(
+    const std::string& key, const util::Stopwatch& watch) {
+  std::optional<core::AccessQueryResult> answer;
+  if (auto cached = cache_.Get(key)) {
+    answer = *cached;
+    answer->elapsed_s = watch.ElapsedSeconds();
+  }
+  return answer;
+}
+
+void AqServer::FinishAnswer(const Scenario& scenario, const std::string& key,
+                            const util::Stopwatch& watch,
+                            core::AccessQueryResult* result) {
+  core::FinalizeAccessQueryResultColumnar(scenario.base_city().zones, result);
+  result->elapsed_s = watch.ElapsedSeconds();
+  if (key.empty()) return;
+  try {
+    cache_.Put(key, std::make_shared<const core::AccessQueryResult>(*result));
+  } catch (...) {
+    // A failed insert (injected fault) costs a future cache hit, never the
+    // already-computed answer.
+  }
 }
 
 util::Result<core::AccessQueryResult> AqServer::QueryUncached(
@@ -535,6 +584,8 @@ util::Result<core::AccessQueryResult> AqServer::QueryUncached(
 
 util::Result<core::AccessQueryResult> AqServer::QueryUncachedOn(
     const Scenario& scenario, const AqRequest& request) {
+  util::Status weights = CheckGacWeights(request);
+  if (!weights.ok()) return weights;
   try {
     return Execute(request, scenario, /*use_caches=*/false);
   } catch (...) {
@@ -542,185 +593,60 @@ util::Result<core::AccessQueryResult> AqServer::QueryUncachedOn(
   }
 }
 
-void AqServer::RunRequest(const AqRequest& request,
-                          util::Clock::TimePoint submitted_at,
-                          std::shared_ptr<const Scenario> snapshot,
-                          const std::shared_ptr<AqTicket::Promise>& promise) {
-  util::Stopwatch service_watch(clock_);
-  util::Result<core::AccessQueryResult> result =
-      util::Status::Internal("unreachable");
-  try {
-    if (request.deadline_s > 0.0 &&
-        clock_->SecondsSince(submitted_at) > request.deadline_s) {
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      promise->set_value(util::Status::DeadlineExceeded(
-          "deadline expired before execution started"));
-      return;
+void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
+                           const Scenario& scenario, Task& task) {
+  util::Stopwatch watch(clock_);
+  std::vector<std::string> keys(requests.size());
+  std::vector<size_t> missing;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    keys[i] = CacheKey(scenario, requests[i]);
+    if (auto cached = CachedAnswer(keys[i], watch)) {
+      Resolve(task, i, std::move(*cached));
+    } else {
+      missing.push_back(i);
     }
-
-    result = Execute(request, *snapshot, /*use_caches=*/true);
-  } catch (...) {
-    // Degrade into a clean status; the promise below must always be
-    // fulfilled or Get() would hang forever.
-    result = StatusFromException("query execution");
   }
+  if (missing.empty()) return;
 
-  if (result.ok()) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+  const AqRequest& head = requests.front();
+  std::vector<synth::Poi> pois = scenario.PoisOf(head.category);
+  if (pois.empty()) {
+    for (size_t i : missing) {
+      Resolve(task, i, util::Status::NotFound(
+                           "no POIs of requested category in scenario"));
+    }
+    return;
   }
-  // Deadline-expired tasks returned above: their near-zero "service" time
-  // would drag the shedding estimate toward zero exactly when the server
-  // is most overloaded.
-  NoteServiceTime(service_watch.ElapsedSeconds());
-  promise->set_value(std::move(result));
-}
+  // One capture pass for the whole group: a journey-time labeling of the
+  // group's edit-stable TODAM, built and labeled exactly like a label
+  // state, whose capture sink records every trip's cost basis. Journeys do
+  // not depend on the cost definition, so the pass stands in for each
+  // member's own — including its SPQ count — and every member's labels
+  // derive columnarly, bit-identical to the single-request path.
+  LabelKey key = LabelKeyFor(head);
+  key.cost = core::CostKind::kJourneyTime;
+  std::shared_ptr<ExactLabelState> state =
+      scenario.NewLabelState(key, std::move(pois));
+  auto columns = std::make_shared<core::TripCostColumns>();
+  scenario.LabelZoneBlocks(this, /*engine=*/nullptr, key, state,
+                           AllZones(scenario.base_city().zones.size()),
+                           columns);
+  exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
 
-void AqServer::RunBatchGroup(
-    const std::vector<AqRequest>& requests,
-    util::Clock::TimePoint submitted_at,
-    std::shared_ptr<const Scenario> snapshot,
-    const std::vector<std::shared_ptr<AqTicket::Promise>>& promises) {
-  util::Stopwatch service_watch(clock_);
-  std::vector<bool> fulfilled(requests.size(), false);
-  // Resolves every still-pending member with one status; also the
-  // degradation path for exceptions, so no waiter ever hangs.
-  auto fail_remaining = [&](const util::Status& status,
-                            std::atomic<uint64_t>* counter) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (fulfilled[i]) continue;
-      counter->fetch_add(1, std::memory_order_relaxed);
-      fulfilled[i] = true;
-      promises[i]->set_value(status);
-    }
-  };
-
-  try {
-    // ExpandBatch copies the template's deadline into every member.
-    const AqRequest& head = requests.front();
-    if (head.deadline_s > 0.0 &&
-        clock_->SecondsSince(submitted_at) > head.deadline_s) {
-      fail_remaining(util::Status::DeadlineExceeded(
-                         "deadline expired before execution started"),
-                     &deadline_exceeded_);
-      return;
-    }
-
-    util::Stopwatch watch(clock_);
-    const std::string epoch_prefix =
-        "e=" + std::to_string(snapshot->epoch()) + '|';
-    std::vector<std::string> keys(requests.size());
-    std::vector<size_t> missing;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      keys[i] = epoch_prefix + CanonicalRequestKey(requests[i]);
-      if (auto cached = cache_.Get(keys[i])) {
-        core::AccessQueryResult result = *cached;
-        result.elapsed_s = watch.ElapsedSeconds();
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        fulfilled[i] = true;
-        promises[i]->set_value(std::move(result));
-      } else {
-        missing.push_back(i);
-      }
-    }
-
-    if (!missing.empty()) {
-      try {
-        const synth::City& city = snapshot->base_city();
-        // Shared, not local: the zone loop's body must own what it
-        // touches (ZoneLoop contract).
-        auto pois = std::make_shared<const std::vector<synth::Poi>>(
-            snapshot->PoisOf(head.category));
-        if (pois->empty()) {
-          fail_remaining(util::Status::NotFound(
-                             "no POIs of requested category in scenario"),
-                         &failed_);
-        } else {
-          // One shared labeling pass for the whole group, mirroring
-          // Scenario::BuildLabelState step for step (edit-stable TODAM
-          // from frozen base-city norms), so every derived answer is
-          // bit-identical to the single-request path. Journeys do not
-          // depend on the cost definition, so the JT capture sweep stands
-          // in for each member's own sweep — including its SPQ count.
-          std::vector<double> zone_norm = core::StableGravityNormsColumnar(
-              city.zones, city.PoisOf(head.category),
-              head.options.gravity.decay_scale_m);
-          core::TodamBuilder builder(city.zones, *pois, snapshot->interval(),
-                                     head.options.gravity);
-          auto todam = std::make_shared<const core::Todam>(
-              builder.BuildGravityStable(head.options.seed, zone_norm));
-          // Every zone's range is opened up front; each block of zones is
-          // captured into columns of its own and stored into its zones'
-          // ranges (consecutive zones, so one contiguous copy), so blocks
-          // can be captured on any participant.
-          auto shared_columns = std::make_shared<core::TripCostColumns>();
-          const size_t num_zones = city.zones.size();
-          for (uint32_t z = 0; z < num_zones; ++z) {
-            shared_columns->AppendZone(todam->TripsFor(z).size());
-          }
-          const gtfs::Day day = snapshot->interval().day;
-          Run(*snapshot, /*caller=*/nullptr, core::NumZoneBlocks(num_zones),
-              [todam, pois, shared_columns, day, num_zones](
-                  core::LabelingEngine& engine,
-                  size_t i) -> std::function<void()> {
-                const size_t first = i * core::kZoneBlock;
-                const size_t n = std::min(core::kZoneBlock, num_zones - first);
-                std::vector<uint32_t> zones(n);
-                std::iota(zones.begin(), zones.end(),
-                          static_cast<uint32_t>(first));
-                std::vector<core::ZoneLabel> labels(n);
-                auto block = std::make_shared<core::TripCostColumns>();
-                engine.LabelBlock(*todam, zones.data(), n, *pois,
-                                  core::CostKind::kJourneyTime, day,
-                                  labels.data(), block.get());
-                return [shared_columns, block, first] {
-                  shared_columns->StoreZone(
-                      shared_columns->zone_offsets[first], *block);
-                };
-              });
-          const core::TripCostColumns& columns = *shared_columns;
-          // One SPQ per captured trip.
-          const uint64_t pass_spqs = columns.num_trips();
-          exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
-
-          std::vector<double> member_costs;
-          for (size_t i : missing) {
-            const core::CostMember member{requests[i].options.cost,
-                                          requests[i].options.gac};
-            core::AccessQueryResult result;
-            result.gravity_trips = todam->num_trips();
-            result.spqs = pass_spqs;
-            core::MemberCostColumn(columns, member, &member_costs);
-            std::vector<core::ZoneLabel> labels =
-                core::AggregateZoneLabels(columns, member_costs);
-            result.mac.resize(labels.size());
-            result.acsd.resize(labels.size());
-            for (size_t z = 0; z < labels.size(); ++z) {
-              result.mac[z] = labels[z].mac;
-              result.acsd[z] = labels[z].acsd;
-            }
-            core::FinalizeAccessQueryResultColumnar(city.zones, &result);
-            result.elapsed_s = watch.ElapsedSeconds();
-            try {
-              cache_.Put(keys[i], std::make_shared<const
-                                      core::AccessQueryResult>(result));
-            } catch (...) {
-              // A failed insert costs a future hit, never the answer.
-            }
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            fulfilled[i] = true;
-            promises[i]->set_value(std::move(result));
-          }
-        }
-      } catch (...) {
-        fail_remaining(StatusFromException("batch execution"), &failed_);
-      }
-    }
-  } catch (...) {
-    fail_remaining(StatusFromException("batch execution"), &failed_);
+  std::vector<double> member_costs;
+  for (size_t i : missing) {
+    core::AccessQueryResult result;
+    result.gravity_trips = state->todam.num_trips();
+    result.spqs = columns->num_trips();  // one SPQ per captured trip
+    core::MemberCostColumn(
+        *columns,
+        core::CostMember{requests[i].options.cost, requests[i].options.gac},
+        &member_costs);
+    core::SetZoneMeasures(core::AggregateZoneLabels(*columns, member_costs),
+                          &result);
+    FinishAnswer(scenario, keys[i], watch, &result);
+    Resolve(task, i, std::move(result));
   }
-  NoteServiceTime(service_watch.ElapsedSeconds());
 }
 
 util::Result<core::AccessQueryResult> AqServer::Execute(
@@ -729,12 +655,9 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
 
   std::string cache_key;
   if (use_caches) {
-    cache_key = "e=" + std::to_string(scenario.epoch()) + '|' +
-                CanonicalRequestKey(request);
-    if (auto cached = cache_.Get(cache_key)) {
-      core::AccessQueryResult result = *cached;
-      result.elapsed_s = watch.ElapsedSeconds();
-      return result;
+    cache_key = CacheKey(scenario, request);
+    if (auto cached = CachedAnswer(cache_key, watch)) {
+      return std::move(*cached);
     }
   }
 
@@ -743,10 +666,9 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     return util::Status::NotFound("no POIs of requested category in scenario");
   }
 
-  const synth::City& city = scenario.base_city();
+  const LabelKey key = LabelKeyFor(request);
   core::AccessQueryResult result;
   if (request.options.exact) {
-    LabelKey key = LabelKeyFor(request);
     std::shared_ptr<const ExactLabelState> state;
     if (use_caches) {
       // The zone loop leases the owning thread's context only on a build.
@@ -763,23 +685,12 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     }
     result.gravity_trips = state->todam.num_trips();
     result.spqs = state->build_spqs;
-    result.mac.resize(state->labels.size());
-    result.acsd.resize(state->labels.size());
-    for (size_t z = 0; z < state->labels.size(); ++z) {
-      result.mac[z] = state->labels[z].mac;
-      result.acsd[z] = state->labels[z].acsd;
-    }
+    core::SetZoneMeasures(state->labels, &result);
   } else {
     // SSR path: the TODAM uses the same edit-stable construction as the
     // exact path, so SSR answers are deterministic functions of the
     // scenario (cacheable per epoch) and comparable across epochs.
-    std::vector<double> zone_norm = core::StableGravityNormsColumnar(
-        city.zones, city.PoisOf(request.category),
-        request.options.gravity.decay_scale_m);
-    core::TodamBuilder builder(city.zones, pois, scenario.interval(),
-                               request.options.gravity);
-    core::Todam todam =
-        builder.BuildGravityStable(request.options.seed, zone_norm);
+    core::Todam todam = scenario.StableTodam(key, pois);
     result.gravity_trips = todam.num_trips();
 
     core::PipelineConfig config;
@@ -805,8 +716,8 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     // A throw drops the context with its possibly half-built state.
     auto context = AcquireContext(NetworkOf(scenario));
     auto sample = core::LabelSsrSample(
-        city, *scenario.offline().features, &context->router, pois, todam,
-        scenario.interval().day, config, features.get());
+        scenario.base_city(), *scenario.offline().features, &context->router,
+        pois, todam, scenario.interval().day, config, features.get());
     ReleaseContext(std::move(context));
     if (!sample.ok()) return sample.status();
     // Fault site (tests): an SSR answer parked between labeling and fit.
@@ -818,18 +729,7 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     result.spqs = run.value().spqs;
   }
 
-  core::FinalizeAccessQueryResultColumnar(city.zones, &result);
-  result.elapsed_s = watch.ElapsedSeconds();
-
-  if (use_caches) {
-    try {
-      cache_.Put(cache_key,
-                 std::make_shared<const core::AccessQueryResult>(result));
-    } catch (...) {
-      // A failed insert (injected fault) costs a future cache hit, never
-      // the already-computed answer.
-    }
-  }
+  FinishAnswer(scenario, cache_key, watch, &result);
   return result;
 }
 
@@ -846,7 +746,6 @@ ServerStats AqServer::stats() const {
   stats.cache_hits = cache_.hits();
   stats.cache_misses = cache_.misses();
   stats.cache_evictions = cache_.evictions();
-  stats.cache_expired = cache_.expired();
   stats.exact_state_builds =
       exact_state_builds_.load(std::memory_order_relaxed);
   stats.ssr_feature_builds =

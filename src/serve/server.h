@@ -5,7 +5,8 @@
 //
 //   * Admission: Submit() refuses new work with kResourceExhausted once the
 //     queue holds max_pending tasks, so a burst degrades into fast
-//     rejections instead of unbounded latency.
+//     rejections instead of unbounded latency, and refuses generalized-cost
+//     requests whose GAC weights are not valid with kInvalidArgument.
 //   * Snapshots: each request captures the current scenario at submission.
 //     Mutations arriving while it waits or runs do not affect it — it
 //     answers against the epoch it was admitted under (RCU discipline).
@@ -44,6 +45,7 @@
 #include "serve/result_cache.h"
 #include "serve/scenario.h"
 #include "util/clock.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 #include "wal/record.h"
 
@@ -111,10 +113,9 @@ class AqServer : private ZoneLoop {
     double max_queue_delay_s = 0.0;
     ResultCache::Options cache;
     ScenarioStore::Options scenario;
-    /// Time source for deadlines, cache aging, and latency accounting;
-    /// null = the real clock. Tests pass a VirtualClock and advance time
-    /// explicitly instead of sleeping. (When cache.clock is null it
-    /// inherits this clock.)
+    /// Time source for deadlines and latency accounting; null = the real
+    /// clock. Tests pass a VirtualClock and advance time explicitly instead
+    /// of sleeping.
     const util::Clock* clock = nullptr;
     /// Schedule shaking for the worker pool (stress tests only): seeded
     /// task reordering + jitter, see ThreadPool::PerturbOptions.
@@ -244,7 +245,9 @@ class AqServer : private ZoneLoop {
 
   // --- query API ---------------------------------------------------------
   /// Asynchronous submission. Never blocks on query work; returns a
-  /// rejected ticket (kResourceExhausted) when the queue is full.
+  /// rejected ticket (kResourceExhausted) when the queue is full, and a
+  /// refused one (kInvalidArgument) for a generalized-cost request whose
+  /// weights fail GacWeights::Valid().
   AqTicket Submit(const AqRequest& request);
 
   /// Synchronous convenience: Submit + Get.
@@ -258,9 +261,10 @@ class AqServer : private ZoneLoop {
   /// inserted into the result cache under its derived single-query key, so
   /// later single submissions are cache hits. Non-exact (SSR) members
   /// share no pass and run as ordinary individual tasks. Admission
-  /// (queue-full rejection, delay-budget shedding) is decided once for the
-  /// whole batch. Batch tickets cannot be cancelled (TryCancel returns
-  /// false): members of a group do not have individual queue slots.
+  /// (invalid GAC weights, queue-full rejection, delay-budget shedding) is
+  /// decided once for the whole batch. Exact members' tickets cannot be
+  /// cancelled (TryCancel returns false): members of a group do not have
+  /// individual queue slots.
   std::vector<AqTicket> SubmitBatch(const AqBatchRequest& batch);
 
   /// Synchronous convenience: SubmitBatch + Get on every ticket, in batch
@@ -270,7 +274,7 @@ class AqServer : private ZoneLoop {
 
   /// Golden reference: recomputes the answer from scratch on the caller's
   /// thread, bypassing the result cache and the label-state and feature
-  /// memos.
+  /// memos. It refuses invalid GAC weights as admission does.
   util::Result<core::AccessQueryResult> QueryUncached(const AqRequest& request);
 
   /// Sequential reference against an explicit snapshot: like QueryUncached
@@ -400,23 +404,60 @@ class AqServer : private ZoneLoop {
   util::Result<ScenarioStore::MutationReport> ApplyRecord(
       const wal::MutationRecord& record, bool replay);
 
+  using PromisePtr = std::shared_ptr<AqTicket::Promise>;
+
+  /// The one admission routine behind Submit and SubmitBatch: readies
+  /// `tickets[0..n)` for `requests[0..n)`, refuses all of them with one
+  /// status (invalid GAC weights, queue full, shed) or snapshots the epoch
+  /// and enqueues them. Exact members of a `batch` run one task per
+  /// (category, seed) group (AnswerGroup); every other request runs
+  /// Execute as a task of its own, with a cancel handle.
+  void Admit(const AqRequest* requests, AqTicket* tickets, size_t n,
+             bool batch);
+  /// Fulfils `tickets[0..n)` with `status` and counts them in `counter`.
+  void Refuse(AqTicket* tickets, size_t n, const util::Status& status,
+              std::atomic<uint64_t>* counter);
+
+  /// The members of one running task: the promise of member i is
+  /// fulfilled exactly once, through Resolve.
+  struct Task {
+    PromisePtr* promises;
+    size_t unresolved;
+    util::Stopwatch watch;  // the task's service time
+  };
+  /// The one task wrapper: fails `promises[0..n)` with kDeadlineExceeded
+  /// when the deadline expired in the queue, else runs `body(task)`, which
+  /// resolves every member; whatever a throw leaves unresolved fails with
+  /// the exception's status.
+  template <typename Body>
+  void RunTask(util::Clock::TimePoint submitted_at, double deadline_s,
+               PromisePtr* promises, size_t n, Body&& body);
+  /// Counts `result` as completed or failed and fulfils member i with it.
+  /// The last member notes the task's service time first.
+  void Resolve(Task& task, size_t i,
+               util::Result<core::AccessQueryResult> result);
+
+  /// The cached answer under `key` with elapsed_s read off `watch`; empty
+  /// on a miss.
+  std::optional<core::AccessQueryResult> CachedAnswer(
+      const std::string& key, const util::Stopwatch& watch);
+  /// Fills `result`'s summary measures and elapsed_s and, when `key` is
+  /// not empty, caches it; a failed insert costs a future hit, never the
+  /// answer.
+  void FinishAnswer(const Scenario& scenario, const std::string& key,
+                    const util::Stopwatch& watch,
+                    core::AccessQueryResult* result);
+
   /// Answers `request` against `scenario`. A labeling context is leased
   /// only when the answer needs one (never for cache hits).
   util::Result<core::AccessQueryResult> Execute(const AqRequest& request,
                                                 const Scenario& scenario,
                                                 bool use_caches);
-  void RunRequest(const AqRequest& request,
-                  util::Clock::TimePoint submitted_at,
-                  std::shared_ptr<const Scenario> snapshot,
-                  const std::shared_ptr<AqTicket::Promise>& promise);
-  /// Worker body of one exact (category, seed) batch group: one shared
-  /// labeling pass, then per-member columnar derivation, cache fill, and
-  /// promise fulfilment. `requests` and `promises` are parallel arrays.
-  void RunBatchGroup(const std::vector<AqRequest>& requests,
-                     util::Clock::TimePoint submitted_at,
-                     std::shared_ptr<const Scenario> snapshot,
-                     const std::vector<std::shared_ptr<AqTicket::Promise>>&
-                         promises);
+  /// Answers one exact (category, seed) batch group: cache hits first,
+  /// then one capture pass shared by the misses, each member derived
+  /// columnarly and cached. Member i of `task` answers `requests[i]`.
+  void AnswerGroup(const std::vector<AqRequest>& requests,
+                   const Scenario& scenario, Task& task);
   /// True when the delay-budget estimate says a new submission should be
   /// shed (see Options::max_queue_delay_s).
   bool ShouldShed() const;
@@ -472,7 +513,7 @@ class AqServer : private ZoneLoop {
   HelperPins helper_pins_;
 
   /// Declared last so ~AqServer destroys it first: ~ThreadPool finishes
-  /// already-queued RunRequest tasks before joining, and those tasks touch
+  /// already-queued tasks before joining, and those tasks touch
   /// every member above (contexts, mutex, caches, counters).
   util::ThreadPool pool_;
 };

@@ -97,6 +97,19 @@ TEST_F(AccessQueryTest, AddPoiImprovesItsNeighborhood) {
   EXPECT_EQ(restored.value().mac, before.value().mac);
 }
 
+TEST_F(AccessQueryTest, ExactGacQueryRefusesInvalidWeights) {
+  // An exact query is a QueryVector of one, which validates its members'
+  // weights; journey time never reads them.
+  AccessQueryOptions options = FastOptions(/*exact=*/true);
+  options.gac.value_of_time = 0.0;
+  options.cost = CostKind::kGeneralizedCost;
+  auto gac = engine_.Query(synth::PoiCategory::kSchool, options);
+  ASSERT_FALSE(gac.ok());
+  EXPECT_EQ(gac.status().code(), util::StatusCode::kInvalidArgument);
+  options.cost = CostKind::kJourneyTime;
+  EXPECT_TRUE(engine_.Query(synth::PoiCategory::kSchool, options).ok());
+}
+
 TEST_F(AccessQueryTest, RemoveUnknownPoiFails) {
   EXPECT_EQ(engine_.RemovePoi(999999).code(), util::StatusCode::kNotFound);
 }

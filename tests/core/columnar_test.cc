@@ -2,7 +2,8 @@
 // (core/columnar.h): every columnar derivation must equal the scalar foil
 // bit for bit — on synthetic journeys, on kernel-backed measure reductions,
 // and end to end through AccessQueryEngine::QueryVector on both city
-// families across seeds and cost kinds.
+// families across seeds and cost kinds, against a per-cost labeling pass
+// (testing/exact_reference.h).
 #include "core/columnar.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "core/measures.h"
 #include "core/todam.h"
 #include "synth/city_spec.h"
+#include "testing/exact_reference.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -251,6 +253,48 @@ TEST(QueryVectorTest, SweepsCategoryAndSeedAxesInDeclaredOrder) {
       auto single = engine.Query(cat, ExactOptions(seed));
       ASSERT_TRUE(single.ok());
       ExpectSameResult(batch.value()[i++], single.value());
+    }
+  }
+}
+
+TEST(QueryVectorTest, MatchesOneGroundTruthPassPerCost) {
+  // The independent reference: every (category, seed, cost) answer is a
+  // labeling pass of its own, finalized by the scalar measures. Both the
+  // swept vector and each single exact Query must equal it bit for bit.
+  for (bool brindale : {true, false}) {
+    SCOPED_TRACE(brindale ? "brindale" : "covely");
+    synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
+                                    : synth::CitySpec::Covely(0.04, 22);
+    auto city = synth::BuildCity(spec);
+    ASSERT_TRUE(city.ok());
+    AccessQueryEngine engine(std::move(city).value(), gtfs::WeekdayAmPeak());
+    testing::ExactReference reference(&engine.city(), engine.interval());
+
+    VectorQuerySpec vspec;
+    vspec.categories = {synth::PoiCategory::kSchool,
+                        synth::PoiCategory::kHospital};
+    vspec.seeds = {1, 2};
+    vspec.cost_members = SweepMembers();
+    auto batch =
+        engine.QueryVector(synth::PoiCategory::kSchool, ExactOptions(1), vspec);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch.value().size(), 2u * 2u * vspec.cost_members.size());
+    size_t i = 0;
+    for (synth::PoiCategory cat : vspec.categories) {
+      for (uint64_t seed : vspec.seeds) {
+        for (const CostMember& member : vspec.cost_members) {
+          SCOPED_TRACE("member " + std::to_string(i));
+          AccessQueryOptions options = ExactOptions(seed);
+          options.cost = member.cost;
+          options.gac = member.gac;
+          auto expected = reference.Query(cat, options);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          ExpectSameResult(batch.value()[i++], expected.value());
+          auto single = engine.Query(cat, options);
+          ASSERT_TRUE(single.ok()) << single.status();
+          ExpectSameResult(single.value(), expected.value());
+        }
+      }
     }
   }
 }

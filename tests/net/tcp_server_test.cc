@@ -139,6 +139,26 @@ TEST_F(TcpServerTest, RemoteErrorsCarryTheServersStatus) {
   EXPECT_GE(tcp_->stats().errors, 1u);
 }
 
+TEST_F(TcpServerTest, InvalidGacWeightsAreRefusedOverTheWire) {
+  AqClient client = MustConnect();
+  serve::AqRequest zero_vot = FastExactRequest();
+  zero_vot.options.cost = core::CostKind::kGeneralizedCost;
+  zero_vot.options.gac.value_of_time = 0.0;
+  auto refused = client.Query(zero_vot);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(server_->stats().failed, 1u);
+
+  // A journey-time query carrying the same weights never reads them.
+  serve::AqRequest journey_time = FastExactRequest();
+  journey_time.options.gac.value_of_time = 0.0;
+  auto served = client.Query(journey_time);
+  ASSERT_TRUE(served.ok()) << served.status();
+  auto golden = server_->QueryUncached(FastExactRequest());
+  ASSERT_TRUE(golden.ok());
+  ExpectSameAnswer(served.value().result, golden.value());
+}
+
 TEST_F(TcpServerTest, VersionMismatchIsRejectedAtHandshake) {
   auto socket = Connect("127.0.0.1", tcp_->port(), 5.0);
   ASSERT_TRUE(socket.ok()) << socket.status();

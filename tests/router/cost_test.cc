@@ -94,6 +94,12 @@ TEST(GacWeightsTest, Validity) {
   w = GacWeights{};
   w.lambda_wt = -1;
   EXPECT_FALSE(w.Valid());
+  w = GacWeights{};
+  w.lambda_ivt = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(w.Valid());
+  w = GacWeights{};
+  w.transfer_penalty_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(w.Valid());
 }
 
 TEST(DescribeJourneyTest, MentionsLegsAndTimes) {

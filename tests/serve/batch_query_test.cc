@@ -226,6 +226,38 @@ TEST_F(BatchQueryTest, EmptyCategoryFailsEveryMemberCleanly) {
   }
 }
 
+TEST_F(BatchQueryTest, AnInvalidGacMemberRefusesTheWholeBatch) {
+  AqBatchRequest batch;
+  batch.request = ExactTemplate();
+  batch.cost_members = SweepMembers();
+  router::GacWeights negative_wait;
+  negative_wait.lambda_wt = -1.0;
+  batch.cost_members.push_back(
+      core::CostMember{core::CostKind::kGeneralizedCost, negative_wait});
+
+  auto results = server_->QueryBatch(batch);
+  ASSERT_EQ(results.size(), 4u);
+  for (const auto& result : results) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.exact_state_builds, 0u);
+
+  // Garbage weights on a journey-time member are never read.
+  AqBatchRequest journey_time;
+  journey_time.request = ExactTemplate();
+  journey_time.cost_members = {
+      core::CostMember{core::CostKind::kJourneyTime, negative_wait}};
+  auto served = server_->QueryBatch(journey_time);
+  ASSERT_EQ(served.size(), 1u);
+  ASSERT_TRUE(served[0].ok()) << served[0].status();
+  auto golden = server_->QueryUncached(ExactTemplate());
+  ASSERT_TRUE(golden.ok());
+  ExpectBitIdentical(served[0].value(), golden.value());
+}
+
 TEST(BatchSheddingTest, OverloadShedsWithUnavailable) {
   AqServer::Options options;
   options.num_threads = 1;

@@ -12,6 +12,7 @@
 // deadline tests and the shutdown test schedule-independent.
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,10 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include "net/replica.h"
 #include "serve/server.h"
 #include "testing/test_city.h"
 #include "util/clock.h"
 #include "util/failpoint.h"
+#include "wal/wal.h"
 
 #if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS
 
@@ -163,6 +166,49 @@ TEST_F(FaultInjectionTest, PatchRemoveFailureRollsTheMutationBack) {
   EXPECT_EQ(server_->epoch(), 1u);
 }
 
+TEST_F(FaultInjectionTest, FailedAddPoiDoesNotBurnTheLoggedPoiId) {
+  // A logging primary: an AddPoi that fails after drafting must not use up
+  // the id it drafted, or the next logged AddPoi skips one and every
+  // replica replaying the log diverges on it.
+  const std::string dir = ::testing::TempDir() + "staq_fp_add_poi_id_wal";
+  std::filesystem::remove_all(dir);
+  auto wal = wal::MutationWal::Open(dir);
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  ASSERT_TRUE(server_->AttachWal(wal.value().get()).ok());
+  ASSERT_TRUE(server_->Query(FastExactRequest()).ok());  // a school state
+
+  uint32_t attempted = 0;
+  for (const synth::Poi& poi : server_->Snapshot()->pois()) {
+    attempted = std::max(attempted, poi.id + 1);
+  }
+  FailPoints::Arm("serve.scenario.patch_add", FailPointConfig::ThrowOnce());
+  ASSERT_FALSE(server_->AddPoi(synth::PoiCategory::kSchool,
+                               server_->base_city().Centre())
+                   .ok());
+  auto added = server_->AddPoi(synth::PoiCategory::kSchool,
+                               server_->base_city().Centre());
+  ASSERT_TRUE(added.ok()) << added.status();
+  EXPECT_EQ(added.value().poi_id, attempted);
+  ASSERT_TRUE(server_->AttachWal(nullptr).ok());
+
+  auto log = wal::ReadLog(dir);
+  ASSERT_TRUE(log.ok()) << log.status();
+  ASSERT_EQ(log.value().records.size(), 1u);
+  EXPECT_EQ(log.value().records[0].poi_id, attempted);
+
+  AqServer::Options options;
+  options.num_threads = 2;
+  AqServer replica(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+  util::Status replayed = net::ReplayLog(&replica, dir);
+  ASSERT_TRUE(replayed.ok()) << replayed;
+  EXPECT_EQ(replica.sequence(), server_->sequence());
+  auto primary_answer = server_->Query(FastExactRequest());
+  auto replica_answer = replica.Query(FastExactRequest());
+  ASSERT_TRUE(primary_answer.ok()) << primary_answer.status();
+  ASSERT_TRUE(replica_answer.ok()) << replica_answer.status();
+  ExpectSameAnswer(replica_answer.value(), primary_answer.value());
+}
+
 TEST_F(FaultInjectionTest, RelabelFailureAbortsBeforeInstall) {
   auto before = server_->Query(FastExactRequest());
   ASSERT_TRUE(before.ok());
@@ -296,6 +342,114 @@ TEST_F(FaultInjectionTest, SubmissionFailureResolvesTheTicketCleanly) {
 
   auto recovered = server_->Query(FastExactRequest());
   EXPECT_TRUE(recovered.ok()) << recovered.status();
+}
+
+/// A batch whose exact form is two (category, seed) groups of three cost
+/// members each.
+AqBatchRequest SweepBatch(bool exact) {
+  AqBatchRequest batch;
+  batch.request = FastExactRequest();
+  batch.request.options.exact = exact;
+  batch.request.options.beta = 0.2;
+  batch.request.options.model = ml::ModelKind::kOls;
+  batch.seeds = {3, 9};
+  if (exact) {
+    router::GacWeights wait_heavy;
+    wait_heavy.lambda_wt = 3.5;
+    batch.cost_members = {
+        {core::CostKind::kJourneyTime, router::GacWeights{}},
+        {core::CostKind::kGeneralizedCost, router::GacWeights{}},
+        {core::CostKind::kGeneralizedCost, wait_heavy},
+    };
+  }
+  return batch;
+}
+
+TEST_F(FaultInjectionTest, BatchSubmissionFailureResolvesEveryMember) {
+  // SSR members are single tasks and exact members form (category, seed)
+  // groups; an enqueue failure must resolve every member of both shapes.
+  FailPoints::Arm("util.thread_pool.submit",
+                  FailPointConfig::Throw("queue broken"));
+  std::vector<AqTicket> ssr = server_->SubmitBatch(SweepBatch(false));
+  std::vector<AqTicket> exact = server_->SubmitBatch(SweepBatch(true));
+  ASSERT_EQ(ssr.size(), 2u);
+  ASSERT_EQ(exact.size(), 6u);
+  for (std::vector<AqTicket>* tickets : {&ssr, &exact}) {
+    for (AqTicket& ticket : *tickets) {
+      auto result = ticket.Get();  // must resolve — never hang
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), util::StatusCode::kInternal);
+      EXPECT_NE(result.status().message().find("submission"),
+                std::string::npos)
+          << result.status();
+    }
+  }
+  ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.submitted, 8u);
+  EXPECT_EQ(stats.failed, 8u);
+  EXPECT_EQ(stats.completed, 0u);
+  FailPoints::Disarm("util.thread_pool.submit");
+
+  for (const auto& result : server_->QueryBatch(SweepBatch(true))) {
+    EXPECT_TRUE(result.ok()) << result.status();
+  }
+}
+
+TEST_F(FaultInjectionTest, BatchGroupDeadlineExpiresBeforeItStarts) {
+  util::VirtualClock clock;
+  AqServer::Options options;
+  options.num_threads = 1;
+  options.clock = &clock;
+  AqServer single(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+
+  // Park the only worker so the batch's groups stay queued.
+  FailPoints::Arm("serve.scenario.build_label_state",
+                  FailPointConfig::Block());
+  AqTicket busy = single.Submit(FastExactRequest(synth::PoiCategory::kVaxCenter));
+  while (FailPoints::BlockedCount("serve.scenario.build_label_state") == 0) {
+    std::this_thread::yield();
+  }
+  AqBatchRequest batch = SweepBatch(true);
+  batch.request.deadline_s = 5.0;
+  std::vector<AqTicket> tickets = single.SubmitBatch(batch);
+  clock.AdvanceSeconds(10.0);  // expires while both groups are queued
+  FailPoints::Disarm("serve.scenario.build_label_state");
+
+  ASSERT_EQ(tickets.size(), 6u);
+  for (AqTicket& ticket : tickets) {
+    auto result = ticket.Get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_TRUE(busy.Get().ok());
+  ServerStats stats = single.stats();
+  EXPECT_EQ(stats.deadline_exceeded, 6u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST_F(FaultInjectionTest, BatchGroupCachePutFailureStillServesEveryMember) {
+  AqBatchRequest batch = SweepBatch(true);
+  std::vector<AqRequest> derived = ExpandBatch(batch);
+  FailPoints::Arm("serve.cache.put", FailPointConfig::Throw("cache down"));
+  auto results = server_->QueryBatch(batch);
+  FailPoints::Disarm("serve.cache.put");
+
+  ASSERT_EQ(results.size(), derived.size());
+  for (size_t i = 0; i < derived.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "member " << i << ": "
+                                 << results[i].status();
+    auto golden = server_->QueryUncached(derived[i]);
+    ASSERT_TRUE(golden.ok()) << golden.status();
+    ExpectSameAnswer(results[i].value(), golden.value());
+    EXPECT_EQ(results[i].value().classes, golden.value().classes);
+    EXPECT_EQ(results[i].value().fairness, golden.value().fairness);
+    EXPECT_EQ(results[i].value().spqs, golden.value().spqs);
+  }
+  EXPECT_EQ(server_->stats().completed, derived.size());
+  // Nothing was cached: a repeated member recomputes.
+  ASSERT_TRUE(server_->Query(derived.front()).ok());
+  EXPECT_EQ(server_->stats().cache_hits, 0u);
 }
 
 // --- serve.ticket.cancel ----------------------------------------------------

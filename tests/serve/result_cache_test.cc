@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/clock.h"
 #include "util/failpoint.h"
 
 namespace staq::serve {
@@ -88,48 +87,6 @@ TEST(ResultCacheTest, ConcurrentReadersAndWritersStayConsistent) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(cache.hits() + cache.misses(),
             static_cast<uint64_t>(kThreads) * ((kOps * 2) / 3));
-}
-
-TEST(ResultCacheTest, TtlAgesEntriesOutOnTheVirtualClock) {
-  util::VirtualClock clock;
-  ResultCache cache({.shards = 1, .entries_per_shard = 8, .ttl_s = 10.0,
-                     .clock = &clock});
-  cache.Put("k", MakeResult(1.0));
-  EXPECT_NE(cache.Get("k"), nullptr);
-
-  clock.AdvanceSeconds(11.0);
-  EXPECT_EQ(cache.Get("k"), nullptr);  // aged out, treated as a miss
-  EXPECT_EQ(cache.expired(), 1u);
-  EXPECT_EQ(cache.size(), 0u);  // lazily erased, not just hidden
-
-  cache.Put("k", MakeResult(2.0));  // a fresh insert is young again
-  auto hit = cache.Get("k");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->mean_mac, 2.0);
-}
-
-TEST(ResultCacheTest, PutRefreshRestartsTheTtl) {
-  util::VirtualClock clock;
-  ResultCache cache({.shards = 1, .entries_per_shard = 8, .ttl_s = 10.0,
-                     .clock = &clock});
-  cache.Put("k", MakeResult(1.0));
-  clock.AdvanceSeconds(6.0);
-  cache.Put("k", MakeResult(2.0));  // refresh: age restarts at zero
-  clock.AdvanceSeconds(6.0);        // 12 s since first insert, 6 s since refresh
-  auto hit = cache.Get("k");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->mean_mac, 2.0);
-  EXPECT_EQ(cache.expired(), 0u);
-}
-
-TEST(ResultCacheTest, ZeroTtlDisablesAging) {
-  util::VirtualClock clock;
-  ResultCache cache({.shards = 1, .entries_per_shard = 8, .ttl_s = 0.0,
-                     .clock = &clock});
-  cache.Put("k", MakeResult(1.0));
-  clock.AdvanceSeconds(1e9);
-  EXPECT_NE(cache.Get("k"), nullptr);
-  EXPECT_EQ(cache.expired(), 0u);
 }
 
 TEST(ResultCacheTest, EvictionRacingInsertOfTheSameKeyStaysConsistent) {

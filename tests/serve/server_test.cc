@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -289,29 +290,45 @@ TEST_F(AqServerTest, TicketRecordsItsAdmissionEpoch) {
   EXPECT_FALSE(rejected.Get().ok());
 }
 
-TEST_F(AqServerTest, ResultCacheTtlAgesOnTheServerClock) {
-  // The cache inherits the server's (virtual) clock, so cached answers age
-  // out when virtual time passes the TTL — and only then.
-  util::VirtualClock clock;
-  AqServer::Options options;
-  options.num_threads = 2;
-  options.clock = &clock;
-  options.cache.ttl_s = 60.0;
-  AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+TEST_F(AqServerTest, InvalidGacWeightsAreRefusedAtAdmission) {
+  // GAC weights arrive over the wire unchecked; a zero value of time would
+  // answer (and cache) a non-finite MAC in every zone.
+  AqRequest zero_vot = FastExactRequest();
+  zero_vot.options.cost = core::CostKind::kGeneralizedCost;
+  zero_vot.options.gac.value_of_time = 0.0;
+  AqRequest negative_wait = FastSsrRequest();
+  negative_wait.options.cost = core::CostKind::kGeneralizedCost;
+  negative_wait.options.gac.lambda_wt = -1.0;
+  AqRequest infinite_ride = zero_vot;
+  infinite_ride.options.gac = router::GacWeights{};
+  infinite_ride.options.gac.lambda_ivt =
+      std::numeric_limits<double>::infinity();
+  for (const AqRequest& request : {zero_vot, negative_wait, infinite_ride}) {
+    AqTicket ticket = server_->Submit(request);
+    EXPECT_EQ(ticket.epoch(), AqTicket::kNoEpoch);
+    auto refused = ticket.Get();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalidArgument);
+    // The golden reference means the same by the request.
+    auto reference = server_->QueryUncached(request);
+    ASSERT_FALSE(reference.ok());
+    EXPECT_EQ(reference.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.failed, 3u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);  // refused before any work
+  EXPECT_EQ(stats.exact_state_builds, 0u);
 
-  ASSERT_TRUE(server.Query(FastExactRequest()).ok());
-  ASSERT_TRUE(server.Query(FastExactRequest()).ok());
-  EXPECT_EQ(server.stats().cache_hits, 1u);
-  EXPECT_EQ(server.stats().cache_expired, 0u);
-
-  clock.AdvanceSeconds(120.0);
-  auto refreshed = server.Query(FastExactRequest());  // aged out: recomputes
-  ASSERT_TRUE(refreshed.ok());
-  EXPECT_EQ(server.stats().cache_hits, 1u);
-  EXPECT_EQ(server.stats().cache_expired, 1u);
-  auto golden = server.QueryUncached(FastExactRequest());
+  // Journey time reads no GAC weight, so garbage weights are harmless.
+  AqRequest journey_time = FastExactRequest();
+  journey_time.options.gac.value_of_time = 0.0;
+  journey_time.options.gac.lambda_wt = -1.0;
+  auto served = server_->Query(journey_time);
+  ASSERT_TRUE(served.ok()) << served.status();
+  auto golden = server_->QueryUncached(FastExactRequest());
   ASSERT_TRUE(golden.ok());
-  ExpectSameAnswer(refreshed.value(), golden.value());
+  ExpectSameAnswer(served.value(), golden.value());
 }
 
 TEST_F(AqServerTest, DestructionWithOutstandingRequestsIsClean) {

@@ -1,19 +1,21 @@
-// Zone-labeling throughput: label-correcting vs Connection Scan labeling.
+// Zone-labeling throughput: the library's Connection Scan labeling against
+// the label-correcting oracle.
 //
 // Labeling is the dominant cost of the whole solution (paper §IV-E), so
 // this bench measures exactly that hot path in two result-identical
 // configurations:
-//   batched       — RouteMany per departure group on the label-correcting
-//                   router (the routing oracle) + cached access stops: the
+//   batched       — the oracle's grouped labeler
+//                   (tests/testing/label_correcting_router.h): one
+//                   label-correcting RouteMany per departure group: the
 //                   speedup baseline
-//   csa profile   — ONE window scan per block of core::kZoneBlock zones on
-//                   the Connection Scan engine: every departure group of
-//                   every zone of the block is a lane of the same
-//                   connection sweep (the production configuration)
-// plus pooled variants, each one util::ParallelLoop over the blocks (the
-// calling thread plus N - 1 helpers of the shared pool): batched at the
-// hardware concurrency, and the profile engine at N = 2 and N = 4 — the
-// multicore rows of the cold-build scaling story (reported, not gated).
+//   csa profile   — core::LabelingEngine: ONE window scan per block of
+//                   core::kZoneBlock zones, every departure group of every
+//                   zone of the block a lane of the same connection sweep
+//                   (the production configuration)
+// plus the profile engine pooled, one util::ParallelLoop over the blocks
+// (the calling thread plus N - 1 helpers of the shared pool) at N = 2 and
+// N = 4 — the multicore rows of the cold-build scaling story (reported, not
+// gated).
 // Labels are checked bit-identical across configurations before any number
 // is reported, and the binary exits non-zero unless the CSA profile engine
 // clears the speedup floor over the batched baseline — the regression gate
@@ -26,7 +28,6 @@
 // BENCH_labeling.json in STAQ_BENCH_OUT.
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -37,6 +38,7 @@
 #include "router/connections.h"
 #include "router/csa.h"
 #include "router/router.h"
+#include "testing/label_correcting_router.h"
 #include "util/stopwatch.h"
 
 namespace staq::bench {
@@ -111,57 +113,48 @@ exp::RunResult RunLabelingBench() {
   std::printf("  connection array: %zu connections, built in %.3fs\n",
               connections->num_connections(), connections->build_seconds());
   router::RouterOptions csa_opts;
-  csa_opts.engine = router::RoutingEngine::kCsa;
   csa_opts.connections = connections;
 
-  auto engine_name = [](const router::RouterOptions& opts) {
-    return opts.engine == router::RoutingEngine::kCsa ? "csa"
-                                                      : "label_correcting";
-  };
-  auto run_serial = [&](const char* name, router::RouterOptions opts) {
-    router::Router router(&city.feed, opts);
-    core::LabelingEngine engine(&city, &router);
+  // Runs one labeler over every zone and times it.
+  auto run_serial = [&](const char* name, const char* engine, auto& labeler) {
     ModeResult r;
     r.name = name;
-    r.engine = engine_name(opts);
+    r.engine = engine;
     util::Stopwatch watch;
-    r.labels = engine.LabelZones(todam, zones, pois,
-                                 core::CostKind::kJourneyTime,
-                                 gtfs::Day::kTuesday);
+    r.labels = labeler.LabelZones(todam, zones, pois,
+                                  core::CostKind::kJourneyTime,
+                                  gtfs::Day::kTuesday);
     r.seconds = watch.ElapsedSeconds();
-    r.spqs = engine.spq_count();
-    r.expansions = engine.expansion_count();
-    if (router.csa() != nullptr) {
-      r.lane_stride = router.csa()->lane_stride();
-      r.scratch_bytes = router.csa()->scratch_bytes();
-    }
+    r.spqs = labeler.spq_count();
+    r.expansions = labeler.expansion_count();
     return r;
   };
 
   std::vector<ModeResult> results;
-  results.push_back(run_serial("batched", {}));
-  results.push_back(run_serial("csa profile", csa_opts));
+  {
+    testing::LabelCorrectingRouter oracle(&city.feed, {});
+    testing::LabelCorrectingLabeler grouped(&city, &oracle);
+    results.push_back(run_serial("batched", "label_correcting", grouped));
+  }
+  {
+    router::Router router(&city.feed, csa_opts);
+    core::LabelingEngine engine(&city, &router);
+    results.push_back(run_serial("csa profile", "csa", engine));
+    results.back().lane_stride = router.csa()->lane_stride();
+    results.back().scratch_bytes = router.csa()->scratch_bytes();
+  }
 
-  int threads = Params().threads > 0
-                    ? Params().threads
-                    : static_cast<int>(
-                          std::max(1u, std::thread::hardware_concurrency()));
-  auto run_pooled = [&](const std::string& name, router::RouterOptions opts,
-                        int participants) {
+  for (int participants : {2, 4}) {
     ModeResult r;
-    r.name = name + "+pool(" + std::to_string(participants) + ")";
-    r.engine = engine_name(opts);
+    r.name = "csa profile+pool(" + std::to_string(participants) + ")";
+    r.engine = "csa";
     util::Stopwatch watch;
     r.labels = core::LabelZonesParallel(
         city, todam, zones, pois, core::CostKind::kJourneyTime,
-        gtfs::Day::kTuesday, participants, opts, {}, &r.spqs,
+        gtfs::Day::kTuesday, participants, csa_opts, {}, &r.spqs,
         &r.expansions);
     r.seconds = watch.ElapsedSeconds();
-    return r;
-  };
-  results.push_back(run_pooled("batched", {}, threads));
-  for (int participants : {2, 4}) {
-    results.push_back(run_pooled("csa profile", csa_opts, participants));
+    results.push_back(std::move(r));
   }
 
   // Equivalence gate: a throughput number for a mode that changes results

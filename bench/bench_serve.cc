@@ -108,20 +108,12 @@ exp::RunResult RunServeBench() {
           : std::max(2u, std::thread::hardware_concurrency());
   serve::AqServer server(std::move(city), gtfs::WeekdayAmPeak(), options);
   const router::RouterOptions& router_opts = server.router_options();
-  const char* engine_name =
-      router_opts.engine == router::RoutingEngine::kCsa ? "csa"
-                                                        : "label_correcting";
-  const double connections_build_s =
-      router_opts.connections ? router_opts.connections->build_seconds() : 0.0;
+  const double connections_build_s = router_opts.connections->build_seconds();
   std::printf("  city=%s  zones=%zu  pois=%zu  workers=%zu\n", spec.name.c_str(),
               num_zones, server.base_city().pois.size(), server.num_threads());
-  std::printf("  engine=%s", engine_name);
-  if (router_opts.connections) {
-    std::printf("  connection array: %zu connections, built in %.3fs",
-                router_opts.connections->num_connections(),
-                connections_build_s);
-  }
-  std::printf("\n");
+  std::printf("  engine=csa  connection array: %zu connections, built in "
+              "%.3fs\n",
+              router_opts.connections->num_connections(), connections_build_s);
 
   // The request mix: one exact query per category, exact re-samples of the
   // first two categories under a different TODAM seed (distinct label
@@ -411,7 +403,7 @@ exp::RunResult RunServeBench() {
   w.Uint("zones", num_zones);
   w.Uint("workers", server.num_threads());
   w.Uint("clients", kClients);
-  w.String("engine", engine_name);
+  w.String("engine", "csa");
   w.Uint("connections", router_opts.connections
                             ? router_opts.connections->num_connections()
                             : 0);

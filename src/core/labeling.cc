@@ -51,8 +51,8 @@ void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
                                 CostKind kind, gtfs::Day day, ZoneLabel* out,
                                 TripCostColumns* capture) {
   // Flat trip numbering and, per zone, its trip indices sorted by
-  // departure: both strategies walk each zone's departure groups in this
-  // order.
+  // departure: the window scan's lanes are each zone's departure groups in
+  // this order.
   zone_trip_off_.assign(1, 0);
   order_.clear();
   for (size_t b = 0; b < num_zones; ++b) {
@@ -82,13 +82,7 @@ void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
                                             zone_trip_off_[b]);
     if (b == 0) capture_base_ = base;
   }
-  if (num_trips > 0) {
-    if (router_->csa() != nullptr) {
-      RouteBlockWindow(todam, zones, num_zones, pois, kind, day);
-    } else {
-      RouteBlockGroups(todam, zones, num_zones, pois, kind, day);
-    }
-  }
+  if (num_trips > 0) RouteBlockWindow(todam, zones, num_zones, pois, kind, day);
   capture_ = nullptr;
   for (size_t b = 0; b < num_zones; ++b) {
     out[b] = ZoneLabel{};
@@ -144,53 +138,6 @@ void LabelingEngine::AggregateInTripOrder(size_t begin,
     label->mac = sum / n;
     double var = sum_sq / n - label->mac * label->mac;
     label->acsd = var > 0 ? std::sqrt(var) : 0.0;
-  }
-}
-
-void LabelingEngine::RouteBlockGroups(const Todam& todam,
-                                      const uint32_t* zones, size_t num_zones,
-                                      const std::vector<synth::Poi>& pois,
-                                      CostKind kind, gtfs::Day day) {
-  for (size_t b = 0; b < num_zones; ++b) {
-    const std::vector<TripEntry>& trips = todam.TripsFor(zones[b]);
-    const geo::Point& origin = city_->zones[zones[b]].centroid;
-    const std::vector<router::WalkHop>& origin_access =
-        CachedAccessStops(zones[b]);
-    const size_t base = zone_trip_off_[b];
-    auto trip_of = [&](size_t k) -> const TripEntry& {
-      return trips[order_[k] - base];
-    };
-
-    // One RouteMany per departure group, with repeated POIs inside a group
-    // collapsed to a single target.
-    size_t g = base;
-    while (g < zone_trip_off_[b + 1]) {
-      gtfs::TimeOfDay depart = trip_of(g).depart;
-      size_t g_end = g;
-      ++group_stamp_;
-      group_points_.clear();
-      group_slots_.clear();
-      while (g_end < zone_trip_off_[b + 1] && trip_of(g_end).depart == depart) {
-        uint32_t poi = trip_of(g_end).poi;
-        if (poi_stamp_[poi] != group_stamp_) {
-          poi_stamp_[poi] = group_stamp_;
-          poi_slot_[poi] = static_cast<uint32_t>(group_points_.size());
-          group_points_.push_back(pois[poi].position);
-        }
-        group_slots_.push_back(poi_slot_[poi]);
-        ++g_end;
-      }
-
-      group_journeys_.resize(group_points_.size());
-      router_->RouteMany(origin, group_points_.data(), group_points_.size(),
-                         day, depart, group_journeys_.data(), &origin_access);
-      ++expansion_count_;
-
-      for (size_t k = g; k < g_end; ++k) {
-        RecordTrip(order_[k], group_journeys_[group_slots_[k - g]], kind);
-      }
-      g = g_end;
-    }
   }
 }
 

@@ -9,16 +9,12 @@
 // §IV-E.
 //
 // The engine never routes trip by trip. It sorts a zone's trips by
-// departure and deduplicates repeated POIs, then follows the bound router:
-//  * on the label-correcting router, each departure group is one
-//    Router::RouteMany expansion;
-//  * on a router with a CSA engine, a whole block of zones is one
-//    CsaEngine::RouteWindow scan: each zone is an origin of the scan and
-//    each of its departure groups one lane.
-// Both reuse each zone's access-stop lookup across groups and accumulate
-// costs per zone in original trip order, so the floating-point aggregates
-// equal one Router::Route per trip bit for bit
-// (tests/testing/per_trip_labeling.h is that reference loop).
+// departure and deduplicates repeated POIs, then answers a whole block of
+// zones with one CsaEngine::RouteWindow scan: each zone is an origin of the
+// scan and each of its departure groups one lane. It reuses each zone's
+// access-stop lookup across calls and accumulates costs per zone in
+// original trip order, so the floating-point aggregates equal one
+// Router::Route per trip bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -71,17 +67,15 @@ inline size_t NumZoneBlocks(size_t num_zones) {
 /// engine per thread.
 class LabelingEngine {
  public:
-  /// `city` and `router` must outlive the engine. Labeling follows the
-  /// router's engine: window scans when it runs CSA, grouped expansions
-  /// otherwise.
+  /// `city` and `router` must outlive the engine.
   LabelingEngine(const synth::City* city, router::Router* router,
                  router::GacWeights gac_weights = {});
 
   /// Labels a block of zones: resolves every trip of `zones[0..num_zones)`
   /// in `todam` against the given POI set and aggregates `kind` costs into
   /// `out[b]` for zones[b]. Infeasible trips are excluded from the
-  /// aggregates but counted. On CSA the whole block is one window scan;
-  /// every label is bit-identical to labeling its zone alone.
+  /// aggregates but counted. The whole block is one window scan; every
+  /// label is bit-identical to labeling its zone alone.
   ///
   /// Columnar capture (core/columnar.h): when `capture` is non-null, every
   /// zone of the block gets a trip range in it (one AppendZone per zone, in
@@ -132,21 +126,14 @@ class LabelingEngine {
   /// executed, not how many are asked.
   uint64_t spq_count() const { return spq_count_; }
 
-  /// Router expansions actually dispatched: on the label-correcting router
-  /// each departure group costs one expansion, on CSA each block with
-  /// trips costs one window scan.
+  /// Router expansions actually dispatched: each block with trips costs one
+  /// window scan.
   uint64_t expansion_count() const { return expansion_count_; }
 
  private:
   /// Routes every trip of the block (already sorted into order_) and
-  /// records each journey at its flat index: one RouteMany per departure
-  /// group on the label-correcting router, or one window scan whose
-  /// origins are the zones and whose lanes are their departure groups on
-  /// a CSA router.
-  void RouteBlockGroups(const Todam& todam, const uint32_t* zones,
-                        size_t num_zones,
-                        const std::vector<synth::Poi>& pois, CostKind kind,
-                        gtfs::Day day);
+  /// records each journey at its flat index: one window scan whose origins
+  /// are the zones and whose lanes are their departure groups.
   void RouteBlockWindow(const Todam& todam, const uint32_t* zones,
                         size_t num_zones,
                         const std::vector<synth::Poi>& pois, CostKind kind,
@@ -181,18 +168,15 @@ class LabelingEngine {
   std::vector<std::vector<router::WalkHop>> zone_access_;
   std::vector<uint8_t> zone_access_valid_;
 
-  // Scratch shared by both strategies (capacity persists across blocks).
-  // The block's trips are numbered flat: zone b's trip i is
-  // zone_trip_off_[b] + i.
+  // Block scratch (capacity persists across blocks). The block's trips are
+  // numbered flat: zone b's trip i is zone_trip_off_[b] + i.
   std::vector<size_t> zone_trip_off_;    // num_zones + 1 entries
   std::vector<uint32_t> order_;          // flat indices, each zone's slice
                                          // sorted by departure
   std::vector<uint64_t> poi_stamp_;      // per-POI: last group it appeared in
   std::vector<uint32_t> poi_slot_;       // per-POI: its slot in that group
   uint64_t group_stamp_ = 0;
-  std::vector<geo::Point> group_points_;        // deduped targets of a group
-  std::vector<router::Journey> group_journeys_;
-  std::vector<uint32_t> group_slots_;    // slot per grouped trip
+  std::vector<uint32_t> group_slots_;    // flat journey position per trip
   std::vector<double> trip_cost_;        // per flat trip index
   std::vector<uint8_t> trip_flags_;      // bit0 feasible, bit1 walk-only
   std::vector<geo::Neighbor> neighbor_scratch_;

@@ -21,10 +21,8 @@ std::vector<ZoneLabel> LabelZonesParallel(
   // each per-participant Router then shares the immutable array instead of
   // rebuilding it num_threads times.
   router::RouterOptions options = router_options;
-  if (options.engine == router::RoutingEngine::kCsa) {
-    options.connections =
-        router::ConnectionArray::EnsureFor(options.connections, &city.feed);
-  }
+  options.connections =
+      router::ConnectionArray::EnsureFor(options.connections, &city.feed);
 
   if (num_threads <= 1 || zones.size() <= 1) {
     router::Router router(&city.feed, options);

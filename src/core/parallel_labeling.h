@@ -27,9 +27,9 @@ namespace staq::core {
 /// `total_expansions` (optional) receive the SPQ and router-expansion
 /// counts across participants.
 ///
-/// With RoutingEngine::kCsa the connection array is built (or taken from
-/// router_options.connections) ONCE and shared read-only by every worker's
-/// Router, and every block of zones is labeled by one window scan.
+/// The connection array is built (or taken from router_options.connections)
+/// ONCE and shared read-only by every worker's Router, and every block of
+/// zones is labeled by one window scan.
 std::vector<ZoneLabel> LabelZonesParallel(
     const synth::City& city, const Todam& todam,
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,

@@ -3,7 +3,8 @@
 //
 // Policy files (bench/baselines/policy.rules) hold one block per bench:
 //
-//   # CSA profile must stay ahead of the batched label-correcting engine
+//   # The library's CSA labeling must stay ahead of the batched
+//   # label-correcting oracle (tests/testing)
 //   bench labeling {
 //     min csa_profile_speedup 1.0
 //     ratio_floor modes[1].spqs_per_s 0.50

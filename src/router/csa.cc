@@ -196,12 +196,13 @@ void CsaEngine::MapLaneTargets(size_t col) {
 }
 
 void CsaEngine::Improve(size_t col, uint32_t stop, gtfs::TimeOfDay arrival) {
-  // Egress relaxation across the lane's targets wanting this stop. Router
-  // settles targets when the stop pops; settling at write time instead sees
-  // the same final bests because arrivals only ever decrease — and a write
-  // the Router's settle loop would have cut off (arrival past its stopping
-  // bound) can by the same bound never beat a recorded best. Entries of
-  // targets outside the lane's subset are skipped.
+  // Egress relaxation across the lane's targets wanting this stop. The
+  // label-correcting oracle settles targets when the stop pops; settling
+  // at write time instead sees the same final bests because arrivals only
+  // ever decrease — and a write the oracle's settle loop would have cut
+  // off (arrival past its stopping bound) can by the same bound never beat
+  // a recorded best. Entries of targets outside the lane's subset are
+  // skipped.
   if (egress_epoch_[stop] == call_epoch_) {
     MapLaneTargets(col);
     const gtfs::TimeOfDay depart = col_def_[col]->depart;
@@ -224,7 +225,7 @@ void CsaEngine::Improve(size_t col, uint32_t stop, gtfs::TimeOfDay arrival) {
     if (improved) UpdateWorst(col);
   }
 
-  // Eager footpath closure: the Router walks transfers when the stop
+  // Eager footpath closure: the oracle walks transfers when the stop
   // settles; closing them on every strict improvement reaches the same
   // fixed point (each re-improvement re-relaxes with a strictly earlier
   // time). Strict improvement also bounds the recursion — a zero-walk
@@ -261,7 +262,7 @@ bool CsaEngine::Activate(size_t col) {
   const double horizon = options_.horizon_s;
   col_latest_[col] = def.depart + static_cast<gtfs::TimeOfDay>(horizon);
 
-  // Per-target walk-only baselines (identical to Router::RouteMany).
+  // Per-target walk-only baselines (identical to the oracle's RouteMany).
   const size_t pair0 = static_cast<size_t>(def.origin) * num_unique_;
   double* best_total = best_total_.data() + col * t_stride_;
   double* best_walk = best_walk_.data() + col * t_stride_;
@@ -301,7 +302,7 @@ bool CsaEngine::Activate(size_t col) {
   col_retire_[col] = retire;
   next_retire_ = std::min(next_retire_, retire);
 
-  // Seed every access label first — the Router's seeding order — then run
+  // Seed every access label first — the oracle's seeding order — then run
   // egress/footpath closure from the seeds.
   const IntHop* hops = access_int_.data() + access_offset_[def.origin];
   const IntHop* hops_end = access_int_.data() + access_offset_[def.origin + 1];
@@ -332,7 +333,7 @@ bool CsaEngine::Activate(size_t col) {
 Journey CsaEngine::Reconstruct(size_t col, gtfs::TimeOfDay depart,
                                uint32_t egress_stop,
                                double egress_walk_s) const {
-  // Mirror of Router::Reconstruct over the lane's labels.
+  // Mirror of the oracle's Reconstruct over the lane's labels.
   Journey j;
   j.feasible = true;
   j.depart = depart;
@@ -661,7 +662,7 @@ void CsaEngine::RouteWindow(const WindowOrigin* origins, size_t num_origins,
 
     // Retire lanes no later connection can improve: every journey found
     // from here on departs a stop at >= tau, so its total exceeds
-    // tau - depart (the Router's settle-loop stopping bound). The pass
+    // tau - depart (the oracle's settle-loop stopping bound). The pass
     // runs only when tau crosses the earliest retire bound — retiring a
     // lane late is result-neutral because relax_limit already rejects
     // every write past the same bound. The pass also refreshes

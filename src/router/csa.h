@@ -1,19 +1,22 @@
-// Connection Scan engine (CSA) over a preprocessed ConnectionArray.
+// Connection Scan engine (CSA) over a preprocessed ConnectionArray: the
+// engine every router::Router query runs on.
 //
-// Answers the same one-to-many earliest-arrival queries as the
-// label-correcting Router, but by one linear sweep over the day's
-// time-sorted connections instead of a priority-queue search: a connection
-// (dep_stop, arr_stop, τ_dep, τ_arr, trip) relaxes arr_stop when its trip
-// was already boarded or when dep_stop was reached by τ_dep within the
-// boarding-wait budget. Footpaths are closed eagerly on every arrival
-// improvement and egress targets are settled at write time, which makes the
-// final per-target bests — journey times, feasibility, and therefore every
-// journey-time MAC/ACSD aggregate — exactly equal to the Router's (the
-// golden equivalence suite pins this). Journeys that tie on arrival may
-// decompose into different legs than the Router's, because the two engines
-// settle ties in different orders, so generalized-cost labels differ: 18 %
-// of one Brindale 0.1 school TODAM's journeys, and GAC MAC in 59-84 % of
-// zones; see DESIGN.md §11 for the equivalence contract and the numbers.
+// A one-to-many earliest-arrival query is one linear sweep over the day's
+// time-sorted connections: a connection (dep_stop, arr_stop, τ_dep, τ_arr,
+// trip) relaxes arr_stop when its trip was already boarded or when dep_stop
+// was reached by τ_dep within the boarding-wait budget. Footpaths are
+// closed eagerly on every arrival improvement and egress targets are
+// settled at write time. Journey times, feasibility, and therefore every
+// journey-time MAC/ACSD aggregate are exactly equal to the independent
+// label-correcting search kept as the test oracle
+// (tests/testing/label_correcting_router.h; CsaEquivalenceTest pins this).
+// Journeys that tie on arrival may decompose into different legs than the
+// oracle's, because the scan writes ties in departure order where the
+// oracle's bucket queue writes them in settle order, so generalized-cost
+// labels differ: 18 % of one Brindale 0.1 school TODAM's journeys, and GAC
+// MAC in 59-84 % of zones; see DESIGN.md §11 for the contract and the
+// numbers. The scan's own legs are pinned across commits by
+// CsaJourneyDigestTest.
 //
 // The profile (window) entry point is what the labeling hot path uses: all
 // departure times of a block of zones' TODAM rate windows are answered
@@ -75,10 +78,10 @@ struct WindowLane {
 };
 
 /// Connection Scan engine over one feed. Holds per-query scratch (epoch
-/// versioned, like Router), so one instance per thread; the ConnectionArray
-/// it scans is immutable and shared across threads. Construct via a Router
-/// with RoutingEngine::kCsa — the Router owns the engine and dispatches to
-/// it, keeping one walk table and one options set between the two.
+/// versioned), so one instance per thread; the ConnectionArray it scans is
+/// immutable and shared across threads. Construct via a Router — the Router
+/// owns the engine and dispatches to it, keeping one walk table and one
+/// options set between the two.
 class CsaEngine {
  public:
   /// `feed`, `connections` (built from `feed`) and `walk_table` must
@@ -117,8 +120,8 @@ class CsaEngine {
   const std::vector<int32_t>* lower_bounds() const { return lb_to_.get(); }
 
  private:
-  /// Per-stop search label; mirrors Router::Label field for field so the
-  /// reconstruction (and its tie behaviour) is the same code shape.
+  /// Per-stop search label; mirrors the oracle's label field for field so
+  /// the reconstruction is the same code shape.
   struct Label {
     enum class Kind : uint8_t { kNone, kAccess, kRide, kTransfer };
     gtfs::TimeOfDay arrival = 0;
@@ -188,7 +191,7 @@ class CsaEngine {
   const RouterOptions& options_;
   std::shared_ptr<const ConnectionArray> connections_;
   const WalkTable* walk_table_;
-  gtfs::TimeOfDay wait_cap_;  // max_boarding_wait_s, truncated like Router
+  gtfs::TimeOfDay wait_cap_;  // max_boarding_wait_s, truncated
 
   // Shared per-call state (one window = one call epoch): merged egress map
   // over the unique targets of every origin.

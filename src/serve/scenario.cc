@@ -19,27 +19,14 @@ namespace staq::serve {
 
 namespace {
 
-/// Builds (or adopts) the shared connection array once per store, so every
-/// labeling Router constructed from router_options() scans one immutable
-/// array.
-ScenarioStore::Options WithSharedConnections(ScenarioStore::Options options,
-                                             const gtfs::Feed* feed) {
-  if (options.router.engine == router::RoutingEngine::kCsa) {
-    options.router.connections = router::ConnectionArray::EnsureFor(
-        options.router.connections, feed);
-  }
-  return options;
-}
-
-/// Rebinds router options to a (possibly new) feed: under kCsa the
-/// connection array is shared when the feed pointer matches and rebuilt
-/// deterministically when a disruption produced a new feed.
-router::RouterOptions RebindConnections(router::RouterOptions options,
-                                        const gtfs::Feed* feed) {
-  if (options.engine == router::RoutingEngine::kCsa) {
-    options.connections =
-        router::ConnectionArray::EnsureFor(options.connections, feed);
-  }
+/// Binds router options to `feed`: the connection array is shared when it
+/// was built from `feed` (the store's base feed, once per store) and built
+/// deterministically when a disruption produced a new feed, so every
+/// labeling Router constructed from the options scans one immutable array.
+router::RouterOptions BindConnections(router::RouterOptions options,
+                                      const gtfs::Feed* feed) {
+  options.connections =
+      router::ConnectionArray::EnsureFor(options.connections, feed);
   return options;
 }
 
@@ -250,7 +237,8 @@ ScenarioStore::ScenarioStore(synth::City city,
                              const gtfs::TimeInterval& interval,
                              Options options)
     : base_(std::make_shared<const synth::City>(std::move(city))),
-      options_(WithSharedConnections(std::move(options), &base_->feed)),
+      options_{options.iso,
+               BindConnections(std::move(options.router), &base_->feed)},
       network_city_(base_),
       network_router_(options_.router),
       network_iso_(options_.iso),
@@ -268,7 +256,8 @@ ScenarioStore::ScenarioStore(synth::City city,
 
 ScenarioStore::ScenarioStore(RestoredScenario restored, Options options)
     : base_(std::move(restored.city)),
-      options_(WithSharedConnections(std::move(options), &base_->feed)),
+      options_{options.iso,
+               BindConnections(std::move(options.router), &base_->feed)},
       network_city_(base_),
       network_router_(options_.router),
       network_iso_(options_.iso),
@@ -479,7 +468,7 @@ ScenarioStore::Draft ScenarioStore::FeedDraft(const Scenario& current,
   synth::City disrupted = *network_city_;
   disrupted.feed = std::move(feed);
   draft.city = std::make_shared<const synth::City>(std::move(disrupted));
-  draft.router = RebindConnections(network_router_, &draft.city->feed);
+  draft.router = BindConnections(network_router_, &draft.city->feed);
   draft.offline = RebuildOfflineKeepingIsochrones(*draft.city,
                                                   current.offline());
   draft.new_network = true;

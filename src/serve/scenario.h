@@ -143,16 +143,6 @@ class ZoneLoop {
 /// Every zone id of a city with `count` zones, ascending.
 std::vector<uint32_t> AllZones(size_t count);
 
-/// Router configuration serve runs by default: the Connection Scan engine.
-/// Exact journey times, feasibility, and MAC/ACSD match the
-/// label-correcting engine (asserted by the golden equivalence suites);
-/// window scans make cold label builds and relabels far cheaper.
-inline router::RouterOptions DefaultServeRouterOptions() {
-  router::RouterOptions options;
-  options.engine = router::RoutingEngine::kCsa;
-  return options;
-}
-
 /// Build-once memo of shared immutable values keyed by `Key::Canonical()`.
 /// The first caller for a key builds the value; concurrent callers for the
 /// key wait for that build. A failed build fails its waiters and erases the
@@ -371,7 +361,7 @@ class Scenario {
   std::shared_ptr<const OfflineState> offline_;
   uint64_t network_version_ = 0;
   uint64_t network_id_ = 0;
-  router::RouterOptions router_options_ = DefaultServeRouterOptions();
+  router::RouterOptions router_options_;
 
   /// Both memos live and die with the epoch: a new epoch starts with only
   /// the label states its mutation seeded, and builds its own features.
@@ -404,11 +394,6 @@ struct RestoredScenario {
 class ScenarioStore {
  public:
   struct Options {
-    // Explicit constructor rather than a default member initializer: GCC
-    // defers nested-class member initializers to the end of the enclosing
-    // class, which would reject Options() in ScenarioStore's own defaulted
-    // arguments.
-    Options() : router(DefaultServeRouterOptions()) {}
     core::IsochroneConfig iso;
     router::RouterOptions router;
   };
@@ -438,7 +423,7 @@ class ScenarioStore {
   uint64_t base_sequence() const { return base_sequence_; }
 
   /// The store's router options with the shared connection array injected
-  /// (kCsa only; built once in the constructor). Per-worker Routers built
+  /// (built once in the constructor). Per-worker Routers built
   /// from these share the array instead of rebuilding it — mutations never
   /// edit the feed, so one array serves every scenario epoch.
   const router::RouterOptions& router_options() const {

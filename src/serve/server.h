@@ -150,9 +150,9 @@ class AqServer : private ZoneLoop {
   uint64_t base_sequence() const { return store_.base_sequence(); }
   std::shared_ptr<const Scenario> Snapshot() const { return store_.Acquire(); }
   const synth::City& base_city() const { return store_.base_city(); }
-  /// The store's effective router configuration — engine selector plus the
-  /// shared connection array (kCsa) every worker router scans. Benches
-  /// report the engine and the array's one-time build cost from here.
+  /// The store's effective router configuration — including the shared
+  /// connection array every worker router scans. Benches report the
+  /// array's one-time build cost from here.
   const router::RouterOptions& router_options() const {
     return store_.router_options();
   }

@@ -59,6 +59,15 @@ ThreadPool::ThreadPool(size_t num_threads, Priority priority) {
   for (size_t i = 0; i < n; ++i) {
     threads_.emplace_back([this, priority] { WorkerLoop(priority); });
   }
+  // An idle pool returns only once every worker waits for work. A starting
+  // worker holds mu_ on its way to its first wait, and TrySubmit (how
+  // helpers reach an idle pool) gives up on a held lock: right after a lazy
+  // Idle() the first helped loop would otherwise often get no helper at
+  // all. Submit waits for the lock, so a normal pool need not.
+  if (priority == Priority::kIdle) {
+    std::unique_lock<std::mutex> lock(mu_);
+    waiting_cv_.wait(lock, [&] { return workers_waiting_ == n; });
+  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -95,25 +104,36 @@ ThreadPool::Job ThreadPool::PopJob(uint32_t* delay_us) {
 }
 
 void ThreadPool::WorkerLoop(Priority priority) {
-#if defined(__linux__)
-  if (priority == Priority::kIdle) {
-    // Lowering the own thread's policy needs no privileges. A refusal
-    // (seccomp, exotic kernels) leaves the worker at normal priority.
-    sched_param param{};
-    param.sched_priority = 0;
-    pthread_setschedparam(pthread_self(), SCHED_IDLE, &param);
-  }
-#else
-  (void)priority;
-#endif
+  // A worker keeps normal priority until its first job, so the constructor
+  // never waits on an idle-priority thread.
+  bool counted = false;
+  bool lowered = priority != Priority::kIdle;
   while (true) {
     Job job;
     uint32_t delay_us = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      if (!counted) {
+        // Counted in the critical section the wait below releases: once the
+        // constructor (which waits holding mu_) sees every worker counted,
+        // no starting worker still holds the lock.
+        counted = true;
+        ++workers_waiting_;
+        waiting_cv_.notify_one();
+      }
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop requested and queue drained
       job = PopJob(&delay_us);
+    }
+    if (!lowered) {
+      lowered = true;
+#if defined(__linux__)
+      // Lowering the own thread's policy needs no privileges. A refusal
+      // (seccomp, exotic kernels) leaves the worker at normal priority.
+      sched_param param{};
+      param.sched_priority = 0;
+      pthread_setschedparam(pthread_self(), SCHED_IDLE, &param);
+#endif
     }
     if (delay_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(delay_us));

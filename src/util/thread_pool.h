@@ -168,6 +168,10 @@ class ThreadPool : public Executor {
   std::condition_variable cv_;
   std::deque<Job> queue_;
   bool stop_ = false;
+  /// Workers that reached their job loop; the constructor waits on
+  /// waiting_cv_ until all have. Guarded by mu_.
+  size_t workers_waiting_ = 0;
+  std::condition_variable waiting_cv_;
   /// Engaged only in shaken test builds; guarded by mu_ (the RNG is shared
   /// by every worker, which is what makes the decision stream seeded).
   std::optional<PerturbOptions> perturb_;

@@ -141,10 +141,14 @@ TEST_F(LabelingTest, ZoneWithNoTripsGetsZeroLabel) {
 TEST_F(LabelingTest, BatchedModeBitIdenticalToPerTrip) {
   // The tentpole invariant: the one-to-many batched scheduler must
   // reproduce one Route per trip EXACTLY — same floating-point aggregates,
-  // not merely close ones.
-  router::Router oracle_router(&city_.feed, router::RouterOptions{});
+  // not merely close ones. Both run on the label-correcting oracle, so GAC
+  // (which reads legs) is compared on one engine.
+  testing::LabelCorrectingRouter oracle_router(&city_.feed,
+                                               router::RouterOptions{});
+  testing::LabelCorrectingRouter grouped_router(&city_.feed,
+                                                router::RouterOptions{});
   for (CostKind kind : {CostKind::kJourneyTime, CostKind::kGeneralizedCost}) {
-    LabelingEngine batched(&city_, &router_);
+    testing::LabelCorrectingLabeler batched(&city_, &grouped_router);
     for (uint32_t zone = 0; zone < todam_.num_zones(); ++zone) {
       ZoneLabel a = batched.LabelZone(todam_, zone, pois_, kind,
                                       gtfs::Day::kTuesday);
@@ -198,10 +202,8 @@ TEST(LabelingBlockTest, BlocksEqualOneZoneAtATimeOnTheBenchCity) {
   gravity.sample_rate_per_hour = 12;
   const std::vector<synth::Poi> pois =
       city.PoisOf(synth::PoiCategory::kSchool);
-  router::RouterOptions csa;
-  csa.engine = router::RoutingEngine::kCsa;
-  router::Router block_router(&city.feed, csa);
-  router::Router zone_router(&city.feed, csa);
+  router::Router block_router(&city.feed, router::RouterOptions{});
+  router::Router zone_router(&city.feed, router::RouterOptions{});
   std::vector<uint32_t> zones(city.zones.size());
   std::iota(zones.begin(), zones.end(), 0u);
 

@@ -136,18 +136,18 @@ TEST_F(ParallelLabelingTest, ThreadCountSweepIsBitIdentical) {
 }
 
 TEST_F(ParallelLabelingTest, ProfileModeMatchesBatchedAcrossThreads) {
-  // Window-scan labeling (CSA engine, one sweep per zone) against the
-  // label-correcting batched baseline. JT labels are built from journey
-  // times only, which the engines produce bit-identically, so MAC/ACSD
-  // must agree exactly — at every thread count, with all workers sharing
-  // one connection array.
-  uint64_t batched_spqs = 0;
-  auto batched = LabelZonesParallel(city_, todam_, all_zones_, pois_,
+  // Window-scan labeling (CSA engine, one sweep per block of zones) against
+  // the label-correcting oracle's grouped labeler. JT labels are built from
+  // journey times only, which the engines produce bit-identically, so
+  // MAC/ACSD must agree exactly — at every thread count, with all workers
+  // sharing one connection array.
+  testing::LabelCorrectingRouter oracle(&city_.feed, router::RouterOptions{});
+  testing::LabelCorrectingLabeler labeler(&city_, &oracle);
+  auto batched = labeler.LabelZones(todam_, all_zones_, pois_,
                                     CostKind::kJourneyTime,
-                                    gtfs::Day::kTuesday, /*num_threads=*/1,
-                                    {}, {}, &batched_spqs);
-  router::RouterOptions csa;
-  csa.engine = router::RoutingEngine::kCsa;
+                                    gtfs::Day::kTuesday);
+  const uint64_t batched_spqs = labeler.spq_count();
+  const router::RouterOptions csa;
   for (size_t threads : {1u, 4u, 8u}) {
     uint64_t spqs = 0;
     auto profile = LabelZonesParallel(city_, todam_, all_zones_, pois_,
@@ -164,8 +164,7 @@ TEST_F(ParallelLabelingTest, ProfileGacSweepIsBitIdentical) {
   // GAC depends on leg decomposition, which may tie-differ BETWEEN engines,
   // so the cross-thread contract is pinned within the CSA engine: the
   // thread count must never be observable in a window-scan label.
-  router::RouterOptions csa;
-  csa.engine = router::RoutingEngine::kCsa;
+  const router::RouterOptions csa;
   uint64_t baseline_spqs = 0;
   auto baseline = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                      CostKind::kGeneralizedCost,
@@ -251,9 +250,7 @@ TEST_F(ParallelLabelingTest, ThreadedPipelineRoutesLikeTheSerialOne) {
   // runs expand once per block of labeled zones that has trips (the
   // label-correcting oracle would expand once per departure group
   // instead).
-  router::RouterOptions csa;
-  csa.engine = router::RoutingEngine::kCsa;
-  SsrPipeline pipeline(&city_, gtfs::WeekdayAmPeak(), {}, csa);
+  SsrPipeline pipeline(&city_, gtfs::WeekdayAmPeak());
   auto blocks_with_trips = [&](const std::vector<uint32_t>& zones) {
     uint64_t count = 0;
     for (size_t first = 0; first < zones.size(); first += kZoneBlock) {

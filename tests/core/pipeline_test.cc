@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "synth/city_spec.h"
+#include "testing/digest.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
@@ -173,6 +175,53 @@ TEST_F(PipelineTest, GacCostKindRunsEndToEnd) {
     gac_mean += gac_truth.mac[z];
   }
   EXPECT_GT(gac_mean, jt_mean);
+}
+
+// Cross-commit golden for the paper pipeline's exact GAC labels routed by
+// the connection scan: every zone's MAC and ACSD plus the SPQ count of
+// SsrPipeline::ComputeGroundTruth, on both city families, two categories
+// and two TODAM seeds. GAC reads the legs of each journey, so this pins
+// the pipeline to the legs serve answers with. Recorded on a pipeline
+// configured for the connection scan while the library still defaulted to
+// a label-correcting search; the default pipeline now matches it.
+TEST(GroundTruthDigestTest, CsaGacLabelsMatchRecordedDigest) {
+  struct Case {
+    synth::CitySpec spec;
+    uint64_t digests[2][2];  // [school, hospital][seed 1, seed 17]
+  };
+  const Case cases[] = {
+      {synth::CitySpec::Brindale(0.1, 42),
+       {{0x9b655445d709b02dull, 0x8ce83b4285e81300ull},
+        {0x643f3893c071c5b4ull, 0xca526c8cc93f7303ull}}},
+      {synth::CitySpec::Covely(0.1, 42),
+       {{0xf240fee4704f55b6ull, 0x99e52847cdd60c49ull},
+        {0x29d8769b1a91cecdull, 0xd81628e426c85e52ull}}},
+  };
+  const synth::PoiCategory categories[] = {synth::PoiCategory::kSchool,
+                                           synth::PoiCategory::kHospital};
+  const uint64_t seeds[] = {1, 17};
+  for (const Case& c : cases) {
+    auto built = synth::BuildCity(c.spec);
+    ASSERT_TRUE(built.ok());
+    const synth::City city = std::move(built).value();
+    SsrPipeline pipeline(&city, gtfs::WeekdayAmPeak());
+    const GravityConfig gravity = CalibratedGravityConfig(c.spec);
+    for (size_t k = 0; k < 2; ++k) {
+      const std::vector<synth::Poi> pois = city.PoisOf(categories[k]);
+      for (size_t s = 0; s < 2; ++s) {
+        const Todam todam = pipeline.BuildGravityTodam(pois, gravity, seeds[s]);
+        const GroundTruth truth = pipeline.ComputeGroundTruth(
+            pois, todam, CostKind::kGeneralizedCost);
+        std::vector<double> bits = truth.mac;
+        bits.insert(bits.end(), truth.acsd.begin(), truth.acsd.end());
+        bits.push_back(static_cast<double>(truth.spqs));
+        const uint64_t digest = testing::HexFloatDigest(bits);
+        EXPECT_EQ(digest, c.digests[k][s])
+            << c.spec.name << " category " << k << " seed " << seeds[s]
+            << " digest 0x" << std::hex << digest;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Golden equivalence for the Connection Scan engine against the
-// label-correcting oracle, and for the window (profile) scan against
-// per-departure scans.
+// Golden equivalence for the library Router's Connection Scan engine
+// against the label-correcting oracle (tests/testing), and for the window
+// (profile) scan against per-departure scans.
 //
 // The cross-engine contract (DESIGN.md §11): journey times, feasibility,
 // and departure/arrival instants are bit-identical; equal-cost journeys may
@@ -20,17 +20,12 @@
 #include "router/router.h"
 #include "synth/city_builder.h"
 #include "synth/city_spec.h"
+#include "testing/label_correcting_router.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
 namespace staq::router {
 namespace {
-
-RouterOptions CsaOptions() {
-  RouterOptions options;
-  options.engine = RoutingEngine::kCsa;
-  return options;
-}
 
 /// The exact cross-engine contract: everything journey-time-derived.
 void ExpectEquivalentJourney(const Journey& oracle, const Journey& csa) {
@@ -118,8 +113,8 @@ TEST(CsaEquivalenceTest, MatchesOracleAcrossCityFamiliesAndSeeds) {
         std::move(synth::BuildCity(synth::CitySpec::Covely(0.06, seed)))
             .value());
     for (const synth::City& city : cities) {
-      Router oracle(&city.feed, RouterOptions{});
-      Router csa(&city.feed, CsaOptions());
+      testing::LabelCorrectingRouter oracle(&city.feed, RouterOptions{});
+      Router csa(&city.feed, RouterOptions{});
       ASSERT_NE(csa.csa(), nullptr);
       std::vector<geo::Point> origins = SampleOrigins(city, seed + 1, 4);
       std::vector<geo::Point> targets = SampleTargets(city, seed + 2, 8);
@@ -147,8 +142,8 @@ TEST(CsaEquivalenceTest, MatchesOracleOnHandBuiltFeeds) {
   gtfs::Feed line = testing::LineFeed(600);
   gtfs::Feed transfer = testing::TransferFeed();
   for (gtfs::Feed* feed : {&line, &transfer}) {
-    Router oracle(feed, RouterOptions{});
-    Router csa(feed, CsaOptions());
+    testing::LabelCorrectingRouter oracle(feed, RouterOptions{});
+    Router csa(feed, RouterOptions{});
     std::vector<geo::Point> targets = {
         {4000, 100}, {300, 0}, {6000, 100}, {0, 0}, {1e7, 1e7}};
     for (gtfs::TimeOfDay depart :
@@ -168,8 +163,8 @@ TEST(CsaEquivalenceTest, MatchesOracleOnHandBuiltFeeds) {
 
 TEST(CsaEquivalenceTest, WalkOnlyAndInfeasibleEdgeCases) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router csa(&feed, CsaOptions());
-  Router oracle(&feed, RouterOptions{});
+  Router csa(&feed, RouterOptions{});
+  testing::LabelCorrectingRouter oracle(&feed, RouterOptions{});
 
   // Origin == target: zero-duration walk-only journey.
   std::vector<geo::Point> same = {{0, 100}};
@@ -207,8 +202,8 @@ TEST(CsaEquivalenceTest, WalkOnlyAndInfeasibleEdgeCases) {
 
 TEST(CsaEquivalenceTest, ScratchReuseAcrossCallsStaysExact) {
   synth::City city = testing::TinyCity();
-  Router reused(&city.feed, CsaOptions());
-  Router oracle(&city.feed, RouterOptions{});
+  Router reused(&city.feed, RouterOptions{});
+  testing::LabelCorrectingRouter oracle(&city.feed, RouterOptions{});
   std::vector<geo::Point> origins = SampleOrigins(city, 23, 4);
   std::vector<geo::Point> targets = SampleTargets(city, 24, 6);
   for (int round = 0; round < 3; ++round) {
@@ -222,7 +217,7 @@ TEST(CsaEquivalenceTest, ScratchReuseAcrossCallsStaysExact) {
         ExpectEquivalentJourney(want[t], got[t]);
       }
       // Fresh engine answering the same query: scratch reuse is invisible.
-      Router fresh(&city.feed, CsaOptions());
+      Router fresh(&city.feed, RouterOptions{});
       std::vector<Journey> again =
           fresh.RouteMany(origin, targets, gtfs::Day::kFriday, depart);
       for (size_t t = 0; t < targets.size(); ++t) {
@@ -236,7 +231,7 @@ TEST(CsaEquivalenceTest, ScratchReuseAcrossCallsStaysExact) {
 // to running that departure's scan alone — legs included.
 TEST(CsaProfileTest, WindowScanEqualsPerDepartureScans) {
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, CsaOptions());
+  Router router(&city.feed, RouterOptions{});
   CsaEngine* csa = router.csa();
   ASSERT_NE(csa, nullptr);
 
@@ -293,8 +288,8 @@ TEST(CsaProfileTest, WindowScanMatchesOracleAcrossRateWindows) {
   // Rate-window shapes the labeling hot path produces: dense departures
   // over AM-peak-like spans, all targets shared.
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, CsaOptions());
-  Router oracle(&city.feed, RouterOptions{});
+  Router router(&city.feed, RouterOptions{});
+  testing::LabelCorrectingRouter oracle(&city.feed, RouterOptions{});
   CsaEngine* csa = router.csa();
 
   std::vector<geo::Point> unique = SampleTargets(city, 41, 7);
@@ -404,8 +399,8 @@ TEST(CsaProfileTest, MultiOriginWindowEqualsOneWindowPerOrigin) {
         std::move(synth::BuildCity(synth::CitySpec::Covely(0.06, seed)))
             .value());
     for (const synth::City& city : cities) {
-      Router block(&city.feed, CsaOptions());
-      Router solo(&city.feed, CsaOptions());
+      Router block(&city.feed, RouterOptions{});
+      Router solo(&city.feed, RouterOptions{});
       std::vector<geo::Point> unique = SampleTargets(city, seed + 3, 10);
       const uint32_t unreachable = static_cast<uint32_t>(unique.size() - 1);
 
@@ -459,8 +454,8 @@ TEST(CsaProfileTest, BlockBeyondThePreviousStrideRecyclesColumns) {
   synth::City city =
       std::move(synth::BuildCity(synth::CitySpec::Brindale(0.05, 13)))
           .value();
-  Router block(&city.feed, CsaOptions());
-  Router solo(&city.feed, CsaOptions());
+  Router block(&city.feed, RouterOptions{});
+  Router solo(&city.feed, RouterOptions{});
   std::vector<geo::Point> unique = SampleTargets(city, 51, 8);
 
   std::vector<WindowOrigin> origins;
@@ -499,11 +494,11 @@ TEST(CsaProfileTest, BlockBeyondThePreviousStrideRecyclesColumns) {
 // same table, and a router over a private array answers identically.
 TEST(CsaBoundsTest, RoutersOnOneArrayShareOneLowerBoundTable) {
   synth::City city = testing::TinyCity();
-  RouterOptions shared = CsaOptions();
+  RouterOptions shared;
   shared.connections = ConnectionArray::EnsureFor(nullptr, &city.feed);
   Router a(&city.feed, shared);
   Router b(&city.feed, shared);
-  Router own(&city.feed, CsaOptions());
+  Router own(&city.feed, RouterOptions{});
 
   std::vector<geo::Point> unique = SampleTargets(city, 61, 6);
   std::vector<uint32_t> all(unique.size());

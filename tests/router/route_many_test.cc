@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "router/cost.h"
+#include "router/csa.h"
 #include "router/router.h"
 #include "testing/digest.h"
+#include "testing/label_correcting_router.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -110,15 +112,16 @@ void AppendJourney(const Journey& j, std::vector<double>* out) {
   }
 }
 
-// Cross-commit golden for the label-correcting router's answers: the
+// Cross-commit golden for the label-correcting oracle's answers: the
 // sampled synthetic-city queries and the hand-built feeds, each journey
 // reduced to its exact bits. The search's pruning (bounded relaxation,
 // per-line boarding break) and its bucket queue must not change a leg,
 // arrival, walk, boarding or fare; the digests were recorded when those
-// were still checked against the unpruned binary-heap search.
+// were still checked against the unpruned binary-heap search, and hold
+// unchanged since the search moved from the library to tests/testing.
 TEST(RouteManyTest, JourneysMatchRecordedDigest) {
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, RouterOptions{});
+  testing::LabelCorrectingRouter router(&city.feed, RouterOptions{});
   struct Case {
     uint64_t seed;
     gtfs::Day day;
@@ -157,7 +160,7 @@ TEST(RouteManyTest, JourneysMatchRecordedDigest) {
                                    0xb984683096d58c2cull};
   const gtfs::Feed* feeds[] = {&line, &transfer};
   for (size_t f = 0; f < 2; ++f) {
-    Router feed_router(feeds[f], RouterOptions{});
+    testing::LabelCorrectingRouter feed_router(feeds[f], RouterOptions{});
     std::vector<double> bits;
     for (const geo::Point& target : std::vector<geo::Point>{
              {4000, 100}, {300, 0}, {6000, 100}, {0, 0}, {1e7, 1e7}}) {
@@ -166,6 +169,99 @@ TEST(RouteManyTest, JourneysMatchRecordedDigest) {
         AppendJourney(
             feed_router.Route({0, 50}, target, gtfs::Day::kMonday, depart),
             &bits);
+      }
+    }
+    const uint64_t digest = testing::HexFloatDigest(bits);
+    EXPECT_EQ(digest, feed_digests[f])
+        << "feed " << f << " digest 0x" << std::hex << digest;
+  }
+}
+
+// Cross-commit golden for the Connection Scan engine's answers over the
+// fixtures of JourneysMatchRecordedDigest: every leg, arrival, walk,
+// boarding and fare of each RouteMany batch, and of one window scan per
+// case whose lanes are every (origin, departure) pair (a lane equals its
+// own RouteMany, so both share one digest). The connection scan breaks
+// arrival ties in its own write order, so it is pinned by digests of its
+// own, recorded before the label-correcting search left the library.
+TEST(CsaJourneyDigestTest, RouteManyAndRouteWindowMatchRecordedDigest) {
+  synth::City city = testing::TinyCity();
+  Router router(&city.feed, RouterOptions{});
+  struct Case {
+    uint64_t seed;
+    gtfs::Day day;
+    gtfs::TimeOfDay departs[2];
+    uint64_t digest;  // of the RouteMany batches and of the window scan
+  };
+  const Case cases[] = {
+      {17, gtfs::Day::kWednesday,
+       {gtfs::MakeTime(7, 45), gtfs::MakeTime(9, 3) + 41},
+       0xd8703901da41a607ull},
+      {19, gtfs::Day::kFriday,
+       {gtfs::MakeTime(8, 12) + 7, gtfs::MakeTime(17, 30)},
+       0x9e481ed60b15c67eull},
+      {31, gtfs::Day::kTuesday,
+       {gtfs::MakeTime(7, 58), gtfs::MakeTime(12, 4) + 13},
+       0xfb0e6492be4591b5ull},
+  };
+  for (const Case& c : cases) {
+    QuerySet q = SampleQueries(city, c.seed);
+    std::vector<double> many_bits;
+    for (const geo::Point& origin : q.origins) {
+      for (gtfs::TimeOfDay depart : c.departs) {
+        for (const Journey& j :
+             router.RouteMany(origin, q.targets, c.day, depart)) {
+          AppendJourney(j, &many_bits);
+        }
+      }
+    }
+    const uint64_t many = testing::HexFloatDigest(many_bits);
+    EXPECT_EQ(many, c.digest)
+        << "seed " << c.seed << " RouteMany digest 0x" << std::hex << many;
+
+    std::vector<WindowOrigin> origins;
+    for (const geo::Point& origin : q.origins) origins.push_back({origin});
+    std::vector<uint32_t> all(q.targets.size());
+    for (uint32_t t = 0; t < all.size(); ++t) all[t] = t;
+    std::vector<WindowLane> lanes;
+    std::vector<std::vector<Journey>> out(origins.size() * 2);
+    for (uint32_t o = 0; o < origins.size(); ++o) {
+      for (size_t d = 0; d < 2; ++d) {
+        std::vector<Journey>& lane_out = out[o * 2 + d];
+        lane_out.resize(all.size());
+        lanes.push_back(WindowLane{c.departs[d], o, all.data(), all.size(),
+                                   lane_out.data()});
+      }
+    }
+    router.csa()->RouteWindow(origins.data(), origins.size(),
+                              q.targets.data(), q.targets.size(),
+                              lanes.data(), lanes.size(), c.day);
+    std::vector<double> window_bits;
+    for (const std::vector<Journey>& lane_out : out) {
+      for (const Journey& j : lane_out) AppendJourney(j, &window_bits);
+    }
+    const uint64_t window = testing::HexFloatDigest(window_bits);
+    EXPECT_EQ(window, c.digest)
+        << "seed " << c.seed << " RouteWindow digest 0x" << std::hex
+        << window;
+  }
+
+  gtfs::Feed line = testing::LineFeed(600);
+  gtfs::Feed transfer = testing::TransferFeed();
+  const uint64_t feed_digests[] = {0x062f56f891c5913cull,
+                                   0x0183c3d3e56c04b0ull};
+  const gtfs::Feed* feeds[] = {&line, &transfer};
+  for (size_t f = 0; f < 2; ++f) {
+    Router feed_router(feeds[f], RouterOptions{});
+    const std::vector<geo::Point> targets = {
+        {4000, 100}, {300, 0}, {6000, 100}, {0, 0}, {1e7, 1e7}};
+    std::vector<double> bits;
+    for (gtfs::TimeOfDay depart :
+         {gtfs::MakeTime(7, 0), gtfs::MakeTime(7, 4) + 30}) {
+      for (const Journey& j :
+           feed_router.RouteMany({0, 50}, targets, gtfs::Day::kMonday,
+                                 depart)) {
+        AppendJourney(j, &bits);
       }
     }
     const uint64_t digest = testing::HexFloatDigest(bits);

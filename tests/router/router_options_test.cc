@@ -1,7 +1,7 @@
 // RouterOptions validation: non-positive horizons, boarding waits, or walk
 // budgets would silently turn every query into an empty search, so the
-// Router constructor aborts on them via STAQ_CHECK (util/check.h) — for
-// both engines, since CSA shares the options struct.
+// Router constructor aborts on them via STAQ_CHECK (util/check.h) before
+// the connection scan engine is built.
 #include <gtest/gtest.h>
 
 #include "router/router.h"
@@ -50,20 +50,10 @@ TEST_F(RouterOptionsDeathTest, RejectsNonPositiveWalkBudgets) {
   EXPECT_DEATH(Router(&feed_, options), "CHECK failed");
 }
 
-TEST_F(RouterOptionsDeathTest, CsaEngineValidatesTheSameOptions) {
-  RouterOptions options;
-  options.engine = RoutingEngine::kCsa;
-  options.horizon_s = 0;
-  EXPECT_DEATH(Router(&feed_, options), "CHECK failed");
-}
-
 TEST_F(RouterOptionsDeathTest, ValidOptionsConstruct) {
-  Router lc(&feed_, RouterOptions{});
-  EXPECT_EQ(lc.csa(), nullptr);
-  RouterOptions csa_options;
-  csa_options.engine = RoutingEngine::kCsa;
-  Router csa(&feed_, csa_options);
+  Router csa(&feed_, RouterOptions{});
   EXPECT_NE(csa.csa(), nullptr);
+  EXPECT_NE(csa.options().connections, nullptr);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/label_correcting_router.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -12,9 +13,22 @@ namespace {
 
 constexpr double kWalkSecondsPerMeter = 1.3 / 1.25;
 
-TEST(RouterTest, SingleRideJourney) {
+// Every case runs twice with the same assertions: on the library Router
+// (the connection scan) as RouterTest.<name>, and on the label-correcting
+// oracle as LabelCorrectingRouterTest.<name>.
+#define ROUTER_TEST(name)                       \
+  template <class RouterT>                      \
+  void name##On();                              \
+  TEST(RouterTest, name) { name##On<Router>(); } \
+  TEST(LabelCorrectingRouterTest, name) {       \
+    name##On<testing::LabelCorrectingRouter>(); \
+  }                                             \
+  template <class RouterT>                      \
+  void name##On()
+
+ROUTER_TEST(SingleRideJourney) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   // Origin 100 m from stop 0, destination 100 m from stop 2.
   Journey j = router.Route({0, 100}, {4000, 100}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 0));
@@ -35,9 +49,9 @@ TEST(RouterTest, SingleRideJourney) {
               j.JourneyTimeSeconds(), 1.5);
 }
 
-TEST(RouterTest, CatchesExactDeparture) {
+ROUTER_TEST(CatchesExactDeparture) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   // Standing at stop 0 exactly at 07:10 catches the 07:10 trip.
   Journey j = router.Route({0, 0}, {4000, 0}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 10));
@@ -46,9 +60,9 @@ TEST(RouterTest, CatchesExactDeparture) {
   EXPECT_EQ(j.wait_s, 0.0);
 }
 
-TEST(RouterTest, WalkOnlyWinsShortTrips) {
+ROUTER_TEST(WalkOnlyWinsShortTrips) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   Journey j = router.Route({0, 0}, {300, 0}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 0));
   ASSERT_TRUE(j.feasible);
@@ -59,9 +73,9 @@ TEST(RouterTest, WalkOnlyWinsShortTrips) {
   EXPECT_EQ(j.legs[0].type, JourneyLeg::Type::kWalk);
 }
 
-TEST(RouterTest, TransferJourney) {
+ROUTER_TEST(TransferJourney) {
   gtfs::Feed feed = testing::TransferFeed();
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   Journey j = router.Route({0, 50}, {6000, 100}, gtfs::Day::kMonday,
                            gtfs::MakeTime(7, 0));
   ASSERT_TRUE(j.feasible);
@@ -74,9 +88,9 @@ TEST(RouterTest, TransferJourney) {
                 static_cast<int>(std::lround(50 * kWalkSecondsPerMeter)));
 }
 
-TEST(RouterTest, DayFilterMakesServiceInvisible) {
+ROUTER_TEST(DayFilterMakesServiceInvisible) {
   gtfs::Feed feed = testing::LineFeed(600);  // weekdays only
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   Journey sunday = router.Route({0, 100}, {4000, 100}, gtfs::Day::kSunday,
                                 gtfs::MakeTime(7, 0));
   // No transit on Sunday: only the (long) walk remains.
@@ -84,40 +98,40 @@ TEST(RouterTest, DayFilterMakesServiceInvisible) {
   EXPECT_TRUE(sunday.IsWalkOnly());
 }
 
-TEST(RouterTest, InfeasibleBeyondHorizon) {
+ROUTER_TEST(InfeasibleBeyondHorizon) {
   gtfs::Feed feed = testing::LineFeed(600);
   RouterOptions options;
   options.horizon_s = 600;  // 10 minutes
-  Router router(&feed, options);
+  RouterT router(&feed, options);
   // 40 km walk with no useful transit: infeasible within 10 min.
   Journey j = router.Route({0, 20000}, {40000, 20000}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 0));
   EXPECT_FALSE(j.feasible);
 }
 
-TEST(RouterTest, ZeroDistanceTrip) {
+ROUTER_TEST(ZeroDistanceTrip) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   Journey j = router.Route({500, 500}, {500, 500}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(8, 0));
   ASSERT_TRUE(j.feasible);
   EXPECT_EQ(j.JourneyTimeSeconds(), 0.0);
 }
 
-TEST(RouterTest, AfterLastServiceFallsBackToWalk) {
+ROUTER_TEST(AfterLastServiceFallsBackToWalk) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   Journey j = router.Route({0, 100}, {4000, 100}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(10, 0));
   ASSERT_TRUE(j.feasible);
   EXPECT_TRUE(j.IsWalkOnly());
 }
 
-TEST(RouterTest, BoardingWaitCapSkipsSparseService) {
+ROUTER_TEST(BoardingWaitCapSkipsSparseService) {
   gtfs::Feed feed = testing::LineFeed(600);
   RouterOptions options;
   options.max_boarding_wait_s = 120;  // nobody waits 2+ minutes
-  Router router(&feed, options);
+  RouterT router(&feed, options);
   // Departing at 07:12: next bus is 07:20, an 8-minute wait — beyond the
   // cap, so the router walks instead.
   Journey j = router.Route({0, 0}, {4000, 0}, gtfs::Day::kTuesday,
@@ -131,11 +145,11 @@ TEST(RouterTest, BoardingWaitCapSkipsSparseService) {
   EXPECT_EQ(quick.num_boardings, 1);
 }
 
-TEST(RouterTest, AccessBudgetLimitsReachableStops) {
+ROUTER_TEST(AccessBudgetLimitsReachableStops) {
   gtfs::Feed feed = testing::LineFeed(600);
   RouterOptions options;
   options.walk.max_access_walk_s = 60;  // ~58 m of straight line
-  Router router(&feed, options);
+  RouterT router(&feed, options);
   // 100 m from the stop: outside the tightened access budget -> walk only.
   Journey j = router.Route({0, 100}, {4000, 100}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 0));
@@ -143,9 +157,9 @@ TEST(RouterTest, AccessBudgetLimitsReachableStops) {
   EXPECT_TRUE(j.IsWalkOnly());
 }
 
-TEST(RouterTest, LaterDepartureNeverArrivesEarlier) {
+ROUTER_TEST(LaterDepartureNeverArrivesEarlier) {
   gtfs::Feed feed = testing::TransferFeed();
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   gtfs::TimeOfDay prev_arrival = 0;
   for (int m = 0; m <= 60; m += 7) {
     Journey j = router.Route({0, 50}, {6000, 100}, gtfs::Day::kMonday,
@@ -156,9 +170,9 @@ TEST(RouterTest, LaterDepartureNeverArrivesEarlier) {
   }
 }
 
-TEST(RouterTest, ScratchReuseAcrossQueriesIsClean) {
+ROUTER_TEST(ScratchReuseAcrossQueriesIsClean) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  RouterT router(&feed, RouterOptions{});
   Journey first = router.Route({0, 100}, {4000, 100}, gtfs::Day::kTuesday,
                                gtfs::MakeTime(7, 0));
   // Run 50 other queries, then repeat the first: identical answer.
@@ -176,11 +190,11 @@ TEST(RouterTest, ScratchReuseAcrossQueriesIsClean) {
   EXPECT_DOUBLE_EQ(first.wait_s, again.wait_s);
 }
 
-TEST(RouterTest, ComponentsSumToJourneyTime) {
+ROUTER_TEST(ComponentsSumToJourneyTime) {
   // Property over a synthetic city: journey component decomposition is
   // internally consistent for every feasible trip.
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, RouterOptions{});
+  RouterT router(&city.feed, RouterOptions{});
   util::Rng rng(77);
   int checked = 0;
   for (int i = 0; i < 200; ++i) {
@@ -205,10 +219,10 @@ TEST(RouterTest, ComponentsSumToJourneyTime) {
   EXPECT_GT(checked, 100);
 }
 
-TEST(RouterTest, TransitNeverWorseThanNotUsingIt) {
+ROUTER_TEST(TransitNeverWorseThanNotUsingIt) {
   // The router's answer is never slower than the pure walk baseline.
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, RouterOptions{});
+  RouterT router(&city.feed, RouterOptions{});
   WalkParams walk;
   util::Rng rng(78);
   for (int i = 0; i < 100; ++i) {

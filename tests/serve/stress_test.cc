@@ -28,6 +28,7 @@
 #include "core/labeling.h"
 #include "router/router.h"
 #include "serve/server.h"
+#include "testing/label_correcting_router.h"
 #include "testing/test_city.h"
 
 namespace staq::serve {
@@ -354,7 +355,8 @@ void ExpectSameLabels(const std::vector<core::ZoneLabel>& served,
 // builds and incremental patches alike, raced by queries under schedule
 // shaking — must be bit-identical to two sequential per-epoch oracles that
 // share nothing with the server: a CSA engine over a FRESH connection
-// array built for that check alone, and the label-correcting router. This
+// array built for that check alone, and the label-correcting oracle's
+// grouped labeler over the state's edit-stable TODAM. This
 // is the test that would catch the shared array going stale, torn, or
 // diverging from the oracle engine across a mutation chain.
 class SharedArrayMutationTest : public ::testing::TestWithParam<uint64_t> {};
@@ -439,17 +441,20 @@ TEST_P(SharedArrayMutationTest, EpochStatesMatchFreshEngineOracles) {
     ASSERT_FALSE(states.empty())
         << "epoch 0 materialised both mix states; patches must carry them";
     for (const auto& [key, state] : states) {
-      router::RouterOptions fresh_csa;
-      fresh_csa.engine = router::RoutingEngine::kCsa;  // builds its own array
-      router::Router csa_router(&city.feed, fresh_csa);
+      // Null connections: the router builds its own array.
+      router::Router csa_router(&city.feed, router::RouterOptions{});
       core::LabelingEngine csa_engine(&city, &csa_router);
       auto csa_oracle = snapshot->BuildLabelState(key, &csa_engine);
       ExpectSameLabels(state->labels, csa_oracle->labels, "fresh-array csa");
 
-      router::Router lc_router(&city.feed, router::RouterOptions{});
-      core::LabelingEngine lc_engine(&city, &lc_router);
-      auto lc_oracle = snapshot->BuildLabelState(key, &lc_engine);
-      ExpectSameLabels(state->labels, lc_oracle->labels, "label-correcting");
+      testing::LabelCorrectingRouter lc_router(&city.feed,
+                                               router::RouterOptions{});
+      testing::LabelCorrectingLabeler lc_labeler(&city, &lc_router, key.gac);
+      const std::vector<synth::Poi> pois = snapshot->PoisOf(key.category);
+      const std::vector<core::ZoneLabel> lc_oracle = lc_labeler.LabelZones(
+          snapshot->StableTodam(key, pois), AllZones(city.zones.size()), pois,
+          key.cost, snapshot->interval().day);
+      ExpectSameLabels(state->labels, lc_oracle, "label-correcting");
     }
   }
 }

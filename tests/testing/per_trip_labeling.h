@@ -1,11 +1,12 @@
 // Reference zone labeler: the paper's labeling step (§IV-D) written out
 // with no batching at all.
 //
-// Every TODAM trip of a zone is one Router::Route call on a
-// label-correcting router, and the costs are aggregated in original trip
-// order. core::LabelingEngine groups trips by departure, deduplicates POIs
-// and shares one expansion (or one window scan) per group; none of that may
-// change a label bit, and tests check it against this loop.
+// Every TODAM trip of a zone is one Route call on the label-correcting
+// oracle, and the costs are aggregated in original trip order. The oracle's
+// grouped labeler (LabelCorrectingLabeler) groups trips by departure,
+// deduplicates POIs and shares one expansion per group; none of that may
+// change a label bit, and tests check it against this loop. Journey-time
+// labels also equal core::LabelingEngine's window scans bit for bit.
 #pragma once
 
 #include <cmath>
@@ -14,14 +15,13 @@
 
 #include "core/labeling.h"
 #include "core/todam.h"
-#include "router/router.h"
+#include "testing/label_correcting_router.h"
 #include "synth/city_builder.h"
 
 namespace staq::testing {
 
-/// Labels `zone` with one Route per trip. `router` must run the
-/// label-correcting engine.
-inline core::ZoneLabel PerTripLabel(router::Router* router,
+/// Labels `zone` with one Route per trip.
+inline core::ZoneLabel PerTripLabel(LabelCorrectingRouter* router,
                                     const synth::City& city,
                                     const core::Todam& todam, uint32_t zone,
                                     const std::vector<synth::Poi>& pois,
@@ -55,13 +55,13 @@ inline core::ZoneLabel PerTripLabel(router::Router* router,
   return label;
 }
 
-/// PerTripLabel for every zone in `zones`, on a fresh label-correcting
-/// router with default options.
+/// PerTripLabel for every zone in `zones`, on a fresh oracle with default
+/// options.
 inline std::vector<core::ZoneLabel> PerTripLabels(
     const synth::City& city, const core::Todam& todam,
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,
     core::CostKind kind, gtfs::Day day, router::GacWeights gac = {}) {
-  router::Router router(&city.feed, router::RouterOptions{});
+  LabelCorrectingRouter router(&city.feed, router::RouterOptions{});
   std::vector<core::ZoneLabel> labels;
   labels.reserve(zones.size());
   for (uint32_t zone : zones) {

@@ -505,7 +505,7 @@ int RunSnapshotSave(const Args& args) {
       std::fprintf(stderr, "unknown cost: %s\n", cost.c_str());
       return 1;
     }
-    router::Router router(&store.base_city().feed, {});
+    router::Router router(&store.base_city().feed, store.router_options());
     core::LabelingEngine engine(&store.base_city(), &router);
     store.Acquire()->GetOrBuildLabelState(key, &engine);
   }

@@ -7,17 +7,24 @@
 
 namespace staq::core {
 
+void SetZoneMeasures(const std::vector<ZoneLabel>& labels,
+                     AccessQueryResult* result) {
+  result->mac.resize(labels.size());
+  result->acsd.resize(labels.size());
+  for (size_t z = 0; z < labels.size(); ++z) {
+    result->mac[z] = labels[z].mac;
+    result->acsd[z] = labels[z].acsd;
+  }
+}
+
 void FinalizeAccessQueryResult(const std::vector<synth::Zone>& zones,
                                AccessQueryResult* result) {
   result->classes = ClassifyAccessibility(result->mac, result->acsd);
-  result->mean_mac = 0.0;
-  result->mean_acsd = 0.0;
-  for (size_t z = 0; z < result->mac.size(); ++z) {
-    result->mean_mac += result->mac[z];
-    result->mean_acsd += result->acsd[z];
-  }
-  result->mean_mac /= static_cast<double>(result->mac.size());
-  result->mean_acsd /= static_cast<double>(result->acsd.size());
+  size_t n = result->mac.size();
+  result->mean_mac = ml::kernels::ReduceSum(n, result->mac.data()) /
+                     static_cast<double>(n);
+  result->mean_acsd = ml::kernels::ReduceSum(n, result->acsd.data()) /
+                      static_cast<double>(n);
 
   result->fairness = JainIndex(result->mac);
   std::vector<double> pop_weights, vulnerable_weights;
@@ -30,39 +37,6 @@ void FinalizeAccessQueryResult(const std::vector<synth::Zone>& zones,
   result->population_fairness = WeightedJainIndex(result->mac, pop_weights);
   result->vulnerable_fairness =
       WeightedJainIndex(result->mac, vulnerable_weights);
-}
-
-void SetZoneMeasures(const std::vector<ZoneLabel>& labels,
-                     AccessQueryResult* result) {
-  result->mac.resize(labels.size());
-  result->acsd.resize(labels.size());
-  for (size_t z = 0; z < labels.size(); ++z) {
-    result->mac[z] = labels[z].mac;
-    result->acsd[z] = labels[z].acsd;
-  }
-}
-
-void FinalizeAccessQueryResultColumnar(const std::vector<synth::Zone>& zones,
-                                       AccessQueryResult* result) {
-  result->classes = ClassifyAccessibilityColumnar(result->mac, result->acsd);
-  size_t n = result->mac.size();
-  result->mean_mac = ml::kernels::ReduceSum(n, result->mac.data()) /
-                     static_cast<double>(n);
-  result->mean_acsd = ml::kernels::ReduceSum(n, result->acsd.data()) /
-                      static_cast<double>(n);
-
-  result->fairness = JainIndexColumnar(result->mac);
-  std::vector<double> pop_weights, vulnerable_weights;
-  pop_weights.reserve(zones.size());
-  vulnerable_weights.reserve(zones.size());
-  for (const synth::Zone& z : zones) {
-    pop_weights.push_back(z.population);
-    vulnerable_weights.push_back(z.population * z.vulnerability);
-  }
-  result->population_fairness =
-      WeightedJainIndexColumnar(result->mac, pop_weights);
-  result->vulnerable_fairness =
-      WeightedJainIndexColumnar(result->mac, vulnerable_weights);
 }
 
 AccessQueryEngine::AccessQueryEngine(synth::City city,
@@ -151,7 +125,7 @@ util::Result<std::vector<AccessQueryResult>> AccessQueryEngine::QueryVector(
                         &result);
         // Each member reports the full pass it would have paid alone.
         result.spqs = captured.spqs;
-        FinalizeAccessQueryResultColumnar(city_.zones, &result);
+        FinalizeAccessQueryResult(city_.zones, &result);
         result.elapsed_s = watch.ElapsedSeconds();
         out.push_back(std::move(result));
       }

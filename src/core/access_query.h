@@ -49,22 +49,24 @@ struct AccessQueryResult {
 };
 
 /// Assembles the user-facing answer from zone-level measures: classes,
-/// summary means, and the three fairness indices. Shared by the single
-/// client engine below and the concurrent serve subsystem (serve/server.h);
-/// `result.mac`/`result.acsd` must already be populated.
+/// summary means, and the three fairness indices, every sum reduced by
+/// kernel (core/measures.h). Shared by the single client engine below and
+/// the concurrent serve subsystem (serve/server.h); `result.mac`/
+/// `result.acsd` must already be populated.
 void FinalizeAccessQueryResult(const std::vector<synth::Zone>& zones,
                                AccessQueryResult* result);
+
+/// Forward kept only because the benchmark (staqbench/src/whatif_cold.cc)
+/// calls this name; delete with that call (ROADMAP item 3).
+inline void FinalizeAccessQueryResultColumnar(
+    const std::vector<synth::Zone>& zones, AccessQueryResult* result) {
+  FinalizeAccessQueryResult(zones, result);
+}
 
 /// Copies each zone label's MAC and ACSD into `result` (one entry per
 /// label, in zone order).
 void SetZoneMeasures(const std::vector<ZoneLabel>& labels,
                      AccessQueryResult* result);
-
-/// Kernel-backed FinalizeAccessQueryResult, bit-identical to the scalar
-/// form (which stays as the foil): the summary means, classes and the
-/// three Jain indices reduce through the columnar measure variants.
-void FinalizeAccessQueryResultColumnar(const std::vector<synth::Zone>& zones,
-                                       AccessQueryResult* result);
 
 /// Axes of a vector query: one request template swept across POI
 /// categories, TODAM seeds (the `t`-resample axis) and cost definitions.

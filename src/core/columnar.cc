@@ -7,49 +7,6 @@
 
 namespace staq::core {
 
-size_t TripCostColumns::AppendZone(size_t trips) {
-  size_t base = flags.size();
-  zone_offsets.push_back(base + trips);
-  flags.resize(base + trips, 0);
-  jt.resize(base + trips, 0.0);
-  gac_parts.resize((base + trips) * kNumGacParts, 0.0);
-  fare.resize(base + trips, 0.0);
-  return base;
-}
-
-void TripCostColumns::StoreZone(size_t base, const TripCostColumns& zone) {
-  std::copy(zone.flags.begin(), zone.flags.end(), flags.begin() + base);
-  std::copy(zone.jt.begin(), zone.jt.end(), jt.begin() + base);
-  std::copy(zone.gac_parts.begin(), zone.gac_parts.end(),
-            gac_parts.begin() + base * kNumGacParts);
-  std::copy(zone.fare.begin(), zone.fare.end(), fare.begin() + base);
-}
-
-void TripCostColumns::Record(size_t index, const router::Journey& journey) {
-  if (!journey.feasible) return;  // slot stays zeroed, flags stay 0
-  uint8_t f = 1;
-  if (journey.IsWalkOnly()) f |= 2;
-  flags[index] = f;
-  jt[index] = journey.JourneyTimeSeconds();
-  double* parts = gac_parts.data() + index * kNumGacParts;
-  // Component order matches the scalar GAC expression (router/cost.cc):
-  // TAN (access + transfer walk), WT, IVT, ET, transfers.
-  parts[0] = journey.access_walk_s + journey.transfer_walk_s;
-  parts[1] = journey.wait_s;
-  parts[2] = journey.in_vehicle_s;
-  parts[3] = journey.egress_walk_s;
-  parts[4] = journey.num_boardings > 1 ? journey.num_boardings - 1 : 0;
-  fare[index] = journey.total_fare;
-}
-
-void TripCostColumns::Clear() {
-  zone_offsets.assign(1, 0);
-  flags.clear();
-  jt.clear();
-  gac_parts.clear();
-  fare.clear();
-}
-
 void MemberCostColumn(const TripCostColumns& columns, const CostMember& member,
                       std::vector<double>* out) {
   size_t n = columns.num_trips();

@@ -1,7 +1,6 @@
 #include "core/labeling.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/columnar.h"
 
@@ -15,6 +14,49 @@ const char* CostKindName(CostKind kind) {
       return "GAC";
   }
   return "unknown";
+}
+
+size_t TripCostColumns::AppendZone(size_t trips) {
+  size_t base = flags.size();
+  zone_offsets.push_back(base + trips);
+  flags.resize(base + trips, 0);
+  jt.resize(base + trips, 0.0);
+  gac_parts.resize((base + trips) * kNumGacParts, 0.0);
+  fare.resize(base + trips, 0.0);
+  return base;
+}
+
+void TripCostColumns::StoreZone(size_t base, const TripCostColumns& zone) {
+  std::copy(zone.flags.begin(), zone.flags.end(), flags.begin() + base);
+  std::copy(zone.jt.begin(), zone.jt.end(), jt.begin() + base);
+  std::copy(zone.gac_parts.begin(), zone.gac_parts.end(),
+            gac_parts.begin() + base * kNumGacParts);
+  std::copy(zone.fare.begin(), zone.fare.end(), fare.begin() + base);
+}
+
+void TripCostColumns::Record(size_t index, const router::Journey& journey) {
+  if (!journey.feasible) return;  // slot stays zeroed, flags stay 0
+  uint8_t f = 1;
+  if (journey.IsWalkOnly()) f |= 2;
+  flags[index] = f;
+  jt[index] = journey.JourneyTimeSeconds();
+  double* parts = gac_parts.data() + index * kNumGacParts;
+  // Component order matches Eq. 1's left-associated sum: TAN (access +
+  // transfer walk), WT, IVT, ET, transfers.
+  parts[0] = journey.access_walk_s + journey.transfer_walk_s;
+  parts[1] = journey.wait_s;
+  parts[2] = journey.in_vehicle_s;
+  parts[3] = journey.egress_walk_s;
+  parts[4] = journey.num_boardings > 1 ? journey.num_boardings - 1 : 0;
+  fare[index] = journey.total_fare;
+}
+
+void TripCostColumns::Clear() {
+  zone_offsets.assign(1, 0);
+  flags.clear();
+  jt.clear();
+  gac_parts.clear();
+  fare.clear();
 }
 
 LabelingEngine::LabelingEngine(const synth::City* city,
@@ -71,24 +113,27 @@ void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
     poi_stamp_.resize(pois.size(), 0);
     poi_slot_.resize(pois.size(), 0);
   }
-  trip_cost_.resize(num_trips);
-  trip_flags_.resize(num_trips);
-
-  // Every zone opens its own trip range; consecutive ranges make the
-  // block's flat numbering the capture index.
-  capture_ = capture;
-  for (size_t b = 0; capture != nullptr && b < num_zones; ++b) {
-    const size_t base = capture->AppendZone(zone_trip_off_[b + 1] -
-                                            zone_trip_off_[b]);
-    if (b == 0) capture_base_ = base;
-  }
-  if (num_trips > 0) RouteBlockWindow(todam, zones, num_zones, pois, kind, day);
-  capture_ = nullptr;
+  // Every trip's cost basis lands in the block's columns, one trip range
+  // per zone; each label is derived from them, and a capture receives
+  // them as they are.
+  block_columns_.Clear();
   for (size_t b = 0; b < num_zones; ++b) {
-    out[b] = ZoneLabel{};
-    out[b].num_trips =
-        static_cast<uint32_t>(zone_trip_off_[b + 1] - zone_trip_off_[b]);
-    AggregateInTripOrder(zone_trip_off_[b], &out[b]);
+    block_columns_.AppendZone(zone_trip_off_[b + 1] - zone_trip_off_[b]);
+  }
+  if (num_trips > 0) RouteBlockWindow(todam, zones, num_zones, pois, day);
+  MemberCostColumn(block_columns_, CostMember{kind, gac_weights_},
+                   &block_costs_);
+  const std::vector<ZoneLabel> labels =
+      AggregateZoneLabels(block_columns_, block_costs_);
+  std::copy(labels.begin(), labels.end(), out);
+  if (capture != nullptr) {
+    size_t base = 0;
+    for (size_t b = 0; b < num_zones; ++b) {
+      const size_t zone_base = capture->AppendZone(
+          zone_trip_off_[b + 1] - zone_trip_off_[b]);
+      if (b == 0) base = zone_base;
+    }
+    capture->StoreZone(base, block_columns_);
   }
 }
 
@@ -100,51 +145,10 @@ ZoneLabel LabelingEngine::LabelZone(const Todam& todam, uint32_t zone,
   return label;
 }
 
-void LabelingEngine::RecordTrip(uint32_t idx, const router::Journey& journey,
-                                CostKind kind) {
-  if (capture_ != nullptr) capture_->Record(capture_base_ + idx, journey);
-  uint8_t flags = 0;
-  double cost = 0.0;
-  if (journey.feasible) {
-    flags |= 1;
-    if (journey.IsWalkOnly()) flags |= 2;
-    cost = kind == CostKind::kJourneyTime
-               ? journey.JourneyTimeSeconds()
-               : router::GeneralizedAccessCost(journey, gac_weights_);
-  }
-  trip_cost_[idx] = cost;
-  trip_flags_[idx] = flags;
-}
-
-void LabelingEngine::AggregateInTripOrder(size_t begin,
-                                          ZoneLabel* label) const {
-  // ORIGINAL trip order, so the floating-point sums equal one Route per
-  // trip accumulated as the TODAM lists them, bit for bit.
-  double sum = 0.0, sum_sq = 0.0;
-  uint32_t feasible = 0;
-  for (size_t i = begin; i < begin + label->num_trips; ++i) {
-    if (!(trip_flags_[i] & 1)) {
-      ++label->num_infeasible;
-      continue;
-    }
-    if (trip_flags_[i] & 2) ++label->num_walk_only;
-    double cost = trip_cost_[i];
-    sum += cost;
-    sum_sq += cost * cost;
-    ++feasible;
-  }
-  if (feasible > 0) {
-    double n = static_cast<double>(feasible);
-    label->mac = sum / n;
-    double var = sum_sq / n - label->mac * label->mac;
-    label->acsd = var > 0 ? std::sqrt(var) : 0.0;
-  }
-}
-
 void LabelingEngine::RouteBlockWindow(const Todam& todam,
                                       const uint32_t* zones, size_t num_zones,
                                       const std::vector<synth::Poi>& pois,
-                                      CostKind kind, gtfs::Day day) {
+                                      gtfs::Day day) {
   if (poi_block_stamp_.size() < pois.size()) {
     poi_block_stamp_.resize(pois.size(), 0);
     poi_block_slot_.resize(pois.size(), 0);
@@ -215,7 +219,7 @@ void LabelingEngine::RouteBlockWindow(const Todam& todam,
   ++expansion_count_;
 
   for (size_t k = 0; k < order_.size(); ++k) {
-    RecordTrip(order_[k], profile_journeys_[group_slots_[k]], kind);
+    block_columns_.Record(order_[k], profile_journeys_[group_slots_[k]]);
   }
 }
 

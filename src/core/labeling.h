@@ -12,9 +12,12 @@
 // departure and deduplicates repeated POIs, then answers a whole block of
 // zones with one CsaEngine::RouteWindow scan: each zone is an origin of the
 // scan and each of its departure groups one lane. It reuses each zone's
-// access-stop lookup across calls and accumulates costs per zone in
-// original trip order, so the floating-point aggregates equal one
-// Router::Route per trip bit for bit.
+// access-stop lookup across calls. Every journey's cost basis is recorded
+// in the block's TripCostColumns in original trip order, and every label
+// is derived from those columns (core/columnar.h) — the library's one cost
+// path. The derived labels equal one Router::Route per trip folded by the
+// scalar Eq. 1 and aggregation loop (tests/testing/scalar_oracle.h) bit
+// for bit.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +47,41 @@ struct ZoneLabel {
   uint32_t num_walk_only = 0;
 };
 
-struct TripCostColumns;  // core/columnar.h
+/// The five weighted GAC components of Eq. 1, in the order the scalar
+/// expression sums them: TAN, WT, IVT, ET, transfers. FARE/VOT is not a
+/// component — it is a division epilogue (see MemberCostColumn).
+inline constexpr size_t kNumGacParts = 5;
+
+/// Per-trip cost basis of one labeling pass, CSR-grouped by zone: trips of
+/// zone z occupy [zone_offsets[z], zone_offsets[z + 1]) in every column,
+/// in the zone's ORIGINAL trip order (the aggregation order). Infeasible
+/// trips hold zeros and are excluded from aggregates via `flags`.
+struct TripCostColumns {
+  std::vector<size_t> zone_offsets{0};  // CSR offsets, one per zone + 1
+  std::vector<uint8_t> flags;           // bit0 feasible, bit1 walk-only
+  std::vector<double> jt;               // JT seconds (AT(d) - t)
+  std::vector<double> gac_parts;        // trips x kNumGacParts, row-major
+  std::vector<double> fare;             // currency units
+
+  size_t num_trips() const { return flags.size(); }
+  size_t num_zones() const { return zone_offsets.size() - 1; }
+
+  /// Opens the next zone's trip range; returns the base index its trips
+  /// occupy. Newly opened slots are zeroed (the infeasible encoding).
+  size_t AppendZone(size_t trips);
+
+  /// Records one resolved trip at `index` (base + original trip index).
+  /// Infeasible journeys leave the zeroed slot and clear the flags.
+  void Record(size_t index, const router::Journey& journey);
+
+  /// Copies `zone` — one zone, or a run of consecutive zones, captured
+  /// into columns of its own — into the range this object opened for those
+  /// zones at `base`. Lets zones be captured on different threads and
+  /// stored into one shared set.
+  void StoreZone(size_t base, const TripCostColumns& zone);
+
+  void Clear();
+};
 
 /// Zones one LabelBlock call — one CSA window scan — labels together, and
 /// the unit every zone loop claims. Scanning several zones' lanes in one
@@ -72,17 +109,18 @@ class LabelingEngine {
                  router::GacWeights gac_weights = {});
 
   /// Labels a block of zones: resolves every trip of `zones[0..num_zones)`
-  /// in `todam` against the given POI set and aggregates `kind` costs into
-  /// `out[b]` for zones[b]. Infeasible trips are excluded from the
-  /// aggregates but counted. The whole block is one window scan; every
+  /// in `todam` against the given POI set, records each trip's cost basis
+  /// (JT seconds, the five GAC components, fare) in the block's columns,
+  /// and derives `out[b]` for zones[b] from them with MemberCostColumn and
+  /// AggregateZoneLabels under `kind`. Infeasible trips are excluded from
+  /// the aggregates but counted. The whole block is one window scan; every
   /// label is bit-identical to labeling its zone alone.
   ///
-  /// Columnar capture (core/columnar.h): when `capture` is non-null, every
-  /// zone of the block gets a trip range in it (one AppendZone per zone, in
-  /// block order) holding every trip's cost *basis* (JT seconds, the five
-  /// GAC components, fare) in original trip order. One captured pass
-  /// derives any number of cost definitions bit-identically — journeys do
-  /// not depend on the cost kind.
+  /// When `capture` is non-null, the block's columns are appended to it:
+  /// every zone of the block gets a trip range (one AppendZone per zone, in
+  /// block order). One captured pass derives any number of cost
+  /// definitions bit-identically — journeys do not depend on the cost
+  /// kind.
   void LabelBlock(const Todam& todam, const uint32_t* zones, size_t num_zones,
                   const std::vector<synth::Poi>& pois, CostKind kind,
                   gtfs::Day day, ZoneLabel* out,
@@ -132,31 +170,18 @@ class LabelingEngine {
 
  private:
   /// Routes every trip of the block (already sorted into order_) and
-  /// records each journey at its flat index: one window scan whose origins
-  /// are the zones and whose lanes are their departure groups.
+  /// records each journey's cost basis in block_columns_ at its flat index:
+  /// one window scan whose origins are the zones and whose lanes are their
+  /// departure groups.
   void RouteBlockWindow(const Todam& todam, const uint32_t* zones,
                         size_t num_zones,
-                        const std::vector<synth::Poi>& pois, CostKind kind,
-                        gtfs::Day day);
-  /// Records the trip at flat index `idx` (zone_trip_off_[b] + original
-  /// trip index): its cost and flags, and its cost basis when capturing.
-  void RecordTrip(uint32_t idx, const router::Journey& journey,
-                  CostKind kind);
-  /// Folds the recorded trips [begin, begin + label->num_trips) into
-  /// MAC/ACSD and the infeasible/walk-only counts.
-  void AggregateInTripOrder(size_t begin, ZoneLabel* label) const;
+                        const std::vector<synth::Poi>& pois, gtfs::Day day);
 
   const synth::City* city_;
   router::Router* router_;
   router::GacWeights gac_weights_;
   uint64_t spq_count_ = 0;
   uint64_t expansion_count_ = 0;
-
-  // Columnar capture sink: when set, every resolved journey is also
-  // recorded at capture_base_ + its flat index. Active only inside a
-  // capturing LabelBlock.
-  TripCostColumns* capture_ = nullptr;
-  size_t capture_base_ = 0;
 
   /// The zone's access stops, from the per-zone cache when warm. The serve
   /// hot path relabels the same zones over and over, which makes the
@@ -177,8 +202,8 @@ class LabelingEngine {
   std::vector<uint32_t> poi_slot_;       // per-POI: its slot in that group
   uint64_t group_stamp_ = 0;
   std::vector<uint32_t> group_slots_;    // flat journey position per trip
-  std::vector<double> trip_cost_;        // per flat trip index
-  std::vector<uint8_t> trip_flags_;      // bit0 feasible, bit1 walk-only
+  TripCostColumns block_columns_;        // per flat trip index
+  std::vector<double> block_costs_;      // the block's cost column
   std::vector<geo::Neighbor> neighbor_scratch_;
 
   // Window-scan scratch: the block's POIs deduplicated once across every

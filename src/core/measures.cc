@@ -24,68 +24,6 @@ const char* AccessClassName(AccessClass c) {
 std::vector<int> ClassifyAccessibility(const std::vector<double>& mac,
                                        const std::vector<double>& acsd) {
   assert(mac.size() == acsd.size() && !mac.empty());
-  double mac_mean = 0.0, acsd_mean = 0.0;
-  for (size_t i = 0; i < mac.size(); ++i) {
-    mac_mean += mac[i];
-    acsd_mean += acsd[i];
-  }
-  mac_mean /= static_cast<double>(mac.size());
-  acsd_mean /= static_cast<double>(acsd.size());
-
-  std::vector<int> classes(mac.size());
-  for (size_t i = 0; i < mac.size(); ++i) {
-    bool high_mac = mac[i] > mac_mean;
-    bool high_acsd = acsd[i] > acsd_mean;
-    AccessClass c;
-    if (!high_mac && !high_acsd) {
-      c = AccessClass::kBest;
-    } else if (high_mac && !high_acsd) {
-      c = AccessClass::kWorst;
-    } else if (!high_mac && high_acsd) {
-      c = AccessClass::kMostlyGood;
-    } else {
-      c = AccessClass::kMostlyBad;
-    }
-    classes[i] = static_cast<int>(c);
-  }
-  return classes;
-}
-
-double JainIndex(const std::vector<double>& values) {
-  assert(!values.empty());
-  double sum = 0.0, sum_sq = 0.0;
-  for (double v : values) {
-    sum += v;
-    sum_sq += v * v;
-  }
-  if (sum_sq <= 0.0) return 1.0;
-  double n = static_cast<double>(values.size());
-  return (sum * sum) / (n * sum_sq);
-}
-
-double WeightedJainIndex(const std::vector<double>& values,
-                         const std::vector<double>& weights) {
-  assert(values.size() == weights.size() && !values.empty());
-  // Weighted form: J = (Σ w x)^2 / (Σw · Σ w x^2); reduces to JainIndex
-  // when all weights are equal.
-  double wsum = 0.0, wx = 0.0, wx2 = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    wsum += weights[i];
-    wx += weights[i] * values[i];
-    wx2 += weights[i] * values[i] * values[i];
-  }
-  if (wx2 <= 0.0 || wsum <= 0.0) return 1.0;
-  return (wx * wx) / (wsum * wx2);
-}
-
-double FairnessIndexError(const std::vector<double>& truth_mac,
-                          const std::vector<double>& predicted_mac) {
-  return std::abs(JainIndex(truth_mac) - JainIndex(predicted_mac));
-}
-
-std::vector<int> ClassifyAccessibilityColumnar(
-    const std::vector<double>& mac, const std::vector<double>& acsd) {
-  assert(mac.size() == acsd.size() && !mac.empty());
   double mac_mean = ml::kernels::ReduceSum(mac.size(), mac.data()) /
                     static_cast<double>(mac.size());
   double acsd_mean = ml::kernels::ReduceSum(acsd.size(), acsd.data()) /
@@ -110,7 +48,7 @@ std::vector<int> ClassifyAccessibilityColumnar(
   return classes;
 }
 
-double JainIndexColumnar(const std::vector<double>& values) {
+double JainIndex(const std::vector<double>& values) {
   assert(!values.empty());
   double sum = ml::kernels::ReduceSum(values.size(), values.data());
   double sum_sq =
@@ -120,8 +58,8 @@ double JainIndexColumnar(const std::vector<double>& values) {
   return (sum * sum) / (n * sum_sq);
 }
 
-double WeightedJainIndexColumnar(const std::vector<double>& values,
-                                 const std::vector<double>& weights) {
+double WeightedJainIndex(const std::vector<double>& values,
+                         const std::vector<double>& weights) {
   assert(values.size() == weights.size() && !values.empty());
   size_t n = values.size();
   double wsum = ml::kernels::ReduceSum(n, weights.data());
@@ -131,6 +69,11 @@ double WeightedJainIndexColumnar(const std::vector<double>& values,
   double wx2 = ml::kernels::Dot(n, wv.data(), values.data());
   if (wx2 <= 0.0 || wsum <= 0.0) return 1.0;
   return (wx * wx) / (wsum * wx2);
+}
+
+double FairnessIndexError(const std::vector<double>& truth_mac,
+                          const std::vector<double>& predicted_mac) {
+  return std::abs(JainIndex(truth_mac) - JainIndex(predicted_mac));
 }
 
 }  // namespace staq::core

@@ -1,6 +1,13 @@
 // Accessibility measures over the (predicted or ground-truth) zone labels
 // (paper §III-D): MAC, ACSD, the four-class accessibility classification,
 // and the Jain fairness index.
+//
+// Every sum reduces through the ml::kernels ReduceSum/Dot kernels, which
+// accumulate in the ascending-index single-accumulator order of the plain
+// loops (splitting an interleaved multi-accumulator loop into one
+// reduction per accumulator keeps each accumulator's addition sequence).
+// Those loops are the oracle in tests/testing/scalar_oracle.h, and each
+// measure equals its oracle bit for bit.
 #pragma once
 
 #include <string>
@@ -30,32 +37,14 @@ std::vector<int> ClassifyAccessibility(const std::vector<double>& mac,
 double JainIndex(const std::vector<double>& values);
 
 /// Population (or any) weighted Jain index: each zone contributes with the
-/// given weight, exposing unfairness against specific groups.
+/// given weight, exposing unfairness against specific groups. The w·x²
+/// accumulator reduces as Dot(w ⊙ x, x), keeping the (w*x)*x product
+/// association.
 double WeightedJainIndex(const std::vector<double>& values,
                          const std::vector<double>& weights);
 
 /// |truth - predicted| of the Jain index — the paper's FIE metric.
 double FairnessIndexError(const std::vector<double>& truth_mac,
                           const std::vector<double>& predicted_mac);
-
-// --- columnar (kernel-backed) variants ------------------------------------
-//
-// Bit-identical to the scalar functions above, which stay as the
-// equivalence foil: the ml::kernels reductions accumulate each value in
-// the same ascending-index single-accumulator order as the scalar loops
-// (splitting an interleaved multi-accumulator loop into one reduction per
-// accumulator preserves each accumulator's addition sequence).
-
-/// ClassifyAccessibility with the across-zone means reduced by kernel.
-std::vector<int> ClassifyAccessibilityColumnar(const std::vector<double>& mac,
-                                               const std::vector<double>& acsd);
-
-/// JainIndex via ReduceSum / Dot.
-double JainIndexColumnar(const std::vector<double>& values);
-
-/// WeightedJainIndex via ReduceSum / Dot. The w·x² accumulator reduces as
-/// Dot(w ⊙ x, x), preserving the scalar's (w*x)*x product association.
-double WeightedJainIndexColumnar(const std::vector<double>& values,
-                                 const std::vector<double>& weights);
 
 }  // namespace staq::core

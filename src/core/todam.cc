@@ -44,22 +44,9 @@ std::vector<double> StableGravityNorms(const std::vector<synth::Zone>& zones,
                                        const std::vector<synth::Poi>& pois,
                                        double decay_scale_m) {
   std::vector<double> norms(zones.size(), 0.0);
-  for (size_t z = 0; z < zones.size(); ++z) {
-    for (const synth::Poi& poi : pois) {
-      norms[z] += DistanceDecay(geo::Distance(zones[z].centroid, poi.position),
-                                decay_scale_m);
-    }
-  }
-  return norms;
-}
-
-std::vector<double> StableGravityNormsColumnar(
-    const std::vector<synth::Zone>& zones, const std::vector<synth::Poi>& pois,
-    double decay_scale_m) {
-  std::vector<double> norms(zones.size(), 0.0);
   std::vector<double> column(zones.size());
-  // Ascending-POI accumulation per element: each norms[z] sees the exact
-  // addition sequence of the scalar foil above (1.0 * x == x bitwise).
+  // Ascending-POI accumulation per element: each norms[z] sees the
+  // addition sequence of a zone-by-zone loop (1.0 * x == x bitwise).
   for (const synth::Poi& poi : pois) {
     DistanceDecayColumn(zones, poi.position, decay_scale_m, column.data());
     ml::kernels::Axpy(zones.size(), 1.0, column.data(), norms.data());
@@ -148,9 +135,7 @@ TodamBuilder::TodamBuilder(const std::vector<synth::Zone>& zones,
                            const std::vector<synth::Poi>& pois,
                            const gtfs::TimeInterval& interval,
                            GravityConfig config)
-    : zones_(zones), pois_(pois), interval_(interval), config_(config) {
-  alpha_ = AttractivenessMatrix(zones_, pois_, config_.decay_scale_m);
-}
+    : zones_(zones), pois_(pois), interval_(interval), config_(config) {}
 
 uint32_t TodamBuilder::SamplesPerPair() const {
   return TodamSamplesPerPair(config_, interval_);
@@ -180,7 +165,7 @@ Todam Todam::FromParts(std::vector<std::vector<TripEntry>> trips,
 
 Todam TodamBuilder::BuildFull(uint64_t seed) const {
   Todam todam;
-  todam.alpha_ = alpha_;
+  todam.alpha_ = AttractivenessMatrix(zones_, pois_, config_.decay_scale_m);
   todam.trips_.resize(zones_.size());
   uint32_t samples = SamplesPerPair();
   for (uint32_t z = 0; z < zones_.size(); ++z) {
@@ -202,13 +187,13 @@ Todam TodamBuilder::BuildFull(uint64_t seed) const {
 
 Todam TodamBuilder::BuildGravity(uint64_t seed) const {
   Todam todam;
-  todam.alpha_ = alpha_;
+  todam.alpha_ = AttractivenessMatrix(zones_, pois_, config_.decay_scale_m);
   todam.trips_.resize(zones_.size());
   uint32_t samples = SamplesPerPair();
   for (uint32_t z = 0; z < zones_.size(); ++z) {
     auto& zone_trips = todam.trips_[z];
     for (uint32_t p = 0; p < pois_.size(); ++p) {
-      double keep = KeepProbability(alpha_[z][p]);
+      double keep = KeepProbability(todam.alpha_[z][p]);
       if (keep <= 0.0) continue;  // α = 0: no trips for this pair (M_b row 0)
       util::Rng rng = PairRng(seed, z, p, static_cast<uint32_t>(pois_.size()));
       double span = static_cast<double>(interval_.end - interval_.start);
@@ -252,11 +237,13 @@ Todam TodamBuilder::BuildGravityStable(
 }
 
 uint64_t TodamBuilder::GravityTripCount(uint64_t seed) const {
+  const std::vector<std::vector<double>> alpha =
+      AttractivenessMatrix(zones_, pois_, config_.decay_scale_m);
   uint64_t count = 0;
   uint32_t samples = SamplesPerPair();
   for (uint32_t z = 0; z < zones_.size(); ++z) {
     for (uint32_t p = 0; p < pois_.size(); ++p) {
-      double keep = KeepProbability(alpha_[z][p]);
+      double keep = KeepProbability(alpha[z][p]);
       if (keep <= 0.0) continue;
       if (keep >= 1.0) {
         count += samples;

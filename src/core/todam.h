@@ -43,18 +43,21 @@ uint32_t TodamSamplesPerPair(const GravityConfig& config,
 /// (serve scenario store): Σ_j decay(d_ij) over a fixed reference POI set.
 /// Freezing the normaliser — instead of re-normalising α over the current
 /// POI set — is what makes a POI add/remove perturb only that POI's trips,
-/// so incremental relabeling can be exact (see serve/scenario.h).
+/// so incremental relabeling can be exact (see serve/scenario.h). One
+/// decay column per POI accumulates with an Axpy over all zones, so each
+/// norms[z] sums its decays in ascending-POI order, bit-identical to the
+/// zone-by-zone loop of tests/testing/scalar_oracle.h.
 std::vector<double> StableGravityNorms(const std::vector<synth::Zone>& zones,
                                        const std::vector<synth::Poi>& pois,
                                        double decay_scale_m);
 
-/// Columnar StableGravityNorms: one decay column per POI accumulated with
-/// an Axpy over all zones. Each norms[z] sums the same decays in the same
-/// ascending-POI order as the scalar loop above (kept as the foil), so the
-/// result is bit-identical; the batch serve/query paths use this form.
-std::vector<double> StableGravityNormsColumnar(
+/// Forward kept only because the benchmark (staqbench/src/whatif_cold.cc)
+/// calls this name; delete with that call (ROADMAP item 3).
+inline std::vector<double> StableGravityNormsColumnar(
     const std::vector<synth::Zone>& zones, const std::vector<synth::Poi>& pois,
-    double decay_scale_m);
+    double decay_scale_m) {
+  return StableGravityNorms(zones, pois, decay_scale_m);
+}
 
 /// Samples the trips of one (zone, poi) pair in the edit-stable mode. The
 /// RNG stream is keyed by the POI's *stable id* (not its index or the POI
@@ -143,7 +146,9 @@ class Todam {
 class TodamBuilder {
  public:
   /// `zones`/`pois` must outlive the builder call; `interval` gives the
-  /// start-time window, `config` the gravity parameters.
+  /// start-time window, `config` the gravity parameters. Construction is
+  /// free: the modes that read the row-normalised α build it per call, and
+  /// BuildGravityStable derives its own from the frozen normalisers.
   TodamBuilder(const std::vector<synth::Zone>& zones,
                const std::vector<synth::Poi>& pois,
                const gtfs::TimeInterval& interval, GravityConfig config);
@@ -183,7 +188,6 @@ class TodamBuilder {
   const std::vector<synth::Poi>& pois_;
   gtfs::TimeInterval interval_;
   GravityConfig config_;
-  std::vector<std::vector<double>> alpha_;
 };
 
 }  // namespace staq::core

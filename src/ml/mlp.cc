@@ -16,7 +16,8 @@ namespace {
 /// count — so the chunk layout, and with it the chunk-order gradient
 /// reduction, is identical for every MlpConfig::threads value. At the
 /// default batch size (16) a batch is a single chunk, which makes the
-/// batched path bit-identical to per-sample Forward/Backward as well.
+/// batched path bit-identical to per-sample forward/backward passes as
+/// well (tests/testing/per_sample_mlp.h).
 constexpr size_t kGradChunkSamples = 32;
 
 }  // namespace
@@ -44,34 +45,6 @@ DenseNet::DenseNet(size_t input_dim, std::vector<size_t> hidden,
   }
 }
 
-double DenseNet::Forward(const double* x,
-                         std::vector<std::vector<double>>* activations) const {
-  if (activations) {
-    activations->assign(dims_.size() - 1, {});
-  }
-  std::vector<double> current(x, x + dims_[0]);
-  for (size_t l = 0; l + 1 < dims_.size(); ++l) {
-    size_t in = dims_[l], out = dims_[l + 1];
-    const double* w = params_.data() + layer_offset_[l];
-    const double* b = w + in * out;
-    std::vector<double> next(out, 0.0);
-    for (size_t i = 0; i < in; ++i) {
-      double xi = current[i];
-      if (xi == 0.0) continue;
-      const double* w_row = w + i * out;
-      for (size_t j = 0; j < out; ++j) next[j] += xi * w_row[j];
-    }
-    bool is_output = (l + 2 == dims_.size());
-    for (size_t j = 0; j < out; ++j) {
-      next[j] += b[j];
-      if (!is_output && next[j] < 0.0) next[j] = 0.0;  // ReLU
-    }
-    if (activations) (*activations)[l] = next;
-    current = std::move(next);
-  }
-  return current[0];
-}
-
 void DenseNet::ForwardBatch(const double* x, size_t batch,
                             DenseNetScratch* scratch) const {
   const size_t num_layers = dims_.size() - 1;
@@ -85,8 +58,8 @@ void DenseNet::ForwardBatch(const double* x, size_t batch,
     Matrix& a = scratch->acts[l];
     a.Reset(batch, out);
     double* ad = a.data().data();
-    // Accumulates ascending-k from zero, then bias, then ReLU — the same
-    // per-element order Forward() uses for one sample.
+    // Accumulates ascending-k from zero, then bias, then ReLU — per
+    // element, the order of a one-sample matrix-vector loop.
     kernels::GemmAccumulate(batch, in, out, current, current_ld, w, out, ad,
                             out);
     const bool is_output = (l + 1 == num_layers);
@@ -99,48 +72,6 @@ void DenseNet::ForwardBatch(const double* x, size_t batch,
     }
     current = ad;
     current_ld = out;
-  }
-}
-
-void DenseNet::Backward(const double* x,
-                        const std::vector<std::vector<double>>& activations,
-                        double dloss_dout, std::vector<double>* grad) const {
-  STAQ_CHECK(grad->size() == params_.size(),
-             "DenseNet::Backward: gradient size differs from parameters");
-  size_t num_layers = dims_.size() - 1;
-  std::vector<double> delta{dloss_dout};  // gradient wrt layer output
-
-  for (size_t l = num_layers; l-- > 0;) {
-    size_t in = dims_[l], out = dims_[l + 1];
-    const double* input =
-        (l == 0) ? x : activations[l - 1].data();
-    const double* w = params_.data() + layer_offset_[l];
-    double* gw = grad->data() + layer_offset_[l];
-    double* gb = gw + in * out;
-
-    // ReLU mask on hidden-layer outputs (output layer is linear).
-    bool is_output = (l + 1 == num_layers);
-    std::vector<double> local = delta;
-    if (!is_output) {
-      for (size_t j = 0; j < out; ++j) {
-        if (activations[l][j] <= 0.0) local[j] = 0.0;
-      }
-    }
-
-    for (size_t j = 0; j < out; ++j) gb[j] += local[j];
-    std::vector<double> next_delta(in, 0.0);
-    for (size_t i = 0; i < in; ++i) {
-      double xi = input[i];
-      const double* w_row = w + i * out;
-      double* gw_row = gw + i * out;
-      double acc = 0.0;
-      for (size_t j = 0; j < out; ++j) {
-        gw_row[j] += xi * local[j];
-        acc += w_row[j] * local[j];
-      }
-      next_delta[i] = acc;
-    }
-    delta = std::move(next_delta);
   }
 }
 
@@ -191,7 +122,7 @@ void DenseNet::BackwardBatch(const double* x, size_t batch,
     kernels::GemmAtB(batch, in, out, input, in, local, out, gw, out);
     if (l > 0) {
       // next_delta(r, i) = sum_j W(i, j) local(r, j) from +0.0 in ascending
-      // j, the per-sample Backward's dot product. GemmAtBt reads local
+      // j, a one-sample backward pass's dot product. GemmAtBt reads local
       // transposed (out x batch) and vectorises across samples.
       scratch->delta_t.Reset(out, batch);
       double* lt = scratch->delta_t.data().data();

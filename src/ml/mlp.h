@@ -7,9 +7,10 @@
 //
 // Training runs mini-batches through the register-tiled GEMM kernels
 // (ForwardBatch/BackwardBatch); per parameter, gradient terms accumulate in
-// ascending sample order — the order of the per-sample Forward/Backward
-// pair, which stays as the gradient reference the tests check against —
-// so results are deterministic per (seed, batch size).
+// ascending sample order — the order of one sample's forward/backward pass
+// after another, which tests/testing/per_sample_mlp.h writes out as the
+// gradient reference the tests check against — so results are
+// deterministic per (seed, batch size).
 #pragma once
 
 #include <cstdint>
@@ -40,34 +41,24 @@ class DenseNet {
   DenseNet(size_t input_dim, std::vector<size_t> hidden, util::Rng* rng);
 
   size_t input_dim() const { return dims_.front(); }
+  /// Layer widths: [input, hidden..., 1].
+  const std::vector<size_t>& dims() const { return dims_; }
   size_t num_params() const { return params_.size(); }
   std::vector<double>& params() { return params_; }
   const std::vector<double>& params() const { return params_; }
 
-  /// Forward pass for one sample. When `activations` is non-null it
-  /// receives the post-nonlinearity outputs of every layer (needed by
-  /// Backward).
-  double Forward(const double* x,
-                 std::vector<std::vector<double>>* activations = nullptr) const;
-
-  /// Accumulates dL/dparams into `grad` (same layout/size as params) given
-  /// the upstream scalar gradient dL/doutput. `activations` must come from
-  /// Forward() on the same x.
-  void Backward(const double* x,
-                const std::vector<std::vector<double>>& activations,
-                double dloss_dout, std::vector<double>* grad) const;
-
   /// Forward pass for `batch` samples in row-major `x` (batch x
   /// input_dim()); activations land in scratch->acts, whose back() is the
-  /// batch x 1 output column. Per sample this computes exactly what
-  /// Forward() computes.
+  /// batch x 1 output column. Per sample this computes exactly what a
+  /// one-sample pass computes.
   void ForwardBatch(const double* x, size_t batch,
                     DenseNetScratch* scratch) const;
 
   /// Accumulates dL/dparams into `grad` for a batch, given the per-sample
   /// upstream gradients `dloss` (size batch). scratch->acts must come from
   /// ForwardBatch on the same x. Per parameter, sample contributions
-  /// accumulate in ascending batch order — the per-sample Backward order.
+  /// accumulate in ascending batch order — one sample's backward pass after
+  /// another.
   void BackwardBatch(const double* x, size_t batch,
                      const std::vector<double>& dloss,
                      std::vector<double>* grad,

@@ -1,22 +1,8 @@
 #include "router/cost.h"
 
-#include <limits>
-
 #include "util/strings.h"
 
 namespace staq::router {
-
-double GeneralizedAccessCost(const Journey& journey, const GacWeights& w) {
-  if (!journey.feasible) return std::numeric_limits<double>::infinity();
-  double tan = journey.access_walk_s + journey.transfer_walk_s;
-  double transfers =
-      journey.num_boardings > 1 ? journey.num_boardings - 1 : 0;
-  return w.lambda_tan * tan + w.lambda_wt * journey.wait_s +
-         w.lambda_ivt * journey.in_vehicle_s +
-         w.lambda_et * journey.egress_walk_s +
-         w.transfer_penalty_s * transfers +
-         journey.total_fare / w.value_of_time;
-}
 
 std::string DescribeJourney(const Journey& journey) {
   if (!journey.feasible) return "infeasible";

@@ -8,6 +8,10 @@
 //    where TAN is access walk time, WT waiting time, IVT in-vehicle time,
 //    ET egress walk time, TP the interchange penalty, and FARE/VOT converts
 //    money into equivalent seconds via the value of time.
+//
+// Labels evaluate both over captured cost columns (core::MemberCostColumn);
+// the per-journey scalar Eq. 1 is the test oracle
+// (tests/testing/scalar_oracle.h).
 #pragma once
 
 #include <cmath>
@@ -77,10 +81,6 @@ struct GacWeights {
     return value_of_time > 0;
   }
 };
-
-/// Evaluates Eq. 1 on a journey, in generalized seconds. Infeasible
-/// journeys return +infinity.
-double GeneralizedAccessCost(const Journey& journey, const GacWeights& w);
 
 /// Human-readable one-line description ("walk 4m, route 12 7:05->7:21, ...").
 std::string DescribeJourney(const Journey& journey);

@@ -125,7 +125,7 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
 core::Todam Scenario::StableTodam(const LabelKey& key,
                                   const std::vector<synth::Poi>& pois,
                                   std::vector<double>* zone_norm) const {
-  std::vector<double> norm = core::StableGravityNormsColumnar(
+  std::vector<double> norm = core::StableGravityNorms(
       base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
   core::TodamBuilder builder(base_->zones, pois, interval(), key.gravity);
   core::Todam todam = builder.BuildGravityStable(key.seed, norm);

@@ -565,7 +565,7 @@ std::optional<core::AccessQueryResult> AqServer::CachedAnswer(
 void AqServer::FinishAnswer(const Scenario& scenario, const std::string& key,
                             const util::Stopwatch& watch,
                             core::AccessQueryResult* result) {
-  core::FinalizeAccessQueryResultColumnar(scenario.base_city().zones, result);
+  core::FinalizeAccessQueryResult(scenario.base_city().zones, result);
   result->elapsed_s = watch.ElapsedSeconds();
   if (key.empty()) return;
   try {

@@ -365,14 +365,7 @@ util::Status MutationWal::Append(const MutationRecord& record) {
   frame.insert(frame.end(), payload.begin(), payload.end());
   STAQ_RETURN_NOT_OK(WriteAll(frame.data(), frame.size()));
 
-  if (options_.fsync == WalOptions::Fsync::kEveryAppend) {
-    STAQ_RETURN_NOT_OK(Sync());
-  } else if (std::fflush(file_) != 0) {
-    // Even unsynced appends must reach the OS so followers can tail them.
-    broken_ = true;
-    return util::Status::IoError("WAL flush failed: " +
-                                 std::string(std::strerror(errno)));
-  }
+  STAQ_RETURN_NOT_OK(Sync());
 
   last_sequence_ = record.sequence;
   ++stats_.appends;

@@ -12,9 +12,8 @@
 //
 // Records are framed individually (the NuRaft file-log-store shape) rather
 // than blocked like the snapshot store, because the unit of durability is
-// one mutation: Append() writes a complete frame and — under the default
-// fsync policy — syncs before returning, so an acknowledged mutation
-// survives a crash.
+// one mutation: Append() writes a complete frame and fsyncs it before
+// returning, so an acknowledged mutation survives a crash.
 //
 // Recovery (Open / ReadLog) replays every segment in order, verifying
 // per-record checksums and gap-free sequence numbers. A torn tail — a
@@ -59,12 +58,6 @@ struct WalOptions {
   /// Rotate to a new segment once the current one reaches this size
   /// (header + frames). Every segment holds at least one record.
   uint64_t segment_bytes = 4ull << 20;
-
-  /// When to fsync. kEveryAppend is the durability contract replication
-  /// advertises (an acked mutation survives a crash); kManual leaves
-  /// syncing to explicit Sync() calls (bench foil, throwaway tests).
-  enum class Fsync : uint8_t { kEveryAppend, kManual };
-  Fsync fsync = Fsync::kEveryAppend;
 };
 
 struct WalStats {
@@ -120,11 +113,12 @@ class MutationWal {
   MutationWal(const MutationWal&) = delete;
   MutationWal& operator=(const MutationWal&) = delete;
 
-  /// Appends one record. `record.sequence` must be exactly
-  /// last_sequence() + 1 (kAborted otherwise — the append is refused to
-  /// keep the log gap-free) — except for the very first record of an empty
-  /// log, whose sequence seeds the chain (a warm-started primary starts at
-  /// its snapshot's sequence + 1).
+  /// Appends one record and fsyncs it — the durability contract
+  /// replication advertises (an acked mutation survives a crash).
+  /// `record.sequence` must be exactly last_sequence() + 1 (kAborted
+  /// otherwise — the append is refused to keep the log gap-free) — except
+  /// for the very first record of an empty log, whose sequence seeds the
+  /// chain (a warm-started primary starts at its snapshot's sequence + 1).
   ///
   /// A write error leaves bytes of unknown extent on disk, so the WAL
   /// turns read-only (`broken()`): further appends fail with
@@ -132,9 +126,6 @@ class MutationWal {
   /// the debris. The failed record was never acknowledged, so dropping it
   /// is correct.
   util::Status Append(const MutationRecord& record);
-
-  /// Flushes and fsyncs the current segment (no-op on an empty log).
-  util::Status Sync();
 
   /// Sequence of the last durable append; 0 for an empty log (or the
   /// seeded base - 1 after recovering a log whose first segment starts
@@ -148,6 +139,8 @@ class MutationWal {
  private:
   MutationWal(std::string dir, WalOptions options);
 
+  /// Flushes and fsyncs the current segment (no-op on an empty log).
+  util::Status Sync();
   util::Status OpenSegment(uint64_t start_sequence);
   util::Status WriteAll(const void* data, size_t size);
   void CloseSegment();

@@ -1,8 +1,9 @@
 // Golden bit-identity suite for the columnar measure engine
-// (core/columnar.h): every columnar derivation must equal the scalar foil
-// bit for bit — on synthetic journeys, on kernel-backed measure reductions,
-// and end to end through AccessQueryEngine::QueryVector on both city
-// families across seeds and cost kinds, against a per-cost labeling pass
+// (core/columnar.h): every columnar derivation must equal the scalar
+// oracle (testing/scalar_oracle.h) bit for bit — on synthetic journeys, on
+// kernel-backed measure reductions, and end to end through
+// AccessQueryEngine::QueryVector on both city families across seeds and
+// cost kinds, against a per-cost labeling pass
 // (testing/exact_reference.h).
 #include "core/columnar.h"
 
@@ -13,6 +14,7 @@
 #include "core/todam.h"
 #include "synth/city_spec.h"
 #include "testing/exact_reference.h"
+#include "testing/scalar_oracle.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -59,7 +61,7 @@ TEST(MemberCostColumnTest, GacColumnBitIdenticalToScalarExpression) {
     ASSERT_EQ(costs.size(), journeys.size());
     for (size_t i = 0; i < journeys.size(); ++i) {
       if (!journeys[i].feasible) continue;  // excluded by flags downstream
-      EXPECT_EQ(costs[i], router::GeneralizedAccessCost(journeys[i], w))
+      EXPECT_EQ(costs[i], testing::GeneralizedAccessCost(journeys[i], w))
           << "journey " << i;
     }
   }
@@ -93,33 +95,13 @@ TEST(MemberCostColumnTest, AggregationMatchesScalarLabelTail) {
   std::vector<ZoneLabel> labels = AggregateZoneLabels(columns, costs);
   ASSERT_EQ(labels.size(), zones.size());
   for (size_t z = 0; z < zones.size(); ++z) {
-    // The scalar aggregation tail of labeling.cc, verbatim.
-    double sum = 0.0, sum_sq = 0.0;
-    uint32_t feasible = 0, infeasible = 0, walk_only = 0;
-    for (const router::Journey& j : zones[z]) {
-      if (!j.feasible) {
-        ++infeasible;
-        continue;
-      }
-      if (j.IsWalkOnly()) ++walk_only;
-      double cost = router::GeneralizedAccessCost(j, w);
-      sum += cost;
-      sum_sq += cost * cost;
-      ++feasible;
-    }
-    EXPECT_EQ(labels[z].num_trips, zones[z].size());
-    EXPECT_EQ(labels[z].num_infeasible, infeasible);
-    EXPECT_EQ(labels[z].num_walk_only, walk_only);
-    if (feasible > 0) {
-      double n = static_cast<double>(feasible);
-      double mac = sum / n;
-      double var = sum_sq / n - mac * mac;
-      EXPECT_EQ(labels[z].mac, mac);
-      EXPECT_EQ(labels[z].acsd, var > 0 ? std::sqrt(var) : 0.0);
-    } else {
-      EXPECT_EQ(labels[z].mac, 0.0);
-      EXPECT_EQ(labels[z].acsd, 0.0);
-    }
+    const ZoneLabel want =
+        testing::TripOrderLabel(zones[z], CostKind::kGeneralizedCost, w);
+    EXPECT_EQ(labels[z].num_trips, want.num_trips);
+    EXPECT_EQ(labels[z].num_infeasible, want.num_infeasible);
+    EXPECT_EQ(labels[z].num_walk_only, want.num_walk_only);
+    EXPECT_EQ(labels[z].mac, want.mac);
+    EXPECT_EQ(labels[z].acsd, want.acsd);
   }
 }
 
@@ -133,10 +115,10 @@ TEST(ColumnarMeasuresTest, KernelReductionsBitIdenticalToScalarFoil) {
       weights[i] = static_cast<double>(rng.NextU64() % 500) / 3.0;
     }
     EXPECT_EQ(ClassifyAccessibility(mac, acsd),
-              ClassifyAccessibilityColumnar(mac, acsd));
-    EXPECT_EQ(JainIndex(mac), JainIndexColumnar(mac));
+              testing::ClassifyAccessibility(mac, acsd));
+    EXPECT_EQ(JainIndex(mac), testing::JainIndex(mac));
     EXPECT_EQ(WeightedJainIndex(mac, weights),
-              WeightedJainIndexColumnar(mac, weights));
+              testing::WeightedJainIndex(mac, weights));
   }
 }
 
@@ -150,7 +132,7 @@ TEST(ColumnarNormsTest, BitIdenticalOnBothCityFamilies) {
          {synth::PoiCategory::kSchool, synth::PoiCategory::kHospital}) {
       std::vector<synth::Poi> pois = city.value().PoisOf(cat);
       EXPECT_EQ(StableGravityNorms(city.value().zones, pois, 3000.0),
-                StableGravityNormsColumnar(city.value().zones, pois, 3000.0));
+                testing::StableGravityNorms(city.value().zones, pois, 3000.0));
     }
   }
 }
@@ -219,7 +201,7 @@ TEST(QueryVectorTest, BitIdenticalToSingleQueriesOnBothFamilies) {
 }
 
 TEST(QueryVectorTest, ScalarFoilAlsoMatches) {
-  // The scalar foil: one independent Query per member, sharing nothing.
+  // One independent Query per member, sharing nothing.
   AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
   VectorQuerySpec columnar;
   columnar.cost_members = SweepMembers();

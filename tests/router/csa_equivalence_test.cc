@@ -21,6 +21,7 @@
 #include "synth/city_builder.h"
 #include "synth/city_spec.h"
 #include "testing/label_correcting_router.h"
+#include "testing/scalar_oracle.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -49,7 +50,8 @@ void ExpectSameJourney(const Journey& a, const Journey& b) {
   EXPECT_EQ(a.num_boardings, b.num_boardings);
   EXPECT_EQ(a.total_fare, b.total_fare);
   GacWeights w;
-  EXPECT_EQ(GeneralizedAccessCost(a, w), GeneralizedAccessCost(b, w));
+  EXPECT_EQ(testing::GeneralizedAccessCost(a, w),
+            testing::GeneralizedAccessCost(b, w));
   ASSERT_EQ(a.legs.size(), b.legs.size());
   for (size_t i = 0; i < a.legs.size(); ++i) {
     EXPECT_EQ(a.legs[i].type, b.legs[i].type);

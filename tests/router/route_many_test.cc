@@ -12,6 +12,7 @@
 #include "router/router.h"
 #include "testing/digest.h"
 #include "testing/label_correcting_router.h"
+#include "testing/scalar_oracle.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -32,7 +33,8 @@ void ExpectSameJourney(const Journey& a, const Journey& b) {
   EXPECT_EQ(a.IsWalkOnly(), b.IsWalkOnly());
   EXPECT_EQ(a.JourneyTimeSeconds(), b.JourneyTimeSeconds());
   GacWeights w;
-  EXPECT_EQ(GeneralizedAccessCost(a, w), GeneralizedAccessCost(b, w));
+  EXPECT_EQ(testing::GeneralizedAccessCost(a, w),
+            testing::GeneralizedAccessCost(b, w));
   ASSERT_EQ(a.legs.size(), b.legs.size());
   for (size_t i = 0; i < a.legs.size(); ++i) {
     EXPECT_EQ(a.legs[i].type, b.legs[i].type);

@@ -1,9 +1,10 @@
 // Reference exact access query: one labeling pass per cost definition.
 //
-// Each answer is SsrPipeline::ComputeGroundTruth over the gravity TODAM of
-// the request's (category, seed), finalized by the scalar
-// FinalizeAccessQueryResult — the naive baseline of the paper's Table II,
-// with no pass shared between cost definitions. AccessQueryEngine answers
+// Each answer is SsrPipeline::ComputeGroundTruth (one LabelZones pass)
+// over the gravity TODAM of the request's (category, seed), finalized by
+// the scalar oracle's FinalizeAccessQueryResult (scalar_oracle.h), which
+// the library no longer contains — the naive baseline of the paper's
+// Table II, with no pass shared between cost definitions. AccessQueryEngine answers
 // an exact query as a QueryVector, which labels a (category, seed) group
 // once, captures every trip's cost basis and derives each member
 // columnarly; none of that may change a bit, and tests and bench_load's
@@ -15,6 +16,7 @@
 #include "core/access_query.h"
 #include "core/pipeline.h"
 #include "synth/city_builder.h"
+#include "testing/scalar_oracle.h"
 #include "util/status.h"
 
 namespace staq::testing {
@@ -43,7 +45,7 @@ class ExactReference {
     result.mac = std::move(truth.mac);
     result.acsd = std::move(truth.acsd);
     result.spqs = truth.spqs;
-    core::FinalizeAccessQueryResult(city_->zones, &result);
+    testing::FinalizeAccessQueryResult(city_->zones, &result);
     return result;
   }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "testing/scalar_oracle.h"
 #include "util/check.h"
 
 namespace staq::testing {
@@ -508,7 +509,7 @@ core::ZoneLabel LabelCorrectingLabeler::LabelZone(
         if (journey.IsWalkOnly()) flags |= 2;
         cost = kind == core::CostKind::kJourneyTime
                    ? journey.JourneyTimeSeconds()
-                   : router::GeneralizedAccessCost(journey, gac_weights_);
+                   : GeneralizedAccessCost(journey, gac_weights_);
       }
       trip_cost_[order_[k]] = cost;
       trip_flags_[order_[k]] = flags;

@@ -118,7 +118,7 @@ TEST_F(WalFailPointTest, SegmentHeaderWriteFailureRecovers) {
 TEST_F(WalFailPointTest, FsyncFailureBreaksTheWal) {
   std::string dir = WalDir("fsync");
   {
-    auto wal = MutationWal::Open(dir);  // kEveryAppend: Append syncs
+    auto wal = MutationWal::Open(dir);  // Append syncs
     ASSERT_TRUE(wal.ok());
     ASSERT_TRUE(wal.value()->Append(Record(1)).ok());
 
@@ -145,19 +145,6 @@ TEST_F(WalFailPointTest, FsyncFailureBreaksTheWal) {
   EXPECT_TRUE(VerifyLog(dir).ok());
   EXPECT_TRUE(
       wal.value()->Append(Record(wal.value()->last_sequence() + 1)).ok());
-}
-
-TEST_F(WalFailPointTest, ExplicitSyncFailureBreaksTheWal) {
-  std::string dir = WalDir("sync");
-  WalOptions options;
-  options.fsync = WalOptions::Fsync::kManual;
-  auto wal = MutationWal::Open(dir, options);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(wal.value()->Append(Record(1)).ok());
-
-  util::ScopedFailPoint fp("wal.fsync", util::FailPointConfig::ThrowOnce());
-  EXPECT_EQ(wal.value()->Sync().code(), util::StatusCode::kIoError);
-  EXPECT_TRUE(wal.value()->broken());
 }
 
 }  // namespace

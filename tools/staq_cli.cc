@@ -9,7 +9,7 @@
 //
 //   staq_cli query --city-dir DIR --poi school --interval am
 //             [--beta 0.05] [--model MLP|OLS|COREG|MT|GNN] [--cost jt|gac]
-//             [--exact] [--threads N] [--zones-out FILE]
+//             [--exact] [--zones-out FILE]
 //       Answer an access query; optionally dump per-zone measures as CSV.
 //
 //   staq_cli snapshot save|load|inspect|verify ...
@@ -117,7 +117,7 @@ constexpr char kQueryUsage[] =
     "        --poi school|hospital|vax_center|job_center\n"
     "        [--interval am|offpeak|pm|sunday] [--beta B]\n"
     "        [--model MLP|OLS|COREG|MT|GNN] [--cost jt|gac]\n"
-    "        [--exact] [--threads N] [--zones-out FILE]\n"
+    "        [--exact] [--zones-out FILE]\n"
     "        [--geojson FILE] [--report FILE]\n"
     "        [--batch [--batch-seeds N]]  (requires --exact: sweeps\n"
     "          jt+gac across N TODAM seeds in one labeling pass)\n";
@@ -312,8 +312,8 @@ int RunInfo(const Args& args) {
 int RunQuery(const Args& args) {
   if (!CheckFlags(args, "query",
                   {"city-dir", "synth", "scale", "seed", "poi", "interval",
-                   "beta", "model", "cost", "exact", "threads", "zones-out",
-                   "geojson", "report", "batch", "batch-seeds"})) {
+                   "beta", "model", "cost", "exact", "zones-out", "geojson",
+                   "report", "batch", "batch-seeds"})) {
     return UsageFor("query", kQueryUsage);
   }
   auto city = LoadOrSynth(args);

@@ -1,13 +1,14 @@
-// SSR training throughput and thread-count bit-identity.
+// SSR training throughput and repeat-fit bit-identity.
 //
 // Training is the third cost component of Table II. This bench fits every
 // model on a Table-VI-like dataset (3217·scale zones, 20 features,
-// β = 0.05) and prints fit/predict timings. MLP and COREG fan their fits
-// out over `threads` workers; each is also fitted on one thread, and the
-// two fits' predictions (and COREG's pseudo-label count) must be
-// bit-identical before any number is reported. The outputs the training
-// paths once matched against their slower originals are pinned by
-// TrainingPathGoldenTest (tests/ml/model_golden_test.cc).
+// β = 0.05) and prints fit/predict timings. MLP and COREG are each fitted
+// again as a second model with the same config and data, and the two
+// fits' predictions (and COREG's pseudo-label count) must be bit-identical
+// before any number is reported: the result cache, replication and
+// staqbench's replayer all rely on a refit reproducing a model. The
+// outputs the training paths once matched against their slower originals
+// are pinned by TrainingPathGoldenTest (tests/ml/model_golden_test.cc).
 //
 // Fit throughput (`fit_zones_per_s`) is gated against the checked-in
 // baseline by bench/baselines/policy.rules. The gated COREG fit and
@@ -19,7 +20,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -87,27 +87,33 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
 struct ModelReport {
   std::string name;
   Timed fit;
-  bool has_serial = false;  // fitted again on one thread
-  Timed serial;
+  bool has_repeat = false;  // fitted again as a second model
   bool bit_identical = true;
 };
+
+/// Fits a second model from `make` and checks it against the timed fit.
+template <class MakeModel>
+void CheckRepeatFit(const MakeModel& make, const ml::Dataset& data,
+                    ModelReport* r) {
+  const Timed repeat = FitAndPredict(make, data);
+  r->has_repeat = true;
+  r->bit_identical =
+      BitIdentical(r->fit.predictions, repeat.predictions) &&
+      r->fit.coreg_pseudo_labels == repeat.coreg_pseudo_labels;
+}
 
 }  // namespace
 
 exp::RunResult RunMlBench() {
-  PrintHeader("SSR training throughput: threaded fits vs one thread");
+  PrintHeader("SSR training throughput: fit and predict per model");
 
   const size_t zones = std::max<size_t>(
       64, static_cast<size_t>(std::lround(3217.0 * BenchScale())));
   const size_t features = 20;
   const double beta = 0.05;
   ml::Dataset data = MakeZoneLikeDataset(zones, features, beta, BenchSeed());
-  const int threads = Params().threads > 0
-                          ? Params().threads
-                          : static_cast<int>(
-                                std::max(1u, std::thread::hardware_concurrency()));
-  std::printf("  zones=%zu  features=%zu  beta=%.2f  labeled=%zu  threads=%d\n",
-              zones, features, beta, data.labeled.size(), threads);
+  std::printf("  zones=%zu  features=%zu  beta=%.2f  labeled=%zu\n", zones,
+              features, beta, data.labeled.size());
 
   std::vector<ModelReport> reports;
 
@@ -121,33 +127,17 @@ exp::RunResult RunMlBench() {
   {
     ModelReport r;
     r.name = "MLP";
-    ml::MlpConfig config;
-    config.threads = threads;
-    r.fit = FitAndPredict(
-        [&] { return std::make_unique<ml::MlpRegressor>(config); }, data);
-    ml::MlpConfig serial = config;
-    serial.threads = 1;
-    r.serial = FitAndPredict(
-        [&] { return std::make_unique<ml::MlpRegressor>(serial); }, data);
-    r.has_serial = true;
-    r.bit_identical = BitIdentical(r.fit.predictions, r.serial.predictions);
+    auto make = [] { return std::make_unique<ml::MlpRegressor>(); };
+    r.fit = FitAndPredict(make, data);
+    CheckRepeatFit(make, data, &r);
     reports.push_back(std::move(r));
   }
   {
     ModelReport r;
     r.name = "COREG";
-    ml::CoregConfig config;
-    config.threads = threads;
-    r.fit = FitAndPredict([&] { return std::make_unique<ml::Coreg>(config); },
-                          data, kGatedRepeats);
-    ml::CoregConfig serial = config;
-    serial.threads = 1;
-    r.serial = FitAndPredict(
-        [&] { return std::make_unique<ml::Coreg>(serial); }, data);
-    r.has_serial = true;
-    r.bit_identical =
-        BitIdentical(r.fit.predictions, r.serial.predictions) &&
-        r.fit.coreg_pseudo_labels == r.serial.coreg_pseudo_labels;
+    auto make = [] { return std::make_unique<ml::Coreg>(); };
+    r.fit = FitAndPredict(make, data, kGatedRepeats);
+    CheckRepeatFit(make, data, &r);
     reports.push_back(std::move(r));
   }
   {
@@ -165,30 +155,25 @@ exp::RunResult RunMlBench() {
     reports.push_back(std::move(r));
   }
 
-  // Equivalence gate first: the thread count must never be observable in
-  // a model, so a timing for a fit that depends on it would be meaningless.
+  // Equivalence gate first: a model a refit does not reproduce has no
+  // meaningful timing.
   for (const ModelReport& r : reports) {
-    if (r.has_serial && !r.bit_identical) {
+    if (r.has_repeat && !r.bit_identical) {
       std::fprintf(stderr,
-                   "FATAL: %s %d-thread fit is not bit-identical to its "
-                   "1-thread fit\n",
-                   r.name.c_str(), threads);
+                   "FATAL: a second %s fit is not bit-identical to the "
+                   "first\n",
+                   r.name.c_str());
       return {1, ""};
     }
   }
-  std::printf("  threaded fits bit-identical to 1-thread fits\n\n");
+  std::printf("  repeat fits bit-identical to the timed fits\n\n");
 
-  std::printf("  %-7s %10s %12s %10s %12s %12s\n", "model", "fit_s",
-              "fit zones/s", "predict_s", "zones/s", "1-thread fit_s");
+  std::printf("  %-7s %10s %12s %10s %12s\n", "model", "fit_s",
+              "fit zones/s", "predict_s", "zones/s");
   for (const ModelReport& r : reports) {
-    std::printf("  %-7s %10.4f %12.0f %10.4f %12.0f", r.name.c_str(),
+    std::printf("  %-7s %10.4f %12.0f %10.4f %12.0f\n", r.name.c_str(),
                 r.fit.fit_s, static_cast<double>(zones) / r.fit.fit_s,
                 r.fit.predict_s, static_cast<double>(zones) / r.fit.predict_s);
-    if (r.has_serial) {
-      std::printf(" %14.4f\n", r.serial.fit_s);
-    } else {
-      std::printf(" %14s\n", "-");
-    }
   }
 
   JsonWriter w;
@@ -200,7 +185,6 @@ exp::RunResult RunMlBench() {
   w.Uint("features", features);
   w.Fixed("beta", beta, 2);
   w.Uint("labeled", data.labeled.size());
-  w.Int("threads", threads);
   w.BeginArray("models");
   for (const ModelReport& r : reports) {
     w.BeginObject();
@@ -210,10 +194,7 @@ exp::RunResult RunMlBench() {
     w.Fixed("predict_s", r.fit.predict_s, 6);
     w.Fixed("predict_zones_per_s",
             static_cast<double>(zones) / r.fit.predict_s, 1);
-    if (r.has_serial) {
-      w.Fixed("serial_fit_s", r.serial.fit_s, 6);
-      w.Bool("bit_identical", true);
-    }
+    if (r.has_repeat) w.Bool("bit_identical", true);
     if (r.fit.coreg_pseudo_labels >= 0) {
       w.Int("pseudo_labels", r.fit.coreg_pseudo_labels);
     }

@@ -64,15 +64,6 @@ LabelingEngine::LabelingEngine(const synth::City* city,
                                router::GacWeights gac_weights)
     : city_(city), router_(router), gac_weights_(gac_weights) {}
 
-void LabelingEngine::SetRouter(router::Router* router) {
-  router_ = router;
-  InvalidateAccessStopCache();
-}
-
-void LabelingEngine::InvalidateAccessStopCache() {
-  std::fill(zone_access_valid_.begin(), zone_access_valid_.end(), 0);
-}
-
 const std::vector<router::WalkHop>& LabelingEngine::CachedAccessStops(
     uint32_t zone) {
   if (zone_access_valid_.size() <= zone) {

@@ -104,7 +104,8 @@ inline size_t NumZoneBlocks(size_t num_zones) {
 /// engine per thread.
 class LabelingEngine {
  public:
-  /// `city` and `router` must outlive the engine.
+  /// `city` and `router` must outlive the engine. The engine stays bound
+  /// to `router`, whose walk table its access-stop cache reads.
   LabelingEngine(const synth::City* city, router::Router* router,
                  router::GacWeights gac_weights = {});
 
@@ -144,17 +145,6 @@ class LabelingEngine {
                              const std::vector<synth::Poi>& pois,
                              gtfs::Day day, TripCostColumns* columns);
 
-  /// Rebinds the engine to a different router (e.g. after a scenario swap
-  /// that replaced the walk table). Invalidates the access-stop cache —
-  /// cached hops reference the previous router's stop set.
-  void SetRouter(router::Router* router);
-
-  /// Scenario mutation hook: drops every cached per-zone AccessStops list.
-  /// Must be called whenever the stop set or walk parameters behind the
-  /// bound router change; zone centroids are immutable, so POI-only edits
-  /// do not require it.
-  void InvalidateAccessStopCache();
-
   /// Swaps the GAC weights used by subsequent kGeneralizedCost labeling.
   /// Serve workers share one engine across requests with differing weights.
   void set_gac_weights(router::GacWeights weights) { gac_weights_ = weights; }
@@ -178,18 +168,18 @@ class LabelingEngine {
                         const std::vector<synth::Poi>& pois, gtfs::Day day);
 
   const synth::City* city_;
-  router::Router* router_;
+  router::Router* const router_;
   router::GacWeights gac_weights_;
   uint64_t spq_count_ = 0;
   uint64_t expansion_count_ = 0;
 
   /// The zone's access stops, from the per-zone cache when warm. The serve
   /// hot path relabels the same zones over and over, which makes the
-  /// walk-table lookup worth caching across calls.
+  /// walk-table lookup worth caching across calls. Zone centroids and the
+  /// bound router never change, so a cached list never goes stale.
   const std::vector<router::WalkHop>& CachedAccessStops(uint32_t zone);
 
-  // Per-zone AccessStops cache. zone_access_valid_[z] gates zone_access_[z];
-  // InvalidateAccessStopCache / SetRouter reset it.
+  // Per-zone AccessStops cache. zone_access_valid_[z] gates zone_access_[z].
   std::vector<std::vector<router::WalkHop>> zone_access_;
   std::vector<uint8_t> zone_access_valid_;
 

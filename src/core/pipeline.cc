@@ -145,20 +145,11 @@ util::Result<SsrSample> LabelSsrSample(
 
   // --- labeling (SPQs) -----------------------------------------------------
   watch.Reset();
-  std::vector<ZoneLabel> labels;
-  if (config.labeling_threads > 1) {
-    // The router's own options: threaded labeling must route (and so
-    // label) exactly like the serial path.
-    labels = LabelZonesParallel(city, todam, result.labeled, pois,
-                                config.cost, day, config.labeling_threads,
-                                router->options(), config.gac, &result.spqs,
-                                &result.expansions);
-  } else {
-    LabelingEngine labeler(&city, router, config.gac);
-    labels = labeler.LabelZones(todam, result.labeled, pois, config.cost, day);
-    result.spqs = labeler.spq_count();
-    result.expansions = labeler.expansion_count();
-  }
+  LabelingEngine labeler(&city, router, config.gac);
+  std::vector<ZoneLabel> labels =
+      labeler.LabelZones(todam, result.labeled, pois, config.cost, day);
+  result.spqs = labeler.spq_count();
+  result.expansions = labeler.expansion_count();
   result.timings.labeling_s = watch.ElapsedSeconds();
 
   sample.mac_labels.resize(labels.size());
@@ -181,16 +172,14 @@ util::Result<PipelineResult> FitSsr(SsrSample sample,
   for (size_t i = 0; i < result.labeled.size(); ++i) {
     dataset.y[result.labeled[i]] = sample.mac_labels[i];
   }
-  auto mac_model =
-      ml::CreateModel(config.model, config.seed, config.ml_threads);
+  auto mac_model = ml::CreateModel(config.model, config.seed);
   STAQ_RETURN_NOT_OK(mac_model->Fit(dataset));
   std::vector<double> mac_pred = mac_model->Predict();
 
   for (size_t i = 0; i < result.labeled.size(); ++i) {
     dataset.y[result.labeled[i]] = sample.acsd_labels[i];
   }
-  auto acsd_model =
-      ml::CreateModel(config.model, config.seed + 1, config.ml_threads);
+  auto acsd_model = ml::CreateModel(config.model, config.seed + 1);
   STAQ_RETURN_NOT_OK(acsd_model->Fit(dataset));
   std::vector<double> acsd_pred = acsd_model->Predict();
   result.timings.training_s = watch.ElapsedSeconds();

@@ -32,13 +32,52 @@ util::Rng StablePairRng(uint64_t seed, uint32_t zone, uint32_t poi_id) {
   return util::Rng(mixer.Next());
 }
 
-}  // namespace
-
+/// |R|: start-time samples per (zone, POI) pair for one (gravity,
+/// interval) combination.
 uint32_t TodamSamplesPerPair(const GravityConfig& config,
                              const gtfs::TimeInterval& interval) {
   double samples = config.sample_rate_per_hour * interval.DurationHours();
   return static_cast<uint32_t>(std::lround(std::max(1.0, samples)));
 }
+
+/// One (zone, poi) pair of the edit-stable mode, shared by
+/// BuildGravityStable and Todam::AppendStablePoiColumn: appends the kept
+/// trips (stored with `poi_index`) to `out` and returns the pair's α entry
+/// (decay over the frozen normaliser; rows sum to 1 exactly at the
+/// reference POI set). The RNG stream is keyed by the POI's stable id, so
+/// the pair draws the same trips whichever other POIs exist. A zero
+/// normaliser (the reference set had no POIs of the category) keeps every
+/// sample: still deterministic and history-independent.
+double SampleStablePair(const synth::Zone& zone, uint32_t zone_index,
+                        const synth::Poi& poi, uint32_t poi_index,
+                        double zone_norm, const GravityConfig& gravity,
+                        const gtfs::TimeInterval& interval, uint32_t samples,
+                        uint64_t seed, std::vector<TripEntry>* out) {
+  const double decay = DistanceDecay(geo::Distance(zone.centroid, poi.position),
+                                     gravity.decay_scale_m);
+  double keep = 1.0;
+  if (zone_norm > 0.0) {
+    const double p = gravity.keep_scale * decay / zone_norm;
+    keep = p > 1.0 ? 1.0 : p;
+  }
+  if (keep > 0.0) {  // α = 0: no trips for this pair
+    util::Rng rng = StablePairRng(seed, zone_index, poi.id);
+    const double span = static_cast<double>(interval.end - interval.start);
+    for (uint32_t r = 0; r < samples; ++r) {
+      // Same draw discipline as BuildGravity: one Bernoulli + one time
+      // draw per candidate, so a pair's trips depend only on its own
+      // stream.
+      bool kept = rng.Bernoulli(keep);
+      gtfs::TimeOfDay t = interval.start +
+                          static_cast<gtfs::TimeOfDay>(rng.UniformDouble() *
+                                                       span);
+      if (kept) out->push_back(TripEntry{poi_index, t});
+    }
+  }
+  return zone_norm <= 0.0 ? 0.0 : decay / zone_norm;
+}
+
+}  // namespace
 
 std::vector<double> StableGravityNorms(const std::vector<synth::Zone>& zones,
                                        const std::vector<synth::Poi>& pois,
@@ -52,24 +91,6 @@ std::vector<double> StableGravityNorms(const std::vector<synth::Zone>& zones,
     ml::kernels::Axpy(zones.size(), 1.0, column.data(), norms.data());
   }
   return norms;
-}
-
-void SampleStablePairTrips(uint64_t seed, uint32_t zone, uint32_t poi_id,
-                           uint32_t poi_index, double keep_probability,
-                           const gtfs::TimeInterval& interval,
-                           uint32_t samples, std::vector<TripEntry>* out) {
-  double keep = keep_probability > 1.0 ? 1.0 : keep_probability;
-  if (keep <= 0.0) return;  // α = 0: no trips for this pair
-  util::Rng rng = StablePairRng(seed, zone, poi_id);
-  double span = static_cast<double>(interval.end - interval.start);
-  for (uint32_t r = 0; r < samples; ++r) {
-    // Same draw discipline as BuildGravity: one Bernoulli + one time draw
-    // per candidate, so a pair's trips depend only on its own stream.
-    bool kept = rng.Bernoulli(keep);
-    gtfs::TimeOfDay t =
-        interval.start + static_cast<gtfs::TimeOfDay>(rng.UniformDouble() * span);
-    if (kept) out->push_back(TripEntry{poi_index, t});
-  }
 }
 
 void Todam::RemovePoiColumn(uint32_t poi_index,
@@ -96,21 +117,25 @@ void Todam::RemovePoiColumn(uint32_t poi_index,
   }
 }
 
-void Todam::AppendPoiColumn(
-    const std::vector<std::vector<TripEntry>>& per_zone_trips,
-    const std::vector<double>& alpha_column, std::vector<uint32_t>* affected) {
+void Todam::AppendStablePoiColumn(const std::vector<synth::Zone>& zones,
+                                  const synth::Poi& poi, uint32_t poi_index,
+                                  const std::vector<double>& zone_norm,
+                                  const GravityConfig& gravity,
+                                  const gtfs::TimeInterval& interval,
+                                  uint64_t seed,
+                                  std::vector<uint32_t>* affected) {
   if (affected != nullptr) affected->clear();
+  const uint32_t samples = TodamSamplesPerPair(gravity, interval);
   for (uint32_t z = 0; z < trips_.size(); ++z) {
-    const auto& added = per_zone_trips[z];
-    if (!added.empty()) {
-      trips_[z].insert(trips_[z].end(), added.begin(), added.end());
-      num_trips_ += added.size();
+    auto& zone_trips = trips_[z];
+    const size_t before = zone_trips.size();
+    const double alpha =
+        SampleStablePair(zones[z], z, poi, poi_index, zone_norm[z], gravity,
+                         interval, samples, seed, &zone_trips);
+    if (!alpha_.empty()) alpha_[z].push_back(alpha);
+    if (zone_trips.size() != before) {
+      num_trips_ += zone_trips.size() - before;
       if (affected != nullptr) affected->push_back(z);
-    }
-  }
-  if (!alpha_.empty() && !alpha_column.empty()) {
-    for (size_t z = 0; z < alpha_.size(); ++z) {
-      alpha_[z].push_back(alpha_column[z]);
     }
   }
 }
@@ -222,14 +247,9 @@ Todam TodamBuilder::BuildGravityStable(
     auto& alpha_row = todam.alpha_[z];
     alpha_row.reserve(pois_.size());
     for (uint32_t p = 0; p < pois_.size(); ++p) {
-      double decay =
-          DistanceDecay(geo::Distance(zones_[z].centroid, pois_[p].position),
-                        config_.decay_scale_m);
-      alpha_row.push_back(StableAlphaValue(decay, zone_norm[z]));
-      double keep =
-          StableKeepProbability(decay, zone_norm[z], config_.keep_scale);
-      SampleStablePairTrips(seed, z, pois_[p].id, p, keep, interval_, samples,
-                            &zone_trips);
+      alpha_row.push_back(SampleStablePair(zones_[z], z, pois_[p], p,
+                                           zone_norm[z], config_, interval_,
+                                           samples, seed, &zone_trips));
     }
     todam.num_trips_ += zone_trips.size();
   }

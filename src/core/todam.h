@@ -32,13 +32,6 @@ struct TripEntry {
   }
 };
 
-/// |R|: start-time samples per (zone, POI) pair for one (gravity, interval)
-/// combination. Shared by TodamBuilder and the incremental TODAM patch path
-/// (serve/scenario.cc), which samples a single POI column without
-/// constructing a builder.
-uint32_t TodamSamplesPerPair(const GravityConfig& config,
-                             const gtfs::TimeInterval& interval);
-
 /// Frozen per-zone gravity normalisers for the *edit-stable* TODAM mode
 /// (serve scenario store): Σ_j decay(d_ij) over a fixed reference POI set.
 /// Freezing the normaliser — instead of re-normalising α over the current
@@ -57,33 +50,6 @@ inline std::vector<double> StableGravityNormsColumnar(
     const std::vector<synth::Zone>& zones, const std::vector<synth::Poi>& pois,
     double decay_scale_m) {
   return StableGravityNorms(zones, pois, decay_scale_m);
-}
-
-/// Samples the trips of one (zone, poi) pair in the edit-stable mode. The
-/// RNG stream is keyed by the POI's *stable id* (not its index or the POI
-/// count), so the same pair draws the same trips regardless of which other
-/// POIs exist — the property both BuildGravityStable and the incremental
-/// TODAM patch rely on for bit-identical agreement. Appends kept trips
-/// (with `poi_index` as the stored index) to `out`.
-void SampleStablePairTrips(uint64_t seed, uint32_t zone, uint32_t poi_id,
-                           uint32_t poi_index, double keep_probability,
-                           const gtfs::TimeInterval& interval,
-                           uint32_t samples, std::vector<TripEntry>* out);
-
-/// Keep probability of one pair in the edit-stable mode. A zero frozen
-/// normaliser (reference set had no POIs of the category) degenerates to
-/// keeping every sample — still deterministic and history-independent.
-inline double StableKeepProbability(double decay, double zone_norm,
-                                    double keep_scale) {
-  if (zone_norm <= 0.0) return 1.0;
-  double p = keep_scale * decay / zone_norm;
-  return p > 1.0 ? 1.0 : p;
-}
-
-/// The α entry recorded for one pair in the edit-stable mode (decay over
-/// the frozen normaliser; rows sum to 1 exactly at the reference POI set).
-inline double StableAlphaValue(double decay, double zone_norm) {
-  return zone_norm <= 0.0 ? 0.0 : decay / zone_norm;
 }
 
 /// Materialised TODAM over one POI set and one time interval.
@@ -120,13 +86,19 @@ class Todam {
   /// drops the α column when α is populated.
   void RemovePoiColumn(uint32_t poi_index, std::vector<uint32_t>* affected);
 
-  /// Appends a new POI column: `per_zone_trips[z]` are the new trips of
-  /// zone z (their `poi` must be the new index == old POI count), appended
-  /// after the zone's existing trips. `alpha_column[z]`, when non-empty,
-  /// extends the α row of each zone.
-  void AppendPoiColumn(const std::vector<std::vector<TripEntry>>& per_zone_trips,
-                       const std::vector<double>& alpha_column,
-                       std::vector<uint32_t>* affected);
+  /// Samples and appends the column of `poi`, added at index `poi_index`
+  /// (the old POI count), in the edit-stable mode: every zone's α entry
+  /// and kept trips are drawn by the same per-pair code as
+  /// TodamBuilder::BuildGravityStable over (`zones`, `zone_norm`,
+  /// `gravity`, `interval`, `seed`). The pair's RNG stream is keyed by the
+  /// POI's stable id, so no other column is touched. The trips go after
+  /// each zone's existing ones; α rows grow when α is populated.
+  void AppendStablePoiColumn(const std::vector<synth::Zone>& zones,
+                             const synth::Poi& poi, uint32_t poi_index,
+                             const std::vector<double>& zone_norm,
+                             const GravityConfig& gravity,
+                             const gtfs::TimeInterval& interval, uint64_t seed,
+                             std::vector<uint32_t>* affected);
 
   /// Reassembles a TODAM from persisted columns (snapshot restore).
   /// `trips[z]` / `alpha[z]` become zone z's rows verbatim, so the
@@ -172,7 +144,7 @@ class TodamBuilder {
   /// keyed by the POI's stable id. At the reference POI set this draws the
   /// same keep probabilities as BuildGravity; under POI edits it is
   /// history-independent: rebuilding from scratch equals patching via
-  /// Remove/AppendPoiColumn, trip for trip.
+  /// RemovePoiColumn/AppendStablePoiColumn, trip for trip.
   Todam BuildGravityStable(uint64_t seed,
                            const std::vector<double>& zone_norm) const;
 

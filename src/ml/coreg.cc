@@ -5,15 +5,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ml/parallel.h"
-
 namespace staq::ml {
 
 namespace {
-
-/// Pool slots handed to one screening task at a time. Layout is fixed, so
-/// the thread count never changes which slot a candidate lands in.
-constexpr size_t kScreenChunkSlots = 8;
 
 /// Incremental screening state for one component regressor. Holds, for
 /// every stored example, its leave-one-out neighbour list and cached
@@ -25,10 +19,9 @@ constexpr size_t kScreenChunkSlots = 8;
 /// which the cached symmetric distance d(candidate, i) == d(i, candidate)
 /// answers in O(1) per neighbour.
 ///
-/// Thread safety: SyncStore/EnsureCandidates/EraseCandidate are called
-/// serially between screening passes. During a pass, Screen may run
-/// concurrently for different candidates — it reads loo_/err_ and the
-/// store, and writes only the candidate's own pre-created cache entry.
+/// SyncStore and EraseCandidate run between screening passes. Screen reads
+/// loo_/err_ and the store, and writes only the candidate's own cache
+/// entry.
 class ScreeningState {
  public:
   explicit ScreeningState(const KnnCore* core) : core_(core) {}
@@ -54,15 +47,6 @@ class ScreeningState {
     synced_ = n;
   }
 
-  /// Creates cache entries for every pool candidate so that concurrent
-  /// Screen calls never mutate the map structure.
-  void EnsureCandidates(const std::vector<uint32_t>& unlabeled,
-                        size_t pool_end) {
-    for (size_t p = 0; p < pool_end; ++p) {
-      candidates_.try_emplace(unlabeled[p]);
-    }
-  }
-
   void EraseCandidate(uint32_t zone) { candidates_.erase(zone); }
 
   /// Error reduction for one candidate; also reports its pseudo-label
@@ -73,7 +57,7 @@ class ScreeningState {
   /// would.
   double Screen(uint32_t zone, const double* row, NeighborScratch* scratch,
                 double* pseudo_out) {
-    CachedNeighbors& cache = candidates_.find(zone)->second;
+    CachedNeighbors& cache = candidates_[zone];
     core_->UpdateNeighbors(row, UINT32_MAX, &cache, scratch);
     const auto& nb = cache.sorted;
     *pseudo_out = 0.0;
@@ -152,7 +136,6 @@ util::Status Coreg::Fit(const Dataset& data) {
 
   ScreeningState s1(h1_.get()), s2(h2_.get());
   NeighborScratch scratch;
-  std::vector<double> deltas, pseudos;
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     bool any_added = false;
@@ -167,27 +150,17 @@ util::Status Coreg::Fit(const Dataset& data) {
       double best_label = 0.0;
       ScreeningState* state = states[j];
       state->SyncStore(&scratch);
-      state->EnsureCandidates(unlabeled, pool_end);
-      deltas.assign(pool_end, 0.0);
-      pseudos.assign(pool_end, 0.0);
-      // Read-only screening over per-slot buffers: safe to fan out, and
-      // the serial ascending-slot argmax below keeps selection (and so
-      // the whole fit) bit-identical for any thread count.
-      ForEachChunk(config_.threads, pool_end, kScreenChunkSlots,
-                   [&](size_t, size_t begin, size_t end) {
-                     NeighborScratch local;
-                     for (size_t p = begin; p < end; ++p) {
-                       const uint32_t zone = unlabeled[p];
-                       deltas[p] = state->Screen(
-                           zone, x_all_scaled_.row(zone), &local,
-                           &pseudos[p]);
-                     }
-                   });
+      // Ascending-slot argmax: the first candidate with the largest error
+      // reduction wins.
       for (size_t p = 0; p < pool_end; ++p) {
-        if (deltas[p] > best_delta) {
-          best_delta = deltas[p];
+        const uint32_t zone = unlabeled[p];
+        double pseudo = 0.0;
+        const double delta =
+            state->Screen(zone, x_all_scaled_.row(zone), &scratch, &pseudo);
+        if (delta > best_delta) {
+          best_delta = delta;
           best_pos = p;
-          best_label = pseudos[p];
+          best_label = pseudo;
         }
       }
       if (best_pos != SIZE_MAX) {
@@ -216,15 +189,12 @@ util::Status Coreg::Fit(const Dataset& data) {
 std::vector<double> Coreg::Predict() const {
   size_t dim = x_all_scaled_.cols();
   std::vector<double> out(x_all_scaled_.rows());
-  ForEachChunk(config_.threads, x_all_scaled_.rows(), 64,
-               [&](size_t, size_t begin, size_t end) {
-                 NeighborScratch scratch;
-                 for (size_t i = begin; i < end; ++i) {
-                   const double* row = x_all_scaled_.row(i);
-                   out[i] = 0.5 * (h1_->PredictOne(row, dim, &scratch) +
-                                   h2_->PredictOne(row, dim, &scratch));
-                 }
-               });
+  NeighborScratch scratch;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const double* row = x_all_scaled_.row(i);
+    out[i] = 0.5 * (h1_->PredictOne(row, dim, &scratch) +
+                    h2_->PredictOne(row, dim, &scratch));
+  }
   return out;
 }
 

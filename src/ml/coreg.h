@@ -8,9 +8,8 @@
 // Pool screening runs on incremental caches (per-candidate top-k lists and
 // per-stored-example leave-one-out neighbourhoods, both updated in O(k) per
 // pseudo-label add) instead of rescanning the full store per candidate per
-// iteration, with the same result as the rescan. Screening fans out across
-// util::ThreadPool with a fixed-order argmax reduction, so `threads` never
-// changes results.
+// iteration, with the same result as the rescan. Fit and Predict run on
+// the calling thread.
 #pragma once
 
 #include <memory>
@@ -29,10 +28,6 @@ struct CoregConfig {
   /// Size of the random unlabeled pool screened per iteration.
   size_t pool_size = 100;
   uint64_t seed = 11;
-  /// Worker count for pool screening and batch prediction. Candidates are
-  /// screened into per-slot buffers and reduced by a serial fixed-order
-  /// argmax, so Fit and Predict are bit-identical for every value.
-  int threads = 1;
 };
 
 class Coreg : public SsrModel {

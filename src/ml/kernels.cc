@@ -174,33 +174,36 @@ double ReduceSum(size_t n, const double* x) {
   return acc;
 }
 
-double SquaredDistance(size_t n, const double* a, const double* b) {
+double SquaredDistance(size_t n, const double* a, const double* b,
+                       double limit) {
   double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n && !(acc > limit); ++i) {
     const double d = a[i] - b[i];
     acc += d * d;
   }
   return acc;
 }
 
-double ManhattanDistance(size_t n, const double* a, const double* b) {
+double ManhattanDistance(size_t n, const double* a, const double* b,
+                         double limit) {
   double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += std::abs(a[i] - b[i]);
+  for (size_t i = 0; i < n && !(acc > limit); ++i) acc += std::abs(a[i] - b[i]);
   return acc;
 }
 
-double PowDistanceInt(size_t n, const double* a, const double* b, int p) {
+double PowDistanceInt(size_t n, const double* a, const double* b, int p,
+                      double limit) {
   double acc = 0.0;
   if ((p & 1) == 0) {
     // Even power: |d|^p == d^p, skip the abs.
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < n && !(acc > limit); ++i) {
       const double d = a[i] - b[i];
       double term = d * d;
       for (int e = 2; e < p; e += 2) term *= d * d;
       acc += term;
     }
   } else {
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < n && !(acc > limit); ++i) {
       const double d = std::abs(a[i] - b[i]);
       double term = d;
       for (int e = 1; e < p; ++e) term *= d;

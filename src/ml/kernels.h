@@ -15,8 +15,12 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 
 namespace staq::ml::kernels {
+
+/// The distance sums' default `limit`: never stop early.
+inline constexpr double kNoLimit = std::numeric_limits<double>::infinity();
 
 /// C (m x n, leading dimension ldc) += A (m x k, lda) * B (k x n, ldb).
 /// Accumulates into C in ascending-k order per element — bit-identical to
@@ -53,14 +57,21 @@ double Dot(size_t n, const double* a, const double* b);
 /// Sum of x[i], single accumulator ascending i.
 double ReduceSum(size_t n, const double* x);
 
+// The three distance sums below add non-negative terms, so a partial sum
+// never shrinks: each stops once it exceeds `limit` and returns that
+// partial sum, which is then known to lie below the full one.
+
 /// Sum of (a[i] - b[i])^2, single accumulator ascending i.
-double SquaredDistance(size_t n, const double* a, const double* b);
+double SquaredDistance(size_t n, const double* a, const double* b,
+                       double limit = kNoLimit);
 
 /// Sum of |a[i] - b[i]|, single accumulator ascending i.
-double ManhattanDistance(size_t n, const double* a, const double* b);
+double ManhattanDistance(size_t n, const double* a, const double* b,
+                         double limit = kNoLimit);
 
 /// Sum of |a[i] - b[i]|^p for integer p >= 2 via repeated multiplication
 /// (no per-element std::pow). For even p the |.| is dropped.
-double PowDistanceInt(size_t n, const double* a, const double* b, int p);
+double PowDistanceInt(size_t n, const double* a, const double* b, int p,
+                      double limit = kNoLimit);
 
 }  // namespace staq::ml::kernels

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "ml/kernels.h"
 #include "util/check.h"
@@ -21,26 +22,48 @@ void KnnCore::Add(const double* features, size_t dim, double target) {
 
 double KnnCore::DistanceTo(uint32_t i, const double* row, size_t dim) const {
   STAQ_CHECK(dim == dim_, "KnnCore: query dimension differs from store");
+  return Root(PowerSum(i, row, kernels::kNoLimit));
+}
+
+double KnnCore::PowerSum(uint32_t i, const double* row, double limit) const {
   const double* stored = features(i);
   const double p = config_.minkowski_p;
-  if (p == 2.0) {
-    return std::sqrt(kernels::SquaredDistance(dim, stored, row));
-  }
-  if (p == 1.0) {
-    // pow(|d|, 1) == |d| and pow(acc, 1/1) == acc exactly, so dropping the
-    // root keeps this bit-identical to the general path.
-    return kernels::ManhattanDistance(dim, stored, row);
-  }
+  if (p == 2.0) return kernels::SquaredDistance(dim_, stored, row, limit);
+  if (p == 1.0) return kernels::ManhattanDistance(dim_, stored, row, limit);
   const int ip = static_cast<int>(p);
   if (p == static_cast<double>(ip) && ip >= 2 && ip <= 16) {
-    return std::pow(kernels::PowDistanceInt(dim, stored, row, ip), 1.0 / p);
+    return kernels::PowDistanceInt(dim_, stored, row, ip, limit);
   }
   // General fractional order: per-element pow, as before.
   double acc = 0.0;
-  for (size_t c = 0; c < dim; ++c) {
+  for (size_t c = 0; c < dim_ && !(acc > limit); ++c) {
     acc += std::pow(std::abs(stored[c] - row[c]), p);
   }
-  return std::pow(acc, 1.0 / p);
+  return acc;
+}
+
+double KnnCore::Root(double sum) const {
+  const double p = config_.minkowski_p;
+  if (p == 2.0) return std::sqrt(sum);
+  // pow(|d|, 1) == |d| and pow(acc, 1/1) == acc exactly, so dropping the
+  // root keeps p=1 bit-identical to the general path.
+  if (p == 1.0) return sum;
+  return std::pow(sum, 1.0 / p);
+}
+
+double KnnCore::SkipAbove(double d) const {
+  // For p in [1, 16], a sum above d^p (1 + 1e-9) has a true root above
+  // d (1 + 6e-11): far more than the rounding of d^p and of the root
+  // (under one ulp each), so its computed Root is at least d. A zero,
+  // subnormal or non-finite bound has no such margin and skips nothing.
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  const double p = config_.minkowski_p;
+  if (!(p >= 1.0 && p <= 16.0)) return kNone;
+  const double power = p == 1.0 ? d : p == 2.0 ? d * d : std::pow(d, p);
+  const double bound = power * (1.0 + 1e-9);
+  return bound >= std::numeric_limits<double>::min() && bound < kNone
+             ? bound
+             : kNone;
 }
 
 size_t KnnCore::SelectTopK(const double* row, size_t dim, uint32_t exclude,
@@ -51,18 +74,25 @@ size_t KnnCore::SelectTopK(const double* row, size_t dim, uint32_t exclude,
   const size_t avail = n - (exclude < n ? 1 : 0);
   const size_t k = std::min<size_t>(static_cast<size_t>(config_.k), avail);
   if (k == 0) return 0;
+  STAQ_CHECK(dim == dim_, "KnnCore: query dimension differs from store");
   heap.reserve(k);
+  // Every example scanned later has a larger index than the heap's, so one
+  // whose distance is no smaller than the heap's largest never enters.
+  double skip_above = std::numeric_limits<double>::infinity();
   for (uint32_t i = 0; i < n; ++i) {
     if (i == exclude) continue;
-    const std::pair<double, uint32_t> cand(DistanceTo(i, row, dim), i);
-    if (heap.size() < k) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (cand < heap.front()) {
+    const double sum = PowerSum(i, row, skip_above);
+    if (sum > skip_above) continue;
+    const std::pair<double, uint32_t> cand(Root(sum), i);
+    if (heap.size() == k) {
+      if (!(cand < heap.front())) continue;
       std::pop_heap(heap.begin(), heap.end());
       heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end());
+    } else {
+      heap.push_back(cand);
     }
+    std::push_heap(heap.begin(), heap.end());
+    if (heap.size() == k) skip_above = SkipAbove(heap.front().first);
   }
   std::sort_heap(heap.begin(), heap.end());
   return heap.size();
@@ -89,20 +119,25 @@ bool KnnCore::UpdateNeighbors(const double* row, uint32_t exclude,
   // (distance, index) order) than k kept entries and can never re-enter.
   const size_t k = static_cast<size_t>(config_.k);
   bool changed = false;
+  auto& sorted = cache->sorted;
+  // As in SelectTopK: new examples have larger indices than every cached
+  // one, so a full list skips those no nearer than its last entry.
+  double skip_above = sorted.size() >= k && !sorted.empty()
+                          ? SkipAbove(sorted.back().first)
+                          : std::numeric_limits<double>::infinity();
   for (uint32_t i = static_cast<uint32_t>(cache->version); i < n; ++i) {
     if (i == exclude) continue;
-    const std::pair<double, uint32_t> cand(DistanceTo(i, row, dim_), i);
-    if (cache->sorted.size() < k) {
-      cache->sorted.insert(
-          std::upper_bound(cache->sorted.begin(), cache->sorted.end(), cand),
-          cand);
-      changed = true;
-    } else if (!cache->sorted.empty() && cand < cache->sorted.back()) {
-      cache->sorted.pop_back();
-      cache->sorted.insert(
-          std::upper_bound(cache->sorted.begin(), cache->sorted.end(), cand),
-          cand);
-      changed = true;
+    const double sum = PowerSum(i, row, skip_above);
+    if (sum > skip_above) continue;
+    const std::pair<double, uint32_t> cand(Root(sum), i);
+    if (sorted.size() >= k) {
+      if (sorted.empty() || !(cand < sorted.back())) continue;
+      sorted.pop_back();
+    }
+    sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), cand), cand);
+    changed = true;
+    if (sorted.size() >= k && !sorted.empty()) {
+      skip_above = SkipAbove(sorted.back().first);
     }
   }
   cache->version = n;

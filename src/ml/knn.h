@@ -108,6 +108,16 @@ class KnnCore {
   }
 
  private:
+  /// DistanceTo before its root: Σ|Δ|^p (the squared sum for p=2). Stops
+  /// early, at a partial sum above `limit`, once the sum exceeds it.
+  double PowerSum(uint32_t i, const double* row, double limit) const;
+  /// DistanceTo's root of a PowerSum.
+  double Root(double sum) const;
+  /// A bound on PowerSum above which Root is certainly no smaller than
+  /// `d`: a top-k scan skips such examples without taking their root.
+  /// Infinity when no safe bound exists.
+  double SkipAbove(double d) const;
+
   KnnConfig config_;
   size_t dim_ = 0;
   std::vector<double> flat_;  // size() x dim(), row-major

@@ -5,22 +5,9 @@
 #include <cstring>
 
 #include "ml/kernels.h"
-#include "ml/parallel.h"
 #include "util/check.h"
 
 namespace staq::ml {
-
-namespace {
-
-/// Samples per gradient chunk. Fixed — never derived from the thread
-/// count — so the chunk layout, and with it the chunk-order gradient
-/// reduction, is identical for every MlpConfig::threads value. At the
-/// default batch size (16) a batch is a single chunk, which makes the
-/// batched path bit-identical to per-sample forward/backward passes as
-/// well (tests/testing/per_sample_mlp.h).
-constexpr size_t kGradChunkSamples = 32;
-
-}  // namespace
 
 DenseNet::DenseNet(size_t input_dim, std::vector<size_t> hidden,
                    util::Rng* rng) {
@@ -193,60 +180,33 @@ util::Status MlpRegressor::Fit(const Dataset& data) {
   for (size_t i = 0; i < n; ++i) order[i] = i;
   std::vector<double> grad(net_->num_params());
 
-  // Each batch is cut into fixed-size sample chunks; every
-  // chunk gathers its rows, runs one batched forward/backward, and (when
-  // there is more than one chunk) accumulates into its own buffer. The
-  // buffers reduce in chunk order, so the gradient — and the whole fit —
-  // is identical for any threads value.
-  struct ChunkSlot {
-    Matrix x;                   // gathered input rows
-    DenseNetScratch scratch;
-    std::vector<double> dloss;
-    std::vector<double> grad;   // partial gradient (multi-chunk only)
-  };
-  const size_t max_batch = std::min(n, std::max<size_t>(config_.batch_size, 1));
-  const size_t num_slots = (max_batch + kGradChunkSamples - 1) / kGradChunkSamples;
-  const bool multi_chunk = num_slots > 1;
-  std::vector<ChunkSlot> slots(num_slots);
+  // Each batch is gathered once and runs one batched forward/backward
+  // into `grad`: per parameter, the samples' terms accumulate in ascending
+  // batch order (tests/testing/per_sample_mlp.h).
+  Matrix batch_x;
+  DenseNetScratch scratch;
+  std::vector<double> dloss;
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t start = 0; start < n; start += config_.batch_size) {
       const size_t end = std::min(n, start + config_.batch_size);
       const size_t batch = end - start;
-      std::fill(grad.begin(), grad.end(), 0.0);
-      const size_t chunks =
-          (batch + kGradChunkSamples - 1) / kGradChunkSamples;
-      ForEachChunk(
-          config_.threads, batch, kGradChunkSamples,
-          [&](size_t c, size_t cb, size_t ce) {
-            ChunkSlot& slot = slots[c];
-            const size_t m = ce - cb;
-            slot.x.Reset(m, dim);
-            for (size_t r = 0; r < m; ++r) {
-              std::memcpy(slot.x.row(r), xs.row(order[start + cb + r]),
-                          dim * sizeof(double));
-            }
-            net_->ForwardBatch(slot.x.data().data(), m, &slot.scratch);
-            const Matrix& out_act = slot.scratch.acts.back();
-            slot.dloss.resize(m);
-            for (size_t r = 0; r < m; ++r) {
-              slot.dloss[r] = (out_act(r, 0) - ys[order[start + cb + r]]) /
-                              static_cast<double>(batch);
-            }
-            std::vector<double>* g = &grad;
-            if (multi_chunk) {
-              slot.grad.assign(grad.size(), 0.0);
-              g = &slot.grad;
-            }
-            net_->BackwardBatch(slot.x.data().data(), m, slot.dloss, g,
-                                &slot.scratch);
-          });
-      if (multi_chunk) {
-        for (size_t c = 0; c < chunks; ++c) {
-          kernels::Axpy(grad.size(), 1.0, slots[c].grad.data(), grad.data());
-        }
+      batch_x.Reset(batch, dim);
+      for (size_t r = 0; r < batch; ++r) {
+        std::memcpy(batch_x.row(r), xs.row(order[start + r]),
+                    dim * sizeof(double));
       }
+      net_->ForwardBatch(batch_x.data().data(), batch, &scratch);
+      const Matrix& out_act = scratch.acts.back();
+      dloss.resize(batch);
+      for (size_t r = 0; r < batch; ++r) {
+        dloss[r] = (out_act(r, 0) - ys[order[start + r]]) /
+                   static_cast<double>(batch);
+      }
+      std::fill(grad.begin(), grad.end(), 0.0);
+      net_->BackwardBatch(batch_x.data().data(), batch, dloss, &grad,
+                          &scratch);
       opt.Step(&net_->params(), grad);
     }
   }

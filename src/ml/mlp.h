@@ -24,7 +24,7 @@
 namespace staq::ml {
 
 /// Reusable buffers for batched forward/backward passes. Owned by the
-/// caller, one per concurrently running chunk; contents are scratch.
+/// caller; contents are scratch.
 struct DenseNetScratch {
   std::vector<Matrix> acts;  // per-layer activations, batch x width
   Matrix delta;              // gradient wrt current layer output
@@ -93,15 +93,15 @@ class AdamOptimizer {
 struct MlpConfig {
   std::vector<size_t> hidden = {64, 32};
   int epochs = 500;
+  /// Samples per mini-batch. Each batch runs as one forward/backward pass,
+  /// so its gradient accumulates in ascending sample order at every size.
+  /// Batches of more than 32 samples were once cut into 32-sample chunks
+  /// summed in chunk order; such fits now get different, equally valid
+  /// bits (batches of up to 32 are unchanged).
   size_t batch_size = 16;
   double learning_rate = 1e-3;
   double weight_decay = 1e-4;
   uint64_t seed = 7;
-  /// Worker count for gradient computation. Batches are cut into
-  /// fixed-size sample chunks (layout independent of the thread count)
-  /// whose partial gradients reduce in chunk order, so Fit is bit-identical
-  /// for every value, including 1.
-  int threads = 1;
 };
 
 /// Supervised MLP on the labeled rows (the paper's strongest model).

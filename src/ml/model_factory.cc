@@ -29,21 +29,18 @@ std::vector<ModelKind> AllModelKinds() {
           ModelKind::kMeanTeacher, ModelKind::kGnn};
 }
 
-std::unique_ptr<SsrModel> CreateModel(ModelKind kind, uint64_t seed,
-                                      int threads) {
+std::unique_ptr<SsrModel> CreateModel(ModelKind kind, uint64_t seed) {
   switch (kind) {
     case ModelKind::kOls:
       return std::make_unique<OlsRegressor>();
     case ModelKind::kMlp: {
       MlpConfig config;
       config.seed = seed;
-      config.threads = threads;
       return std::make_unique<MlpRegressor>(config);
     }
     case ModelKind::kCoreg: {
       CoregConfig config;
       config.seed = seed;
-      config.threads = threads;
       return std::make_unique<Coreg>(config);
     }
     case ModelKind::kMeanTeacher: {

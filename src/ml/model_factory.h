@@ -28,10 +28,15 @@ const char* ModelKindName(ModelKind kind);
 std::vector<ModelKind> AllModelKinds();
 
 /// Instantiates a model with the library defaults and the given seed.
-/// `threads` is the worker count for models with parallel training paths
-/// (COREG screening, MLP gradient chunks); every model produces
-/// bit-identical results for any value, so callers may tune it freely.
-std::unique_ptr<SsrModel> CreateModel(ModelKind kind, uint64_t seed,
-                                      int threads = 1);
+/// Every model fits and predicts on the calling thread.
+std::unique_ptr<SsrModel> CreateModel(ModelKind kind, uint64_t seed);
+
+/// Forward kept only because the benchmark (staqbench/src/whatif_cold.cc)
+/// passes a thread count, which is ignored; delete with that call (ROADMAP
+/// item 3).
+inline std::unique_ptr<SsrModel> CreateModel(ModelKind kind, uint64_t seed,
+                                             int /*threads*/) {
+  return CreateModel(kind, seed);
+}
 
 }  // namespace staq::ml

@@ -8,7 +8,6 @@
 #include <numeric>
 
 #include "core/columnar.h"
-#include "core/gravity.h"
 #include "router/connections.h"
 #include "scenario/impact.h"
 #include "store/snapshot.h"
@@ -310,22 +309,10 @@ ScenarioStore::StatePtr ScenarioStore::PatchAdd(
 
   // Sample only the new POI's column. Every other pair's RNG stream is
   // keyed by its own stable id, so the rest of the TODAM is untouched.
-  const uint32_t samples = core::TodamSamplesPerPair(key.gravity, next.interval());
-  const size_t num_zones = base_->zones.size();
-  std::vector<std::vector<core::TripEntry>> per_zone(num_zones);
-  std::vector<double> alpha_column(num_zones);
-  for (uint32_t z = 0; z < num_zones; ++z) {
-    double decay = core::DistanceDecay(
-        geo::Distance(base_->zones[z].centroid, poi.position),
-        key.gravity.decay_scale_m);
-    alpha_column[z] = core::StableAlphaValue(decay, state->zone_norm[z]);
-    double keep = core::StableKeepProbability(decay, state->zone_norm[z],
-                                              key.gravity.keep_scale);
-    core::SampleStablePairTrips(key.seed, z, poi.id, new_index, keep,
-                                next.interval(), samples, &per_zone[z]);
-  }
   std::vector<uint32_t> affected;
-  state->todam.AppendPoiColumn(per_zone, alpha_column, &affected);
+  state->todam.AppendStablePoiColumn(base_->zones, poi, new_index,
+                                     state->zone_norm, key.gravity,
+                                     next.interval(), key.seed, &affected);
 
   // Fault site: relabeling the affected zones failing mid-mutation. Only
   // the un-installed copy is damaged; the store never publishes it.

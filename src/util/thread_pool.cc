@@ -228,29 +228,6 @@ void ThreadPool::ParallelFor(size_t n,
   });
 }
 
-PerturbingExecutor::PerturbingExecutor(size_t num_threads,
-                                       const Options& options)
-    : options_(options),
-      submit_rng_(options.perturb.seed ^ 0x9e3779b97f4a7c15ull),
-      pool_(num_threads) {
-  pool_.EnablePerturbation(options.perturb);
-}
-
-TaskHandle PerturbingExecutor::SubmitHandle(std::function<void()> task) {
-  if (options_.max_submit_delay_us > 0) {
-    uint32_t delay_us;
-    {
-      std::lock_guard<std::mutex> lock(submit_mu_);
-      delay_us = static_cast<uint32_t>(submit_rng_() %
-                                       (options_.max_submit_delay_us + 1));
-    }
-    if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-  }
-  return pool_.SubmitHandle(std::move(task));
-}
-
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
   return pool;

@@ -57,22 +57,10 @@ class TaskHandle {
   std::shared_ptr<Shared> shared_;
 };
 
-/// Minimal task-execution seam shared by ThreadPool and test wrappers
-/// (PerturbingExecutor): enough surface for serving-style callers to submit
-/// cancellable work and do admission control, without pinning them to one
-/// concrete pool type.
-class Executor {
- public:
-  virtual ~Executor() = default;
-  virtual TaskHandle SubmitHandle(std::function<void()> task) = 0;
-  virtual size_t PendingTasks() const = 0;
-  virtual size_t num_threads() const = 0;
-};
-
 /// Fixed-size pool of persistent workers. Submit is safe from any thread;
 /// a task's exception is captured into its future (the worker survives).
 /// The destructor finishes already-queued tasks before joining.
-class ThreadPool : public Executor {
+class ThreadPool {
  public:
   /// Schedule shaking for concurrency tests: a seeded perturbation makes
   /// workers pop a pseudo-random queue entry instead of the oldest and
@@ -80,7 +68,9 @@ class ThreadPool : public Executor {
   /// and interleavings a quiet machine would never produce. Same seed =>
   /// same perturbation decisions (schedules stay machine-dependent, but a
   /// failing seed is usually replayable). Never enable outside tests: FIFO
-  /// fairness and latency go out the window by design.
+  /// fairness and latency go out the window by design. A server's pool is
+  /// shaken through AqServer::Options::perturb; tests/serve/stress_test.cc
+  /// is the canonical use.
   struct PerturbOptions {
     uint64_t seed = 1;
     /// Upper bound on the pre-run jitter, in microseconds (0 = no jitter).
@@ -101,11 +91,11 @@ class ThreadPool : public Executor {
   /// Spawns `num_threads` workers (at least one).
   explicit ThreadPool(size_t num_threads,
                       Priority priority = Priority::kNormal);
-  ~ThreadPool() override;
+  ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const override { return threads_.size(); }
+  size_t num_threads() const { return threads_.size(); }
 
   /// Enables schedule shaking (see PerturbOptions). Tasks already queued
   /// are perturbed too; call right after construction for full coverage.
@@ -125,12 +115,12 @@ class ThreadPool : public Executor {
   /// serving-style callers that need admission control (PendingTasks) and
   /// the ability to withdraw work whose deadline has already passed while
   /// it is still queued.
-  TaskHandle SubmitHandle(std::function<void()> task) override;
+  TaskHandle SubmitHandle(std::function<void()> task);
 
   /// Tasks accepted but not yet started. Cancelled-but-unpopped entries are
   /// included until a worker discards them, so this is an upper bound —
   /// exactly the conservative reading admission control wants.
-  size_t PendingTasks() const override;
+  size_t PendingTasks() const;
 
   /// Runs body(i) for every i in [0, n) on the calling thread plus up to
   /// num_threads() helpers of this pool (util::ParallelLoop), each claiming
@@ -177,37 +167,6 @@ class ThreadPool : public Executor {
   std::optional<PerturbOptions> perturb_;
   std::mt19937_64 perturb_rng_;
   std::vector<std::thread> threads_;
-};
-
-/// Seed-driven schedule shaker: an Executor that owns a ThreadPool with
-/// perturbation enabled (plus optional submit-side jitter, which shuffles
-/// the arrival order of concurrent submitters). Stress harnesses run the
-/// system under a PerturbingExecutor-shaped pool across many seeds; any
-/// seed that fails is a concurrency bug with a (usually) replayable
-/// schedule. See tests/serve/stress_test.cc for the canonical use.
-class PerturbingExecutor final : public Executor {
- public:
-  struct Options {
-    ThreadPool::PerturbOptions perturb;
-    /// Upper bound on the jitter applied on the *submitting* thread before
-    /// each enqueue, in microseconds (0 = none).
-    uint32_t max_submit_delay_us = 0;
-  };
-
-  PerturbingExecutor(size_t num_threads, const Options& options);
-
-  TaskHandle SubmitHandle(std::function<void()> task) override;
-  size_t PendingTasks() const override { return pool_.PendingTasks(); }
-  size_t num_threads() const override { return pool_.num_threads(); }
-
-  /// The wrapped pool, for plain Submit / ParallelFor use in tests.
-  ThreadPool& pool() { return pool_; }
-
- private:
-  Options options_;
-  std::mutex submit_mu_;  // guards submit_rng_
-  std::mt19937_64 submit_rng_;
-  ThreadPool pool_;
 };
 
 }  // namespace staq::util

@@ -105,25 +105,5 @@ TEST(CoregTest, ExhaustsReplenishedPool) {
   EXPECT_EQ(model.Predict().size(), 40u);
 }
 
-TEST(CoregTest, ThreadCountDoesNotChangeFit) {
-  auto data = testing::LinearDataset(150, 3, 24, 0.15, 33);
-  std::vector<double> reference;
-  int reference_pseudo = 0;
-  for (int threads : {1, 2, 8}) {
-    CoregConfig config;
-    config.max_iterations = 25;
-    config.threads = threads;
-    Coreg model(config);
-    ASSERT_TRUE(model.Fit(data).ok());
-    if (threads == 1) {
-      reference = model.Predict();
-      reference_pseudo = model.pseudo_labels_added();
-    } else {
-      EXPECT_EQ(model.Predict(), reference) << "threads=" << threads;
-      EXPECT_EQ(model.pseudo_labels_added(), reference_pseudo);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace staq::ml

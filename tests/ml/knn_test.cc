@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "testing/test_data.h"
 #include "util/rng.h"
@@ -155,6 +159,67 @@ TEST(KnnCacheTest, UpdateNeighborsTracksFreshSelection) {
     core.UpdateNeighbors(q.data(), UINT32_MAX, &fresh, &scratch);
     ASSERT_EQ(incremental.sorted, fresh.sorted) << "after add " << add;
     ASSERT_EQ(incremental.version, core.size());
+  }
+}
+
+TEST(KnnCacheTest, SkippedRootsMatchAFullScan) {
+  // Top-k scans stop summing an example once its partial sum rules it out,
+  // and take no root for it. Against every distance sorted in full, over
+  // orders with each root path: rows on a thin shell around `center` (for
+  // that query, every distance is within 1e-6 of the others, so most sums
+  // sit near the bound), coarse grid rows (exact distance ties) and
+  // duplicate rows (zero distances).
+  for (double p : {1.0, 2.0, 3.0, 5.0, 1.5, 20.0}) {
+    SCOPED_TRACE("p " + std::to_string(p));
+    util::Rng rng(33);
+    const size_t k = 4, dim = 5;
+    KnnCore core(KnnConfig{static_cast<int>(k), p, true});
+    const std::vector<double> center(dim, 0.25);
+    std::vector<std::vector<double>> rows;
+    for (int i = 0; i < 120; ++i) {
+      std::vector<double> row(dim);
+      for (double& v : row) v = rng.Uniform(-2, 2);
+      if (i % 3 == 0) {  // on the shell: p-norm 1 + O(1e-6) from center
+        double norm = 0.0;
+        for (double v : row) norm += std::pow(std::abs(v), p);
+        const double scale =
+            (1.0 + 1e-6 * rng.Uniform(0, 1)) / std::pow(norm, 1.0 / p);
+        for (size_t c = 0; c < dim; ++c) row[c] = center[c] + row[c] * scale;
+      } else if (i % 3 == 1) {
+        for (double& v : row) v = std::round(v * 2.0) / 2.0;
+      }
+      if (i % 7 == 6) row = rows[static_cast<size_t>(i) / 2];
+      rows.push_back(row);
+    }
+    CachedNeighbors streamed;
+    NeighborScratch scratch;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      core.Add(rows[i], 0.0);
+      const std::vector<double>* queries[] = {&rows[(i * 5) % (i + 1)],
+                                              &center};
+      for (const std::vector<double>* q : queries) {
+        for (uint32_t exclude : {UINT32_MAX, static_cast<uint32_t>(i / 2)}) {
+          std::vector<std::pair<double, uint32_t>> full;
+          for (uint32_t j = 0; j < core.size(); ++j) {
+            if (j == exclude) continue;
+            full.emplace_back(core.DistanceTo(j, q->data(), dim), j);
+          }
+          std::sort(full.begin(), full.end());
+          full.resize(std::min(full.size(), k));
+          const size_t len =
+              core.SelectTopK(q->data(), dim, exclude, &scratch);
+          const std::vector<std::pair<double, uint32_t>> selected(
+              scratch.heap.begin(), scratch.heap.begin() + len);
+          ASSERT_EQ(selected, full)
+              << "store " << core.size() << " exclude " << exclude;
+        }
+      }
+      // Streaming over the growing store, one query for all of it.
+      core.UpdateNeighbors(center.data(), UINT32_MAX, &streamed, &scratch);
+      CachedNeighbors fresh;
+      core.UpdateNeighbors(center.data(), UINT32_MAX, &fresh, &scratch);
+      ASSERT_EQ(streamed.sorted, fresh.sorted) << "store " << core.size();
+    }
   }
 }
 

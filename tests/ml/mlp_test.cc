@@ -247,10 +247,18 @@ TEST(MlpRegressorTest, LearnsNonlinearFunction) {
 
 TEST(MlpRegressorTest, DeterministicForSameSeed) {
   auto data = testing::LinearDataset(120, 3, 60, 0.2, 43);
-  MlpRegressor a(FastMlp(5)), b(FastMlp(5));
-  ASSERT_TRUE(a.Fit(data).ok());
-  ASSERT_TRUE(b.Fit(data).ok());
-  EXPECT_EQ(a.Predict(), b.Predict());
+  // 64 runs each batch of more than 32 samples as one forward/backward.
+  for (size_t batch_size : {size_t{16}, size_t{64}}) {
+    SCOPED_TRACE("batch_size " + std::to_string(batch_size));
+    MlpConfig config = FastMlp(5);
+    config.batch_size = batch_size;
+    MlpRegressor a(config), b(config);
+    ASSERT_TRUE(a.Fit(data).ok());
+    ASSERT_TRUE(b.Fit(data).ok());
+    const std::vector<double> predictions = a.Predict();
+    for (double v : predictions) EXPECT_TRUE(std::isfinite(v));
+    EXPECT_EQ(predictions, b.Predict());
+  }
 }
 
 TEST(MlpRegressorTest, RejectsInvalidDataset) {

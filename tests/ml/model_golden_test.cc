@@ -93,7 +93,6 @@ TEST(TrainingPathGoldenTest, MlpAtDefaultBatchSize) {
     auto data = testing::LinearDataset(n, d, labeled, 0.1, 43);
     MlpConfig config;
     config.epochs = 30;
-    config.threads = 8;
     MlpRegressor model(config);
     ASSERT_TRUE(model.Fit(data).ok());
     const uint64_t digest = HexFloatDigest(model.Predict());

@@ -506,30 +506,5 @@ TEST(PerturbedPoolTest, ParallelForResultIsUnchanged) {
   EXPECT_EQ(quiet, shaken);
 }
 
-TEST(PerturbingExecutorTest, SubmitsThroughJitterAndDrains) {
-  PerturbingExecutor::Options options;
-  options.perturb = {.seed = 3, .max_delay_us = 40, .reorder = true};
-  options.max_submit_delay_us = 40;
-  PerturbingExecutor executor(3, options);
-  EXPECT_EQ(executor.num_threads(), 3u);
-
-  constexpr int kTasks = 64;
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (auto& r : runs) r.store(0);
-  std::vector<TaskHandle> handles;
-  for (int i = 0; i < kTasks; ++i) {
-    handles.push_back(executor.SubmitHandle([&runs, i] { runs[i].fetch_add(1); }));
-  }
-  for (auto& handle : handles) handle.Wait();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-  }
-  EXPECT_EQ(executor.PendingTasks(), 0u);
-  // The wrapped pool stays usable directly.
-  std::atomic<int> value{0};
-  executor.pool().Submit([&] { value.store(5); }).get();
-  EXPECT_EQ(value.load(), 5);
-}
-
 }  // namespace
 }  // namespace staq::util

@@ -7,9 +7,12 @@
 //     + interchanges vs the full 20-dim descriptor (MLP, beta = 5%).
 //  C. Keep-scale sweep: thinner gravity matrices vs labeling cost and
 //     estimate quality at a fixed beta.
+//  D. Active-learning sampling strategies against random sampling.
+//
+// Parallel labeling is timed by bench_labeling's helped rows, on the
+// serving loop.
 #include <cstdio>
 #include <set>
-#include <thread>
 
 #include "bench_common.h"
 #include "bench_registry.h"
@@ -168,38 +171,12 @@ void SamplingStrategyComparison(BenchCity& bc, util::CsvTable* csv) {
   }
 }
 
-void ParallelLabelingSpeedup(BenchCity& bc, util::CsvTable* csv) {
-  std::printf("\n--- E. parallel labeling speed-up (%s, schools, full "
-              "labeling) ---\n", bc.name.c_str());
-  std::printf("hardware threads available: %u (speed-up is bounded by "
-              "this)\n", std::thread::hardware_concurrency());
-  auto pois = bc.city->PoisOf(synth::PoiCategory::kSchool);
-  core::Todam todam =
-      bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
-  std::printf("%8s %10s %9s\n", "threads", "seconds", "speedup");
-  double base_s = 0;
-  for (int threads : {1, 2, 4, 8}) {
-    util::Stopwatch watch;
-    core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-        pois, todam, core::CostKind::kJourneyTime, {}, threads);
-    double elapsed = watch.ElapsedSeconds();
-    if (threads == 1) base_s = elapsed;
-    std::printf("%8d %10.2f %8.2fx\n", threads, elapsed,
-                base_s / std::max(elapsed, 1e-9));
-    (void)csv->AddRow({"parallel_labeling", bc.name,
-                       util::CsvTable::Num(static_cast<int64_t>(threads)),
-                       util::CsvTable::Num(elapsed, 3),
-                       util::CsvTable::Num(base_s / std::max(elapsed, 1e-9), 2),
-                       util::CsvTable::Num(static_cast<int64_t>(truth.spqs))});
-  }
-}
-
 }  // namespace
 
 exp::RunResult RunAblationBench() {
   PrintHeader(
       "Ablations: decay scale, feature groups, keep scale, sampling "
-      "strategies, parallel labeling");
+      "strategies");
   util::CsvTable csv({"experiment", "city", "x", "v1", "v2", "v3"});
 
   auto cities = MakeBothCities();
@@ -209,14 +186,12 @@ exp::RunResult RunAblationBench() {
   FeatureAblation(cities[0], &csv);
   KeepScaleSweep(cities[0], &csv);
   SamplingStrategyComparison(cities[0], &csv);
-  ParallelLabelingSpeedup(cities[0], &csv);
 
   std::printf(
       "\nExpected shapes: flatter decay -> weaker reduction but lower walk-"
       "only share;\neach feature group adds MAC-corr over geometry alone; "
       "thinner matrices label\nfaster at mild quality cost; coverage-aware "
-      "sampling helps most at tiny budgets;\nlabeling parallelises near-"
-      "linearly (paper §II).\n");
+      "sampling helps most at tiny budgets.\n");
   EmitCsv(csv, "ablation.csv");
 
   JsonWriter w;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/parallel_labeling.h"
 #include "util/stopwatch.h"
 
 namespace staq::core {
@@ -202,22 +201,16 @@ util::Result<PipelineResult> SsrPipeline::Run(
 
 GroundTruth SsrPipeline::ComputeGroundTruth(
     const std::vector<synth::Poi>& pois, const Todam& todam, CostKind cost,
-    router::GacWeights gac, int num_threads) {
+    router::GacWeights gac) {
   GroundTruth truth;
   util::Stopwatch watch;
   std::vector<uint32_t> all(city_->zones.size());
   for (uint32_t z = 0; z < all.size(); ++z) all[z] = z;
-  std::vector<ZoneLabel> labels;
-  if (num_threads > 1) {
-    labels = LabelZonesParallel(*city_, todam, all, pois, cost, interval_.day,
-                                num_threads, router_->options(), gac,
-                                &truth.spqs, &truth.expansions);
-  } else {
-    LabelingEngine labeler(city_, router_.get(), gac);
-    labels = labeler.LabelZones(todam, all, pois, cost, interval_.day);
-    truth.spqs = labeler.spq_count();
-    truth.expansions = labeler.expansion_count();
-  }
+  LabelingEngine labeler(city_, router_.get(), gac);
+  const std::vector<ZoneLabel> labels =
+      labeler.LabelZones(todam, all, pois, cost, interval_.day);
+  truth.spqs = labeler.spq_count();
+  truth.expansions = labeler.expansion_count();
   truth.labeling_s = watch.ElapsedSeconds();
 
   truth.mac.resize(labels.size());

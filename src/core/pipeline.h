@@ -165,11 +165,11 @@ class SsrPipeline {
       double precomputed_features_s = 0.0);
 
   /// The naive baseline: labels every zone with SPQs (paper Table II
-  /// "Label Cost"). `num_threads` > 1 parallelises the SPQ sweep.
+  /// "Label Cost") in one LabelingEngine::LabelZones pass on the calling
+  /// thread. Parallel labeling is the serving loop's (serve/server.h).
   GroundTruth ComputeGroundTruth(const std::vector<synth::Poi>& pois,
                                  const Todam& todam, CostKind cost,
-                                 router::GacWeights gac = {},
-                                 int num_threads = 1);
+                                 router::GacWeights gac = {});
 
   /// Runs the naive baseline's SPQ sweep ONCE and captures every trip's
   /// cost basis. A batch of cost definitions then derives each member's

@@ -11,7 +11,7 @@ util::Result<std::vector<uint32_t>> SampleLabeledZones(size_t num_zones,
   if (num_zones < 2) {
     return util::Status::InvalidArgument("need at least 2 zones");
   }
-  if (beta <= 0.0 || beta > 1.0) {
+  if (!(beta > 0.0 && beta <= 1.0)) {  // NaN fails too
     return util::Status::InvalidArgument("beta must be in (0, 1]");
   }
   size_t want = static_cast<size_t>(std::ceil(beta * static_cast<double>(num_zones)));

@@ -17,7 +17,18 @@
 
 namespace staq::serve {
 
-/// One access query submitted to an AqServer.
+/// Upper bound on a request's gravity.sample_rate_per_hour: one TODAM
+/// sample per minute, above the 30/h any workload here uses. A TODAM holds
+/// at most rate × interval hours × |Z| × |P| trips, so the rate is what
+/// bounds one request's work and memory.
+constexpr int kMaxSampleRatePerHour = 60;
+
+/// One access query submitted to an AqServer. Fields arrive unchecked over
+/// the wire; admission (and QueryUncached) refuses a request with
+/// kInvalidArgument unless every field its answer reads is in range: an
+/// SSR beta finite in (0, 1]; a finite decay_scale_m > 0; a finite
+/// keep_scale >= 0; sample_rate_per_hour in [1, kMaxSampleRatePerHour];
+/// and, under the generalized cost, valid GAC weights.
 struct AqRequest {
   synth::PoiCategory category = synth::PoiCategory::kHospital;
   core::AccessQueryOptions options;

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -44,16 +45,37 @@ std::string CacheKey(const Scenario& scenario, const AqRequest& request) {
          CanonicalRequestKey(request);
 }
 
-/// OK, or why `request` is refused before any work is done: GAC weights
-/// arrive unchecked over the wire, and journey time never reads them.
-util::Status CheckGacWeights(const AqRequest& request) {
-  if (request.options.cost != core::CostKind::kGeneralizedCost ||
-      request.options.gac.Valid()) {
-    return util::Status::OK();
+/// OK, or why `request` is refused before any work is done (serve/request.h
+/// lists the ranges): every field arrives unchecked over the wire. Exact
+/// requests never read beta, nor journey-time requests the GAC weights.
+util::Status CheckRequest(const AqRequest& request) {
+  const core::AccessQueryOptions& options = request.options;
+  if (!options.exact &&
+      !(std::isfinite(options.beta) && options.beta > 0.0 &&
+        options.beta <= 1.0)) {
+    return util::Status::InvalidArgument("beta must be finite, in (0, 1]");
   }
-  return util::Status::InvalidArgument(
-      "invalid GAC weights: every weight must be finite and non-negative, "
-      "the value of time positive");
+  const core::GravityConfig& gravity = options.gravity;
+  if (!(std::isfinite(gravity.decay_scale_m) && gravity.decay_scale_m > 0.0)) {
+    return util::Status::InvalidArgument(
+        "decay_scale_m must be finite and positive");
+  }
+  if (!(std::isfinite(gravity.keep_scale) && gravity.keep_scale >= 0.0)) {
+    return util::Status::InvalidArgument(
+        "keep_scale must be finite and non-negative");
+  }
+  if (gravity.sample_rate_per_hour < 1 ||
+      gravity.sample_rate_per_hour > kMaxSampleRatePerHour) {
+    return util::Status::InvalidArgument(
+        "sample_rate_per_hour must be in [1, " +
+        std::to_string(kMaxSampleRatePerHour) + "]");
+  }
+  if (options.cost == core::CostKind::kGeneralizedCost && !options.gac.Valid()) {
+    return util::Status::InvalidArgument(
+        "invalid GAC weights: every weight must be finite and non-negative, "
+        "the value of time positive");
+  }
+  return util::Status::OK();
 }
 
 /// Builds the server's ScenarioStore, preferring a snapshot warm start.
@@ -338,14 +360,12 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
   // Helpers come from the hardware: one per core besides the caller's,
   // and never more than the spare contexts the cap leaves.
   util::ThreadPool& idle = util::ThreadPool::Idle();
-  util::LoopOptions loop;
-  loop.max_helpers =
+  const size_t max_helpers =
       std::min(std::max<size_t>(1, idle.num_threads() - 1), context_cap_ - 1);
-  loop.takeover = true;
   // Everything the participants capture is owned: a straggling helper may
   // still be running after this returns (util/parallel_loop.h).
   util::ParallelLoop(
-      idle, n, loop,
+      idle, n, max_helpers,
       [this, caller, body, network,
        pin = helper_pins_.Pin()](bool helper) -> util::LoopTask {
         if (!helper) {
@@ -415,8 +435,8 @@ void AqServer::Admit(const AqRequest* requests, AqTicket* tickets, size_t n,
   // every member is accepted or every ticket carries one status to retry
   // against.
   for (size_t i = 0; i < n; ++i) {
-    util::Status weights = CheckGacWeights(requests[i]);
-    if (!weights.ok()) return Refuse(tickets, n, weights, &failed_);
+    util::Status checked = CheckRequest(requests[i]);
+    if (!checked.ok()) return Refuse(tickets, n, checked, &failed_);
   }
   if (pool_.PendingTasks() >= options_.max_pending) {
     return Refuse(tickets, n,
@@ -584,8 +604,8 @@ util::Result<core::AccessQueryResult> AqServer::QueryUncached(
 
 util::Result<core::AccessQueryResult> AqServer::QueryUncachedOn(
     const Scenario& scenario, const AqRequest& request) {
-  util::Status weights = CheckGacWeights(request);
-  if (!weights.ok()) return weights;
+  util::Status checked = CheckRequest(request);
+  if (!checked.ok()) return checked;
   try {
     return Execute(request, scenario, /*use_caches=*/false);
   } catch (...) {

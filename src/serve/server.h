@@ -368,7 +368,7 @@ class AqServer : private ZoneLoop {
   /// that changes either installs a new network id.
   std::unique_ptr<WorkerContext> NewContext(const Network& network);
 
-  /// ZoneLoop: a takeover-mode util::ParallelLoop (util/parallel_loop.h).
+  /// ZoneLoop: one util::ParallelLoop (util/parallel_loop.h).
   /// The calling thread labels with `caller` (or a leased context) while
   /// up to hardware-concurrency − 1 helpers on the idle pool claim zones
   /// one at a time, each with a helper lease, and hand their store steps

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <thread>
 #include <vector>
@@ -21,7 +19,7 @@ using Clock = std::chrono::steady_clock;
 
 /// Grace for in-flight indices when the caller has no timing of its own.
 constexpr Clock::duration kDefaultGrace = std::chrono::milliseconds(1);
-/// How often a takeover caller checks for handed-over steps during grace.
+/// How often the caller checks for handed-over steps during grace.
 constexpr auto kGracePoll = std::chrono::microseconds(50);
 
 /// Participant word: bit 0 = closed, the rest counts participants inside
@@ -29,7 +27,7 @@ constexpr auto kGracePoll = std::chrono::microseconds(50);
 constexpr size_t kClosed = 1;
 constexpr size_t kOneInside = 2;
 
-/// Marks an index whose result the caller has stored (takeover mode).
+/// Marks an index whose result the caller has stored.
 LoopStore* CallerStored() {
   static LoopStore marker;
   return &marker;
@@ -37,17 +35,12 @@ LoopStore* CallerStored() {
 
 /// Shared by the caller and its helper tasks. Helpers hold it by
 /// shared_ptr, so one that starts late still finds out the loop is closed.
-/// In takeover mode helpers touch only atomics here (plus the factory,
-/// while they count as inside); join mode adds a mutex for the caller's
-/// wait on normal-priority helpers.
+/// Helpers touch only atomics here (plus the factory, while they count as
+/// inside).
 class LoopState {
  public:
-  LoopState(size_t n, bool takeover,
-            std::shared_ptr<const LoopParticipant> factory)
-      : n_(n),
-        takeover_(takeover),
-        factory_(std::move(factory)),
-        handed_(takeover ? n : 0) {}
+  LoopState(size_t n, std::shared_ptr<const LoopParticipant> factory)
+      : n_(n), factory_(std::move(factory)), handed_(n) {}
 
   ~LoopState() {
     for (std::atomic<LoopStore*>& slot : handed_) {
@@ -58,54 +51,28 @@ class LoopState {
   }
 
   /// Helper body: enters unless the loop has closed, then claims, computes
-  /// and stores (join) or hands over (takeover) indices until none is left.
+  /// and hands over indices until none is left.
   void RunHelper() {
     if (!Enter()) return;  // caller finished: its frame may be gone
     try {
       LoopTask task = (*factory_)(/*helper=*/true);
       size_t index = 0;
-      while (task && Next(&index)) {
-        LoopStore step = task(index);
-        if (takeover_) {
-          Hand(index, std::move(step));
-        } else if (step) {
-          step();
-        }
-      }
+      while (task && Next(&index)) Hand(index, task(index));
     } catch (...) {
       Fail();
     }
     Leave();
-    if (!takeover_) {
-      { std::lock_guard<std::mutex> lock(mu_); }
-      cv_.notify_all();
-    }
   }
 
   /// Caller body: works the loop to completion, closes it, and rethrows
   /// the first participant failure.
   void RunCaller() {
     try {
-      LoopTask task = (*factory_)(/*helper=*/false);
-      if (takeover_) {
-        TakeoverLoop(task);
-      } else {
-        size_t index = 0;
-        while (Next(&index)) {
-          LoopStore step = task(index);
-          if (step) step();
-        }
-      }
+      CallerLoop((*factory_)(/*helper=*/false));
     } catch (...) {
       Fail();
     }
     word_.fetch_or(kClosed, std::memory_order_acq_rel);
-    if (!takeover_) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] {
-        return word_.load(std::memory_order_acquire) / kOneInside == 1;
-      });
-    }
     Leave();
     if (!failed_.load(std::memory_order_acquire)) return;
     if (std::exception_ptr* error = error_.load(std::memory_order_acquire)) {
@@ -160,8 +127,8 @@ class LoopState {
 
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
-  /// Takeover mode: a helper offers index `index`'s store step; it is
-  /// dropped when the caller already stored the index.
+  /// A helper offers index `index`'s store step; it is dropped when the
+  /// caller already stored the index.
   void Hand(size_t index, LoopStore step) {
     auto* offered = new LoopStore(std::move(step));
     LoopStore* expected = nullptr;
@@ -173,10 +140,10 @@ class LoopState {
     }
   }
 
-  /// Takeover tail included: the caller claims and stores what it can,
-  /// waits a grace for in-flight helper indices, recomputes every index
-  /// still missing, and finally runs the steps helpers handed over.
-  void TakeoverLoop(const LoopTask& task) {
+  /// The caller claims and stores what it can, waits a grace for in-flight
+  /// helper indices, recomputes every index still missing, and finally runs
+  /// the steps helpers handed over.
+  void CallerLoop(const LoopTask& task) {
     size_t own = 0;
     size_t index = 0;
     const Clock::time_point start = Clock::now();
@@ -212,7 +179,6 @@ class LoopState {
   }
 
   const size_t n_;
-  const bool takeover_;
   /// Read by participants while they count as inside; reset by the last
   /// one out once the loop is closed.
   std::shared_ptr<const LoopParticipant> factory_;
@@ -221,35 +187,25 @@ class LoopState {
   std::atomic<bool> failed_{false};
   std::atomic<std::exception_ptr*> error_{nullptr};  // the first failure
 
-  /// Takeover mode: per index, the store step a helper handed over, or
-  /// CallerStored(); and how many helpers handed over.
+  /// Per index, the store step a helper handed over, or CallerStored();
+  /// and how many helpers handed over.
   std::vector<std::atomic<LoopStore*>> handed_;
   std::atomic<size_t> handed_count_{0};
-
-  /// Join mode: the caller waits here for entered helpers to leave.
-  std::mutex mu_;
-  std::condition_variable cv_;
 };
 
 }  // namespace
 
-void ParallelLoop(ThreadPool& pool, size_t n, const LoopOptions& options,
+void ParallelLoop(ThreadPool& pool, size_t n, size_t max_helpers,
                   LoopParticipant participant) {
   if (n == 0) return;
   auto state = std::make_shared<LoopState>(
-      n, options.takeover,
-      std::make_shared<const LoopParticipant>(std::move(participant)));
-  const size_t helpers = std::min(options.max_helpers, n - 1);
+      n, std::make_shared<const LoopParticipant>(std::move(participant)));
+  const size_t helpers = std::min(max_helpers, n - 1);
   for (size_t h = 0; h < helpers; ++h) {
     try {
-      auto helper = [state] { state->RunHelper(); };
-      // Takeover helpers live on an idle-priority pool: never queue behind
-      // a lock one of its workers may hold.
-      if (options.takeover) {
-        if (!pool.TrySubmit(helper)) break;
-      } else {
-        pool.Submit(helper);
-      }
+      // Helpers may live on an idle-priority pool: never queue behind a
+      // lock one of its workers may hold.
+      if (!pool.TrySubmit([state] { state->RunHelper(); })) break;
     } catch (...) {
       break;  // the caller covers whatever the missing helpers would have
     }

@@ -16,23 +16,17 @@
 // touches the caller's frame. A participant that throws stops further
 // claims; the caller rethrows the first exception.
 //
-// Two completion modes:
-//
-//  * Join (default): each participant runs its own store steps, and the
-//    caller returns once every helper that entered has left. Tasks may
-//    reference the caller's frame and write results directly.
-//  * Takeover: for helpers on an idle-priority pool, which a loaded
-//    machine may preempt for a long time at any instruction. The caller
-//    never waits on such a helper: helpers hand their store steps to the
-//    caller through lock-free slots and take no lock the caller (or any
-//    other thread) needs, and the caller runs every store step itself.
-//    Once the caller runs out of unclaimed indices it grants in-flight
-//    ones a short grace — twice its own mean index time — and then
-//    recomputes every index still missing; a helper's late step is
-//    discarded. The caller returns possibly while a straggler is still
-//    computing, so the factory and tasks must own — by value or
-//    shared_ptr — everything they touch. The factory lives until the last
-//    participant that called it is gone.
+// The caller never waits on a helper. Helpers may live on an
+// idle-priority pool, which a loaded machine may preempt for a long time at
+// any instruction, so they hand their store steps to the caller through
+// lock-free slots and take no lock the caller (or any other thread) needs,
+// and the caller runs every store step itself. Once the caller runs out of
+// unclaimed indices it grants in-flight ones a short grace — twice its own
+// mean index time — and then recomputes every index still missing; a
+// helper's late step is discarded. The caller returns possibly while a
+// straggler is still computing, so the factory and tasks must own — by
+// value or shared_ptr — everything they touch. The factory lives until the
+// last participant that called it is gone.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +36,11 @@ namespace staq::util {
 
 class ThreadPool;
 
-/// Stores one index's result. Takeover mode runs it on the calling thread.
+/// Stores one index's result; always run on the calling thread.
 using LoopStore = std::function<void()>;
 
 /// One participant's work: computes index `index` and returns the step
-/// that stores it (empty when the task already wrote its result, which
-/// only join mode allows).
+/// that stores it (empty when there is nothing to store).
 using LoopTask = std::function<LoopStore(size_t index)>;
 
 /// Called once per participant, on its own thread (`helper` is false on the
@@ -56,19 +49,12 @@ using LoopTask = std::function<LoopStore(size_t index)>;
 /// per-participant resources there).
 using LoopParticipant = std::function<LoopTask(bool helper)>;
 
-struct LoopOptions {
-  /// Helper tasks submitted to the pool (each may or may not start in time
-  /// to help). 0 = the caller runs the loop alone.
-  size_t max_helpers = 0;
-  /// Takeover mode (see the file comment); join mode when false.
-  bool takeover = false;
-};
-
 /// Runs one loop over [0, n) on the calling thread plus up to
-/// options.max_helpers helper tasks on `pool`, and returns when every
+/// `max_helpers` helper tasks on `pool` (each may or may not start in time
+/// to help; 0 = the caller runs the loop alone), and returns when every
 /// index is stored. Rethrows the first participant exception. Helper
 /// submission never fails the loop: the caller simply does more of it.
-void ParallelLoop(ThreadPool& pool, size_t n, const LoopOptions& options,
+void ParallelLoop(ThreadPool& pool, size_t n, size_t max_helpers,
                   LoopParticipant participant);
 
 }  // namespace staq::util

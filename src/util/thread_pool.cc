@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
 
 #if defined(__linux__)
@@ -10,13 +11,11 @@
 #endif
 
 #include "util/failpoint.h"
-#include "util/parallel_loop.h"
 
 namespace staq::util {
 
-/// Shared state behind a TaskHandle: a tiny monitor so Wait/Cancel need no
-/// future plumbing (a cancelled packaged_task would surface as
-/// broken_promise rather than a clean "never ran").
+/// Shared state behind a TaskHandle: a tiny monitor, so a cancelled task
+/// reads as a clean "never ran" rather than a broken promise.
 struct TaskHandle::Shared {
   std::mutex mu;
   std::condition_variable cv;
@@ -59,15 +58,13 @@ ThreadPool::ThreadPool(size_t num_threads, Priority priority) {
   for (size_t i = 0; i < n; ++i) {
     threads_.emplace_back([this, priority] { WorkerLoop(priority); });
   }
-  // An idle pool returns only once every worker waits for work. A starting
+  // The pool returns only once every worker waits for work. A starting
   // worker holds mu_ on its way to its first wait, and TrySubmit (how
-  // helpers reach an idle pool) gives up on a held lock: right after a lazy
-  // Idle() the first helped loop would otherwise often get no helper at
-  // all. Submit waits for the lock, so a normal pool need not.
-  if (priority == Priority::kIdle) {
-    std::unique_lock<std::mutex> lock(mu_);
-    waiting_cv_.wait(lock, [&] { return workers_waiting_ == n; });
-  }
+  // ParallelLoop helpers reach a pool) gives up on a held lock: right after
+  // a lazy Idle() the first helped loop would otherwise often get no helper
+  // at all.
+  std::unique_lock<std::mutex> lock(mu_);
+  waiting_cv_.wait(lock, [&] { return workers_waiting_ == n; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -144,7 +141,11 @@ void ThreadPool::WorkerLoop(Priority priority) {
 
 void ThreadPool::RunJob(Job& job) {
   if (job.handle == nullptr) {
-    job.task();  // packaged_task routes exceptions into the future
+    try {
+      job.task();
+    } catch (...) {
+      // A TrySubmit task's exception is dropped.
+    }
     return;
   }
   {
@@ -152,18 +153,9 @@ void ThreadPool::RunJob(Job& job) {
     if (job.handle->state == TaskState::kCancelled) return;  // withdrawn
     job.handle->state = TaskState::kRunning;
   }
-  try {
-    job.task();
-  } catch (...) {
-    // packaged_task never throws here; keep the belt anyway.
-  }
-  // The packaged_task captured any exception; surface it through the handle
-  // so Wait() can rethrow without a future.
   std::exception_ptr error;
   try {
-    job.task.get_future().get();
-  } catch (const std::future_error&) {
-    // future already consumed elsewhere; nothing to propagate
+    job.task();
   } catch (...) {
     error = std::current_exception();
   }
@@ -175,22 +167,11 @@ void ThreadPool::RunJob(Job& job) {
   job.handle->cv.notify_all();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> wrapped(std::move(task));
-  std::future<void> future = wrapped.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(Job{std::move(wrapped), nullptr});
-  }
-  cv_.notify_one();
-  return future;
-}
-
 bool ThreadPool::TrySubmit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
     if (!lock.owns_lock()) return false;
-    queue_.push_back(Job{std::packaged_task<void()>(std::move(task)), nullptr});
+    queue_.push_back(Job{std::move(task), nullptr});
   }
   cv_.notify_one();
   return true;
@@ -202,10 +183,9 @@ TaskHandle ThreadPool::SubmitHandle(std::function<void()> task) {
   STAQ_FAILPOINT("util.thread_pool.submit");
   TaskHandle handle;
   handle.shared_ = std::make_shared<TaskHandle::Shared>();
-  std::packaged_task<void()> wrapped(std::move(task));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(Job{std::move(wrapped), handle.shared_});
+    queue_.push_back(Job{std::move(task), handle.shared_});
   }
   cv_.notify_one();
   return handle;
@@ -214,23 +194,6 @@ TaskHandle ThreadPool::SubmitHandle(std::function<void()> task) {
 size_t ThreadPool::PendingTasks() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t)>& body) {
-  LoopOptions options;
-  options.max_helpers = num_threads();
-  ParallelLoop(*this, n, options, [&body](bool /*helper*/) -> LoopTask {
-    return [&body](size_t i) -> LoopStore {
-      body(i);
-      return {};
-    };
-  });
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
 }
 
 ThreadPool& ThreadPool::Idle() {

@@ -1,12 +1,11 @@
 // Persistent worker-thread pool.
 //
-// Labeling dominates the solution's run time (paper §IV-E); sharding it
-// used to spawn-and-join fresh std::threads per call. This pool keeps a
-// fixed set of workers alive for the process and feeds them from a single
-// mutex-guarded queue — no work stealing, because the tasks it carries
-// (zone shards, bench repetitions) are coarse enough that one queue never
-// becomes the bottleneck. Loops over an index range go through
-// util::ParallelLoop (util/parallel_loop.h), which ParallelFor wraps.
+// A fixed set of workers fed from a single mutex-guarded queue — no work
+// stealing, because the tasks it carries (one serve request each, or one
+// zone-loop helper) are coarse enough that one queue never becomes the
+// bottleneck. An AqServer owns one normal pool for its requests; the
+// process-wide idle-priority pool (Idle()) carries the helpers of every
+// zone loop (util::ParallelLoop, util/parallel_loop.h).
 #pragma once
 
 #include <condition_variable>
@@ -14,7 +13,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,9 +55,9 @@ class TaskHandle {
   std::shared_ptr<Shared> shared_;
 };
 
-/// Fixed-size pool of persistent workers. Submit is safe from any thread;
-/// a task's exception is captured into its future (the worker survives).
-/// The destructor finishes already-queued tasks before joining.
+/// Fixed-size pool of persistent workers. Submitting is safe from any
+/// thread; a task's exception is captured into its handle (the worker
+/// survives). The destructor finishes already-queued tasks before joining.
 class ThreadPool {
  public:
   /// Schedule shaking for concurrency tests: a seeded perturbation makes
@@ -101,39 +99,22 @@ class ThreadPool {
   /// are perturbed too; call right after construction for full coverage.
   void EnablePerturbation(const PerturbOptions& options);
 
-  /// Enqueues `task`. The returned future resolves when the task finishes
-  /// and rethrows anything the task threw.
-  std::future<void> Submit(std::function<void()> task);
-
   /// Enqueues `task` unless another thread holds the queue lock right now;
   /// never waits on the pool's workers (so an idle-priority worker that is
   /// preempted while popping a job cannot stall a normal-priority caller).
   /// False = not enqueued. Exceptions the task throws are dropped.
   bool TrySubmit(std::function<void()> task);
 
-  /// Enqueues `task` and returns a cancellable handle to it. Used by
-  /// serving-style callers that need admission control (PendingTasks) and
-  /// the ability to withdraw work whose deadline has already passed while
-  /// it is still queued.
+  /// Enqueues `task` and returns a cancellable handle to it: Wait() blocks
+  /// until the task finishes and rethrows anything it threw. Serving-style
+  /// callers pair it with admission control (PendingTasks) and withdraw
+  /// work whose deadline has already passed while it is still queued.
   TaskHandle SubmitHandle(std::function<void()> task);
 
   /// Tasks accepted but not yet started. Cancelled-but-unpopped entries are
   /// included until a worker discards them, so this is an upper bound —
   /// exactly the conservative reading admission control wants.
   size_t PendingTasks() const;
-
-  /// Runs body(i) for every i in [0, n) on the calling thread plus up to
-  /// num_threads() helpers of this pool (util::ParallelLoop), each claiming
-  /// one index at a time. Returns when every index is done and
-  /// rethrows the first exception a body threw. The caller does work
-  /// itself, so it is safe to call from inside the pool's own tasks — even
-  /// from every worker at once.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  /// Process-wide pool sized to the hardware concurrency, created on first
-  /// use and joined at exit. Callers needing deterministic sizing (tests)
-  /// construct their own pool instead.
-  static ThreadPool& Shared();
 
   /// Process-wide Priority::kIdle pool sized to the hardware concurrency:
   /// the home of opportunistic loop helpers (serve zone labeling), which
@@ -142,9 +123,9 @@ class ThreadPool {
 
  private:
   /// One queue entry: the work plus an optional handle state (null for
-  /// plain Submit tasks).
+  /// TrySubmit tasks).
   struct Job {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     std::shared_ptr<TaskHandle::Shared> handle;
   };
 

@@ -9,6 +9,7 @@
 #include "core/columnar.h"
 #include "core/gravity.h"
 #include "synth/city_spec.h"
+#include "testing/label_correcting_router.h"
 #include "testing/per_trip_labeling.h"
 #include "testing/test_city.h"
 
@@ -189,6 +190,44 @@ TEST_F(LabelingTest, DeterministicAcrossEngines) {
                              gtfs::Day::kTuesday);
   EXPECT_DOUBLE_EQ(la.mac, lb.mac);
   EXPECT_DOUBLE_EQ(la.acsd, lb.acsd);
+}
+
+// The library's connection-scan labeling (one window scan per block of
+// zones) against the label-correcting oracle's grouped labeler. JT labels
+// are built from journey times only, which both engines produce
+// bit-identically, so every label and the SPQ count must agree exactly.
+TEST(LabelingOracleTest, CsaJourneyTimeLabelsEqualTheOracleLabeler) {
+  synth::City city = testing::SmallCity();
+  const std::vector<synth::Poi> pois =
+      city.PoisOf(synth::PoiCategory::kSchool);
+  GravityConfig gravity;
+  gravity.sample_rate_per_hour = 4;
+  gravity.keep_scale = 2.0;
+  TodamBuilder builder(city.zones, pois, gtfs::WeekdayAmPeak(), gravity);
+  const Todam todam = builder.BuildGravity(1);
+  std::vector<uint32_t> zones(city.zones.size());
+  std::iota(zones.begin(), zones.end(), 0u);
+
+  testing::LabelCorrectingRouter oracle(&city.feed, router::RouterOptions{});
+  testing::LabelCorrectingLabeler grouped(&city, &oracle);
+  const std::vector<ZoneLabel> expected = grouped.LabelZones(
+      todam, zones, pois, CostKind::kJourneyTime, gtfs::Day::kTuesday);
+  router::Router router(&city.feed, router::RouterOptions{});
+  LabelingEngine engine(&city, &router);
+  const std::vector<ZoneLabel> labels = engine.LabelZones(
+      todam, zones, pois, CostKind::kJourneyTime, gtfs::Day::kTuesday);
+
+  EXPECT_EQ(engine.spq_count(), grouped.spq_count());
+  ASSERT_EQ(labels.size(), expected.size());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i].mac, expected[i].mac) << "zone " << i;
+    EXPECT_EQ(labels[i].acsd, expected[i].acsd) << "zone " << i;
+    EXPECT_EQ(labels[i].num_trips, expected[i].num_trips) << "zone " << i;
+    EXPECT_EQ(labels[i].num_infeasible, expected[i].num_infeasible)
+        << "zone " << i;
+    EXPECT_EQ(labels[i].num_walk_only, expected[i].num_walk_only)
+        << "zone " << i;
+  }
 }
 
 // Blocks on the bench city: LabelZones (kZoneBlock zones per window scan)

@@ -4,6 +4,7 @@
 #include "net/server.h"
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -148,6 +149,17 @@ TEST_F(TcpServerTest, InvalidGacWeightsAreRefusedOverTheWire) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(server_->stats().failed, 1u);
+
+  // Doubles cross the wire bit for bit, NaN included; admission refuses a
+  // NaN SSR beta before it reaches the sampler.
+  serve::AqRequest nan_beta = FastExactRequest();
+  nan_beta.options.exact = false;
+  nan_beta.options.model = ml::ModelKind::kOls;
+  nan_beta.options.beta = std::numeric_limits<double>::quiet_NaN();
+  auto refused_beta = client.Query(nan_beta);
+  ASSERT_FALSE(refused_beta.ok());
+  EXPECT_EQ(refused_beta.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(server_->stats().failed, 2u);
 
   // A journey-time query carrying the same weights never reads them.
   serve::AqRequest journey_time = FastExactRequest();

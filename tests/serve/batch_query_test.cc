@@ -256,6 +256,20 @@ TEST_F(BatchQueryTest, AnInvalidGacMemberRefusesTheWholeBatch) {
   auto golden = server_->QueryUncached(ExactTemplate());
   ASSERT_TRUE(golden.ok());
   ExpectBitIdentical(served[0].value(), golden.value());
+
+  // A template field out of range refuses every member, before any work.
+  AqBatchRequest negative_keep;
+  negative_keep.request = ExactTemplate();
+  negative_keep.request.options.gravity.keep_scale = -1.0;
+  negative_keep.cost_members = SweepMembers();
+  const uint64_t builds = server_->stats().exact_state_builds;
+  auto refused = server_->QueryBatch(negative_keep);
+  ASSERT_EQ(refused.size(), SweepMembers().size());
+  for (const auto& result : refused) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(server_->stats().exact_state_builds, builds);
 }
 
 TEST(BatchSheddingTest, OverloadShedsWithUnavailable) {

@@ -211,7 +211,7 @@ class IdlePoolBlocker {
  public:
   IdlePoolBlocker() : pool_(util::ThreadPool::Idle()) {
     for (size_t i = 0; i < pool_.num_threads(); ++i) {
-      pool_.Submit([this] {
+      pool_.SubmitHandle([this] {
         std::unique_lock<std::mutex> lock(mu_);
         ++parked_;
         cv_.notify_all();
@@ -245,16 +245,16 @@ void DrainIdlePool() {
   std::mutex mu;
   std::condition_variable cv;
   size_t arrived = 0;
-  std::vector<std::future<void>> done;
+  std::vector<util::TaskHandle> done;
   for (size_t i = 0; i < pool.num_threads(); ++i) {
-    done.push_back(pool.Submit([&] {
+    done.push_back(pool.SubmitHandle([&] {
       std::unique_lock<std::mutex> lock(mu);
       ++arrived;
       cv.notify_all();
       cv.wait(lock, [&] { return arrived == pool.num_threads(); });
     }));
   }
-  for (auto& f : done) f.get();
+  for (util::TaskHandle& handle : done) handle.Wait();
 }
 
 TEST(HelperLifetimeTest, ServerDiesWhileStaleHelpersAreStillQueued) {

@@ -290,20 +290,48 @@ TEST_F(AqServerTest, TicketRecordsItsAdmissionEpoch) {
   EXPECT_FALSE(rejected.Get().ok());
 }
 
-TEST_F(AqServerTest, InvalidGacWeightsAreRefusedAtAdmission) {
-  // GAC weights arrive over the wire unchecked; a zero value of time would
-  // answer (and cache) a non-finite MAC in every zone.
+TEST_F(AqServerTest, InvalidRequestsAreRefusedAtAdmission) {
+  // Every request field arrives over the wire unchecked. A zero value of
+  // time would answer (and cache) a non-finite MAC in every zone, a NaN
+  // beta reaches a size_t cast, a huge sample rate asks for billions of
+  // TODAM draws, and a negative keep scale answers an all-empty state.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<AqRequest> invalid;
   AqRequest zero_vot = FastExactRequest();
   zero_vot.options.cost = core::CostKind::kGeneralizedCost;
   zero_vot.options.gac.value_of_time = 0.0;
+  invalid.push_back(zero_vot);
   AqRequest negative_wait = FastSsrRequest();
   negative_wait.options.cost = core::CostKind::kGeneralizedCost;
   negative_wait.options.gac.lambda_wt = -1.0;
+  invalid.push_back(negative_wait);
   AqRequest infinite_ride = zero_vot;
   infinite_ride.options.gac = router::GacWeights{};
-  infinite_ride.options.gac.lambda_ivt =
-      std::numeric_limits<double>::infinity();
-  for (const AqRequest& request : {zero_vot, negative_wait, infinite_ride}) {
+  infinite_ride.options.gac.lambda_ivt = inf;
+  invalid.push_back(infinite_ride);
+  for (double beta : {nan, inf, 0.0, -0.1, 1.5}) {
+    AqRequest ssr = FastSsrRequest();
+    ssr.options.beta = beta;
+    invalid.push_back(ssr);
+  }
+  for (double decay : {nan, inf, 0.0, -1.0}) {
+    AqRequest request = FastExactRequest();
+    request.options.gravity.decay_scale_m = decay;
+    invalid.push_back(request);
+  }
+  for (double keep : {nan, inf, -1.0}) {
+    AqRequest request = FastExactRequest();
+    request.options.gravity.keep_scale = keep;
+    invalid.push_back(request);
+  }
+  for (int rate : {0, -1, kMaxSampleRatePerHour + 1,
+                   std::numeric_limits<int>::max()}) {
+    AqRequest request = FastSsrRequest();
+    request.options.gravity.sample_rate_per_hour = rate;
+    invalid.push_back(request);
+  }
+  for (const AqRequest& request : invalid) {
     AqTicket ticket = server_->Submit(request);
     EXPECT_EQ(ticket.epoch(), AqTicket::kNoEpoch);
     auto refused = ticket.Get();
@@ -315,20 +343,27 @@ TEST_F(AqServerTest, InvalidGacWeightsAreRefusedAtAdmission) {
     EXPECT_EQ(reference.status().code(), util::StatusCode::kInvalidArgument);
   }
   ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.failed, 3u);
+  EXPECT_EQ(stats.failed, invalid.size());
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.cache_misses, 0u);  // refused before any work
   EXPECT_EQ(stats.exact_state_builds, 0u);
 
-  // Journey time reads no GAC weight, so garbage weights are harmless.
+  // Journey time reads no GAC weight, nor an exact query beta, so garbage
+  // there is harmless; the bounds themselves are admitted.
   AqRequest journey_time = FastExactRequest();
   journey_time.options.gac.value_of_time = 0.0;
   journey_time.options.gac.lambda_wt = -1.0;
+  journey_time.options.beta = nan;
   auto served = server_->Query(journey_time);
   ASSERT_TRUE(served.ok()) << served.status();
   auto golden = server_->QueryUncached(FastExactRequest());
   ASSERT_TRUE(golden.ok());
   ExpectSameAnswer(served.value(), golden.value());
+  AqRequest bounds = FastSsrRequest();
+  bounds.options.beta = 1.0;
+  bounds.options.gravity.keep_scale = 0.0;
+  bounds.options.gravity.sample_rate_per_hour = 1;
+  EXPECT_TRUE(server_->Query(bounds).ok());
 }
 
 TEST_F(AqServerTest, DestructionWithOutstandingRequestsIsClean) {

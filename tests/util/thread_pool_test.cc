@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -28,8 +29,8 @@ TEST(ThreadPoolTest, SpawnsAtLeastOneWorker) {
 TEST(ThreadPoolTest, SubmitRunsTaskAndFutureCompletes) {
   ThreadPool pool(2);
   std::atomic<int> value{0};
-  auto future = pool.Submit([&] { value.store(42); });
-  future.get();
+  TaskHandle handle = pool.SubmitHandle([&] { value.store(42); });
+  handle.Wait();
   EXPECT_EQ(value.load(), 42);
 }
 
@@ -37,111 +38,129 @@ TEST(ThreadPoolTest, ReusableAcrossSubmitWaves) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
   for (int wave = 0; wave < 5; ++wave) {
-    std::vector<std::future<void>> futures;
+    std::vector<TaskHandle> handles;
     for (int i = 0; i < 20; ++i) {
-      futures.push_back(pool.Submit([&] { count.fetch_add(1); }));
+      handles.push_back(pool.SubmitHandle([&] { count.fetch_add(1); }));
     }
-    for (auto& f : futures) f.get();
+    for (TaskHandle& handle : handles) handle.Wait();
     EXPECT_EQ(count.load(), (wave + 1) * 20);
   }
 }
 
 TEST(ThreadPoolTest, TaskExceptionReachesFutureAndPoolSurvives) {
   ThreadPool pool(2);
-  auto bad = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
+  TaskHandle bad =
+      pool.SubmitHandle([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(bad.Wait(), std::runtime_error);
   // The worker that ran the throwing task must still accept work.
   std::atomic<int> value{0};
   for (int i = 0; i < 8; ++i) {
-    pool.Submit([&] { value.fetch_add(1); }).get();
+    pool.SubmitHandle([&] { value.fetch_add(1); }).Wait();
   }
   EXPECT_EQ(value.load(), 8);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+/// Runs body(i) for every i in [0, n) as one ParallelLoop over `pool` with
+/// up to pool.num_threads() helpers, and returns how often each index was
+/// stored. The participants own a copy of `body`: a straggling helper may
+/// still be computing after the loop returns.
+template <typename Body>
+std::vector<int> StoreCounts(ThreadPool& pool, size_t n, Body body) {
+  auto stored = std::make_shared<std::vector<int>>(n, 0);
+  ParallelLoop(pool, n, pool.num_threads(), [=](bool) -> LoopTask {
+    return [=](size_t i) -> LoopStore {
+      body(i);
+      return [stored, i] { ++(*stored)[i]; };
+    };
+  });
+  return *stored;  // store steps ran on this thread only
+}
+
+/// Like StoreCounts, but stores value(i) at index i.
+std::vector<double> StoreValues(ThreadPool& pool, size_t n,
+                                double (*value)(size_t)) {
+  auto out = std::make_shared<std::vector<double>>(n, 0.0);
+  ParallelLoop(pool, n, pool.num_threads(), [=](bool) -> LoopTask {
+    return [=](size_t i) -> LoopStore {
+      const double v = value(i);
+      return [out, i, v] { (*out)[i] = v; };
+    };
+  });
+  return *out;
+}
+
+TEST(ParallelLoopTest, StoresEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  pool.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
+  const std::vector<int> stored = StoreCounts(pool, kN, [](size_t) {});
   for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    EXPECT_EQ(stored[i], 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, ParallelForResultIndependentOfWorkerCount) {
+TEST(ParallelLoopTest, ResultIndependentOfWorkerCount) {
   constexpr size_t kN = 257;
   auto run = [&](size_t workers) {
     ThreadPool pool(workers);
-    std::vector<double> out(kN);
-    pool.ParallelFor(kN, [&](size_t i) {
-      out[i] = static_cast<double>(i) * 1.5 + 1.0;
+    return StoreValues(pool, kN, [](size_t i) {
+      return static_cast<double>(i) * 1.5 + 1.0;
     });
-    return out;
   };
   std::vector<double> serial = run(1);
   std::vector<double> parallel = run(5);
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ThreadPoolTest, ParallelForZeroAndOneElement) {
+TEST(ParallelLoopTest, ZeroAndOneElement) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.ParallelFor(0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
+  ParallelLoop(pool, 0, 2, [&](bool) -> LoopTask {
     ++calls;
+    return {};
   });
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(StoreCounts(pool, 1, [](size_t i) { EXPECT_EQ(i, 0u); }),
+            std::vector<int>{1});
 }
 
-TEST(ThreadPoolTest, ParallelForRethrowsAfterAllChunksFinish) {
+TEST(ParallelLoopTest, RethrowsAndThePoolSurvives) {
   ThreadPool pool(3);
-  std::atomic<size_t> ran{0};
-  EXPECT_THROW(
-      pool.ParallelFor(64,
-                       [&](size_t i) {
-                         ran.fetch_add(1);
-                         if (i == 7) throw std::logic_error("bad index");
-                       }),
-      std::logic_error);
-  // Every index either ran or was skipped as part of the throwing chunk;
-  // the pool is intact afterwards.
-  std::atomic<int> value{0};
-  pool.ParallelFor(16, [&](size_t) { value.fetch_add(1); });
-  EXPECT_EQ(value.load(), 16);
+  EXPECT_THROW(StoreCounts(pool, 64,
+                           [](size_t i) {
+                             if (i == 7) throw std::logic_error("bad index");
+                           }),
+               std::logic_error);
+  // The pool is intact afterwards.
+  EXPECT_EQ(StoreCounts(pool, 16, [](size_t) {}), std::vector<int>(16, 1));
 }
 
-TEST(ThreadPoolTest, ParallelForFromEveryWorkerAtOnceCompletes) {
-  // Every worker of the pool runs a ParallelFor over the same pool at the
-  // same time, so no helper of any loop can start until its caller is
-  // done: each caller must finish its loop alone instead of waiting for
-  // help that never comes.
+TEST(ParallelLoopTest, FromEveryWorkerAtOnceCompletes) {
+  // Every worker of the pool runs a loop over the same pool at the same
+  // time, so no helper of any loop can start until its caller is done:
+  // each caller must finish its loop alone instead of waiting for help
+  // that never comes.
   constexpr size_t kWorkers = 4;
   constexpr size_t kN = 500;
   ThreadPool pool(kWorkers);
   std::mutex mu;
   std::condition_variable cv;
   size_t arrived = 0;
-  std::vector<std::vector<int>> hits(kWorkers, std::vector<int>(kN, 0));
-  std::vector<std::future<void>> futures;
+  std::vector<std::vector<int>> stored(kWorkers);
+  std::vector<TaskHandle> handles;
   for (size_t w = 0; w < kWorkers; ++w) {
-    futures.push_back(pool.Submit([&, w] {
+    handles.push_back(pool.SubmitHandle([&, w] {
       {
         std::unique_lock<std::mutex> lock(mu);
         ++arrived;
         cv.notify_all();
         cv.wait(lock, [&] { return arrived == kWorkers; });
       }
-      pool.ParallelFor(kN, [&, w](size_t i) { ++hits[w][i]; });
+      stored[w] = StoreCounts(pool, kN, [](size_t) {});
     }));
   }
-  for (auto& f : futures) f.get();
+  for (TaskHandle& handle : handles) handle.Wait();
   for (size_t w = 0; w < kWorkers; ++w) {
-    for (size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(hits[w][i], 1) << "worker " << w << " index " << i;
-    }
+    EXPECT_EQ(stored[w], std::vector<int>(kN, 1)) << "worker " << w;
   }
 }
 
@@ -150,7 +169,7 @@ class PoolBlocker {
  public:
   explicit PoolBlocker(ThreadPool& pool) : pool_(pool) {
     for (size_t i = 0; i < pool_.num_threads(); ++i) {
-      done_.push_back(pool_.Submit([this] {
+      done_.push_back(pool_.SubmitHandle([this] {
         std::unique_lock<std::mutex> lock(mu_);
         ++parked_;
         cv_.notify_all();
@@ -167,7 +186,7 @@ class PoolBlocker {
       released_ = true;
     }
     cv_.notify_all();
-    for (auto& f : done_) f.get();
+    for (TaskHandle& handle : done_) handle.Wait();
     done_.clear();
   }
 
@@ -177,7 +196,7 @@ class PoolBlocker {
   std::condition_variable cv_;
   size_t parked_ = 0;
   bool released_ = false;
-  std::vector<std::future<void>> done_;
+  std::vector<TaskHandle> done_;
 };
 
 TEST(ParallelLoopTest, LateHelpersNeverCallTheParticipant) {
@@ -186,9 +205,7 @@ TEST(ParallelLoopTest, LateHelpersNeverCallTheParticipant) {
   std::vector<int> out(64, 0);
   {
     PoolBlocker blocker(pool);
-    LoopOptions options;
-    options.max_helpers = 2;
-    ParallelLoop(pool, out.size(), options, [&](bool helper) -> LoopTask {
+    ParallelLoop(pool, out.size(), 2, [&](bool helper) -> LoopTask {
       if (helper) helper_calls.fetch_add(1);
       return [&](size_t i) -> LoopStore {
         out[i] = static_cast<int>(i);
@@ -196,14 +213,14 @@ TEST(ParallelLoopTest, LateHelpersNeverCallTheParticipant) {
       };
     });
   }  // the blocker releases: both helpers start after the loop closed
-  pool.Submit([] {}).get();
-  pool.Submit([] {}).get();
+  pool.SubmitHandle([] {}).Wait();
+  pool.SubmitHandle([] {}).Wait();
   EXPECT_EQ(helper_calls.load(), 0);
   for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i));
 }
 
 TEST(ParallelLoopTest, CallerTakesOverAnIndexAStalledHelperHolds) {
-  // Takeover mode: a helper claims one index and stalls on it; the caller
+  // A helper claims one index and stalls on it; the caller
   // finishes everything else, recomputes the stalled index, and returns
   // while the helper is still stalled. Every store step runs on the
   // calling thread, exactly once per index; the helper's late step is
@@ -220,10 +237,7 @@ TEST(ParallelLoopTest, CallerTakesOverAnIndexAStalledHelperHolds) {
   std::shared_future<void> entered_future = entered->get_future().share();
   const std::thread::id caller = std::this_thread::get_id();
 
-  LoopOptions options;
-  options.max_helpers = 1;
-  options.takeover = true;
-  ParallelLoop(pool, kN, options, [=](bool helper) -> LoopTask {
+  ParallelLoop(pool, kN, 1, [=](bool helper) -> LoopTask {
     return [=](size_t i) -> LoopStore {
       if (helper && stalled_on->load() < 0) {
         stalled_on->store(static_cast<int>(i));
@@ -246,43 +260,37 @@ TEST(ParallelLoopTest, CallerTakesOverAnIndexAStalledHelperHolds) {
   }
   EXPECT_EQ(writes->load(), static_cast<int>(kN));
   stall->set_value();  // the straggler resumes, finds its index stored
-  pool.Submit([] {}).get();
+  pool.SubmitHandle([] {}).Wait();
   EXPECT_EQ(writes->load(), static_cast<int>(kN));
   EXPECT_EQ(foreign_writes->load(), 0);
 }
 
 TEST(ParallelLoopTest, HelperExceptionReachesTheCaller) {
   ThreadPool pool(2);
-  for (bool takeover : {false, true}) {
-    LoopOptions options;
-    options.max_helpers = 2;
-    options.takeover = takeover;
-    auto failed = std::make_shared<std::promise<void>>();
-    std::shared_future<void> helper_failed = failed->get_future().share();
-    auto once = std::make_shared<std::atomic<bool>>(false);
-    auto caller_waited = std::make_shared<std::atomic<bool>>(false);
-    EXPECT_THROW(
-        ParallelLoop(pool, 64, options,
-                     [=](bool helper) -> LoopTask {
-                       return [=](size_t) -> LoopStore {
-                         if (helper && !once->exchange(true)) {
-                           failed->set_value();
-                           throw std::logic_error("helper fault");
-                         }
-                         // The caller waits for the helper's fault (and, in
-                         // takeover mode, for it to reach the loop), so the
-                         // loop cannot finish before it.
-                         if (!helper && !caller_waited->exchange(true)) {
-                           helper_failed.wait();
-                           std::this_thread::sleep_for(
-                               std::chrono::milliseconds(20));
-                         }
-                         return {};
-                       };
-                     }),
-        std::logic_error)
-        << "takeover " << takeover;
-  }
+  auto failed = std::make_shared<std::promise<void>>();
+  std::shared_future<void> helper_failed = failed->get_future().share();
+  auto once = std::make_shared<std::atomic<bool>>(false);
+  auto caller_waited = std::make_shared<std::atomic<bool>>(false);
+  EXPECT_THROW(
+      ParallelLoop(pool, 64, 2,
+                   [=](bool helper) -> LoopTask {
+                     return [=](size_t) -> LoopStore {
+                       if (helper && !once->exchange(true)) {
+                         failed->set_value();
+                         throw std::logic_error("helper fault");
+                       }
+                       // The caller waits for the helper's fault and for
+                       // it to reach the loop, so the loop cannot finish
+                       // before it.
+                       if (!helper && !caller_waited->exchange(true)) {
+                         helper_failed.wait();
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(20));
+                       }
+                       return {};
+                     };
+                   }),
+      std::logic_error);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
@@ -290,7 +298,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   {
     ThreadPool pool(1);
     for (int i = 0; i < 32; ++i) {
-      pool.Submit([&] { done.fetch_add(1); });
+      pool.SubmitHandle([&] { done.fetch_add(1); });
     }
     // Destructor must run all 32 queued tasks before joining.
   }
@@ -317,9 +325,9 @@ TEST(ThreadPoolTest, HandleWaitRethrowsTaskException) {
       pool.SubmitHandle([] { throw std::runtime_error("handled boom"); });
   EXPECT_THROW(handle.Wait(), std::runtime_error);
   EXPECT_EQ(handle.state(), TaskState::kDone);
-  // Pool survives, as with plain Submit.
+  // The pool survives.
   std::atomic<int> value{0};
-  pool.Submit([&] { value.store(1); }).get();
+  pool.SubmitHandle([&] { value.store(1); }).Wait();
   EXPECT_EQ(value.load(), 1);
 }
 
@@ -329,7 +337,7 @@ TEST(ThreadPoolTest, CancelWithdrawsQueuedTaskBeforeItRuns) {
   std::condition_variable cv;
   bool release = false;
   // Occupy the only worker so the second task is provably still queued.
-  auto blocker = pool.Submit([&] {
+  TaskHandle blocker = pool.SubmitHandle([&] {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return release; });
   });
@@ -347,7 +355,7 @@ TEST(ThreadPoolTest, CancelWithdrawsQueuedTaskBeforeItRuns) {
     release = true;
   }
   cv.notify_all();
-  blocker.get();
+  blocker.Wait();
   handle.Wait();  // resolves immediately for a cancelled task
   EXPECT_FALSE(ran.load());
 }
@@ -399,22 +407,12 @@ TEST(ThreadPoolTest, CancelFailsOnceTaskIsDone) {
 
 TEST(ThreadPoolTest, PendingTasksDrainsToZero) {
   ThreadPool pool(2);
-  std::vector<std::future<void>> futures;
+  std::vector<TaskHandle> handles;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([] {}));
+    handles.push_back(pool.SubmitHandle([] {}));
   }
-  for (auto& f : futures) f.get();
+  for (TaskHandle& handle : handles) handle.Wait();
   EXPECT_EQ(pool.PendingTasks(), 0u);
-}
-
-TEST(ThreadPoolTest, SharedPoolIsASingleton) {
-  ThreadPool& a = ThreadPool::Shared();
-  ThreadPool& b = ThreadPool::Shared();
-  EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.num_threads(), 1u);
-  std::atomic<int> value{0};
-  a.Submit([&] { value.store(7); }).get();
-  EXPECT_EQ(value.load(), 7);
 }
 
 // --- schedule shaking ------------------------------------------------------
@@ -425,12 +423,13 @@ TEST(PerturbedPoolTest, EveryTaskStillRunsExactlyOnce) {
   constexpr int kTasks = 200;
   std::vector<std::atomic<int>> runs(kTasks);
   for (auto& r : runs) r.store(0);
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
+  std::vector<TaskHandle> handles;
+  handles.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&runs, i] { runs[i].fetch_add(1); }));
+    handles.push_back(
+        pool.SubmitHandle([&runs, i] { runs[i].fetch_add(1); }));
   }
-  for (auto& f : futures) f.get();
+  for (TaskHandle& handle : handles) handle.Wait();
   for (int i = 0; i < kTasks; ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "task " << i;
   }
@@ -447,7 +446,7 @@ TEST(PerturbedPoolTest, HandleSemanticsSurviveReordering) {
     std::mutex mu;
     std::condition_variable cv;
     bool started = false, release = false;
-    auto blocker = pool.Submit([&] {
+    TaskHandle blocker = pool.SubmitHandle([&] {
       std::unique_lock<std::mutex> lock(mu);
       started = true;
       cv.notify_all();
@@ -477,7 +476,7 @@ TEST(PerturbedPoolTest, HandleSemanticsSurviveReordering) {
       release = true;
     }
     cv.notify_all();
-    blocker.get();
+    blocker.Wait();
     for (int i = 0; i < kTasks; ++i) {
       handles[i].Wait();
       EXPECT_EQ(runs[i].load(), cancelled[i] ? 0 : 1)
@@ -488,16 +487,14 @@ TEST(PerturbedPoolTest, HandleSemanticsSurviveReordering) {
   }
 }
 
-TEST(PerturbedPoolTest, ParallelForResultIsUnchanged) {
+TEST(PerturbedPoolTest, ParallelLoopResultIsUnchanged) {
   constexpr size_t kN = 257;
   auto run = [&](std::optional<ThreadPool::PerturbOptions> perturb) {
     ThreadPool pool(4);
     if (perturb) pool.EnablePerturbation(*perturb);
-    std::vector<double> out(kN);
-    pool.ParallelFor(kN, [&](size_t i) {
-      out[i] = static_cast<double>(i) * 2.5 - 1.0;
+    return StoreValues(pool, kN, [](size_t i) {
+      return static_cast<double>(i) * 2.5 - 1.0;
     });
-    return out;
   };
   std::vector<double> quiet = run(std::nullopt);
   std::vector<double> shaken =

@@ -52,7 +52,6 @@
 #include "exp/json.h"
 #include "exp/runner.h"
 #include "core/labeling.h"
-#include "core/parallel_labeling.h"
 #include "gtfs/gtfs_csv.h"
 #include "router/router.h"
 #include "scenario/pack.h"

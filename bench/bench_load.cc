@@ -6,9 +6,9 @@
 //       time + 15 GAC variants) over one (category, seed) is evaluated two
 //       ways over the same city: the scalar foil (16 independent
 //       per-cost ground-truth passes with scalar measures, sharing
-//       nothing; tests/testing/exact_reference.h) and the columnar vector
-//       path (ONE labeling pass, per-member SoA derivation through
-//       ml::kernels).
+//       nothing; tests/testing/exact_reference.h) and QueryBatch on a
+//       one-worker AqServer (ONE labeling pass, per-member SoA derivation
+//       through ml::kernels).
 //       Every member pair is gated bit-identical first; then the speedup
 //       must clear the 10x floor or the bench exits non-zero.
 //
@@ -206,8 +206,12 @@ exp::RunResult RunLoadBench() {
     return {1, ""};
   }
   const size_t num_zones = built.value().zones.size();
-  core::AccessQueryEngine engine(std::move(built).value(),
-                                 gtfs::WeekdayAmPeak());
+  // One worker caps the server's labeling contexts at one, so the batch's
+  // cold build gets no helpers and both sides of the ratio stay serial.
+  serve::AqServer::Options eval_options;
+  eval_options.num_threads = 1;
+  serve::AqServer eval_server(std::move(built).value(), gtfs::WeekdayAmPeak(),
+                              eval_options);
 
   core::AccessQueryOptions base;
   base.exact = true;
@@ -216,7 +220,8 @@ exp::RunResult RunLoadBench() {
 
   // The scalar foil: one independent ground-truth pass per member,
   // sharing nothing, on a pipeline of its own (offline phase untimed).
-  testing::ExactReference reference(&engine.city(), engine.interval());
+  testing::ExactReference reference(&eval_server.base_city(),
+                                    gtfs::WeekdayAmPeak());
   std::vector<core::AccessQueryResult> scalar;
   util::Stopwatch scalar_watch;
   for (const core::CostMember& m : members) {
@@ -233,21 +238,27 @@ exp::RunResult RunLoadBench() {
   }
   const double scalar_s = scalar_watch.ElapsedSeconds();
 
-  core::VectorQuerySpec columnar_spec;
-  columnar_spec.cost_members = members;
+  serve::AqBatchRequest eval_batch;
+  eval_batch.request.category = synth::PoiCategory::kSchool;
+  eval_batch.request.options = base;
+  eval_batch.cost_members = members;
+  // A server's first zone loop starts the process-wide idle pool
+  // (util/thread_pool.h); start it untimed so only the batch is timed.
+  util::ThreadPool::Idle();
   util::Stopwatch columnar_watch;
-  auto columnar = engine.QueryVector(synth::PoiCategory::kSchool, base,
-                                     columnar_spec);
+  auto columnar = eval_server.QueryBatch(eval_batch);
   const double columnar_s = columnar_watch.ElapsedSeconds();
-  if (!columnar.ok()) {
-    std::fprintf(stderr, "columnar evaluation failed: %s\n",
-                 columnar.status().ToString().c_str());
-    return {1, ""};
+  for (const auto& result : columnar) {
+    if (!result.ok()) {
+      std::fprintf(stderr, "columnar evaluation failed: %s\n",
+                   result.status().ToString().c_str());
+      return {1, ""};
+    }
   }
 
-  bool bit_identical = scalar.size() == columnar.value().size();
+  bool bit_identical = scalar.size() == columnar.size();
   for (size_t i = 0; bit_identical && i < members.size(); ++i) {
-    bit_identical = BitIdentical(scalar[i], columnar.value()[i]);
+    bit_identical = BitIdentical(scalar[i], columnar[i].value());
     if (!bit_identical) {
       std::fprintf(stderr,
                    "GATE FAILED (measure_eval): member %zu differs between "

@@ -10,8 +10,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/access_query.h"
 #include "scenario/report.h"
+#include "serve/server.h"
 #include "synth/city_builder.h"
 
 using namespace staq;
@@ -36,9 +36,8 @@ double GroupMean(const synth::City& city, const std::vector<double>& mac,
 int main() {
   auto built = synth::BuildCity(synth::CitySpec::Covely(0.15, 13));
   if (!built.ok()) return 1;
-  core::AccessQueryEngine engine(std::move(built).value(),
-                                 gtfs::WeekdayAmPeak());
-  const synth::City& city = engine.city();
+  serve::AqServer server(std::move(built).value(), gtfs::WeekdayAmPeak());
+  const synth::City& city = server.base_city();
 
   // Median vulnerability splits the city into "more deprived" / "less
   // deprived" halves for the between-group gap.
@@ -47,17 +46,20 @@ int main() {
   std::nth_element(vuln.begin(), vuln.begin() + vuln.size() / 2, vuln.end());
   double median_vuln = vuln[vuln.size() / 2];
 
-  core::AccessQueryOptions options;
-  options.beta = 0.15;
-  options.model = ml::ModelKind::kMlp;
-  options.cost = core::CostKind::kGeneralizedCost;
-  options.gravity.sample_rate_per_hour = 8;
+  serve::AqRequest request;
+  request.options.beta = 0.15;
+  request.options.model = ml::ModelKind::kMlp;
+  request.options.cost = core::CostKind::kGeneralizedCost;
+  request.options.gravity.sample_rate_per_hour = 8;
 
   std::vector<gtfs::TimeInterval> intervals{
       gtfs::WeekdayAmPeak(), gtfs::WeekdayOffPeak(), gtfs::SundayMorning()};
 
   for (const gtfs::TimeInterval& interval : intervals) {
-    engine.SetInterval(interval);
+    if (auto switched = server.SetInterval(interval); !switched.ok()) {
+      std::fprintf(stderr, "%s\n", switched.status().ToString().c_str());
+      return 1;
+    }
     std::printf("\n=== interval: %s ===\n", interval.label.c_str());
     std::printf("%-11s %9s %9s %9s %9s %14s\n", "poi", "jain", "pop-jain",
                 "vuln-jain", "gap(min)", "mean MAC(min)");
@@ -65,7 +67,8 @@ int main() {
     for (synth::PoiCategory category :
          {synth::PoiCategory::kSchool, synth::PoiCategory::kHospital,
           synth::PoiCategory::kVaxCenter, synth::PoiCategory::kJobCenter}) {
-      auto result = engine.Query(category, options);
+      request.category = category;
+      auto result = server.Query(request);
       if (!result.ok()) {
         std::printf("%-11s query failed: %s\n",
                     synth::PoiCategoryName(category),
@@ -96,13 +99,14 @@ int main() {
   // queries on both sides through the scenario formatter — per-zone MAC
   // deltas, class migration, the worst-hit zone — the identical rendering
   // `staq_cli scenario run` produces for disruption packs.
-  core::AccessQueryOptions exact = options;
-  exact.exact = true;
-  engine.SetInterval(gtfs::WeekdayAmPeak());
-  auto peak = engine.Query(synth::PoiCategory::kSchool, exact);
-  engine.SetInterval(gtfs::SundayMorning());
-  auto sunday = engine.Query(synth::PoiCategory::kSchool, exact);
-  if (peak.ok() && sunday.ok()) {
+  serve::AqRequest exact = request;
+  exact.category = synth::PoiCategory::kSchool;
+  exact.options.exact = true;
+  auto peak_switch = server.SetInterval(gtfs::WeekdayAmPeak());
+  auto peak = server.Query(exact);
+  auto sunday_switch = server.SetInterval(gtfs::SundayMorning());
+  auto sunday = server.Query(exact);
+  if (peak_switch.ok() && peak.ok() && sunday_switch.ok() && sunday.ok()) {
     scenario::EquityReport report = scenario::CompareAccess(
         "sunday_service", "covely", city.zones, peak.value(), sunday.value());
     std::printf("\n%s", scenario::FormatEquityReport(report).c_str());

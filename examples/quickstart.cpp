@@ -5,13 +5,15 @@
 //
 // This is the smallest complete use of the public API:
 //   1. describe a city (or load your own zones/feed into synth::City),
-//   2. create an AccessQueryEngine for a time interval,
+//   2. start an AqServer (the library's one front door) for a time
+//      interval,
 //   3. query aggregate access to a POI category — exactly, or with the
 //      SSR solution at a labeling budget.
 #include <cstdio>
 
-#include "core/access_query.h"
+#include "serve/server.h"
 #include "synth/city_builder.h"
+#include "util/stopwatch.h"
 
 using namespace staq;
 
@@ -30,19 +32,21 @@ int main() {
               spec.name.c_str(), city.zones.size(), city.feed.num_stops(),
               city.feed.num_trips());
 
-  // 2. Engine for the weekday AM peak (07:00-09:00 Tuesday). Construction
+  // 2. Server for the weekday AM peak (07:00-09:00 Tuesday). Construction
   //    runs the offline phase: walking isochrones + transit-hop trees.
-  core::AccessQueryEngine engine(std::move(city), gtfs::WeekdayAmPeak());
-  std::printf("offline pre-computation: %.3f s\n", engine.offline_seconds());
+  util::Stopwatch offline;
+  serve::AqServer server(std::move(city), gtfs::WeekdayAmPeak());
+  std::printf("offline pre-computation: %.3f s\n", offline.ElapsedSeconds());
 
   // 3. "What is the average journey time to a school, and how fairly is
   //    it distributed?" — answered with the SSR solution at a 10% budget.
-  core::AccessQueryOptions options;
-  options.beta = 0.10;
-  options.model = ml::ModelKind::kMlp;
-  options.cost = core::CostKind::kJourneyTime;
+  serve::AqRequest request;
+  request.category = synth::PoiCategory::kSchool;
+  request.options.beta = 0.10;
+  request.options.model = ml::ModelKind::kMlp;
+  request.options.cost = core::CostKind::kJourneyTime;
 
-  auto answer = engine.Query(synth::PoiCategory::kSchool, options);
+  auto answer = server.Query(request);
   if (!answer.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  answer.status().ToString().c_str());

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/temporal.h"
+#include "serve/server.h"
 #include "synth/city_builder.h"
 
 using namespace staq;
@@ -17,25 +18,34 @@ using namespace staq;
 int main() {
   auto built = synth::BuildCity(synth::CitySpec::Covely(0.15, 23));
   if (!built.ok()) return 1;
-  core::AccessQueryEngine engine(std::move(built).value(),
-                                 gtfs::WeekdayAmPeak());
+  serve::AqServer server(std::move(built).value(), gtfs::WeekdayAmPeak());
 
-  core::AccessQueryOptions options;
-  options.beta = 0.15;
-  options.model = ml::ModelKind::kMlp;
-  options.gravity.sample_rate_per_hour = 8;
+  serve::AqRequest request;
+  request.category = synth::PoiCategory::kHospital;
+  request.options.beta = 0.15;
+  request.options.model = ml::ModelKind::kMlp;
+  request.options.gravity.sample_rate_per_hour = 8;
 
   std::vector<gtfs::TimeInterval> intervals{
       gtfs::WeekdayAmPeak(), gtfs::WeekdayOffPeak(), gtfs::WeekdayPmPeak(),
       gtfs::SundayMorning()};
 
-  auto comparison = core::CompareIntervals(
-      &engine, synth::PoiCategory::kHospital, options, intervals);
-  if (!comparison.ok()) {
-    std::fprintf(stderr, "%s\n", comparison.status().ToString().c_str());
-    return 1;
+  // The same query in each interval: SetInterval re-runs the offline phase
+  // (hop trees are interval-specific), then the query runs against it.
+  std::vector<core::IntervalResult> results;
+  for (const gtfs::TimeInterval& interval : intervals) {
+    auto switched = server.SetInterval(interval);
+    if (!switched.ok()) {
+      std::fprintf(stderr, "%s\n", switched.status().ToString().c_str());
+      return 1;
+    }
+    auto answer = server.Query(request);
+    if (!answer.ok()) {
+      std::fprintf(stderr, "%s\n", answer.status().ToString().c_str());
+      return 1;
+    }
+    results.push_back({interval, std::move(answer).value()});
   }
-  const auto& results = comparison.value();
 
   std::printf("access to hospitals across the schedule:\n");
   std::printf("%-18s %14s %12s %10s\n", "interval", "mean MAC (min)",

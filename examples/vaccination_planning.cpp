@@ -7,14 +7,15 @@
 //   2. identifies the worst-served high-vulnerability zones,
 //   3. evaluates candidate sites for ONE new centre by re-running the
 //      access query per candidate (a dynamic AQ per candidate — the
-//      workload that makes the SSR speed-up matter),
+//      workload that makes the SSR speed-up matter; each candidate is an
+//      edit of the server's scenario, added and then removed),
 //   4. recommends the candidate that most improves vulnerability-weighted
 //      access.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "core/access_query.h"
+#include "serve/server.h"
 #include "synth/city_builder.h"
 
 using namespace staq;
@@ -39,18 +40,19 @@ double VulnerableMeanAccess(const synth::City& city,
 int main() {
   auto built = synth::BuildCity(synth::CitySpec::Brindale(0.12, 11));
   if (!built.ok()) return 1;
-  core::AccessQueryEngine engine(std::move(built).value(),
-                                 gtfs::WeekdayAmPeak());
-  const synth::City& city = engine.city();
+  serve::AqServer server(std::move(built).value(), gtfs::WeekdayAmPeak());
+  const synth::City& city = server.base_city();
 
-  core::AccessQueryOptions options;
-  options.beta = 0.10;
-  options.model = ml::ModelKind::kMlp;
-  options.cost = core::CostKind::kGeneralizedCost;  // money + inconvenience
-  options.gravity.sample_rate_per_hour = 8;
+  serve::AqRequest request;
+  request.category = synth::PoiCategory::kVaxCenter;
+  request.options.beta = 0.10;
+  request.options.model = ml::ModelKind::kMlp;
+  // Money + inconvenience.
+  request.options.cost = core::CostKind::kGeneralizedCost;
+  request.options.gravity.sample_rate_per_hour = 8;
 
   // 1. Baseline.
-  auto baseline = engine.Query(synth::PoiCategory::kVaxCenter, options);
+  auto baseline = server.Query(request);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
@@ -84,10 +86,11 @@ int main() {
   uint32_t best_zone = candidates[0];
   double best_cost = baseline_cost;
   for (uint32_t z : candidates) {
-    uint32_t poi = engine.AddPoi(synth::PoiCategory::kVaxCenter,
-                                 city.zones[z].centroid);
-    auto with_site = engine.Query(synth::PoiCategory::kVaxCenter, options);
-    (void)engine.RemovePoi(poi);
+    auto added = server.AddPoi(synth::PoiCategory::kVaxCenter,
+                               city.zones[z].centroid);
+    if (!added.ok()) continue;
+    auto with_site = server.Query(request);
+    (void)server.RemovePoi(added.value().poi_id);
     if (!with_site.ok()) continue;
     double cost = VulnerableMeanAccess(city, with_site.value().mac);
     std::printf("  site at zone %4u -> %.1f gen-min (%+.1f%%), in %.2f s\n",

@@ -1,8 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/stopwatch.h"
 
 namespace staq::core {
@@ -226,25 +223,6 @@ GroundTruth SsrPipeline::ComputeGroundTruth(
       trips > 0 ? static_cast<double>(walk_only) / static_cast<double>(trips)
                 : 0.0;
   return truth;
-}
-
-CapturedCosts SsrPipeline::CaptureGroundTruthColumns(
-    const std::vector<synth::Poi>& pois, const Todam& todam) {
-  CapturedCosts captured;
-  util::Stopwatch watch;
-  LabelingEngine labeler(city_, router_.get());
-  std::vector<uint32_t> zones(city_->zones.size());
-  std::iota(zones.begin(), zones.end(), 0u);
-  std::vector<ZoneLabel> labels(kZoneBlock);
-  for (size_t first = 0; first < zones.size(); first += kZoneBlock) {
-    labeler.LabelBlock(todam, zones.data() + first,
-                       std::min(kZoneBlock, zones.size() - first), pois,
-                       CostKind::kJourneyTime, interval_.day, labels.data(),
-                       &captured.columns);
-  }
-  captured.spqs = labeler.spq_count();
-  captured.labeling_s = watch.ElapsedSeconds();
-  return captured;
 }
 
 }  // namespace staq::core

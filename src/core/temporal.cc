@@ -5,24 +5,6 @@
 
 namespace staq::core {
 
-util::Result<std::vector<IntervalResult>> CompareIntervals(
-    AccessQueryEngine* engine, synth::PoiCategory category,
-    const AccessQueryOptions& options,
-    const std::vector<gtfs::TimeInterval>& intervals) {
-  if (intervals.empty()) {
-    return util::Status::InvalidArgument("no intervals given");
-  }
-  std::vector<IntervalResult> out;
-  out.reserve(intervals.size());
-  for (const gtfs::TimeInterval& interval : intervals) {
-    engine->SetInterval(interval);
-    auto result = engine->Query(category, options);
-    if (!result.ok()) return result.status();
-    out.push_back(IntervalResult{interval, std::move(result).value()});
-  }
-  return out;
-}
-
 std::vector<double> TemporalSpread(
     const std::vector<IntervalResult>& results) {
   assert(!results.empty());

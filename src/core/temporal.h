@@ -1,7 +1,8 @@
 // Temporal accessibility analysis (paper §I questions 1 and 3, §II
 // "temporal accessibility studies").
 //
-// Runs the same access query across several time intervals and derives the
+// Given the same access query answered in several time intervals (an
+// AqServer's SetInterval + Query per interval, serve/server.h), derives the
 // temporal measures the motivating questions ask for: how access varies
 // over the day/week, which zones' access collapses at particular times
 // ("does the varying transit schedule restrict or prevent access at
@@ -20,14 +21,6 @@ struct IntervalResult {
   gtfs::TimeInterval interval;
   AccessQueryResult result;
 };
-
-/// Runs `category` access queries over each interval with the same
-/// options. The engine's offline phase is re-run per interval (hop trees
-/// are interval-specific); the engine is left on the last interval.
-util::Result<std::vector<IntervalResult>> CompareIntervals(
-    AccessQueryEngine* engine, synth::PoiCategory category,
-    const AccessQueryOptions& options,
-    const std::vector<gtfs::TimeInterval>& intervals);
 
 /// Per-zone temporal spread: max - min MAC across the intervals. Requires
 /// at least one interval; all results must cover the same zones.

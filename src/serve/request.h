@@ -1,12 +1,12 @@
 // Request/response types of the serve subsystem.
 //
 // An AqRequest is one access query addressed to an AqServer: the POI
-// category, the full AccessQueryOptions of the core engine, and an optional
-// deadline. Requests are canonicalised into cache-key strings so that two
-// requests that must produce identical answers — regardless of how their
-// irrelevant option fields differ — share one result-cache entry: an exact
-// query ignores beta/model (no SSR stage runs), and a journey-time query
-// ignores the GAC weights.
+// category, the query's AccessQueryOptions (core/access_query.h), and an
+// optional deadline. Requests are canonicalised into cache-key strings so
+// that two requests that must produce identical answers — regardless of how
+// their irrelevant option fields differ — share one result-cache entry: an
+// exact query ignores beta/model (no SSR stage runs), and a journey-time
+// query ignores the GAC weights.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/access_query.h"
+#include "core/columnar.h"
 
 namespace staq::serve {
 
@@ -39,11 +40,11 @@ struct AqRequest {
 };
 
 /// One request template swept across POI categories, TODAM seeds, and cost
-/// definitions — the serve form of core::VectorQuerySpec. An empty axis
-/// means "the template's value". Every member of an exact batch that
-/// shares a (category, seed) shares ONE labeling pass on a worker and its
-/// answer lands in the ResultCache under the derived single-query key, so
-/// later single submissions of any member are cache hits.
+/// definitions. An empty axis means "the template's value". Every member of
+/// an exact batch that shares a (category, seed) shares ONE labeling pass on
+/// a worker and its answer lands in the ResultCache under the derived
+/// single-query key, so later single submissions of any member are cache
+/// hits.
 struct AqBatchRequest {
   AqRequest request;
   std::vector<synth::PoiCategory> categories;

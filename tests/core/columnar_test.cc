@@ -1,10 +1,9 @@
 // Golden bit-identity suite for the columnar measure engine
 // (core/columnar.h): every columnar derivation must equal the scalar
 // oracle (testing/scalar_oracle.h) bit for bit — on synthetic journeys, on
-// kernel-backed measure reductions, and end to end through
-// AccessQueryEngine::QueryVector on both city families across seeds and
-// cost kinds, against a per-cost labeling pass
-// (testing/exact_reference.h).
+// kernel-backed measure reductions, and end to end through AqServer's
+// QueryBatch and single Query on both city families across seeds and cost
+// kinds, against a per-cost labeling pass (testing/exact_reference.h).
 #include "core/columnar.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include "core/access_query.h"
 #include "core/measures.h"
 #include "core/todam.h"
+#include "serve/server.h"
 #include "synth/city_spec.h"
 #include "testing/exact_reference.h"
 #include "testing/scalar_oracle.h"
@@ -170,136 +170,154 @@ void ExpectSameResult(const AccessQueryResult& a, const AccessQueryResult& b) {
   EXPECT_EQ(a.gravity_trips, b.gravity_trips);
 }
 
+serve::AqBatchRequest CostSweep(synth::PoiCategory category, uint64_t seed) {
+  serve::AqBatchRequest batch;
+  batch.request.category = category;
+  batch.request.options = ExactOptions(seed);
+  batch.cost_members = SweepMembers();
+  return batch;
+}
+
 TEST(QueryVectorTest, BitIdenticalToSingleQueriesOnBothFamilies) {
+  // Each batch member derives from one shared capture pass; each uncached
+  // single query labels its own state under its own cost definition.
   for (bool brindale : {true, false}) {
     SCOPED_TRACE(brindale ? "brindale" : "covely");
     synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
                                     : synth::CitySpec::Covely(0.04, 22);
     auto city = synth::BuildCity(spec);
     ASSERT_TRUE(city.ok());
-    AccessQueryEngine engine(std::move(city).value(), gtfs::WeekdayAmPeak());
+    serve::AqServer server(std::move(city).value(), gtfs::WeekdayAmPeak());
 
     for (uint64_t seed : {1u, 2u}) {
       SCOPED_TRACE("seed " + std::to_string(seed));
-      VectorQuerySpec vspec;
-      vspec.cost_members = SweepMembers();
-      auto batch = engine.QueryVector(synth::PoiCategory::kSchool,
-                                      ExactOptions(seed), vspec);
-      ASSERT_TRUE(batch.ok()) << batch.status();
-      ASSERT_EQ(batch.value().size(), vspec.cost_members.size());
-      for (size_t m = 0; m < vspec.cost_members.size(); ++m) {
+      serve::AqBatchRequest batch =
+          CostSweep(synth::PoiCategory::kSchool, seed);
+      auto answers = server.QueryBatch(batch);
+      ASSERT_EQ(answers.size(), batch.cost_members.size());
+      std::vector<serve::AqRequest> members = serve::ExpandBatch(batch);
+      for (size_t m = 0; m < members.size(); ++m) {
         SCOPED_TRACE("member " + std::to_string(m));
-        AccessQueryOptions options = ExactOptions(seed);
-        options.cost = vspec.cost_members[m].cost;
-        options.gac = vspec.cost_members[m].gac;
-        auto single = engine.Query(synth::PoiCategory::kSchool, options);
-        ASSERT_TRUE(single.ok());
-        ExpectSameResult(batch.value()[m], single.value());
+        ASSERT_TRUE(answers[m].ok()) << answers[m].status();
+        auto single = server.QueryUncached(members[m]);
+        ASSERT_TRUE(single.ok()) << single.status();
+        ExpectSameResult(answers[m].value(), single.value());
       }
     }
   }
 }
 
 TEST(QueryVectorTest, ScalarFoilAlsoMatches) {
-  // One independent Query per member, sharing nothing.
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  VectorQuerySpec columnar;
-  columnar.cost_members = SweepMembers();
-  auto fast = engine.QueryVector(synth::PoiCategory::kHospital,
-                                 ExactOptions(3), columnar);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_EQ(fast.value().size(), columnar.cost_members.size());
-  for (size_t m = 0; m < fast.value().size(); ++m) {
-    AccessQueryOptions options = ExactOptions(3);
-    options.cost = columnar.cost_members[m].cost;
-    options.gac = columnar.cost_members[m].gac;
-    auto slow = engine.Query(synth::PoiCategory::kHospital, options);
-    ASSERT_TRUE(slow.ok());
-    ExpectSameResult(fast.value()[m], slow.value());
+  // One memoised single Query per member, each labeling a state of its
+  // own, against one reference pass per member, sharing nothing.
+  serve::AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  testing::ExactReference reference(&server.base_city(),
+                                    gtfs::WeekdayAmPeak());
+  for (const serve::AqRequest& member :
+       serve::ExpandBatch(CostSweep(synth::PoiCategory::kHospital, 3))) {
+    auto fast = server.Query(member);
+    ASSERT_TRUE(fast.ok()) << fast.status();
+    auto slow = reference.Query(member.category, member.options);
+    ASSERT_TRUE(slow.ok()) << slow.status();
+    ExpectSameResult(fast.value(), slow.value());
   }
 }
 
 TEST(QueryVectorTest, SweepsCategoryAndSeedAxesInDeclaredOrder) {
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  VectorQuerySpec vspec;
-  vspec.categories = {synth::PoiCategory::kSchool,
+  serve::AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  serve::AqBatchRequest batch;
+  batch.request.category = synth::PoiCategory::kSchool;
+  batch.request.options = ExactOptions(1);
+  batch.categories = {synth::PoiCategory::kSchool,
                       synth::PoiCategory::kHospital};
-  vspec.seeds = {2, 5};
-  auto batch =
-      engine.QueryVector(synth::PoiCategory::kSchool, ExactOptions(1), vspec);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch.value().size(), 4u);
+  batch.seeds = {2, 5};
+  auto answers = server.QueryBatch(batch);
+  ASSERT_EQ(answers.size(), 4u);
   size_t i = 0;
-  for (synth::PoiCategory cat : vspec.categories) {
-    for (uint64_t seed : vspec.seeds) {
-      auto single = engine.Query(cat, ExactOptions(seed));
-      ASSERT_TRUE(single.ok());
-      ExpectSameResult(batch.value()[i++], single.value());
+  for (synth::PoiCategory cat : batch.categories) {
+    for (uint64_t seed : batch.seeds) {
+      ASSERT_TRUE(answers[i].ok()) << answers[i].status();
+      serve::AqRequest single;
+      single.category = cat;
+      single.options = ExactOptions(seed);
+      auto expected = server.QueryUncached(single);
+      ASSERT_TRUE(expected.ok());
+      ExpectSameResult(answers[i++].value(), expected.value());
     }
   }
 }
 
 TEST(QueryVectorTest, MatchesOneGroundTruthPassPerCost) {
   // The independent reference: every (category, seed, cost) answer is a
-  // labeling pass of its own, finalized by the scalar measures. Both the
-  // swept vector and each single exact Query must equal it bit for bit.
+  // labeling pass of its own over a TODAM the reference draws itself,
+  // finalized by the scalar measures. One server's batch answers and
+  // another's memoised single answers must equal it bit for bit, before
+  // and after a POI edit, which the single answers' label states absorb by
+  // patching. (A batch fills the result cache under every member's single
+  // key, so one server would answer the singles from the batch.)
   for (bool brindale : {true, false}) {
     SCOPED_TRACE(brindale ? "brindale" : "covely");
     synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
                                     : synth::CitySpec::Covely(0.04, 22);
     auto city = synth::BuildCity(spec);
     ASSERT_TRUE(city.ok());
-    AccessQueryEngine engine(std::move(city).value(), gtfs::WeekdayAmPeak());
-    testing::ExactReference reference(&engine.city(), engine.interval());
+    serve::AqServer batch_server(city.value(), gtfs::WeekdayAmPeak());
+    serve::AqServer single_server(std::move(city).value(),
+                                  gtfs::WeekdayAmPeak());
+    testing::ExactReference reference(&single_server.base_city(),
+                                      gtfs::WeekdayAmPeak());
 
-    VectorQuerySpec vspec;
-    vspec.categories = {synth::PoiCategory::kSchool,
+    serve::AqBatchRequest batch = CostSweep(synth::PoiCategory::kSchool, 1);
+    batch.categories = {synth::PoiCategory::kSchool,
                         synth::PoiCategory::kHospital};
-    vspec.seeds = {1, 2};
-    vspec.cost_members = SweepMembers();
-    auto batch =
-        engine.QueryVector(synth::PoiCategory::kSchool, ExactOptions(1), vspec);
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    ASSERT_EQ(batch.value().size(), 2u * 2u * vspec.cost_members.size());
-    size_t i = 0;
-    for (synth::PoiCategory cat : vspec.categories) {
-      for (uint64_t seed : vspec.seeds) {
-        for (const CostMember& member : vspec.cost_members) {
-          SCOPED_TRACE("member " + std::to_string(i));
-          AccessQueryOptions options = ExactOptions(seed);
-          options.cost = member.cost;
-          options.gac = member.gac;
-          auto expected = reference.Query(cat, options);
-          ASSERT_TRUE(expected.ok()) << expected.status();
-          ExpectSameResult(batch.value()[i++], expected.value());
-          auto single = engine.Query(cat, options);
-          ASSERT_TRUE(single.ok()) << single.status();
-          ExpectSameResult(single.value(), expected.value());
-        }
+    batch.seeds = {1, 2};
+    const std::vector<serve::AqRequest> members = serve::ExpandBatch(batch);
+    ASSERT_EQ(members.size(), 2u * 2u * batch.cost_members.size());
+    for (bool edited : {false, true}) {
+      SCOPED_TRACE(edited ? "after AddPoi" : "base city");
+      if (edited) {
+        const geo::Point site = single_server.base_city().zones[0].centroid;
+        auto added = single_server.AddPoi(synth::PoiCategory::kSchool, site);
+        ASSERT_TRUE(added.ok()) << added.status();
+        EXPECT_GT(added.value().states_patched, 0u);
+        auto batch_added =
+            batch_server.AddPoi(synth::PoiCategory::kSchool, site);
+        ASSERT_TRUE(batch_added.ok()) << batch_added.status();
+        ASSERT_EQ(batch_added.value().poi_id, added.value().poi_id);
+        reference.AddPoi(synth::Poi{added.value().poi_id,
+                                    synth::PoiCategory::kSchool, site});
+      }
+      auto answers = batch_server.QueryBatch(batch);
+      ASSERT_EQ(answers.size(), members.size());
+      for (size_t i = 0; i < members.size(); ++i) {
+        SCOPED_TRACE("member " + std::to_string(i));
+        auto expected = reference.Query(members[i].category,
+                                        members[i].options);
+        ASSERT_TRUE(expected.ok()) << expected.status();
+        ASSERT_TRUE(answers[i].ok()) << answers[i].status();
+        ExpectSameResult(answers[i].value(), expected.value());
+        auto single = single_server.Query(members[i]);
+        ASSERT_TRUE(single.ok()) << single.status();
+        // A patched state reports the SPQs its patch spent.
+        AccessQueryResult want = expected.value();
+        EXPECT_LE(single.value().spqs, want.spqs);
+        if (edited) want.spqs = single.value().spqs;
+        ExpectSameResult(single.value(), want);
       }
     }
   }
 }
 
-TEST(QueryVectorTest, RejectsSsrTemplates) {
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  AccessQueryOptions ssr = ExactOptions(1);
-  ssr.exact = false;
-  auto result = engine.QueryVector(synth::PoiCategory::kSchool, ssr, {});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-}
-
 TEST(QueryVectorTest, RejectsInvalidMemberWeights) {
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  VectorQuerySpec vspec;
+  serve::AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  serve::AqBatchRequest batch = CostSweep(synth::PoiCategory::kSchool, 1);
   router::GacWeights bad;
   bad.value_of_time = 0.0;
-  vspec.cost_members.push_back({CostKind::kGeneralizedCost, bad});
-  auto result =
-      engine.QueryVector(synth::PoiCategory::kSchool, ExactOptions(1), vspec);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  batch.cost_members.push_back({CostKind::kGeneralizedCost, bad});
+  for (const auto& answer : server.QueryBatch(batch)) {
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), util::StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/server.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
@@ -12,12 +13,13 @@ namespace {
 
 class ExportTest : public ::testing::Test {
  protected:
-  ExportTest() : engine_(testing::SmallCity(), gtfs::WeekdayAmPeak()) {
-    AccessQueryOptions options;
-    options.exact = true;
-    options.gravity.sample_rate_per_hour = 4;
-    options.gravity.keep_scale = 2.0;
-    auto answer = engine_.Query(synth::PoiCategory::kVaxCenter, options);
+  ExportTest() : server_(testing::SmallCity(), gtfs::WeekdayAmPeak()) {
+    serve::AqRequest request;
+    request.category = synth::PoiCategory::kVaxCenter;
+    request.options.exact = true;
+    request.options.gravity.sample_rate_per_hour = 4;
+    request.options.gravity.keep_scale = 2.0;
+    auto answer = server_.Query(request);
     EXPECT_TRUE(answer.ok());
     result_ = std::move(answer).value();
   }
@@ -28,15 +30,17 @@ class ExportTest : public ::testing::Test {
                        std::istreambuf_iterator<char>());
   }
 
-  AccessQueryEngine engine_;
+  const synth::City& city() const { return server_.base_city(); }
+
+  serve::AqServer server_;
   AccessQueryResult result_;
 };
 
 TEST_F(ExportTest, GeoJsonContainsEveryZoneAndPoi) {
   std::string path = ::testing::TempDir() + "/staq_export.geojson";
   geo::LocalProjection projection(geo::LatLon{52.41, -1.51});
-  auto pois = engine_.city().PoisOf(synth::PoiCategory::kVaxCenter);
-  ASSERT_TRUE(ExportAccessGeoJson(engine_.city(), projection, result_, pois,
+  auto pois = city().PoisOf(synth::PoiCategory::kVaxCenter);
+  ASSERT_TRUE(ExportAccessGeoJson(city(), projection, result_, pois,
                                   path)
                   .ok());
   std::string content = ReadFile(path);
@@ -52,7 +56,7 @@ TEST_F(ExportTest, GeoJsonContainsEveryZoneAndPoi) {
     ++poi_features;
     ++pos;
   }
-  EXPECT_EQ(zone_features, engine_.city().zones.size());
+  EXPECT_EQ(zone_features, city().zones.size());
   EXPECT_EQ(poi_features, pois.size());
   // Coordinates are WGS-84: longitudes near -1.5, latitudes near 52.4.
   EXPECT_NE(content.find("[-1."), std::string::npos);
@@ -62,7 +66,7 @@ TEST_F(ExportTest, GeoJsonContainsEveryZoneAndPoi) {
 TEST_F(ExportTest, GeoJsonIsStructurallyBalanced) {
   std::string path = ::testing::TempDir() + "/staq_export2.geojson";
   geo::LocalProjection projection(geo::LatLon{52.41, -1.51});
-  ASSERT_TRUE(ExportAccessGeoJson(engine_.city(), projection, result_, {},
+  ASSERT_TRUE(ExportAccessGeoJson(city(), projection, result_, {},
                                   path)
                   .ok());
   std::string content = ReadFile(path);
@@ -86,14 +90,14 @@ TEST_F(ExportTest, GeoJsonRejectsMismatchedResult) {
   AccessQueryResult bad = result_;
   bad.mac.pop_back();
   geo::LocalProjection projection(geo::LatLon{52.41, -1.51});
-  EXPECT_FALSE(ExportAccessGeoJson(engine_.city(), projection, bad, {},
+  EXPECT_FALSE(ExportAccessGeoJson(city(), projection, bad, {},
                                    "/tmp/never.geojson")
                    .ok());
 }
 
 TEST_F(ExportTest, ReportContainsHeadlinesAndWorstZones) {
   std::string md =
-      RenderAccessReport(engine_.city(), result_, "Access to vax centres");
+      RenderAccessReport(city(), result_, "Access to vax centres");
   EXPECT_NE(md.find("# Access to vax centres"), std::string::npos);
   EXPECT_NE(md.find("mean access cost (MAC)"), std::string::npos);
   EXPECT_NE(md.find("Jain"), std::string::npos);
@@ -113,16 +117,16 @@ TEST_F(ExportTest, ReportContainsHeadlinesAndWorstZones) {
 
 TEST_F(ExportTest, WriteReportRoundTrips) {
   std::string path = ::testing::TempDir() + "/staq_report.md";
-  ASSERT_TRUE(WriteAccessReport(engine_.city(), result_, "T", path).ok());
-  EXPECT_EQ(ReadFile(path), RenderAccessReport(engine_.city(), result_, "T"));
+  ASSERT_TRUE(WriteAccessReport(city(), result_, "T", path).ok());
+  EXPECT_EQ(ReadFile(path), RenderAccessReport(city(), result_, "T"));
   std::remove(path.c_str());
 }
 
 TEST_F(ExportTest, WriteFailsOnBadPath) {
   EXPECT_FALSE(
-      WriteAccessReport(engine_.city(), result_, "T", "/no-dir/x.md").ok());
+      WriteAccessReport(city(), result_, "T", "/no-dir/x.md").ok());
   geo::LocalProjection projection(geo::LatLon{52.41, -1.51});
-  EXPECT_FALSE(ExportAccessGeoJson(engine_.city(), projection, result_, {},
+  EXPECT_FALSE(ExportAccessGeoJson(city(), projection, result_, {},
                                    "/no-dir/x.geojson")
                    .ok());
 }

@@ -2,69 +2,70 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/server.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
 namespace {
 
-AccessQueryOptions ExactOptions() {
-  AccessQueryOptions options;
-  options.exact = true;
-  options.gravity.sample_rate_per_hour = 4;
-  options.gravity.keep_scale = 2.0;
-  return options;
+serve::AqRequest ExactRequest(synth::PoiCategory category) {
+  serve::AqRequest request;
+  request.category = category;
+  request.options.exact = true;
+  request.options.gravity.sample_rate_per_hour = 4;
+  request.options.gravity.keep_scale = 2.0;
+  return request;
 }
 
 class TemporalTest : public ::testing::Test {
  protected:
-  TemporalTest() : engine_(testing::SmallCity(), gtfs::WeekdayAmPeak()) {}
+  TemporalTest() : server_(testing::SmallCity(), gtfs::WeekdayAmPeak()) {}
 
-  AccessQueryEngine engine_;
+  /// The temporal comparison: one server switched to each interval in
+  /// turn (SetInterval re-runs the offline phase), the same query each
+  /// time. Empty on any failure.
+  std::vector<IntervalResult> QueryIntervals(
+      synth::PoiCategory category,
+      const std::vector<gtfs::TimeInterval>& intervals) {
+    std::vector<IntervalResult> out;
+    for (const gtfs::TimeInterval& interval : intervals) {
+      auto switched = server_.SetInterval(interval);
+      auto result = server_.Query(ExactRequest(category));
+      if (!switched.ok() || !result.ok()) {
+        ADD_FAILURE() << (switched.ok() ? result.status() : switched.status());
+        return {};
+      }
+      out.push_back(IntervalResult{interval, std::move(result).value()});
+    }
+    return out;
+  }
+
+  serve::AqServer server_;
 };
 
-TEST_F(TemporalTest, CompareIntervalsReturnsOnePerInterval) {
-  auto results = CompareIntervals(
-      &engine_, synth::PoiCategory::kSchool, ExactOptions(),
-      {gtfs::WeekdayAmPeak(), gtfs::SundayMorning()});
-  ASSERT_TRUE(results.ok()) << results.status();
-  ASSERT_EQ(results.value().size(), 2u);
-  EXPECT_EQ(results.value()[0].interval.label, "weekday-am-peak");
-  EXPECT_EQ(results.value()[1].interval.label, "sunday-morning");
-  EXPECT_EQ(results.value()[0].result.mac.size(),
-            engine_.city().zones.size());
-}
-
-TEST_F(TemporalTest, EmptyIntervalListRejected) {
-  auto results = CompareIntervals(&engine_, synth::PoiCategory::kSchool,
-                                  ExactOptions(), {});
-  EXPECT_FALSE(results.ok());
-}
-
 TEST_F(TemporalTest, SundayAccessNoBetterThanWeekday) {
-  auto results = CompareIntervals(
-      &engine_, synth::PoiCategory::kSchool, ExactOptions(),
-      {gtfs::WeekdayAmPeak(), gtfs::SundayMorning()});
-  ASSERT_TRUE(results.ok());
+  auto results = QueryIntervals(synth::PoiCategory::kSchool,
+                                {gtfs::WeekdayAmPeak(), gtfs::SundayMorning()});
+  ASSERT_EQ(results.size(), 2u);
   // Weekend headways are doubled in the generator, so mean access cannot
   // meaningfully improve.
-  EXPECT_GE(results.value()[1].result.mean_mac,
-            0.95 * results.value()[0].result.mean_mac);
+  EXPECT_GE(results[1].result.mean_mac,
+            0.95 * results[0].result.mean_mac);
 }
 
 TEST_F(TemporalTest, TemporalSpreadNonNegativeAndZeroForSingleInterval) {
-  auto one = CompareIntervals(&engine_, synth::PoiCategory::kSchool,
-                              ExactOptions(), {gtfs::WeekdayAmPeak()});
-  ASSERT_TRUE(one.ok());
-  for (double s : TemporalSpread(one.value())) {
+  auto one = QueryIntervals(synth::PoiCategory::kSchool,
+                            {gtfs::WeekdayAmPeak()});
+  ASSERT_EQ(one.size(), 1u);
+  for (double s : TemporalSpread(one)) {
     EXPECT_DOUBLE_EQ(s, 0.0);
   }
 
-  auto two = CompareIntervals(
-      &engine_, synth::PoiCategory::kSchool, ExactOptions(),
-      {gtfs::WeekdayAmPeak(), gtfs::SundayMorning()});
-  ASSERT_TRUE(two.ok());
-  auto spread = TemporalSpread(two.value());
-  ASSERT_EQ(spread.size(), engine_.city().zones.size());
+  auto two = QueryIntervals(synth::PoiCategory::kSchool,
+                            {gtfs::WeekdayAmPeak(), gtfs::SundayMorning()});
+  ASSERT_EQ(two.size(), 2u);
+  auto spread = TemporalSpread(two);
+  ASSERT_EQ(spread.size(), server_.base_city().zones.size());
   double total = 0;
   for (double s : spread) {
     EXPECT_GE(s, 0.0);
@@ -74,31 +75,30 @@ TEST_F(TemporalTest, TemporalSpreadNonNegativeAndZeroForSingleInterval) {
 }
 
 TEST_F(TemporalTest, SpreadMatchesManualComputation) {
-  auto results = CompareIntervals(
-      &engine_, synth::PoiCategory::kVaxCenter, ExactOptions(),
-      {gtfs::WeekdayAmPeak(), gtfs::WeekdayOffPeak()});
-  ASSERT_TRUE(results.ok());
-  auto spread = TemporalSpread(results.value());
+  auto results =
+      QueryIntervals(synth::PoiCategory::kVaxCenter,
+                     {gtfs::WeekdayAmPeak(), gtfs::WeekdayOffPeak()});
+  ASSERT_EQ(results.size(), 2u);
+  auto spread = TemporalSpread(results);
   for (size_t z = 0; z < spread.size(); ++z) {
-    double a = results.value()[0].result.mac[z];
-    double b = results.value()[1].result.mac[z];
+    double a = results[0].result.mac[z];
+    double b = results[1].result.mac[z];
     EXPECT_NEAR(spread[z], std::abs(a - b), 1e-9);
   }
 }
 
 TEST_F(TemporalTest, AccessDesertsDetectedAtHugeFactorOnlyWhenReal) {
-  auto results = CompareIntervals(
-      &engine_, synth::PoiCategory::kSchool, ExactOptions(),
-      {gtfs::WeekdayAmPeak(), gtfs::SundayMorning()});
-  ASSERT_TRUE(results.ok());
+  auto results = QueryIntervals(synth::PoiCategory::kSchool,
+                                {gtfs::WeekdayAmPeak(), gtfs::SundayMorning()});
+  ASSERT_EQ(results.size(), 2u);
   // factor 1.0: any zone that worsens at all is flagged.
-  auto any_worse = TemporalAccessDeserts(results.value(), 1.0);
+  auto any_worse = TemporalAccessDeserts(results, 1.0);
   // factor 100: nothing degrades by 100x in this city.
-  auto extreme = TemporalAccessDeserts(results.value(), 100.0);
+  auto extreme = TemporalAccessDeserts(results, 100.0);
   EXPECT_GE(any_worse.size(), extreme.size());
   EXPECT_TRUE(extreme.empty());
   for (uint32_t z : any_worse) {
-    EXPECT_LT(z, engine_.city().zones.size());
+    EXPECT_LT(z, server_.base_city().zones.size());
   }
 }
 

@@ -4,8 +4,8 @@
 // properties the paper reports.
 #include <gtest/gtest.h>
 
-#include "core/access_query.h"
 #include "core/pipeline.h"
+#include "serve/server.h"
 #include "testing/test_city.h"
 
 namespace staq {
@@ -98,20 +98,24 @@ TEST_F(IntegrationTest, FairnessIndexPredictedAccurately) {
 
 TEST(IntegrationDynamicTest, EndToEndDynamicScenario) {
   // The motivating workflow: measure access, add a facility, re-query.
-  core::AccessQueryEngine engine(
+  serve::AqServer server(
       std::move(synth::BuildCity(synth::CitySpec::Covely(0.1, 21))).value(),
       gtfs::WeekdayAmPeak());
 
-  core::AccessQueryOptions options;
-  options.exact = true;
-  options.gravity.sample_rate_per_hour = 4;
-  options.gravity.keep_scale = 2.0;
+  serve::AqRequest request;
+  request.category = synth::PoiCategory::kVaxCenter;
+  request.options.exact = true;
+  request.options.gravity.sample_rate_per_hour = 4;
+  request.options.gravity.keep_scale = 2.0;
 
-  auto before = engine.Query(synth::PoiCategory::kVaxCenter, options);
+  auto before = server.Query(request);
   ASSERT_TRUE(before.ok());
 
-  engine.AddPoi(synth::PoiCategory::kVaxCenter, engine.city().Centre());
-  auto after = engine.Query(synth::PoiCategory::kVaxCenter, options);
+  ASSERT_TRUE(server
+                  .AddPoi(synth::PoiCategory::kVaxCenter,
+                          server.base_city().Centre())
+                  .ok());
+  auto after = server.Query(request);
   ASSERT_TRUE(after.ok());
 
   // More provision can only help the mean access cost.

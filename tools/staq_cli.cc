@@ -9,8 +9,9 @@
 //
 //   staq_cli query --city-dir DIR --poi school --interval am
 //             [--beta 0.05] [--model MLP|OLS|COREG|MT|GNN] [--cost jt|gac]
-//             [--exact] [--zones-out FILE]
-//       Answer an access query; optionally dump per-zone measures as CSV.
+//             [--label-seed N] [--exact] [--zones-out FILE]
+//       Answer an access query through an AqServer (serve/server.h), as
+//       the server answers it; optionally dump per-zone measures as CSV.
 //
 //   staq_cli snapshot save|load|inspect|verify ...
 //       Persist a full serving snapshot (city + offline structures +
@@ -59,6 +60,7 @@
 #include "scenario/runner.h"
 #include "serve/request.h"
 #include "serve/scenario.h"
+#include "serve/server.h"
 #include "store/snapshot.h"
 #include "synth/city_builder.h"
 #include "synth/city_io.h"
@@ -116,10 +118,11 @@ constexpr char kQueryUsage[] =
     "        --poi school|hospital|vax_center|job_center\n"
     "        [--interval am|offpeak|pm|sunday] [--beta B]\n"
     "        [--model MLP|OLS|COREG|MT|GNN] [--cost jt|gac]\n"
-    "        [--exact] [--zones-out FILE]\n"
+    "        [--label-seed N] [--exact] [--zones-out FILE]\n"
     "        [--geojson FILE] [--report FILE]\n"
     "        [--batch [--batch-seeds N]]  (requires --exact: sweeps\n"
-    "          jt+gac across N TODAM seeds in one labeling pass)\n";
+    "          jt+gac across N TODAM seeds from --label-seed, one\n"
+    "          labeling pass per seed)\n";
 constexpr char kSnapshotUsage[] =
     "  snapshot save (--city-dir DIR | --synth brindale|covely [--scale S] "
     "[--seed N])\n"
@@ -311,8 +314,9 @@ int RunInfo(const Args& args) {
 int RunQuery(const Args& args) {
   if (!CheckFlags(args, "query",
                   {"city-dir", "synth", "scale", "seed", "poi", "interval",
-                   "beta", "model", "cost", "exact", "zones-out", "geojson",
-                   "report", "batch", "batch-seeds"})) {
+                   "beta", "model", "cost", "exact", "label-seed",
+                   "zones-out", "geojson", "report", "batch",
+                   "batch-seeds"})) {
     return UsageFor("query", kQueryUsage);
   }
   auto city = LoadOrSynth(args);
@@ -333,12 +337,14 @@ int RunQuery(const Args& args) {
     return 1;
   }
 
-  core::AccessQueryEngine engine(std::move(city).value(), interval.value());
-  core::AccessQueryOptions options;
+  serve::AqServer server(std::move(city).value(), interval.value());
+  serve::AqRequest request;
+  request.category = category.value();
+  core::AccessQueryOptions& options = request.options;
   options.exact = args.Has("exact");
   options.beta = args.GetDouble("beta", 0.05);
   options.model = model.value();
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  options.seed = static_cast<uint64_t>(args.GetInt("label-seed", 1));
   std::string cost = args.Get("cost", "jt");
   if (cost == "gac") {
     options.cost = core::CostKind::kGeneralizedCost;
@@ -365,17 +371,20 @@ int RunQuery(const Args& args) {
     }
     int batch_seeds = args.GetInt("batch-seeds", 2);
     if (batch_seeds < 1) batch_seeds = 1;
-    core::VectorQuerySpec spec;
+    serve::AqBatchRequest batch;
+    batch.request = request;
     for (int i = 0; i < batch_seeds; ++i) {
-      spec.seeds.push_back(options.seed + static_cast<uint64_t>(i));
+      batch.seeds.push_back(options.seed + static_cast<uint64_t>(i));
     }
-    spec.cost_members.push_back({core::CostKind::kJourneyTime, {}});
-    spec.cost_members.push_back(
+    batch.cost_members.push_back({core::CostKind::kJourneyTime, {}});
+    batch.cost_members.push_back(
         {core::CostKind::kGeneralizedCost, options.gac});
-    auto batch = engine.QueryVector(category.value(), options, spec);
-    if (!batch.ok()) {
-      std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
-      return 1;
+    auto answers = server.QueryBatch(batch);
+    for (const auto& answer : answers) {
+      if (!answer.ok()) {
+        std::fprintf(stderr, "%s\n", answer.status().ToString().c_str());
+        return 1;
+      }
     }
     std::printf("poi=%s interval=%s (exact batch: %d seed%s x jt,gac)\n",
                 synth::PoiCategoryName(category.value()),
@@ -384,9 +393,9 @@ int RunQuery(const Args& args) {
     std::printf("%-6s %-5s %10s %10s %8s %10s\n", "seed", "cost", "MAC(min)",
                 "ACSD(min)", "Jain", "SPQs");
     size_t i = 0;
-    for (uint64_t seed : spec.seeds) {
-      for (const core::CostMember& member : spec.cost_members) {
-        const core::AccessQueryResult& row = batch.value()[i++];
+    for (uint64_t seed : batch.seeds) {
+      for (const core::CostMember& member : batch.cost_members) {
+        const core::AccessQueryResult& row = answers[i++].value();
         std::printf("%-6llu %-5s %10.1f %10.1f %8.3f %10llu\n",
                     static_cast<unsigned long long>(seed),
                     member.cost == core::CostKind::kJourneyTime ? "jt" : "gac",
@@ -397,7 +406,7 @@ int RunQuery(const Args& args) {
     return 0;
   }
 
-  auto result = engine.Query(category.value(), options);
+  auto result = server.Query(request);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -424,8 +433,8 @@ int RunQuery(const Args& args) {
 
   if (args.Has("geojson")) {
     std::string path = args.Get("geojson", "access.geojson");
-    auto pois = engine.city().PoisOf(category.value());
-    if (auto st = core::ExportAccessGeoJson(engine.city(), CliProjection(),
+    auto pois = server.base_city().PoisOf(category.value());
+    if (auto st = core::ExportAccessGeoJson(server.base_city(), CliProjection(),
                                             r, pois, path);
         !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -439,7 +448,7 @@ int RunQuery(const Args& args) {
     std::string title = util::Format(
         "Access to %s (%s)", synth::PoiCategoryName(category.value()),
         interval.value().label.c_str());
-    if (auto st = core::WriteAccessReport(engine.city(), r, title, path);
+    if (auto st = core::WriteAccessReport(server.base_city(), r, title, path);
         !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;

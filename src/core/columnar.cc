@@ -29,36 +29,37 @@ void MemberCostColumn(const TripCostColumns& columns, const CostMember& member,
   for (size_t i = 0; i < n; ++i) o[i] += fare[i] / w.value_of_time;
 }
 
-std::vector<ZoneLabel> AggregateZoneLabels(const TripCostColumns& columns,
-                                           const std::vector<double>& costs) {
-  std::vector<ZoneLabel> labels(columns.num_zones());
+void AggregateZoneLabels(const size_t* offsets, size_t num_zones,
+                         const uint8_t* flags, const double* costs,
+                         ZoneLabel* out) {
   std::vector<double> feasible_costs;  // reused across zones
-  for (size_t z = 0; z < labels.size(); ++z) {
-    ZoneLabel& label = labels[z];
-    size_t begin = columns.zone_offsets[z];
-    size_t end = columns.zone_offsets[z + 1];
+  for (size_t z = 0; z < num_zones; ++z) {
+    ZoneLabel label;
+    const size_t begin = offsets[z];
+    const size_t end = offsets[z + 1];
     label.num_trips = static_cast<uint32_t>(end - begin);
     feasible_costs.clear();
     for (size_t i = begin; i < end; ++i) {
-      if (!(columns.flags[i] & 1)) {
+      if (!(flags[i] & 1)) {
         ++label.num_infeasible;
         continue;
       }
-      if (columns.flags[i] & 2) ++label.num_walk_only;
+      if (flags[i] & 2) ++label.num_walk_only;
       feasible_costs.push_back(costs[i]);
     }
-    if (feasible_costs.empty()) continue;
-    double n = static_cast<double>(feasible_costs.size());
-    double sum =
-        ml::kernels::ReduceSum(feasible_costs.size(), feasible_costs.data());
-    double sum_sq = ml::kernels::Dot(feasible_costs.size(),
-                                     feasible_costs.data(),
-                                     feasible_costs.data());
-    label.mac = sum / n;
-    double var = sum_sq / n - label.mac * label.mac;
-    label.acsd = var > 0 ? std::sqrt(var) : 0.0;
+    if (!feasible_costs.empty()) {
+      double n = static_cast<double>(feasible_costs.size());
+      double sum =
+          ml::kernels::ReduceSum(feasible_costs.size(), feasible_costs.data());
+      double sum_sq = ml::kernels::Dot(feasible_costs.size(),
+                                       feasible_costs.data(),
+                                       feasible_costs.data());
+      label.mac = sum / n;
+      double var = sum_sq / n - label.mac * label.mac;
+      label.acsd = var > 0 ? std::sqrt(var) : 0.0;
+    }
+    out[z] = label;
   }
-  return labels;
 }
 
 }  // namespace staq::core

@@ -49,10 +49,25 @@ struct CostMember {
 void MemberCostColumn(const TripCostColumns& columns, const CostMember& member,
                       std::vector<double>* out);
 
-/// Aggregates a member's cost column to per-zone labels: original-order
-/// feasible compaction, then single-accumulator ascending reductions.
-/// Bit-identical to the scalar aggregation loop of the oracle.
-std::vector<ZoneLabel> AggregateZoneLabels(const TripCostColumns& columns,
-                                           const std::vector<double>& costs);
+/// The one aggregation from per-trip costs to zone labels: zone b's trips
+/// occupy [offsets[b], offsets[b + 1]) of `flags` (bit0 feasible, bit1
+/// walk-only) and `costs`, and out[b] receives its label for b in
+/// [0, num_zones). Original-order feasible compaction, then
+/// single-accumulator ascending reductions — bit-identical to the scalar
+/// aggregation loop of the oracle. Offsets index the columns absolutely,
+/// so a caller re-aggregates one zone of a CSR set by passing
+/// &offsets[z] with num_zones = 1.
+void AggregateZoneLabels(const size_t* offsets, size_t num_zones,
+                         const uint8_t* flags, const double* costs,
+                         ZoneLabel* out);
+
+/// Aggregates a member's cost column over `columns`' zones and flags.
+inline std::vector<ZoneLabel> AggregateZoneLabels(
+    const TripCostColumns& columns, const std::vector<double>& costs) {
+  std::vector<ZoneLabel> labels(columns.num_zones());
+  AggregateZoneLabels(columns.zone_offsets.data(), labels.size(),
+                      columns.flags.data(), costs.data(), labels.data());
+  return labels;
+}
 
 }  // namespace staq::core

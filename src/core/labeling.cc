@@ -114,9 +114,8 @@ void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
   if (num_trips > 0) RouteBlockWindow(todam, zones, num_zones, pois, day);
   MemberCostColumn(block_columns_, CostMember{kind, gac_weights_},
                    &block_costs_);
-  const std::vector<ZoneLabel> labels =
-      AggregateZoneLabels(block_columns_, block_costs_);
-  std::copy(labels.begin(), labels.end(), out);
+  AggregateZoneLabels(block_columns_.zone_offsets.data(), num_zones,
+                      block_columns_.flags.data(), block_costs_.data(), out);
   if (capture != nullptr) {
     size_t base = 0;
     for (size_t b = 0; b < num_zones; ++b) {

@@ -145,6 +145,15 @@ class LabelingEngine {
                              const std::vector<synth::Poi>& pois,
                              gtfs::Day day, TripCostColumns* columns);
 
+  /// The last LabelBlock call's trips in block order (zone b's trips, in
+  /// their original order, after those of zones 0..b-1): each trip's cost
+  /// under that call's kind and GAC weights, and its flags (bit0 feasible,
+  /// bit1 walk-only). Valid until the next call.
+  const std::vector<double>& block_costs() const { return block_costs_; }
+  const std::vector<uint8_t>& block_flags() const {
+    return block_columns_.flags;
+  }
+
   /// Swaps the GAC weights used by subsequent kGeneralizedCost labeling.
   /// Serve workers share one engine across requests with differing weights.
   void set_gac_weights(router::GacWeights weights) { gac_weights_ = weights; }

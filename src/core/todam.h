@@ -65,6 +65,10 @@ class Todam {
   /// α_ij weights used during construction (row-normalised); needed again
   /// for the gravity-weighted feature aggregation.
   const std::vector<std::vector<double>>& alpha() const { return alpha_; }
+  /// Frees the α rows, for holders that never aggregate features (the
+  /// serve subsystem's exact label states). The column hooks below keep
+  /// an empty α empty.
+  void DropAlpha() { std::vector<std::vector<double>>().swap(alpha_); }
 
   /// Fraction of trips whose POI is within the walking reach `reach_m` of
   /// the origin centroid (the paper's walk-only share diagnostic, §V-B2).

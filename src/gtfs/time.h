@@ -59,6 +59,8 @@ struct TimeInterval {
 
   bool Contains(TimeOfDay t) const { return t >= start && t < end; }
   double DurationHours() const { return (end - start) / 3600.0; }
+
+  bool operator==(const TimeInterval&) const = default;
 };
 
 /// The weekday AM peak interval used throughout the paper's experiments.

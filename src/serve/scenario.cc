@@ -48,6 +48,17 @@ std::shared_ptr<const OfflineState> RebuildOfflineKeepingIsochrones(
       city, parent.interval, std::move(isochrones), std::move(hop_trees));
 }
 
+/// A POI patch's starting point: `parent`'s POIs, normalisers, TODAM and
+/// labels. The patch edits those and rebuilds the trip columns.
+std::shared_ptr<ExactLabelState> PatchBase(const ExactLabelState& parent) {
+  auto state = std::make_shared<ExactLabelState>();
+  state->pois = parent.pois;
+  state->zone_norm = parent.zone_norm;
+  state->todam = parent.todam;
+  state->labels = parent.labels;
+  return state;
+}
+
 /// Stamps every network a store builds — including ones whose mutation
 /// then fails — with an id no other network in the process shares.
 uint64_t NewNetworkId() {
@@ -95,10 +106,30 @@ Scenario::Scenario(uint64_t epoch, std::shared_ptr<const synth::City> base,
       offline_(std::move(offline)) {}
 
 void Scenario::SetNetwork(uint64_t version, uint64_t id,
-                          const router::RouterOptions& options) {
+                          const router::RouterOptions& options,
+                          double walk_scale) {
   network_version_ = version;
   network_id_ = id;
   router_options_ = options;
+  walk_scale_ = walk_scale;
+}
+
+void ExactLabelState::ResetTripColumns() {
+  const size_t zones = todam.num_zones();
+  trip_offsets.assign(1, 0);
+  trip_offsets.reserve(zones + 1);
+  for (uint32_t z = 0; z < zones; ++z) {
+    trip_offsets.push_back(trip_offsets.back() + todam.TripsFor(z).size());
+  }
+  trip_flags.assign(trip_offsets.back(), 0);
+  trip_costs.assign(trip_offsets.back(), 0.0);
+}
+
+void ExactLabelState::AggregateZones(const std::vector<uint32_t>& zones) {
+  for (uint32_t z : zones) {
+    core::AggregateZoneLabels(&trip_offsets[z], 1, trip_flags.data(),
+                              trip_costs.data(), &labels[z]);
+  }
 }
 
 std::vector<synth::Poi> Scenario::PoisOf(synth::PoiCategory category) const {
@@ -137,6 +168,8 @@ std::shared_ptr<ExactLabelState> Scenario::NewLabelState(
   auto state = std::make_shared<ExactLabelState>();
   state->pois = std::move(pois);
   state->todam = StableTodam(key, state->pois, &state->zone_norm);
+  state->todam.DropAlpha();
+  state->ResetTripColumns();
   state->labels.resize(base_->zones.size());
   return state;
 }
@@ -169,9 +202,20 @@ void Scenario::LabelZoneBlocks(
     labeler.LabelBlock(state->todam, shared_zones->data() + first, n,
                        state->pois, key.cost, day, labels.data(), block.get());
     return [state, shared_zones, first, labels = std::move(labels), capture,
-            block] {
+            block, costs = labeler.block_costs(),
+            flags = labeler.block_flags()] {
+      // The block's trips are its zones' ranges back to back.
+      size_t trip = 0;
       for (size_t b = 0; b < labels.size(); ++b) {
-        state->labels[(*shared_zones)[first + b]] = labels[b];
+        const uint32_t z = (*shared_zones)[first + b];
+        state->labels[z] = labels[b];
+        const size_t begin = state->trip_offsets[z];
+        const size_t count = state->trip_offsets[z + 1] - begin;
+        std::copy_n(costs.begin() + trip, count,
+                    state->trip_costs.begin() + begin);
+        std::copy_n(flags.begin() + trip, count,
+                    state->trip_flags.begin() + begin);
+        trip += count;
       }
       if (capture != nullptr) {
         capture->StoreZone(capture->zone_offsets[first], *block);
@@ -246,7 +290,8 @@ ScenarioStore::ScenarioStore(synth::City city,
       std::make_shared<const OfflineState>(*base_, interval, options_.iso);
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_, base_->pois,
                                              std::move(offline));
-  scenario->SetNetwork(network_version_, network_id_, network_router_);
+  scenario->SetNetwork(network_version_, network_id_, network_router_,
+                       /*walk_scale=*/1.0);
   current_ = std::move(scenario);
   for (const synth::Poi& poi : base_->pois) {
     if (poi.id >= next_poi_id_) next_poi_id_ = poi.id + 1;
@@ -261,10 +306,16 @@ ScenarioStore::ScenarioStore(RestoredScenario restored, Options options)
       network_router_(options_.router),
       network_iso_(options_.iso),
       network_id_(NewNetworkId()) {
+  // The exporter walked at its options times the cumulative scale; so
+  // does this store (ScaleWalkSpeed derives both the same way).
+  const double walk_scale = restored.walk_scale;
+  network_router_.walk.speed_mps = options_.router.walk.speed_mps * walk_scale;
+  network_iso_.omega_kph = options_.iso.omega_kph * walk_scale;
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_,
                                              std::move(restored.pois),
                                              std::move(restored.offline));
-  scenario->SetNetwork(network_version_, network_id_, network_router_);
+  scenario->SetNetwork(network_version_, network_id_, network_router_,
+                       walk_scale);
   for (auto& [key, state] : restored.label_states) {
     scenario->SeedLabelState(key, std::move(state));
   }
@@ -303,7 +354,7 @@ ScenarioStore::StatePtr ScenarioStore::PatchAdd(
   // Fault site: the TODAM column patch failing before the parent state is
   // copied into. The parent is immutable, so an abort here is free.
   STAQ_FAILPOINT("serve.scenario.patch_add");
-  auto state = std::make_shared<ExactLabelState>(parent);
+  std::shared_ptr<ExactLabelState> state = PatchBase(parent);
   state->pois.push_back(poi);
   const uint32_t new_index = static_cast<uint32_t>(state->pois.size() - 1);
 
@@ -314,23 +365,62 @@ ScenarioStore::StatePtr ScenarioStore::PatchAdd(
                                      state->zone_norm, key.gravity,
                                      next.interval(), key.seed, &affected);
 
-  // Fault site: relabeling the affected zones failing mid-mutation. Only
-  // the un-installed copy is damaged; the store never publishes it.
+  // The new column as a state of its own — each affected zone's tail of
+  // trips, against the one POI — labeled by the same zone-block routine as
+  // a build. A trip's journey does not depend on its lane's other targets,
+  // so its cost equals the one a full build would route.
+  const size_t num_zones = parent.todam.num_zones();
+  std::vector<std::vector<core::TripEntry>> column_trips(num_zones);
+  for (uint32_t z : affected) {
+    const std::vector<core::TripEntry>& trips = state->todam.TripsFor(z);
+    for (size_t i = parent.todam.TripsFor(z).size(); i < trips.size(); ++i) {
+      column_trips[z].push_back(core::TripEntry{0, trips[i].depart});
+    }
+  }
+  auto column = std::make_shared<ExactLabelState>();
+  column->pois = {poi};
+  column->todam = core::Todam::FromParts(std::move(column_trips), {});
+  column->ResetTripColumns();
+  column->labels.resize(num_zones);
+
+  // Fault site: labeling the new trips failing mid-mutation. Only the
+  // un-installed copies are damaged; the store never publishes them.
   STAQ_FAILPOINT("serve.scenario.relabel");
-  Relabel(next, key, std::move(affected), state);
+  Relabel(next, key, affected, column);
+
+  // Each zone's trips are its parent's, then the new column's (the order
+  // AppendStablePoiColumn appended them in).
+  state->trip_offsets.assign(1, 0);
+  state->trip_flags.reserve(state->todam.num_trips());
+  state->trip_costs.reserve(state->todam.num_trips());
+  for (size_t z = 0; z < num_zones; ++z) {
+    for (const ExactLabelState* from :
+         {&parent, static_cast<const ExactLabelState*>(column.get())}) {
+      const size_t begin = from->trip_offsets[z];
+      const size_t end = from->trip_offsets[z + 1];
+      state->trip_flags.insert(state->trip_flags.end(),
+                               from->trip_flags.begin() + begin,
+                               from->trip_flags.begin() + end);
+      state->trip_costs.insert(state->trip_costs.end(),
+                               from->trip_costs.begin() + begin,
+                               from->trip_costs.begin() + end);
+    }
+    state->trip_offsets.push_back(state->trip_flags.size());
+  }
+  state->AggregateZones(affected);
+  state->build_spqs = column->build_spqs;
+  state->relabeled_zones = static_cast<uint32_t>(affected.size());
   return state;
 }
 
 ScenarioStore::StatePtr ScenarioStore::PatchRemove(
-    const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
-    uint32_t poi_id) {
+    const ExactLabelState& parent, uint32_t poi_id) {
   // Fault site: mirror of serve.scenario.patch_add for the remove path.
   STAQ_FAILPOINT("serve.scenario.patch_remove");
-  auto state = std::make_shared<ExactLabelState>(parent);
   auto it = std::find_if(
-      state->pois.begin(), state->pois.end(),
+      parent.pois.begin(), parent.pois.end(),
       [poi_id](const synth::Poi& p) { return p.id == poi_id; });
-  if (it == state->pois.end()) {
+  if (it == parent.pois.end()) {
     // Carried-over states must contain every scenario POI of their
     // category; proceeding would erase(end()) and corrupt the TODAM.
     std::fprintf(stderr,
@@ -338,14 +428,33 @@ ScenarioStore::StatePtr ScenarioStore::PatchRemove(
                  poi_id);
     std::abort();
   }
-  const uint32_t index = static_cast<uint32_t>(it - state->pois.begin());
-  state->pois.erase(it);
+  const uint32_t index = static_cast<uint32_t>(it - parent.pois.begin());
+  std::shared_ptr<ExactLabelState> state = PatchBase(parent);
+  state->pois.erase(state->pois.begin() + index);
 
   std::vector<uint32_t> affected;
   state->todam.RemovePoiColumn(index, &affected);
 
+  // Fault site: re-deriving the affected zones failing mid-mutation.
   STAQ_FAILPOINT("serve.scenario.relabel");
-  Relabel(next, key, std::move(affected), state);
+  // Every surviving trip keeps its cost: drop the removed POI's trips from
+  // the columns and re-aggregate the zones that held any. No SPQ runs.
+  state->trip_offsets.assign(1, 0);
+  state->trip_flags.reserve(state->todam.num_trips());
+  state->trip_costs.reserve(state->todam.num_trips());
+  for (uint32_t z = 0; z < parent.todam.num_zones(); ++z) {
+    const std::vector<core::TripEntry>& trips = parent.todam.TripsFor(z);
+    const size_t base = parent.trip_offsets[z];
+    for (size_t i = 0; i < trips.size(); ++i) {
+      if (trips[i].poi == index) continue;
+      state->trip_flags.push_back(parent.trip_flags[base + i]);
+      state->trip_costs.push_back(parent.trip_costs[base + i]);
+    }
+    state->trip_offsets.push_back(state->trip_flags.size());
+  }
+  state->AggregateZones(affected);
+  state->build_spqs = 0;
+  state->relabeled_zones = static_cast<uint32_t>(affected.size());
   return state;
 }
 
@@ -402,7 +511,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
   auto next = std::make_shared<Scenario>(current->epoch() + 1, draft.city,
                                          std::move(draft.pois),
                                          std::move(draft.offline));
-  next->SetNetwork(version, network_id, draft.router);
+  next->SetNetwork(version, network_id, draft.router, draft.walk_scale);
 
   MutationReport report;
   report.epoch = next->epoch();
@@ -428,7 +537,6 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
   network_city_ = std::move(draft.city);
   network_router_ = std::move(draft.router);
   network_iso_ = draft.iso;
-  walk_scale_.store(draft.walk_scale, std::memory_order_release);
   network_id_ = network_id;
   network_version_ = version;
   next_poi_id_.store(draft.next_poi_id, std::memory_order_release);
@@ -444,7 +552,7 @@ ScenarioStore::Draft ScenarioStore::DraftFrom(const Scenario& current) const {
   draft.city = network_city_;
   draft.router = network_router_;
   draft.iso = network_iso_;
-  draft.walk_scale = walk_scale_.load(std::memory_order_relaxed);
+  draft.walk_scale = current.walk_scale();
   draft.next_poi_id = next_poi_id_.load(std::memory_order_relaxed);
   return draft;
 }
@@ -522,10 +630,10 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::RemovePoi(
     draft.pois.erase(draft.pois.begin() + (it - current.pois().begin()));
     draft.report_id = poi_id;
     draft.carry = [this, poi_id, category = it->category](
-                      const Scenario& next, const LabelKey& key,
+                      const Scenario&, const LabelKey& key,
                       const StatePtr& parent) -> StatePtr {
       if (key.category != category) return parent;
-      return PatchRemove(next, key, *parent, poi_id);
+      return PatchRemove(*parent, poi_id);
     };
     return draft;
   });
@@ -534,8 +642,15 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::RemovePoi(
 ScenarioStore::MutationReport ScenarioStore::SetInterval(
     const gtfs::TimeInterval& interval) {
   return Advance([&](const Scenario& current) -> util::Result<Draft> {
-           // Label states are interval-dependent: none is carried.
            Draft draft = DraftFrom(current);
+           if (interval == current.interval()) {
+             // Nothing interval-dependent changes: the offline state is
+             // shared and every label state carried verbatim.
+             draft.carry = [](const Scenario&, const LabelKey&,
+                              const StatePtr& parent) { return parent; };
+             return draft;
+           }
+           // Label states are interval-dependent: none is carried.
            draft.offline = std::make_shared<const OfflineState>(
                *draft.city, interval, draft.iso);
            return draft;
@@ -627,9 +742,10 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleWalkSpeed(
     // scale together so online routing and the offline reachability
     // structures describe the same pedestrian.
     Draft draft = DraftFrom(current);
-    draft.router.walk.speed_mps *= factor;
-    draft.iso.omega_kph *= factor;
     draft.walk_scale *= factor;
+    draft.router.walk.speed_mps =
+        options_.router.walk.speed_mps * draft.walk_scale;
+    draft.iso.omega_kph = options_.iso.omega_kph * draft.walk_scale;
     // The isochrone config changed, so this is a full offline build.
     draft.offline = std::make_shared<const OfflineState>(
         *draft.city, current.interval(), draft.iso);

@@ -10,18 +10,21 @@
 // never observe a half-mutated scenario and never block writers.
 //
 // Incremental relabeling (the reason mutations are cheap): exact answers
-// are derived from an ExactLabelState — the edit-stable TODAM plus every
-// zone's exact label. The edit-stable construction (core/todam.h) keys
-// each (zone, POI) RNG stream by the POI's *stable id* and freezes the
-// gravity normaliser over the base city's POI set, which makes the TODAM
-// history-independent: editing one POI perturbs only that POI's trips.
-// A mutation therefore patches the parent epoch's materialised states —
-// sample the one new/removed POI column, splice it in, and relabel only
-// the zones whose trip sequence changed (= zones with at least one sampled
-// trip to the edited POI; exact, not a conservative superset). The patched
-// state is bit-identical to a from-scratch build over the edited POI set,
-// which the golden tests assert, and a scenario edit costs O(affected
-// zones) SPQs instead of O(all zones).
+// are derived from an ExactLabelState — the edit-stable TODAM, every
+// trip's cost under the state's key and every zone's exact label. The
+// edit-stable construction (core/todam.h) keys each (zone, POI) RNG
+// stream by the POI's *stable id* and freezes the gravity normaliser over
+// the base city's POI set, which makes the TODAM history-independent:
+// editing one POI perturbs only that POI's trips. A POI mutation
+// therefore patches the parent epoch's materialised states trip by trip:
+// a removal drops the POI's trips and their costs, an addition samples the
+// new column and routes only its trips (a journey does not depend on the
+// other targets of its lane), and either re-aggregates only the zones
+// whose trip sequence changed (= zones with at least one sampled trip to
+// the edited POI; exact, not a conservative superset). The patched state
+// is bit-identical to a from-scratch build over the edited POI set, which
+// the golden tests assert; a removal runs no SPQ and an addition one per
+// new trip.
 //
 // Timetable disruptions (scenario subsystem) extend the same contract to
 // the supply side. SuspendRoute / CloseStop / ScaleHeadway build a
@@ -90,8 +93,9 @@ struct OfflineState {
 };
 
 /// One exact labeling of one scenario under one LabelKey: the edit-stable
-/// TODAM over the key's category POIs and the exact label of every zone.
-/// Immutable once published; patches copy-then-modify.
+/// TODAM over the key's category POIs, every trip's cost under the key and
+/// the exact label of every zone. Immutable once published; patches
+/// copy-then-modify.
 struct ExactLabelState {
   /// The category's POIs in scenario order (stable-id ascending).
   std::vector<synth::Poi> pois;
@@ -99,14 +103,35 @@ struct ExactLabelState {
   /// category POIs) — shared verbatim by every epoch so keep probabilities
   /// never shift under edits.
   std::vector<double> zone_norm;
+  /// The TODAM's trips. Its α rows are dropped: no exact path reads them
+  /// (SSR derives its own through Scenario::StableTodam).
   core::Todam todam;
-  std::vector<core::ZoneLabel> labels;  // indexed by zone
+  /// Each trip's cost under the key (LabelKey::cost and ::gac) and its
+  /// flags (bit0 feasible, bit1 walk-only), CSR by zone and aligned with
+  /// the TODAM: zone z's trips occupy [trip_offsets[z], trip_offsets[z +
+  /// 1]) in TripsFor(z)'s order. POI patches splice these columns instead
+  /// of routing whole zones again.
+  std::vector<size_t> trip_offsets;
+  std::vector<uint8_t> trip_flags;
+  std::vector<double> trip_costs;
+  /// Indexed by zone; every label is core::AggregateZoneLabels over its
+  /// zone's trip columns.
+  std::vector<core::ZoneLabel> labels;
 
-  /// SPQs spent producing this state from its predecessor: a full build
-  /// charges every zone, a patch only the affected ones.
+  /// SPQs spent producing this state from its predecessor: every trip for
+  /// a full build, every trip of the affected zones for a network patch,
+  /// the new POI's trips for an AddPoi patch and none for a RemovePoi.
   uint64_t build_spqs = 0;
-  /// Zones labeled in that step (== all zones for a full build).
+  /// Zones whose labels that step derived: all zones for a full build, the
+  /// relabeled zones of a network patch, the re-aggregated zones of a POI
+  /// patch.
   uint32_t relabeled_zones = 0;
+
+  /// Sizes the trip columns to the TODAM: offsets from its zones' trip
+  /// counts, every trip zeroed (the infeasible encoding).
+  void ResetTripColumns();
+  /// Derives `zones`' labels from their trip columns.
+  void AggregateZones(const std::vector<uint32_t>& zones);
 };
 
 class Scenario;
@@ -273,11 +298,15 @@ class Scenario {
     return router_options_;
   }
 
-  /// Stamps the network version, id and router options (mutation
-  /// derivation, ScenarioStore only). Must only be called before the
-  /// scenario is installed.
+  /// Cumulative ScaleWalkSpeed factor of this scenario's network: its walk
+  /// parameters are the store's base ones times this scale.
+  double walk_scale() const { return walk_scale_; }
+
+  /// Stamps the network version, id, router options and walk scale
+  /// (mutation derivation, ScenarioStore only). Must only be called before
+  /// the scenario is installed.
   void SetNetwork(uint64_t version, uint64_t id,
-                  const router::RouterOptions& options);
+                  const router::RouterOptions& options, double walk_scale);
 
   /// The scenario's POIs of one category, in stable-id order.
   std::vector<synth::Poi> PoisOf(synth::PoiCategory category) const;
@@ -331,8 +360,9 @@ class Scenario {
   /// this scenario's network, core::kZoneBlock entries of `zones` per loop
   /// item. Runs through `loop` (the calling thread labels with `engine`,
   /// or a leased context when null) or, when `loop` is null, serially on
-  /// `engine`. Stores every label at its zone and records the pass's SPQs
-  /// and zone count in the state. `capture`, when non-null, must be empty;
+  /// `engine`. Stores every label at its zone and every trip's cost and
+  /// flags in the state's trip columns (ResetTripColumns must have sized
+  /// them), and records the pass's SPQs and zone count in the state. `capture`, when non-null, must be empty;
   /// it receives one trip range per entry of `zones`, in order, holding
   /// every trip's cost basis (LabelingEngine::LabelBlock's capture sink).
   void LabelZoneBlocks(
@@ -362,6 +392,7 @@ class Scenario {
   uint64_t network_version_ = 0;
   uint64_t network_id_ = 0;
   router::RouterOptions router_options_;
+  double walk_scale_ = 1.0;
 
   /// Both memos live and die with the epoch: a new epoch starts with only
   /// the label states its mutation seeded, and builds its own features.
@@ -387,6 +418,10 @@ struct RestoredScenario {
   /// POIs — because removed POIs leave no trace, and reusing their ids
   /// would splice new POIs onto dead RNG streams.
   uint32_t next_poi_id = 0;
+  /// Cumulative ScaleWalkSpeed factor of the exported network (1.0 when the
+  /// snapshot predates its section). The restored store's walk parameters
+  /// are its options' times this scale, as they were on the exporter.
+  double walk_scale = 1.0;
 };
 
 /// Owns the current scenario and serialises mutations. Readers are
@@ -438,9 +473,11 @@ class ScenarioStore {
     uint32_t poi_id = 0;
     uint32_t states_patched = 0;  // label states carried over by patching
     uint32_t states_shared = 0;   // carried over untouched (other category)
+    /// Zones whose labels the patches derived again: re-aggregated from
+    /// trip costs (POI edits) or relabeled (network mutations).
     uint32_t zones_relabeled = 0;
     uint32_t zones_total = 0;     // per patched state
-    uint64_t spqs = 0;            // SPQs spent on relabeling
+    uint64_t spqs = 0;            // SPQs the patches routed
     double seconds = 0.0;
   };
 
@@ -461,7 +498,9 @@ class ScenarioStore {
 
   /// Switches the analysis interval: rebuilds the offline structures and
   /// installs a fresh epoch. Label states are interval-dependent and are
-  /// not carried over.
+  /// not carried over. A switch to the interval already served still
+  /// installs an epoch (WAL sequences count it) but shares the offline
+  /// state and carries every label state verbatim.
   MutationReport SetInterval(const gtfs::TimeInterval& interval);
 
   /// Applies one mutation record through the typed method of its kind —
@@ -486,8 +525,10 @@ class ScenarioStore {
   /// journey-time states are shared verbatim (fares never enter JT).
   util::Result<MutationReport> SetFare(uint32_t route, double fare);
   /// "Snow day": scales walking speed (router walk params and isochrone ω)
-  /// by `factor`, cumulatively. Rebuilds the offline state and relabels
-  /// every zone of every materialised state.
+  /// by `factor`, cumulatively: both become the store's options times the
+  /// cumulative scale, so a snapshot that persists the scale restores the
+  /// same bits. Rebuilds the offline state and relabels every zone of
+  /// every materialised state.
   util::Result<MutationReport> ScaleWalkSpeed(double factor);
 
   /// Routes the zone loops of every later patch through `loop` (not owned;
@@ -501,10 +542,9 @@ class ScenarioStore {
 
   /// Network stamp of the current epoch (0 until the first disruption).
   uint64_t network_version() const { return Acquire()->network_version(); }
-  /// Cumulative walk-speed factor applied by ScaleWalkSpeed (diagnostic).
-  double walk_scale() const {
-    return walk_scale_.load(std::memory_order_acquire);
-  }
+  /// Cumulative walk-speed factor applied by ScaleWalkSpeed (persisted by
+  /// snapshots).
+  double walk_scale() const { return Acquire()->walk_scale(); }
 
   /// Serialises `scenario` — any epoch a caller still retains — plus the
   /// store's POI id cursor to `path` (store/snapshot.h format). Safe under
@@ -566,10 +606,14 @@ class ScenarioStore {
       const Scenario& current,
       util::Result<scenario::TransformResult> transformed, uint32_t target);
 
+  /// Routes only `poi`'s new trips (a one-column state through Relabel),
+  /// appends their costs to each affected zone's trip columns and
+  /// re-aggregates those zones.
   StatePtr PatchAdd(const Scenario& next, const LabelKey& key,
                     const ExactLabelState& parent, const synth::Poi& poi);
-  StatePtr PatchRemove(const Scenario& next, const LabelKey& key,
-                       const ExactLabelState& parent, uint32_t poi_id);
+  /// Drops `poi_id`'s trips from the TODAM and the trip columns and
+  /// re-aggregates the zones that held any: no SPQ runs.
+  StatePtr PatchRemove(const ExactLabelState& parent, uint32_t poi_id);
   /// Carries one label state across a network mutation: the TODAM is
   /// demand-side and moves verbatim; `affected` zones relabel over
   /// `next`'s (new) network.
@@ -603,7 +647,6 @@ class ScenarioStore {
   core::IsochroneConfig network_iso_;
   uint64_t network_version_ = 0;
   uint64_t network_id_ = 0;
-  std::atomic<double> walk_scale_{1.0};
 
   /// Where patches label their zones (SetZoneLoop); null = serially on
   /// the serial engine below.

@@ -340,6 +340,16 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
     own = AcquireContext(network);
     caller = &own->engine;
   }
+  if (context_cap_ <= 1) {
+    // No spare context, so no helper could ever join: the caller runs
+    // every item, and a one-worker server never starts the idle pool.
+    for (size_t index = 0; index < n; ++index) {
+      STAQ_FAILPOINT("serve.zone_loop.caller");
+      body(*caller, index)();
+    }
+    if (own != nullptr) ReleaseContext(std::move(own));
+    return;
+  }
   /// A helper's context, returned to the pool when the helper ends —
   /// unless a body threw on it (possibly half-built engine state).
   struct HelperLease {

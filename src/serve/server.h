@@ -374,7 +374,9 @@ class AqServer : private ZoneLoop {
   /// one at a time, each with a helper lease, and hand their store steps
   /// back to the calling thread; a helper that finds the cap reached
   /// returns at once, and a zone a stalled helper holds is relabeled by
-  /// the caller rather than waited for.
+  /// the caller rather than waited for. A server of one worker has no
+  /// spare context for a helper: the caller runs every item itself and
+  /// the idle pool is never started.
   void Run(const Scenario& scenario, core::LabelingEngine* caller, size_t n,
            const ZoneLoopBody& body) override;
 

@@ -1,6 +1,7 @@
 #include "store/snapshot.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -29,6 +30,9 @@ constexpr char kOfflineInterval[] = "offline/interval";
 constexpr char kOfflineIso[] = "offline/iso";
 constexpr char kOfflineHop[] = "offline/hop";
 constexpr char kScenarioPois[] = "scenario/pois";
+/// Cumulative walk-speed scale of the exported network (one raw double).
+/// Optional: a snapshot without it walks at scale 1.
+constexpr char kNetworkWalkScale[] = "network/walk_scale";
 
 std::string LabelSection(size_t i, const char* leaf) {
   return "label/" + std::to_string(i) + "/" + leaf;
@@ -743,9 +747,8 @@ util::Status DecodeLabels(ByteReader in, const std::string& section,
 }
 
 std::vector<uint8_t> EncodeTodam(const core::Todam& todam) {
-  std::vector<uint32_t> trip_counts, pois, alpha_counts;
+  std::vector<uint32_t> trip_counts, pois;
   std::vector<int32_t> departs;
-  std::vector<double> alpha;
   for (uint32_t z = 0; z < todam.num_zones(); ++z) {
     const auto& zone_trips = todam.TripsFor(z);
     trip_counts.push_back(static_cast<uint32_t>(zone_trips.size()));
@@ -754,10 +757,10 @@ std::vector<uint8_t> EncodeTodam(const core::Todam& todam) {
       departs.push_back(trip.depart);
     }
   }
-  for (const auto& row : todam.alpha()) {
-    alpha_counts.push_back(static_cast<uint32_t>(row.size()));
-    alpha.insert(alpha.end(), row.begin(), row.end());
-  }
+  // Exact states hold no α rows. The α columns keep their place in the
+  // layout as an empty row per zone, so the section decodes as before.
+  const std::vector<uint32_t> alpha_counts(todam.num_zones(), 0);
+  const std::vector<double> alpha;
   std::vector<uint8_t> b;
   PutVarint64(&b, todam.num_zones());
   PutDeltaColumn(&b, trip_counts);
@@ -805,23 +808,50 @@ util::Status DecodeTodam(ByteReader in, const std::string& section,
       trips[z][i] = core::TripEntry{pois[cursor], departs[cursor]};
     }
   }
-  std::vector<std::vector<double>> alpha_rows(num_zones);
-  cursor = 0;
-  for (size_t z = 0; z < num_zones; ++z) {
-    alpha_rows[z].assign(alpha.begin() + cursor,
-                         alpha.begin() + cursor + alpha_counts[z]);
-    cursor += alpha_counts[z];
-  }
-  *out = core::Todam::FromParts(std::move(trips), std::move(alpha_rows));
+  // α rows an older snapshot carries are validated above and dropped:
+  // exact states hold none.
+  *out = core::Todam::FromParts(std::move(trips), {});
   return util::Status::OK();
 }
 
-std::vector<uint8_t> EncodeNorm(const std::vector<double>& norm) {
+/// A state's trip columns: flags then costs, one entry per TODAM trip.
+std::vector<uint8_t> EncodeTripCosts(const serve::ExactLabelState& state) {
+  std::vector<uint8_t> b;
+  PutFixedColumn(&b, state.trip_flags);
+  PutFixedColumn(&b, state.trip_costs);
+  return b;
+}
+
+/// Restores `state`'s trip columns; its TODAM must already be decoded.
+util::Status DecodeTripCosts(ByteReader in, const std::string& section,
+                             serve::ExactLabelState* state) {
+  std::vector<uint8_t> flags;
+  std::vector<double> costs;
+  if (!ReadFixedColumn(&in, &flags) || !ReadFixedColumn(&in, &costs)) {
+    return Malformed(section);
+  }
+  if (flags.size() != state->todam.num_trips() ||
+      costs.size() != state->todam.num_trips()) {
+    return Inconsistent(section, "trip column length != TODAM trip count");
+  }
+  for (uint8_t f : flags) {
+    if (f > 3 || f == 2) {
+      return Inconsistent(section, "trip flag out of range");
+    }
+  }
+  state->ResetTripColumns();
+  state->trip_flags = std::move(flags);
+  state->trip_costs = std::move(costs);
+  return util::Status::OK();
+}
+
+/// The normaliser and walk-scale sections.
+std::vector<uint8_t> EncodeRawDoubles(const std::vector<double>& values) {
   // Pure raw doubles (kRaw): no count prefix, no per-value framing. The
   // element count travels in the footer entry, and the mmap read path
   // memcpy's the column straight out of the page cache.
-  std::vector<uint8_t> b(norm.size() * sizeof(double));
-  if (!norm.empty()) std::memcpy(b.data(), norm.data(), b.size());
+  std::vector<uint8_t> b(values.size() * sizeof(double));
+  if (!values.empty()) std::memcpy(b.data(), values.data(), b.size());
   return b;
 }
 
@@ -953,6 +983,19 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
       std::shared_ptr<const serve::OfflineState>(std::move(offline));
   restored.source_epoch = epoch;
   restored.next_poi_id = static_cast<uint32_t>(next_poi_id);
+  if (reader.Has(kNetworkWalkScale)) {
+    auto scale_in = section(kNetworkWalkScale, SectionEncoding::kRaw);
+    if (!scale_in.ok()) return scale_in.status();
+    std::vector<double> scale;
+    if (SectionElementCount(reader, kNetworkWalkScale) != 1 ||
+        !scale_in.value().ReadFixedColumn(1, &scale)) {
+      return Malformed(kNetworkWalkScale);
+    }
+    if (!(scale[0] > 0.0) || !std::isfinite(scale[0])) {
+      return Inconsistent(kNetworkWalkScale, "walk scale not positive");
+    }
+    restored.walk_scale = scale[0];
+  }
 
   for (uint64_t i = 0; i < num_states; ++i) {
     serve::LabelKey key;
@@ -993,6 +1036,16 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
     if (!todam_in.ok()) return todam_in.status();
     st = DecodeTodam(todam_in.value(), todam_name, num_zones,
                      state->pois.size(), &state->todam);
+    if (!st.ok()) return st;
+
+    // A state from before trip columns were persisted cannot be patched
+    // trip by trip. It is dropped: the restored store rebuilds it on
+    // demand, which history-independence makes equal to the state.
+    const std::string costs_name = LabelSection(i, "trip_costs");
+    if (!reader.Has(costs_name)) continue;
+    auto costs_in = reader.Section(costs_name, SectionEncoding::kStruct);
+    if (!costs_in.ok()) return costs_in.status();
+    st = DecodeTripCosts(costs_in.value(), costs_name, state.get());
     if (!st.ok()) return st;
 
     restored.label_states.emplace_back(key, std::move(state));
@@ -1054,6 +1107,8 @@ util::Status SaveSnapshotImpl(const serve::Scenario& scenario,
         return b;
       }(),
       scenario.pois().size());
+  add(kNetworkWalkScale, SectionEncoding::kRaw,
+      EncodeRawDoubles({scenario.walk_scale()}), 1);
 
   for (size_t i = 0; i < states.size(); ++i) {
     const serve::LabelKey& key = states[i].first;
@@ -1067,11 +1122,13 @@ util::Status SaveSnapshotImpl(const serve::Scenario& scenario,
         }(),
         state.pois.size());
     add(LabelSection(i, "norm"), SectionEncoding::kRaw,
-        EncodeNorm(state.zone_norm), state.zone_norm.size());
+        EncodeRawDoubles(state.zone_norm), state.zone_norm.size());
     add(LabelSection(i, "labels"), SectionEncoding::kStruct,
         EncodeLabels(state.labels), state.labels.size());
     add(LabelSection(i, "todam"), SectionEncoding::kDelta,
         EncodeTodam(state.todam), state.todam.num_trips());
+    add(LabelSection(i, "trip_costs"), SectionEncoding::kStruct,
+        EncodeTripCosts(state), state.trip_costs.size());
   }
   if (!st.ok()) return st;
   return writer.Finish();

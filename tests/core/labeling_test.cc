@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -286,6 +288,138 @@ TEST(LabelingBlockTest, BlocksEqualOneZoneAtATimeOnTheBenchCity) {
     EXPECT_EQ(block_columns.jt, zone_columns.jt);
     EXPECT_EQ(block_columns.gac_parts, zone_columns.gac_parts);
     EXPECT_EQ(block_columns.fare, zone_columns.fare);
+  }
+}
+
+/// Labels every zone of `todam` in blocks of kZoneBlock, capturing each
+/// trip's cost basis.
+TripCostColumns CaptureAllZones(LabelingEngine* engine, const Todam& todam,
+                                const std::vector<synth::Poi>& pois,
+                                gtfs::Day day) {
+  std::vector<uint32_t> zones(todam.num_zones());
+  std::iota(zones.begin(), zones.end(), 0u);
+  TripCostColumns columns;
+  std::vector<ZoneLabel> labels(kZoneBlock);
+  for (size_t first = 0; first < zones.size(); first += kZoneBlock) {
+    engine->LabelBlock(todam, zones.data() + first,
+                       std::min(kZoneBlock, zones.size() - first), pois,
+                       CostKind::kJourneyTime, day, labels.data(), &columns);
+  }
+  return columns;
+}
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Labels each POI's trips alone — a one-column TODAM, so every lane of
+/// the window scan has that POI as its only target — and checks every
+/// trip's cost basis and derived costs against the full-TODAM pass, bit
+/// for bit. Adds the full pass's walk-only and infeasible trip counts to
+/// *walk_only and *infeasible.
+void ExpectOneTargetLanesMatchFullLanes(const synth::City& city,
+                                        const std::vector<synth::Poi>& pois,
+                                        const Todam& todam,
+                                        const router::RouterOptions& options,
+                                        gtfs::Day day, size_t* walk_only,
+                                        size_t* infeasible) {
+  router::Router full_router(&city.feed, options);
+  router::Router one_router(&city.feed, options);
+  LabelingEngine full_engine(&city, &full_router);
+  LabelingEngine one_engine(&city, &one_router);
+  const TripCostColumns full = CaptureAllZones(&full_engine, todam, pois, day);
+  router::GacWeights weights;
+  weights.lambda_wt = 2.0;
+  weights.lambda_et = 1.5;
+  weights.transfer_penalty_s = 420.0;
+  weights.value_of_time = 9.0;
+  const std::vector<CostMember> members = {
+      {CostKind::kJourneyTime, {}}, {CostKind::kGeneralizedCost, weights}};
+  std::vector<std::vector<double>> full_costs(members.size());
+  for (size_t m = 0; m < members.size(); ++m) {
+    MemberCostColumn(full, members[m], &full_costs[m]);
+  }
+
+  for (uint32_t p = 0; p < pois.size(); ++p) {
+    std::vector<std::vector<TripEntry>> trips(todam.num_zones());
+    for (uint32_t z = 0; z < todam.num_zones(); ++z) {
+      for (const TripEntry& trip : todam.TripsFor(z)) {
+        if (trip.poi == p) trips[z].push_back(TripEntry{0, trip.depart});
+      }
+    }
+    const Todam column = Todam::FromParts(std::move(trips), {});
+    const TripCostColumns one =
+        CaptureAllZones(&one_engine, column, {pois[p]}, day);
+    std::vector<std::vector<double>> one_costs(members.size());
+    for (size_t m = 0; m < members.size(); ++m) {
+      MemberCostColumn(one, members[m], &one_costs[m]);
+    }
+    for (uint32_t z = 0; z < todam.num_zones(); ++z) {
+      size_t j = one.zone_offsets[z];
+      const std::vector<TripEntry>& zone_trips = todam.TripsFor(z);
+      for (size_t i = 0; i < zone_trips.size(); ++i) {
+        if (zone_trips[i].poi != p) continue;
+        const size_t f = full.zone_offsets[z] + i;
+        SCOPED_TRACE("poi " + std::to_string(p) + " zone " +
+                     std::to_string(z) + " trip " + std::to_string(i));
+        ASSERT_EQ(one.flags[j], full.flags[f]);
+        ASSERT_EQ(DoubleBits(one.jt[j]), DoubleBits(full.jt[f]));
+        for (size_t k = 0; k < kNumGacParts; ++k) {
+          ASSERT_EQ(DoubleBits(one.gac_parts[j * kNumGacParts + k]),
+                    DoubleBits(full.gac_parts[f * kNumGacParts + k]));
+        }
+        ASSERT_EQ(DoubleBits(one.fare[j]), DoubleBits(full.fare[f]));
+        for (size_t m = 0; m < members.size(); ++m) {
+          ASSERT_EQ(DoubleBits(one_costs[m][j]), DoubleBits(full_costs[m][f]));
+        }
+        ++j;
+      }
+      ASSERT_EQ(j, one.zone_offsets[z + 1]);
+    }
+  }
+  for (uint8_t f : full.flags) {
+    if (f == 0) ++*infeasible;
+    if (f & 2) ++*walk_only;
+  }
+}
+
+// A trip's journey does not depend on the other targets of its lane: one
+// POI's trips labeled alone record the cost basis (flags, JT, the five
+// GAC parts, fare) and the JT and weighted-GAC costs that the full pass
+// records for them, bit for bit — on both city families, both timetables,
+// and under a short horizon that leaves trips infeasible. Trip-granular
+// AddPoi patches (serve/scenario.h) route only the new POI's trips and
+// rest on this.
+TEST(LabelingLaneTest, OneTargetLanesRecordTheFullLaneCostBasis) {
+  router::RouterOptions short_horizon;
+  short_horizon.horizon_s = 1500;
+  for (const synth::CitySpec& spec :
+       {synth::CitySpec::Covely(0.06, 5), synth::CitySpec::Brindale(0.05, 7)}) {
+    SCOPED_TRACE(spec.name);
+    synth::City city = std::move(synth::BuildCity(spec)).value();
+    const std::vector<synth::Poi> pois =
+        city.PoisOf(synth::PoiCategory::kSchool);
+    ASSERT_GT(pois.size(), 1u);
+    GravityConfig gravity = CalibratedGravityConfig(spec);
+    gravity.sample_rate_per_hour = 4;
+    gravity.keep_scale = 2.0;
+    size_t walk_only = 0, infeasible = 0;
+    for (const gtfs::TimeInterval& interval :
+         {gtfs::WeekdayAmPeak(), gtfs::WeekdayOffPeak()}) {
+      SCOPED_TRACE(interval.label);
+      TodamBuilder builder(city.zones, pois, interval, gravity);
+      const Todam todam = builder.BuildGravity(3);
+      for (const router::RouterOptions& options :
+           {router::RouterOptions{}, short_horizon}) {
+        ExpectOneTargetLanesMatchFullLanes(city, pois, todam, options,
+                                           interval.day, &walk_only,
+                                           &infeasible);
+      }
+    }
+    EXPECT_GT(walk_only, 0u);
+    EXPECT_GT(infeasible, 0u);
   }
 }
 

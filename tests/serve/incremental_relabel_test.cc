@@ -50,16 +50,22 @@ void RunGoldenScenario(synth::City city, const LabelKey& key) {
   auto fresh = after_add->BuildLabelState(key, &engine);
   ExpectStatesIdentical(*patched, *fresh);
 
-  // The patch only pays for the zones the new POI actually touched.
+  // The patch only pays for the zones the new POI actually touched, and
+  // routes only the new POI's trips.
   EXPECT_EQ(add_report.zones_relabeled, patched->relabeled_zones);
   EXPECT_LT(add_report.zones_relabeled, add_report.zones_total);
   EXPECT_LT(add_report.spqs, full_build_spqs);
+  EXPECT_EQ(add_report.spqs,
+            fresh->todam.num_trips() - base_state->todam.num_trips());
 
   // --- remove an original POI (non-tail column) --------------------------
   uint32_t victim = base_state->pois.front().id;
   auto remove_report = store.RemovePoi(victim);
   ASSERT_TRUE(remove_report.ok());
   EXPECT_EQ(remove_report.value().states_patched, 1u);
+  // A removal re-aggregates the zones that lost trips and routes nothing.
+  EXPECT_EQ(remove_report.value().spqs, 0u);
+  EXPECT_GT(remove_report.value().zones_relabeled, 0u);
 
   auto after_remove = store.Acquire();
   auto patched2 = after_remove->GetOrBuildLabelState(key, &engine, &built);

@@ -73,6 +73,25 @@ TEST_F(ScenarioStoreTest, SetIntervalRebuildsOfflineState) {
   EXPECT_EQ(after->pois().size(), before->pois().size());
 }
 
+TEST_F(ScenarioStoreTest, SetIntervalToTheServedIntervalKeepsEverything) {
+  auto before = store_.Acquire();
+  auto state = before->GetOrBuildLabelState(FastKey(), &engine_);
+  auto report = store_.SetInterval(gtfs::WeekdayAmPeak());
+  // Still an epoch of its own, so WAL sequences count the switch...
+  EXPECT_EQ(report.epoch, 1u);
+  EXPECT_EQ(report.states_shared, 1u);
+  EXPECT_EQ(report.states_patched, 0u);
+  EXPECT_EQ(report.spqs, 0u);
+  // ...that shares the offline state and carries the label state as is.
+  auto after = store_.Acquire();
+  EXPECT_EQ(after->epoch(), 1u);
+  EXPECT_EQ(&before->offline(), &after->offline());
+  bool built = false;
+  auto carried = after->GetOrBuildLabelState(FastKey(), &engine_, &built);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(carried.get(), state.get());
+}
+
 TEST_F(ScenarioStoreTest, RemovePoiReportsNotFoundForUnknownId) {
   auto result = store_.RemovePoi(9999999u);
   EXPECT_FALSE(result.ok());

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <atomic>
+#include <filesystem>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -414,6 +415,42 @@ TEST_F(AqServerTest, StatsAccumulateAcrossTheLifetime) {
 /// behind a network, so contexts pooled before it keep their cached access
 /// stops: every answer after the switch, through SetInterval on a primary
 /// or ApplyMutation on a replica, equals a server built at the new interval.
+/// Threads of this process (its /proc/self/task entries); 0 where that
+/// directory does not exist.
+size_t ProcessThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return 0;
+  size_t count = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++count;
+  return count;
+}
+
+// A one-worker server has no spare context for a helper, so its zone
+// loops run on the caller alone: its cold builds and patches start no
+// thread (the process-wide idle pool stays unstarted). Each ctest case is
+// a fresh process, so nothing started the pool earlier; run in one
+// process with other cases, the count is merely already settled.
+TEST(OneWorkerServerTest, ZoneLoopsStartNoHelperThreads) {
+  AqServer::Options options;
+  options.num_threads = 1;
+  AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+  const size_t threads = ProcessThreads();
+  if (threads == 0) GTEST_SKIP() << "no /proc/self/task to count threads";
+
+  auto served = server.Query(FastExactRequest());
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_TRUE(server
+                  .AddPoi(synth::PoiCategory::kSchool,
+                          server.base_city().Centre())
+                  .ok());
+  ASSERT_TRUE(server.Query(FastExactRequest()).ok());
+  EXPECT_EQ(ProcessThreads(), threads);
+  auto golden = server.QueryUncached(FastExactRequest());
+  ASSERT_TRUE(golden.ok()) << golden.status();
+  ExpectSameAnswer(server.Query(FastExactRequest()).value(), golden.value());
+}
+
 TEST(IntervalSwitchTest, PooledContextsAnswerLikeAFreshServer) {
   AqRequest gac = FastExactRequest();
   gac.options.cost = core::CostKind::kGeneralizedCost;

@@ -19,6 +19,7 @@
 #include "serve/scenario.h"
 #include "serve/server.h"
 #include "store/snapshot.h"
+#include "store/writer.h"
 #include "testing/test_city.h"
 
 namespace staq::store {
@@ -96,6 +97,9 @@ void ExpectSameState(const serve::ExactLabelState& a,
   for (size_t z = 0; z < a.todam.alpha().size(); ++z) {
     ExpectBitIdenticalDoubles(a.todam.alpha()[z], b.todam.alpha()[z], "alpha");
   }
+  EXPECT_EQ(a.trip_offsets, b.trip_offsets);
+  EXPECT_EQ(a.trip_flags, b.trip_flags);
+  ExpectBitIdenticalDoubles(a.trip_costs, b.trip_costs, "trip_costs");
   ASSERT_EQ(a.labels.size(), b.labels.size());
   for (size_t z = 0; z < a.labels.size(); ++z) {
     EXPECT_EQ(Bits(a.labels[z].mac), Bits(b.labels[z].mac)) << "zone " << z;
@@ -360,6 +364,145 @@ TEST(SnapshotWarmStart, ServerAnswersBitIdenticallyToColdBuild) {
   auto after = warm.Query(request);
   ASSERT_TRUE(after.ok()) << after.status();
   std::remove(path.c_str());
+}
+
+/// Bit-level equality of two exact answers' zone measures.
+void ExpectSameAnswer(const core::AccessQueryResult& a,
+                      const core::AccessQueryResult& b) {
+  ASSERT_EQ(a.mac.size(), b.mac.size());
+  for (size_t z = 0; z < a.mac.size(); ++z) {
+    EXPECT_EQ(Bits(a.mac[z]), Bits(b.mac[z])) << "zone " << z;
+    EXPECT_EQ(Bits(a.acsd[z]), Bits(b.acsd[z])) << "zone " << z;
+  }
+  EXPECT_EQ(a.gravity_trips, b.gravity_trips);
+}
+
+TEST(SnapshotWarmStart, WalkScaleSurvivesTheSnapshot) {
+  // A snapshot taken after a walk rescale must restore the rescaled walk:
+  // a key the exporter never labeled is built fresh on the warm server,
+  // over the restored router, and must equal the exporter's answer.
+  serve::AqServer::Options options;
+  options.num_threads = 2;
+  serve::AqServer exporter(testing::TinyCity(), gtfs::WeekdayAmPeak(),
+                           options);
+  serve::AqRequest materialised;
+  materialised.category = synth::PoiCategory::kSchool;
+  materialised.options.exact = true;
+  materialised.options.gravity.sample_rate_per_hour = 4;
+  materialised.options.gravity.keep_scale = 2.0;
+  materialised.options.seed = 3;
+  ASSERT_TRUE(exporter.Query(materialised).ok());
+  ASSERT_TRUE(exporter.ScaleWalkSpeed(0.5).ok());
+  ASSERT_TRUE(exporter.ScaleWalkSpeed(0.8).ok());
+
+  const std::string path = TempPath("walk_scale.staq");
+  ASSERT_TRUE(exporter.ExportSnapshot(path).ok());
+  serve::AqServer::Options warm_options = options;
+  warm_options.warm_start_path = path;
+  serve::AqServer warm(testing::TinyCity(), gtfs::WeekdayAmPeak(),
+                       warm_options);
+  ASSERT_TRUE(warm.warm_started());
+  EXPECT_EQ(warm.Snapshot()->walk_scale(), exporter.Snapshot()->walk_scale());
+  EXPECT_EQ(Bits(warm.Snapshot()->router_options().walk.speed_mps),
+            Bits(exporter.Snapshot()->router_options().walk.speed_mps));
+
+  serve::AqRequest fresh = materialised;
+  fresh.options.seed = 11;
+  fresh.options.cost = core::CostKind::kGeneralizedCost;
+  for (const serve::AqRequest& request : {materialised, fresh}) {
+    auto want = exporter.Query(request);
+    auto got = warm.Query(request);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectSameAnswer(got.value(), want.value());
+  }
+
+  // A further rescale on both keeps them equal: the warm store derives
+  // its walk from its options and the cumulative scale, as the exporter.
+  ASSERT_TRUE(exporter.ScaleWalkSpeed(0.9).ok());
+  ASSERT_TRUE(warm.ScaleWalkSpeed(0.9).ok());
+  fresh.options.seed = 13;
+  for (const serve::AqRequest& request : {materialised, fresh}) {
+    auto want = exporter.Query(request);
+    auto got = warm.Query(request);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectSameAnswer(got.value(), want.value());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotWarmStart, SnapshotWithoutTripCostsAnswersLikeAColdServer) {
+  // A file whose label states carry no trip-cost section (written before
+  // the section existed) still warm-starts: those states are dropped and
+  // rebuilt on demand, so every answer — before and after a POI patch —
+  // equals a cold server's.
+  serve::AqServer::Options options;
+  options.num_threads = 2;
+  serve::AqServer cold(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+  serve::AqRequest request;
+  request.category = synth::PoiCategory::kSchool;
+  request.options.exact = true;
+  request.options.gravity.sample_rate_per_hour = 4;
+  request.options.gravity.keep_scale = 2.0;
+  request.options.seed = 3;
+  auto cold_answer = cold.Query(request);
+  ASSERT_TRUE(cold_answer.ok()) << cold_answer.status();
+
+  const std::string path = TempPath("with_costs.staq");
+  const std::string stripped = TempPath("without_costs.staq");
+  ASSERT_TRUE(cold.ExportSnapshot(path).ok());
+  {
+    Reader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    Writer writer;
+    ASSERT_TRUE(writer.Open(stripped).ok());
+    size_t dropped = 0;
+    for (const SectionEntry& entry : reader.sections()) {
+      const std::string leaf = "/trip_costs";
+      if (entry.name.size() > leaf.size() &&
+          entry.name.compare(entry.name.size() - leaf.size(), leaf.size(),
+                             leaf) == 0) {
+        ++dropped;
+        continue;
+      }
+      auto in = reader.Section(entry.name);
+      ASSERT_TRUE(in.ok()) << in.status();
+      std::vector<uint8_t> payload(in.value().cursor(),
+                                   in.value().cursor() + in.value().remaining());
+      ASSERT_TRUE(writer
+                      .AddSection(entry.name, entry.encoding,
+                                  std::move(payload), entry.element_count)
+                      .ok());
+    }
+    ASSERT_EQ(dropped, 1u);
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto loaded = LoadSnapshot(stripped);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded.value().label_states.empty());
+
+  serve::AqServer::Options warm_options = options;
+  warm_options.warm_start_path = stripped;
+  serve::AqServer warm(testing::TinyCity(), gtfs::WeekdayAmPeak(),
+                       warm_options);
+  ASSERT_TRUE(warm.warm_started());
+  auto warm_answer = warm.Query(request);
+  ASSERT_TRUE(warm_answer.ok()) << warm_answer.status();
+  ExpectSameAnswer(warm_answer.value(), cold_answer.value());
+
+  const geo::BBox& extent = cold.base_city().extent;
+  const geo::Point site{extent.min_x + 0.4 * (extent.max_x - extent.min_x),
+                        extent.min_y + 0.6 * (extent.max_y - extent.min_y)};
+  ASSERT_TRUE(cold.AddPoi(synth::PoiCategory::kSchool, site).ok());
+  ASSERT_TRUE(warm.AddPoi(synth::PoiCategory::kSchool, site).ok());
+  auto cold_after = cold.Query(request);
+  auto warm_after = warm.Query(request);
+  ASSERT_TRUE(cold_after.ok()) << cold_after.status();
+  ASSERT_TRUE(warm_after.ok()) << warm_after.status();
+  ExpectSameAnswer(warm_after.value(), cold_after.value());
+  std::remove(path.c_str());
+  std::remove(stripped.c_str());
 }
 
 TEST(SnapshotLoad, RejectsCorruptSnapshotsCleanly) {

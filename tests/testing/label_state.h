@@ -6,11 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "serve/scenario.h"
 
 namespace staq::testing {
 
-/// Full bit-level equality: POIs, per-zone trip sequences, α rows, labels.
+/// Bit pattern of a double: the columns are compared bit for bit, not by
+/// value (-0.0 == 0.0 would pass a value compare).
+inline uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Full bit-level equality: POIs, per-zone trip sequences, α rows, every
+/// trip's cost and flags, labels.
 inline void ExpectStatesIdentical(const serve::ExactLabelState& patched,
                                   const serve::ExactLabelState& fresh) {
   ASSERT_EQ(patched.pois.size(), fresh.pois.size());
@@ -27,6 +39,16 @@ inline void ExpectStatesIdentical(const serve::ExactLabelState& patched,
   for (size_t z = 0; z < fresh.todam.alpha().size(); ++z) {
     EXPECT_EQ(patched.todam.alpha()[z], fresh.todam.alpha()[z])
         << "alpha row differs in zone " << z;
+  }
+  ASSERT_EQ(patched.trip_offsets, fresh.trip_offsets);
+  ASSERT_EQ(patched.trip_flags.size(), fresh.trip_flags.size());
+  ASSERT_EQ(patched.trip_costs.size(), fresh.trip_costs.size());
+  ASSERT_EQ(fresh.trip_costs.size(), fresh.todam.num_trips());
+  for (size_t i = 0; i < fresh.trip_costs.size(); ++i) {
+    EXPECT_EQ(patched.trip_flags[i], fresh.trip_flags[i]) << "trip " << i;
+    EXPECT_EQ(DoubleBits(patched.trip_costs[i]),
+              DoubleBits(fresh.trip_costs[i]))
+        << "trip " << i;
   }
   ASSERT_EQ(patched.labels.size(), fresh.labels.size());
   for (size_t z = 0; z < fresh.labels.size(); ++z) {

@@ -7,8 +7,7 @@
 //            process pays every restart without snapshots
 //   save   — SaveSnapshot of the materialised serving state, plus the
 //            resulting file size and a full checksum verification pass
-//   load   — LoadSnapshot alone, in both read modes (mmap zero-copy vs
-//            buffered), isolating deserialisation cost
+//   load   — LoadSnapshot alone, isolating deserialisation cost
 //   warm   — AqServer construction with Options::warm_start_path plus the
 //            same first query answered from the restored label state: the
 //            cost a restart pays with snapshots. At perfgate scale it takes
@@ -152,24 +151,19 @@ exp::RunResult RunStoreBench() {
               save_seconds, static_cast<double>(file_bytes) / (1 << 20),
               verify_seconds);
 
-  // --- load alone, both read modes -----------------------------------------
-  double load_seconds[2] = {0, 0};
-  const char* mode_names[2] = {"mmap", "buffered"};
-  for (int m = 0; m < 2; ++m) {
-    store::Reader::Options read_options;
-    read_options.mode = m == 0 ? store::Reader::Mode::kMmap
-                               : store::Reader::Mode::kBuffered;
+  // --- load alone -----------------------------------------------------------
+  double load_seconds = 0.0;
+  {
     util::Stopwatch load_watch;
-    auto restored = store::LoadSnapshot(path, read_options);
-    load_seconds[m] = load_watch.ElapsedSeconds();
+    auto restored = store::LoadSnapshot(path);
+    load_seconds = load_watch.ElapsedSeconds();
     if (!restored.ok()) {
-      std::fprintf(stderr, "load (%s) failed: %s\n", mode_names[m],
+      std::fprintf(stderr, "load failed: %s\n",
                    restored.status().ToString().c_str());
       return {1, ""};
     }
-    std::printf("  load (%-8s)            : %8.3f s\n", mode_names[m],
-                load_seconds[m]);
   }
+  std::printf("  load                       : %8.3f s\n", load_seconds);
 
   // --- warm: load + publish + the same first answers, gated every time ----
   // One warm start over `city`. Returns its seconds, or a negative value
@@ -244,8 +238,7 @@ exp::RunResult RunStoreBench() {
   w.Fixed("save_seconds", save_seconds, 6);
   w.Fixed("verify_seconds", verify_seconds, 6);
   w.Uint("file_bytes", file_bytes);
-  w.Fixed("load_mmap_seconds", load_seconds[0], 6);
-  w.Fixed("load_buffered_seconds", load_seconds[1], 6);
+  w.Fixed("load_seconds", load_seconds, 6);
   w.Fixed("warm_seconds", warm_seconds, 6);
   w.Fixed("speedup", speedup, 2);
   w.Fixed("speedup_gate", 10.0, 1);

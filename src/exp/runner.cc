@@ -32,9 +32,7 @@ std::string SnapshotPath(const std::string& state_dir, const Cell& cell) {
 bool LoadCellSnapshot(const std::string& state_dir, const Cell& cell,
                       std::string* json, int* exit_code) {
   store::Reader reader;
-  store::Reader::Options options;
-  options.mode = store::Reader::Mode::kBuffered;
-  if (!reader.Open(SnapshotPath(state_dir, cell), options).ok()) return false;
+  if (!reader.Open(SnapshotPath(state_dir, cell)).ok()) return false;
 
   auto read_string = [&](const char* name, std::string* out) {
     auto section = reader.Section(name, store::SectionEncoding::kRaw);

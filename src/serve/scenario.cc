@@ -224,7 +224,7 @@ void Scenario::LabelZoneBlocks(
   };
   const size_t num_blocks = core::NumZoneBlocks(shared_zones->size());
   if (loop != nullptr) {
-    loop->Run(*this, engine, num_blocks, label_block);
+    loop->Run(*this, num_blocks, label_block);
   } else {
     for (size_t i = 0; i < num_blocks; ++i) label_block(*engine, i)();
   }

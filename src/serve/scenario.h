@@ -159,10 +159,10 @@ class ZoneLoop {
 
   /// Labels and stores every item in [0, n), returning when all are
   /// stored; rethrows the first exception a body threw. The calling thread
-  /// labels with `caller`, or — when null — with a context leased for
-  /// `scenario`'s network for the duration of the loop.
-  virtual void Run(const Scenario& scenario, core::LabelingEngine* caller,
-                   size_t n, const ZoneLoopBody& body) = 0;
+  /// labels with a context leased for `scenario`'s network for the
+  /// duration of the loop.
+  virtual void Run(const Scenario& scenario, size_t n,
+                   const ZoneLoopBody& body) = 0;
 };
 
 /// Every zone id of a city with `count` zones, ascending.
@@ -283,8 +283,7 @@ class Scenario {
   const gtfs::TimeInterval& interval() const { return offline_->interval; }
 
   /// Network stamp: increments with every timetable, fare, or walk
-  /// mutation. Pooled worker contexts built for a different version are
-  /// discarded rather than reused.
+  /// mutation. Pooled worker contexts key on network_id(), not on it.
   uint64_t network_version() const { return network_version_; }
   /// Process-unique identity of the network this scenario routes over.
   /// Unlike network_version(), an id is never reused — not even by a
@@ -311,12 +310,11 @@ class Scenario {
   /// The scenario's POIs of one category, in stable-id order.
   std::vector<synth::Poi> PoisOf(synth::PoiCategory category) const;
 
-  /// Memoised exact label state: the first caller for a key builds it with
-  /// `engine` (and sets *built_fresh when non-null); concurrent callers
-  /// for the same key block until that build is published. `engine` is only
-  /// used by the caller that actually builds; `loop`, when non-null, lets
-  /// helpers label zones alongside it (see BuildLabelState), and `engine`
-  /// may then be null (the loop leases one for the calling thread).
+  /// Memoised exact label state: the first caller for a key builds it
+  /// (and sets *built_fresh when non-null); concurrent callers for the
+  /// same key block until that build is published. The builder labels
+  /// through `loop` or on `engine`: a caller passes one of the two, not
+  /// both (see LabelZoneBlocks).
   std::shared_ptr<const ExactLabelState> GetOrBuildLabelState(
       const LabelKey& key, core::LabelingEngine* engine,
       bool* built_fresh = nullptr, ZoneLoop* loop = nullptr) const;
@@ -335,8 +333,9 @@ class Scenario {
       bool* built_fresh = nullptr) const;
 
   /// From-scratch build, bypassing the memo: NewLabelState plus
-  /// LabelZoneBlocks over every zone. This is the golden reference the
-  /// incremental path is checked against (tests, bench gates).
+  /// LabelZoneBlocks over every zone, through `loop` or on `engine` (one
+  /// of the two, not both). This is the golden reference the incremental
+  /// path is checked against (tests, bench gates).
   std::shared_ptr<const ExactLabelState> BuildLabelState(
       const LabelKey& key, core::LabelingEngine* engine,
       ZoneLoop* loop = nullptr) const;
@@ -358,13 +357,15 @@ class Scenario {
   /// The one zone-block routine of state builds, patches and batch
   /// captures: labels `zones` of `state` under key.cost and key.gac over
   /// this scenario's network, core::kZoneBlock entries of `zones` per loop
-  /// item. Runs through `loop` (the calling thread labels with `engine`,
-  /// or a leased context when null) or, when `loop` is null, serially on
-  /// `engine`. Stores every label at its zone and every trip's cost and
-  /// flags in the state's trip columns (ResetTripColumns must have sized
-  /// them), and records the pass's SPQs and zone count in the state. `capture`, when non-null, must be empty;
-  /// it receives one trip range per entry of `zones`, in order, holding
-  /// every trip's cost basis (LabelingEngine::LabelBlock's capture sink).
+  /// item. A caller passes a loop or an engine, not both: it runs through
+  /// `loop` when non-null (`engine` is then null; the loop leases the
+  /// calling thread's context), and otherwise serially on `engine`. Stores
+  /// every label at its zone and every trip's cost and flags in the
+  /// state's trip columns (ResetTripColumns must have sized them), and
+  /// records the pass's SPQs and zone count in the state. `capture`, when
+  /// non-null, must be empty; it receives one trip range per entry of
+  /// `zones`, in order, holding every trip's cost basis
+  /// (LabelingEngine::LabelBlock's capture sink).
   void LabelZoneBlocks(
       ZoneLoop* loop, core::LabelingEngine* engine, const LabelKey& key,
       const std::shared_ptr<ExactLabelState>& state,

@@ -331,15 +331,13 @@ void AqServer::ReleaseContext(std::unique_ptr<WorkerContext> context) {
   contexts_.Put(std::move(context));  // a context handed back dies here
 }
 
-void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
-                   size_t n, const ZoneLoopBody& body) {
+void AqServer::Run(const Scenario& scenario, size_t n,
+                   const ZoneLoopBody& body) {
   if (n == 0) return;
   const Network network = NetworkOf(scenario);
-  std::unique_ptr<WorkerContext> own;
-  if (caller == nullptr) {
-    own = AcquireContext(network);
-    caller = &own->engine;
-  }
+  // Dropped instead of returned to the pool when a body throws on it.
+  std::unique_ptr<WorkerContext> own = AcquireContext(network);
+  core::LabelingEngine* caller = &own->engine;
   if (context_cap_ <= 1) {
     // No spare context, so no helper could ever join: the caller runs
     // every item, and a one-worker server never starts the idle pool.
@@ -347,7 +345,7 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
       STAQ_FAILPOINT("serve.zone_loop.caller");
       body(*caller, index)();
     }
-    if (own != nullptr) ReleaseContext(std::move(own));
+    ReleaseContext(std::move(own));
     return;
   }
   /// A helper's context, returned to the pool when the helper ends —
@@ -401,7 +399,7 @@ void AqServer::Run(const Scenario& scenario, core::LabelingEngine* caller,
           }
         };
       });
-  if (own != nullptr) ReleaseContext(std::move(own));
+  ReleaseContext(std::move(own));
 }
 
 AqTicket AqServer::Submit(const AqRequest& request) {

@@ -5,8 +5,9 @@
 //
 //   * Admission: Submit() refuses new work with kResourceExhausted once the
 //     queue holds max_pending tasks, so a burst degrades into fast
-//     rejections instead of unbounded latency, and refuses generalized-cost
-//     requests whose GAC weights are not valid with kInvalidArgument.
+//     rejections instead of unbounded latency, and refuses a request with a
+//     field out of range (the list on AqRequest, serve/request.h) with
+//     kInvalidArgument.
 //   * Snapshots: each request captures the current scenario at submission.
 //     Mutations arriving while it waits or runs do not affect it — it
 //     answers against the epoch it was admitted under (RCU discipline).
@@ -246,8 +247,8 @@ class AqServer : private ZoneLoop {
   // --- query API ---------------------------------------------------------
   /// Asynchronous submission. Never blocks on query work; returns a
   /// rejected ticket (kResourceExhausted) when the queue is full, and a
-  /// refused one (kInvalidArgument) for a generalized-cost request whose
-  /// weights fail GacWeights::Valid().
+  /// refused one (kInvalidArgument) for a request with a field out of
+  /// range (the list on AqRequest, serve/request.h).
   AqTicket Submit(const AqRequest& request);
 
   /// Synchronous convenience: Submit + Get.
@@ -261,7 +262,7 @@ class AqServer : private ZoneLoop {
   /// inserted into the result cache under its derived single-query key, so
   /// later single submissions are cache hits. Non-exact (SSR) members
   /// share no pass and run as ordinary individual tasks. Admission
-  /// (invalid GAC weights, queue-full rejection, delay-budget shedding) is
+  /// (out-of-range fields, queue-full rejection, delay-budget shedding) is
   /// decided once for the whole batch. Exact members' tickets cannot be
   /// cancelled (TryCancel returns false): members of a group do not have
   /// individual queue slots.
@@ -274,7 +275,8 @@ class AqServer : private ZoneLoop {
 
   /// Golden reference: recomputes the answer from scratch on the caller's
   /// thread, bypassing the result cache and the label-state and feature
-  /// memos. It refuses invalid GAC weights as admission does.
+  /// memos. It refuses out-of-range fields (serve/request.h) as admission
+  /// does.
   util::Result<core::AccessQueryResult> QueryUncached(const AqRequest& request);
 
   /// Sequential reference against an explicit snapshot: like QueryUncached
@@ -369,7 +371,7 @@ class AqServer : private ZoneLoop {
   std::unique_ptr<WorkerContext> NewContext(const Network& network);
 
   /// ZoneLoop: one util::ParallelLoop (util/parallel_loop.h).
-  /// The calling thread labels with `caller` (or a leased context) while
+  /// The calling thread labels with a leased context while
   /// up to hardware-concurrency − 1 helpers on the idle pool claim zones
   /// one at a time, each with a helper lease, and hand their store steps
   /// back to the calling thread; a helper that finds the cap reached
@@ -377,7 +379,7 @@ class AqServer : private ZoneLoop {
   /// the caller rather than waited for. A server of one worker has no
   /// spare context for a helper: the caller runs every item itself and
   /// the idle pool is never started.
-  void Run(const Scenario& scenario, core::LabelingEngine* caller, size_t n,
+  void Run(const Scenario& scenario, size_t n,
            const ZoneLoopBody& body) override;
 
   /// Counts the zone-loop helpers that may still touch this server — a
@@ -410,7 +412,7 @@ class AqServer : private ZoneLoop {
 
   /// The one admission routine behind Submit and SubmitBatch: readies
   /// `tickets[0..n)` for `requests[0..n)`, refuses all of them with one
-  /// status (invalid GAC weights, queue full, shed) or snapshots the epoch
+  /// status (an out-of-range field, queue full, shed) or snapshots the epoch
   /// and enqueues them. Exact members of a `batch` run one task per
   /// (category, seed) group (AnswerGroup); every other request runs
   /// Execute as a task of its own, with a cancel handle.

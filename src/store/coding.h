@@ -3,7 +3,7 @@
 // Three encodings cover every column the snapshot store writes:
 //   * fixed — little-endian fixed-width values, memcpy'd in bulk. Used for
 //     double columns (IEEE bits round-trip exactly, which the bit-identity
-//     guarantee depends on) and anything mmap wants to view in place.
+//     guarantee depends on) and any column a reader copies out in bulk.
 //   * varint — LEB128 unsigned varints; signed values go through zigzag
 //     first so small negatives stay short.
 //   * delta + zigzag varint — consecutive differences, zigzag'd. The hot
@@ -66,8 +66,8 @@ inline void PutLengthPrefixed(std::vector<uint8_t>* out,
 
 // --- decoding --------------------------------------------------------------
 
-/// A bounds-checked cursor over an immutable byte range (a section payload,
-/// possibly living inside an mmap'd file — the cursor never copies).
+/// A bounds-checked cursor over an immutable byte range (a section payload
+/// inside the reader's file buffer — the cursor never copies).
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size)
@@ -117,8 +117,7 @@ class ByteReader {
   }
 
   /// Bulk-reads `count` fixed-width values straight out of the underlying
-  /// bytes (single memcpy; on the mmap path this is the only copy between
-  /// the page cache and the consumer's vector).
+  /// bytes (single memcpy into the consumer's vector).
   template <typename T>
   bool ReadFixedColumn(size_t count, std::vector<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);

@@ -30,7 +30,10 @@
 // keep decode paths for older ones for as long as ROADMAP retention asks.
 // Adding a *new* section is backward compatible by construction — old
 // readers never look it up, new readers treat its absence as "feature not
-// present in this snapshot".
+// present in this snapshot". Dropping a section old readers require is
+// not: version 2 stopped writing each label state's `labels` section
+// (restored labels are derived from the state's trip columns), and this
+// reader still opens version 1 files without reading that section.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +48,8 @@ inline constexpr uint64_t kHeaderMagic = 0x31504E5351415453ull;
 /// footer made it to disk, so truncation anywhere is detected cheaply.
 inline constexpr uint64_t kTrailerMagic = 0x31444E4551415453ull;
 
-/// Current container format version.
-inline constexpr uint32_t kFormatVersion = 1;
+/// Current container format version. Readers accept 1..kFormatVersion.
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Payload bytes covered by one checksum. 256 KiB keeps the block table
 /// tiny (8 bytes per 256 KiB) while localising corruption reports.
@@ -60,7 +63,7 @@ inline constexpr size_t kTrailerSize = 24;  // footer offset + digest + magic
 /// so `snapshot inspect` can explain a file and readers can reject a
 /// mismatched decode attempt.
 enum class SectionEncoding : uint8_t {
-  kRaw = 0,      // fixed-width little-endian values (mmap-viewable)
+  kRaw = 0,      // fixed-width little-endian values
   kVarint = 1,   // LEB128 varints (zigzag where signed)
   kDelta = 2,    // consecutive deltas, zigzag varint
   kStruct = 3,   // heterogeneous record stream (coding.h primitives)

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -24,15 +23,10 @@ util::Status IoError(const std::string& what, const std::string& path) {
 
 }  // namespace
 
-Reader::~Reader() {
-  if (map_ != nullptr) ::munmap(map_, file_size_);
-}
-
-util::Status Reader::Open(const std::string& path, Options options) {
+util::Status Reader::Open(const std::string& path) {
   if (data_ != nullptr) {
     return util::Status::FailedPrecondition("Reader already open");
   }
-  options_ = options;
   path_ = path;
   try {
     STAQ_FAILPOINT("store.reader.open");
@@ -58,47 +52,28 @@ util::Status Reader::Open(const std::string& path, Options options) {
                      static_cast<unsigned long long>(file_size_)));
   }
 
-  if (options_.mode == Mode::kMmap) {
-    map_ = ::mmap(nullptr, file_size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map_ == MAP_FAILED) {
-      map_ = nullptr;
-      // mmap can fail where read() would not (e.g. special filesystems);
-      // degrade to buffered rather than failing the load.
-      options_.mode = Mode::kBuffered;
-    } else {
-      data_ = static_cast<const uint8_t*>(map_);
+  buffer_.resize(file_size_);
+  size_t got = 0;
+  while (got < buffer_.size()) {
+    ssize_t n = ::read(fd, buffer_.data() + got, buffer_.size() - got);
+    if (n < 0) {
+      util::Status status = IoError("read", path);
+      ::close(fd);
+      return status;
     }
+    if (n == 0) break;  // truncated between stat and read
+    got += static_cast<size_t>(n);
   }
-  if (data_ == nullptr) {
-    buffer_.resize(file_size_);
-    size_t got = 0;
-    while (got < buffer_.size()) {
-      ssize_t n = ::read(fd, buffer_.data() + got, buffer_.size() - got);
-      if (n < 0) {
-        util::Status status = IoError("read", path);
-        ::close(fd);
-        return status;
-      }
-      if (n == 0) break;  // truncated between stat and read
-      got += static_cast<size_t>(n);
-    }
-    ::close(fd);
-    if (got != buffer_.size()) {
-      return util::Status::DataLoss(path + ": short read (file truncated)");
-    }
-    data_ = buffer_.data();
-  } else {
-    ::close(fd);
+  ::close(fd);
+  if (got != buffer_.size()) {
+    return util::Status::DataLoss(path + ": short read (file truncated)");
   }
+  data_ = buffer_.data();
 
   util::Status status = ParseFooter();
   if (!status.ok()) {
     // Leave no half-open state behind: a failed Open is indistinguishable
     // from one never attempted.
-    if (map_ != nullptr) {
-      ::munmap(map_, file_size_);
-      map_ = nullptr;
-    }
     buffer_.clear();
     data_ = nullptr;
     sections_.clear();
@@ -231,10 +206,8 @@ util::Result<ByteReader> Reader::Section(const std::string& name) {
   if (entry == nullptr) {
     return util::Status::NotFound(path_ + ": no section '" + name + "'");
   }
-  if (options_.verify_checksums) {
-    STAQ_RETURN_NOT_OK(VerifyBlocks(
-        static_cast<size_t>(entry - sections_.data())));
-  }
+  STAQ_RETURN_NOT_OK(
+      VerifyBlocks(static_cast<size_t>(entry - sections_.data())));
   return ByteReader(data_ + entry->offset,
                     static_cast<size_t>(entry->size));
 }

@@ -1,19 +1,10 @@
 // Snapshot container reader.
 //
-// Two read modes behind one API:
-//   * kBuffered — the whole file is read into one heap buffer up front
-//     (predictable for cold NFS-style storage, no page-fault latency in
-//     the decode loop);
-//   * kMmap — the file is mapped read-only and sections are decoded
-//     directly from the mapping: no read() staging buffer exists, so raw
-//     fixed-width columns move page-cache -> destination vector in a
-//     single memcpy and varint columns are decoded in place. This is the
-//     zero-copy path the large columnar sections (stop_times, TODAM trips,
-//     label vectors) use for warm starts.
-//
-// Open() validates header magic + version and the checksummed footer;
-// Section() resolves by name; block checksums of a section are verified on
-// first access (memoised) unless Options::verify_checksums is off.
+// Open() reads the whole file into one heap buffer with read(), so an open
+// Reader owns every byte it will decode: a later rewrite or truncation of
+// the file cannot reach it. It then validates the header magic + version
+// and the checksummed footer; Section() resolves by name, and the block
+// checksums of a section are verified on its first access (memoised).
 // VerifyAllBlocks() checks every block, for `staq_cli snapshot verify`.
 //
 // Failure taxonomy: wrong magic / unknown version / malformed footer or
@@ -37,27 +28,15 @@ namespace staq::store {
 
 class Reader {
  public:
-  enum class Mode : uint8_t { kBuffered, kMmap };
-
-  struct Options {
-    Mode mode = Mode::kMmap;
-    /// Verify per-block checksums on first access of each section. Leave
-    /// on; benches may switch it off to isolate decode cost.
-    bool verify_checksums = true;
-  };
-
   Reader() = default;
-  ~Reader();
 
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
 
-  util::Status Open(const std::string& path, Options options);
-  util::Status Open(const std::string& path) { return Open(path, Options{}); }
+  util::Status Open(const std::string& path);
 
   uint32_t format_version() const { return format_version_; }
   uint64_t file_size() const { return file_size_; }
-  Reader::Mode mode() const { return options_.mode; }
 
   /// Footer entries in file order (for `snapshot inspect`).
   const std::vector<SectionEntry>& sections() const { return sections_; }
@@ -65,9 +44,8 @@ class Reader {
   bool Has(const std::string& name) const;
 
   /// Resolves a section and returns a bounds-checked cursor over its
-  /// payload (pointing into the mapping or the file buffer — valid while
-  /// the Reader lives). Verifies the section's block checksums on first
-  /// access when enabled.
+  /// payload (pointing into the file buffer — valid while the Reader
+  /// lives). Verifies the section's block checksums on first access.
   util::Result<ByteReader> Section(const std::string& name);
 
   /// Like Section() but also enforces the expected encoding, so a decode
@@ -84,16 +62,13 @@ class Reader {
   util::Status VerifyBlocks(size_t index);
   util::Status ParseFooter();
 
-  Options options_;
   std::string path_;
   uint64_t file_size_ = 0;
   uint64_t footer_offset_ = 0;
   uint32_t format_version_ = 0;
 
-  // Exactly one of these backs `data_`.
-  std::vector<uint8_t> buffer_;          // kBuffered
-  void* map_ = nullptr;                  // kMmap
-  const uint8_t* data_ = nullptr;
+  std::vector<uint8_t> buffer_;
+  const uint8_t* data_ = nullptr;  // buffer_.data() once open
 
   std::vector<SectionEntry> sections_;
   std::vector<uint8_t> verified_;  // per section: block checksums passed

@@ -701,51 +701,6 @@ util::Status DecodeLabelKey(ByteReader in, const std::string& section,
   return util::Status::OK();
 }
 
-std::vector<uint8_t> EncodeLabels(const std::vector<core::ZoneLabel>& labels) {
-  std::vector<double> mac, acsd;
-  std::vector<uint32_t> trips, infeasible, walk_only;
-  for (const core::ZoneLabel& label : labels) {
-    mac.push_back(label.mac);
-    acsd.push_back(label.acsd);
-    trips.push_back(label.num_trips);
-    infeasible.push_back(label.num_infeasible);
-    walk_only.push_back(label.num_walk_only);
-  }
-  std::vector<uint8_t> b;
-  PutFixedColumn(&b, mac);
-  PutFixedColumn(&b, acsd);
-  PutDeltaColumn(&b, trips);
-  PutDeltaColumn(&b, infeasible);
-  PutDeltaColumn(&b, walk_only);
-  return b;
-}
-
-util::Status DecodeLabels(ByteReader in, const std::string& section,
-                          size_t num_zones,
-                          std::vector<core::ZoneLabel>* out) {
-  std::vector<double> mac, acsd;
-  std::vector<uint32_t> trips, infeasible, walk_only;
-  if (!ReadFixedColumn(&in, &mac) || !ReadFixedColumn(&in, &acsd) ||
-      !ReadDeltaColumn(&in, &trips) || !ReadDeltaColumn(&in, &infeasible) ||
-      !ReadDeltaColumn(&in, &walk_only)) {
-    return Malformed(section);
-  }
-  if (mac.size() != num_zones || acsd.size() != num_zones ||
-      trips.size() != num_zones || infeasible.size() != num_zones ||
-      walk_only.size() != num_zones) {
-    return Inconsistent(section, "label column length != zone count");
-  }
-  out->assign(num_zones, core::ZoneLabel{});
-  for (size_t z = 0; z < num_zones; ++z) {
-    (*out)[z].mac = mac[z];
-    (*out)[z].acsd = acsd[z];
-    (*out)[z].num_trips = trips[z];
-    (*out)[z].num_infeasible = infeasible[z];
-    (*out)[z].num_walk_only = walk_only[z];
-  }
-  return util::Status::OK();
-}
-
 std::vector<uint8_t> EncodeTodam(const core::Todam& todam) {
   std::vector<uint32_t> trip_counts, pois;
   std::vector<int32_t> departs;
@@ -848,7 +803,7 @@ util::Status DecodeTripCosts(ByteReader in, const std::string& section,
 /// The normaliser and walk-scale sections.
 std::vector<uint8_t> EncodeRawDoubles(const std::vector<double>& values) {
   // Pure raw doubles (kRaw): no count prefix, no per-value framing. The
-  // element count travels in the footer entry, and the mmap read path
+  // element count travels in the footer entry, and the read path
   // memcpy's the column straight out of the page cache.
   std::vector<uint8_t> b(values.size() * sizeof(double));
   if (!values.empty()) std::memcpy(b.data(), values.data(), b.size());
@@ -858,9 +813,9 @@ std::vector<uint8_t> EncodeRawDoubles(const std::vector<double>& values) {
 // --- load ------------------------------------------------------------------
 
 util::Result<serve::RestoredScenario> LoadSnapshotImpl(
-    const std::string& path, Reader::Options options) {
+    const std::string& path) {
   Reader reader;
-  util::Status st = reader.Open(path, options);
+  util::Status st = reader.Open(path);
   if (!st.ok()) return st;
 
   auto section = [&reader](const char* name,
@@ -1024,13 +979,6 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
       return Malformed(norm_name);
     }
 
-    const std::string labels_name = LabelSection(i, "labels");
-    auto labels_in = reader.Section(labels_name, SectionEncoding::kStruct);
-    if (!labels_in.ok()) return labels_in.status();
-    st = DecodeLabels(labels_in.value(), labels_name, num_zones,
-                      &state->labels);
-    if (!st.ok()) return st;
-
     const std::string todam_name = LabelSection(i, "todam");
     auto todam_in = reader.Section(todam_name, SectionEncoding::kDelta);
     if (!todam_in.ok()) return todam_in.status();
@@ -1047,6 +995,10 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
     if (!costs_in.ok()) return costs_in.status();
     st = DecodeTripCosts(costs_in.value(), costs_name, state.get());
     if (!st.ok()) return st;
+    // Labels are not stored (a version-1 file's `labels` section is never
+    // read): each is the aggregation of its zone's trip columns.
+    state->labels.resize(num_zones);
+    state->AggregateZones(serve::AllZones(num_zones));
 
     restored.label_states.emplace_back(key, std::move(state));
   }
@@ -1123,8 +1075,6 @@ util::Status SaveSnapshotImpl(const serve::Scenario& scenario,
         state.pois.size());
     add(LabelSection(i, "norm"), SectionEncoding::kRaw,
         EncodeRawDoubles(state.zone_norm), state.zone_norm.size());
-    add(LabelSection(i, "labels"), SectionEncoding::kStruct,
-        EncodeLabels(state.labels), state.labels.size());
     add(LabelSection(i, "todam"), SectionEncoding::kDelta,
         EncodeTodam(state.todam), state.todam.num_trips());
     add(LabelSection(i, "trip_costs"), SectionEncoding::kStruct,
@@ -1143,16 +1093,16 @@ util::Status SaveSnapshot(const serve::Scenario& scenario,
     return SaveSnapshotImpl(scenario, next_poi_id, path, base_sequence);
   } catch (const std::exception& e) {
     // Injected faults (failpoints) and allocation failures surface as a
-    // clean status; the torn file, if any, is unreadable by design.
+    // clean status; the Writer removes its temporary file, so `path` keeps
+    // what it held before.
     return util::Status::IoError(std::string("snapshot save failed: ") +
                                  e.what());
   }
 }
 
-util::Result<serve::RestoredScenario> LoadSnapshot(const std::string& path,
-                                                   Reader::Options options) {
+util::Result<serve::RestoredScenario> LoadSnapshot(const std::string& path) {
   try {
-    return LoadSnapshotImpl(path, options);
+    return LoadSnapshotImpl(path);
   } catch (const std::exception& e) {
     return util::Status::IoError(std::string("snapshot load failed: ") +
                                  e.what());
@@ -1161,11 +1111,7 @@ util::Result<serve::RestoredScenario> LoadSnapshot(const std::string& path,
 
 util::Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
   Reader reader;
-  // Buffered mode: inspect reads one tiny section; mapping the whole file
-  // buys nothing.
-  Reader::Options options;
-  options.mode = Reader::Mode::kBuffered;
-  util::Status st = reader.Open(path, options);
+  util::Status st = reader.Open(path);
   if (!st.ok()) return st;
 
   auto meta = reader.Section(kMeta, SectionEncoding::kStruct);
@@ -1193,10 +1139,7 @@ util::Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
 
 util::Status VerifySnapshot(const std::string& path) {
   Reader reader;
-  Reader::Options options;
-  options.mode = Reader::Mode::kBuffered;
-  options.verify_checksums = false;  // VerifyAllBlocks checks everything
-  util::Status st = reader.Open(path, options);
+  util::Status st = reader.Open(path);
   if (!st.ok()) return st;
   return reader.VerifyAllBlocks();
 }

@@ -11,8 +11,8 @@
 // exactly the bytes a from-scratch build would produce. Doubles are stored
 // as raw IEEE bits, integer columns delta/zigzag-coded losslessly, and the
 // deterministic derived structures (departure index, k-d trees, feature
-// extractor) are rebuilt rather than stored — their builders are pure
-// functions of the stored state.
+// extractor, each label state's zone labels) are rebuilt rather than
+// stored — their builders are pure functions of the stored state.
 //
 // Failure taxonomy follows reader.h: not-a-snapshot / unknown version /
 // structurally inconsistent -> kInvalidArgument; checksum mismatch,
@@ -36,7 +36,8 @@ namespace staq::store {
 /// Serialises `scenario` plus the owning store's POI id cursor to `path`.
 /// The scenario is immutable, so this is safe while the store keeps
 /// serving queries and installing new epochs. Writes are atomic at the
-/// file level: a failed save leaves a torn file every reader rejects.
+/// file level (writer.h): a failed save leaves the file that was at `path`
+/// before, if any, untouched.
 ///
 /// `base_sequence` is the owning store's sequence offset
 /// (ScenarioStore::base_sequence()): the persisted source epoch becomes
@@ -47,10 +48,9 @@ util::Status SaveSnapshot(const serve::Scenario& scenario,
                           uint64_t base_sequence = 0);
 
 /// Loads a snapshot into the ingredients of a warm-started ScenarioStore.
-/// `options` selects the read mode (mmap zero-copy by default) and
-/// checksum verification.
-util::Result<serve::RestoredScenario> LoadSnapshot(
-    const std::string& path, Reader::Options options = {});
+/// Every label is derived from its state's trip columns (the one
+/// aggregation POI patches use), so it cannot disagree with them.
+util::Result<serve::RestoredScenario> LoadSnapshot(const std::string& path);
 
 /// Summary of a snapshot file, decoded from the footer and the meta
 /// section only (no bulk columns are read or verified).

@@ -1,12 +1,14 @@
 #include "store/writer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 
 #ifdef _WIN32
 #error "staq::store targets POSIX hosts"
 #endif
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "util/hash.h"
@@ -19,6 +21,20 @@ namespace {
 util::Status IoError(const std::string& what, const std::string& path) {
   return util::Status::IoError(what + " " + path + ": " +
                                std::strerror(errno));
+}
+
+/// fsyncs the directory holding `path`, so a rename into it is durable.
+util::Status SyncDirectoryOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return IoError("open directory", dir);
+  util::Status status = util::Status::OK();
+  if (::fsync(fd) != 0) status = IoError("fsync directory", dir);
+  ::close(fd);
+  return status;
 }
 
 }  // namespace
@@ -34,7 +50,9 @@ const char* SectionEncodingName(SectionEncoding e) {
 }
 
 Writer::~Writer() {
+  // A save that did not finish removes its temporary file.
   if (file_ != nullptr) std::fclose(file_);
+  if (!finished_ && !tmp_path_.empty()) ::unlink(tmp_path_.c_str());
 }
 
 util::Status Writer::Open(const std::string& path) {
@@ -47,8 +65,13 @@ util::Status Writer::Open(const std::string& path) {
     return util::Status::IoError(std::string("open ") + path + ": " +
                                  e.what());
   }
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) return IoError("open", path);
+  // Unique per process and per save, so concurrent saves to one path
+  // never share a temporary file.
+  static std::atomic<uint64_t> saves{0};
+  tmp_path_ = path + ".tmp." + std::to_string(::getpid()) + "." +
+              std::to_string(saves.fetch_add(1));
+  file_ = std::fopen(tmp_path_.c_str(), "wb");
+  if (file_ == nullptr) return IoError("create", tmp_path_);
   path_ = path;
 
   uint8_t header[kHeaderSize];
@@ -88,8 +111,8 @@ util::Status Writer::AddSection(const std::string& name,
   if (file_ == nullptr || finished_) {
     return util::Status::FailedPrecondition("Writer not open");
   }
-  // 8-byte payload alignment so raw double/u64 columns are directly
-  // addressable through the reader's mmap view.
+  // 8-byte payload alignment so raw double/u64 columns stay aligned in the
+  // reader's file buffer.
   STAQ_RETURN_NOT_OK(Pad(8));
 
   SectionEntry entry;
@@ -139,21 +162,22 @@ util::Status Writer::Finish() {
   std::memcpy(trailer + 16, &kTrailerMagic, 8);
   STAQ_RETURN_NOT_OK(WriteAll(trailer, sizeof(trailer)));
 
-  if (std::fflush(file_) != 0) return IoError("flush", path_);
+  if (std::fflush(file_) != 0) return IoError("flush", tmp_path_);
   try {
     STAQ_FAILPOINT("store.writer.fsync");
-    if (::fsync(fileno(file_)) != 0) return IoError("fsync", path_);
+    if (::fsync(fileno(file_)) != 0) return IoError("fsync", tmp_path_);
   } catch (const std::exception& e) {
-    return util::Status::IoError(std::string("fsync ") + path_ + ": " +
+    return util::Status::IoError(std::string("fsync ") + tmp_path_ + ": " +
                                  e.what());
   }
-  if (std::fclose(file_) != 0) {
-    file_ = nullptr;
-    return IoError("close", path_);
-  }
+  const int closed = std::fclose(file_);
   file_ = nullptr;
+  if (closed != 0) return IoError("close", tmp_path_);
+  if (::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    return IoError("rename onto", path_);
+  }
   finished_ = true;
-  return util::Status::OK();
+  return SyncDirectoryOf(path_);
 }
 
 }  // namespace staq::store

@@ -1,11 +1,13 @@
 // Snapshot container writer.
 //
 // Append-only: sections are buffered one at a time, checksummed per block,
-// and streamed to disk; Finish() writes the footer index and the trailer,
-// fsyncs, and closes. A Writer whose Finish() was not reached (error or
-// injected fault) leaves only an unreadable torn file — readers reject it
-// at the trailer check, so a failed save can never be mistaken for a
-// snapshot.
+// and streamed to a temporary sibling of the target path; Finish() writes
+// the footer index and the trailer, fsyncs, closes, renames the temporary
+// file over the target and fsyncs the directory. Until that rename the
+// target is untouched, so a save that fails (error or injected fault)
+// removes its temporary file and leaves whatever was at the path before —
+// a good snapshot stays loadable, and a reader that already opened it is
+// never disturbed.
 //
 // Failure sites (util/failpoint.h): "store.writer.open",
 // "store.writer.write" (every flush), "store.writer.fsync".
@@ -30,7 +32,7 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  /// Creates/truncates `path` and writes the header.
+  /// Creates the temporary sibling of `path` and writes the header.
   util::Status Open(const std::string& path);
 
   /// Appends a section. The payload is consumed (moved) to avoid a copy of
@@ -39,7 +41,8 @@ class Writer {
                           std::vector<uint8_t> payload,
                           uint64_t element_count = 0);
 
-  /// Writes footer + trailer, fsyncs, and closes the file.
+  /// Writes footer + trailer, fsyncs and closes the file, then renames it
+  /// over the target path and fsyncs the directory.
   util::Status Finish();
 
   /// Total payload bytes appended so far (bench accounting).
@@ -51,6 +54,7 @@ class Writer {
 
   std::FILE* file_ = nullptr;
   std::string path_;
+  std::string tmp_path_;
   uint64_t offset_ = 0;         // current file offset
   uint64_t bytes_written_ = 0;  // payload bytes (excl. header/footer)
   std::vector<SectionEntry> sections_;

@@ -1,7 +1,7 @@
 // Golden round-trip tests of SaveSnapshot/LoadSnapshot: a loaded scenario
 // must be bit-identical to the one that was saved — same label bits, same
-// TODAM trips, same answers — across both city families, both read modes,
-// and chains of POI-edit epochs. The byte-identity re-export check
+// TODAM trips, same answers — across both city families, both
+// timetables, chains of POI-edit epochs and version-1 files. The byte-identity re-export check
 // (save -> load -> save produces the same file) covers every stored field
 // at once; the semantic checks pin the parts queries actually consume.
 #include <cstdio>
@@ -220,26 +220,112 @@ TEST(SnapshotRoundTrip, SaveIsDeterministic) {
   std::remove(b.c_str());
 }
 
-TEST(SnapshotRoundTrip, SmallCityBothReadModesAgree) {
+TEST(SnapshotRoundTrip, SmallCitySundayRestoresTheExportedState) {
   serve::ScenarioStore store(testing::SmallCity(), gtfs::SundayMorning());
   Labeler labeler(&store.base_city());
-  store.Acquire()->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
+  auto scenario = store.Acquire();
+  scenario->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
 
   const std::string path = TempPath("small.staq");
   ASSERT_TRUE(store.ExportSnapshot(path).ok());
+  auto restored = LoadSnapshot(path);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored.value().offline->interval, gtfs::SundayMorning());
+  EXPECT_EQ(restored.value().next_poi_id, store.next_poi_id());
 
-  Reader::Options buffered;
-  buffered.mode = Reader::Mode::kBuffered;
-  auto via_mmap = LoadSnapshot(path);
-  auto via_buffer = LoadSnapshot(path, buffered);
-  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status();
-  ASSERT_TRUE(via_buffer.ok()) << via_buffer.status();
-  ASSERT_EQ(via_mmap.value().label_states.size(), 1u);
-  ASSERT_EQ(via_buffer.value().label_states.size(), 1u);
-  ExpectSameState(*via_mmap.value().label_states[0].second,
-                  *via_buffer.value().label_states[0].second);
-  EXPECT_EQ(via_mmap.value().next_poi_id, via_buffer.value().next_poi_id);
+  auto original_state = StateFor(*scenario, SchoolKey());
+  ASSERT_NE(original_state, nullptr);
+  ASSERT_EQ(restored.value().label_states.size(), 1u);
+  ExpectSameState(*original_state, *restored.value().label_states[0].second);
   std::remove(path.c_str());
+}
+
+TEST(SnapshotRoundTrip, VersionOneFileRestoresLabelsFromTripColumns) {
+  // A version-1 file also stores every state's zone labels. The reader
+  // never reads them: a v1 file whose labels section disagrees with its
+  // trip columns restores the labels those columns determine.
+  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  Labeler labeler(&store.base_city());
+  auto scenario = store.Acquire();
+  scenario->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
+  scenario->GetOrBuildLabelState(VaxGacKey(), &labeler.engine);
+
+  const std::string path = TempPath("v2.staq");
+  const std::string v1 = TempPath("v1.staq");
+  ASSERT_TRUE(store.ExportSnapshot(path).ok());
+  {
+    Reader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    Writer writer;
+    ASSERT_TRUE(writer.Open(v1).ok());
+    size_t label_states = 0;
+    auto ends_with = [](const std::string& name, const std::string& leaf) {
+      return name.size() > leaf.size() &&
+             name.compare(name.size() - leaf.size(), leaf.size(), leaf) == 0;
+    };
+    for (const SectionEntry& entry : reader.sections()) {
+      if (ends_with(entry.name, "/labels")) continue;  // replaced below
+      auto in = reader.Section(entry.name);
+      ASSERT_TRUE(in.ok()) << in.status();
+      std::vector<uint8_t> payload(in.value().cursor(),
+                                   in.value().cursor() + in.value().remaining());
+      ASSERT_TRUE(writer
+                      .AddSection(entry.name, entry.encoding,
+                                  std::move(payload), entry.element_count)
+                      .ok());
+      const std::string leaf = "/key";
+      if (entry.name.compare(0, 6, "label/") != 0 ||
+          !ends_with(entry.name, leaf)) {
+        continue;
+      }
+      // The v1 labels section (mac, acsd fixed; trips, infeasible,
+      // walk-only delta), filled with values no state could hold.
+      const size_t zones = store.base_city().zones.size();
+      std::vector<uint8_t> labels;
+      PutFixedColumn(&labels, std::vector<double>(zones, -7.5));
+      PutFixedColumn(&labels, std::vector<double>(zones, 1e9));
+      for (int column = 0; column < 3; ++column) {
+        PutDeltaColumn(&labels, std::vector<uint32_t>(zones, 12345));
+      }
+      const std::string name =
+          entry.name.substr(0, entry.name.size() - leaf.size()) + "/labels";
+      ASSERT_TRUE(writer
+                      .AddSection(name, SectionEncoding::kStruct,
+                                  std::move(labels), zones)
+                      .ok());
+      ++label_states;
+    }
+    ASSERT_EQ(label_states, 2u);
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  // The header's version field is outside every checksum.
+  std::vector<uint8_t> bytes = ReadFile(v1);
+  const uint32_t version = 1;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  {
+    std::ofstream out(v1, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  auto info = InspectSnapshot(v1);
+  ASSERT_TRUE(info.ok()) << info.status();
+  ASSERT_EQ(info.value().format_version, 1u);
+
+  auto restored = LoadSnapshot(v1);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ASSERT_EQ(restored.value().label_states.size(), 2u);
+  for (const serve::LabelKey& key : {SchoolKey(), VaxGacKey()}) {
+    auto original_state = StateFor(*scenario, key);
+    ASSERT_NE(original_state, nullptr);
+    std::shared_ptr<const serve::ExactLabelState> loaded;
+    for (const auto& [k, state] : restored.value().label_states) {
+      if (k.Canonical() == key.Canonical()) loaded = state;
+    }
+    ASSERT_NE(loaded, nullptr) << key.Canonical();
+    ExpectSameState(*original_state, *loaded);
+  }
+  std::remove(path.c_str());
+  std::remove(v1.c_str());
 }
 
 TEST(SnapshotRoundTrip, ChainedPoiEditEpochs) {

@@ -3,10 +3,11 @@
 // Every store failpoint site — writer open/write/fsync, reader open/read —
 // gets a test that trips it and asserts graceful degradation: SaveSnapshot
 // and LoadSnapshot return a clean kIoError status (never an escaped
-// exception), a failed save leaves only a torn file every reader rejects,
-// and an AqServer whose warm start dies mid-load falls back to the cold
-// build and still serves.
+// exception), a failed save leaves no file of its own behind and keeps the
+// snapshot already at its path, and an AqServer whose warm start dies
+// mid-load falls back to the cold build and still serves.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,6 +30,27 @@ using util::FailPoints;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "staq_store_fp_" + name;
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+/// Files next to `path` whose names extend its name: a save's temporary
+/// files.
+std::vector<std::string> TempSiblingsOf(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".";
+  std::vector<std::string> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) out.push_back(name);
+  }
+  return out;
 }
 
 class StoreFaultInjectionTest : public ::testing::Test {
@@ -59,9 +81,11 @@ TEST_F(StoreFaultInjectionTest, WriterOpenFailureIsCleanStatus) {
 }
 
 TEST_F(StoreFaultInjectionTest, WriteFailureLeavesOnlyARejectedTornFile) {
+  // Fail the third flush: header and some payload reach the temporary
+  // file, the footer and trailer never do — the canonical torn write. The
+  // save never renames it onto `path` and removes it, so nothing is left
+  // at `path` (no reader accepts it) and no temporary file remains.
   const std::string path = TempPath("write_fail.staq");
-  // Fail the third flush: header and some payload reach disk, the footer
-  // and trailer never do — the canonical torn write.
   FailPointConfig config = FailPointConfig::Throw("io error");
   config.skip = 2;
   config.limit = 1;
@@ -69,12 +93,34 @@ TEST_F(StoreFaultInjectionTest, WriteFailureLeavesOnlyARejectedTornFile) {
   ExpectIoError(store_.ExportSnapshot(path));
   FailPoints::Disarm("store.writer.write");
 
-  // Whatever bytes the failed save left behind, no reader accepts them.
   auto restored = LoadSnapshot(path);
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.status().code(), util::StatusCode::kOk);
   Reader reader;
   EXPECT_FALSE(reader.Open(path).ok());
+  EXPECT_TRUE(TempSiblingsOf(path).empty());
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreFaultInjectionTest, FailedResaveKeepsTheGoodSnapshot) {
+  // A save that fails partway over an existing snapshot must leave that
+  // snapshot byte for byte as it was, still loadable.
+  const std::string path = TempPath("resave_fail.staq");
+  ASSERT_TRUE(store_.ExportSnapshot(path).ok());
+  const std::vector<uint8_t> good = ReadFile(path);
+
+  FailPointConfig config = FailPointConfig::Throw("io error");
+  config.skip = 2;
+  config.limit = 1;
+  FailPoints::Arm("store.writer.write", config);
+  ExpectIoError(store_.ExportSnapshot(path));
+  FailPoints::Disarm("store.writer.write");
+
+  EXPECT_EQ(ReadFile(path), good);
+  EXPECT_TRUE(VerifySnapshot(path).ok());
+  auto restored = LoadSnapshot(path);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE(TempSiblingsOf(path).empty());
   std::remove(path.c_str());
 }
 
@@ -82,6 +128,7 @@ TEST_F(StoreFaultInjectionTest, FsyncFailureFailsTheSave) {
   FailPoints::Arm("store.writer.fsync", FailPointConfig::Throw("fsync lost"));
   const std::string path = TempPath("fsync_fail.staq");
   ExpectIoError(store_.ExportSnapshot(path));
+  EXPECT_TRUE(TempSiblingsOf(path).empty());
   std::remove(path.c_str());
 }
 

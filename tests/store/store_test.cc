@@ -1,5 +1,6 @@
-// Container-level tests of the snapshot store: writer/reader round trips
-// in both read modes, and the corruption-robustness guarantee — any
+// Container-level tests of the snapshot store: writer/reader round trips,
+// a reader outliving an in-place rewrite of its file, and the
+// corruption-robustness guarantee — any
 // truncation, bit flip, or header/trailer forgery degrades into a clean
 // kInvalidArgument / kDataLoss status. Nothing in here may crash, which is
 // what makes this suite worth running under ASAN/UBSAN.
@@ -90,20 +91,33 @@ void ExpectSampleReads(Reader* reader) {
   EXPECT_EQ(n, 42u);
 }
 
-TEST(StoreRoundTrip, BothReadModes) {
+TEST(StoreRoundTrip, WrittenSectionsReadBack) {
   const std::string path = WriteSample("roundtrip.staq");
-  for (Reader::Mode mode : {Reader::Mode::kBuffered, Reader::Mode::kMmap}) {
-    Reader reader;
-    Reader::Options options;
-    options.mode = mode;
-    ASSERT_TRUE(reader.Open(path, options).ok());
-    EXPECT_EQ(reader.format_version(), kFormatVersion);
-    EXPECT_EQ(reader.sections().size(), 3u);
-    EXPECT_TRUE(reader.Has("ints"));
-    EXPECT_FALSE(reader.Has("missing"));
-    ExpectSampleReads(&reader);
-    EXPECT_TRUE(reader.VerifyAllBlocks().ok());
-  }
+  Reader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_EQ(reader.format_version(), kFormatVersion);
+  EXPECT_EQ(reader.sections().size(), 3u);
+  EXPECT_TRUE(reader.Has("ints"));
+  EXPECT_FALSE(reader.Has("missing"));
+  ExpectSampleReads(&reader);
+  EXPECT_TRUE(reader.VerifyAllBlocks().ok());
+  std::remove(path.c_str());
+}
+
+TEST(StoreRoundTrip, OpenReaderSurvivesAnInPlaceRewrite) {
+  // Another process truncating the file in place (as fopen "wb" does) must
+  // not reach a reader that already opened it: it holds its own copy of
+  // every byte, where a mapping would fault past the new end of file.
+  const std::string path = WriteSample("rewritten.staq");
+  Reader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  std::FILE* rewrite = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(rewrite, nullptr);
+  std::fclose(rewrite);
+  ASSERT_TRUE(ReadFile(path).empty());
+
+  ExpectSampleReads(&reader);
+  EXPECT_TRUE(reader.VerifyAllBlocks().ok());
   std::remove(path.c_str());
 }
 

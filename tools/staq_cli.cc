@@ -128,7 +128,7 @@ constexpr char kSnapshotUsage[] =
     "[--seed N])\n"
     "           [--interval am|offpeak|pm|sunday] [--poi CATEGORY]\n"
     "           [--cost jt|gac] [--label-seed N] --out FILE\n"
-    "  snapshot load --in FILE [--buffered]\n"
+    "  snapshot load --in FILE\n"
     "  snapshot inspect --in FILE\n"
     "  snapshot verify --in FILE\n";
 constexpr char kWalUsage[] =
@@ -538,16 +538,14 @@ int RunSnapshotSave(const Args& args) {
 }
 
 int RunSnapshotLoad(const Args& args) {
-  if (!CheckFlags(args, "snapshot load", {"in", "buffered"})) {
+  if (!CheckFlags(args, "snapshot load", {"in"})) {
     return UsageFor("snapshot load", kSnapshotUsage);
   }
   if (!args.Has("in")) {
     std::fprintf(stderr, "snapshot load: --in FILE is required\n");
     return UsageFor("snapshot load", kSnapshotUsage);
   }
-  store::Reader::Options options;
-  if (args.Has("buffered")) options.mode = store::Reader::Mode::kBuffered;
-  auto restored = store::LoadSnapshot(args.Get("in", ""), options);
+  auto restored = store::LoadSnapshot(args.Get("in", ""));
   if (!restored.ok()) {
     std::fprintf(stderr, "%s\n", restored.status().ToString().c_str());
     return 1;
@@ -557,8 +555,7 @@ int RunSnapshotLoad(const Args& args) {
   uint64_t source_epoch = restored.value().source_epoch;
   serve::ScenarioStore store(std::move(restored).value());
   auto scenario = store.Acquire();
-  std::printf("loaded %s (%s)\n", args.Get("in", "").c_str(),
-              args.Has("buffered") ? "buffered" : "mmap");
+  std::printf("loaded %s\n", args.Get("in", "").c_str());
   std::printf("city          : %s\n",
               scenario->base_city().spec.name.c_str());
   std::printf("zones         : %zu\n", scenario->base_city().zones.size());

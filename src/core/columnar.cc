@@ -32,28 +32,28 @@ void MemberCostColumn(const TripCostColumns& columns, const CostMember& member,
 void AggregateZoneLabels(const size_t* offsets, size_t num_zones,
                          const uint8_t* flags, const double* costs,
                          ZoneLabel* out) {
-  std::vector<double> feasible_costs;  // reused across zones
   for (size_t z = 0; z < num_zones; ++z) {
     ZoneLabel label;
     const size_t begin = offsets[z];
     const size_t end = offsets[z + 1];
     label.num_trips = static_cast<uint32_t>(end - begin);
-    feasible_costs.clear();
+    // One pass: single accumulators add the feasible costs in trip order,
+    // as the scalar aggregation loop does.
+    size_t feasible = 0;
+    double sum = 0.0;
+    double sum_sq = 0.0;
     for (size_t i = begin; i < end; ++i) {
       if (!(flags[i] & 1)) {
         ++label.num_infeasible;
         continue;
       }
       if (flags[i] & 2) ++label.num_walk_only;
-      feasible_costs.push_back(costs[i]);
+      ++feasible;
+      sum += costs[i];
+      sum_sq += costs[i] * costs[i];
     }
-    if (!feasible_costs.empty()) {
-      double n = static_cast<double>(feasible_costs.size());
-      double sum =
-          ml::kernels::ReduceSum(feasible_costs.size(), feasible_costs.data());
-      double sum_sq = ml::kernels::Dot(feasible_costs.size(),
-                                       feasible_costs.data(),
-                                       feasible_costs.data());
+    if (feasible > 0) {
+      double n = static_cast<double>(feasible);
       label.mac = sum / n;
       double var = sum_sq / n - label.mac * label.mac;
       label.acsd = var > 0 ? std::sqrt(var) : 0.0;

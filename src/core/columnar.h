@@ -16,10 +16,12 @@
 //    ascending component order, matching Eq. 1's left-associated sum, with
 //    the FARE/VOT term applied as a per-element division epilogue (never
 //    multiply-by-reciprocal);
-//  * per-zone aggregation compacts a zone's feasible costs preserving the
-//    original trip order, then reduces with the single-accumulator
-//    ascending-index ReduceSum/Dot kernels — the addition sequence of one
-//    interleaved sum/sum-of-squares loop.
+//  * per-zone aggregation is one pass over a zone's trips in their
+//    original order, keeping the feasible count, the sum and the sum of
+//    squares in single accumulators — the scalar aggregation loop's
+//    addition sequence, and the one the single-accumulator ascending
+//    ReduceSum/Dot kernels would take over the compacted feasible costs
+//    (the build enables no FMA, so no product is contracted).
 // Those scalar loops are the oracle in tests/testing/scalar_oracle.h; the
 // golden suites (tests/core/columnar_test.cc, label_pin_test.cc) assert
 // bit-identity on both city families across seeds and cost kinds.
@@ -52,11 +54,10 @@ void MemberCostColumn(const TripCostColumns& columns, const CostMember& member,
 /// The one aggregation from per-trip costs to zone labels: zone b's trips
 /// occupy [offsets[b], offsets[b + 1]) of `flags` (bit0 feasible, bit1
 /// walk-only) and `costs`, and out[b] receives its label for b in
-/// [0, num_zones). Original-order feasible compaction, then
-/// single-accumulator ascending reductions — bit-identical to the scalar
-/// aggregation loop of the oracle. Offsets index the columns absolutely,
-/// so a caller re-aggregates one zone of a CSR set by passing
-/// &offsets[z] with num_zones = 1.
+/// [0, num_zones). One pass per zone in trip order with single
+/// accumulators — bit-identical to the scalar aggregation loop of the
+/// oracle. Offsets index the columns absolutely, so a caller re-aggregates
+/// one zone of a CSR set by passing &offsets[z] with num_zones = 1.
 void AggregateZoneLabels(const size_t* offsets, size_t num_zones,
                          const uint8_t* flags, const double* costs,
                          ZoneLabel* out);

@@ -81,8 +81,8 @@ const std::vector<router::WalkHop>& LabelingEngine::CachedAccessStops(
 void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
                                 size_t num_zones,
                                 const std::vector<synth::Poi>& pois,
-                                CostKind kind, gtfs::Day day, ZoneLabel* out,
-                                TripCostColumns* capture) {
+                                CostKind kind, gtfs::Day day,
+                                ZoneLabel* out) {
   // Flat trip numbering and, per zone, its trip indices sorted by
   // departure: the window scan's lanes are each zone's departure groups in
   // this order.
@@ -105,8 +105,7 @@ void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
     poi_slot_.resize(pois.size(), 0);
   }
   // Every trip's cost basis lands in the block's columns, one trip range
-  // per zone; each label is derived from them, and a capture receives
-  // them as they are.
+  // per zone; each label is derived from them.
   block_columns_.Clear();
   for (size_t b = 0; b < num_zones; ++b) {
     block_columns_.AppendZone(zone_trip_off_[b + 1] - zone_trip_off_[b]);
@@ -116,15 +115,6 @@ void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
                    &block_costs_);
   AggregateZoneLabels(block_columns_.zone_offsets.data(), num_zones,
                       block_columns_.flags.data(), block_costs_.data(), out);
-  if (capture != nullptr) {
-    size_t base = 0;
-    for (size_t b = 0; b < num_zones; ++b) {
-      const size_t zone_base = capture->AppendZone(
-          zone_trip_off_[b + 1] - zone_trip_off_[b]);
-      if (b == 0) base = zone_base;
-    }
-    capture->StoreZone(base, block_columns_);
-  }
 }
 
 ZoneLabel LabelingEngine::LabelZone(const Todam& todam, uint32_t zone,
@@ -218,8 +208,9 @@ ZoneLabel LabelingEngine::CaptureZoneCosts(const Todam& todam, uint32_t zone,
                                            gtfs::Day day,
                                            TripCostColumns* columns) {
   ZoneLabel label;
-  LabelBlock(todam, &zone, 1, pois, CostKind::kJourneyTime, day, &label,
-             columns);
+  LabelBlock(todam, &zone, 1, pois, CostKind::kJourneyTime, day, &label);
+  columns->StoreZone(columns->AppendZone(block_columns_.num_trips()),
+                     block_columns_);
   return label;
 }
 

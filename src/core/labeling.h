@@ -115,17 +115,11 @@ class LabelingEngine {
   /// and derives `out[b]` for zones[b] from them with MemberCostColumn and
   /// AggregateZoneLabels under `kind`. Infeasible trips are excluded from
   /// the aggregates but counted. The whole block is one window scan; every
-  /// label is bit-identical to labeling its zone alone.
-  ///
-  /// When `capture` is non-null, the block's columns are appended to it:
-  /// every zone of the block gets a trip range (one AppendZone per zone, in
-  /// block order). One captured pass derives any number of cost
-  /// definitions bit-identically — journeys do not depend on the cost
-  /// kind.
+  /// label is bit-identical to labeling its zone alone. The block's columns
+  /// stay readable through block_columns().
   void LabelBlock(const Todam& todam, const uint32_t* zones, size_t num_zones,
                   const std::vector<synth::Poi>& pois, CostKind kind,
-                  gtfs::Day day, ZoneLabel* out,
-                  TripCostColumns* capture = nullptr);
+                  gtfs::Day day, ZoneLabel* out);
 
   /// Labels one zone: a block of one.
   ZoneLabel LabelZone(const Todam& todam, uint32_t zone,
@@ -139,20 +133,20 @@ class LabelingEngine {
                                     const std::vector<synth::Poi>& pois,
                                     CostKind kind, gtfs::Day day);
 
-  /// Captures one zone (a block of one) into `columns`, returning its
-  /// kJourneyTime label.
+  /// Labels one zone (a block of one) under kJourneyTime and appends its
+  /// block_columns() to `columns` as one more zone, returning the label.
   ZoneLabel CaptureZoneCosts(const Todam& todam, uint32_t zone,
                              const std::vector<synth::Poi>& pois,
                              gtfs::Day day, TripCostColumns* columns);
 
   /// The last LabelBlock call's trips in block order (zone b's trips, in
   /// their original order, after those of zones 0..b-1): each trip's cost
-  /// under that call's kind and GAC weights, and its flags (bit0 feasible,
-  /// bit1 walk-only). Valid until the next call.
+  /// under that call's kind and GAC weights, and its cost basis, one trip
+  /// range per zone of the block. One basis derives any number of cost
+  /// definitions bit-identically — journeys do not depend on the cost
+  /// kind. Valid until the next call.
   const std::vector<double>& block_costs() const { return block_costs_; }
-  const std::vector<uint8_t>& block_flags() const {
-    return block_columns_.flags;
-  }
+  const TripCostColumns& block_columns() const { return block_columns_; }
 
   /// Swaps the GAC weights used by subsequent kGeneralizedCost labeling.
   /// Serve workers share one engine across requests with differing weights.

@@ -89,18 +89,6 @@ Todam SsrPipeline::BuildGravityTodam(const std::vector<synth::Poi>& pois,
   return builder.BuildGravity(seed);
 }
 
-util::Result<PipelineResult> RunSsr(
-    const synth::City& city, const FeatureExtractor& features_extractor,
-    router::Router* router, const std::vector<synth::Poi>& pois,
-    const Todam& todam, gtfs::Day day, const PipelineConfig& config,
-    const ml::Matrix* precomputed_features, double precomputed_features_s) {
-  auto sample = LabelSsrSample(city, features_extractor, router, pois, todam,
-                               day, config, precomputed_features,
-                               precomputed_features_s);
-  if (!sample.ok()) return sample.status();
-  return FitSsr(std::move(sample).value(), config);
-}
-
 util::Result<SsrSample> LabelSsrSample(
     const synth::City& city, const FeatureExtractor& features_extractor,
     router::Router* router, const std::vector<synth::Poi>& pois,
@@ -191,9 +179,12 @@ util::Result<PipelineResult> SsrPipeline::Run(
     const std::vector<synth::Poi>& pois, const Todam& todam,
     const PipelineConfig& config, const ml::Matrix* precomputed_features,
     double precomputed_features_s) {
-  return RunSsr(*city_, *features_, router_.get(), pois, todam,
-                interval_.day, config, precomputed_features,
-                precomputed_features_s);
+  auto sample =
+      LabelSsrSample(*city_, *features_, router_.get(), pois, todam,
+                     interval_.day, config, precomputed_features,
+                     precomputed_features_s);
+  if (!sample.ok()) return sample.status();
+  return FitSsr(std::move(sample).value(), config);
 }
 
 GroundTruth SsrPipeline::ComputeGroundTruth(

@@ -80,20 +80,6 @@ struct EvaluationMetrics {
 EvaluationMetrics Evaluate(const GroundTruth& truth,
                            const PipelineResult& result);
 
-/// One SSR run against explicit collaborators: feature extraction, β-budget
-/// sampling, labeling through `router`, SSR training, and transductive
-/// inference. This is the body of SsrPipeline::Run, exposed so callers that
-/// share one set of offline structures across many threads (the serve
-/// subsystem) can pass a per-thread router — Router scratch is not
-/// shareable. `pois` may differ from `city.pois` (scenario edits). It is
-/// LabelSsrSample followed by FitSsr.
-util::Result<PipelineResult> RunSsr(
-    const synth::City& city, const FeatureExtractor& features,
-    router::Router* router, const std::vector<synth::Poi>& pois,
-    const Todam& todam, gtfs::Day day, const PipelineConfig& config,
-    const ml::Matrix* precomputed_features = nullptr,
-    double precomputed_features_s = 0.0);
-
 /// The first half of an SSR run: what labeling the β sample produced.
 struct SsrSample {
   /// Everything but the measures: labeled zones, SPQ and expansion counts,
@@ -105,8 +91,12 @@ struct SsrSample {
   std::vector<double> acsd_labels;
 };
 
-/// Feature extraction, sampling and labeling — the only SSR stage that uses
-/// `router`. Arguments as RunSsr.
+/// Feature extraction, β-budget sampling and labeling through `router`
+/// (SsrPipeline::Run follows it with FitSsr). The only SSR stage that uses
+/// a router, so a caller sharing one set of offline structures across
+/// threads passes its per-thread one. `pois` may differ from `city.pois`
+/// (scenario edits). `precomputed_features`, when non-null, stands in for
+/// the zone feature matrix (costed at `precomputed_features_s`).
 util::Result<SsrSample> LabelSsrSample(
     const synth::City& city, const FeatureExtractor& features,
     router::Router* router, const std::vector<synth::Poi>& pois,

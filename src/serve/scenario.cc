@@ -141,14 +141,14 @@ std::vector<synth::Poi> Scenario::PoisOf(synth::PoiCategory category) const {
 }
 
 std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
-    const LabelKey& key, core::LabelingEngine* engine, ZoneLoop* loop) const {
+    const LabelKey& key, ZoneLoop& loop) const {
   // Fault site: a from-scratch state build failing (models OOM / engine
   // faults). GetOrBuildLabelState must propagate this to current waiters
   // without poisoning the memo key (BuildOnceMemo::GetOrBuild).
   STAQ_FAILPOINT("serve.scenario.build_label_state");
   std::shared_ptr<ExactLabelState> state =
       NewLabelState(key, PoisOf(key.category));
-  LabelZoneBlocks(loop, engine, key, state, AllZones(base_->zones.size()));
+  LabelZoneBlocks(loop, key, state, AllZones(base_->zones.size()));
   return state;
 }
 
@@ -175,7 +175,7 @@ std::shared_ptr<ExactLabelState> Scenario::NewLabelState(
 }
 
 void Scenario::LabelZoneBlocks(
-    ZoneLoop* loop, core::LabelingEngine* engine, const LabelKey& key,
+    ZoneLoop& loop, const LabelKey& key,
     const std::shared_ptr<ExactLabelState>& state, std::vector<uint32_t> zones,
     const std::shared_ptr<core::TripCostColumns>& capture) const {
   const gtfs::Day day = interval().day;
@@ -183,9 +183,9 @@ void Scenario::LabelZoneBlocks(
   auto shared_zones =
       std::make_shared<const std::vector<uint32_t>>(std::move(zones));
   if (capture != nullptr) {
-    // Every range is opened up front, so each block is captured into
-    // columns of its own on any participant and stored into its entries'
-    // ranges (consecutive entries, so one contiguous copy).
+    // Every range is opened up front, so each block's columns are copied
+    // off its participant's engine and stored into its entries' ranges
+    // (consecutive entries, so one contiguous copy).
     for (uint32_t z : *shared_zones) {
       capture->AppendZone(state->todam.TripsFor(z).size());
     }
@@ -197,13 +197,14 @@ void Scenario::LabelZoneBlocks(
     const size_t n = std::min(core::kZoneBlock, shared_zones->size() - first);
     labeler.set_gac_weights(key.gac);
     std::vector<core::ZoneLabel> labels(n);
-    auto block = capture != nullptr ? std::make_shared<core::TripCostColumns>()
-                                    : nullptr;
     labeler.LabelBlock(state->todam, shared_zones->data() + first, n,
-                       state->pois, key.cost, day, labels.data(), block.get());
+                       state->pois, key.cost, day, labels.data());
+    auto block = capture != nullptr ? std::make_shared<core::TripCostColumns>(
+                                          labeler.block_columns())
+                                    : nullptr;
     return [state, shared_zones, first, labels = std::move(labels), capture,
             block, costs = labeler.block_costs(),
-            flags = labeler.block_flags()] {
+            flags = labeler.block_columns().flags] {
       // The block's trips are its zones' ranges back to back.
       size_t trip = 0;
       for (size_t b = 0; b < labels.size(); ++b) {
@@ -222,12 +223,7 @@ void Scenario::LabelZoneBlocks(
       }
     };
   };
-  const size_t num_blocks = core::NumZoneBlocks(shared_zones->size());
-  if (loop != nullptr) {
-    loop->Run(*this, num_blocks, label_block);
-  } else {
-    for (size_t i = 0; i < num_blocks; ++i) label_block(*engine, i)();
-  }
+  loop.Run(*this, core::NumZoneBlocks(shared_zones->size()), label_block);
   // One SPQ per TODAM trip, whichever engine answered it.
   state->build_spqs = 0;
   for (uint32_t z : *shared_zones) {
@@ -237,10 +233,9 @@ void Scenario::LabelZoneBlocks(
 }
 
 std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
-    const LabelKey& key, core::LabelingEngine* engine, bool* built_fresh,
-    ZoneLoop* loop) const {
+    const LabelKey& key, ZoneLoop& loop, bool* built_fresh) const {
   return states_.GetOrBuild(
-      key, [&] { return BuildLabelState(key, engine, loop); }, built_fresh);
+      key, [&] { return BuildLabelState(key, loop); }, built_fresh);
 }
 
 std::string ZoneFeatureKey::Canonical() const {
@@ -278,14 +273,15 @@ void Scenario::SeedLabelState(const LabelKey& key,
 
 ScenarioStore::ScenarioStore(synth::City city,
                              const gtfs::TimeInterval& interval,
-                             Options options)
+                             ZoneLoop& loop, Options options)
     : base_(std::make_shared<const synth::City>(std::move(city))),
       options_{options.iso,
                BindConnections(std::move(options.router), &base_->feed)},
       network_city_(base_),
       network_router_(options_.router),
       network_iso_(options_.iso),
-      network_id_(NewNetworkId()) {
+      network_id_(NewNetworkId()),
+      zone_loop_(loop) {
   auto offline =
       std::make_shared<const OfflineState>(*base_, interval, options_.iso);
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_, base_->pois,
@@ -298,14 +294,16 @@ ScenarioStore::ScenarioStore(synth::City city,
   }
 }
 
-ScenarioStore::ScenarioStore(RestoredScenario restored, Options options)
+ScenarioStore::ScenarioStore(RestoredScenario restored, ZoneLoop& loop,
+                             Options options)
     : base_(std::move(restored.city)),
       options_{options.iso,
                BindConnections(std::move(options.router), &base_->feed)},
       network_city_(base_),
       network_router_(options_.router),
       network_iso_(options_.iso),
-      network_id_(NewNetworkId()) {
+      network_id_(NewNetworkId()),
+      zone_loop_(loop) {
   // The exporter walked at its options times the cumulative scale; so
   // does this store (ScaleWalkSpeed derives both the same way).
   const double walk_scale = restored.walk_scale;
@@ -386,7 +384,7 @@ ScenarioStore::StatePtr ScenarioStore::PatchAdd(
   // Fault site: labeling the new trips failing mid-mutation. Only the
   // un-installed copies are damaged; the store never publishes them.
   STAQ_FAILPOINT("serve.scenario.relabel");
-  Relabel(next, key, affected, column);
+  next.LabelZoneBlocks(zone_loop_, key, column, affected);
 
   // Each zone's trips are its parent's, then the new column's (the order
   // AppendStablePoiColumn appended them in).
@@ -467,29 +465,8 @@ ScenarioStore::StatePtr ScenarioStore::PatchNetwork(
   // connection, so their labels are already the exact labels of the
   // mutated feed.
   auto state = std::make_shared<ExactLabelState>(parent);
-  Relabel(next, key, affected, state);
+  next.LabelZoneBlocks(zone_loop_, key, state, affected);
   return state;
-}
-
-void ScenarioStore::Relabel(const Scenario& next, const LabelKey& key,
-                            std::vector<uint32_t> zones,
-                            const std::shared_ptr<ExactLabelState>& state) {
-  next.LabelZoneBlocks(zone_loop_,
-                       zone_loop_ != nullptr ? nullptr : &SerialEngine(next),
-                       key, state, std::move(zones));
-}
-
-core::LabelingEngine& ScenarioStore::SerialEngine(const Scenario& next) {
-  if (serial_engine_ == nullptr || serial_network_id_ != next.network_id()) {
-    serial_engine_.reset();  // built over the old router
-    serial_city_ = next.city_ptr();
-    serial_router_ = std::make_unique<router::Router>(&serial_city_->feed,
-                                                      next.router_options());
-    serial_engine_ = std::make_unique<core::LabelingEngine>(
-        serial_city_.get(), serial_router_.get());
-    serial_network_id_ = next.network_id();
-  }
-  return *serial_engine_;
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(

@@ -41,6 +41,11 @@
 // full rebuild from the mutated feed (golden-tested), and mutations stay
 // all-or-nothing: the new network is built entirely aside and committed
 // only after every patch has succeeded.
+//
+// Zones are labeled one way: a build, a patch and a batch capture all run
+// Scenario::LabelZoneBlocks through a ZoneLoop — the serving loop of an
+// AqServer (which a store's patches use too) or a SerialZoneLoop over one
+// engine.
 #pragma once
 
 #include <atomic>
@@ -142,27 +147,41 @@ class Scenario;
 using ZoneLoopBody = std::function<std::function<void()>(
     core::LabelingEngine& engine, size_t index)>;
 
-/// Runs the zone loops of label-state builds, patches and batch captures.
-/// Every zone is labeled independently of its block, so how a loop is
-/// split across threads never shows in the labels: an implementation may hand items to
-/// any number of engines as long as each routes over `scenario`'s network,
-/// and may even label an item twice (the owning thread takes over an item
-/// a stalled helper still holds) — but it runs exactly one store step per
-/// item. A body can still be running on a straggling helper after Run
-/// returns, so it must own (by value or shared_ptr) everything it reads
-/// and writes. AqServer implements the loop with the owning thread plus
-/// idle-priority helpers leasing the server's contexts (DESIGN.md §16);
-/// without one, loops run serially.
+/// The one way zones get labeled: every label-state build, patch and batch
+/// capture runs its zone loop through one of these. Every zone is labeled
+/// independently of its block, so how a loop is split across threads never
+/// shows in the labels: an implementation may hand items to any number of
+/// engines as long as each routes over `scenario`'s network, and may even
+/// label an item twice (the owning thread takes over an item a stalled
+/// helper still holds) — but it runs exactly one store step per item. A
+/// body can still be running on a straggling helper after Run returns, so
+/// it must own (by value or shared_ptr) everything it reads and writes.
+/// AqServer implements the loop with the owning thread plus idle-priority
+/// helpers leasing the server's contexts (DESIGN.md §16); SerialZoneLoop
+/// runs it on one engine.
 class ZoneLoop {
  public:
   virtual ~ZoneLoop() = default;
 
   /// Labels and stores every item in [0, n), returning when all are
-  /// stored; rethrows the first exception a body threw. The calling thread
-  /// labels with a context leased for `scenario`'s network for the
-  /// duration of the loop.
+  /// stored; rethrows the first exception a body threw.
   virtual void Run(const Scenario& scenario, size_t n,
                    const ZoneLoopBody& body) = 0;
+};
+
+/// Labels and stores each item in order on the calling thread, on one
+/// engine (not owned) that its caller built for the network of the
+/// scenarios it runs for.
+class SerialZoneLoop : public ZoneLoop {
+ public:
+  explicit SerialZoneLoop(core::LabelingEngine& engine) : engine_(engine) {}
+
+  void Run(const Scenario&, size_t n, const ZoneLoopBody& body) override {
+    for (size_t i = 0; i < n; ++i) body(engine_, i)();
+  }
+
+ private:
+  core::LabelingEngine& engine_;
 };
 
 /// Every zone id of a city with `count` zones, ascending.
@@ -311,34 +330,31 @@ class Scenario {
   std::vector<synth::Poi> PoisOf(synth::PoiCategory category) const;
 
   /// Memoised exact label state: the first caller for a key builds it
-  /// (and sets *built_fresh when non-null); concurrent callers for the
-  /// same key block until that build is published. The builder labels
-  /// through `loop` or on `engine`: a caller passes one of the two, not
-  /// both (see LabelZoneBlocks).
+  /// through `loop` (and sets *built_fresh when non-null); concurrent
+  /// callers for the same key block until that build is published.
   std::shared_ptr<const ExactLabelState> GetOrBuildLabelState(
-      const LabelKey& key, core::LabelingEngine* engine,
-      bool* built_fresh = nullptr, ZoneLoop* loop = nullptr) const;
+      const LabelKey& key, ZoneLoop& loop, bool* built_fresh = nullptr) const;
 
   /// Memoised zone feature matrix (|Z| x core::kNumFeatures) of `key`'s
   /// category POIs, aggregated over `alpha` — the α rows of the request's
-  /// edit-stable TODAM (Todam::alpha()), as core::RunSsr would aggregate
-  /// them. Those rows read neither the seed nor the keep scale nor the
-  /// sample rate, only the POIs and the decay scale, so one build serves
-  /// every SSR request for the key in this epoch. The first caller builds
-  /// it (and sets *built_fresh when non-null); concurrent callers wait for
-  /// that build, and a failed build fails them without poisoning the key.
+  /// edit-stable TODAM (Todam::alpha()), as core::LabelSsrSample would
+  /// aggregate them. Those rows read neither the seed nor the keep scale
+  /// nor the sample rate, only the POIs and the decay scale, so one build
+  /// serves every SSR request for the key in this epoch. The first caller
+  /// builds it (and sets *built_fresh when non-null); concurrent callers
+  /// wait for that build, and a failed build fails them without poisoning
+  /// the key.
   std::shared_ptr<const ml::Matrix> GetOrBuildZoneFeatures(
       const ZoneFeatureKey& key,
       const std::vector<std::vector<double>>& alpha,
       bool* built_fresh = nullptr) const;
 
   /// From-scratch build, bypassing the memo: NewLabelState plus
-  /// LabelZoneBlocks over every zone, through `loop` or on `engine` (one
-  /// of the two, not both). This is the golden reference the incremental
-  /// path is checked against (tests, bench gates).
-  std::shared_ptr<const ExactLabelState> BuildLabelState(
-      const LabelKey& key, core::LabelingEngine* engine,
-      ZoneLoop* loop = nullptr) const;
+  /// LabelZoneBlocks over every zone through `loop`. This is the golden
+  /// reference the incremental path is checked against (tests, bench
+  /// gates).
+  std::shared_ptr<const ExactLabelState> BuildLabelState(const LabelKey& key,
+                                                         ZoneLoop& loop) const;
 
   /// The edit-stable TODAM of `key` over `pois`, this scenario's POIs of
   /// key.category. Its gravity normalisers are frozen over the *base*
@@ -356,18 +372,15 @@ class Scenario {
 
   /// The one zone-block routine of state builds, patches and batch
   /// captures: labels `zones` of `state` under key.cost and key.gac over
-  /// this scenario's network, core::kZoneBlock entries of `zones` per loop
-  /// item. A caller passes a loop or an engine, not both: it runs through
-  /// `loop` when non-null (`engine` is then null; the loop leases the
-  /// calling thread's context), and otherwise serially on `engine`. Stores
-  /// every label at its zone and every trip's cost and flags in the
-  /// state's trip columns (ResetTripColumns must have sized them), and
-  /// records the pass's SPQs and zone count in the state. `capture`, when
-  /// non-null, must be empty; it receives one trip range per entry of
-  /// `zones`, in order, holding every trip's cost basis
-  /// (LabelingEngine::LabelBlock's capture sink).
+  /// this scenario's network through `loop`, core::kZoneBlock entries of
+  /// `zones` per loop item. Stores every label at its zone and every
+  /// trip's cost and flags in the state's trip columns (ResetTripColumns
+  /// must have sized them), and records the pass's SPQs and zone count in
+  /// the state. `capture`, when non-null, must be empty; it receives one
+  /// trip range per entry of `zones`, in order, holding every trip's cost
+  /// basis (each block's LabelingEngine::block_columns()).
   void LabelZoneBlocks(
-      ZoneLoop* loop, core::LabelingEngine* engine, const LabelKey& key,
+      ZoneLoop& loop, const LabelKey& key,
       const std::shared_ptr<ExactLabelState>& state,
       std::vector<uint32_t> zones,
       const std::shared_ptr<core::TripCostColumns>& capture = nullptr) const;
@@ -435,14 +448,18 @@ class ScenarioStore {
   };
 
   /// Takes ownership of the city; builds the offline state for `interval`
-  /// and installs epoch 0 over the city's own POIs.
+  /// and installs epoch 0 over the city's own POIs. Every patch labels
+  /// its zones through `loop` (not owned; it must outlive the store's
+  /// mutations and route over each patched epoch's network). AqServer
+  /// passes itself, so patches lease its contexts and helpers.
   ScenarioStore(synth::City city, const gtfs::TimeInterval& interval,
-                Options options = Options());
+                ZoneLoop& loop, Options options = Options());
 
   /// Warm start from a loaded snapshot (store/snapshot.h): installs the
   /// restored scenario as epoch 0 with its label states pre-seeded,
-  /// skipping the offline cold build entirely.
-  ScenarioStore(RestoredScenario restored, Options options = Options());
+  /// skipping the offline cold build entirely. `loop` as above.
+  ScenarioStore(RestoredScenario restored, ZoneLoop& loop,
+                Options options = Options());
 
   /// The current snapshot. The returned scenario stays fully usable after
   /// any number of subsequent mutations.
@@ -532,15 +549,6 @@ class ScenarioStore {
   /// every materialised state.
   util::Result<MutationReport> ScaleWalkSpeed(double factor);
 
-  /// Routes the zone loops of every later patch through `loop` (not owned;
-  /// must outlive the store's mutations). AqServer installs itself so
-  /// patches lease its contexts and helpers; with no loop installed (the
-  /// default), patches label serially on one engine the store builds for
-  /// the current network on its first patch and keeps until the network
-  /// changes. Not thread-safe against running mutations: install before
-  /// the first one.
-  void SetZoneLoop(ZoneLoop* loop) { zone_loop_ = loop; }
-
   /// Network stamp of the current epoch (0 until the first disruption).
   uint64_t network_version() const { return Acquire()->network_version(); }
   /// Cumulative walk-speed factor applied by ScaleWalkSpeed (persisted by
@@ -607,8 +615,8 @@ class ScenarioStore {
       const Scenario& current,
       util::Result<scenario::TransformResult> transformed, uint32_t target);
 
-  /// Routes only `poi`'s new trips (a one-column state through Relabel),
-  /// appends their costs to each affected zone's trip columns and
+  /// Routes only `poi`'s new trips (a one-column state through the zone
+  /// loop), appends their costs to each affected zone's trip columns and
   /// re-aggregates those zones.
   StatePtr PatchAdd(const Scenario& next, const LabelKey& key,
                     const ExactLabelState& parent, const synth::Poi& poi);
@@ -617,19 +625,10 @@ class ScenarioStore {
   StatePtr PatchRemove(const ExactLabelState& parent, uint32_t poi_id);
   /// Carries one label state across a network mutation: the TODAM is
   /// demand-side and moves verbatim; `affected` zones relabel over
-  /// `next`'s (new) network.
+  /// `next`'s (new) network through the zone loop.
   StatePtr PatchNetwork(const Scenario& next, const LabelKey& key,
                         const ExactLabelState& parent,
                         const std::vector<uint32_t>& affected);
-  /// Relabels `zones` of `state` over `next`'s network through the zone
-  /// loop, or serially on SerialEngine when none is installed.
-  void Relabel(const Scenario& next, const LabelKey& key,
-               std::vector<uint32_t> zones,
-               const std::shared_ptr<ExactLabelState>& state);
-  /// The serial relabeling engine of a store with no zone loop, rebuilt
-  /// when `next`'s network differs from the one it was built for. Caller
-  /// holds mutation_mu_.
-  core::LabelingEngine& SerialEngine(const Scenario& next);
   void Install(std::shared_ptr<const Scenario> next);
 
   std::shared_ptr<const synth::City> base_;
@@ -649,16 +648,8 @@ class ScenarioStore {
   uint64_t network_version_ = 0;
   uint64_t network_id_ = 0;
 
-  /// Where patches label their zones (SetZoneLoop); null = serially on
-  /// the serial engine below.
-  ZoneLoop* zone_loop_ = nullptr;
-  /// SerialEngine()'s city, router and engine and the network id they
-  /// route over; empty while a zone loop is installed. Guarded by
-  /// mutation_mu_.
-  std::shared_ptr<const synth::City> serial_city_;
-  std::unique_ptr<router::Router> serial_router_;
-  std::unique_ptr<core::LabelingEngine> serial_engine_;
-  uint64_t serial_network_id_ = 0;
+  /// Where patches label their zones.
+  ZoneLoop& zone_loop_;
 
   /// Serialises mutations; never held while readers run queries.
   std::mutex mutation_mu_;

@@ -78,22 +78,25 @@ util::Status CheckRequest(const AqRequest& request) {
   return util::Status::OK();
 }
 
-/// Builds the server's ScenarioStore, preferring a snapshot warm start.
-/// Both branches return a prvalue, so guaranteed copy elision constructs
-/// the non-movable store directly in AqServer::store_ — no move happens.
+/// Builds the server's ScenarioStore, preferring a snapshot warm start;
+/// its patches label through `loop` (the server). Both branches return a
+/// prvalue, so guaranteed copy elision constructs the non-movable store
+/// directly in AqServer::store_ — no move happens.
 ScenarioStore MakeStore(synth::City&& city, const gtfs::TimeInterval& interval,
-                        const AqServer::Options& options, bool* warm_started) {
+                        ZoneLoop& loop, const AqServer::Options& options,
+                        bool* warm_started) {
   if (!options.warm_start_path.empty()) {
     auto restored = store::LoadSnapshot(options.warm_start_path);
     if (restored.ok()) {
       *warm_started = true;
-      return ScenarioStore(std::move(restored).value(), options.scenario);
+      return ScenarioStore(std::move(restored).value(), loop,
+                           options.scenario);
     }
     util::LogWarning("warm start from '" + options.warm_start_path +
                      "' failed (" + restored.status().ToString() +
                      "); falling back to cold build");
   }
-  return ScenarioStore(std::move(city), interval, options.scenario);
+  return ScenarioStore(std::move(city), interval, loop, options.scenario);
 }
 
 }  // namespace
@@ -128,7 +131,8 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval,
                    Options options)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock : util::Clock::Real()),
-      store_(MakeStore(std::move(city), interval, options, &warm_started_)),
+      store_(MakeStore(std::move(city), interval, *this, options,
+                       &warm_started_)),
       cache_(options.cache),
       context_cap_(ResolveThreads(options.num_threads)),
       contexts_(context_cap_),
@@ -136,8 +140,6 @@ AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval,
   if (options_.perturb.has_value()) {
     pool_.EnablePerturbation(*options_.perturb);
   }
-  // Patches label through this server's contexts and helpers.
-  store_.SetZoneLoop(this);
 }
 
 AqServer::AqServer(synth::City city, const gtfs::TimeInterval& interval)
@@ -647,7 +649,7 @@ void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
   }
   // One capture pass for the whole group: a journey-time labeling of the
   // group's edit-stable TODAM, built and labeled exactly like a label
-  // state, whose capture sink records every trip's cost basis. Journeys do
+  // state, that captures every trip's cost basis. Journeys do
   // not depend on the cost definition, so the pass stands in for each
   // member's own — including its SPQ count — and every member's labels
   // derive columnarly, bit-identical to the single-request path.
@@ -656,7 +658,7 @@ void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
   std::shared_ptr<ExactLabelState> state =
       scenario.NewLabelState(key, std::move(pois));
   auto columns = std::make_shared<core::TripCostColumns>();
-  scenario.LabelZoneBlocks(this, /*engine=*/nullptr, key, state,
+  scenario.LabelZoneBlocks(*this, key, state,
                            AllZones(scenario.base_city().zones.size()),
                            columns);
   exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
@@ -701,13 +703,15 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     if (use_caches) {
       // The zone loop leases the owning thread's context only on a build.
       bool built = false;
-      state = scenario.GetOrBuildLabelState(key, /*engine=*/nullptr, &built,
-                                            this);
+      state = scenario.GetOrBuildLabelState(key, *this, &built);
       if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      // A throw drops the context with its possibly half-built state.
+      // Serially on one leased context: the uncached path is the oracle
+      // the helped loop is checked against. A throw drops the context with
+      // its possibly half-built state.
       auto context = AcquireContext(NetworkOf(scenario));
-      state = scenario.BuildLabelState(key, &context->engine);
+      SerialZoneLoop serial(context->engine);
+      state = scenario.BuildLabelState(key, serial);
       ReleaseContext(std::move(context));
       exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -232,6 +232,18 @@ TEST(LabelingOracleTest, CsaJourneyTimeLabelsEqualTheOracleLabeler) {
   }
 }
 
+/// Appends an engine's block_columns() to `columns`, one trip range per
+/// zone of the block.
+void AppendBlockColumns(const LabelingEngine& engine,
+                        TripCostColumns* columns) {
+  const TripCostColumns& block = engine.block_columns();
+  const size_t base = columns->num_trips();
+  for (size_t b = 0; b < block.num_zones(); ++b) {
+    columns->AppendZone(block.zone_offsets[b + 1] - block.zone_offsets[b]);
+  }
+  columns->StoreZone(base, block);
+}
+
 // Blocks on the bench city: LabelZones (kZoneBlock zones per window scan)
 // equals labeling one zone at a time bit for bit, for both cost kinds and
 // for a peak and an off-peak interval, and a block capture fills the same
@@ -278,7 +290,8 @@ TEST(LabelingBlockTest, BlocksEqualOneZoneAtATimeOnTheBenchCity) {
       blocks.LabelBlock(todam, zones.data() + first,
                         std::min(kZoneBlock, zones.size() - first), pois,
                         CostKind::kJourneyTime, interval.day,
-                        block_labels.data(), &block_columns);
+                        block_labels.data());
+      AppendBlockColumns(blocks, &block_columns);
     }
     for (uint32_t z : zones) {
       single.CaptureZoneCosts(todam, z, pois, interval.day, &zone_columns);
@@ -303,7 +316,8 @@ TripCostColumns CaptureAllZones(LabelingEngine* engine, const Todam& todam,
   for (size_t first = 0; first < zones.size(); first += kZoneBlock) {
     engine->LabelBlock(todam, zones.data() + first,
                        std::min(kZoneBlock, zones.size() - first), pois,
-                       CostKind::kJourneyTime, day, labels.data(), &columns);
+                       CostKind::kJourneyTime, day, labels.data());
+    AppendBlockColumns(*engine, &columns);
   }
   return columns;
 }

@@ -11,6 +11,7 @@
 #include "serve/scenario.h"
 #include "testing/label_state.h"
 #include "testing/test_city.h"
+#include "testing/zone_loop.h"
 
 namespace staq::serve {
 namespace {
@@ -36,10 +37,11 @@ void ExpectEpochMatchesFullRebuild(const ScenarioStore& store) {
   router::Router router(&scenario->base_city().feed,
                         scenario->router_options());
   core::LabelingEngine engine(&scenario->base_city(), &router);
+  SerialZoneLoop serial(engine);
   auto states = scenario->MaterializedStates();
   ASSERT_FALSE(states.empty());
   for (const auto& [key, state] : states) {
-    auto fresh = scenario->BuildLabelState(key, &engine);
+    auto fresh = scenario->BuildLabelState(key, serial);
     ExpectStatesIdentical(*state, *fresh);
   }
 }
@@ -47,14 +49,13 @@ void ExpectEpochMatchesFullRebuild(const ScenarioStore& store) {
 /// Primes a JT and a GAC label state, then chains all five disruption
 /// kinds, golden-checking the whole state set after each epoch.
 void RunDisruptionGoldens(synth::City city) {
-  ScenarioStore store(std::move(city), gtfs::WeekdayAmPeak());
-  router::Router router(&store.base_city().feed, store.router_options());
-  core::LabelingEngine engine(&store.base_city(), &router);
+  testing::CountingZoneLoop loop;
+  ScenarioStore store(std::move(city), gtfs::WeekdayAmPeak(), loop);
 
   const LabelKey jt = FastKey(3);
   const LabelKey gac = FastKey(3, core::CostKind::kGeneralizedCost);
-  (void)store.Acquire()->GetOrBuildLabelState(jt, &engine);
-  (void)store.Acquire()->GetOrBuildLabelState(gac, &engine);
+  (void)store.Acquire()->GetOrBuildLabelState(jt, loop);
+  (void)store.Acquire()->GetOrBuildLabelState(gac, loop);
   const uint32_t zones =
       static_cast<uint32_t>(store.base_city().zones.size());
 
@@ -89,19 +90,14 @@ void RunDisruptionGoldens(synth::City city) {
     SCOPED_TRACE("set_fare");
     // Fares never enter journey time: the JT state must move across the
     // epoch as the same object, while every GAC zone relabels.
-    auto jt_before = store.Acquire()->GetOrBuildLabelState(jt, &engine);
+    auto jt_before = store.Acquire()->GetOrBuildLabelState(jt, loop);
     auto report = store.SetFare(scenario::kAllRoutes, 4.25);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_EQ(store.network_version(), 4u);
     EXPECT_EQ(report.value().states_patched, 1u);  // the GAC state
     EXPECT_EQ(report.value().states_shared, 1u);   // the JT state, verbatim
     bool built = false;
-    router::Router after_router(&store.Acquire()->base_city().feed,
-                                store.Acquire()->router_options());
-    core::LabelingEngine after_engine(&store.Acquire()->base_city(),
-                                      &after_router);
-    auto jt_after =
-        store.Acquire()->GetOrBuildLabelState(jt, &after_engine, &built);
+    auto jt_after = store.Acquire()->GetOrBuildLabelState(jt, loop, &built);
     EXPECT_FALSE(built);
     EXPECT_EQ(jt_after.get(), jt_before.get());
     ExpectEpochMatchesFullRebuild(store);
@@ -141,31 +137,24 @@ TEST(DisruptionGoldenTest, PatchedEpochEqualsAFreshStoreOverTheMutatedFeed) {
 
   const LabelKey key = FastKey(11);
 
-  ScenarioStore store(std::move(city), gtfs::WeekdayAmPeak());
-  {
-    router::Router router(&store.base_city().feed, store.router_options());
-    core::LabelingEngine engine(&store.base_city(), &router);
-    (void)store.Acquire()->GetOrBuildLabelState(key, &engine);
-  }
+  testing::CountingZoneLoop loop;
+  ScenarioStore store(std::move(city), gtfs::WeekdayAmPeak(), loop);
+  (void)store.Acquire()->GetOrBuildLabelState(key, loop);
   ASSERT_TRUE(store.SuspendRoute(0).ok());
 
-  ScenarioStore fresh(std::move(mutated), gtfs::WeekdayAmPeak());
-  router::Router fresh_router(&fresh.base_city().feed,
-                              fresh.router_options());
-  core::LabelingEngine fresh_engine(&fresh.base_city(), &fresh_router);
-  auto golden = fresh.Acquire()->BuildLabelState(key, &fresh_engine);
+  testing::CountingZoneLoop fresh_loop;
+  ScenarioStore fresh(std::move(mutated), gtfs::WeekdayAmPeak(), fresh_loop);
+  auto golden = fresh.Acquire()->BuildLabelState(key, fresh_loop);
 
-  router::Router patched_router(&store.Acquire()->base_city().feed,
-                                store.Acquire()->router_options());
-  core::LabelingEngine patched_engine(&store.Acquire()->base_city(),
-                                      &patched_router);
-  auto patched =
-      store.Acquire()->GetOrBuildLabelState(key, &patched_engine);
+  bool built = true;
+  auto patched = store.Acquire()->GetOrBuildLabelState(key, loop, &built);
+  EXPECT_FALSE(built);
   ExpectStatesIdentical(*patched, *golden);
 }
 
 TEST(DisruptionGoldenTest, InvalidTargetsLeaveTheEpochUntouched) {
-  ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  testing::CountingZoneLoop loop;
+  ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
   const uint64_t epoch = store.epoch();
 
   EXPECT_FALSE(store.SuspendRoute(100000).ok());

@@ -84,10 +84,11 @@ void ExpectEpochMatchesSerialRebuild(const AqServer& server) {
   router::Router router(&scenario->base_city().feed,
                         scenario->router_options());
   core::LabelingEngine engine(&scenario->base_city(), &router);
+  SerialZoneLoop loop(engine);
   auto states = scenario->MaterializedStates();
   ASSERT_FALSE(states.empty());
   for (const auto& [key, state] : states) {
-    auto serial = scenario->BuildLabelState(key, &engine);
+    auto serial = scenario->BuildLabelState(key, loop);
     testing::ExpectStatesIdentical(*state, *serial);
   }
 }

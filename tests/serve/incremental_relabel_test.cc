@@ -6,6 +6,7 @@
 #include "serve/scenario.h"
 #include "testing/label_state.h"
 #include "testing/test_city.h"
+#include "testing/zone_loop.h"
 
 namespace staq::serve {
 namespace {
@@ -26,15 +27,17 @@ LabelKey FastKey(uint64_t seed,
 /// Primes a label state, applies add + remove mutations, and asserts every
 /// patched state equals its from-scratch golden rebuild.
 void RunGoldenScenario(synth::City city, const LabelKey& key) {
-  ScenarioStore store(std::move(city), gtfs::WeekdayAmPeak());
+  testing::CountingZoneLoop loop;
+  ScenarioStore store(std::move(city), gtfs::WeekdayAmPeak(), loop);
   // The golden rebuild must run the same routing engine the store's
   // incremental patches use: journey times agree across engines bit for
   // bit, but equal-cost GAC journeys may decompose into different legs.
   router::Router router(&store.base_city().feed, store.router_options());
   core::LabelingEngine engine(&store.base_city(), &router);
+  SerialZoneLoop serial(engine);
 
   // Materialise the state so the mutation has something to patch.
-  auto base_state = store.Acquire()->GetOrBuildLabelState(key, &engine);
+  auto base_state = store.Acquire()->GetOrBuildLabelState(key, serial);
   const uint64_t full_build_spqs = base_state->build_spqs;
 
   // --- add a POI near the extent corner (local perturbation) -------------
@@ -45,9 +48,9 @@ void RunGoldenScenario(synth::City city, const LabelKey& key) {
 
   auto after_add = store.Acquire();
   bool built = false;
-  auto patched = after_add->GetOrBuildLabelState(key, &engine, &built);
+  auto patched = after_add->GetOrBuildLabelState(key, serial, &built);
   EXPECT_FALSE(built) << "mutation must carry the state over, not drop it";
-  auto fresh = after_add->BuildLabelState(key, &engine);
+  auto fresh = after_add->BuildLabelState(key, serial);
   ExpectStatesIdentical(*patched, *fresh);
 
   // The patch only pays for the zones the new POI actually touched, and
@@ -68,9 +71,9 @@ void RunGoldenScenario(synth::City city, const LabelKey& key) {
   EXPECT_GT(remove_report.value().zones_relabeled, 0u);
 
   auto after_remove = store.Acquire();
-  auto patched2 = after_remove->GetOrBuildLabelState(key, &engine, &built);
+  auto patched2 = after_remove->GetOrBuildLabelState(key, serial, &built);
   EXPECT_FALSE(built);
-  auto fresh2 = after_remove->BuildLabelState(key, &engine);
+  auto fresh2 = after_remove->BuildLabelState(key, serial);
   ExpectStatesIdentical(*patched2, *fresh2);
 
   // --- history independence: remove the added POI again ------------------
@@ -79,9 +82,9 @@ void RunGoldenScenario(synth::City city, const LabelKey& key) {
   // of patches leaves no residue.
   ASSERT_TRUE(store.RemovePoi(add_report.poi_id).ok());
   auto final_scenario = store.Acquire();
-  auto chained = final_scenario->GetOrBuildLabelState(key, &engine, &built);
+  auto chained = final_scenario->GetOrBuildLabelState(key, serial, &built);
   EXPECT_FALSE(built);
-  auto golden = final_scenario->BuildLabelState(key, &engine);
+  auto golden = final_scenario->BuildLabelState(key, serial);
   ExpectStatesIdentical(*chained, *golden);
 }
 
@@ -107,16 +110,15 @@ TEST(IncrementalRelabelGoldenTest, GeneralizedCostPatchesExactly) {
 
 TEST(IncrementalRelabelGoldenTest,
      StatesOfOtherCategoriesAreSharedNotRebuilt) {
-  ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  router::Router router(&store.base_city().feed, store.router_options());
-  core::LabelingEngine engine(&store.base_city(), &router);
+  testing::CountingZoneLoop loop;
+  ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
 
   LabelKey school = FastKey(3);
   LabelKey hospital = FastKey(3);
   hospital.category = synth::PoiCategory::kHospital;
   auto scenario = store.Acquire();
-  auto school_state = scenario->GetOrBuildLabelState(school, &engine);
-  auto hospital_state = scenario->GetOrBuildLabelState(hospital, &engine);
+  auto school_state = scenario->GetOrBuildLabelState(school, loop);
+  auto hospital_state = scenario->GetOrBuildLabelState(hospital, loop);
 
   auto report = store.AddPoi(synth::PoiCategory::kHospital,
                              store.base_city().Centre());
@@ -125,12 +127,12 @@ TEST(IncrementalRelabelGoldenTest,
 
   auto next = store.Acquire();
   bool built = false;
-  auto school_after = next->GetOrBuildLabelState(school, &engine, &built);
+  auto school_after = next->GetOrBuildLabelState(school, loop, &built);
   EXPECT_FALSE(built);
   // The school state is byte-for-byte the same object — zero copy, zero
   // recompute for categories the mutation cannot affect.
   EXPECT_EQ(school_after.get(), school_state.get());
-  auto hospital_after = next->GetOrBuildLabelState(hospital, &engine, &built);
+  auto hospital_after = next->GetOrBuildLabelState(hospital, loop, &built);
   EXPECT_FALSE(built);
   EXPECT_NE(hospital_after.get(), hospital_state.get());
 }

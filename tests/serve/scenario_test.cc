@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "router/walk_table.h"
+#include "scenario/impact.h"
+#include "scenario/transform.h"
 #include "serve/request.h"
+#include "testing/label_state.h"
 #include "testing/test_city.h"
+#include "testing/zone_loop.h"
 
 namespace staq::serve {
 namespace {
@@ -21,13 +26,21 @@ LabelKey FastKey(synth::PoiCategory category = synth::PoiCategory::kSchool) {
 class ScenarioStoreTest : public ::testing::Test {
  protected:
   ScenarioStoreTest()
-      : store_(testing::TinyCity(), gtfs::WeekdayAmPeak()),
-        router_(&store_.base_city().feed, {}),
-        engine_(&store_.base_city(), &router_) {}
+      : store_(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop_) {}
 
+  /// The current epoch's `key` state, built from scratch through a
+  /// SerialZoneLoop over an engine of the epoch's own network.
+  std::shared_ptr<const ExactLabelState> FreshState(const LabelKey& key) {
+    auto scenario = store_.Acquire();
+    router::Router router(&scenario->base_city().feed,
+                          scenario->router_options());
+    core::LabelingEngine engine(&scenario->base_city(), &router);
+    SerialZoneLoop serial(engine);
+    return scenario->BuildLabelState(key, serial);
+  }
+
+  testing::CountingZoneLoop loop_;
   ScenarioStore store_;
-  router::Router router_;
-  core::LabelingEngine engine_;
 };
 
 TEST_F(ScenarioStoreTest, InitialEpochServesTheCityPois) {
@@ -51,7 +64,7 @@ TEST_F(ScenarioStoreTest, MutationsInstallNewEpochsWithoutTouchingOldOnes) {
   // RCU: the pre-mutation snapshot is untouched and still fully usable.
   EXPECT_EQ(before->epoch(), 0u);
   EXPECT_EQ(before->pois().size(), pois_before);
-  auto state = before->GetOrBuildLabelState(FastKey(), &engine_);
+  auto state = before->GetOrBuildLabelState(FastKey(), loop_);
   EXPECT_EQ(state->labels.size(), store_.base_city().zones.size());
 }
 
@@ -75,7 +88,7 @@ TEST_F(ScenarioStoreTest, SetIntervalRebuildsOfflineState) {
 
 TEST_F(ScenarioStoreTest, SetIntervalToTheServedIntervalKeepsEverything) {
   auto before = store_.Acquire();
-  auto state = before->GetOrBuildLabelState(FastKey(), &engine_);
+  auto state = before->GetOrBuildLabelState(FastKey(), loop_);
   auto report = store_.SetInterval(gtfs::WeekdayAmPeak());
   // Still an epoch of its own, so WAL sequences count the switch...
   EXPECT_EQ(report.epoch, 1u);
@@ -87,7 +100,7 @@ TEST_F(ScenarioStoreTest, SetIntervalToTheServedIntervalKeepsEverything) {
   EXPECT_EQ(after->epoch(), 1u);
   EXPECT_EQ(&before->offline(), &after->offline());
   bool built = false;
-  auto carried = after->GetOrBuildLabelState(FastKey(), &engine_, &built);
+  auto carried = after->GetOrBuildLabelState(FastKey(), loop_, &built);
   EXPECT_FALSE(built);
   EXPECT_EQ(carried.get(), state.get());
 }
@@ -112,18 +125,90 @@ TEST_F(ScenarioStoreTest, AddedPoiGetsAFreshStableId) {
   EXPECT_GT(report2.poi_id, report.poi_id);
 }
 
+TEST_F(ScenarioStoreTest, PatchesRunThroughTheStoresLoop) {
+  const LabelKey key = FastKey();
+  (void)store_.Acquire()->GetOrBuildLabelState(key, loop_);
+
+  {
+    SCOPED_TRACE("add_poi");
+    const size_t before = loop_.items();
+    auto report =
+        store_.AddPoi(synth::PoiCategory::kSchool, store_.base_city().Centre());
+    const size_t items = loop_.items() - before;
+    bool built = true;
+    auto patched = store_.Acquire()->GetOrBuildLabelState(key, loop_, &built);
+    EXPECT_FALSE(built);
+    // The zones with a trip to the new POI (the state's last one) are the
+    // ones the patch routed.
+    const uint32_t added = static_cast<uint32_t>(patched->pois.size() - 1);
+    size_t affected = 0;
+    for (uint32_t z = 0; z < patched->todam.num_zones(); ++z) {
+      for (const core::TripEntry& trip : patched->todam.TripsFor(z)) {
+        if (trip.poi == added) {
+          ++affected;
+          break;
+        }
+      }
+    }
+    ASSERT_GT(affected, 0u);
+    EXPECT_EQ(report.zones_relabeled, affected);
+    EXPECT_EQ(items, core::NumZoneBlocks(affected));
+    testing::ExpectStatesIdentical(*patched, *FreshState(key));
+  }
+  {
+    SCOPED_TRACE("remove_poi");
+    const size_t before = loop_.items();
+    const uint32_t added = store_.Acquire()->pois().back().id;
+    ASSERT_TRUE(store_.RemovePoi(added).ok());
+    EXPECT_EQ(loop_.items(), before);  // no trip is routed again
+    bool built = true;
+    auto patched = store_.Acquire()->GetOrBuildLabelState(key, loop_, &built);
+    EXPECT_FALSE(built);
+    testing::ExpectStatesIdentical(*patched, *FreshState(key));
+  }
+  {
+    SCOPED_TRACE("close_stop");
+    // The screen the store runs on the old timetable, run here too.
+    auto old_epoch = store_.Acquire();
+    const gtfs::Feed& feed = old_epoch->base_city().feed;
+    const gtfs::StopId stop = testing::StopServedOutsideRoute(feed, 0);
+    auto transformed = scenario::CloseStop(feed, stop);
+    ASSERT_TRUE(transformed.ok()) << transformed.status();
+    const router::WalkTable walk(&feed, old_epoch->router_options().walk);
+    scenario::ImpactInputs impact;
+    impact.city = &old_epoch->base_city();
+    impact.feed = &feed;
+    impact.walk = &walk;
+    impact.interval = old_epoch->interval();
+    impact.removed_trips = transformed.value().removed_trips;
+    impact.closed_stop = transformed.value().closed_stop;
+    const size_t screened = scenario::AffectedZones(impact).size();
+    ASSERT_GT(screened, 0u);
+
+    const size_t before = loop_.items();
+    auto report = store_.CloseStop(stop);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report.value().zones_relabeled, screened);
+    EXPECT_EQ(loop_.items() - before, core::NumZoneBlocks(screened));
+    bool built = true;
+    auto patched = store_.Acquire()->GetOrBuildLabelState(key, loop_, &built);
+    EXPECT_FALSE(built);
+    testing::ExpectStatesIdentical(*patched, *FreshState(key));
+  }
+}
+
 TEST_F(ScenarioStoreTest, LabelStateIsMemoisedPerKey) {
   auto scenario = store_.Acquire();
   bool built = false;
-  auto first = scenario->GetOrBuildLabelState(FastKey(), &engine_, &built);
+  auto first = scenario->GetOrBuildLabelState(FastKey(), loop_, &built);
   EXPECT_TRUE(built);
-  auto second = scenario->GetOrBuildLabelState(FastKey(), &engine_, &built);
+  auto second = scenario->GetOrBuildLabelState(FastKey(), loop_, &built);
   EXPECT_FALSE(built);
   EXPECT_EQ(first.get(), second.get());  // same object, not a rebuild
 
   // A different key builds its own state.
   auto other = scenario->GetOrBuildLabelState(
-      FastKey(synth::PoiCategory::kHospital), &engine_, &built);
+      FastKey(synth::PoiCategory::kHospital), loop_, &built);
   EXPECT_TRUE(built);
   EXPECT_NE(other.get(), first.get());
 }

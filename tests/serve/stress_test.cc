@@ -444,7 +444,8 @@ TEST_P(SharedArrayMutationTest, EpochStatesMatchFreshEngineOracles) {
       // Null connections: the router builds its own array.
       router::Router csa_router(&city.feed, router::RouterOptions{});
       core::LabelingEngine csa_engine(&city, &csa_router);
-      auto csa_oracle = snapshot->BuildLabelState(key, &csa_engine);
+      SerialZoneLoop csa_loop(csa_engine);
+      auto csa_oracle = snapshot->BuildLabelState(key, csa_loop);
       ExpectSameLabels(state->labels, csa_oracle->labels, "fresh-array csa");
 
       testing::LabelCorrectingRouter lc_router(&city.feed,

@@ -21,6 +21,7 @@
 #include "store/snapshot.h"
 #include "store/writer.h"
 #include "testing/test_city.h"
+#include "testing/zone_loop.h"
 
 namespace staq::store {
 namespace {
@@ -52,14 +53,6 @@ serve::LabelKey VaxGacKey() {
   key.seed = 7;
   return key;
 }
-
-/// Per-thread labeling context for materialising states in tests.
-struct Labeler {
-  explicit Labeler(const synth::City* city)
-      : router(&city->feed, {}), engine(city, &router) {}
-  router::Router router;
-  core::LabelingEngine engine;
-};
 
 uint64_t Bits(double v) {
   uint64_t bits;
@@ -122,11 +115,11 @@ std::shared_ptr<const serve::ExactLabelState> StateFor(
 }
 
 TEST(SnapshotRoundTrip, TinyCityBitIdentical) {
-  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  Labeler labeler(&store.base_city());
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
   auto scenario = store.Acquire();
-  scenario->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
-  scenario->GetOrBuildLabelState(VaxGacKey(), &labeler.engine);
+  scenario->GetOrBuildLabelState(SchoolKey(), loop);
+  scenario->GetOrBuildLabelState(VaxGacKey(), loop);
 
   const std::string path = TempPath("tiny.staq");
   ASSERT_TRUE(store.ExportSnapshot(path).ok());
@@ -168,7 +161,9 @@ TEST(SnapshotRoundTrip, TinyCityBitIdentical) {
 
   // Strongest check: standing the restored scenario up and re-exporting
   // must reproduce the file byte for byte.
-  serve::ScenarioStore restored_store(std::move(restored).value());
+  testing::CountingZoneLoop restored_loop;
+  serve::ScenarioStore restored_store(std::move(restored).value(),
+                                      restored_loop);
   const std::string path2 = TempPath("tiny_reexport.staq");
   ASSERT_TRUE(restored_store.ExportSnapshot(path2).ok());
   EXPECT_EQ(ReadFile(path), ReadFile(path2));
@@ -183,10 +178,11 @@ TEST(SnapshotRoundTrip, BrindaleFamilyBitIdentical) {
   // delta patterns) are a genuinely different encode/decode workload.
   auto built = synth::BuildCity(synth::CitySpec::Brindale(0.05, 11));
   ASSERT_TRUE(built.ok()) << built.status();
-  serve::ScenarioStore store(std::move(built).value(), gtfs::WeekdayAmPeak());
-  Labeler labeler(&store.base_city());
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(std::move(built).value(), gtfs::WeekdayAmPeak(),
+                             loop);
   auto scenario = store.Acquire();
-  scenario->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
+  scenario->GetOrBuildLabelState(SchoolKey(), loop);
 
   const std::string path = TempPath("brindale.staq");
   ASSERT_TRUE(store.ExportSnapshot(path).ok());
@@ -198,7 +194,9 @@ TEST(SnapshotRoundTrip, BrindaleFamilyBitIdentical) {
   ASSERT_EQ(restored.value().label_states.size(), 1u);
   ExpectSameState(*original_state, *restored.value().label_states[0].second);
 
-  serve::ScenarioStore restored_store(std::move(restored).value());
+  testing::CountingZoneLoop restored_loop;
+  serve::ScenarioStore restored_store(std::move(restored).value(),
+                                      restored_loop);
   const std::string path2 = TempPath("brindale_reexport.staq");
   ASSERT_TRUE(restored_store.ExportSnapshot(path2).ok());
   EXPECT_EQ(ReadFile(path), ReadFile(path2));
@@ -207,9 +205,9 @@ TEST(SnapshotRoundTrip, BrindaleFamilyBitIdentical) {
 }
 
 TEST(SnapshotRoundTrip, SaveIsDeterministic) {
-  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  Labeler labeler(&store.base_city());
-  store.Acquire()->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
+  store.Acquire()->GetOrBuildLabelState(SchoolKey(), loop);
 
   const std::string a = TempPath("det_a.staq");
   const std::string b = TempPath("det_b.staq");
@@ -221,10 +219,10 @@ TEST(SnapshotRoundTrip, SaveIsDeterministic) {
 }
 
 TEST(SnapshotRoundTrip, SmallCitySundayRestoresTheExportedState) {
-  serve::ScenarioStore store(testing::SmallCity(), gtfs::SundayMorning());
-  Labeler labeler(&store.base_city());
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(testing::SmallCity(), gtfs::SundayMorning(), loop);
   auto scenario = store.Acquire();
-  scenario->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
+  scenario->GetOrBuildLabelState(SchoolKey(), loop);
 
   const std::string path = TempPath("small.staq");
   ASSERT_TRUE(store.ExportSnapshot(path).ok());
@@ -244,11 +242,11 @@ TEST(SnapshotRoundTrip, VersionOneFileRestoresLabelsFromTripColumns) {
   // A version-1 file also stores every state's zone labels. The reader
   // never reads them: a v1 file whose labels section disagrees with its
   // trip columns restores the labels those columns determine.
-  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  Labeler labeler(&store.base_city());
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
   auto scenario = store.Acquire();
-  scenario->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
-  scenario->GetOrBuildLabelState(VaxGacKey(), &labeler.engine);
+  scenario->GetOrBuildLabelState(SchoolKey(), loop);
+  scenario->GetOrBuildLabelState(VaxGacKey(), loop);
 
   const std::string path = TempPath("v2.staq");
   const std::string v1 = TempPath("v1.staq");
@@ -329,9 +327,9 @@ TEST(SnapshotRoundTrip, VersionOneFileRestoresLabelsFromTripColumns) {
 }
 
 TEST(SnapshotRoundTrip, ChainedPoiEditEpochs) {
-  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  Labeler labeler(&store.base_city());
-  store.Acquire()->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
+  store.Acquire()->GetOrBuildLabelState(SchoolKey(), loop);
 
   // Drive a chain of edits so the exported state is a patched descendant,
   // not a fresh build: add two schools, remove the first again.
@@ -364,7 +362,9 @@ TEST(SnapshotRoundTrip, ChainedPoiEditEpochs) {
   // The POI id cursor must survive: the same follow-up edit on the live
   // store and the restored store must assign the same stable id and patch
   // to bit-identical states (stable-id-keyed RNG streams).
-  serve::ScenarioStore restored_store(std::move(restored).value());
+  testing::CountingZoneLoop restored_loop;
+  serve::ScenarioStore restored_store(std::move(restored).value(),
+                                      restored_loop);
   EXPECT_EQ(restored_store.epoch(), 0u);
   auto live_add = store.AddPoi(synth::PoiCategory::kSchool, p1);
   auto restored_add = restored_store.AddPoi(synth::PoiCategory::kSchool, p1);
@@ -380,9 +380,9 @@ TEST(SnapshotRoundTrip, ChainedPoiEditEpochs) {
 }
 
 TEST(SnapshotRoundTrip, InspectReportsTheFile) {
-  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  Labeler labeler(&store.base_city());
-  store.Acquire()->GetOrBuildLabelState(SchoolKey(), &labeler.engine);
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
+  store.Acquire()->GetOrBuildLabelState(SchoolKey(), loop);
 
   const std::string path = TempPath("inspect.staq");
   ASSERT_TRUE(store.ExportSnapshot(path).ok());
@@ -592,7 +592,8 @@ TEST(SnapshotWarmStart, SnapshotWithoutTripCostsAnswersLikeAColdServer) {
 }
 
 TEST(SnapshotLoad, RejectsCorruptSnapshotsCleanly) {
-  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop);
   const std::string path = TempPath("corrupt.staq");
   ASSERT_TRUE(store.ExportSnapshot(path).ok());
   std::vector<uint8_t> good = ReadFile(path);

@@ -18,6 +18,7 @@
 #include "serve/server.h"
 #include "store/snapshot.h"
 #include "testing/test_city.h"
+#include "testing/zone_loop.h"
 #include "util/failpoint.h"
 
 #if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS
@@ -56,9 +57,10 @@ std::vector<std::string> TempSiblingsOf(const std::string& path) {
 class StoreFaultInjectionTest : public ::testing::Test {
  protected:
   StoreFaultInjectionTest()
-      : store_(testing::TinyCity(), gtfs::WeekdayAmPeak()) {}
+      : store_(testing::TinyCity(), gtfs::WeekdayAmPeak(), loop_) {}
   ~StoreFaultInjectionTest() override { FailPoints::DisarmAll(); }
 
+  testing::CountingZoneLoop loop_;
   serve::ScenarioStore store_;
 };
 

@@ -43,6 +43,7 @@
 #include <filesystem>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "bench_registry.h"
@@ -493,33 +494,36 @@ int RunSnapshotSave(const Args& args) {
                      .c_str());
     return 1;
   }
-  serve::ScenarioStore store(std::move(city).value(), interval.value());
+  serve::AqServer server(std::move(city).value(), interval.value());
 
   // Optionally materialise one exact label state so the snapshot carries a
-  // warm labeling (the expensive part a warm start wants to skip).
+  // warm labeling (the expensive part a warm start wants to skip): an exact
+  // query builds it as the server builds every state.
   if (args.Has("poi")) {
     auto category = CategoryFor(args.Get("poi", "school"));
     if (!category.ok()) {
       std::fprintf(stderr, "%s\n", category.status().ToString().c_str());
       return 1;
     }
-    serve::LabelKey key;
-    key.category = category.value();
-    key.seed = static_cast<uint64_t>(args.GetInt("label-seed", 1));
+    serve::AqRequest request;
+    request.category = category.value();
+    request.options.exact = true;
+    request.options.seed = static_cast<uint64_t>(args.GetInt("label-seed", 1));
     std::string cost = args.Get("cost", "jt");
     if (cost == "gac") {
-      key.cost = core::CostKind::kGeneralizedCost;
+      request.options.cost = core::CostKind::kGeneralizedCost;
     } else if (cost != "jt") {
       std::fprintf(stderr, "unknown cost: %s\n", cost.c_str());
       return 1;
     }
-    router::Router router(&store.base_city().feed, store.router_options());
-    core::LabelingEngine engine(&store.base_city(), &router);
-    store.Acquire()->GetOrBuildLabelState(key, &engine);
+    if (auto answer = server.Query(request); !answer.ok()) {
+      std::fprintf(stderr, "%s\n", answer.status().ToString().c_str());
+      return 1;
+    }
   }
 
   std::string out = args.Get("out", "");
-  if (auto st = store.ExportSnapshot(out); !st.ok()) {
+  if (auto st = server.ExportSnapshot(out); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
@@ -551,9 +555,17 @@ int RunSnapshotLoad(const Args& args) {
     return 1;
   }
   // Stand the serving state up for real — the point of `load` is proving
-  // the file warm-starts, not just that it parses.
+  // the file warm-starts, not just that it parses. The store's loop labels
+  // serially over the restored network: the default walk speed times the
+  // persisted scale, as the store derives it.
   uint64_t source_epoch = restored.value().source_epoch;
-  serve::ScenarioStore store(std::move(restored).value());
+  std::shared_ptr<const synth::City> city = restored.value().city;
+  router::RouterOptions network;
+  network.walk.speed_mps *= restored.value().walk_scale;
+  router::Router router(&city->feed, network);
+  core::LabelingEngine engine(city.get(), &router);
+  serve::SerialZoneLoop loop(engine);
+  serve::ScenarioStore store(std::move(restored).value(), loop);
   auto scenario = store.Acquire();
   std::printf("loaded %s\n", args.Get("in", "").c_str());
   std::printf("city          : %s\n",

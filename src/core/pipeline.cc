@@ -14,16 +14,16 @@ void ClampNonNegative(std::vector<double>* values) {
   }
 }
 
-/// Fills `out` with ground-truth values at labeled positions and model
-/// predictions elsewhere.
-std::vector<double> Blend(const std::vector<double>& predictions,
+/// The model's predictions, with each labeled zone's exact `measure` in
+/// place of its own.
+std::vector<double> Blend(std::vector<double> predictions,
                           const std::vector<uint32_t>& labeled,
-                          const std::vector<double>& labels) {
-  std::vector<double> out = predictions;
+                          const std::vector<ZoneLabel>& labels,
+                          double ZoneLabel::*measure) {
   for (size_t i = 0; i < labeled.size(); ++i) {
-    out[labeled[i]] = labels[i];
+    predictions[labeled[i]] = labels[i].*measure;
   }
-  return out;
+  return predictions;
 }
 
 }  // namespace
@@ -89,11 +89,11 @@ Todam SsrPipeline::BuildGravityTodam(const std::vector<synth::Poi>& pois,
   return builder.BuildGravity(seed);
 }
 
-util::Result<SsrSample> LabelSsrSample(
+util::Result<SsrSample> DrawSsrSample(
     const synth::City& city, const FeatureExtractor& features_extractor,
-    router::Router* router, const std::vector<synth::Poi>& pois,
-    const Todam& todam, gtfs::Day day, const PipelineConfig& config,
-    const ml::Matrix* precomputed_features, double precomputed_features_s) {
+    const std::vector<synth::Poi>& pois, const Todam& todam,
+    const PipelineConfig& config, const ml::Matrix* precomputed_features,
+    double precomputed_features_s) {
   if (config.cost == CostKind::kGeneralizedCost && !config.gac.Valid()) {
     return util::Status::InvalidArgument(
         "invalid GAC weights (negative λ or non-positive value of time)");
@@ -104,7 +104,6 @@ util::Result<SsrSample> LabelSsrSample(
   util::Stopwatch watch;
 
   // --- online feature extraction, aggregated to origin level -------------
-  watch.Reset();
   ml::Matrix& features = sample.dataset.x;
   if (precomputed_features != nullptr) {
     features = *precomputed_features;
@@ -126,26 +125,11 @@ util::Result<SsrSample> LabelSsrSample(
   if (!labeled.ok()) return labeled.status();
   result.labeled = std::move(labeled).value();
   sample.dataset.labeled = result.labeled;
-
-  // --- labeling (SPQs) -----------------------------------------------------
-  watch.Reset();
-  LabelingEngine labeler(&city, router, config.gac);
-  std::vector<ZoneLabel> labels =
-      labeler.LabelZones(todam, result.labeled, pois, config.cost, day);
-  result.spqs = labeler.spq_count();
-  result.expansions = labeler.expansion_count();
-  result.timings.labeling_s = watch.ElapsedSeconds();
-
-  sample.mac_labels.resize(labels.size());
-  sample.acsd_labels.resize(labels.size());
-  for (size_t i = 0; i < labels.size(); ++i) {
-    sample.mac_labels[i] = labels[i].mac;
-    sample.acsd_labels[i] = labels[i].acsd;
-  }
   return sample;
 }
 
 util::Result<PipelineResult> FitSsr(SsrSample sample,
+                                    const std::vector<ZoneLabel>& labels,
                                     const PipelineConfig& config) {
   PipelineResult result = std::move(sample.result);
   ml::Dataset& dataset = sample.dataset;
@@ -154,14 +138,14 @@ util::Result<PipelineResult> FitSsr(SsrSample sample,
   // --- SSR training + transductive inference, one model per target --------
   dataset.y.assign(dataset.positions.size(), 0.0);  // one per zone
   for (size_t i = 0; i < result.labeled.size(); ++i) {
-    dataset.y[result.labeled[i]] = sample.mac_labels[i];
+    dataset.y[result.labeled[i]] = labels[i].mac;
   }
   auto mac_model = ml::CreateModel(config.model, config.seed);
   STAQ_RETURN_NOT_OK(mac_model->Fit(dataset));
   std::vector<double> mac_pred = mac_model->Predict();
 
   for (size_t i = 0; i < result.labeled.size(); ++i) {
-    dataset.y[result.labeled[i]] = sample.acsd_labels[i];
+    dataset.y[result.labeled[i]] = labels[i].acsd;
   }
   auto acsd_model = ml::CreateModel(config.model, config.seed + 1);
   STAQ_RETURN_NOT_OK(acsd_model->Fit(dataset));
@@ -170,8 +154,10 @@ util::Result<PipelineResult> FitSsr(SsrSample sample,
 
   ClampNonNegative(&mac_pred);
   ClampNonNegative(&acsd_pred);
-  result.mac = Blend(mac_pred, result.labeled, sample.mac_labels);
-  result.acsd = Blend(acsd_pred, result.labeled, sample.acsd_labels);
+  result.mac =
+      Blend(std::move(mac_pred), result.labeled, labels, &ZoneLabel::mac);
+  result.acsd =
+      Blend(std::move(acsd_pred), result.labeled, labels, &ZoneLabel::acsd);
   return result;
 }
 
@@ -179,12 +165,20 @@ util::Result<PipelineResult> SsrPipeline::Run(
     const std::vector<synth::Poi>& pois, const Todam& todam,
     const PipelineConfig& config, const ml::Matrix* precomputed_features,
     double precomputed_features_s) {
-  auto sample =
-      LabelSsrSample(*city_, *features_, router_.get(), pois, todam,
-                     interval_.day, config, precomputed_features,
-                     precomputed_features_s);
-  if (!sample.ok()) return sample.status();
-  return FitSsr(std::move(sample).value(), config);
+  auto drawn = DrawSsrSample(*city_, *features_, pois, todam, config,
+                             precomputed_features, precomputed_features_s);
+  if (!drawn.ok()) return drawn.status();
+  SsrSample& sample = drawn.value();
+
+  // --- labeling (SPQs) -----------------------------------------------------
+  util::Stopwatch watch;
+  LabelingEngine labeler(city_, router_.get(), config.gac);
+  const std::vector<ZoneLabel> labels = labeler.LabelZones(
+      todam, sample.result.labeled, pois, config.cost, interval_.day);
+  sample.result.spqs = labeler.spq_count();
+  sample.result.expansions = labeler.expansion_count();
+  sample.result.timings.labeling_s = watch.ElapsedSeconds();
+  return FitSsr(std::move(sample), labels, config);
 }
 
 GroundTruth SsrPipeline::ComputeGroundTruth(

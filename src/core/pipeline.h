@@ -1,7 +1,8 @@
 // End-to-end SSR solution (paper Fig. 1): offline pre-computation, online
 // feature extraction, β-budget sampling, labeling via SPQs, SSR training
-// and transductive inference — with per-stage wall-clock accounting so the
-// Table-II cost comparison can be reproduced.
+// and transductive inference, with per-stage wall-clock accounting for
+// Table II. The stages around labeling take no router, so a server labels
+// the sample through its own zone loop between them (serve/scenario.h).
 #pragma once
 
 #include <memory>
@@ -80,35 +81,33 @@ struct EvaluationMetrics {
 EvaluationMetrics Evaluate(const GroundTruth& truth,
                            const PipelineResult& result);
 
-/// The first half of an SSR run: what labeling the β sample produced.
+/// An SSR run's β sample, before it is labeled.
 struct SsrSample {
-  /// Everything but the measures: labeled zones, SPQ and expansion counts,
-  /// feature and labeling timings. FitSsr completes it.
+  /// The labeled zones and the feature timing; the caller adds its
+  /// labeling's SPQs, expansions and time, and FitSsr the measures.
   PipelineResult result;
   /// Zone features, positions and the labeled set; targets unset.
   ml::Dataset dataset;
-  std::vector<double> mac_labels;   // per labeled zone, in result.labeled order
-  std::vector<double> acsd_labels;
 };
 
-/// Feature extraction, β-budget sampling and labeling through `router`
-/// (SsrPipeline::Run follows it with FitSsr). The only SSR stage that uses
-/// a router, so a caller sharing one set of offline structures across
-/// threads passes its per-thread one. `pois` may differ from `city.pois`
+/// Feature extraction and β-budget sample selection: the SSR stages before
+/// labeling, none of which routes. `pois` may differ from `city.pois`
 /// (scenario edits). `precomputed_features`, when non-null, stands in for
 /// the zone feature matrix (costed at `precomputed_features_s`).
-util::Result<SsrSample> LabelSsrSample(
+/// kInvalidArgument on GAC weights that cannot be labeled under.
+util::Result<SsrSample> DrawSsrSample(
     const synth::City& city, const FeatureExtractor& features,
-    router::Router* router, const std::vector<synth::Poi>& pois,
-    const Todam& todam, gtfs::Day day, const PipelineConfig& config,
+    const std::vector<synth::Poi>& pois, const Todam& todam,
+    const PipelineConfig& config,
     const ml::Matrix* precomputed_features = nullptr,
     double precomputed_features_s = 0.0);
 
-/// SSR training and transductive inference over a labeled sample: one model
-/// per target (MAC under config.seed, ACSD under config.seed + 1), the
-/// predictions clamped non-negative and the labeled zones' exact values
-/// blended in. Needs no router, so a server runs it without a context.
+/// SSR training and transductive inference: one model per target (MAC
+/// under config.seed, ACSD under config.seed + 1) over the sample and its
+/// `labels` (one per zone of sample.result.labeled, in that order), the
+/// predictions clamped non-negative and the labeled zones' values kept.
 util::Result<PipelineResult> FitSsr(SsrSample sample,
+                                    const std::vector<ZoneLabel>& labels,
                                     const PipelineConfig& config);
 
 /// Orchestrates the full solution over one city and time interval. The
@@ -131,7 +130,8 @@ class SsrPipeline {
   Todam BuildGravityTodam(const std::vector<synth::Poi>& pois,
                           const GravityConfig& gravity, uint64_t seed) const;
 
-  /// One SSR run. `todam` must have been built over `pois`.
+  /// One SSR run: DrawSsrSample, a LabelingEngine::LabelZones pass over the
+  /// sample, then FitSsr. `todam` must have been built over `pois`.
   ///
   /// When sweeping β / model / cost over a fixed POI set (Figs. 3 and 4),
   /// the zone feature matrix is identical across runs; pass it via

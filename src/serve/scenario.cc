@@ -114,6 +114,17 @@ void Scenario::SetNetwork(uint64_t version, uint64_t id,
   walk_scale_ = walk_scale;
 }
 
+std::shared_ptr<ExactLabelState> ExactLabelState::Unlabeled(
+    std::vector<synth::Poi> pois, core::Todam todam) {
+  auto state = std::make_shared<ExactLabelState>();
+  state->pois = std::move(pois);
+  state->todam = std::move(todam);
+  state->todam.DropAlpha();
+  state->ResetTripColumns();
+  state->labels.resize(state->todam.num_zones());
+  return state;
+}
+
 void ExactLabelState::ResetTripColumns() {
   const size_t zones = todam.num_zones();
   trip_offsets.assign(1, 0);
@@ -146,8 +157,11 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
   // faults). GetOrBuildLabelState must propagate this to current waiters
   // without poisoning the memo key (BuildOnceMemo::GetOrBuild).
   STAQ_FAILPOINT("serve.scenario.build_label_state");
-  std::shared_ptr<ExactLabelState> state =
-      NewLabelState(key, PoisOf(key.category));
+  std::vector<synth::Poi> pois = PoisOf(key.category);
+  std::vector<double> zone_norm;
+  core::Todam todam = StableTodam(key, pois, &zone_norm);
+  auto state = ExactLabelState::Unlabeled(std::move(pois), std::move(todam));
+  state->zone_norm = std::move(zone_norm);
   LabelZoneBlocks(loop, key, state, AllZones(base_->zones.size()));
   return state;
 }
@@ -161,17 +175,6 @@ core::Todam Scenario::StableTodam(const LabelKey& key,
   core::Todam todam = builder.BuildGravityStable(key.seed, norm);
   if (zone_norm != nullptr) *zone_norm = std::move(norm);
   return todam;
-}
-
-std::shared_ptr<ExactLabelState> Scenario::NewLabelState(
-    const LabelKey& key, std::vector<synth::Poi> pois) const {
-  auto state = std::make_shared<ExactLabelState>();
-  state->pois = std::move(pois);
-  state->todam = StableTodam(key, state->pois, &state->zone_norm);
-  state->todam.DropAlpha();
-  state->ResetTripColumns();
-  state->labels.resize(base_->zones.size());
-  return state;
 }
 
 void Scenario::LabelZoneBlocks(
@@ -375,11 +378,8 @@ ScenarioStore::StatePtr ScenarioStore::PatchAdd(
       column_trips[z].push_back(core::TripEntry{0, trips[i].depart});
     }
   }
-  auto column = std::make_shared<ExactLabelState>();
-  column->pois = {poi};
-  column->todam = core::Todam::FromParts(std::move(column_trips), {});
-  column->ResetTripColumns();
-  column->labels.resize(num_zones);
+  auto column = ExactLabelState::Unlabeled(
+      {poi}, core::Todam::FromParts(std::move(column_trips), {}));
 
   // Fault site: labeling the new trips failing mid-mutation. Only the
   // un-installed copies are damaged; the store never publishes them.

@@ -42,10 +42,10 @@
 // all-or-nothing: the new network is built entirely aside and committed
 // only after every patch has succeeded.
 //
-// Zones are labeled one way: a build, a patch and a batch capture all run
-// Scenario::LabelZoneBlocks through a ZoneLoop — the serving loop of an
-// AqServer (which a store's patches use too) or a SerialZoneLoop over one
-// engine.
+// Zones are labeled one way: a build, a patch, a batch capture and an SSR
+// answer's β sample all run Scenario::LabelZoneBlocks through a ZoneLoop —
+// the serving loop of an AqServer (which a store's patches use too) or a
+// SerialZoneLoop over one engine.
 #pragma once
 
 #include <atomic>
@@ -108,8 +108,8 @@ struct ExactLabelState {
   /// category POIs) — shared verbatim by every epoch so keep probabilities
   /// never shift under edits.
   std::vector<double> zone_norm;
-  /// The TODAM's trips. Its α rows are dropped: no exact path reads them
-  /// (SSR derives its own through Scenario::StableTodam).
+  /// The TODAM's trips, α rows dropped (SSR derives its own through
+  /// Scenario::StableTodam); an SSR sample's state holds its zones' only.
   core::Todam todam;
   /// Each trip's cost under the key (LabelKey::cost and ::gac) and its
   /// flags (bit0 feasible, bit1 walk-only), CSR by zone and aligned with
@@ -132,6 +132,11 @@ struct ExactLabelState {
   /// patch.
   uint32_t relabeled_zones = 0;
 
+  /// A state over `todam`'s trips (α rows dropped) to `pois`, trip columns
+  /// sized, no zone labeled and `zone_norm` empty: what LabelZoneBlocks fills.
+  static std::shared_ptr<ExactLabelState> Unlabeled(
+      std::vector<synth::Poi> pois, core::Todam todam);
+
   /// Sizes the trip columns to the TODAM: offsets from its zones' trip
   /// counts, every trip zeroed (the infeasible encoding).
   void ResetTripColumns();
@@ -147,18 +152,18 @@ class Scenario;
 using ZoneLoopBody = std::function<std::function<void()>(
     core::LabelingEngine& engine, size_t index)>;
 
-/// The one way zones get labeled: every label-state build, patch and batch
-/// capture runs its zone loop through one of these. Every zone is labeled
-/// independently of its block, so how a loop is split across threads never
-/// shows in the labels: an implementation may hand items to any number of
-/// engines as long as each routes over `scenario`'s network, and may even
-/// label an item twice (the owning thread takes over an item a stalled
-/// helper still holds) — but it runs exactly one store step per item. A
-/// body can still be running on a straggling helper after Run returns, so
-/// it must own (by value or shared_ptr) everything it reads and writes.
-/// AqServer implements the loop with the owning thread plus idle-priority
-/// helpers leasing the server's contexts (DESIGN.md §16); SerialZoneLoop
-/// runs it on one engine.
+/// The one way zones get labeled: every label-state build, patch, batch
+/// capture and SSR sample runs its zone loop through one of these. Each
+/// zone is labeled independently of its block, so how a loop is split
+/// across threads never shows in the labels: an implementation may hand
+/// items to any number of engines as long as each routes over
+/// `scenario`'s network, and may even label an item twice (the owning
+/// thread takes over an item a stalled helper still holds) — but it runs
+/// exactly one store step per item. A body can still be running on a
+/// straggling helper after Run returns, so it must own (by value or
+/// shared_ptr) everything it reads and writes. AqServer implements the
+/// loop with the owning thread plus idle-priority helpers leasing the
+/// server's contexts (DESIGN.md §16); SerialZoneLoop runs it on one engine.
 class ZoneLoop {
  public:
   virtual ~ZoneLoop() = default;
@@ -337,7 +342,7 @@ class Scenario {
 
   /// Memoised zone feature matrix (|Z| x core::kNumFeatures) of `key`'s
   /// category POIs, aggregated over `alpha` — the α rows of the request's
-  /// edit-stable TODAM (Todam::alpha()), as core::LabelSsrSample would
+  /// edit-stable TODAM (Todam::alpha()), as core::DrawSsrSample would
   /// aggregate them. Those rows read neither the seed nor the keep scale
   /// nor the sample rate, only the POIs and the decay scale, so one build
   /// serves every SSR request for the key in this epoch. The first caller
@@ -349,10 +354,10 @@ class Scenario {
       const std::vector<std::vector<double>>& alpha,
       bool* built_fresh = nullptr) const;
 
-  /// From-scratch build, bypassing the memo: NewLabelState plus
-  /// LabelZoneBlocks over every zone through `loop`. This is the golden
-  /// reference the incremental path is checked against (tests, bench
-  /// gates).
+  /// From-scratch build, bypassing the memo: an Unlabeled state over
+  /// StableTodam (normalisers kept), LabelZoneBlocks over every zone
+  /// through `loop`. This is the golden reference the incremental path is
+  /// checked against (tests, bench gates).
   std::shared_ptr<const ExactLabelState> BuildLabelState(const LabelKey& key,
                                                          ZoneLoop& loop) const;
 
@@ -364,11 +369,6 @@ class Scenario {
   core::Todam StableTodam(const LabelKey& key,
                           const std::vector<synth::Poi>& pois,
                           std::vector<double>* zone_norm = nullptr) const;
-
-  /// A state of `key` holding `pois` (PoisOf(key.category)), their
-  /// normalisers and StableTodam, with no zone labeled yet.
-  std::shared_ptr<ExactLabelState> NewLabelState(
-      const LabelKey& key, std::vector<synth::Poi> pois) const;
 
   /// The one zone-block routine of state builds, patches and batch
   /// captures: labels `zones` of `state` under key.cost and key.gac over

@@ -655,8 +655,8 @@ void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
   // derive columnarly, bit-identical to the single-request path.
   LabelKey key = LabelKeyFor(head);
   key.cost = core::CostKind::kJourneyTime;
-  std::shared_ptr<ExactLabelState> state =
-      scenario.NewLabelState(key, std::move(pois));
+  core::Todam todam = scenario.StableTodam(key, pois);
+  auto state = ExactLabelState::Unlabeled(std::move(pois), std::move(todam));
   auto columns = std::make_shared<core::TripCostColumns>();
   scenario.LabelZoneBlocks(*this, key, state,
                            AllZones(scenario.base_city().zones.size()),
@@ -696,25 +696,27 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     return util::Status::NotFound("no POIs of requested category in scenario");
   }
 
+  // Zones label through the serving loop; uncached (the oracle the helped
+  // loop is checked against), serially on one context leased for the
+  // labeling alone (DESIGN.md §16.4). A throw drops that context.
+  const auto label_zones = [&](const auto& label) {
+    if (use_caches) return label(*this);
+    auto context = AcquireContext(NetworkOf(scenario));
+    SerialZoneLoop serial(context->engine);
+    label(serial);
+    ReleaseContext(std::move(context));
+  };
+
   const LabelKey key = LabelKeyFor(request);
   core::AccessQueryResult result;
   if (request.options.exact) {
     std::shared_ptr<const ExactLabelState> state;
-    if (use_caches) {
-      // The zone loop leases the owning thread's context only on a build.
-      bool built = false;
-      state = scenario.GetOrBuildLabelState(key, *this, &built);
-      if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Serially on one leased context: the uncached path is the oracle
-      // the helped loop is checked against. A throw drops the context with
-      // its possibly half-built state.
-      auto context = AcquireContext(NetworkOf(scenario));
-      SerialZoneLoop serial(context->engine);
-      state = scenario.BuildLabelState(key, serial);
-      ReleaseContext(std::move(context));
-      exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
-    }
+    bool built = !use_caches;
+    label_zones([&](ZoneLoop& loop) {
+      state = use_caches ? scenario.GetOrBuildLabelState(key, loop, &built)
+                         : scenario.BuildLabelState(key, loop);
+    });
+    if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     result.gravity_trips = state->todam.num_trips();
     result.spqs = state->build_spqs;
     core::SetZoneMeasures(state->labels, &result);
@@ -743,22 +745,28 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
           todam.alpha(), &built);
       if (built) ssr_feature_builds_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Only labeling routes: the context goes back before the fits, so a
-    // concurrent build's helpers can lease it meanwhile (DESIGN.md §16.4).
-    // A throw drops the context with its possibly half-built state.
-    auto context = AcquireContext(NetworkOf(scenario));
-    auto sample = core::LabelSsrSample(
-        scenario.base_city(), *scenario.offline().features, &context->router,
-        pois, todam, scenario.interval().day, config, features.get());
-    ReleaseContext(std::move(context));
+    auto sample = core::DrawSsrSample(scenario.base_city(),
+                                      *scenario.offline().features, pois,
+                                      todam, config, features.get());
     if (!sample.ok()) return sample.status();
+    // The sample labels like an exact build, over its own zones' trips.
+    const std::vector<uint32_t>& labeled = sample.value().result.labeled;
+    std::vector<std::vector<core::TripEntry>> trips(todam.num_zones());
+    for (uint32_t z : labeled) trips[z] = todam.TripsFor(z);
+    auto state = ExactLabelState::Unlabeled(
+        std::move(pois), core::Todam::FromParts(std::move(trips), {}));
+    label_zones([&](ZoneLoop& loop) {
+      scenario.LabelZoneBlocks(loop, key, state, labeled);
+    });
+    result.spqs = state->build_spqs;
+    std::vector<core::ZoneLabel> labels;
+    for (uint32_t z : labeled) labels.push_back(state->labels[z]);
     // Fault site (tests): an SSR answer parked between labeling and fit.
     STAQ_FAILPOINT("serve.ssr.fit");
-    auto run = core::FitSsr(std::move(sample).value(), config);
+    auto run = core::FitSsr(std::move(sample).value(), labels, config);
     if (!run.ok()) return run.status();
     result.mac = std::move(run.value().mac);
     result.acsd = std::move(run.value().acsd);
-    result.spqs = run.value().spqs;
   }
 
   FinishAnswer(scenario, cache_key, watch, &result);

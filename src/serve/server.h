@@ -24,13 +24,13 @@
 // the golden reference that tests and the serve bench compare cached and
 // incremental answers against.
 //
-// Zone labeling (cold exact builds, every mutation's patch, batch captures)
-// runs as one caller-participating loop per job: the thread that owns the
-// job labels zones itself while helper tasks on the process-wide
-// idle-priority pool (util::ThreadPool::Idle) claim zones alongside it,
-// each leasing one of this server's labeling contexts. Contexts are capped
-// at the worker-pool size, so helpers only ever use spare contexts and
-// spare cores (DESIGN.md §16).
+// Zones are labeled one way — cold exact builds, every mutation's patch,
+// batch captures and SSR samples alike: one caller-participating loop per
+// job. The thread that owns the job labels zones itself while helper tasks
+// on the process-wide idle-priority pool (util::ThreadPool::Idle) claim
+// zones alongside it, each leasing one of this server's labeling contexts.
+// Contexts are capped at the worker-pool size, so helpers only ever use
+// spare contexts and spare cores (DESIGN.md §16).
 #pragma once
 
 #include <atomic>

@@ -491,18 +491,18 @@ std::vector<uint8_t> EncodeInterval(const serve::OfflineState& offline) {
   PutLengthPrefixed(&b, offline.interval.label);
   PutFixed(&b, offline.isochrones->config().tau_s);
   PutFixed(&b, offline.isochrones->config().omega_kph);
-  PutFixed(&b, offline.build_seconds);
+  PutFixed(&b, 0.0);  // build-time slot, unread: a wall clock varies per save
   return b;
 }
 
 util::Status DecodeInterval(ByteReader in, gtfs::TimeInterval* interval,
-                            core::IsochroneConfig* iso_config,
-                            double* build_seconds) {
+                            core::IsochroneConfig* iso_config) {
   uint8_t day = 0;
+  double unread = 0.0;  // the build-time slot
   bool ok = ReadTime(&in, &interval->start) && ReadTime(&in, &interval->end) &&
             in.ReadFixed(&day) && in.ReadLengthPrefixed(&interval->label) &&
             in.ReadFixed(&iso_config->tau_s) &&
-            in.ReadFixed(&iso_config->omega_kph) && in.ReadFixed(build_seconds);
+            in.ReadFixed(&iso_config->omega_kph) && in.ReadFixed(&unread);
   if (!ok) return Malformed(kOfflineInterval);
   if (day > static_cast<uint8_t>(gtfs::Day::kSunday)) {
     return Inconsistent(kOfflineInterval, "service day out of range");
@@ -886,11 +886,9 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
 
   gtfs::TimeInterval interval;
   core::IsochroneConfig iso_config;
-  double build_seconds = 0.0;
   auto interval_in = section(kOfflineInterval, SectionEncoding::kStruct);
   if (!interval_in.ok()) return interval_in.status();
-  st = DecodeInterval(interval_in.value(), &interval, &iso_config,
-                      &build_seconds);
+  st = DecodeInterval(interval_in.value(), &interval, &iso_config);
   if (!st.ok()) return st;
 
   std::vector<geo::Polygon> polygons;
@@ -929,7 +927,6 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
 
   auto offline = std::make_unique<serve::OfflineState>(
       *city_ptr, interval, std::move(isochrones), std::move(hop_trees));
-  offline->build_seconds = build_seconds;
 
   serve::RestoredScenario restored;
   restored.city = city_ptr;

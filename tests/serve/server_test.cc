@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sampling.h"
 #include "testing/test_city.h"
 #include "util/clock.h"
+#include "util/failpoint.h"
 
 namespace staq::serve {
 namespace {
@@ -450,6 +452,34 @@ TEST(OneWorkerServerTest, ZoneLoopsStartNoHelperThreads) {
   ASSERT_TRUE(golden.ok()) << golden.status();
   ExpectSameAnswer(server.Query(FastExactRequest()).value(), golden.value());
 }
+
+#if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS
+// An SSR answer labels its β sample through the serving loop, as an exact
+// build labels every zone: on a one-worker server the owning thread runs
+// each of the sample's zone blocks itself. A repeat is a cache hit and
+// labels nothing.
+TEST(OneWorkerServerTest, SsrSampleLabelsThroughTheZoneLoop) {
+  AqServer::Options options;
+  options.num_threads = 1;
+  AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+  const AqRequest request = FastSsrRequest();
+  auto sample = core::SampleLabeledZones(server.base_city().zones.size(),
+                                         request.options.beta,
+                                         request.options.seed);
+  ASSERT_TRUE(sample.ok()) << sample.status();
+  constexpr char kCaller[] = "serve.zone_loop.caller";
+
+  uint64_t before = util::FailPoints::HitCount(kCaller);
+  ASSERT_TRUE(server.Query(request).ok());
+  EXPECT_EQ(util::FailPoints::HitCount(kCaller) - before,
+            core::NumZoneBlocks(sample.value().size()));
+
+  before = util::FailPoints::HitCount(kCaller);
+  ASSERT_TRUE(server.Query(request).ok());
+  EXPECT_EQ(util::FailPoints::HitCount(kCaller), before);
+  EXPECT_EQ(server.stats().cache_hits, 1u);
+}
+#endif
 
 TEST(IntervalSwitchTest, PooledContextsAnswerLikeAFreshServer) {
   AqRequest gac = FastExactRequest();

@@ -21,6 +21,8 @@
 #include "net/replica.h"
 #include "scenario/transform.h"
 #include "serve/server.h"
+#include "synth/city_spec.h"
+#include "testing/exact_reference.h"
 #include "testing/test_city.h"
 #include "util/failpoint.h"
 #include "wal/wal.h"
@@ -55,8 +57,12 @@ void ExpectSameAnswer(const core::AccessQueryResult& a,
     EXPECT_EQ(a.mac[z], b.mac[z]) << "zone " << z;
     EXPECT_EQ(a.acsd[z], b.acsd[z]) << "zone " << z;
   }
+  EXPECT_EQ(a.classes, b.classes);
   EXPECT_EQ(a.mean_mac, b.mean_mac);
   EXPECT_EQ(a.mean_acsd, b.mean_acsd);
+  EXPECT_EQ(a.fairness, b.fairness);
+  EXPECT_EQ(a.population_fairness, b.population_fairness);
+  EXPECT_EQ(a.vulnerable_fairness, b.vulnerable_fairness);
   EXPECT_EQ(a.gravity_trips, b.gravity_trips);
   EXPECT_EQ(a.spqs, b.spqs);
 }
@@ -178,6 +184,71 @@ TEST(SsrFeatureMemoTest, WarmStartAndReplicaReplayBuildTheirOwnMatrices) {
                    primary.Query(request).value());
   fs::remove_all(wal_dir);
   fs::remove_all(snapshot);
+}
+
+// The independent SSR reference (testing/exact_reference.h) shares no
+// server code: it draws the edit-stable TODAM itself, runs
+// SsrPipeline::Run on a pipeline of its own and finalizes with the scalar
+// measures. A served answer (memoised features, sample labeled through the
+// serving loop) and an uncached one must both equal it bit for bit, SPQs
+// included, on both city families, under JT and a non-default GAC, for
+// each model, and before and after a POI addition and removal.
+TEST(SsrReferenceTest, ServedAndUncachedAnswersEqualAnIndependentPipelineRun) {
+  router::GacWeights wait_heavy;
+  wait_heavy.lambda_wt = 3.5;
+  wait_heavy.transfer_penalty_s = 300;
+  for (bool brindale : {true, false}) {
+    SCOPED_TRACE(brindale ? "brindale" : "covely");
+    synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
+                                    : synth::CitySpec::Covely(0.04, 22);
+    auto city = synth::BuildCity(spec);
+    ASSERT_TRUE(city.ok()) << city.status();
+    AqServer server(std::move(city).value(), gtfs::WeekdayAmPeak(),
+                    Threads(2));
+    testing::ExactReference reference(&server.base_city(),
+                                      gtfs::WeekdayAmPeak());
+    const synth::PoiCategory category = synth::PoiCategory::kSchool;
+    const std::vector<synth::Poi> schools =
+        server.base_city().PoisOf(category);
+    ASSERT_FALSE(schools.empty());
+
+    const char* const kEpochs[] = {"base city", "after AddPoi",
+                                   "after RemovePoi"};
+    for (int step = 0; step < 3; ++step) {
+      SCOPED_TRACE(kEpochs[step]);
+      if (step == 1) {
+        const geo::Point site = server.base_city().zones[0].centroid;
+        auto added = server.AddPoi(category, site);
+        ASSERT_TRUE(added.ok()) << added.status();
+        reference.AddPoi(synth::Poi{added.value().poi_id, category, site});
+      } else if (step == 2) {
+        ASSERT_TRUE(server.RemovePoi(schools.front().id).ok());
+        reference.RemovePoi(schools.front().id);
+      }
+      uint64_t seed = 1;
+      for (bool gac : {false, true}) {
+        for (ml::ModelKind model : {ml::ModelKind::kOls, ml::ModelKind::kMlp,
+                                    ml::ModelKind::kCoreg}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (gac ? "GAC " : "JT ") << ml::ModelKindName(model));
+          AqRequest request = SsrRequest(category, seed++, model, 0.2);
+          if (gac) {
+            request.options.cost = core::CostKind::kGeneralizedCost;
+            request.options.gac = wait_heavy;
+          }
+          auto expected = reference.QuerySsr(category, request.options);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          EXPECT_GT(expected.value().spqs, 0u);
+          auto served = server.Query(request);
+          ASSERT_TRUE(served.ok()) << served.status();
+          ExpectSameAnswer(served.value(), expected.value());
+          auto uncached = server.QueryUncached(request);
+          ASSERT_TRUE(uncached.ok()) << uncached.status();
+          ExpectSameAnswer(uncached.value(), expected.value());
+        }
+      }
+    }
+  }
 }
 
 #if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS

@@ -20,6 +20,7 @@
 #include "serve/server.h"
 #include "store/snapshot.h"
 #include "store/writer.h"
+#include "synth/city_spec.h"
 #include "testing/test_city.h"
 #include "testing/zone_loop.h"
 
@@ -216,6 +217,31 @@ TEST(SnapshotRoundTrip, SaveIsDeterministic) {
   EXPECT_EQ(ReadFile(a), ReadFile(b));
   std::remove(a.c_str());
   std::remove(b.c_str());
+}
+
+// A save records what was built, never how long building took: two
+// servers cold-built apart from one city spec, each holding the same
+// state, export the same bytes.
+TEST(SnapshotRoundTrip, ServersBuiltApartSaveIdenticalFiles) {
+  const synth::CitySpec spec = synth::CitySpec::Brindale(0.03, 21);
+  std::vector<std::vector<uint8_t>> files;
+  for (const char* name : {"apart_a.staq", "apart_b.staq"}) {
+    auto city = synth::BuildCity(spec);
+    ASSERT_TRUE(city.ok()) << city.status();
+    serve::AqServer server(std::move(city).value(), gtfs::WeekdayAmPeak());
+    serve::AqRequest request;
+    request.category = synth::PoiCategory::kSchool;
+    request.options.exact = true;
+    request.options.gravity.sample_rate_per_hour = 4;
+    request.options.gravity.keep_scale = 2.0;
+    ASSERT_TRUE(server.Query(request).ok());
+    const std::string path = TempPath(name);
+    ASSERT_TRUE(server.ExportSnapshot(path).ok());
+    files.push_back(ReadFile(path));
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_TRUE(files[0] == files[1]);
 }
 
 TEST(SnapshotRoundTrip, SmallCitySundayRestoresTheExportedState) {

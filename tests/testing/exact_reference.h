@@ -1,5 +1,4 @@
-// Reference exact access query: one labeling pass per cost definition,
-// built with no server code.
+// Reference access queries, exact and SSR, built with no server code.
 //
 // AqServer answers an exact query from a label state over the edit-stable
 // gravity TODAM (serve/scenario.h), and answers an exact batch from ONE
@@ -11,10 +10,14 @@
 // trips — labels it with SsrPipeline::ComputeGroundTruth (one LabelZones
 // pass per cost definition, sharing nothing) and finalizes with the scalar
 // oracle's FinalizeAccessQueryResult (scalar_oracle.h), which the library
-// no longer contains. Tests and bench_load's measure_eval gate check the
-// server against it.
+// no longer contains. An SSR answer runs SsrPipeline::Run over the same
+// TODAM on the reference's own pipeline (features extracted afresh from
+// the TODAM's α rows, the sample labeled by the pipeline's own engine) and
+// finalizes the same way. Tests and bench_load's measure_eval gate check
+// the server against it.
 #pragma once
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -40,24 +43,25 @@ class ExactReference {
   /// Mirrors a server's AddPoi: `poi` carries the id the server assigned.
   void AddPoi(const synth::Poi& poi) { pois_.push_back(poi); }
 
+  /// Mirrors a server's RemovePoi.
+  void RemovePoi(uint32_t poi_id) {
+    pois_.erase(std::remove_if(pois_.begin(), pois_.end(),
+                               [poi_id](const synth::Poi& poi) {
+                                 return poi.id == poi_id;
+                               }),
+                pois_.end());
+  }
+
   /// Answers `options` as an exact query over the current POI set,
   /// whatever `options.exact` says, and without validating the request.
   /// `elapsed_s` is left at 0.
   util::Result<core::AccessQueryResult> Query(
       synth::PoiCategory category, const core::AccessQueryOptions& options) {
-    std::vector<synth::Poi> pois;
-    for (const synth::Poi& poi : pois_) {
-      if (poi.category == category) pois.push_back(poi);
-    }
+    std::vector<synth::Poi> pois = PoisOf(category);
     if (pois.empty()) {
       return util::Status::NotFound("no POIs of requested category");
     }
-    const std::vector<double> norm = core::StableGravityNorms(
-        city_->zones, city_->PoisOf(category),
-        options.gravity.decay_scale_m);
-    core::TodamBuilder builder(city_->zones, pois, interval_,
-                               options.gravity);
-    core::Todam todam = builder.BuildGravityStable(options.seed, norm);
+    core::Todam todam = StableTodam(category, pois, options);
     core::GroundTruth truth = pipeline_.ComputeGroundTruth(
         pois, todam, options.cost, options.gac);
     core::AccessQueryResult result;
@@ -69,7 +73,53 @@ class ExactReference {
     return result;
   }
 
+  /// Answers `options` as an SSR query (its β, model, cost, GAC weights and
+  /// seed) over the current POI set, whatever `options.exact` says.
+  /// `elapsed_s` is left at 0.
+  util::Result<core::AccessQueryResult> QuerySsr(
+      synth::PoiCategory category, const core::AccessQueryOptions& options) {
+    std::vector<synth::Poi> pois = PoisOf(category);
+    if (pois.empty()) {
+      return util::Status::NotFound("no POIs of requested category");
+    }
+    core::Todam todam = StableTodam(category, pois, options);
+    core::PipelineConfig config;
+    config.beta = options.beta;
+    config.model = options.model;
+    config.cost = options.cost;
+    config.gac = options.gac;
+    config.seed = options.seed;
+    auto run = pipeline_.Run(pois, todam, config);
+    if (!run.ok()) return run.status();
+    core::AccessQueryResult result;
+    result.gravity_trips = todam.num_trips();
+    result.mac = std::move(run.value().mac);
+    result.acsd = std::move(run.value().acsd);
+    result.spqs = run.value().spqs;
+    testing::FinalizeAccessQueryResult(city_->zones, &result);
+    return result;
+  }
+
  private:
+  std::vector<synth::Poi> PoisOf(synth::PoiCategory category) const {
+    std::vector<synth::Poi> pois;
+    for (const synth::Poi& poi : pois_) {
+      if (poi.category == category) pois.push_back(poi);
+    }
+    return pois;
+  }
+
+  /// The edit-stable TODAM of `options` over `pois`, α rows included.
+  core::Todam StableTodam(synth::PoiCategory category,
+                          const std::vector<synth::Poi>& pois,
+                          const core::AccessQueryOptions& options) const {
+    const std::vector<double> norm = core::StableGravityNorms(
+        city_->zones, city_->PoisOf(category), options.gravity.decay_scale_m);
+    core::TodamBuilder builder(city_->zones, pois, interval_,
+                               options.gravity);
+    return builder.BuildGravityStable(options.seed, norm);
+  }
+
   const synth::City* city_;
   gtfs::TimeInterval interval_;
   core::SsrPipeline pipeline_;

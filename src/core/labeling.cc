@@ -89,7 +89,7 @@ void LabelingEngine::LabelBlock(const Todam& todam, const uint32_t* zones,
   zone_trip_off_.assign(1, 0);
   order_.clear();
   for (size_t b = 0; b < num_zones; ++b) {
-    const std::vector<TripEntry>& trips = todam.TripsFor(zones[b]);
+    const std::span<const TripEntry> trips = todam.TripsFor(zones[b]);
     const uint32_t base = static_cast<uint32_t>(zone_trip_off_.back());
     for (uint32_t i = 0; i < trips.size(); ++i) order_.push_back(base + i);
     std::sort(order_.begin() + base, order_.end(),
@@ -156,7 +156,7 @@ void LabelingEngine::RouteBlockWindow(const Todam& todam,
   lanes_.clear();
   group_slots_.clear();
   for (size_t b = 0; b < num_zones; ++b) {
-    const std::vector<TripEntry>& trips = todam.TripsFor(zones[b]);
+    const std::span<const TripEntry> trips = todam.TripsFor(zones[b]);
     const size_t base = zone_trip_off_[b];
     size_t g = base;
     while (g < zone_trip_off_[b + 1]) {

@@ -69,14 +69,13 @@ EvaluationMetrics Evaluate(const GroundTruth& truth,
   return m;
 }
 
-SsrPipeline::SsrPipeline(const synth::City* city, gtfs::TimeInterval interval,
-                         IsochroneConfig iso_config,
-                         router::RouterOptions router_options)
+SsrPipeline::SsrPipeline(const synth::City* city, gtfs::TimeInterval interval)
     : city_(city), interval_(interval) {
   util::Stopwatch watch;
-  isochrones_ = std::make_unique<IsochroneSet>(*city_, iso_config);
+  isochrones_ = std::make_unique<IsochroneSet>(*city_, IsochroneConfig{});
   hop_trees_ = std::make_unique<HopTreeSet>(*city_, *isochrones_, interval_);
-  router_ = std::make_unique<router::Router>(&city_->feed, router_options);
+  router_ = std::make_unique<router::Router>(&city_->feed,
+                                             router::RouterOptions{});
   features_ = std::make_unique<FeatureExtractor>(city_, isochrones_.get(),
                                                  hop_trees_.get());
   offline_s_ = watch.ElapsedSeconds();
@@ -176,7 +175,6 @@ util::Result<PipelineResult> SsrPipeline::Run(
   const std::vector<ZoneLabel> labels = labeler.LabelZones(
       todam, sample.result.labeled, pois, config.cost, interval_.day);
   sample.result.spqs = labeler.spq_count();
-  sample.result.expansions = labeler.expansion_count();
   sample.result.timings.labeling_s = watch.ElapsedSeconds();
   return FitSsr(std::move(sample), labels, config);
 }
@@ -192,7 +190,6 @@ GroundTruth SsrPipeline::ComputeGroundTruth(
   const std::vector<ZoneLabel> labels =
       labeler.LabelZones(todam, all, pois, cost, interval_.day);
   truth.spqs = labeler.spq_count();
-  truth.expansions = labeler.expansion_count();
   truth.labeling_s = watch.ElapsedSeconds();
 
   truth.mac.resize(labels.size());

@@ -54,7 +54,6 @@ struct PipelineResult {
   std::vector<uint32_t> labeled;
   StageTimings timings;
   uint64_t spqs = 0;
-  uint64_t expansions = 0;  // router expansions behind those SPQs
 };
 
 /// The naive baseline: every zone labeled exactly.
@@ -63,7 +62,6 @@ struct GroundTruth {
   std::vector<double> acsd;
   double labeling_s = 0.0;
   uint64_t spqs = 0;
-  uint64_t expansions = 0;  // router expansions behind those SPQs
   double walk_only_fraction = 0.0;
 };
 
@@ -84,7 +82,7 @@ EvaluationMetrics Evaluate(const GroundTruth& truth,
 /// An SSR run's β sample, before it is labeled.
 struct SsrSample {
   /// The labeled zones and the feature timing; the caller adds its
-  /// labeling's SPQs, expansions and time, and FitSsr the measures.
+  /// labeling's SPQs and time, and FitSsr the measures.
   PipelineResult result;
   /// Zone features, positions and the labeled set; targets unset.
   ml::Dataset dataset;
@@ -112,12 +110,11 @@ util::Result<PipelineResult> FitSsr(SsrSample sample,
 
 /// Orchestrates the full solution over one city and time interval. The
 /// constructor performs the offline phase (isochrones + hop trees + router
-/// tables) and records its cost separately.
+/// tables, under the default isochrone and router configurations) and
+/// records its cost separately.
 class SsrPipeline {
  public:
-  SsrPipeline(const synth::City* city, gtfs::TimeInterval interval,
-              IsochroneConfig iso_config = {},
-              router::RouterOptions router_options = {});
+  SsrPipeline(const synth::City* city, gtfs::TimeInterval interval);
 
   const synth::City& city() const { return *city_; }
   const gtfs::TimeInterval& interval() const { return interval_; }

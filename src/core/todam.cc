@@ -32,22 +32,13 @@ util::Rng StablePairRng(uint64_t seed, uint32_t zone, uint32_t poi_id) {
   return util::Rng(mixer.Next());
 }
 
-/// |R|: start-time samples per (zone, POI) pair for one (gravity,
-/// interval) combination.
-uint32_t TodamSamplesPerPair(const GravityConfig& config,
-                             const gtfs::TimeInterval& interval) {
-  double samples = config.sample_rate_per_hour * interval.DurationHours();
-  return static_cast<uint32_t>(std::lround(std::max(1.0, samples)));
-}
-
-/// One (zone, poi) pair of the edit-stable mode, shared by
-/// BuildGravityStable and Todam::AppendStablePoiColumn: appends the kept
-/// trips (stored with `poi_index`) to `out` and returns the pair's α entry
-/// (decay over the frozen normaliser; rows sum to 1 exactly at the
-/// reference POI set). The RNG stream is keyed by the POI's stable id, so
-/// the pair draws the same trips whichever other POIs exist. A zero
-/// normaliser (the reference set had no POIs of the category) keeps every
-/// sample: still deterministic and history-independent.
+/// One (zone, poi) pair of the edit-stable mode (BuildGravityStable):
+/// appends the kept trips (stored with `poi_index`) to `out` and returns
+/// the pair's α entry (decay over the frozen normaliser; rows sum to 1
+/// exactly at the reference POI set). The RNG stream is keyed by the POI's
+/// stable id, so the pair draws the same trips whichever other POIs exist.
+/// A zero normaliser (the reference set had no POIs of the category) keeps
+/// every sample: still deterministic and history-independent.
 double SampleStablePair(const synth::Zone& zone, uint32_t zone_index,
                         const synth::Poi& poi, uint32_t poi_index,
                         double zone_norm, const GravityConfig& gravity,
@@ -93,67 +84,19 @@ std::vector<double> StableGravityNorms(const std::vector<synth::Zone>& zones,
   return norms;
 }
 
-void Todam::RemovePoiColumn(uint32_t poi_index,
-                            std::vector<uint32_t>* affected) {
-  if (affected != nullptr) affected->clear();
-  for (uint32_t z = 0; z < trips_.size(); ++z) {
-    auto& zone_trips = trips_[z];
-    size_t before = zone_trips.size();
-    size_t w = 0;
-    for (size_t i = 0; i < zone_trips.size(); ++i) {
-      TripEntry t = zone_trips[i];
-      if (t.poi == poi_index) continue;
-      if (t.poi > poi_index) --t.poi;
-      zone_trips[w++] = t;
-    }
-    zone_trips.resize(w);
-    num_trips_ -= before - w;
-    if (w != before && affected != nullptr) affected->push_back(z);
-  }
-  if (!alpha_.empty()) {
-    for (auto& row : alpha_) {
-      if (poi_index < row.size()) row.erase(row.begin() + poi_index);
-    }
-  }
-}
-
-void Todam::AppendStablePoiColumn(const std::vector<synth::Zone>& zones,
-                                  const synth::Poi& poi, uint32_t poi_index,
-                                  const std::vector<double>& zone_norm,
-                                  const GravityConfig& gravity,
-                                  const gtfs::TimeInterval& interval,
-                                  uint64_t seed,
-                                  std::vector<uint32_t>* affected) {
-  if (affected != nullptr) affected->clear();
-  const uint32_t samples = TodamSamplesPerPair(gravity, interval);
-  for (uint32_t z = 0; z < trips_.size(); ++z) {
-    auto& zone_trips = trips_[z];
-    const size_t before = zone_trips.size();
-    const double alpha =
-        SampleStablePair(zones[z], z, poi, poi_index, zone_norm[z], gravity,
-                         interval, samples, seed, &zone_trips);
-    if (!alpha_.empty()) alpha_[z].push_back(alpha);
-    if (zone_trips.size() != before) {
-      num_trips_ += zone_trips.size() - before;
-      if (affected != nullptr) affected->push_back(z);
-    }
-  }
-}
-
 double Todam::WalkOnlyFraction(const std::vector<synth::Zone>& zones,
                                const std::vector<synth::Poi>& pois,
                                double reach_m) const {
   uint64_t walkable = 0;
-  uint64_t total = 0;
-  for (size_t z = 0; z < trips_.size(); ++z) {
-    for (const TripEntry& trip : trips_[z]) {
+  for (uint32_t z = 0; z < num_zones(); ++z) {
+    for (const TripEntry& trip : TripsFor(z)) {
       double d = geo::Distance(zones[z].centroid, pois[trip.poi].position);
       if (d <= reach_m) ++walkable;
-      ++total;
     }
   }
-  return total > 0 ? static_cast<double>(walkable) / static_cast<double>(total)
-                   : 0.0;
+  return trips_.empty() ? 0.0
+                        : static_cast<double>(walkable) /
+                              static_cast<double>(trips_.size());
 }
 
 TodamBuilder::TodamBuilder(const std::vector<synth::Zone>& zones,
@@ -163,7 +106,8 @@ TodamBuilder::TodamBuilder(const std::vector<synth::Zone>& zones,
     : zones_(zones), pois_(pois), interval_(interval), config_(config) {}
 
 uint32_t TodamBuilder::SamplesPerPair() const {
-  return TodamSamplesPerPair(config_, interval_);
+  double samples = config_.sample_rate_per_hour * interval_.DurationHours();
+  return static_cast<uint32_t>(std::lround(std::max(1.0, samples)));
 }
 
 uint64_t TodamBuilder::FullTripCount() const {
@@ -176,36 +120,36 @@ double TodamBuilder::KeepProbability(double alpha_ij) const {
   return p > 1.0 ? 1.0 : p;
 }
 
-Todam Todam::FromParts(std::vector<std::vector<TripEntry>> trips,
+Todam Todam::FromParts(std::vector<size_t> offsets,
+                       std::vector<TripEntry> trips,
                        std::vector<std::vector<double>> alpha) {
+  assert(!offsets.empty() && offsets.front() == 0 &&
+         offsets.back() == trips.size());
   Todam todam;
+  todam.offsets_ = std::move(offsets);
   todam.trips_ = std::move(trips);
   todam.alpha_ = std::move(alpha);
-  todam.num_trips_ = 0;
-  for (const auto& zone_trips : todam.trips_) {
-    todam.num_trips_ += zone_trips.size();
-  }
   return todam;
 }
 
 Todam TodamBuilder::BuildFull(uint64_t seed) const {
   Todam todam;
   todam.alpha_ = AttractivenessMatrix(zones_, pois_, config_.decay_scale_m);
-  todam.trips_.resize(zones_.size());
+  todam.offsets_.reserve(zones_.size() + 1);
+  todam.offsets_.push_back(0);
+  todam.trips_.reserve(FullTripCount());
   uint32_t samples = SamplesPerPair();
   for (uint32_t z = 0; z < zones_.size(); ++z) {
-    auto& zone_trips = todam.trips_[z];
-    zone_trips.reserve(static_cast<size_t>(pois_.size()) * samples);
     for (uint32_t p = 0; p < pois_.size(); ++p) {
       util::Rng rng = PairRng(seed, z, p, static_cast<uint32_t>(pois_.size()));
       double span = static_cast<double>(interval_.end - interval_.start);
       for (uint32_t r = 0; r < samples; ++r) {
         gtfs::TimeOfDay t = interval_.start +
                             static_cast<gtfs::TimeOfDay>(rng.UniformDouble() * span);
-        zone_trips.push_back(TripEntry{p, t});
+        todam.trips_.push_back(TripEntry{p, t});
       }
     }
-    todam.num_trips_ += zone_trips.size();
+    todam.offsets_.push_back(todam.trips_.size());
   }
   return todam;
 }
@@ -213,10 +157,10 @@ Todam TodamBuilder::BuildFull(uint64_t seed) const {
 Todam TodamBuilder::BuildGravity(uint64_t seed) const {
   Todam todam;
   todam.alpha_ = AttractivenessMatrix(zones_, pois_, config_.decay_scale_m);
-  todam.trips_.resize(zones_.size());
+  todam.offsets_.reserve(zones_.size() + 1);
+  todam.offsets_.push_back(0);
   uint32_t samples = SamplesPerPair();
   for (uint32_t z = 0; z < zones_.size(); ++z) {
-    auto& zone_trips = todam.trips_[z];
     for (uint32_t p = 0; p < pois_.size(); ++p) {
       double keep = KeepProbability(todam.alpha_[z][p]);
       if (keep <= 0.0) continue;  // α = 0: no trips for this pair (M_b row 0)
@@ -228,31 +172,33 @@ Todam TodamBuilder::BuildGravity(uint64_t seed) const {
         bool kept = rng.Bernoulli(keep);
         gtfs::TimeOfDay t = interval_.start +
                             static_cast<gtfs::TimeOfDay>(rng.UniformDouble() * span);
-        if (kept) zone_trips.push_back(TripEntry{p, t});
+        if (kept) todam.trips_.push_back(TripEntry{p, t});
       }
     }
-    todam.num_trips_ += zone_trips.size();
+    todam.offsets_.push_back(todam.trips_.size());
   }
+  todam.trips_.shrink_to_fit();
   return todam;
 }
 
 Todam TodamBuilder::BuildGravityStable(
     uint64_t seed, const std::vector<double>& zone_norm) const {
   Todam todam;
-  todam.trips_.resize(zones_.size());
+  todam.offsets_.reserve(zones_.size() + 1);
+  todam.offsets_.push_back(0);
   todam.alpha_.resize(zones_.size());
   uint32_t samples = SamplesPerPair();
   for (uint32_t z = 0; z < zones_.size(); ++z) {
-    auto& zone_trips = todam.trips_[z];
     auto& alpha_row = todam.alpha_[z];
     alpha_row.reserve(pois_.size());
     for (uint32_t p = 0; p < pois_.size(); ++p) {
       alpha_row.push_back(SampleStablePair(zones_[z], z, pois_[p], p,
                                            zone_norm[z], config_, interval_,
-                                           samples, seed, &zone_trips));
+                                           samples, seed, &todam.trips_));
     }
-    todam.num_trips_ += zone_trips.size();
+    todam.offsets_.push_back(todam.trips_.size());
   }
+  todam.trips_.shrink_to_fit();
   return todam;
 }
 

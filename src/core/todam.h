@@ -4,13 +4,14 @@
 // trip. Materialising the full matrix M_f is exactly the bottleneck the
 // paper attacks, so this type supports both:
 //   * materialised construction (full or gravity-masked M_g) — trips are
-//     stored grouped by origin zone, which is the access pattern of both
-//     labeling and aggregation;
+//     stored in one flat array grouped by origin zone (CSR), which is the
+//     access pattern of both labeling and aggregation;
 //   * counting-only construction, which reproduces Table I's matrix sizes
 //     at full city scale without allocating hundreds of millions of trips.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/gravity.h"
@@ -52,22 +53,30 @@ inline std::vector<double> StableGravityNormsColumnar(
   return StableGravityNorms(zones, pois, decay_scale_m);
 }
 
-/// Materialised TODAM over one POI set and one time interval.
+/// Materialised TODAM over one POI set and one time interval, CSR by
+/// origin zone: one flat trip array in which zone z's trips occupy
+/// [offsets()[z], offsets()[z + 1]). Every holder that keeps per-trip data
+/// (a label state's trip costs and flags) indexes it by these offsets.
 class Todam {
  public:
   /// Trips originating at `zone`, grouped contiguously.
-  const std::vector<TripEntry>& TripsFor(uint32_t zone) const {
-    return trips_[zone];
+  std::span<const TripEntry> TripsFor(uint32_t zone) const {
+    return {trips_.data() + offsets_[zone], trips_.data() + offsets_[zone + 1]};
   }
-  size_t num_zones() const { return trips_.size(); }
-  uint64_t num_trips() const { return num_trips_; }
+  /// Every trip, zone after zone.
+  const std::vector<TripEntry>& trips() const { return trips_; }
+  /// Zone starts into trips(), plus the end (num_zones() + 1 entries).
+  const std::vector<size_t>& offsets() const { return offsets_; }
+  size_t num_zones() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  uint64_t num_trips() const { return trips_.size(); }
 
   /// α_ij weights used during construction (row-normalised); needed again
   /// for the gravity-weighted feature aggregation.
   const std::vector<std::vector<double>>& alpha() const { return alpha_; }
   /// Frees the α rows, for holders that never aggregate features (the
-  /// serve subsystem's exact label states). The column hooks below keep
-  /// an empty α empty.
+  /// serve subsystem's exact label states).
   void DropAlpha() { std::vector<std::vector<double>>().swap(alpha_); }
 
   /// Fraction of trips whose POI is within the walking reach `reach_m` of
@@ -76,46 +85,20 @@ class Todam {
                           const std::vector<synth::Poi>& pois,
                           double reach_m) const;
 
-  // --- scenario mutation hooks (serve subsystem) ------------------------
-  //
-  // Both hooks keep the invariant that a patched TODAM equals the one
-  // BuildGravityStable would produce from scratch over the edited POI set:
-  // within a zone, trips stay grouped per POI in POI-vector order, so
-  // removing a column erases one contiguous block and appending a column
-  // extends the tail. Zones whose trip sequence changed are recorded in
-  // `affected` (ascending) — exactly the zones whose labels can change.
-
-  /// Removes every trip targeting POI index `poi_index` and shifts higher
-  /// indices down by one (mirroring erasure from the POI vector). Also
-  /// drops the α column when α is populated.
-  void RemovePoiColumn(uint32_t poi_index, std::vector<uint32_t>* affected);
-
-  /// Samples and appends the column of `poi`, added at index `poi_index`
-  /// (the old POI count), in the edit-stable mode: every zone's α entry
-  /// and kept trips are drawn by the same per-pair code as
-  /// TodamBuilder::BuildGravityStable over (`zones`, `zone_norm`,
-  /// `gravity`, `interval`, `seed`). The pair's RNG stream is keyed by the
-  /// POI's stable id, so no other column is touched. The trips go after
-  /// each zone's existing ones; α rows grow when α is populated.
-  void AppendStablePoiColumn(const std::vector<synth::Zone>& zones,
-                             const synth::Poi& poi, uint32_t poi_index,
-                             const std::vector<double>& zone_norm,
-                             const GravityConfig& gravity,
-                             const gtfs::TimeInterval& interval, uint64_t seed,
-                             std::vector<uint32_t>* affected);
-
-  /// Reassembles a TODAM from persisted columns (snapshot restore).
-  /// `trips[z]` / `alpha[z]` become zone z's rows verbatim, so the
-  /// restored matrix is bit-identical to the built one (the property the
-  /// snapshot golden tests assert end to end).
-  static Todam FromParts(std::vector<std::vector<TripEntry>> trips,
+  /// Assembles a TODAM from its parts: `offsets` (zones + 1 entries,
+  /// starting at 0, ending at trips.size()) over the flat `trips`, and
+  /// `alpha` rows (empty for holders that drop them). Snapshot restore and
+  /// the serve subsystem's POI patches build their TODAMs this way, so the
+  /// result is bit-identical to the built one.
+  static Todam FromParts(std::vector<size_t> offsets,
+                         std::vector<TripEntry> trips,
                          std::vector<std::vector<double>> alpha);
 
  private:
   friend class TodamBuilder;
-  std::vector<std::vector<TripEntry>> trips_;
+  std::vector<TripEntry> trips_;
+  std::vector<size_t> offsets_;
   std::vector<std::vector<double>> alpha_;
-  uint64_t num_trips_ = 0;
 };
 
 /// Builds full and gravity TODAMs and their trip counts.
@@ -147,8 +130,10 @@ class TodamBuilder {
   /// (StableGravityNorms over a reference POI set), and the per-pair RNG is
   /// keyed by the POI's stable id. At the reference POI set this draws the
   /// same keep probabilities as BuildGravity; under POI edits it is
-  /// history-independent: rebuilding from scratch equals patching via
-  /// RemovePoiColumn/AppendStablePoiColumn, trip for trip.
+  /// history-independent: a pair's trips depend only on its zone, the
+  /// POI's id and the seed, so rebuilding from scratch equals dropping a
+  /// removed POI's trips, or appending the build over {new POI} after each
+  /// zone's trips (the serve store's POI patches), trip for trip.
   Todam BuildGravityStable(uint64_t seed,
                            const std::vector<double>& zone_norm) const;
 

@@ -1,5 +1,6 @@
 #include "serve/request.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace staq::serve {
@@ -81,6 +82,30 @@ LabelKey LabelKeyFor(const AqRequest& request) {
   key.gravity = request.options.gravity;
   key.seed = request.options.seed;
   return key;
+}
+
+util::Status CheckLabelKey(const LabelKey& key) {
+  const core::GravityConfig& gravity = key.gravity;
+  if (!(std::isfinite(gravity.decay_scale_m) && gravity.decay_scale_m > 0.0)) {
+    return util::Status::InvalidArgument(
+        "decay_scale_m must be finite and positive");
+  }
+  if (!(std::isfinite(gravity.keep_scale) && gravity.keep_scale >= 0.0)) {
+    return util::Status::InvalidArgument(
+        "keep_scale must be finite and non-negative");
+  }
+  if (gravity.sample_rate_per_hour < 1 ||
+      gravity.sample_rate_per_hour > kMaxSampleRatePerHour) {
+    return util::Status::InvalidArgument(
+        "sample_rate_per_hour must be in [1, " +
+        std::to_string(kMaxSampleRatePerHour) + "]");
+  }
+  if (key.cost == core::CostKind::kGeneralizedCost && !key.gac.Valid()) {
+    return util::Status::InvalidArgument(
+        "invalid GAC weights: every weight must be finite and non-negative, "
+        "the value of time positive");
+  }
+  return util::Status::OK();
 }
 
 std::string CanonicalRequestKey(const AqRequest& request) {

@@ -15,6 +15,7 @@
 
 #include "core/access_query.h"
 #include "core/columnar.h"
+#include "util/status.h"
 
 namespace staq::serve {
 
@@ -76,6 +77,13 @@ struct LabelKey {
 
 /// The label-state key a request resolves to.
 LabelKey LabelKeyFor(const AqRequest& request);
+
+/// kInvalidArgument unless `key` is one an admitted request can name: a
+/// finite decay_scale_m > 0, a finite keep_scale >= 0, sample_rate_per_hour
+/// in [1, kMaxSampleRatePerHour] and, under the generalized cost, valid
+/// GAC weights. Admission checks requests with it, and a snapshot's label
+/// keys must pass it too, since mutations patch every restored state.
+util::Status CheckLabelKey(const LabelKey& key);
 
 /// Canonical result-cache key of a request *within one scenario epoch*
 /// (the server prepends the epoch). Exact requests drop beta/model; SSR

@@ -31,30 +31,22 @@ router::RouterOptions BindConnections(router::RouterOptions options,
 
 /// Offline state for a timetable/fare mutation: isochrones depend only on
 /// the road graph and walk config — never on the timetable — so the
-/// parent's polygons are adopted verbatim (bit-identical to recomputing
-/// them) while hop trees and features rebuild over the disrupted city.
+/// parent's set is shared (bit-identical to recomputing it) while hop
+/// trees and features rebuild over the disrupted city.
 std::shared_ptr<const OfflineState> RebuildOfflineKeepingIsochrones(
     const synth::City& city, const OfflineState& parent) {
-  std::vector<geo::Polygon> polygons;
-  polygons.reserve(parent.isochrones->size());
-  for (uint32_t z = 0; z < parent.isochrones->size(); ++z) {
-    polygons.push_back(parent.isochrones->For(z));
-  }
-  auto isochrones = std::make_unique<core::IsochroneSet>(
-      parent.isochrones->config(), std::move(polygons));
-  auto hop_trees =
-      std::make_unique<core::HopTreeSet>(city, *isochrones, parent.interval);
+  auto hop_trees = std::make_unique<core::HopTreeSet>(
+      city, *parent.isochrones, parent.interval);
   return std::make_shared<const OfflineState>(
-      city, parent.interval, std::move(isochrones), std::move(hop_trees));
+      city, parent.interval, parent.isochrones, std::move(hop_trees));
 }
 
-/// A POI patch's starting point: `parent`'s POIs, normalisers, TODAM and
-/// labels. The patch edits those and rebuilds the trip columns.
+/// A POI patch's starting point: `parent`'s POIs, normalisers and labels.
+/// The patch edits those and builds the TODAM and trip columns.
 std::shared_ptr<ExactLabelState> PatchBase(const ExactLabelState& parent) {
   auto state = std::make_shared<ExactLabelState>();
   state->pois = parent.pois;
   state->zone_norm = parent.zone_norm;
-  state->todam = parent.todam;
   state->labels = parent.labels;
   return state;
 }
@@ -79,17 +71,17 @@ OfflineState::OfflineState(const synth::City& city,
                            core::IsochroneConfig iso_config)
     : interval(interval_in) {
   util::Stopwatch watch;
-  isochrones = std::make_unique<core::IsochroneSet>(city, iso_config);
+  isochrones = std::make_shared<const core::IsochroneSet>(city, iso_config);
   hop_trees = std::make_unique<core::HopTreeSet>(city, *isochrones, interval);
   features = std::make_unique<core::FeatureExtractor>(&city, isochrones.get(),
                                                       hop_trees.get());
   build_seconds = watch.ElapsedSeconds();
 }
 
-OfflineState::OfflineState(const synth::City& city,
-                           const gtfs::TimeInterval& interval_in,
-                           std::unique_ptr<core::IsochroneSet> isochrones_in,
-                           std::unique_ptr<core::HopTreeSet> hop_trees_in)
+OfflineState::OfflineState(
+    const synth::City& city, const gtfs::TimeInterval& interval_in,
+    std::shared_ptr<const core::IsochroneSet> isochrones_in,
+    std::unique_ptr<core::HopTreeSet> hop_trees_in)
     : interval(interval_in),
       isochrones(std::move(isochrones_in)),
       hop_trees(std::move(hop_trees_in)) {
@@ -120,25 +112,15 @@ std::shared_ptr<ExactLabelState> ExactLabelState::Unlabeled(
   state->pois = std::move(pois);
   state->todam = std::move(todam);
   state->todam.DropAlpha();
-  state->ResetTripColumns();
+  state->trip_flags.assign(state->todam.num_trips(), 0);
+  state->trip_costs.assign(state->todam.num_trips(), 0.0);
   state->labels.resize(state->todam.num_zones());
   return state;
 }
 
-void ExactLabelState::ResetTripColumns() {
-  const size_t zones = todam.num_zones();
-  trip_offsets.assign(1, 0);
-  trip_offsets.reserve(zones + 1);
-  for (uint32_t z = 0; z < zones; ++z) {
-    trip_offsets.push_back(trip_offsets.back() + todam.TripsFor(z).size());
-  }
-  trip_flags.assign(trip_offsets.back(), 0);
-  trip_costs.assign(trip_offsets.back(), 0.0);
-}
-
 void ExactLabelState::AggregateZones(const std::vector<uint32_t>& zones) {
   for (uint32_t z : zones) {
-    core::AggregateZoneLabels(&trip_offsets[z], 1, trip_flags.data(),
+    core::AggregateZoneLabels(&todam.offsets()[z], 1, trip_flags.data(),
                               trip_costs.data(), &labels[z]);
   }
 }
@@ -213,8 +195,8 @@ void Scenario::LabelZoneBlocks(
       for (size_t b = 0; b < labels.size(); ++b) {
         const uint32_t z = (*shared_zones)[first + b];
         state->labels[z] = labels[b];
-        const size_t begin = state->trip_offsets[z];
-        const size_t count = state->trip_offsets[z + 1] - begin;
+        const size_t begin = state->todam.offsets()[z];
+        const size_t count = state->todam.offsets()[z + 1] - begin;
         std::copy_n(costs.begin() + trip, count,
                     state->trip_costs.begin() + begin);
         std::copy_n(flags.begin() + trip, count,
@@ -227,12 +209,6 @@ void Scenario::LabelZoneBlocks(
     };
   };
   loop.Run(*this, core::NumZoneBlocks(shared_zones->size()), label_block);
-  // One SPQ per TODAM trip, whichever engine answered it.
-  state->build_spqs = 0;
-  for (uint32_t z : *shared_zones) {
-    state->build_spqs += state->labels[z].num_trips;
-  }
-  state->relabeled_zones = static_cast<uint32_t>(shared_zones->size());
 }
 
 std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
@@ -276,17 +252,15 @@ void Scenario::SeedLabelState(const LabelKey& key,
 
 ScenarioStore::ScenarioStore(synth::City city,
                              const gtfs::TimeInterval& interval,
-                             ZoneLoop& loop, Options options)
+                             ZoneLoop& loop)
     : base_(std::make_shared<const synth::City>(std::move(city))),
-      options_{options.iso,
-               BindConnections(std::move(options.router), &base_->feed)},
+      router_(BindConnections({}, &base_->feed)),
       network_city_(base_),
-      network_router_(options_.router),
-      network_iso_(options_.iso),
+      network_router_(router_),
       network_id_(NewNetworkId()),
       zone_loop_(loop) {
   auto offline =
-      std::make_shared<const OfflineState>(*base_, interval, options_.iso);
+      std::make_shared<const OfflineState>(*base_, interval, network_iso_);
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_, base_->pois,
                                              std::move(offline));
   scenario->SetNetwork(network_version_, network_id_, network_router_,
@@ -297,21 +271,18 @@ ScenarioStore::ScenarioStore(synth::City city,
   }
 }
 
-ScenarioStore::ScenarioStore(RestoredScenario restored, ZoneLoop& loop,
-                             Options options)
+ScenarioStore::ScenarioStore(RestoredScenario restored, ZoneLoop& loop)
     : base_(std::move(restored.city)),
-      options_{options.iso,
-               BindConnections(std::move(options.router), &base_->feed)},
+      router_(BindConnections({}, &base_->feed)),
       network_city_(base_),
-      network_router_(options_.router),
-      network_iso_(options_.iso),
+      network_router_(router_),
       network_id_(NewNetworkId()),
       zone_loop_(loop) {
-  // The exporter walked at its options times the cumulative scale; so
+  // The exporter walked at the defaults times the cumulative scale; so
   // does this store (ScaleWalkSpeed derives both the same way).
   const double walk_scale = restored.walk_scale;
-  network_router_.walk.speed_mps = options_.router.walk.speed_mps * walk_scale;
-  network_iso_.omega_kph = options_.iso.omega_kph * walk_scale;
+  network_router_.walk.speed_mps = router_.walk.speed_mps * walk_scale;
+  network_iso_.omega_kph = core::IsochroneConfig{}.omega_kph * walk_scale;
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_,
                                              std::move(restored.pois),
                                              std::move(restored.offline));
@@ -349,7 +320,7 @@ void ScenarioStore::Install(std::shared_ptr<const Scenario> next) {
   current_ = std::move(next);
 }
 
-ScenarioStore::StatePtr ScenarioStore::PatchAdd(
+ScenarioStore::Carried ScenarioStore::PatchAdd(
     const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
     const synth::Poi& poi) {
   // Fault site: the TODAM column patch failing before the parent state is
@@ -359,59 +330,64 @@ ScenarioStore::StatePtr ScenarioStore::PatchAdd(
   state->pois.push_back(poi);
   const uint32_t new_index = static_cast<uint32_t>(state->pois.size() - 1);
 
-  // Sample only the new POI's column. Every other pair's RNG stream is
-  // keyed by its own stable id, so the rest of the TODAM is untouched.
-  std::vector<uint32_t> affected;
-  state->todam.AppendStablePoiColumn(base_->zones, poi, new_index,
-                                     state->zone_norm, key.gravity,
-                                     next.interval(), key.seed, &affected);
-
-  // The new column as a state of its own — each affected zone's tail of
-  // trips, against the one POI — labeled by the same zone-block routine as
-  // a build. A trip's journey does not depend on its lane's other targets,
-  // so its cost equals the one a full build would route.
-  const size_t num_zones = parent.todam.num_zones();
-  std::vector<std::vector<core::TripEntry>> column_trips(num_zones);
-  for (uint32_t z : affected) {
-    const std::vector<core::TripEntry>& trips = state->todam.TripsFor(z);
-    for (size_t i = parent.todam.TripsFor(z).size(); i < trips.size(); ++i) {
-      column_trips[z].push_back(core::TripEntry{0, trips[i].depart});
-    }
-  }
+  // The new POI's column as a state of its own: the edit-stable TODAM over
+  // {poi} with the frozen normalisers. Every pair's RNG stream is keyed by
+  // its POI's stable id, so these are exactly the trips a from-scratch
+  // build draws for the POI, and no other column changes.
   auto column = ExactLabelState::Unlabeled(
-      {poi}, core::Todam::FromParts(std::move(column_trips), {}));
+      {poi}, core::TodamBuilder(base_->zones, {poi}, next.interval(),
+                                key.gravity)
+                 .BuildGravityStable(key.seed, state->zone_norm));
+  std::vector<uint32_t> affected;
+  for (uint32_t z = 0; z < column->todam.num_zones(); ++z) {
+    if (!column->todam.TripsFor(z).empty()) affected.push_back(z);
+  }
 
   // Fault site: labeling the new trips failing mid-mutation. Only the
   // un-installed copies are damaged; the store never publishes them.
   STAQ_FAILPOINT("serve.scenario.relabel");
+  // A trip's journey does not depend on its lane's other targets, so each
+  // new trip's cost equals the one a full build would route.
   next.LabelZoneBlocks(zone_loop_, key, column, affected);
 
-  // Each zone's trips are its parent's, then the new column's (the order
-  // AppendStablePoiColumn appended them in).
-  state->trip_offsets.assign(1, 0);
-  state->trip_flags.reserve(state->todam.num_trips());
-  state->trip_costs.reserve(state->todam.num_trips());
-  for (size_t z = 0; z < num_zones; ++z) {
-    for (const ExactLabelState* from :
-         {&parent, static_cast<const ExactLabelState*>(column.get())}) {
-      const size_t begin = from->trip_offsets[z];
-      const size_t end = from->trip_offsets[z + 1];
-      state->trip_flags.insert(state->trip_flags.end(),
-                               from->trip_flags.begin() + begin,
-                               from->trip_flags.begin() + end);
-      state->trip_costs.insert(state->trip_costs.end(),
-                               from->trip_costs.begin() + begin,
-                               from->trip_costs.begin() + end);
+  // One merge pass: each zone's trips are its parent's, then the column's
+  // (the new POI comes last in scenario order), and so are their columns.
+  const size_t total = parent.todam.num_trips() + column->todam.num_trips();
+  std::vector<size_t> offsets = {0};
+  offsets.reserve(parent.todam.offsets().size());
+  std::vector<core::TripEntry> trips;
+  trips.reserve(total);
+  state->trip_flags.reserve(total);
+  state->trip_costs.reserve(total);
+  const auto append_columns = [&state](const ExactLabelState& from,
+                                       uint32_t z) {
+    const size_t begin = from.todam.offsets()[z];
+    const size_t end = from.todam.offsets()[z + 1];
+    state->trip_flags.insert(state->trip_flags.end(),
+                             from.trip_flags.begin() + begin,
+                             from.trip_flags.begin() + end);
+    state->trip_costs.insert(state->trip_costs.end(),
+                             from.trip_costs.begin() + begin,
+                             from.trip_costs.begin() + end);
+  };
+  for (uint32_t z = 0; z < parent.todam.num_zones(); ++z) {
+    const std::span<const core::TripEntry> kept = parent.todam.TripsFor(z);
+    trips.insert(trips.end(), kept.begin(), kept.end());
+    append_columns(parent, z);
+    for (const core::TripEntry& trip : column->todam.TripsFor(z)) {
+      trips.push_back(core::TripEntry{new_index, trip.depart});
     }
-    state->trip_offsets.push_back(state->trip_flags.size());
+    append_columns(*column, z);
+    offsets.push_back(trips.size());
   }
+  state->todam =
+      core::Todam::FromParts(std::move(offsets), std::move(trips), {});
   state->AggregateZones(affected);
-  state->build_spqs = column->build_spqs;
-  state->relabeled_zones = static_cast<uint32_t>(affected.size());
-  return state;
+  return {state, column->todam.num_trips(),
+          static_cast<uint32_t>(affected.size())};
 }
 
-ScenarioStore::StatePtr ScenarioStore::PatchRemove(
+ScenarioStore::Carried ScenarioStore::PatchRemove(
     const ExactLabelState& parent, uint32_t poi_id) {
   // Fault site: mirror of serve.scenario.patch_add for the remove path.
   STAQ_FAILPOINT("serve.scenario.patch_remove");
@@ -420,7 +396,7 @@ ScenarioStore::StatePtr ScenarioStore::PatchRemove(
       [poi_id](const synth::Poi& p) { return p.id == poi_id; });
   if (it == parent.pois.end()) {
     // Carried-over states must contain every scenario POI of their
-    // category; proceeding would erase(end()) and corrupt the TODAM.
+    // category; proceeding would leave the POI's trips in the TODAM.
     std::fprintf(stderr,
                  "PatchRemove: POI %u absent from parent label state\n",
                  poi_id);
@@ -430,33 +406,47 @@ ScenarioStore::StatePtr ScenarioStore::PatchRemove(
   std::shared_ptr<ExactLabelState> state = PatchBase(parent);
   state->pois.erase(state->pois.begin() + index);
 
-  std::vector<uint32_t> affected;
-  state->todam.RemovePoiColumn(index, &affected);
-
   // Fault site: re-deriving the affected zones failing mid-mutation.
   STAQ_FAILPOINT("serve.scenario.relabel");
-  // Every surviving trip keeps its cost: drop the removed POI's trips from
-  // the columns and re-aggregate the zones that held any. No SPQ runs.
-  state->trip_offsets.assign(1, 0);
-  state->trip_flags.reserve(state->todam.num_trips());
-  state->trip_costs.reserve(state->todam.num_trips());
+  // One flat pass drops the POI's trips from the TODAM and both columns
+  // and shifts higher POI indices down by one, mirroring the erase above.
+  // Every surviving trip keeps its cost, so no SPQ runs; the zones that
+  // lost a trip re-aggregate.
+  const std::vector<core::TripEntry>& from = parent.todam.trips();
+  const auto dropped = [index](const core::TripEntry& t) {
+    return t.poi == index;
+  };
+  const size_t kept = from.size() - static_cast<size_t>(std::count_if(
+                                        from.begin(), from.end(), dropped));
+  std::vector<size_t> offsets = {0};
+  offsets.reserve(parent.todam.offsets().size());
+  std::vector<core::TripEntry> trips;
+  trips.reserve(kept);
+  state->trip_flags.reserve(kept);
+  state->trip_costs.reserve(kept);
+  std::vector<uint32_t> affected;
   for (uint32_t z = 0; z < parent.todam.num_zones(); ++z) {
-    const std::vector<core::TripEntry>& trips = parent.todam.TripsFor(z);
-    const size_t base = parent.trip_offsets[z];
-    for (size_t i = 0; i < trips.size(); ++i) {
-      if (trips[i].poi == index) continue;
-      state->trip_flags.push_back(parent.trip_flags[base + i]);
-      state->trip_costs.push_back(parent.trip_costs[base + i]);
+    const size_t end = parent.todam.offsets()[z + 1];
+    for (size_t i = parent.todam.offsets()[z]; i < end; ++i) {
+      if (dropped(from[i])) continue;
+      core::TripEntry trip = from[i];
+      if (trip.poi > index) --trip.poi;
+      trips.push_back(trip);
+      state->trip_flags.push_back(parent.trip_flags[i]);
+      state->trip_costs.push_back(parent.trip_costs[i]);
     }
-    state->trip_offsets.push_back(state->trip_flags.size());
+    if (trips.size() - offsets.back() != parent.todam.TripsFor(z).size()) {
+      affected.push_back(z);
+    }
+    offsets.push_back(trips.size());
   }
+  state->todam =
+      core::Todam::FromParts(std::move(offsets), std::move(trips), {});
   state->AggregateZones(affected);
-  state->build_spqs = 0;
-  state->relabeled_zones = static_cast<uint32_t>(affected.size());
-  return state;
+  return {state, 0, static_cast<uint32_t>(affected.size())};
 }
 
-ScenarioStore::StatePtr ScenarioStore::PatchNetwork(
+ScenarioStore::Carried ScenarioStore::PatchNetwork(
     const Scenario& next, const LabelKey& key, const ExactLabelState& parent,
     const std::vector<uint32_t>& affected) {
   // The TODAM is demand-side (zones x POIs x interval) and carries over
@@ -466,7 +456,9 @@ ScenarioStore::StatePtr ScenarioStore::PatchNetwork(
   // mutated feed.
   auto state = std::make_shared<ExactLabelState>(parent);
   next.LabelZoneBlocks(zone_loop_, key, state, affected);
-  return state;
+  uint64_t spqs = 0;
+  for (uint32_t z : affected) spqs += state->todam.TripsFor(z).size();
+  return {state, spqs, static_cast<uint32_t>(affected.size())};
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
@@ -496,15 +488,15 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
   report.zones_total = static_cast<uint32_t>(base_->zones.size());
   if (draft.carry) {
     for (const auto& [key, state] : current->MaterializedStates()) {
-      StatePtr carried = draft.carry(*next, key, state);
-      if (carried == state) {
+      Carried carried = draft.carry(*next, key, state);
+      if (carried.state == state) {
         ++report.states_shared;
       } else {
-        report.spqs += carried->build_spqs;
-        report.zones_relabeled += carried->relabeled_zones;
+        report.spqs += carried.spqs;
+        report.zones_relabeled += carried.zones;
         ++report.states_patched;
       }
-      next->SeedLabelState(key, std::move(carried));
+      next->SeedLabelState(key, std::move(carried.state));
     }
   }
 
@@ -584,8 +576,8 @@ ScenarioStore::MutationReport ScenarioStore::AddPoi(
            draft.pois.push_back(poi);
            draft.report_id = poi.id;
            draft.carry = [this, poi](const Scenario& next, const LabelKey& key,
-                                     const StatePtr& parent) -> StatePtr {
-             if (key.category != poi.category) return parent;
+                                     const StatePtr& parent) -> Carried {
+             if (key.category != poi.category) return {parent};
              return PatchAdd(next, key, *parent, poi);
            };
            return draft;
@@ -608,8 +600,8 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::RemovePoi(
     draft.report_id = poi_id;
     draft.carry = [this, poi_id, category = it->category](
                       const Scenario&, const LabelKey& key,
-                      const StatePtr& parent) -> StatePtr {
-      if (key.category != category) return parent;
+                      const StatePtr& parent) -> Carried {
+      if (key.category != category) return {parent};
       return PatchRemove(*parent, poi_id);
     };
     return draft;
@@ -624,7 +616,9 @@ ScenarioStore::MutationReport ScenarioStore::SetInterval(
              // Nothing interval-dependent changes: the offline state is
              // shared and every label state carried verbatim.
              draft.carry = [](const Scenario&, const LabelKey&,
-                              const StatePtr& parent) { return parent; };
+                              const StatePtr& parent) -> Carried {
+               return {parent};
+             };
              return draft;
            }
            // Label states are interval-dependent: none is carried.
@@ -699,8 +693,8 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::SetFare(
     // repriced route mid-journey, so no cheaper screen is sound.
     draft.carry = [this, all = AllZones(base_->zones.size())](
                       const Scenario& next, const LabelKey& key,
-                      const StatePtr& parent) -> StatePtr {
-      if (key.cost != core::CostKind::kGeneralizedCost) return parent;
+                      const StatePtr& parent) -> Carried {
+      if (key.cost != core::CostKind::kGeneralizedCost) return {parent};
       return PatchNetwork(next, key, *parent, all);
     };
     return draft;
@@ -720,9 +714,8 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleWalkSpeed(
     // structures describe the same pedestrian.
     Draft draft = DraftFrom(current);
     draft.walk_scale *= factor;
-    draft.router.walk.speed_mps =
-        options_.router.walk.speed_mps * draft.walk_scale;
-    draft.iso.omega_kph = options_.iso.omega_kph * draft.walk_scale;
+    draft.router.walk.speed_mps = router_.walk.speed_mps * draft.walk_scale;
+    draft.iso.omega_kph = core::IsochroneConfig{}.omega_kph * draft.walk_scale;
     // The isochrone config changed, so this is a full offline build.
     draft.offline = std::make_shared<const OfflineState>(
         *draft.city, current.interval(), draft.iso);

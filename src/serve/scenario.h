@@ -24,7 +24,11 @@
 // the edited POI; exact, not a conservative superset). The patched state
 // is bit-identical to a from-scratch build over the edited POI set, which
 // the golden tests assert; a removal runs no SPQ and an addition one per
-// new trip.
+// new trip. The TODAM is the one index of a state's trips (one flat array
+// grouped by zone, core/todam.h) and the trip columns follow its offsets,
+// so either patch is one pass over flat arrays. What a patch cost goes to
+// the mutation's report; a state keeps no accounting, and an exact answer
+// reports one SPQ per trip of its state, however the state was made.
 //
 // Timetable disruptions (scenario subsystem) extend the same contract to
 // the supply side. SuspendRoute / CloseStop / ScaleHeadway build a
@@ -78,20 +82,22 @@ namespace staq::serve {
 /// Offline structures of one analysis interval. They depend only on zones,
 /// the road graph, and the GTFS feed — never on POIs — so every POI-edit
 /// epoch shares its parent's OfflineState; only an interval switch builds
-/// a new one.
+/// a new one. Isochrones never read the timetable either, so a disruption
+/// epoch shares its parent's set.
 struct OfflineState {
   OfflineState(const synth::City& city, const gtfs::TimeInterval& interval,
                core::IsochroneConfig iso_config = {});
 
-  /// Snapshot restore: adopts persisted isochrones and hop trees verbatim
-  /// and rebuilds the (cheap, deterministic) feature extractor against
-  /// `city`, which must outlive the state exactly as for the building ctor.
+  /// Adopts `isochrones` (a parent epoch's, or persisted ones) and hop
+  /// trees verbatim and rebuilds the (cheap, deterministic) feature
+  /// extractor against `city`, which must outlive the state exactly as for
+  /// the building ctor.
   OfflineState(const synth::City& city, const gtfs::TimeInterval& interval,
-               std::unique_ptr<core::IsochroneSet> isochrones,
+               std::shared_ptr<const core::IsochroneSet> isochrones,
                std::unique_ptr<core::HopTreeSet> hop_trees);
 
   gtfs::TimeInterval interval;
-  std::unique_ptr<core::IsochroneSet> isochrones;
+  std::shared_ptr<const core::IsochroneSet> isochrones;
   std::unique_ptr<core::HopTreeSet> hop_trees;
   std::unique_ptr<core::FeatureExtractor> features;
   double build_seconds = 0.0;
@@ -100,7 +106,9 @@ struct OfflineState {
 /// One exact labeling of one scenario under one LabelKey: the edit-stable
 /// TODAM over the key's category POIs, every trip's cost under the key and
 /// the exact label of every zone. Immutable once published; patches
-/// copy-then-modify.
+/// copy-then-modify. The TODAM alone groups the trips by zone: the trip
+/// columns are indexed by todam.offsets(), so zone z's costs and flags
+/// occupy [offsets[z], offsets[z + 1]).
 struct ExactLabelState {
   /// The category's POIs in scenario order (stable-id ascending).
   std::vector<synth::Poi> pois;
@@ -112,34 +120,21 @@ struct ExactLabelState {
   /// Scenario::StableTodam); an SSR sample's state holds its zones' only.
   core::Todam todam;
   /// Each trip's cost under the key (LabelKey::cost and ::gac) and its
-  /// flags (bit0 feasible, bit1 walk-only), CSR by zone and aligned with
-  /// the TODAM: zone z's trips occupy [trip_offsets[z], trip_offsets[z +
-  /// 1]) in TripsFor(z)'s order. POI patches splice these columns instead
-  /// of routing whole zones again.
-  std::vector<size_t> trip_offsets;
+  /// flags (bit0 feasible, bit1 walk-only), one entry per TODAM trip in
+  /// todam.trips() order. POI patches splice these columns instead of
+  /// routing whole zones again.
   std::vector<uint8_t> trip_flags;
   std::vector<double> trip_costs;
   /// Indexed by zone; every label is core::AggregateZoneLabels over its
   /// zone's trip columns.
   std::vector<core::ZoneLabel> labels;
 
-  /// SPQs spent producing this state from its predecessor: every trip for
-  /// a full build, every trip of the affected zones for a network patch,
-  /// the new POI's trips for an AddPoi patch and none for a RemovePoi.
-  uint64_t build_spqs = 0;
-  /// Zones whose labels that step derived: all zones for a full build, the
-  /// relabeled zones of a network patch, the re-aggregated zones of a POI
-  /// patch.
-  uint32_t relabeled_zones = 0;
-
   /// A state over `todam`'s trips (α rows dropped) to `pois`, trip columns
-  /// sized, no zone labeled and `zone_norm` empty: what LabelZoneBlocks fills.
+  /// sized with every trip zeroed (the infeasible encoding), no zone
+  /// labeled and `zone_norm` empty: what LabelZoneBlocks fills.
   static std::shared_ptr<ExactLabelState> Unlabeled(
       std::vector<synth::Poi> pois, core::Todam todam);
 
-  /// Sizes the trip columns to the TODAM: offsets from its zones' trip
-  /// counts, every trip zeroed (the infeasible encoding).
-  void ResetTripColumns();
   /// Derives `zones`' labels from their trip columns.
   void AggregateZones(const std::vector<uint32_t>& zones);
 };
@@ -374,9 +369,9 @@ class Scenario {
   /// captures: labels `zones` of `state` under key.cost and key.gac over
   /// this scenario's network through `loop`, core::kZoneBlock entries of
   /// `zones` per loop item. Stores every label at its zone and every
-  /// trip's cost and flags in the state's trip columns (ResetTripColumns
-  /// must have sized them), and records the pass's SPQs and zone count in
-  /// the state. `capture`, when non-null, must be empty; it receives one
+  /// trip's cost and flags in the state's trip columns (which must be
+  /// sized to its TODAM, as Unlabeled sizes them): one SPQ per trip of
+  /// `zones`. `capture`, when non-null, must be empty; it receives one
   /// trip range per entry of `zones`, in order, holding every trip's cost
   /// basis (each block's LabelingEngine::block_columns()).
   void LabelZoneBlocks(
@@ -434,7 +429,7 @@ struct RestoredScenario {
   uint32_t next_poi_id = 0;
   /// Cumulative ScaleWalkSpeed factor of the exported network (1.0 when the
   /// snapshot predates its section). The restored store's walk parameters
-  /// are its options' times this scale, as they were on the exporter.
+  /// are the defaults times this scale, as they were on the exporter.
   double walk_scale = 1.0;
 };
 
@@ -442,24 +437,18 @@ struct RestoredScenario {
 /// wait-free with respect to writers apart from one pointer-load mutex.
 class ScenarioStore {
  public:
-  struct Options {
-    core::IsochroneConfig iso;
-    router::RouterOptions router;
-  };
-
   /// Takes ownership of the city; builds the offline state for `interval`
   /// and installs epoch 0 over the city's own POIs. Every patch labels
   /// its zones through `loop` (not owned; it must outlive the store's
   /// mutations and route over each patched epoch's network). AqServer
   /// passes itself, so patches lease its contexts and helpers.
   ScenarioStore(synth::City city, const gtfs::TimeInterval& interval,
-                ZoneLoop& loop, Options options = Options());
+                ZoneLoop& loop);
 
   /// Warm start from a loaded snapshot (store/snapshot.h): installs the
   /// restored scenario as epoch 0 with its label states pre-seeded,
   /// skipping the offline cold build entirely. `loop` as above.
-  ScenarioStore(RestoredScenario restored, ZoneLoop& loop,
-                Options options = Options());
+  ScenarioStore(RestoredScenario restored, ZoneLoop& loop);
 
   /// The current snapshot. The returned scenario stays fully usable after
   /// any number of subsequent mutations.
@@ -475,13 +464,11 @@ class ScenarioStore {
   /// (wal/record.h). Cold-built stores sit at 0.
   uint64_t base_sequence() const { return base_sequence_; }
 
-  /// The store's router options with the shared connection array injected
-  /// (built once in the constructor). Per-worker Routers built
-  /// from these share the array instead of rebuilding it — mutations never
-  /// edit the feed, so one array serves every scenario epoch.
-  const router::RouterOptions& router_options() const {
-    return options_.router;
-  }
+  /// The default router options with the shared connection array of the
+  /// base feed injected (built once in the constructor). Per-worker
+  /// Routers built from these share the array instead of rebuilding it; a
+  /// disrupted epoch's scenario carries its own (Scenario::router_options).
+  const router::RouterOptions& router_options() const { return router_; }
 
   /// What one mutation did and what it cost.
   struct MutationReport {
@@ -543,7 +530,7 @@ class ScenarioStore {
   /// journey-time states are shared verbatim (fares never enter JT).
   util::Result<MutationReport> SetFare(uint32_t route, double fare);
   /// "Snow day": scales walking speed (router walk params and isochrone ω)
-  /// by `factor`, cumulatively: both become the store's options times the
+  /// by `factor`, cumulatively: both become the defaults times the
   /// cumulative scale, so a snapshot that persists the scale restores the
   /// same bits. Rebuilds the offline state and relabels every zone of
   /// every materialised state.
@@ -570,6 +557,14 @@ class ScenarioStore {
  private:
   using StatePtr = std::shared_ptr<const ExactLabelState>;
 
+  /// One label state carried into the next epoch and what carrying it
+  /// cost; a state shared verbatim costs nothing.
+  struct Carried {
+    StatePtr state;
+    uint64_t spqs = 0;   // SPQs the patch routed
+    uint32_t zones = 0;  // zones whose labels the patch derived again
+  };
+
   /// One mutation's next epoch as its kind decides it, before anything is
   /// installed. Every field starts as the current epoch's (DraftFrom).
   struct Draft {
@@ -587,11 +582,11 @@ class ScenarioStore {
     /// The POI id cursor after the mutation; committed with the epoch, so
     /// a mutation that fails never uses up an id.
     uint32_t next_poi_id = 0;
-    /// Carries one materialised label state into `next`: returns `parent`
-    /// to share it verbatim, or its patched copy. Empty: no state is
-    /// carried (an interval switch).
-    std::function<StatePtr(const Scenario& next, const LabelKey& key,
-                           const StatePtr& parent)>
+    /// Carries one materialised label state into `next`: returns
+    /// `{parent}` to share it verbatim, or its patched copy with what the
+    /// patch cost. Empty: no state is carried (an interval switch).
+    std::function<Carried(const Scenario& next, const LabelKey& key,
+                          const StatePtr& parent)>
         carry;
   };
   using DeriveFn = std::function<util::Result<Draft>(const Scenario&)>;
@@ -615,24 +610,26 @@ class ScenarioStore {
       const Scenario& current,
       util::Result<scenario::TransformResult> transformed, uint32_t target);
 
-  /// Routes only `poi`'s new trips (a one-column state through the zone
-  /// loop), appends their costs to each affected zone's trip columns and
-  /// re-aggregates those zones.
-  StatePtr PatchAdd(const Scenario& next, const LabelKey& key,
-                    const ExactLabelState& parent, const synth::Poi& poi);
+  /// Samples and routes only `poi`'s trips (a one-column state through
+  /// the zone loop), merges them after each zone's trips in the TODAM and
+  /// the trip columns, and re-aggregates the zones that gained any: one
+  /// SPQ per new trip.
+  Carried PatchAdd(const Scenario& next, const LabelKey& key,
+                   const ExactLabelState& parent, const synth::Poi& poi);
   /// Drops `poi_id`'s trips from the TODAM and the trip columns and
   /// re-aggregates the zones that held any: no SPQ runs.
-  StatePtr PatchRemove(const ExactLabelState& parent, uint32_t poi_id);
+  Carried PatchRemove(const ExactLabelState& parent, uint32_t poi_id);
   /// Carries one label state across a network mutation: the TODAM is
   /// demand-side and moves verbatim; `affected` zones relabel over
-  /// `next`'s (new) network through the zone loop.
-  StatePtr PatchNetwork(const Scenario& next, const LabelKey& key,
-                        const ExactLabelState& parent,
-                        const std::vector<uint32_t>& affected);
+  /// `next`'s (new) network through the zone loop, one SPQ per trip.
+  Carried PatchNetwork(const Scenario& next, const LabelKey& key,
+                       const ExactLabelState& parent,
+                       const std::vector<uint32_t>& affected);
   void Install(std::shared_ptr<const Scenario> next);
 
   std::shared_ptr<const synth::City> base_;
-  Options options_;
+  /// Default router options bound to the base feed's connection array.
+  router::RouterOptions router_;
   /// Absolute sequence of epoch 0 (the snapshot's source sequence at warm
   /// start, else 0). Immutable after construction.
   uint64_t base_sequence_ = 0;

@@ -55,27 +55,7 @@ util::Status CheckRequest(const AqRequest& request) {
         options.beta <= 1.0)) {
     return util::Status::InvalidArgument("beta must be finite, in (0, 1]");
   }
-  const core::GravityConfig& gravity = options.gravity;
-  if (!(std::isfinite(gravity.decay_scale_m) && gravity.decay_scale_m > 0.0)) {
-    return util::Status::InvalidArgument(
-        "decay_scale_m must be finite and positive");
-  }
-  if (!(std::isfinite(gravity.keep_scale) && gravity.keep_scale >= 0.0)) {
-    return util::Status::InvalidArgument(
-        "keep_scale must be finite and non-negative");
-  }
-  if (gravity.sample_rate_per_hour < 1 ||
-      gravity.sample_rate_per_hour > kMaxSampleRatePerHour) {
-    return util::Status::InvalidArgument(
-        "sample_rate_per_hour must be in [1, " +
-        std::to_string(kMaxSampleRatePerHour) + "]");
-  }
-  if (options.cost == core::CostKind::kGeneralizedCost && !options.gac.Valid()) {
-    return util::Status::InvalidArgument(
-        "invalid GAC weights: every weight must be finite and non-negative, "
-        "the value of time positive");
-  }
-  return util::Status::OK();
+  return CheckLabelKey(LabelKeyFor(request));
 }
 
 /// Builds the server's ScenarioStore, preferring a snapshot warm start;
@@ -89,14 +69,13 @@ ScenarioStore MakeStore(synth::City&& city, const gtfs::TimeInterval& interval,
     auto restored = store::LoadSnapshot(options.warm_start_path);
     if (restored.ok()) {
       *warm_started = true;
-      return ScenarioStore(std::move(restored).value(), loop,
-                           options.scenario);
+      return ScenarioStore(std::move(restored).value(), loop);
     }
     util::LogWarning("warm start from '" + options.warm_start_path +
                      "' failed (" + restored.status().ToString() +
                      "); falling back to cold build");
   }
-  return ScenarioStore(std::move(city), interval, loop, options.scenario);
+  return ScenarioStore(std::move(city), interval, loop);
 }
 
 }  // namespace
@@ -667,7 +646,7 @@ void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
   for (size_t i : missing) {
     core::AccessQueryResult result;
     result.gravity_trips = state->todam.num_trips();
-    result.spqs = columns->num_trips();  // one SPQ per captured trip
+    result.spqs = state->todam.num_trips();  // one SPQ per trip
     core::MemberCostColumn(
         *columns,
         core::CostMember{requests[i].options.cost, requests[i].options.gac},
@@ -717,8 +696,9 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
                          : scenario.BuildLabelState(key, loop);
     });
     if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
+    // One SPQ per trip, however the state was built, patched or restored.
     result.gravity_trips = state->todam.num_trips();
-    result.spqs = state->build_spqs;
+    result.spqs = state->todam.num_trips();
     core::SetZoneMeasures(state->labels, &result);
   } else {
     // SSR path: the TODAM uses the same edit-stable construction as the
@@ -751,14 +731,24 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     if (!sample.ok()) return sample.status();
     // The sample labels like an exact build, over its own zones' trips.
     const std::vector<uint32_t>& labeled = sample.value().result.labeled;
-    std::vector<std::vector<core::TripEntry>> trips(todam.num_zones());
-    for (uint32_t z : labeled) trips[z] = todam.TripsFor(z);
+    std::vector<uint8_t> in_sample(todam.num_zones(), 0);
+    for (uint32_t z : labeled) in_sample[z] = 1;
+    std::vector<size_t> offsets = {0};
+    std::vector<core::TripEntry> trips;
+    for (uint32_t z = 0; z < todam.num_zones(); ++z) {
+      if (in_sample[z]) {
+        const std::span<const core::TripEntry> zone_trips = todam.TripsFor(z);
+        trips.insert(trips.end(), zone_trips.begin(), zone_trips.end());
+      }
+      offsets.push_back(trips.size());
+    }
     auto state = ExactLabelState::Unlabeled(
-        std::move(pois), core::Todam::FromParts(std::move(trips), {}));
+        std::move(pois),
+        core::Todam::FromParts(std::move(offsets), std::move(trips), {}));
     label_zones([&](ZoneLoop& loop) {
       scenario.LabelZoneBlocks(loop, key, state, labeled);
     });
-    result.spqs = state->build_spqs;
+    result.spqs = state->todam.num_trips();
     std::vector<core::ZoneLabel> labels;
     for (uint32_t z : labeled) labels.push_back(state->labels[z]);
     // Fault site (tests): an SSR answer parked between labeling and fit.

@@ -113,7 +113,6 @@ class AqServer : private ZoneLoop {
     /// rejections. 0 disables shedding (max_pending still applies).
     double max_queue_delay_s = 0.0;
     ResultCache::Options cache;
-    ScenarioStore::Options scenario;
     /// Time source for deadlines and latency accounting; null = the real
     /// clock. Tests pass a VirtualClock and advance time explicitly instead
     /// of sleeping.

@@ -120,6 +120,25 @@ util::Status ReadPois(ByteReader* in, const std::string& section,
   return util::Status::OK();
 }
 
+/// Whether `listed` is exactly `pois`' POIs of `category`, in order and bit
+/// for bit.
+bool ListsCategory(const std::vector<synth::Poi>& listed,
+                   const std::vector<synth::Poi>& pois,
+                   synth::PoiCategory category) {
+  size_t i = 0;
+  for (const synth::Poi& poi : pois) {
+    if (poi.category != category) continue;
+    if (i == listed.size() || listed[i].id != poi.id ||
+        listed[i].category != category ||
+        std::memcmp(&listed[i].position, &poi.position,
+                    sizeof(geo::Point)) != 0) {
+      return false;
+    }
+    ++i;
+  }
+  return i == listed.size();
+}
+
 // --- encoders --------------------------------------------------------------
 
 std::vector<uint8_t> EncodeMeta(const serve::Scenario& scenario,
@@ -652,8 +671,7 @@ util::Status DecodeHops(ByteReader in, size_t num_zones, size_t num_stops,
 
 // --- exact label states ----------------------------------------------------
 
-std::vector<uint8_t> EncodeLabelKey(const serve::LabelKey& key,
-                                    const serve::ExactLabelState& state) {
+std::vector<uint8_t> EncodeLabelKey(const serve::LabelKey& key) {
   std::vector<uint8_t> b;
   PutFixed(&b, static_cast<uint8_t>(key.category));
   PutFixed(&b, static_cast<uint8_t>(key.cost));
@@ -667,16 +685,17 @@ std::vector<uint8_t> EncodeLabelKey(const serve::LabelKey& key,
   PutFixed(&b, key.gravity.keep_scale);
   PutZigZag64(&b, key.gravity.sample_rate_per_hour);
   PutFixed(&b, key.seed);
-  PutVarint64(&b, state.build_spqs);
-  PutVarint64(&b, state.relabeled_zones);
+  // Two accounting slots (a state's build SPQs and relabeled zones) that
+  // states no longer keep: written as 0, never read.
+  PutVarint64(&b, 0);
+  PutVarint64(&b, 0);
   return b;
 }
 
 util::Status DecodeLabelKey(ByteReader in, const std::string& section,
-                            serve::LabelKey* key,
-                            serve::ExactLabelState* state) {
+                            serve::LabelKey* key) {
   uint8_t category = 0, cost = 0;
-  uint64_t build_spqs = 0, relabeled = 0;
+  uint64_t unread = 0;
   bool ok = in.ReadFixed(&category) && in.ReadFixed(&cost) &&
             in.ReadFixed(&key->gac.lambda_tan) &&
             in.ReadFixed(&key->gac.lambda_wt) &&
@@ -687,8 +706,8 @@ util::Status DecodeLabelKey(ByteReader in, const std::string& section,
             in.ReadFixed(&key->gravity.decay_scale_m) &&
             in.ReadFixed(&key->gravity.keep_scale) &&
             ReadInt(&in, &key->gravity.sample_rate_per_hour) &&
-            in.ReadFixed(&key->seed) && in.ReadVarint64(&build_spqs) &&
-            in.ReadVarint64(&relabeled);
+            in.ReadFixed(&key->seed) && in.ReadVarint64(&unread) &&
+            in.ReadVarint64(&unread);
   if (!ok) return Malformed(section);
   if (category >= synth::kNumPoiCategories ||
       cost > static_cast<uint8_t>(core::CostKind::kGeneralizedCost)) {
@@ -696,8 +715,11 @@ util::Status DecodeLabelKey(ByteReader in, const std::string& section,
   }
   key->category = static_cast<synth::PoiCategory>(category);
   key->cost = static_cast<core::CostKind>(cost);
-  state->build_spqs = build_spqs;
-  state->relabeled_zones = static_cast<uint32_t>(relabeled);
+  // Mutations patch every restored state under its key, so a key no
+  // request could name (say, a sample rate of 0 or 2^31 per hour) is
+  // refused here rather than sampled by the next AddPoi.
+  util::Status checked = serve::CheckLabelKey(*key);
+  if (!checked.ok()) return Inconsistent(section, checked.message());
   return util::Status::OK();
 }
 
@@ -705,12 +727,11 @@ std::vector<uint8_t> EncodeTodam(const core::Todam& todam) {
   std::vector<uint32_t> trip_counts, pois;
   std::vector<int32_t> departs;
   for (uint32_t z = 0; z < todam.num_zones(); ++z) {
-    const auto& zone_trips = todam.TripsFor(z);
-    trip_counts.push_back(static_cast<uint32_t>(zone_trips.size()));
-    for (const core::TripEntry& trip : zone_trips) {
-      pois.push_back(trip.poi);
-      departs.push_back(trip.depart);
-    }
+    trip_counts.push_back(static_cast<uint32_t>(todam.TripsFor(z).size()));
+  }
+  for (const core::TripEntry& trip : todam.trips()) {
+    pois.push_back(trip.poi);
+    departs.push_back(trip.depart);
   }
   // Exact states hold no α rows. The α columns keep their place in the
   // layout as an empty row per zone, so the section decodes as before.
@@ -742,9 +763,10 @@ util::Status DecodeTodam(ByteReader in, const std::string& section,
       alpha_counts.size() != num_zones) {
     return Inconsistent(section, "TODAM zone count mismatch");
   }
-  uint64_t total_trips = 0;
-  for (uint32_t c : trip_counts) total_trips += c;
-  if (pois.size() != total_trips || departs.size() != total_trips) {
+  std::vector<size_t> offsets = {0};
+  offsets.reserve(num_zones + 1);
+  for (uint32_t c : trip_counts) offsets.push_back(offsets.back() + c);
+  if (pois.size() != offsets.back() || departs.size() != offsets.back()) {
     return Inconsistent(section, "TODAM trip column lengths differ");
   }
   uint64_t total_alpha = 0;
@@ -752,20 +774,16 @@ util::Status DecodeTodam(ByteReader in, const std::string& section,
   if (alpha.size() != total_alpha) {
     return Inconsistent(section, "TODAM alpha column length mismatch");
   }
-  std::vector<std::vector<core::TripEntry>> trips(num_zones);
-  size_t cursor = 0;
-  for (size_t z = 0; z < num_zones; ++z) {
-    trips[z].resize(trip_counts[z]);
-    for (uint32_t i = 0; i < trip_counts[z]; ++i, ++cursor) {
-      if (pois[cursor] >= num_pois) {
-        return Inconsistent(section, "trip references unknown POI");
-      }
-      trips[z][i] = core::TripEntry{pois[cursor], departs[cursor]};
+  std::vector<core::TripEntry> trips(pois.size());
+  for (size_t i = 0; i < trips.size(); ++i) {
+    if (pois[i] >= num_pois) {
+      return Inconsistent(section, "trip references unknown POI");
     }
+    trips[i] = core::TripEntry{pois[i], departs[i]};
   }
   // α rows an older snapshot carries are validated above and dropped:
   // exact states hold none.
-  *out = core::Todam::FromParts(std::move(trips), {});
+  *out = core::Todam::FromParts(std::move(offsets), std::move(trips), {});
   return util::Status::OK();
 }
 
@@ -794,7 +812,6 @@ util::Status DecodeTripCosts(ByteReader in, const std::string& section,
       return Inconsistent(section, "trip flag out of range");
     }
   }
-  state->ResetTripColumns();
   state->trip_flags = std::move(flags);
   state->trip_costs = std::move(costs);
   return util::Status::OK();
@@ -956,7 +973,7 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
     const std::string key_name = LabelSection(i, "key");
     auto key_in = reader.Section(key_name, SectionEncoding::kStruct);
     if (!key_in.ok()) return key_in.status();
-    st = DecodeLabelKey(key_in.value(), key_name, &key, state.get());
+    st = DecodeLabelKey(key_in.value(), key_name, &key);
     if (!st.ok()) return st;
 
     const std::string pois_name = LabelSection(i, "pois");
@@ -964,6 +981,12 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
     if (!pois_in.ok()) return pois_in.status();
     st = ReadPois(&pois_in.value(), pois_name, &state->pois);
     if (!st.ok()) return st;
+    // Patches find and append POIs in the state's list as in the
+    // scenario's: a removal aborts on a POI the state lacks.
+    if (!ListsCategory(state->pois, restored.pois, key.category)) {
+      return Inconsistent(pois_name,
+                          "POIs differ from the scenario's of the category");
+    }
 
     const std::string norm_name = LabelSection(i, "norm");
     auto norm_in = reader.Section(norm_name, SectionEncoding::kRaw);
@@ -1063,7 +1086,7 @@ util::Status SaveSnapshotImpl(const serve::Scenario& scenario,
     const serve::LabelKey& key = states[i].first;
     const serve::ExactLabelState& state = *states[i].second;
     add(LabelSection(i, "key"), SectionEncoding::kStruct,
-        EncodeLabelKey(key, state), 1);
+        EncodeLabelKey(key), 1);
     add(LabelSection(i, "pois"), SectionEncoding::kStruct, [&state] {
           std::vector<uint8_t> b;
           PutPois(&b, state.pois);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/active_learning.h"
 #include "core/columnar.h"
 #include "core/gravity.h"
 #include "synth/city_spec.h"
@@ -180,6 +181,41 @@ TEST_F(LabelingTest, BatchedModeDispatchesFewerExpansions) {
   // never exceed the trip count (and shrinks whenever departures collide).
   EXPECT_LE(batched.expansion_count(), batched.spq_count());
   EXPECT_GT(batched.expansion_count(), 0u);
+}
+
+TEST_F(LabelingTest, LabelZonesExpandsOncePerBlockWithTrips) {
+  // Each block of kZoneBlock zones is one window scan, so a LabelZones
+  // pass expands once per block of its zones that has trips (the
+  // label-correcting oracle would expand once per departure group). Both
+  // the exact baseline's pass over every zone and an SSR pass over a β
+  // sample obey it.
+  const auto blocks_with_trips = [&](const std::vector<uint32_t>& zones) {
+    uint64_t count = 0;
+    for (size_t first = 0; first < zones.size(); first += kZoneBlock) {
+      bool trips = false;
+      for (size_t b = first; b < std::min(first + kZoneBlock, zones.size());
+           ++b) {
+        trips |= !todam_.TripsFor(zones[b]).empty();
+      }
+      count += trips ? 1 : 0;
+    }
+    return count;
+  };
+  std::vector<uint32_t> all_zones(city_.zones.size());
+  std::iota(all_zones.begin(), all_zones.end(), 0u);
+  auto sample = SelectLabeledZones(SamplingStrategy::kRandom,
+                                   city_.zones.size(), 0.2, 7, nullptr,
+                                   nullptr);
+  ASSERT_TRUE(sample.ok()) << sample.status();
+  ASSERT_LT(sample.value().size(), all_zones.size());
+  for (const std::vector<uint32_t>* zones : {&all_zones, &sample.value()}) {
+    LabelingEngine engine(&city_, &router_);
+    engine.LabelZones(todam_, *zones, pois_, CostKind::kJourneyTime,
+                      gtfs::Day::kTuesday);
+    EXPECT_EQ(engine.expansion_count(), blocks_with_trips(*zones));
+    EXPECT_GT(engine.expansion_count(), 0u);
+    EXPECT_LT(engine.expansion_count(), engine.spq_count());
+  }
 }
 
 TEST_F(LabelingTest, DeterministicAcrossEngines) {
@@ -357,13 +393,16 @@ void ExpectOneTargetLanesMatchFullLanes(const synth::City& city,
   }
 
   for (uint32_t p = 0; p < pois.size(); ++p) {
-    std::vector<std::vector<TripEntry>> trips(todam.num_zones());
+    std::vector<size_t> offsets = {0};
+    std::vector<TripEntry> trips;
     for (uint32_t z = 0; z < todam.num_zones(); ++z) {
       for (const TripEntry& trip : todam.TripsFor(z)) {
-        if (trip.poi == p) trips[z].push_back(TripEntry{0, trip.depart});
+        if (trip.poi == p) trips.push_back(TripEntry{0, trip.depart});
       }
+      offsets.push_back(trips.size());
     }
-    const Todam column = Todam::FromParts(std::move(trips), {});
+    const Todam column =
+        Todam::FromParts(std::move(offsets), std::move(trips), {});
     const TripCostColumns one =
         CaptureAllZones(&one_engine, column, {pois[p]}, day);
     std::vector<std::vector<double>> one_costs(members.size());
@@ -372,7 +411,7 @@ void ExpectOneTargetLanesMatchFullLanes(const synth::City& city,
     }
     for (uint32_t z = 0; z < todam.num_zones(); ++z) {
       size_t j = one.zone_offsets[z];
-      const std::vector<TripEntry>& zone_trips = todam.TripsFor(z);
+      const std::span<const TripEntry> zone_trips = todam.TripsFor(z);
       for (size_t i = 0; i < zone_trips.size(); ++i) {
         if (zone_trips[i].poi != p) continue;
         const size_t f = full.zone_offsets[z] + i;

@@ -179,36 +179,6 @@ TEST_F(PipelineTest, GacCostKindRunsEndToEnd) {
   EXPECT_GT(gac_mean, jt_mean);
 }
 
-TEST_F(PipelineTest, GroundTruthAndSsrExpandOncePerBlockWithTrips) {
-  // The pipeline routes by connection scan: each block of kZoneBlock zones
-  // is one window scan, so the ground truth and an SSR run both expand once
-  // per block of labeled zones that has trips (the label-correcting oracle
-  // would expand once per departure group instead).
-  auto blocks_with_trips = [&](const std::vector<uint32_t>& zones) {
-    uint64_t count = 0;
-    for (size_t first = 0; first < zones.size(); first += kZoneBlock) {
-      bool trips = false;
-      for (size_t b = first; b < std::min(first + kZoneBlock, zones.size());
-           ++b) {
-        trips |= !todam_.TripsFor(zones[b]).empty();
-      }
-      count += trips ? 1 : 0;
-    }
-    return count;
-  };
-  std::vector<uint32_t> all_zones(city_.zones.size());
-  for (uint32_t z = 0; z < all_zones.size(); ++z) all_zones[z] = z;
-
-  GroundTruth truth =
-      pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
-  EXPECT_EQ(truth.expansions, blocks_with_trips(all_zones));
-  EXPECT_LT(truth.expansions, truth.spqs);
-
-  auto run = pipeline_.Run(pois_, todam_, FastConfig(ml::ModelKind::kOls, 0.2));
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().expansions, blocks_with_trips(run.value().labeled));
-}
-
 // Cross-commit golden for the paper pipeline's exact GAC labels routed by
 // the connection scan: every zone's MAC and ACSD plus the SPQ count of
 // SsrPipeline::ComputeGroundTruth, on both city families, two categories

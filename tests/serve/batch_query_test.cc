@@ -3,6 +3,9 @@
 // to the single-request path, fill the result cache for every derived
 // single-query key, and degrade into kUnavailable shedding under overload.
 #include <atomic>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -270,6 +273,93 @@ TEST_F(BatchQueryTest, AnInvalidGacMemberRefusesTheWholeBatch) {
     EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
   }
   EXPECT_EQ(server_->stats().exact_state_builds, builds);
+}
+
+/// Every field but elapsed_s, doubles compared by bit pattern.
+void ExpectSameBytes(const core::AccessQueryResult& a,
+                     const core::AccessQueryResult& b) {
+  const auto bits = [](const std::vector<double>& values) {
+    std::vector<uint64_t> out(values.size());
+    std::memcpy(out.data(), values.data(), values.size() * sizeof(double));
+    return out;
+  };
+  EXPECT_EQ(bits(a.mac), bits(b.mac));
+  EXPECT_EQ(bits(a.acsd), bits(b.acsd));
+  EXPECT_EQ(a.classes, b.classes);
+  EXPECT_EQ(bits({a.mean_mac, a.mean_acsd, a.fairness, a.population_fairness,
+                  a.vulnerable_fairness}),
+            bits({b.mean_mac, b.mean_acsd, b.fairness, b.population_fairness,
+                  b.vulnerable_fairness}));
+  EXPECT_EQ(a.spqs, b.spqs);
+  EXPECT_EQ(a.gravity_trips, b.gravity_trips);
+}
+
+// One exact answer across every path. After an AddPoi and a RemovePoi of a
+// school, a key is answered from its twice-patched state (Query), from a
+// batch's capture pass (QueryBatch), from a from-scratch build
+// (QueryUncached) and from a server warm-started off an export of the
+// edited epoch. All four are the same bytes, spqs included: one SPQ per
+// trip of the state, however the state was made.
+TEST(OneAnswerAcrossPathsTest, EditedEpochAnswersIdenticallyOnEveryPath) {
+  for (core::CostKind cost :
+       {core::CostKind::kJourneyTime, core::CostKind::kGeneralizedCost}) {
+    SCOPED_TRACE(core::CostKindName(cost));
+    AqRequest request = ExactTemplate();
+    request.options.cost = cost;
+    if (cost == core::CostKind::kGeneralizedCost) {
+      request.options.gac = WaitHeavyGac();
+    }
+    AqServer::Options options;
+    options.num_threads = 2;
+    AqServer patched(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+    AqServer batched(testing::TinyCity(), gtfs::WeekdayAmPeak(), options);
+    // Materialise the state the edits patch.
+    ASSERT_TRUE(patched.Query(request).ok());
+
+    const geo::BBox& extent = patched.base_city().extent;
+    const geo::Point site{extent.min_x + 0.4 * (extent.max_x - extent.min_x),
+                          extent.min_y + 0.6 * (extent.max_y - extent.min_y)};
+    const uint32_t school =
+        patched.base_city().PoisOf(synth::PoiCategory::kSchool).front().id;
+    for (AqServer* server : {&patched, &batched}) {
+      auto added = server->AddPoi(synth::PoiCategory::kSchool, site);
+      ASSERT_TRUE(added.ok()) << added.status();
+      auto removed = server->RemovePoi(school);
+      ASSERT_TRUE(removed.ok()) << removed.status();
+      if (server == &patched) {
+        EXPECT_EQ(added.value().states_patched, 1u);
+        EXPECT_EQ(removed.value().states_patched, 1u);
+      }
+    }
+
+    auto single = patched.Query(request);
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_EQ(single.value().spqs, single.value().gravity_trips);
+
+    AqBatchRequest batch;
+    batch.request = request;
+    auto captured = batched.QueryBatch(batch);
+    ASSERT_EQ(captured.size(), 1u);
+    ASSERT_TRUE(captured[0].ok()) << captured[0].status();
+
+    auto uncached = patched.QueryUncached(request);
+    ASSERT_TRUE(uncached.ok()) << uncached.status();
+
+    const std::string path = ::testing::TempDir() + "staq_one_answer.staq";
+    ASSERT_TRUE(patched.ExportSnapshot(path).ok());
+    AqServer::Options warm_options = options;
+    warm_options.warm_start_path = path;
+    AqServer warm(testing::TinyCity(), gtfs::WeekdayAmPeak(), warm_options);
+    std::remove(path.c_str());
+    ASSERT_TRUE(warm.warm_started());
+    auto restored = warm.Query(request);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(warm.stats().exact_state_builds, 0u);
+
+    for (const auto* other : {&captured[0], &uncached, &restored}) {
+      ExpectSameBytes(other->value(), single.value());
+    }
+  }
 }
 
 TEST(BatchSheddingTest, OverloadShedsWithUnavailable) {

@@ -80,18 +80,12 @@ void ExpectSameState(const serve::ExactLabelState& a,
     EXPECT_EQ(Bits(a.pois[i].position.y), Bits(b.pois[i].position.y));
   }
   ExpectBitIdenticalDoubles(a.zone_norm, b.zone_norm, "zone_norm");
-  ASSERT_EQ(a.todam.num_zones(), b.todam.num_zones());
-  EXPECT_EQ(a.todam.num_trips(), b.todam.num_trips());
-  for (size_t z = 0; z < a.todam.num_zones(); ++z) {
-    EXPECT_EQ(a.todam.TripsFor(static_cast<uint32_t>(z)),
-              b.todam.TripsFor(static_cast<uint32_t>(z)))
-        << "zone " << z;
-  }
+  EXPECT_EQ(a.todam.offsets(), b.todam.offsets());
+  EXPECT_EQ(a.todam.trips(), b.todam.trips());
   ASSERT_EQ(a.todam.alpha().size(), b.todam.alpha().size());
   for (size_t z = 0; z < a.todam.alpha().size(); ++z) {
     ExpectBitIdenticalDoubles(a.todam.alpha()[z], b.todam.alpha()[z], "alpha");
   }
-  EXPECT_EQ(a.trip_offsets, b.trip_offsets);
   EXPECT_EQ(a.trip_flags, b.trip_flags);
   ExpectBitIdenticalDoubles(a.trip_costs, b.trip_costs, "trip_costs");
   ASSERT_EQ(a.labels.size(), b.labels.size());
@@ -102,8 +96,6 @@ void ExpectSameState(const serve::ExactLabelState& a,
     EXPECT_EQ(a.labels[z].num_infeasible, b.labels[z].num_infeasible);
     EXPECT_EQ(a.labels[z].num_walk_only, b.labels[z].num_walk_only);
   }
-  EXPECT_EQ(a.build_spqs, b.build_spqs);
-  EXPECT_EQ(a.relabeled_zones, b.relabeled_zones);
 }
 
 /// Finds `key`'s state in a MaterializedStates() listing.

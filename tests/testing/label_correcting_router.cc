@@ -459,7 +459,7 @@ LabelCorrectingLabeler::LabelCorrectingLabeler(const synth::City* city,
 core::ZoneLabel LabelCorrectingLabeler::LabelZone(
     const core::Todam& todam, uint32_t zone,
     const std::vector<synth::Poi>& pois, core::CostKind kind, gtfs::Day day) {
-  const std::vector<core::TripEntry>& trips = todam.TripsFor(zone);
+  const std::span<const core::TripEntry> trips = todam.TripsFor(zone);
   const geo::Point& origin = city_->zones[zone].centroid;
   router_->walk_table().AccessStops(origin, &access_, &neighbor_scratch_);
   order_.resize(trips.size());

@@ -21,26 +21,25 @@ inline uint64_t DoubleBits(double v) {
   return bits;
 }
 
-/// Full bit-level equality: POIs, per-zone trip sequences, α rows, every
-/// trip's cost and flags, labels.
+/// Full bit-level equality: POIs, the TODAM's zone offsets and flat trips,
+/// α rows, every trip's cost and flags, labels.
 inline void ExpectStatesIdentical(const serve::ExactLabelState& patched,
                                   const serve::ExactLabelState& fresh) {
   ASSERT_EQ(patched.pois.size(), fresh.pois.size());
   for (size_t p = 0; p < fresh.pois.size(); ++p) {
     EXPECT_EQ(patched.pois[p].id, fresh.pois[p].id);
   }
-  ASSERT_EQ(patched.todam.num_zones(), fresh.todam.num_zones());
-  EXPECT_EQ(patched.todam.num_trips(), fresh.todam.num_trips());
-  for (uint32_t z = 0; z < fresh.todam.num_zones(); ++z) {
-    EXPECT_EQ(patched.todam.TripsFor(z), fresh.todam.TripsFor(z))
-        << "trip sequence differs in zone " << z;
+  ASSERT_EQ(patched.todam.offsets(), fresh.todam.offsets());
+  ASSERT_EQ(patched.todam.trips().size(), fresh.todam.trips().size());
+  for (size_t i = 0; i < fresh.todam.trips().size(); ++i) {
+    EXPECT_EQ(patched.todam.trips()[i], fresh.todam.trips()[i])
+        << "trip " << i << " differs";
   }
   ASSERT_EQ(patched.todam.alpha().size(), fresh.todam.alpha().size());
   for (size_t z = 0; z < fresh.todam.alpha().size(); ++z) {
     EXPECT_EQ(patched.todam.alpha()[z], fresh.todam.alpha()[z])
         << "alpha row differs in zone " << z;
   }
-  ASSERT_EQ(patched.trip_offsets, fresh.trip_offsets);
   ASSERT_EQ(patched.trip_flags.size(), fresh.trip_flags.size());
   ASSERT_EQ(patched.trip_costs.size(), fresh.trip_costs.size());
   ASSERT_EQ(fresh.trip_costs.size(), fresh.todam.num_trips());

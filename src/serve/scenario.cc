@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "core/columnar.h"
@@ -41,14 +40,20 @@ std::shared_ptr<const OfflineState> RebuildOfflineKeepingIsochrones(
       city, parent.interval, parent.isochrones, std::move(hop_trees));
 }
 
-/// A POI patch's starting point: `parent`'s POIs, normalisers and labels.
-/// The patch edits those and builds the TODAM and trip columns.
+/// A POI patch's starting point: `parent`'s labels. The patch builds the
+/// TODAM and trip columns and re-derives the labels of the zones it edits.
 std::shared_ptr<ExactLabelState> PatchBase(const ExactLabelState& parent) {
   auto state = std::make_shared<ExactLabelState>();
-  state->pois = parent.pois;
-  state->zone_norm = parent.zone_norm;
   state->labels = parent.labels;
   return state;
+}
+
+/// The isochrone config of a network walking at `walk_scale` times the
+/// default speed: ω scales with the router's walk speed.
+core::IsochroneConfig IsochronesAt(double walk_scale) {
+  core::IsochroneConfig config;
+  config.omega_kph *= walk_scale;
+  return config;
 }
 
 /// Stamps every network a store builds — including ones whose mutation
@@ -107,9 +112,8 @@ void Scenario::SetNetwork(uint64_t version, uint64_t id,
 }
 
 std::shared_ptr<ExactLabelState> ExactLabelState::Unlabeled(
-    std::vector<synth::Poi> pois, core::Todam todam) {
+    core::Todam todam) {
   auto state = std::make_shared<ExactLabelState>();
-  state->pois = std::move(pois);
   state->todam = std::move(todam);
   state->todam.DropAlpha();
   state->trip_flags.assign(state->todam.num_trips(), 0);
@@ -139,24 +143,22 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
   // faults). GetOrBuildLabelState must propagate this to current waiters
   // without poisoning the memo key (BuildOnceMemo::GetOrBuild).
   STAQ_FAILPOINT("serve.scenario.build_label_state");
-  std::vector<synth::Poi> pois = PoisOf(key.category);
-  std::vector<double> zone_norm;
-  core::Todam todam = StableTodam(key, pois, &zone_norm);
-  auto state = ExactLabelState::Unlabeled(std::move(pois), std::move(todam));
-  state->zone_norm = std::move(zone_norm);
+  auto state =
+      ExactLabelState::Unlabeled(StableTodam(key, PoisOf(key.category)));
   LabelZoneBlocks(loop, key, state, AllZones(base_->zones.size()));
   return state;
 }
 
 core::Todam Scenario::StableTodam(const LabelKey& key,
-                                  const std::vector<synth::Poi>& pois,
-                                  std::vector<double>* zone_norm) const {
-  std::vector<double> norm = core::StableGravityNorms(
-      base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
-  core::TodamBuilder builder(base_->zones, pois, interval(), key.gravity);
-  core::Todam todam = builder.BuildGravityStable(key.seed, norm);
-  if (zone_norm != nullptr) *zone_norm = std::move(norm);
-  return todam;
+                                  const std::vector<synth::Poi>& pois) const {
+  const auto norms = offline_->gravity_norms.GetOrBuild(
+      ZoneFeatureKey{key.category, key.gravity.decay_scale_m}, [&] {
+        return std::make_shared<const std::vector<double>>(
+            core::StableGravityNorms(base_->zones, base_->PoisOf(key.category),
+                                     key.gravity.decay_scale_m));
+      });
+  return core::TodamBuilder(base_->zones, pois, interval(), key.gravity)
+      .BuildGravityStable(key.seed, *norms);
 }
 
 void Scenario::LabelZoneBlocks(
@@ -165,6 +167,8 @@ void Scenario::LabelZoneBlocks(
     const std::shared_ptr<core::TripCostColumns>& capture) const {
   const gtfs::Day day = interval().day;
   // The body owns what it touches (ZoneLoop contract).
+  auto pois =
+      std::make_shared<const std::vector<synth::Poi>>(PoisOf(key.category));
   auto shared_zones =
       std::make_shared<const std::vector<uint32_t>>(std::move(zones));
   if (capture != nullptr) {
@@ -176,14 +180,14 @@ void Scenario::LabelZoneBlocks(
     }
   }
   const ZoneLoopBody label_block =
-      [state, key, day, shared_zones, capture](
+      [state, key, day, pois, shared_zones, capture](
           core::LabelingEngine& labeler, size_t i) -> std::function<void()> {
     const size_t first = i * core::kZoneBlock;
     const size_t n = std::min(core::kZoneBlock, shared_zones->size() - first);
     labeler.set_gac_weights(key.gac);
     std::vector<core::ZoneLabel> labels(n);
     labeler.LabelBlock(state->todam, shared_zones->data() + first, n,
-                       state->pois, key.cost, day, labels.data());
+                       *pois, key.cost, day, labels.data());
     auto block = capture != nullptr ? std::make_shared<core::TripCostColumns>(
                                           labeler.block_columns())
                                     : nullptr;
@@ -255,15 +259,11 @@ ScenarioStore::ScenarioStore(synth::City city,
                              ZoneLoop& loop)
     : base_(std::make_shared<const synth::City>(std::move(city))),
       router_(BindConnections({}, &base_->feed)),
-      network_city_(base_),
-      network_router_(router_),
-      network_id_(NewNetworkId()),
       zone_loop_(loop) {
-  auto offline =
-      std::make_shared<const OfflineState>(*base_, interval, network_iso_);
+  auto offline = std::make_shared<const OfflineState>(*base_, interval);
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_, base_->pois,
                                              std::move(offline));
-  scenario->SetNetwork(network_version_, network_id_, network_router_,
+  scenario->SetNetwork(/*version=*/0, NewNetworkId(), router_,
                        /*walk_scale=*/1.0);
   current_ = std::move(scenario);
   for (const synth::Poi& poi : base_->pois) {
@@ -274,19 +274,16 @@ ScenarioStore::ScenarioStore(synth::City city,
 ScenarioStore::ScenarioStore(RestoredScenario restored, ZoneLoop& loop)
     : base_(std::move(restored.city)),
       router_(BindConnections({}, &base_->feed)),
-      network_city_(base_),
-      network_router_(router_),
-      network_id_(NewNetworkId()),
       zone_loop_(loop) {
   // The exporter walked at the defaults times the cumulative scale; so
-  // does this store (ScaleWalkSpeed derives both the same way).
+  // does this store (ScaleWalkSpeed derives the walk speed the same way).
   const double walk_scale = restored.walk_scale;
-  network_router_.walk.speed_mps = router_.walk.speed_mps * walk_scale;
-  network_iso_.omega_kph = core::IsochroneConfig{}.omega_kph * walk_scale;
+  router::RouterOptions network_router = router_;
+  network_router.walk.speed_mps = router_.walk.speed_mps * walk_scale;
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_,
                                              std::move(restored.pois),
                                              std::move(restored.offline));
-  scenario->SetNetwork(network_version_, network_id_, network_router_,
+  scenario->SetNetwork(/*version=*/0, NewNetworkId(), network_router,
                        walk_scale);
   for (auto& [key, state] : restored.label_states) {
     scenario->SeedLabelState(key, std::move(state));
@@ -327,17 +324,19 @@ ScenarioStore::Carried ScenarioStore::PatchAdd(
   // copied into. The parent is immutable, so an abort here is free.
   STAQ_FAILPOINT("serve.scenario.patch_add");
   std::shared_ptr<ExactLabelState> state = PatchBase(parent);
-  state->pois.push_back(poi);
-  const uint32_t new_index = static_cast<uint32_t>(state->pois.size() - 1);
 
   // The new POI's column as a state of its own: the edit-stable TODAM over
-  // {poi} with the frozen normalisers. Every pair's RNG stream is keyed by
-  // its POI's stable id, so these are exactly the trips a from-scratch
-  // build draws for the POI, and no other column changes.
+  // {poi}. Every pair's RNG stream is keyed by its POI's stable id, so
+  // these are exactly the trips a from-scratch build draws for the POI,
+  // and no other column changes. Its trips point at the POI's index in
+  // `next`'s category list: the last one, because ids only grow.
+  const core::Todam drawn = next.StableTodam(key, {poi});
+  std::vector<core::TripEntry> drawn_trips = drawn.trips();
+  const auto new_index =
+      static_cast<uint32_t>(next.PoisOf(key.category).size() - 1);
+  for (core::TripEntry& trip : drawn_trips) trip.poi = new_index;
   auto column = ExactLabelState::Unlabeled(
-      {poi}, core::TodamBuilder(base_->zones, {poi}, next.interval(),
-                                key.gravity)
-                 .BuildGravityStable(key.seed, state->zone_norm));
+      core::Todam::FromParts(drawn.offsets(), std::move(drawn_trips), {}));
   std::vector<uint32_t> affected;
   for (uint32_t z = 0; z < column->todam.num_zones(); ++z) {
     if (!column->todam.TripsFor(z).empty()) affected.push_back(z);
@@ -374,9 +373,8 @@ ScenarioStore::Carried ScenarioStore::PatchAdd(
     const std::span<const core::TripEntry> kept = parent.todam.TripsFor(z);
     trips.insert(trips.end(), kept.begin(), kept.end());
     append_columns(parent, z);
-    for (const core::TripEntry& trip : column->todam.TripsFor(z)) {
-      trips.push_back(core::TripEntry{new_index, trip.depart});
-    }
+    const std::span<const core::TripEntry> added = column->todam.TripsFor(z);
+    trips.insert(trips.end(), added.begin(), added.end());
     append_columns(*column, z);
     offsets.push_back(trips.size());
   }
@@ -388,28 +386,16 @@ ScenarioStore::Carried ScenarioStore::PatchAdd(
 }
 
 ScenarioStore::Carried ScenarioStore::PatchRemove(
-    const ExactLabelState& parent, uint32_t poi_id) {
+    const ExactLabelState& parent, uint32_t index) {
   // Fault site: mirror of serve.scenario.patch_add for the remove path.
   STAQ_FAILPOINT("serve.scenario.patch_remove");
-  auto it = std::find_if(
-      parent.pois.begin(), parent.pois.end(),
-      [poi_id](const synth::Poi& p) { return p.id == poi_id; });
-  if (it == parent.pois.end()) {
-    // Carried-over states must contain every scenario POI of their
-    // category; proceeding would leave the POI's trips in the TODAM.
-    std::fprintf(stderr,
-                 "PatchRemove: POI %u absent from parent label state\n",
-                 poi_id);
-    std::abort();
-  }
-  const uint32_t index = static_cast<uint32_t>(it - parent.pois.begin());
   std::shared_ptr<ExactLabelState> state = PatchBase(parent);
-  state->pois.erase(state->pois.begin() + index);
 
   // Fault site: re-deriving the affected zones failing mid-mutation.
   STAQ_FAILPOINT("serve.scenario.relabel");
   // One flat pass drops the POI's trips from the TODAM and both columns
-  // and shifts higher POI indices down by one, mirroring the erase above.
+  // and shifts higher POI indices down by one, as the POI's erase from
+  // the category list does.
   // Every surviving trip keeps its cost, so no SPQ runs; the zones that
   // lost a trip re-aggregate.
   const std::vector<core::TripEntry>& from = parent.todam.trips();
@@ -475,8 +461,10 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
     // any patch below) leaves the current epoch and network untouched.
     STAQ_FAILPOINT("serve.scenario.patch_network");
   }
-  const uint64_t version = network_version_ + (draft.new_network ? 1 : 0);
-  const uint64_t network_id = draft.new_network ? NewNetworkId() : network_id_;
+  const uint64_t version =
+      current->network_version() + (draft.new_network ? 1 : 0);
+  const uint64_t network_id =
+      draft.new_network ? NewNetworkId() : current->network_id();
   auto next = std::make_shared<Scenario>(current->epoch() + 1, draft.city,
                                          std::move(draft.pois),
                                          std::move(draft.offline));
@@ -500,14 +488,8 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::Advance(
     }
   }
 
-  // Commit: every patch succeeded, so the epoch's network (the current one
-  // unless the draft built a new one) becomes the store's current network
-  // in the same breath as the epoch install.
-  network_city_ = std::move(draft.city);
-  network_router_ = std::move(draft.router);
-  network_iso_ = draft.iso;
-  network_id_ = network_id;
-  network_version_ = version;
+  // Commit: every patch succeeded, so the epoch — and with it its network,
+  // the current one unless the draft built a new one — is installed.
   next_poi_id_.store(draft.next_poi_id, std::memory_order_release);
   Install(std::move(next));
   report.seconds = watch.ElapsedSeconds();
@@ -518,9 +500,8 @@ ScenarioStore::Draft ScenarioStore::DraftFrom(const Scenario& current) const {
   Draft draft;
   draft.pois = current.pois();
   draft.offline = current.offline_ptr();
-  draft.city = network_city_;
-  draft.router = network_router_;
-  draft.iso = network_iso_;
+  draft.city = current.city_ptr();
+  draft.router = current.router_options();
   draft.walk_scale = current.walk_scale();
   draft.next_poi_id = next_poi_id_.load(std::memory_order_relaxed);
   return draft;
@@ -529,10 +510,10 @@ ScenarioStore::Draft ScenarioStore::DraftFrom(const Scenario& current) const {
 ScenarioStore::Draft ScenarioStore::FeedDraft(const Scenario& current,
                                               gtfs::Feed feed) const {
   Draft draft = DraftFrom(current);
-  synth::City disrupted = *network_city_;
+  synth::City disrupted = current.base_city();
   disrupted.feed = std::move(feed);
   draft.city = std::make_shared<const synth::City>(std::move(disrupted));
-  draft.router = BindConnections(network_router_, &draft.city->feed);
+  draft.router = BindConnections(draft.router, &draft.city->feed);
   draft.offline = RebuildOfflineKeepingIsochrones(*draft.city,
                                                   current.offline());
   draft.new_network = true;
@@ -595,14 +576,21 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::RemovePoi(
       return util::Status::NotFound("no POI with id " +
                                     std::to_string(poi_id));
     }
+    // The POI's index among its category's POIs: its trips' index.
+    const synth::PoiCategory category = it->category;
+    const auto index = static_cast<uint32_t>(
+        std::count_if(current.pois().begin(), it,
+                      [category](const synth::Poi& p) {
+                        return p.category == category;
+                      }));
     Draft draft = DraftFrom(current);
     draft.pois.erase(draft.pois.begin() + (it - current.pois().begin()));
     draft.report_id = poi_id;
-    draft.carry = [this, poi_id, category = it->category](
-                      const Scenario&, const LabelKey& key,
-                      const StatePtr& parent) -> Carried {
+    draft.carry = [this, index, category](const Scenario&,
+                                          const LabelKey& key,
+                                          const StatePtr& parent) -> Carried {
       if (key.category != category) return {parent};
-      return PatchRemove(*parent, poi_id);
+      return PatchRemove(*parent, index);
     };
     return draft;
   });
@@ -623,7 +611,7 @@ ScenarioStore::MutationReport ScenarioStore::SetInterval(
            }
            // Label states are interval-dependent: none is carried.
            draft.offline = std::make_shared<const OfflineState>(
-               *draft.city, interval, draft.iso);
+               *draft.city, interval, IsochronesAt(draft.walk_scale));
            return draft;
          })
       .value();
@@ -635,10 +623,11 @@ util::Result<ScenarioStore::Draft> ScenarioStore::TimetableDraft(
   if (!transformed.ok()) return transformed.status();
   // Screen on the OLD timetable: only zones that could have reached a
   // removed departure event can change label.
-  const router::WalkTable walk(&network_city_->feed, network_router_.walk);
+  const synth::City& city = current.base_city();
+  const router::WalkTable walk(&city.feed, current.router_options().walk);
   scenario::ImpactInputs impact;
-  impact.city = network_city_.get();
-  impact.feed = &network_city_->feed;
+  impact.city = &city;
+  impact.feed = &city.feed;
   impact.walk = &walk;
   impact.interval = current.interval();
   impact.removed_trips = std::move(transformed.value().removed_trips);
@@ -659,15 +648,16 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::SuspendRoute(
     uint32_t route) {
   return Advance([&](const Scenario& current) {
     return TimetableDraft(
-        current, scenario::SuspendRoute(network_city_->feed, route), route);
+        current, scenario::SuspendRoute(current.base_city().feed, route),
+        route);
   });
 }
 
 util::Result<ScenarioStore::MutationReport> ScenarioStore::CloseStop(
     uint32_t stop) {
   return Advance([&](const Scenario& current) {
-    return TimetableDraft(current,
-                          scenario::CloseStop(network_city_->feed, stop), stop);
+    return TimetableDraft(
+        current, scenario::CloseStop(current.base_city().feed, stop), stop);
   });
 }
 
@@ -675,7 +665,8 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleHeadway(
     uint32_t route, uint32_t factor) {
   return Advance([&](const Scenario& current) {
     return TimetableDraft(
-        current, scenario::ScaleHeadway(network_city_->feed, route, factor),
+        current,
+        scenario::ScaleHeadway(current.base_city().feed, route, factor),
         route);
   });
 }
@@ -683,7 +674,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleHeadway(
 util::Result<ScenarioStore::MutationReport> ScenarioStore::SetFare(
     uint32_t route, double fare) {
   return Advance([&](const Scenario& current) -> util::Result<Draft> {
-    auto feed = scenario::SetFlatFare(network_city_->feed, route, fare);
+    auto feed = scenario::SetFlatFare(current.base_city().feed, route, fare);
     if (!feed.ok()) return feed.status();
     Draft draft = FeedDraft(current, std::move(feed).value());
     draft.report_id = route;
@@ -715,10 +706,9 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ScaleWalkSpeed(
     Draft draft = DraftFrom(current);
     draft.walk_scale *= factor;
     draft.router.walk.speed_mps = router_.walk.speed_mps * draft.walk_scale;
-    draft.iso.omega_kph = core::IsochroneConfig{}.omega_kph * draft.walk_scale;
     // The isochrone config changed, so this is a full offline build.
     draft.offline = std::make_shared<const OfflineState>(
-        *draft.city, current.interval(), draft.iso);
+        *draft.city, current.interval(), IsochronesAt(draft.walk_scale));
     draft.new_network = true;
     // Every journey has walk legs, so every zone of every state relabels.
     draft.carry = [this, all = AllZones(base_->zones.size())](

@@ -79,114 +79,6 @@
 
 namespace staq::serve {
 
-/// Offline structures of one analysis interval. They depend only on zones,
-/// the road graph, and the GTFS feed — never on POIs — so every POI-edit
-/// epoch shares its parent's OfflineState; only an interval switch builds
-/// a new one. Isochrones never read the timetable either, so a disruption
-/// epoch shares its parent's set.
-struct OfflineState {
-  OfflineState(const synth::City& city, const gtfs::TimeInterval& interval,
-               core::IsochroneConfig iso_config = {});
-
-  /// Adopts `isochrones` (a parent epoch's, or persisted ones) and hop
-  /// trees verbatim and rebuilds the (cheap, deterministic) feature
-  /// extractor against `city`, which must outlive the state exactly as for
-  /// the building ctor.
-  OfflineState(const synth::City& city, const gtfs::TimeInterval& interval,
-               std::shared_ptr<const core::IsochroneSet> isochrones,
-               std::unique_ptr<core::HopTreeSet> hop_trees);
-
-  gtfs::TimeInterval interval;
-  std::shared_ptr<const core::IsochroneSet> isochrones;
-  std::unique_ptr<core::HopTreeSet> hop_trees;
-  std::unique_ptr<core::FeatureExtractor> features;
-  double build_seconds = 0.0;
-};
-
-/// One exact labeling of one scenario under one LabelKey: the edit-stable
-/// TODAM over the key's category POIs, every trip's cost under the key and
-/// the exact label of every zone. Immutable once published; patches
-/// copy-then-modify. The TODAM alone groups the trips by zone: the trip
-/// columns are indexed by todam.offsets(), so zone z's costs and flags
-/// occupy [offsets[z], offsets[z + 1]).
-struct ExactLabelState {
-  /// The category's POIs in scenario order (stable-id ascending).
-  std::vector<synth::Poi> pois;
-  /// Frozen gravity normalisers (StableGravityNorms over the *base* city's
-  /// category POIs) — shared verbatim by every epoch so keep probabilities
-  /// never shift under edits.
-  std::vector<double> zone_norm;
-  /// The TODAM's trips, α rows dropped (SSR derives its own through
-  /// Scenario::StableTodam); an SSR sample's state holds its zones' only.
-  core::Todam todam;
-  /// Each trip's cost under the key (LabelKey::cost and ::gac) and its
-  /// flags (bit0 feasible, bit1 walk-only), one entry per TODAM trip in
-  /// todam.trips() order. POI patches splice these columns instead of
-  /// routing whole zones again.
-  std::vector<uint8_t> trip_flags;
-  std::vector<double> trip_costs;
-  /// Indexed by zone; every label is core::AggregateZoneLabels over its
-  /// zone's trip columns.
-  std::vector<core::ZoneLabel> labels;
-
-  /// A state over `todam`'s trips (α rows dropped) to `pois`, trip columns
-  /// sized with every trip zeroed (the infeasible encoding), no zone
-  /// labeled and `zone_norm` empty: what LabelZoneBlocks fills.
-  static std::shared_ptr<ExactLabelState> Unlabeled(
-      std::vector<synth::Poi> pois, core::Todam todam);
-
-  /// Derives `zones`' labels from their trip columns.
-  void AggregateZones(const std::vector<uint32_t>& zones);
-};
-
-class Scenario;
-
-/// One work item of a zone loop: labels item `index` — a block of up to
-/// core::kZoneBlock zones, one window scan — with `engine` and returns the
-/// step that stores the item's results.
-using ZoneLoopBody = std::function<std::function<void()>(
-    core::LabelingEngine& engine, size_t index)>;
-
-/// The one way zones get labeled: every label-state build, patch, batch
-/// capture and SSR sample runs its zone loop through one of these. Each
-/// zone is labeled independently of its block, so how a loop is split
-/// across threads never shows in the labels: an implementation may hand
-/// items to any number of engines as long as each routes over
-/// `scenario`'s network, and may even label an item twice (the owning
-/// thread takes over an item a stalled helper still holds) — but it runs
-/// exactly one store step per item. A body can still be running on a
-/// straggling helper after Run returns, so it must own (by value or
-/// shared_ptr) everything it reads and writes. AqServer implements the
-/// loop with the owning thread plus idle-priority helpers leasing the
-/// server's contexts (DESIGN.md §16); SerialZoneLoop runs it on one engine.
-class ZoneLoop {
- public:
-  virtual ~ZoneLoop() = default;
-
-  /// Labels and stores every item in [0, n), returning when all are
-  /// stored; rethrows the first exception a body threw.
-  virtual void Run(const Scenario& scenario, size_t n,
-                   const ZoneLoopBody& body) = 0;
-};
-
-/// Labels and stores each item in order on the calling thread, on one
-/// engine (not owned) that its caller built for the network of the
-/// scenarios it runs for.
-class SerialZoneLoop : public ZoneLoop {
- public:
-  explicit SerialZoneLoop(core::LabelingEngine& engine) : engine_(engine) {}
-
-  void Run(const Scenario&, size_t n, const ZoneLoopBody& body) override {
-    for (size_t i = 0; i < n; ++i) body(engine_, i)();
-  }
-
- private:
-  core::LabelingEngine& engine_;
-};
-
-/// Every zone id of a city with `count` zones, ascending.
-std::vector<uint32_t> AllZones(size_t count);
-
 /// Build-once memo of shared immutable values keyed by `Key::Canonical()`.
 /// The first caller for a key builds the value; concurrent callers for the
 /// key wait for that build. A failed build fails its waiters and erases the
@@ -269,14 +161,126 @@ class BuildOnceMemo {
   std::unordered_map<std::string, Entry> entries_;
 };
 
-/// What a scenario's zone feature matrix depends on besides the scenario:
-/// the category's POIs and the gravity decay scale of their α rows.
+/// A POI category and a gravity decay scale: what a scenario's zone
+/// feature matrix (the category's POIs, aggregated over α rows of that
+/// decay) and the city's frozen gravity normalisers depend on besides the
+/// scenario.
 struct ZoneFeatureKey {
   synth::PoiCategory category = synth::PoiCategory::kSchool;
   double decay_scale_m = 0.0;
 
   std::string Canonical() const;
 };
+
+/// Offline structures of one analysis interval. They depend only on the
+/// city — zones, road graph, GTFS feed and its own POIs — never on a
+/// scenario's POI edits, so every POI-edit epoch shares its parent's
+/// OfflineState; only an interval switch builds a new one. Isochrones
+/// never read the timetable either, so a disruption epoch shares its
+/// parent's set.
+struct OfflineState {
+  OfflineState(const synth::City& city, const gtfs::TimeInterval& interval,
+               core::IsochroneConfig iso_config = {});
+
+  /// Adopts `isochrones` (a parent epoch's, or persisted ones) and hop
+  /// trees verbatim and rebuilds the (cheap, deterministic) feature
+  /// extractor against `city`, which must outlive the state exactly as for
+  /// the building ctor.
+  OfflineState(const synth::City& city, const gtfs::TimeInterval& interval,
+               std::shared_ptr<const core::IsochroneSet> isochrones,
+               std::unique_ptr<core::HopTreeSet> hop_trees);
+
+  gtfs::TimeInterval interval;
+  std::shared_ptr<const core::IsochroneSet> isochrones;
+  std::unique_ptr<core::HopTreeSet> hop_trees;
+  std::unique_ptr<core::FeatureExtractor> features;
+  double build_seconds = 0.0;
+  /// Frozen gravity normalisers per (category, decay scale):
+  /// core::StableGravityNorms over the city's own POIs of the category,
+  /// built once and read by Scenario::StableTodam of every epoch sharing
+  /// this state. Edits never change the city's POIs, so an entry never
+  /// goes stale.
+  mutable BuildOnceMemo<ZoneFeatureKey, std::vector<double>> gravity_norms;
+};
+
+/// One exact labeling of one scenario under one LabelKey: the edit-stable
+/// TODAM over the scenario's POIs of key.category, every trip's cost under
+/// the key and the exact label of every zone — and nothing else: the POIs
+/// a trip's index points into come from the scenario (Scenario::PoisOf)
+/// and the gravity normalisers from its offline state. Immutable once
+/// published; patches copy-then-modify. The TODAM alone groups the trips
+/// by zone: the trip columns are indexed by todam.offsets(), so zone z's
+/// costs and flags occupy [offsets[z], offsets[z + 1]).
+struct ExactLabelState {
+  /// The TODAM's trips, α rows dropped (SSR derives its own through
+  /// Scenario::StableTodam); an SSR sample's state holds its zones' only.
+  core::Todam todam;
+  /// Each trip's cost under the key (LabelKey::cost and ::gac) and its
+  /// flags (bit0 feasible, bit1 walk-only), one entry per TODAM trip in
+  /// todam.trips() order. POI patches splice these columns instead of
+  /// routing whole zones again.
+  std::vector<uint8_t> trip_flags;
+  std::vector<double> trip_costs;
+  /// Indexed by zone; every label is core::AggregateZoneLabels over its
+  /// zone's trip columns.
+  std::vector<core::ZoneLabel> labels;
+
+  /// A state over `todam`'s trips (α rows dropped), trip columns sized
+  /// with every trip zeroed (the infeasible encoding) and no zone labeled:
+  /// what LabelZoneBlocks fills.
+  static std::shared_ptr<ExactLabelState> Unlabeled(core::Todam todam);
+
+  /// Derives `zones`' labels from their trip columns.
+  void AggregateZones(const std::vector<uint32_t>& zones);
+};
+
+class Scenario;
+
+/// One work item of a zone loop: labels item `index` — a block of up to
+/// core::kZoneBlock zones, one window scan — with `engine` and returns the
+/// step that stores the item's results.
+using ZoneLoopBody = std::function<std::function<void()>(
+    core::LabelingEngine& engine, size_t index)>;
+
+/// The one way zones get labeled: every label-state build, patch, batch
+/// capture and SSR sample runs its zone loop through one of these. Each
+/// zone is labeled independently of its block, so how a loop is split
+/// across threads never shows in the labels: an implementation may hand
+/// items to any number of engines as long as each routes over
+/// `scenario`'s network, and may even label an item twice (the owning
+/// thread takes over an item a stalled helper still holds) — but it runs
+/// exactly one store step per item. A body can still be running on a
+/// straggling helper after Run returns, so it must own (by value or
+/// shared_ptr) everything it reads and writes. AqServer implements the
+/// loop with the owning thread plus idle-priority helpers leasing the
+/// server's contexts (DESIGN.md §16); SerialZoneLoop runs it on one engine.
+class ZoneLoop {
+ public:
+  virtual ~ZoneLoop() = default;
+
+  /// Labels and stores every item in [0, n), returning when all are
+  /// stored; rethrows the first exception a body threw.
+  virtual void Run(const Scenario& scenario, size_t n,
+                   const ZoneLoopBody& body) = 0;
+};
+
+/// Labels and stores each item in order on the calling thread, on one
+/// engine (not owned) that its caller built for the network of the
+/// scenarios it runs for.
+class SerialZoneLoop : public ZoneLoop {
+ public:
+  explicit SerialZoneLoop(core::LabelingEngine& engine) : engine_(engine) {}
+
+  void Run(const Scenario&, size_t n, const ZoneLoopBody& body) override {
+    for (size_t i = 0; i < n; ++i) body(engine_, i)();
+  }
+
+ private:
+  core::LabelingEngine& engine_;
+};
+
+/// Every zone id of a city with `count` zones, ascending.
+std::vector<uint32_t> AllZones(size_t count);
 
 /// Immutable scenario snapshot. Thread-safe: all mutable state is the
 /// internal label-state and feature memos, guarded and built once per key.
@@ -350,25 +354,25 @@ class Scenario {
       bool* built_fresh = nullptr) const;
 
   /// From-scratch build, bypassing the memo: an Unlabeled state over
-  /// StableTodam (normalisers kept), LabelZoneBlocks over every zone
-  /// through `loop`. This is the golden reference the incremental path is
-  /// checked against (tests, bench gates).
+  /// StableTodam, LabelZoneBlocks over every zone through `loop`. This is
+  /// the golden reference the incremental path is checked against (tests,
+  /// bench gates).
   std::shared_ptr<const ExactLabelState> BuildLabelState(const LabelKey& key,
                                                          ZoneLoop& loop) const;
 
-  /// The edit-stable TODAM of `key` over `pois`, this scenario's POIs of
-  /// key.category. Its gravity normalisers are frozen over the *base*
-  /// city's POIs of the category, so every epoch — and every patch — sees
-  /// the same keep probabilities; `zone_norm`, when non-null, receives
-  /// them.
+  /// The edit-stable TODAM of `key` over `pois` (this scenario's POIs of
+  /// key.category, or a POI patch's new one). Its gravity normalisers are
+  /// frozen over the *base* city's POIs of the category and read from the
+  /// offline state's memo, so every epoch — and every patch — sees the
+  /// same keep probabilities.
   core::Todam StableTodam(const LabelKey& key,
-                          const std::vector<synth::Poi>& pois,
-                          std::vector<double>* zone_norm = nullptr) const;
+                          const std::vector<synth::Poi>& pois) const;
 
   /// The one zone-block routine of state builds, patches and batch
   /// captures: labels `zones` of `state` under key.cost and key.gac over
   /// this scenario's network through `loop`, core::kZoneBlock entries of
-  /// `zones` per loop item. Stores every label at its zone and every
+  /// `zones` per loop item; a trip's POI index points into
+  /// PoisOf(key.category). Stores every label at its zone and every
   /// trip's cost and flags in the state's trip columns (which must be
   /// sized to its TODAM, as Unlabeled sizes them): one SPQ per trip of
   /// `zones`. `capture`, when non-null, must be empty; it receives one
@@ -570,11 +574,10 @@ class ScenarioStore {
   struct Draft {
     std::vector<synth::Poi> pois;
     std::shared_ptr<const OfflineState> offline;
-    /// The next epoch's network, the store's current one once committed.
-    /// `new_network` gives it a fresh id and version.
+    /// The next epoch's network, the current epoch's unless the mutation
+    /// built a new one; `new_network` gives it a fresh id and version.
     std::shared_ptr<const synth::City> city;
     router::RouterOptions router;
-    core::IsochroneConfig iso;
     double walk_scale = 1.0;
     bool new_network = false;
     /// Reported as MutationReport::poi_id.
@@ -594,10 +597,11 @@ class ScenarioStore {
   /// The one mutation routine: under mutation_mu_, `derive` drafts the
   /// next epoch from the current one; the epoch is then built aside, every
   /// materialised label state goes through draft.carry, and the network is
-  /// committed with the epoch install. A derive error or a throw anywhere
+  /// installed with the epoch. A derive error or a throw anywhere
   /// (failpoints included) leaves the current epoch and network untouched.
   util::Result<MutationReport> Advance(const DeriveFn& derive);
-  /// The current epoch over the current network. Caller holds mutation_mu_.
+  /// The current epoch over its own network (a store keeps no other copy
+  /// of the network). Caller holds mutation_mu_.
   Draft DraftFrom(const Scenario& current) const;
   /// A new network over a copy of the current city with `feed`: isochrones
   /// adopted (they never read the timetable), hop trees and features
@@ -616,9 +620,10 @@ class ScenarioStore {
   /// SPQ per new trip.
   Carried PatchAdd(const Scenario& next, const LabelKey& key,
                    const ExactLabelState& parent, const synth::Poi& poi);
-  /// Drops `poi_id`'s trips from the TODAM and the trip columns and
-  /// re-aggregates the zones that held any: no SPQ runs.
-  Carried PatchRemove(const ExactLabelState& parent, uint32_t poi_id);
+  /// Drops the trips to the POI at `index` of the category's POIs from
+  /// the TODAM and the trip columns and re-aggregates the zones that held
+  /// any: no SPQ runs.
+  Carried PatchRemove(const ExactLabelState& parent, uint32_t index);
   /// Carries one label state across a network mutation: the TODAM is
   /// demand-side and moves verbatim; `affected` zones relabel over
   /// `next`'s (new) network through the zone loop, one SPQ per trip.
@@ -633,17 +638,6 @@ class ScenarioStore {
   /// Absolute sequence of epoch 0 (the snapshot's source sequence at warm
   /// start, else 0). Immutable after construction.
   uint64_t base_sequence_ = 0;
-
-  /// The current network: the city the latest epoch serves (== base_ until
-  /// the first timetable disruption), its effective router options (walk
-  /// rescaled, connection array over the current feed), the effective
-  /// isochrone config, and the monotone version stamp. Written only under
-  /// mutation_mu_, and only after every patch of a mutation succeeded.
-  std::shared_ptr<const synth::City> network_city_;
-  router::RouterOptions network_router_;
-  core::IsochroneConfig network_iso_;
-  uint64_t network_version_ = 0;
-  uint64_t network_id_ = 0;
 
   /// Where patches label their zones.
   ZoneLoop& zone_loop_;

@@ -618,7 +618,7 @@ void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
   if (missing.empty()) return;
 
   const AqRequest& head = requests.front();
-  std::vector<synth::Poi> pois = scenario.PoisOf(head.category);
+  const std::vector<synth::Poi> pois = scenario.PoisOf(head.category);
   if (pois.empty()) {
     for (size_t i : missing) {
       Resolve(task, i, util::Status::NotFound(
@@ -634,8 +634,7 @@ void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
   // derive columnarly, bit-identical to the single-request path.
   LabelKey key = LabelKeyFor(head);
   key.cost = core::CostKind::kJourneyTime;
-  core::Todam todam = scenario.StableTodam(key, pois);
-  auto state = ExactLabelState::Unlabeled(std::move(pois), std::move(todam));
+  auto state = ExactLabelState::Unlabeled(scenario.StableTodam(key, pois));
   auto columns = std::make_shared<core::TripCostColumns>();
   scenario.LabelZoneBlocks(*this, key, state,
                            AllZones(scenario.base_city().zones.size()),
@@ -743,7 +742,6 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
       offsets.push_back(trips.size());
     }
     auto state = ExactLabelState::Unlabeled(
-        std::move(pois),
         core::Todam::FromParts(std::move(offsets), std::move(trips), {}));
     label_zones([&](ZoneLoop& loop) {
       scenario.LabelZoneBlocks(loop, key, state, labeled);

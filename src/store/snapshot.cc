@@ -74,7 +74,7 @@ uint64_t SectionElementCount(const Reader& reader, const std::string& name) {
   return 0;
 }
 
-// --- POI column (shared by city, scenario, and per-state POI sets) ---------
+// --- POI column (shared by the city and scenario sections) ----------------
 
 void PutPois(std::vector<uint8_t>* out, const std::vector<synth::Poi>& pois) {
   std::vector<uint32_t> ids;
@@ -118,25 +118,6 @@ util::Status ReadPois(ByteReader* in, const std::string& section,
     out->push_back(poi);
   }
   return util::Status::OK();
-}
-
-/// Whether `listed` is exactly `pois`' POIs of `category`, in order and bit
-/// for bit.
-bool ListsCategory(const std::vector<synth::Poi>& listed,
-                   const std::vector<synth::Poi>& pois,
-                   synth::PoiCategory category) {
-  size_t i = 0;
-  for (const synth::Poi& poi : pois) {
-    if (poi.category != category) continue;
-    if (i == listed.size() || listed[i].id != poi.id ||
-        listed[i].category != category ||
-        std::memcmp(&listed[i].position, &poi.position,
-                    sizeof(geo::Point)) != 0) {
-      return false;
-    }
-    ++i;
-  }
-  return i == listed.size();
 }
 
 // --- encoders --------------------------------------------------------------
@@ -747,6 +728,8 @@ std::vector<uint8_t> EncodeTodam(const core::Todam& todam) {
   return b;
 }
 
+/// `num_pois` bounds every trip's POI index: the restored scenario's POI
+/// count of the state's category.
 util::Status DecodeTodam(ByteReader in, const std::string& section,
                          size_t num_zones, size_t num_pois,
                          core::Todam* out) {
@@ -817,7 +800,7 @@ util::Status DecodeTripCosts(ByteReader in, const std::string& section,
   return util::Status::OK();
 }
 
-/// The normaliser and walk-scale sections.
+/// The walk-scale section.
 std::vector<uint8_t> EncodeRawDoubles(const std::vector<double>& values) {
   // Pure raw doubles (kRaw): no count prefix, no per-value framing. The
   // element count travels in the footer entry, and the read path
@@ -976,34 +959,18 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
     st = DecodeLabelKey(key_in.value(), key_name, &key);
     if (!st.ok()) return st;
 
-    const std::string pois_name = LabelSection(i, "pois");
-    auto pois_in = reader.Section(pois_name, SectionEncoding::kStruct);
-    if (!pois_in.ok()) return pois_in.status();
-    st = ReadPois(&pois_in.value(), pois_name, &state->pois);
-    if (!st.ok()) return st;
-    // Patches find and append POIs in the state's list as in the
-    // scenario's: a removal aborts on a POI the state lacks.
-    if (!ListsCategory(state->pois, restored.pois, key.category)) {
-      return Inconsistent(pois_name,
-                          "POIs differ from the scenario's of the category");
+    // A state's trips index the scenario's POIs of its category, and its
+    // normalisers come from the city: an older file's `pois` and `norm`
+    // sections repeat what the scenario already knows and are never read.
+    size_t num_pois = 0;
+    for (const synth::Poi& poi : restored.pois) {
+      if (poi.category == key.category) ++num_pois;
     }
-
-    const std::string norm_name = LabelSection(i, "norm");
-    auto norm_in = reader.Section(norm_name, SectionEncoding::kRaw);
-    if (!norm_in.ok()) return norm_in.status();
-    const uint64_t norm_count = SectionElementCount(reader, norm_name);
-    ByteReader norm_reader = norm_in.value();
-    if (norm_count != num_zones ||
-        !norm_reader.ReadFixedColumn(static_cast<size_t>(norm_count),
-                                     &state->zone_norm)) {
-      return Malformed(norm_name);
-    }
-
     const std::string todam_name = LabelSection(i, "todam");
     auto todam_in = reader.Section(todam_name, SectionEncoding::kDelta);
     if (!todam_in.ok()) return todam_in.status();
-    st = DecodeTodam(todam_in.value(), todam_name, num_zones,
-                     state->pois.size(), &state->todam);
+    st = DecodeTodam(todam_in.value(), todam_name, num_zones, num_pois,
+                     &state->todam);
     if (!st.ok()) return st;
 
     // A state from before trip columns were persisted cannot be patched
@@ -1087,14 +1054,6 @@ util::Status SaveSnapshotImpl(const serve::Scenario& scenario,
     const serve::ExactLabelState& state = *states[i].second;
     add(LabelSection(i, "key"), SectionEncoding::kStruct,
         EncodeLabelKey(key), 1);
-    add(LabelSection(i, "pois"), SectionEncoding::kStruct, [&state] {
-          std::vector<uint8_t> b;
-          PutPois(&b, state.pois);
-          return b;
-        }(),
-        state.pois.size());
-    add(LabelSection(i, "norm"), SectionEncoding::kRaw,
-        EncodeRawDoubles(state.zone_norm), state.zone_norm.size());
     add(LabelSection(i, "todam"), SectionEncoding::kDelta,
         EncodeTodam(state.todam), state.todam.num_trips());
     add(LabelSection(i, "trip_costs"), SectionEncoding::kStruct,

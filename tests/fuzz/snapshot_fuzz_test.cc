@@ -3,33 +3,36 @@
 // file, so corrupting a file on disk never reaches the decoders behind
 // them. This test mutates section payloads instead and re-wraps every
 // section through store::Writer, so each mutant carries valid checksums
-// and lands in the decoders of `label/<i>/{key,pois,norm,todam,
-// trip_costs}` and `network/walk_scale`. Mutants are seeded bit flips,
+// and lands in the decoders of `label/<i>/{key,todam,trip_costs}` and
+// `network/walk_scale`. Mutants are seeded bit flips,
 // truncations, splices with another section's payload, oversized varints
 // and rewritten footer element counts. LoadSnapshot must come back with a
 // restored scenario or a decoder's own status (DataLoss or
 // InvalidArgument): no crash, and no exception caught by LoadSnapshot's
 // catch-all. A restored state must hold one trip column entry per TODAM
-// trip and one label per zone, list exactly the scenario's POIs of its
-// category and carry a key a request could name: the store's patches rely
-// on both. The two faults this fuzzer found (a key with a sample rate of
-// 0, a state listing a POI the scenario lacks) are kept as regression
-// cases at the end of the file.
+// trip and one label per zone, point every trip at one of the scenario's
+// POIs of its category and carry a key a request could name: the store's
+// patches rely on both. The fault this fuzzer found (a key with a sample
+// rate of 0) is kept as a regression case at the end of the file, next to
+// the one a rewritten normaliser section exposed.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/todam.h"
 #include "serve/request.h"
 #include "serve/scenario.h"
 #include "store/coding.h"
 #include "store/reader.h"
 #include "store/snapshot.h"
 #include "store/writer.h"
+#include "testing/label_state.h"
 #include "testing/test_city.h"
 #include "testing/zone_loop.h"
 #include "util/rng.h"
@@ -90,7 +93,7 @@ std::vector<Section> SeedSections() {
 bool IsTarget(const std::string& name) {
   if (name == "network/walk_scale") return true;
   if (name.compare(0, 6, "label/") != 0) return false;
-  for (const char* leaf : {"/key", "/pois", "/norm", "/todam", "/trip_costs"}) {
+  for (const char* leaf : {"/key", "/todam", "/trip_costs"}) {
     const std::string l = leaf;
     if (name.size() > l.size() &&
         name.compare(name.size() - l.size(), l.size(), l) == 0) {
@@ -217,16 +220,19 @@ bool LoadsCleanly(const std::string& path, const std::string& what) {
   const serve::RestoredScenario& r = restored.value();
   const size_t zones = r.city->zones.size();
   for (const auto& [key, state] : r.label_states) {
-    // What the store's patches rely on: the state covers exactly the
-    // scenario's POIs of its category (a removal aborts on a POI the state
-    // lacks), and its key is one a request could name (a patch samples
+    // What the store's patches rely on: every trip points at one of the
+    // scenario's POIs of the state's category (labeling indexes that list
+    // with it), and the key is one a request could name (a patch samples
     // the new POI's trips under the key's gravity).
-    std::vector<uint32_t> scenario_ids, state_ids;
+    uint32_t num_pois = 0;
     for (const synth::Poi& poi : r.pois) {
-      if (poi.category == key.category) scenario_ids.push_back(poi.id);
+      if (poi.category == key.category) ++num_pois;
     }
-    for (const synth::Poi& poi : state->pois) state_ids.push_back(poi.id);
-    EXPECT_EQ(state_ids, scenario_ids) << what;
+    size_t unknown = 0;
+    for (const core::TripEntry& trip : state->todam.trips()) {
+      if (trip.poi >= num_pois) ++unknown;
+    }
+    EXPECT_EQ(unknown, 0u) << what;
     EXPECT_TRUE(key.gravity.decay_scale_m > 0.0 &&
                 std::isfinite(key.gravity.decay_scale_m) &&
                 key.gravity.keep_scale >= 0.0 &&
@@ -251,15 +257,6 @@ bool LoadsCleanly(const std::string& path, const std::string& what) {
   return true;
 }
 
-/// `sections` written and loaded: OK, or the status LoadSnapshot returned.
-util::Status LoadSections(const std::vector<Section>& sections) {
-  const std::string path = TempPath("case.staq");
-  WriteSections(sections, path);
-  auto restored = LoadSnapshot(path);
-  std::remove(path.c_str());
-  return restored.status();
-}
-
 TEST(SnapshotDecoderFuzzTest, LabelStateSectionsLoadOrFailCleanly) {
   const std::vector<Section> seed = SeedSections();
   ASSERT_FALSE(seed.empty());
@@ -271,8 +268,8 @@ TEST(SnapshotDecoderFuzzTest, LabelStateSectionsLoadOrFailCleanly) {
       donors.push_back(seed[i]);
     }
   }
-  // Two states of five sections each, plus the walk scale.
-  ASSERT_EQ(targets.size(), 11u);
+  // Two states of three sections each, plus the walk scale.
+  ASSERT_EQ(targets.size(), 7u);
 
   const std::string path = TempPath("mutant.staq");
   WriteSections(seed, path);
@@ -321,33 +318,97 @@ TEST(SnapshotDecoderFuzzTest, RejectsALabelKeyNoRequestCanName) {
       << restored.status();
 }
 
-// Regression: a state whose POI list names a POI the scenario lacks used
-// to load, and a RemovePoi of the POI it replaced then aborted the
-// process (PatchRemove finds the POI in the state's list).
-TEST(SnapshotDecoderFuzzTest, RejectsStatePoisTheScenarioLacks) {
+/// Replaces the section named like `section`, or appends it when absent.
+void SetSection(std::vector<Section>* sections, Section section) {
+  for (Section& s : *sections) {
+    if (s.name == section.name) {
+      s = std::move(section);
+      return;
+    }
+  }
+  sections->push_back(std::move(section));
+}
+
+// Regression: a state's stored POI list and gravity normalisers used to be
+// trusted. A file whose `label/<i>/norm` was rewritten inside valid
+// checksums loaded, and the next AddPoi drew the new POI's trips under the
+// rewritten normalisers (TinyCity school: 1 168 trips against a fresh
+// build's 1 090); a POI list naming a POI the scenario lacks was refused
+// only because the RemovePoi of the POI it replaced would have aborted.
+// Older files carry both sections per state: the loader ignores them, so
+// the scenario and the key alone decide every patch.
+TEST(SnapshotDecoderFuzzTest, IgnoresStoredStatePoisAndNorms) {
   std::vector<Section> sections = SeedSections();
-  ASSERT_TRUE(LoadSections(sections).ok());
-  bool edited = false;
-  for (Section& section : sections) {
-    if (section.name != "label/0/pois") continue;
-    ByteReader in(section.payload.data(), section.payload.size());
+  const std::string path = TempPath("older.staq");
+  WriteSections(sections, path);
+  auto seeded = LoadSnapshot(path);
+  ASSERT_TRUE(seeded.ok()) << seeded.status();
+  const serve::RestoredScenario& r = seeded.value();
+  ASSERT_EQ(r.label_states.size(), 2u);
+
+  // An older file's sections, every normaliser halved and label/0's first
+  // POI id replaced.
+  uint32_t victim = 0;
+  for (size_t i = 0; i < r.label_states.size(); ++i) {
+    const serve::LabelKey& key = r.label_states[i].first;
+    const std::string prefix = "label/" + std::to_string(i);
     std::vector<uint32_t> ids;
     std::vector<uint8_t> categories;
     std::vector<geo::Point> positions;
-    ASSERT_TRUE(ReadDeltaColumn(&in, &ids) &&
-                ReadFixedColumn(&in, &categories) &&
-                ReadFixedColumn(&in, &positions));
+    for (const synth::Poi& poi : r.pois) {
+      if (poi.category != key.category) continue;
+      ids.push_back(poi.id);
+      categories.push_back(static_cast<uint8_t>(poi.category));
+      positions.push_back(poi.position);
+    }
     ASSERT_FALSE(ids.empty());
-    ids.front() = 1u << 30;
-    section.payload.clear();
-    PutDeltaColumn(&section.payload, ids);
-    PutFixedColumn(&section.payload, categories);
-    PutFixedColumn(&section.payload, positions);
-    edited = true;
+    if (i == 0) {
+      victim = ids.front();
+      ids.front() = 1u << 30;
+    }
+    Section listed{prefix + "/pois", SectionEncoding::kStruct, {}, ids.size()};
+    PutDeltaColumn(&listed.payload, ids);
+    PutFixedColumn(&listed.payload, categories);
+    PutFixedColumn(&listed.payload, positions);
+    SetSection(&sections, std::move(listed));
+
+    std::vector<double> norm =
+        core::StableGravityNorms(r.city->zones, r.city->PoisOf(key.category),
+                                 key.gravity.decay_scale_m);
+    for (double& v : norm) v *= 0.5;
+    Section norms{prefix + "/norm", SectionEncoding::kRaw,
+                  std::vector<uint8_t>(norm.size() * sizeof(double)),
+                  norm.size()};
+    std::memcpy(norms.payload.data(), norm.data(), norms.payload.size());
+    SetSection(&sections, std::move(norms));
   }
-  ASSERT_TRUE(edited);
-  const util::Status status = LoadSections(sections);
-  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << status;
+  WriteSections(sections, path);
+  auto restored = LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+
+  testing::CountingZoneLoop loop;
+  serve::ScenarioStore store(std::move(restored).value(), loop);
+  const auto expect_fresh = [&store, &loop] {
+    auto scenario = store.Acquire();
+    const auto states = scenario->MaterializedStates();
+    ASSERT_EQ(states.size(), 2u);
+    for (const auto& [key, state] : states) {
+      SCOPED_TRACE(key.Canonical());
+      testing::ExpectStatesIdentical(*state,
+                                     *scenario->BuildLabelState(key, loop));
+    }
+  };
+  store.AddPoi(r.label_states[0].first.category, store.base_city().Centre());
+  {
+    SCOPED_TRACE("after AddPoi");
+    expect_fresh();
+  }
+  ASSERT_TRUE(store.RemovePoi(victim).ok());
+  {
+    SCOPED_TRACE("after RemovePoi");
+    expect_fresh();
+  }
 }
 
 }  // namespace

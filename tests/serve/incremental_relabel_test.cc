@@ -74,7 +74,7 @@ void RunGoldenScenario(synth::City city, const LabelKey& key) {
             fresh->todam.num_trips() - base_state->todam.num_trips());
 
   // --- remove an original POI (non-tail column) --------------------------
-  uint32_t victim = base_state->pois.front().id;
+  uint32_t victim = after_add->PoisOf(key.category).front().id;
   auto remove_report = store.RemovePoi(victim);
   ASSERT_TRUE(remove_report.ok());
   EXPECT_EQ(remove_report.value().states_patched, 1u);

@@ -140,7 +140,8 @@ TEST_F(ScenarioStoreTest, PatchesRunThroughTheStoresLoop) {
     EXPECT_FALSE(built);
     // The zones with a trip to the new POI (the state's last one) are the
     // ones the patch routed.
-    const uint32_t added = static_cast<uint32_t>(patched->pois.size() - 1);
+    const auto added = static_cast<uint32_t>(
+        store_.Acquire()->PoisOf(key.category).size() - 1);
     size_t affected = 0;
     for (uint32_t z = 0; z < patched->todam.num_zones(); ++z) {
       for (const core::TripEntry& trip : patched->todam.TripsFor(z)) {

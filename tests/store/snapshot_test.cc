@@ -21,6 +21,7 @@
 #include "store/snapshot.h"
 #include "store/writer.h"
 #include "synth/city_spec.h"
+#include "testing/label_state.h"
 #include "testing/test_city.h"
 #include "testing/zone_loop.h"
 
@@ -55,48 +56,7 @@ serve::LabelKey VaxGacKey() {
   return key;
 }
 
-uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-void ExpectBitIdenticalDoubles(const std::vector<double>& a,
-                               const std::vector<double>& b,
-                               const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(Bits(a[i]), Bits(b[i])) << what << "[" << i << "]";
-  }
-}
-
-void ExpectSameState(const serve::ExactLabelState& a,
-                     const serve::ExactLabelState& b) {
-  ASSERT_EQ(a.pois.size(), b.pois.size());
-  for (size_t i = 0; i < a.pois.size(); ++i) {
-    EXPECT_EQ(a.pois[i].id, b.pois[i].id);
-    EXPECT_EQ(a.pois[i].category, b.pois[i].category);
-    EXPECT_EQ(Bits(a.pois[i].position.x), Bits(b.pois[i].position.x));
-    EXPECT_EQ(Bits(a.pois[i].position.y), Bits(b.pois[i].position.y));
-  }
-  ExpectBitIdenticalDoubles(a.zone_norm, b.zone_norm, "zone_norm");
-  EXPECT_EQ(a.todam.offsets(), b.todam.offsets());
-  EXPECT_EQ(a.todam.trips(), b.todam.trips());
-  ASSERT_EQ(a.todam.alpha().size(), b.todam.alpha().size());
-  for (size_t z = 0; z < a.todam.alpha().size(); ++z) {
-    ExpectBitIdenticalDoubles(a.todam.alpha()[z], b.todam.alpha()[z], "alpha");
-  }
-  EXPECT_EQ(a.trip_flags, b.trip_flags);
-  ExpectBitIdenticalDoubles(a.trip_costs, b.trip_costs, "trip_costs");
-  ASSERT_EQ(a.labels.size(), b.labels.size());
-  for (size_t z = 0; z < a.labels.size(); ++z) {
-    EXPECT_EQ(Bits(a.labels[z].mac), Bits(b.labels[z].mac)) << "zone " << z;
-    EXPECT_EQ(Bits(a.labels[z].acsd), Bits(b.labels[z].acsd)) << "zone " << z;
-    EXPECT_EQ(a.labels[z].num_trips, b.labels[z].num_trips);
-    EXPECT_EQ(a.labels[z].num_infeasible, b.labels[z].num_infeasible);
-    EXPECT_EQ(a.labels[z].num_walk_only, b.labels[z].num_walk_only);
-  }
-}
+using testing::DoubleBits;
 
 /// Finds `key`'s state in a MaterializedStates() listing.
 std::shared_ptr<const serve::ExactLabelState> StateFor(
@@ -133,10 +93,10 @@ TEST(SnapshotRoundTrip, TinyCityBitIdentical) {
   EXPECT_EQ(r.city->feed.stop_times().size(),
             original.feed.stop_times().size());
   for (size_t z = 0; z < original.zones.size(); ++z) {
-    EXPECT_EQ(Bits(r.city->zones[z].population),
-              Bits(original.zones[z].population));
-    EXPECT_EQ(Bits(r.city->zones[z].vulnerability),
-              Bits(original.zones[z].vulnerability));
+    EXPECT_EQ(DoubleBits(r.city->zones[z].population),
+              DoubleBits(original.zones[z].population));
+    EXPECT_EQ(DoubleBits(r.city->zones[z].vulnerability),
+              DoubleBits(original.zones[z].vulnerability));
   }
 
   // Both label states came back bit-identically.
@@ -149,7 +109,7 @@ TEST(SnapshotRoundTrip, TinyCityBitIdentical) {
       if (k.Canonical() == key.Canonical()) loaded = state;
     }
     ASSERT_NE(loaded, nullptr) << key.Canonical();
-    ExpectSameState(*original_state, *loaded);
+    testing::ExpectStatesIdentical(*original_state, *loaded);
   }
 
   // Strongest check: standing the restored scenario up and re-exporting
@@ -185,7 +145,8 @@ TEST(SnapshotRoundTrip, BrindaleFamilyBitIdentical) {
   auto original_state = StateFor(*scenario, SchoolKey());
   ASSERT_NE(original_state, nullptr);
   ASSERT_EQ(restored.value().label_states.size(), 1u);
-  ExpectSameState(*original_state, *restored.value().label_states[0].second);
+  testing::ExpectStatesIdentical(*original_state,
+                                 *restored.value().label_states[0].second);
 
   testing::CountingZoneLoop restored_loop;
   serve::ScenarioStore restored_store(std::move(restored).value(),
@@ -252,7 +213,8 @@ TEST(SnapshotRoundTrip, SmallCitySundayRestoresTheExportedState) {
   auto original_state = StateFor(*scenario, SchoolKey());
   ASSERT_NE(original_state, nullptr);
   ASSERT_EQ(restored.value().label_states.size(), 1u);
-  ExpectSameState(*original_state, *restored.value().label_states[0].second);
+  testing::ExpectStatesIdentical(*original_state,
+                                 *restored.value().label_states[0].second);
   std::remove(path.c_str());
 }
 
@@ -338,7 +300,7 @@ TEST(SnapshotRoundTrip, VersionOneFileRestoresLabelsFromTripColumns) {
       if (k.Canonical() == key.Canonical()) loaded = state;
     }
     ASSERT_NE(loaded, nullptr) << key.Canonical();
-    ExpectSameState(*original_state, *loaded);
+    testing::ExpectStatesIdentical(*original_state, *loaded);
   }
   std::remove(path.c_str());
   std::remove(v1.c_str());
@@ -373,8 +335,8 @@ TEST(SnapshotRoundTrip, ChainedPoiEditEpochs) {
     auto original_state = StateFor(*live, SchoolKey());
     ASSERT_NE(original_state, nullptr);
     ASSERT_EQ(restored.value().label_states.size(), 1u);
-    ExpectSameState(*original_state,
-                    *restored.value().label_states[0].second);
+    testing::ExpectStatesIdentical(*original_state,
+                                   *restored.value().label_states[0].second);
   }
 
   // The POI id cursor must survive: the same follow-up edit on the live
@@ -393,7 +355,7 @@ TEST(SnapshotRoundTrip, ChainedPoiEditEpochs) {
   auto restored_state = StateFor(*restored_store.Acquire(), SchoolKey());
   ASSERT_NE(live_state, nullptr);
   ASSERT_NE(restored_state, nullptr);
-  ExpectSameState(*live_state, *restored_state);
+  testing::ExpectStatesIdentical(*live_state, *restored_state);
   std::remove(path.c_str());
 }
 
@@ -446,11 +408,11 @@ TEST(SnapshotWarmStart, ServerAnswersBitIdenticallyToColdBuild) {
   ASSERT_TRUE(warm_answer.ok()) << warm_answer.status();
   ASSERT_EQ(warm_answer.value().mac.size(), cold_answer.value().mac.size());
   for (size_t z = 0; z < cold_answer.value().mac.size(); ++z) {
-    EXPECT_EQ(Bits(warm_answer.value().mac[z]),
-              Bits(cold_answer.value().mac[z]))
+    EXPECT_EQ(DoubleBits(warm_answer.value().mac[z]),
+              DoubleBits(cold_answer.value().mac[z]))
         << "zone " << z;
-    EXPECT_EQ(Bits(warm_answer.value().acsd[z]),
-              Bits(cold_answer.value().acsd[z]))
+    EXPECT_EQ(DoubleBits(warm_answer.value().acsd[z]),
+              DoubleBits(cold_answer.value().acsd[z]))
         << "zone " << z;
   }
   EXPECT_EQ(warm_answer.value().gravity_trips,
@@ -475,8 +437,8 @@ void ExpectSameAnswer(const core::AccessQueryResult& a,
                       const core::AccessQueryResult& b) {
   ASSERT_EQ(a.mac.size(), b.mac.size());
   for (size_t z = 0; z < a.mac.size(); ++z) {
-    EXPECT_EQ(Bits(a.mac[z]), Bits(b.mac[z])) << "zone " << z;
-    EXPECT_EQ(Bits(a.acsd[z]), Bits(b.acsd[z])) << "zone " << z;
+    EXPECT_EQ(DoubleBits(a.mac[z]), DoubleBits(b.mac[z])) << "zone " << z;
+    EXPECT_EQ(DoubleBits(a.acsd[z]), DoubleBits(b.acsd[z])) << "zone " << z;
   }
   EXPECT_EQ(a.gravity_trips, b.gravity_trips);
 }
@@ -507,8 +469,9 @@ TEST(SnapshotWarmStart, WalkScaleSurvivesTheSnapshot) {
                        warm_options);
   ASSERT_TRUE(warm.warm_started());
   EXPECT_EQ(warm.Snapshot()->walk_scale(), exporter.Snapshot()->walk_scale());
-  EXPECT_EQ(Bits(warm.Snapshot()->router_options().walk.speed_mps),
-            Bits(exporter.Snapshot()->router_options().walk.speed_mps));
+  EXPECT_EQ(
+      DoubleBits(warm.Snapshot()->router_options().walk.speed_mps),
+      DoubleBits(exporter.Snapshot()->router_options().walk.speed_mps));
 
   serve::AqRequest fresh = materialised;
   fresh.options.seed = 11;

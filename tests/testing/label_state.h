@@ -1,13 +1,15 @@
-// Shared assertion: bit-level equality of two ExactLabelStates. Both the
-// POI-mutation and the disruption golden suites check the same contract —
-// an incrementally patched state equals a from-scratch build — so the
-// comparison lives here once.
+// Shared assertion: bit-level equality of two ExactLabelStates. The
+// POI-mutation and disruption golden suites (a patched state equals a
+// from-scratch build) and the snapshot round trips (a loaded state equals
+// the saved one) check the same contract, so the comparison lives here
+// once.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "serve/scenario.h"
 
@@ -21,14 +23,10 @@ inline uint64_t DoubleBits(double v) {
   return bits;
 }
 
-/// Full bit-level equality: POIs, the TODAM's zone offsets and flat trips,
-/// α rows, every trip's cost and flags, labels.
+/// Full bit-level equality of a state's four members: the TODAM's zone
+/// offsets, flat trips and α rows, every trip's cost and flags, labels.
 inline void ExpectStatesIdentical(const serve::ExactLabelState& patched,
                                   const serve::ExactLabelState& fresh) {
-  ASSERT_EQ(patched.pois.size(), fresh.pois.size());
-  for (size_t p = 0; p < fresh.pois.size(); ++p) {
-    EXPECT_EQ(patched.pois[p].id, fresh.pois[p].id);
-  }
   ASSERT_EQ(patched.todam.offsets(), fresh.todam.offsets());
   ASSERT_EQ(patched.todam.trips().size(), fresh.todam.trips().size());
   for (size_t i = 0; i < fresh.todam.trips().size(); ++i) {
@@ -37,8 +35,13 @@ inline void ExpectStatesIdentical(const serve::ExactLabelState& patched,
   }
   ASSERT_EQ(patched.todam.alpha().size(), fresh.todam.alpha().size());
   for (size_t z = 0; z < fresh.todam.alpha().size(); ++z) {
-    EXPECT_EQ(patched.todam.alpha()[z], fresh.todam.alpha()[z])
-        << "alpha row differs in zone " << z;
+    const std::vector<double>& got = patched.todam.alpha()[z];
+    const std::vector<double>& want = fresh.todam.alpha()[z];
+    ASSERT_EQ(got.size(), want.size()) << "alpha row of zone " << z;
+    for (size_t p = 0; p < want.size(); ++p) {
+      EXPECT_EQ(DoubleBits(got[p]), DoubleBits(want[p]))
+          << "alpha[" << z << "][" << p << "]";
+    }
   }
   ASSERT_EQ(patched.trip_flags.size(), fresh.trip_flags.size());
   ASSERT_EQ(patched.trip_costs.size(), fresh.trip_costs.size());
@@ -51,10 +54,12 @@ inline void ExpectStatesIdentical(const serve::ExactLabelState& patched,
   }
   ASSERT_EQ(patched.labels.size(), fresh.labels.size());
   for (size_t z = 0; z < fresh.labels.size(); ++z) {
-    // EXPECT_EQ on doubles on purpose: the claim is bit-identity, not
-    // tolerance-level agreement.
-    EXPECT_EQ(patched.labels[z].mac, fresh.labels[z].mac) << "zone " << z;
-    EXPECT_EQ(patched.labels[z].acsd, fresh.labels[z].acsd) << "zone " << z;
+    EXPECT_EQ(DoubleBits(patched.labels[z].mac),
+              DoubleBits(fresh.labels[z].mac))
+        << "zone " << z;
+    EXPECT_EQ(DoubleBits(patched.labels[z].acsd),
+              DoubleBits(fresh.labels[z].acsd))
+        << "zone " << z;
     EXPECT_EQ(patched.labels[z].num_trips, fresh.labels[z].num_trips);
     EXPECT_EQ(patched.labels[z].num_infeasible,
               fresh.labels[z].num_infeasible);

@@ -34,6 +34,7 @@
 #include "synth/city_builder.h"
 #include "util/csv.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 
 namespace staq::bench {
 
@@ -235,7 +236,9 @@ class JsonWriter {
 
   JsonWriter& String(const char* key, const std::string& value) {
     Item(key);
-    out_ += "\"" + Escape(value) + "\"";
+    out_ += '"';
+    out_ += util::JsonEscape(value);
+    out_ += '"';
     return *this;
   }
   /// Fixed-precision float — the precision is part of the output contract
@@ -269,29 +272,6 @@ class JsonWriter {
     return std::move(out_);
   }
 
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-            out += buffer;
-          } else {
-            out.push_back(c);
-          }
-      }
-    }
-    return out;
-  }
-
  private:
   void Item(const char* key) {
     if (!scopes_.empty()) {
@@ -300,7 +280,9 @@ class JsonWriter {
       out_.append(scopes_.size() * 2, ' ');
     }
     if (key != nullptr) {
-      out_ += "\"" + Escape(key) + "\": ";
+      out_ += '"';
+      out_ += util::JsonEscape(key);
+      out_ += "\": ";
     }
   }
 

@@ -45,33 +45,19 @@ exp::RunResult RunQualityBench() {
     std::fprintf(stderr, "unknown city '%s'\n", city_name.c_str());
     return {2, ""};
   }
-  synth::PoiCategory category = synth::PoiCategory::kSchool;
-  bool poi_found = false;
-  for (synth::PoiCategory c : PaperCategories()) {
-    if (poi_name == synth::PoiCategoryName(c)) {
-      category = c;
-      poi_found = true;
-    }
-  }
-  if (!poi_found) {
-    std::fprintf(stderr, "unknown poi '%s'\n", poi_name.c_str());
+  auto category = synth::PoiCategoryFromName(poi_name);
+  if (!category.ok()) {
+    std::fprintf(stderr, "%s\n", category.status().message().c_str());
     return {2, ""};
   }
-  ml::ModelKind model = ml::ModelKind::kMlp;
-  bool model_found = false;
-  for (ml::ModelKind kind : ml::AllModelKinds()) {
-    if (model_name == ml::ModelKindName(kind)) {
-      model = kind;
-      model_found = true;
-    }
-  }
-  if (!model_found) {
-    std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
+  auto model = ml::ModelKindFromName(model_name);
+  if (!model.ok()) {
+    std::fprintf(stderr, "%s\n", model.status().message().c_str());
     return {2, ""};
   }
 
   BenchCity bc = MakeBenchCity(spec);
-  auto pois = bc.city->PoisOf(category);
+  auto pois = bc.city->PoisOf(category.value());
   core::Todam todam =
       bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
   core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
@@ -79,7 +65,7 @@ exp::RunResult RunQualityBench() {
 
   core::PipelineConfig config;
   config.beta = beta;
-  config.model = model;
+  config.model = model.value();
   config.cost = core::CostKind::kJourneyTime;
   config.seed = BenchSeed();
   auto run = bc.pipeline->Run(pois, todam, config);

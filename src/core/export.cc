@@ -10,17 +10,6 @@ namespace staq::core {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes and backslashes; our identifiers
-/// contain nothing else special).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 std::string PointGeometry(const geo::LocalProjection& projection,
                           const geo::Point& p) {
   geo::LatLon ll = projection.Unproject(p);
@@ -53,7 +42,7 @@ util::Status ExportAccessGeoJson(const synth::City& city,
         << util::Format(",\"mac_s\":%.1f", result.mac[z.id])
         << util::Format(",\"acsd_s\":%.1f", result.acsd[z.id])
         << ",\"class\":\""
-        << JsonEscape(AccessClassName(
+        << util::JsonEscape(AccessClassName(
                static_cast<AccessClass>(result.classes[z.id])))
         << "\"" << util::Format(",\"population\":%.0f", z.population)
         << util::Format(",\"vulnerability\":%.3f", z.vulnerability) << "}}";
@@ -62,7 +51,7 @@ util::Status ExportAccessGeoJson(const synth::City& city,
     out << ",\n{\"type\":\"Feature\",\"geometry\":"
         << PointGeometry(projection, p.position) << ",\"properties\":{"
         << "\"kind\":\"poi\",\"poi_id\":" << p.id << ",\"category\":\""
-        << JsonEscape(synth::PoiCategoryName(p.category)) << "\"}}";
+        << util::JsonEscape(synth::PoiCategoryName(p.category)) << "\"}}";
   }
   out << "\n]}\n";
   if (!out) return util::Status::IoError("write failed for " + path);

@@ -1,8 +1,5 @@
 #include "exp/config.h"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "util/hash.h"
 #include "util/strings.h"
 
@@ -34,206 +31,57 @@ std::string Cell::ParamSummary() const {
   return out;
 }
 
-namespace {
-
-/// Line/column-tracking cursor over the config text.
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) : text_(text) {}
-
-  size_t line() const { return line_; }
-  size_t column() const { return pos_ - line_start_ + 1; }
-
-  util::Status Error(const std::string& what) const {
-    return util::Status::InvalidArgument(
-        util::Format("config parse error at line %zu, column %zu: %s", line_,
-                     column(), what.c_str()));
+util::Status ParseAxis(TextCursor& cursor, MatrixBlock* block) {
+  std::string key = cursor.Word();
+  if (key.empty()) return cursor.Error("expected a key or '}'");
+  for (const auto& [existing, values] : block->axes) {
+    (void)values;
+    if (existing == key) return cursor.Error("duplicate key '" + key + "'");
   }
+  cursor.SkipInline();
+  STAQ_RETURN_NOT_OK(cursor.Expect('=', "after key '" + key + "'"));
 
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  void Advance() {
-    if (text_[pos_] == '\n') {
-      ++line_;
-      line_start_ = pos_ + 1;
-    }
-    ++pos_;
-  }
-
-  /// Skips spaces, newlines and '#' comments.
-  void SkipWsAndComments() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-        Advance();
-      } else if (c == '#') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else {
-        return;
-      }
-    }
-  }
-
-  /// Skips spaces/tabs only (stays on the current line).
-  void SkipInline() {
-    while (!AtEnd() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\r')) {
-      Advance();
-    }
-  }
-
-  static bool IsWordChar(char c) {
-    // ':' joins the fields of scenario-pack disruption specs
-    // ("scale_headway:all:2"); existing experiment configs contain none,
-    // so admitting it is backward compatible.
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-           (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.' ||
-           c == '+' || c == ':';
-  }
-
-  /// Reads a bare word ([A-Za-z0-9_.+-]+). Empty result means "no word
-  /// here" — the caller turns that into a positioned error.
-  std::string Word() {
-    std::string out;
-    while (!AtEnd() && IsWordChar(Peek())) {
-      out.push_back(Peek());
-      Advance();
-    }
-    return out;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  size_t line_ = 1;
-  size_t line_start_ = 0;
-};
-
-util::Status ParseBlockBody(Lexer& lex, const std::string& keyword,
-                            MatrixBlock* block) {
+  std::vector<std::string> values;
   while (true) {
-    lex.SkipWsAndComments();
-    if (lex.AtEnd()) {
-      return lex.Error("unterminated " + keyword + " block (missing '}')");
+    cursor.SkipInline();
+    std::string value = cursor.Word();
+    if (value.empty()) {
+      return cursor.Error("expected a value for key '" + key + "'");
     }
-    if (lex.Peek() == '}') {
-      lex.Advance();
-      return util::Status::OK();
-    }
-    std::string key = lex.Word();
-    if (key.empty()) return lex.Error("expected a key or '}'");
-    for (const auto& [existing, values] : block->axes) {
-      (void)values;
-      if (existing == key) return lex.Error("duplicate key '" + key + "'");
-    }
-    lex.SkipInline();
-    if (lex.AtEnd() || lex.Peek() != '=') {
-      return lex.Error("expected '=' after key '" + key + "'");
-    }
-    lex.Advance();
-
-    std::vector<std::string> values;
-    while (true) {
-      lex.SkipInline();
-      std::string value = lex.Word();
-      if (value.empty()) {
-        return lex.Error("expected a value for key '" + key + "'");
-      }
-      values.push_back(std::move(value));
-      lex.SkipInline();
-      if (!lex.AtEnd() && lex.Peek() == ',') {
-        lex.Advance();
-        continue;
-      }
-      break;
-    }
-    if (!lex.AtEnd() && lex.Peek() != '\n' && lex.Peek() != '#' &&
-        lex.Peek() != '}') {
-      return lex.Error("unexpected trailing content after values of '" + key +
-                       "'");
-    }
-    block->axes.emplace_back(std::move(key), std::move(values));
+    values.push_back(std::move(value));
+    cursor.SkipInline();
+    if (!cursor.At(',')) break;
+    cursor.Advance();
   }
+  STAQ_RETURN_NOT_OK(EndEntry(cursor, "values of '" + key + "'"));
+  block->axes.emplace_back(std::move(key), std::move(values));
+  return util::Status::OK();
 }
-
-}  // namespace
 
 util::Result<ExperimentConfig> ExperimentConfig::Parse(
     const std::string& text) {
-  return Parse(text, ParseOptions());
-}
-
-util::Result<ExperimentConfig> ExperimentConfig::Parse(
-    const std::string& text, const ParseOptions& options) {
   ExperimentConfig config;
-  Lexer lex(text);
-  while (true) {
-    lex.SkipWsAndComments();
-    if (lex.AtEnd()) break;
-    std::string keyword = lex.Word();
-    if (keyword != options.keyword) {
-      return lex.Error("expected '" + options.keyword + "', got '" + keyword +
-                       "'");
-    }
-    lex.SkipInline();
-    MatrixBlock block;
-    block.name = lex.Word();
-    if (block.name.empty()) {
-      return lex.Error(options.keyword + " block needs a name");
-    }
-    for (const MatrixBlock& existing : config.blocks_) {
-      if (existing.name == block.name) {
-        return lex.Error("duplicate " + options.keyword + " name '" +
-                         block.name + "'");
-      }
-    }
-    lex.SkipInline();
-    if (lex.AtEnd() || lex.Peek() != '{') {
-      return lex.Error("expected '{' after " + options.keyword + " name");
-    }
-    lex.Advance();
-    STAQ_RETURN_NOT_OK(ParseBlockBody(lex, options.keyword, &block));
-
-    if (!options.required_key.empty()) {
-      bool has_required = false;
-      for (const auto& [key, values] : block.axes) {
-        (void)values;
-        if (key == options.required_key) has_required = true;
-      }
-      if (!has_required) {
-        return lex.Error(options.keyword + " '" + block.name + "' has no '" +
-                         options.required_key + "' key");
-      }
-    }
-    config.blocks_.push_back(std::move(block));
-  }
-  if (config.blocks_.empty()) {
-    return util::Status::InvalidArgument(
-        "config parse error at line 1, column 1: no " + options.keyword +
-        " blocks");
-  }
+  std::vector<MatrixBlock>& blocks = config.blocks_;
+  TextCursor cursor(text, "config", kConfigWordChars);
+  STAQ_RETURN_NOT_OK(ParseBlocks(
+      cursor,
+      {.keyword = "matrix",
+       .open = [&](const std::string& name) { blocks.push_back({name, {}}); },
+       .entry = [&](TextCursor& c) { return ParseAxis(c, &blocks.back()); },
+       .close = [&](TextCursor& c) -> util::Status {
+         for (const auto& [key, values] : blocks.back().axes) {
+           (void)values;
+           if (key == "bench") return util::Status::OK();
+         }
+         return c.Error("matrix '" + blocks.back().name +
+                        "' has no 'bench' key");
+       }}));
   return config;
 }
 
 util::Result<ExperimentConfig> ExperimentConfig::Load(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open config: " + path);
-  }
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
-  auto parsed = Parse(text);
-  if (!parsed.ok()) {
-    return util::Status::InvalidArgument(path + ": " +
-                                         parsed.status().message());
-  }
-  return parsed;
+  return LoadFile(path, "config", &Parse);
 }
 
 std::vector<Cell> ExperimentConfig::Expand() const {

@@ -14,9 +14,9 @@
 //     seed = 42
 //   }
 //
-// Grammar: `matrix <name> {` ... `<key> = <value>[, <value>...]` ... `}`,
-// '#' comments, blank lines anywhere. Every parse error names its
-// line:column. Keys are free-form ([a-z0-9_]); the bench side decides
+// Grammar: the block grammar of exp/text.h under the `matrix` keyword,
+// one `<key> = <value>[, <value>...]` entry per line. Every parse error
+// names its line:column. Keys are free-form ([a-z0-9_]); the bench side decides
 // which it understands ("bench" is required, "scale"/"rate"/"seed"/
 // "threads"/"spq_budget_ms"/"relax_gates" configure the shared bench
 // parameters, anything else reaches the bench as an extra parameter).
@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/text.h"
 #include "util/status.h"
 
 namespace staq::exp {
@@ -66,21 +67,18 @@ struct Cell {
   std::string ParamSummary() const;
 };
 
+/// What a config word holds besides [A-Za-z0-9]; ':' joins the fields of
+/// scenario-pack disruption specs ("scale_headway:all:2").
+inline constexpr char kConfigWordChars[] = "_-.+:";
+
+/// Reads one `key = value[, value...]` entry into `block`; a key the block
+/// already has is an error. Scenario packs read their entries with it too.
+util::Status ParseAxis(TextCursor& cursor, MatrixBlock* block);
+
 class ExperimentConfig {
  public:
-  /// Dialect knobs: the same block grammar serves other declarative files
-  /// (the scenario-pack format uses `scenario <name> { disrupt = ... }`).
-  struct ParseOptions {
-    /// Block keyword ("matrix <name> { ... }").
-    std::string keyword = "matrix";
-    /// Key every block must declare ("" disables the requirement).
-    std::string required_key = "bench";
-  };
-
   /// Parses config text; errors carry "line L, column C".
   static util::Result<ExperimentConfig> Parse(const std::string& text);
-  static util::Result<ExperimentConfig> Parse(const std::string& text,
-                                              const ParseOptions& options);
 
   /// Reads and parses a config file.
   static util::Result<ExperimentConfig> Load(const std::string& path);

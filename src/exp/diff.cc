@@ -1,8 +1,8 @@
 #include "exp/diff.h"
 
-#include <cstdio>
 #include <cstdlib>
 
+#include "exp/text.h"
 #include "util/strings.h"
 
 namespace staq::exp {
@@ -30,112 +30,38 @@ bool ParseRuleKind(const std::string& word, RuleKind* kind) {
   return false;
 }
 
-/// Line/column-tracking cursor — same shape as the config lexer, with a
-/// wider word charset so metric paths ("modes[2].spqs_per_s") lex whole.
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) : text_(text) {}
-
-  util::Status Error(const std::string& what) const {
-    return util::Status::InvalidArgument(
-        util::Format("policy parse error at line %zu, column %zu: %s", line_,
-                     pos_ - line_start_ + 1, what.c_str()));
+/// Reads one `<kind> <metric> [<threshold>]` rule into `bench`.
+util::Status ParseRule(TextCursor& cursor, BenchPolicy* bench) {
+  Rule rule;
+  std::string kind_word = cursor.Word();
+  if (kind_word.empty()) return cursor.Error("expected a rule kind or '}'");
+  if (!ParseRuleKind(kind_word, &rule.kind)) {
+    return cursor.Error("unknown rule kind '" + kind_word +
+                        "' (want min/ceiling/ratio_floor/exact)");
   }
-
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  void Advance() {
-    if (text_[pos_] == '\n') {
-      ++line_;
-      line_start_ = pos_ + 1;
+  cursor.SkipInline();
+  rule.metric = cursor.Word();
+  if (rule.metric.empty()) {
+    return cursor.Error("rule '" + kind_word + "' needs a metric path");
+  }
+  if (rule.kind != RuleKind::kExact) {
+    cursor.SkipInline();
+    std::string value_word = cursor.Word();
+    if (value_word.empty()) {
+      return cursor.Error("rule '" + kind_word + " " + rule.metric +
+                          "' needs a numeric threshold");
     }
-    ++pos_;
-  }
-
-  void SkipWsAndComments() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-        Advance();
-      } else if (c == '#') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else {
-        return;
-      }
+    char* end = nullptr;
+    rule.value = std::strtod(value_word.c_str(), &end);
+    if (end == nullptr || *end != '\0') {
+      return cursor.Error("bad threshold '" + value_word + "' for '" +
+                          rule.metric + "'");
     }
   }
-
-  void SkipInline() {
-    while (!AtEnd() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\r')) {
-      Advance();
-    }
-  }
-
-  static bool IsWordChar(char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-           (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.' ||
-           c == '+' || c == '[' || c == ']';
-  }
-
-  std::string Word() {
-    std::string out;
-    while (!AtEnd() && IsWordChar(Peek())) {
-      out.push_back(Peek());
-      Advance();
-    }
-    return out;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  size_t line_ = 1;
-  size_t line_start_ = 0;
-};
-
-util::Status ParseBenchBody(Lexer& lex, BenchPolicy* bench) {
-  while (true) {
-    lex.SkipWsAndComments();
-    if (lex.AtEnd()) return lex.Error("unterminated bench block (missing '}')");
-    if (lex.Peek() == '}') {
-      lex.Advance();
-      return util::Status::OK();
-    }
-    Rule rule;
-    std::string kind_word = lex.Word();
-    if (kind_word.empty()) return lex.Error("expected a rule kind or '}'");
-    if (!ParseRuleKind(kind_word, &rule.kind)) {
-      return lex.Error("unknown rule kind '" + kind_word +
-                       "' (want min/ceiling/ratio_floor/exact)");
-    }
-    lex.SkipInline();
-    rule.metric = lex.Word();
-    if (rule.metric.empty()) {
-      return lex.Error("rule '" + kind_word + "' needs a metric path");
-    }
-    if (rule.kind != RuleKind::kExact) {
-      lex.SkipInline();
-      std::string value_word = lex.Word();
-      if (value_word.empty()) {
-        return lex.Error("rule '" + kind_word + " " + rule.metric +
-                         "' needs a numeric threshold");
-      }
-      char* end = nullptr;
-      rule.value = std::strtod(value_word.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        return lex.Error("bad threshold '" + value_word + "' for '" +
-                         rule.metric + "'");
-      }
-    }
-    lex.SkipInline();
-    if (!lex.AtEnd() && lex.Peek() != '\n' && lex.Peek() != '#' &&
-        lex.Peek() != '}') {
-      return lex.Error("unexpected trailing content after rule '" + kind_word +
-                       " " + rule.metric + "'");
-    }
-    bench->rules.push_back(std::move(rule));
-  }
+  STAQ_RETURN_NOT_OK(
+      EndEntry(cursor, "rule '" + kind_word + " " + rule.metric + "'"));
+  bench->rules.push_back(std::move(rule));
+  return util::Status::OK();
 }
 
 /// "phases[0].p99_ms" -> "phases[0].p99_approx"; "" when the metric isn't
@@ -161,54 +87,20 @@ bool IsApprox(const JsonDoc& doc, const std::string& metric) {
 
 util::Result<TolerancePolicy> TolerancePolicy::Parse(const std::string& text) {
   TolerancePolicy policy;
-  Lexer lex(text);
-  while (true) {
-    lex.SkipWsAndComments();
-    if (lex.AtEnd()) break;
-    std::string keyword = lex.Word();
-    if (keyword != "bench") {
-      return lex.Error("expected 'bench', got '" + keyword + "'");
-    }
-    lex.SkipInline();
-    BenchPolicy bench;
-    bench.bench = lex.Word();
-    if (bench.bench.empty()) return lex.Error("bench block needs a name");
-    if (policy.Find(bench.bench) != nullptr) {
-      return lex.Error("duplicate bench block '" + bench.bench + "'");
-    }
-    lex.SkipInline();
-    if (lex.AtEnd() || lex.Peek() != '{') {
-      return lex.Error("expected '{' after bench name");
-    }
-    lex.Advance();
-    STAQ_RETURN_NOT_OK(ParseBenchBody(lex, &bench));
-    policy.benches_.push_back(std::move(bench));
-  }
-  if (policy.benches_.empty()) {
-    return util::Status::InvalidArgument(
-        "policy parse error at line 1, column 1: no bench blocks");
-  }
+  std::vector<BenchPolicy>& benches = policy.benches_;
+  // Metric paths ("modes[2].spqs_per_s") are one word.
+  TextCursor cursor(text, "policy", "_-.+[]");
+  STAQ_RETURN_NOT_OK(ParseBlocks(
+      cursor,
+      {.keyword = "bench",
+       .duplicate_noun = "block",
+       .open = [&](const std::string& name) { benches.push_back({name, {}}); },
+       .entry = [&](TextCursor& c) { return ParseRule(c, &benches.back()); }}));
   return policy;
 }
 
 util::Result<TolerancePolicy> TolerancePolicy::Load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open policy: " + path);
-  }
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
-  auto parsed = Parse(text);
-  if (!parsed.ok()) {
-    return util::Status::InvalidArgument(path + ": " +
-                                         parsed.status().message());
-  }
-  return parsed;
+  return LoadFile(path, "policy", &Parse);
 }
 
 const BenchPolicy* TolerancePolicy::Find(const std::string& bench) const {

@@ -1,9 +1,9 @@
 #include "exp/json.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
+#include "exp/text.h"
 #include "util/strings.h"
 
 namespace staq::exp {
@@ -41,57 +41,27 @@ std::string JsonScalar::ToString() const {
 
 namespace {
 
-/// Recursive-descent parser over `text`, tracking line/column for errors
-/// and emitting flattened (path, scalar) pairs into the output map.
+/// Recursive-descent parser over `text`, emitting flattened (path, scalar)
+/// pairs into the output map.
 class Parser {
  public:
   Parser(const std::string& text, std::map<std::string, JsonScalar>* out)
-      : text_(text), out_(out) {}
+      : cursor_(text, "json"), out_(out) {}
 
   util::Status Run() {
-    SkipWs();
+    cursor_.SkipSpace();
     STAQ_RETURN_NOT_OK(Value(""));
-    SkipWs();
-    if (pos_ != text_.size()) return Error("trailing content after document");
+    cursor_.SkipSpace();
+    if (!cursor_.AtEnd()) {
+      return cursor_.Error("trailing content after document");
+    }
     return util::Status::OK();
   }
 
  private:
-  util::Status Error(const std::string& what) const {
-    return util::Status::InvalidArgument(
-        util::Format("json parse error at line %zu, column %zu: %s", line_,
-                     pos_ - line_start_ + 1, what.c_str()));
-  }
-
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  void Advance() {
-    if (text_[pos_] == '\n') {
-      ++line_;
-      line_start_ = pos_ + 1;
-    }
-    ++pos_;
-  }
-
-  void SkipWs() {
-    while (!AtEnd() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\n' ||
-                        Peek() == '\r')) {
-      Advance();
-    }
-  }
-
-  util::Status Expect(char c) {
-    if (AtEnd() || Peek() != c) {
-      return Error(util::Format("expected '%c'", c));
-    }
-    Advance();
-    return util::Status::OK();
-  }
-
   util::Status Value(const std::string& path) {
-    if (AtEnd()) return Error("unexpected end of document");
-    char c = Peek();
+    if (cursor_.AtEnd()) return cursor_.Error("unexpected end of document");
+    char c = cursor_.Peek();
     if (c == '{') return Object(path);
     if (c == '[') return Array(path);
     if (c == '"') {
@@ -106,54 +76,48 @@ class Parser {
     if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
       return Number(path);
     }
-    return Error("unexpected character");
+    return cursor_.Error("unexpected character");
   }
 
   util::Status Object(const std::string& path) {
-    STAQ_RETURN_NOT_OK(Expect('{'));
-    SkipWs();
-    if (!AtEnd() && Peek() == '}') {
-      Advance();
+    STAQ_RETURN_NOT_OK(cursor_.Expect('{'));
+    cursor_.SkipSpace();
+    if (cursor_.At('}')) {
+      cursor_.Advance();
       return util::Status::OK();
     }
     while (true) {
-      SkipWs();
+      cursor_.SkipSpace();
       std::string key;
-      if (AtEnd() || Peek() != '"') return Error("expected member name");
+      if (!cursor_.At('"')) return cursor_.Error("expected member name");
       STAQ_RETURN_NOT_OK(StringToken(&key));
-      SkipWs();
-      STAQ_RETURN_NOT_OK(Expect(':'));
-      SkipWs();
+      cursor_.SkipSpace();
+      STAQ_RETURN_NOT_OK(cursor_.Expect(':'));
+      cursor_.SkipSpace();
       STAQ_RETURN_NOT_OK(Value(path.empty() ? key : path + "." + key));
-      SkipWs();
-      if (AtEnd()) return Error("unterminated object");
-      if (Peek() == ',') {
-        Advance();
-        continue;
-      }
-      return Expect('}');
+      cursor_.SkipSpace();
+      if (cursor_.AtEnd()) return cursor_.Error("unterminated object");
+      if (!cursor_.At(',')) return cursor_.Expect('}');
+      cursor_.Advance();
     }
   }
 
   util::Status Array(const std::string& path) {
-    STAQ_RETURN_NOT_OK(Expect('['));
-    SkipWs();
-    if (!AtEnd() && Peek() == ']') {
-      Advance();
+    STAQ_RETURN_NOT_OK(cursor_.Expect('['));
+    cursor_.SkipSpace();
+    if (cursor_.At(']')) {
+      cursor_.Advance();
       return util::Status::OK();
     }
     size_t index = 0;
     while (true) {
-      SkipWs();
+      cursor_.SkipSpace();
       STAQ_RETURN_NOT_OK(Value(util::Format("%s[%zu]", path.c_str(), index)));
       ++index;
-      SkipWs();
-      if (AtEnd()) return Error("unterminated array");
-      if (Peek() == ',') {
-        Advance();
-        continue;
-      }
-      return Expect(']');
+      cursor_.SkipSpace();
+      if (cursor_.AtEnd()) return cursor_.Error("unterminated array");
+      if (!cursor_.At(',')) return cursor_.Expect(']');
+      cursor_.Advance();
     }
   }
 
@@ -166,54 +130,52 @@ class Parser {
                      {"false", JsonKind::kBool, false},
                      {"null", JsonKind::kNull, false}};
     for (const auto& lit : kLiterals) {
-      size_t len = std::string(lit.token).size();
-      if (text_.compare(pos_, len, lit.token) == 0) {
+      if (cursor_.Rest().starts_with(lit.token)) {
         JsonScalar s;
         s.kind = lit.kind;
         s.b = lit.value;
         s.raw = lit.token;
-        for (size_t i = 0; i < len; ++i) Advance();
+        for (size_t i = 0; i < s.raw.size(); ++i) cursor_.Advance();
         (*out_)[path] = std::move(s);
         return util::Status::OK();
       }
     }
-    return Error("unknown literal");
+    return cursor_.Error("unknown literal");
   }
 
   util::Status Number(const std::string& path) {
-    size_t start = pos_;
-    if (!AtEnd() && Peek() == '-') Advance();
-    while (!AtEnd() &&
-           (std::isdigit(static_cast<unsigned char>(Peek())) || Peek() == '.' ||
-            Peek() == 'e' || Peek() == 'E' || Peek() == '+' || Peek() == '-')) {
-      Advance();
-    }
     JsonScalar s;
     s.kind = JsonKind::kNumber;
-    s.raw = text_.substr(start, pos_ - start);
+    while (!cursor_.AtEnd() &&
+           (std::isdigit(static_cast<unsigned char>(cursor_.Peek())) ||
+            std::string_view(".eE+-").find(cursor_.Peek()) !=
+                std::string_view::npos)) {
+      s.raw.push_back(cursor_.Peek());
+      cursor_.Advance();
+    }
     char* end = nullptr;
     s.num = std::strtod(s.raw.c_str(), &end);
     if (end == nullptr || *end != '\0' || s.raw.empty()) {
-      return Error("malformed number '" + s.raw + "'");
+      return cursor_.Error("malformed number '" + s.raw + "'");
     }
     (*out_)[path] = std::move(s);
     return util::Status::OK();
   }
 
   util::Status StringToken(std::string* out) {
-    STAQ_RETURN_NOT_OK(Expect('"'));
+    STAQ_RETURN_NOT_OK(cursor_.Expect('"'));
     out->clear();
     while (true) {
-      if (AtEnd()) return Error("unterminated string");
-      char c = Peek();
+      if (cursor_.AtEnd()) return cursor_.Error("unterminated string");
+      char c = cursor_.Peek();
       if (c == '"') {
-        Advance();
+        cursor_.Advance();
         return util::Status::OK();
       }
       if (c == '\\') {
-        Advance();
-        if (AtEnd()) return Error("unterminated escape");
-        char e = Peek();
+        cursor_.Advance();
+        if (cursor_.AtEnd()) return cursor_.Error("unterminated escape");
+        char e = cursor_.Peek();
         switch (e) {
           case '"': out->push_back('"'); break;
           case '\\': out->push_back('\\'); break;
@@ -225,15 +187,15 @@ class Parser {
           case 't': out->push_back('\t'); break;
           case 'u': {
             // \uXXXX: decode the code unit; non-ASCII re-encodes as UTF-8.
-            if (pos_ + 4 >= text_.size()) return Error("truncated \\u escape");
+            const std::string_view digits = cursor_.Rest().substr(1, 4);
+            if (digits.size() < 4) return cursor_.Error("truncated \\u escape");
             unsigned value = 0;
-            for (int i = 1; i <= 4; ++i) {
-              char h = text_[pos_ + i];
+            for (char h : digits) {
               value <<= 4;
               if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
               else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
               else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-              else return Error("bad \\u escape digit");
+              else return cursor_.Error("bad \\u escape digit");
             }
             if (value < 0x80) {
               out->push_back(static_cast<char>(value));
@@ -245,25 +207,22 @@ class Parser {
               out->push_back(static_cast<char>(0x80 | ((value >> 6) & 0x3F)));
               out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
             }
-            for (int i = 0; i < 4; ++i) Advance();
+            for (int i = 0; i < 4; ++i) cursor_.Advance();
             break;
           }
           default:
-            return Error("unknown escape");
+            return cursor_.Error("unknown escape");
         }
-        Advance();
+        cursor_.Advance();
         continue;
       }
       out->push_back(c);
-      Advance();
+      cursor_.Advance();
     }
   }
 
-  const std::string& text_;
+  TextCursor cursor_;
   std::map<std::string, JsonScalar>* out_;
-  size_t pos_ = 0;
-  size_t line_ = 1;
-  size_t line_start_ = 0;
 };
 
 }  // namespace

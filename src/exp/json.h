@@ -7,8 +7,9 @@
 // that — a path -> scalar map — in one recursive-descent pass.
 //
 // Scope: the grammar the bench emitters produce (objects, arrays, strings
-// with escapes, numbers, booleans, null). Parse errors carry line:column
-// position, same contract as the experiment-config parser. Numbers keep
+// with escapes, numbers, booleans, null). The parser walks the text with
+// the experiment configs' cursor (exp/text.h), so its errors carry the same
+// "line L, column C" position. Numbers keep
 // their raw source text alongside the parsed double so exact-match rules
 // can compare what was actually printed, not a re-rounded value.
 #pragma once

@@ -75,27 +75,6 @@ util::Status SaveCellSnapshot(const std::string& state_dir, const Cell& cell,
   return writer.Finish();
 }
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::Format("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// Re-indents an embedded JSON document by `indent` spaces so the sweep
 /// file stays readable; byte-deterministic (pure text transform).
 std::string Indent(const std::string& json, const std::string& indent) {
@@ -128,15 +107,18 @@ std::string AssembleFinalJson(const ExperimentConfig& config,
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const CellOutcome& o = outcomes[i];
     out += "    {\n";
-    out += "      \"matrix\": \"" + EscapeJson(o.cell.matrix) + "\",\n";
-    out += "      \"bench\": \"" + EscapeJson(o.cell.bench) + "\",\n";
+    out += "      \"matrix\": \"" + util::JsonEscape(o.cell.matrix) +
+           "\",\n";
+    out += "      \"bench\": \"" + util::JsonEscape(o.cell.bench) +
+           "\",\n";
     out += "      \"cell_hash\": \"" + o.cell.HashHex() + "\",\n";
     out += "      \"params\": {";
     bool first = true;
     for (const auto& [k, v] : o.cell.params) {
       if (!first) out += ", ";
       first = false;
-      out += "\"" + EscapeJson(k) + "\": \"" + EscapeJson(v) + "\"";
+      out += "\"" + util::JsonEscape(k) + "\": \"" + util::JsonEscape(v) +
+             "\"";
     }
     out += "},\n";
     out += util::Format("      \"exit_code\": %d,\n", o.exit_code);

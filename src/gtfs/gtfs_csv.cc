@@ -55,18 +55,6 @@ util::Result<Rows> LoadTable(const std::string& directory,
   return rows;
 }
 
-util::Result<double> ParseDouble(const std::string& text,
-                                 const std::string& context) {
-  char* end = nullptr;
-  const std::string trimmed = util::Trim(text);
-  double value = std::strtod(trimmed.c_str(), &end);
-  if (trimmed.empty() || end != trimmed.c_str() + trimmed.size()) {
-    return util::Status::InvalidArgument("bad number '" + text + "' in " +
-                                         context);
-  }
-  return value;
-}
-
 std::string DayFlag(DayMask mask, Day day) {
   return RunsOn(mask, day) ? "1" : "0";
 }
@@ -238,8 +226,8 @@ util::Result<Feed> ReadFeedCsv(const std::string& directory,
         return util::Status::InvalidArgument(
             util::Format("stops.txt row %zu too short", r));
       }
-      auto lat = ParseDouble(row[lat_col.value()], "stops.txt stop_lat");
-      auto lon = ParseDouble(row[lon_col.value()], "stops.txt stop_lon");
+      auto lat = util::ParseDouble(row[lat_col.value()], "stops.txt stop_lat");
+      auto lon = util::ParseDouble(row[lon_col.value()], "stops.txt stop_lon");
       if (!lat.ok()) return lat.status();
       if (!lon.ok()) return lon.status();
       std::string external = util::Trim(row[id_col.value()]);
@@ -268,7 +256,7 @@ util::Result<Feed> ReadFeedCsv(const std::string& directory,
     STAQ_RETURN_NOT_OK(price_col.status());
     for (size_t r = 1; r < fares.value().size(); ++r) {
       const auto& row = fares.value()[r];
-      auto price = ParseDouble(row[price_col.value()], "fare price");
+      auto price = util::ParseDouble(row[price_col.value()], "fare price");
       if (!price.ok()) return price.status();
       fare_price[util::Trim(row[fare_id_col.value()])] = price.value();
     }
@@ -472,7 +460,7 @@ util::Result<Feed> ReadFeedCsv(const std::string& directory,
       auto departure = ParseTime(row[dep_col.value()]);
       if (!arrival.ok()) return arrival.status();
       if (!departure.ok()) return departure.status();
-      auto sequence = ParseDouble(row[seq_col.value()], "stop_sequence");
+      auto sequence = util::ParseDouble(row[seq_col.value()], "stop_sequence");
       if (!sequence.ok()) return sequence.status();
       calls[trip_id].push_back(PendingCall{
           static_cast<int>(sequence.value()), stop_it->second,
@@ -505,7 +493,7 @@ util::Result<Feed> ReadFeedCsv(const std::string& directory,
       const auto& row = rows.value()[r];
       auto start = ParseTime(row[start_col.value()]);
       auto end = ParseTime(row[end_col.value()]);
-      auto headway = ParseDouble(row[headway_col.value()], "headway_secs");
+      auto headway = util::ParseDouble(row[headway_col.value()], "headway_secs");
       if (!start.ok()) return start.status();
       if (!end.ok()) return end.status();
       if (!headway.ok()) return headway.status();

@@ -24,6 +24,13 @@ const char* ModelKindName(ModelKind kind) {
   return "unknown";
 }
 
+util::Result<ModelKind> ModelKindFromName(const std::string& name) {
+  for (ModelKind kind : AllModelKinds()) {
+    if (name == ModelKindName(kind)) return kind;
+  }
+  return util::Status::InvalidArgument("unknown model: " + name);
+}
+
 std::vector<ModelKind> AllModelKinds() {
   return {ModelKind::kOls, ModelKind::kMlp, ModelKind::kCoreg,
           ModelKind::kMeanTeacher, ModelKind::kGnn};

@@ -24,6 +24,9 @@ inline constexpr int kNumModelKinds = 5;
 /// Stable display name ("OLS", "MLP", "COREG", "MT", "GNN").
 const char* ModelKindName(ModelKind kind);
 
+/// The kind whose ModelKindName is `name`.
+util::Result<ModelKind> ModelKindFromName(const std::string& name);
+
 /// All model kinds in paper order.
 std::vector<ModelKind> AllModelKinds();
 

@@ -1,75 +1,53 @@
 #include "scenario/pack.h"
 
-#include <cstdio>
-#include <set>
-
 #include "exp/config.h"
+#include "exp/text.h"
 
 namespace staq::scenario {
 
 util::Result<ScenarioPack> ScenarioPack::Parse(const std::string& text) {
-  exp::ExperimentConfig::ParseOptions options;
-  options.keyword = "scenario";
-  options.required_key = "disrupt";
-  auto config = exp::ExperimentConfig::Parse(text, options);
-  if (!config.ok()) return config.status();
-
   ScenarioPack pack;
-  std::set<std::string> names;
-  for (const exp::MatrixBlock& block : config.value().blocks()) {
-    if (!names.insert(block.name).second) {
-      return util::Status::InvalidArgument("duplicate scenario '" +
-                                           block.name + "'");
-    }
-    PackScenario scenario;
-    scenario.name = block.name;
-    for (const auto& [key, values] : block.axes) {
-      if (key != "disrupt") {
-        return util::Status::InvalidArgument(
-            "scenario '" + block.name + "': unknown key '" + key +
-            "' (packs only take 'disrupt')");
-      }
-      // `disrupt` values are an ordered application list, not an axis to
-      // expand — parse each spec in declaration order.
-      for (const std::string& spec : values) {
-        auto d = ParseDisruptionSpec(spec);
-        if (!d.ok()) {
-          return util::Status::InvalidArgument("scenario '" + block.name +
-                                               "': " + d.status().message());
-        }
-        scenario.disruptions.push_back(std::move(d).value());
-      }
-    }
-    if (scenario.disruptions.empty()) {
-      return util::Status::InvalidArgument("scenario '" + block.name +
-                                           "' lists no disruptions");
-    }
-    pack.scenarios.push_back(std::move(scenario));
-  }
-  if (pack.scenarios.empty()) {
-    return util::Status::InvalidArgument("pack declares no scenarios");
-  }
+  exp::MatrixBlock block;  // the open scenario's entries
+  exp::TextCursor cursor(text, "pack", exp::kConfigWordChars);
+  STAQ_RETURN_NOT_OK(exp::ParseBlocks(
+      cursor,
+      {.keyword = "scenario",
+       .open =
+           [&](const std::string& name) {
+             block = {name, {}};
+             pack.scenarios.push_back({name, {}});
+           },
+       .entry = [&](exp::TextCursor& c) -> util::Status {
+         STAQ_RETURN_NOT_OK(exp::ParseAxis(c, &block));
+         const auto& [key, values] = block.axes.back();
+         if (key != "disrupt") {
+           return c.Error("scenario '" + block.name + "': unknown key '" +
+                          key + "' (packs only take 'disrupt')");
+         }
+         // `disrupt` values are an ordered application list, not an axis
+         // to expand — parse each spec in declaration order.
+         for (const std::string& spec : values) {
+           auto d = ParseDisruptionSpec(spec);
+           if (!d.ok()) {
+             return c.Error("scenario '" + block.name +
+                            "': " + d.status().message());
+           }
+           pack.scenarios.back().disruptions.push_back(std::move(d).value());
+         }
+         return util::Status::OK();
+       },
+       .close = [&](exp::TextCursor& c) -> util::Status {
+         if (block.axes.empty()) {
+           return c.Error("scenario '" + block.name +
+                          "' has no 'disrupt' key");
+         }
+         return util::Status::OK();
+       }}));
   return pack;
 }
 
 util::Result<ScenarioPack> ScenarioPack::Load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open pack: " + path);
-  }
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
-  auto pack = Parse(text);
-  if (!pack.ok()) {
-    return util::Status::InvalidArgument(path + ": " +
-                                         pack.status().message());
-  }
-  return pack;
+  return exp::LoadFile(path, "pack", &Parse);
 }
 
 const PackScenario* ScenarioPack::Find(const std::string& name) const {

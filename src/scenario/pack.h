@@ -1,8 +1,9 @@
 // Scenario packs — named disruption bundles in a declarative file.
 //
-// A pack reuses the experiment-config block grammar (exp/config.h) under
-// the `scenario` keyword; each block is one named scenario whose `disrupt`
-// key lists disruption specs (scenario/disruption.h) in application order:
+// A pack is the block grammar of exp/text.h under the `scenario` keyword,
+// its entries read as experiment-config entries (exp/config.h); each block
+// is one named scenario whose `disrupt` key lists disruption specs
+// (scenario/disruption.h) in application order:
 //
 //   # fleet breakdown on the trunk line, plus a snow day
 //   scenario trunk_outage {
@@ -38,7 +39,8 @@ struct ScenarioPack {
   std::vector<PackScenario> scenarios;
 
   /// Parses pack text. kInvalidArgument on grammar errors, duplicate
-  /// scenario names, keys other than `disrupt`, or a malformed spec.
+  /// scenario names, a scenario without a `disrupt` key, keys other than
+  /// `disrupt`, or a malformed spec; errors carry "line L, column C".
   static util::Result<ScenarioPack> Parse(const std::string& text);
 
   /// Reads and parses a pack file.

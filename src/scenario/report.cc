@@ -32,13 +32,6 @@ std::string JsonSide(const EquitySide& side) {
       side.population_fairness, side.vulnerable_fairness);
 }
 
-void JsonEscapeInto(const std::string& text, std::string* out) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
 }  // namespace
 
 EquityReport CompareAccess(const std::string& scenario_name,
@@ -128,16 +121,16 @@ std::string FormatEquityReport(const EquityReport& report) {
 
 std::string EquityReportJson(const EquityReport& report) {
   std::string out = "{\"scenario\": \"";
-  JsonEscapeInto(report.scenario, &out);
+  out += util::JsonEscape(report.scenario);
   out += "\", \"city\": \"";
-  JsonEscapeInto(report.city, &out);
+  out += util::JsonEscape(report.city);
   out += "\", \"zones\": " + std::to_string(report.zones);
 
   out += ", \"disruptions\": [";
   for (size_t i = 0; i < report.disruptions.size(); ++i) {
     if (i > 0) out += ", ";
     out += "\"";
-    JsonEscapeInto(report.disruptions[i], &out);
+    out += util::JsonEscape(report.disruptions[i]);
     out += "\"";
   }
   out += "]";
@@ -258,11 +251,11 @@ util::Result<EquityReport> ParseEquityReportJson(const std::string& text) {
     }
   }
 
-  report.mac_delta_s.resize(report.zones);
+  // Grown entry by entry: a corrupt `zones` count must not size a buffer.
   for (size_t z = 0; z < report.zones; ++z) {
     auto st = ReadNumber(d, util::Format("mac_delta_s[%zu]", z), &number);
     if (!st.ok()) return st;
-    report.mac_delta_s[z] = number;
+    report.mac_delta_s.push_back(number);
   }
 
   if (auto st = ReadNumber(d, "worst_zone", &number); !st.ok()) return st;

@@ -123,7 +123,7 @@ class ByteReader {
     static_assert(std::is_trivially_copyable_v<T>);
     if (count > remaining() / sizeof(T)) return false;
     out->resize(count);
-    std::memcpy(out->data(), cursor_, count * sizeof(T));
+    if (count > 0) std::memcpy(out->data(), cursor_, count * sizeof(T));
     cursor_ += count * sizeof(T);
     return true;
   }

@@ -8,31 +8,7 @@
 
 namespace staq::synth {
 
-namespace {
-
 namespace fs = std::filesystem;
-
-util::Result<double> ParseDouble(const std::string& text,
-                                 const std::string& context) {
-  char* end = nullptr;
-  const std::string trimmed = util::Trim(text);
-  double value = std::strtod(trimmed.c_str(), &end);
-  if (trimmed.empty() || end != trimmed.c_str() + trimmed.size()) {
-    return util::Status::InvalidArgument("bad number '" + text + "' in " +
-                                         context);
-  }
-  return value;
-}
-
-util::Result<PoiCategory> ParseCategory(const std::string& name) {
-  for (int c = 0; c < kNumPoiCategories; ++c) {
-    PoiCategory category = static_cast<PoiCategory>(c);
-    if (name == PoiCategoryName(category)) return category;
-  }
-  return util::Status::InvalidArgument("unknown POI category: " + name);
-}
-
-}  // namespace
 
 util::Status SaveCityCsv(const City& city, const std::string& directory) {
   std::error_code ec;
@@ -111,11 +87,11 @@ util::Result<City> LoadCityCsv(const std::string& directory,
         return util::Status::InvalidArgument("zones.csv row too short");
       }
       Zone z;
-      auto id = ParseDouble(row[0], "zone_id");
-      auto x = ParseDouble(row[1], "zone x");
-      auto y = ParseDouble(row[2], "zone y");
-      auto pop = ParseDouble(row[3], "population");
-      auto vuln = ParseDouble(row[4], "vulnerability");
+      auto id = util::ParseDouble(row[0], "zone_id");
+      auto x = util::ParseDouble(row[1], "zone x");
+      auto y = util::ParseDouble(row[2], "zone y");
+      auto pop = util::ParseDouble(row[3], "population");
+      auto vuln = util::ParseDouble(row[4], "vulnerability");
       for (const auto* v :
            {&id, &x, &y, &pop, &vuln}) {
         if (!v->ok()) return v->status();
@@ -142,10 +118,10 @@ util::Result<City> LoadCityCsv(const std::string& directory,
         return util::Status::InvalidArgument("pois.csv row too short");
       }
       Poi p;
-      auto id = ParseDouble(row[0], "poi_id");
-      auto category = ParseCategory(util::Trim(row[1]));
-      auto x = ParseDouble(row[2], "poi x");
-      auto y = ParseDouble(row[3], "poi y");
+      auto id = util::ParseDouble(row[0], "poi_id");
+      auto category = PoiCategoryFromName(util::Trim(row[1]));
+      auto x = util::ParseDouble(row[2], "poi x");
+      auto y = util::ParseDouble(row[3], "poi y");
       if (!id.ok()) return id.status();
       if (!category.ok()) return category.status();
       if (!x.ok()) return x.status();
@@ -171,9 +147,9 @@ util::Result<City> LoadCityCsv(const std::string& directory,
         return util::Status::InvalidArgument("roads.csv row too short");
       }
       std::string kind = util::Trim(row[0]);
-      auto a = ParseDouble(row[1], "roads a");
-      auto b = ParseDouble(row[2], "roads b");
-      auto c = ParseDouble(row[3], "roads c");
+      auto a = util::ParseDouble(row[1], "roads a");
+      auto b = util::ParseDouble(row[2], "roads b");
+      auto c = util::ParseDouble(row[3], "roads c");
       if (!a.ok()) return a.status();
       if (!b.ok()) return b.status();
       if (!c.ok()) return c.status();

@@ -39,6 +39,14 @@ const char* PoiCategoryName(PoiCategory c) {
   return "unknown";
 }
 
+util::Result<PoiCategory> PoiCategoryFromName(const std::string& name) {
+  for (int c = 0; c < kNumPoiCategories; ++c) {
+    const auto category = static_cast<PoiCategory>(c);
+    if (name == PoiCategoryName(category)) return category;
+  }
+  return util::Status::InvalidArgument("unknown POI category: " + name);
+}
+
 CitySpec CitySpec::Brindale(double scale, uint64_t seed) {
   CitySpec spec;
   spec.name = "brindale";

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace staq::synth {
 
 /// The four POI categories evaluated in the paper (§V-A).
@@ -32,6 +34,9 @@ inline constexpr int kNumPoiCategories = 4;
 
 /// Stable display name ("school", "hospital", ...).
 const char* PoiCategoryName(PoiCategory c);
+
+/// The category whose PoiCategoryName is `name`.
+util::Result<PoiCategory> PoiCategoryFromName(const std::string& name);
 
 /// How POIs of a category are sited.
 enum class PoiPlacement : uint8_t {

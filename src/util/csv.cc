@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/file.h"
+
 namespace staq::util {
 
 namespace {
@@ -93,11 +95,9 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
 
 Result<std::vector<std::vector<std::string>>> ReadCsvFile(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  return ParseCsv(content);
+  auto text = ReadFile(path, "CSV file");
+  if (!text.ok()) return text.status();
+  return ParseCsv(text.value());
 }
 
 CsvTable::CsvTable(std::vector<std::string> header)

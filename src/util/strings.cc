@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace staq::util {
 
@@ -40,6 +41,38 @@ std::string Trim(const std::string& text) {
 bool StartsWith(const std::string& text, const std::string& prefix) {
   return text.size() >= prefix.size() &&
          text.compare(0, prefix.size(), prefix) == 0;
+}
+
+Result<double> ParseDouble(const std::string& text,
+                           const std::string& context) {
+  char* end = nullptr;
+  const std::string trimmed = Trim(text);
+  double value = std::strtod(trimmed.c_str(), &end);
+  if (trimmed.empty() || end != trimmed.c_str() + trimmed.size()) {
+    return Status::InvalidArgument("bad number '" + text + "' in " + context);
+  }
+  return value;
+}
+
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += Format("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
 }
 
 std::string Format(const char* fmt, ...) {

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace staq::util {
 
 /// Splits `text` on `sep`; adjacent separators yield empty fields.
@@ -17,6 +19,14 @@ std::string Trim(const std::string& text);
 
 /// True if `text` starts with `prefix`.
 bool StartsWith(const std::string& text, const std::string& prefix);
+
+/// Parses a decimal number, surrounding whitespace allowed; an error names
+/// `context` ("bad number '<text>' in <context>").
+Result<double> ParseDouble(const std::string& text, const std::string& context);
+
+/// `text` escaped for the inside of a JSON string: quote, backslash, \n,
+/// \r, \t, and \u00XX for every other control character.
+std::string JsonEscape(const std::string& text);
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -132,5 +132,14 @@ TEST(ExperimentConfig, LoadReportsMissingFile) {
             std::string::npos);
 }
 
+TEST(ExperimentConfig, LoadReportsADirectoryAsAnIoError) {
+  // A directory opens but does not read: that is an I/O error, not an
+  // empty config.
+  auto config = ExperimentConfig::Load(::testing::TempDir());
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), util::StatusCode::kIoError)
+      << config.status();
+}
+
 }  // namespace
 }  // namespace staq::exp

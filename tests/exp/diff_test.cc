@@ -253,6 +253,13 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return text;
 }
 
+TEST(TolerancePolicy, LoadReportsADirectoryAsAnIoError) {
+  auto policy = TolerancePolicy::Load(::testing::TempDir());
+  ASSERT_FALSE(policy.ok());
+  EXPECT_EQ(policy.status().code(), util::StatusCode::kIoError)
+      << policy.status();
+}
+
 TEST(Baselines, EveryCheckedInBaselineParsesAndSelfDiffsClean) {
   const std::string dir = STAQ_BASELINES_DIR;
   auto policy = TolerancePolicy::Load(dir + "/policy.rules");

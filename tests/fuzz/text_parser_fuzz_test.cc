@@ -1,7 +1,10 @@
 // Deterministic mutation fuzzing of the text parsers (ctest -L fuzz): the
-// scenario-pack grammar, the experiment-config grammar and one disruption
-// spec word. Each target starts from valid seeds — the checked-in pack and
-// configs plus inline ones — and parses a fixed, seeded stream of mutants:
+// scenario-pack grammar, the experiment-config grammar, the tolerance
+// policy, one disruption spec word, JSON documents and equity reports. The
+// first three and the JSON reader share one cursor (exp/text.h). Each
+// target starts from valid seeds — the checked-in pack, configs, policy
+// and baselines plus inline ones — and parses a fixed, seeded stream of
+// mutants:
 // bit flips, bytes overwritten with grammar punctuation, deletions,
 // duplicated chunks, truncations and splices of two seeds. Every mutant
 // must come back as a value or a non-OK status: no crash, no exception.
@@ -19,17 +22,21 @@
 #include <gtest/gtest.h>
 
 #include "exp/config.h"
+#include "exp/diff.h"
+#include "exp/json.h"
 #include "scenario/disruption.h"
 #include "scenario/pack.h"
+#include "scenario/report.h"
 #include "util/rng.h"
 
 namespace staq {
 namespace {
 
 /// Bytes the grammars give meaning to, plus a few that they do not.
-constexpr char kInteresting[] = {'\0', '\n', '\r', '\t', ' ', '#', '{', '}',
-                                 '=',  ',',  ':',  '.',  '-', '+', 'e', '0',
-                                 '9',  '"',  '\\', '\x7f', '\xff'};
+constexpr char kInteresting[] = {'\0', '\n', '\r', '\t', ' ', '#',  '{',
+                                 '}',  '[',  ']',  '=',  ',', ':',  '.',
+                                 '-',  '+',  'e',  '0',  '9', '"',  '\\',
+                                 '\x7f', '\xff'};
 
 /// A checked-in file's text ("" when it cannot be read).
 std::string ReadSource(const std::string& relative) {
@@ -137,6 +144,39 @@ bool ParsesAsDisruption(const std::string& text) {
   return scenario::ParseDisruptionSpec(text).ok();
 }
 
+bool ParsesAsPolicy(const std::string& text) {
+  return exp::TolerancePolicy::Parse(text).ok();
+}
+
+bool ParsesAsJson(const std::string& text) {
+  return exp::JsonDoc::Parse(text).ok();
+}
+
+bool ParsesAsEquityReport(const std::string& text) {
+  return scenario::ParseEquityReportJson(text).ok();
+}
+
+/// A small report in EquityReportJson's shape.
+std::string EquityReportSeed() {
+  scenario::EquityReport report;
+  report.scenario = "snow_day";
+  report.city = "brindale \"north\"";
+  report.disruptions = {"scale_walk:0.5", "scale_headway:all:2"};
+  report.zones = 3;
+  report.before.mean_mac = 1200;
+  report.after.mean_mac = 1500.5;
+  report.before.class_counts = {1, 1, 1, 0};
+  report.after.class_counts = {0, 1, 1, 1};
+  report.mac_delta_s = {120, -30.25, 600};
+  report.migration[0][1] = 1;
+  report.migration[1][2] = 1;
+  report.migration[2][3] = 1;
+  report.worst = {2, 600};
+  report.mutation_seconds = 0.012;
+  report.mutation_spqs = 77;
+  return scenario::EquityReportJson(report);
+}
+
 TEST(TextParserFuzzTest, ScenarioPack) {
   std::vector<std::string> seeds = {
       "scenario a {\n  disrupt = suspend_route:busiest\n}\n",
@@ -158,6 +198,31 @@ TEST(TextParserFuzzTest, ExperimentConfig) {
     if (!config.empty()) seeds.push_back(config);
   }
   Fuzz(0xc0f1, seeds, 200000, ParsesAsConfig);
+}
+
+TEST(TextParserFuzzTest, TolerancePolicy) {
+  std::vector<std::string> seeds = {
+      "bench a {\n  min speedup 3.0\n  exact bit_identical\n}\n",
+      "# two blocks\nbench b { ceiling phases[0].p99_ms 250 }\n"
+      "bench c {\n  ratio_floor modes[2].spqs_per_s 0.5  # note\n}\n"};
+  const std::string policy = ReadSource("bench/baselines/policy.rules");
+  if (!policy.empty()) seeds.push_back(policy);
+  Fuzz(0x9011c, seeds, 100000, ParsesAsPolicy);
+}
+
+TEST(TextParserFuzzTest, JsonDocument) {
+  std::vector<std::string> seeds = {
+      R"({"a": 1, "b": [true, false, null], "c": {"d": "x\ny\u0041"}})",
+      R"([{"p99_ms": -1.5e3, "p99_approx": true}, [], {}])",
+      EquityReportSeed()};
+  const std::string baseline =
+      ReadSource("bench/baselines/BENCH_labeling.json");
+  if (!baseline.empty()) seeds.push_back(baseline);
+  Fuzz(0x750, seeds, 100000, ParsesAsJson);
+}
+
+TEST(TextParserFuzzTest, EquityReport) {
+  Fuzz(0xe917, {EquityReportSeed()}, 100000, ParsesAsEquityReport);
 }
 
 TEST(TextParserFuzzTest, DisruptionSpec) {

@@ -64,6 +64,16 @@ TEST(ScenarioPackTest, RejectsBadSpecsWithTheScenarioNamed) {
             std::string::npos);
 }
 
+TEST(ScenarioPackTest, RejectsAScenarioWithoutDisruptions) {
+  auto pack = ScenarioPack::Parse("scenario idle {\n}\n");
+  ASSERT_FALSE(pack.ok());
+  EXPECT_NE(pack.status().message().find(
+                "pack parse error at line 2, column 2: scenario 'idle' has "
+                "no 'disrupt' key"),
+            std::string::npos)
+      << pack.status();
+}
+
 TEST(ScenarioPackTest, RejectsEmptyPacks) {
   EXPECT_FALSE(ScenarioPack::Parse("").ok());
   EXPECT_FALSE(ScenarioPack::Parse("# only a comment\n").ok());
@@ -73,6 +83,12 @@ TEST(ScenarioPackTest, LoadFailsCleanlyOnAMissingFile) {
   auto pack = ScenarioPack::Load("/nonexistent/pack/file.pack");
   ASSERT_FALSE(pack.ok());
   EXPECT_EQ(pack.status().code(), util::StatusCode::kIoError);
+}
+
+TEST(ScenarioPackTest, LoadReportsADirectoryAsAnIoError) {
+  auto pack = ScenarioPack::Load(::testing::TempDir());
+  ASSERT_FALSE(pack.ok());
+  EXPECT_EQ(pack.status().code(), util::StatusCode::kIoError) << pack.status();
 }
 
 TEST(ScenarioPackTest, CheckedInStandardPackParses) {

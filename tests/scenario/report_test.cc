@@ -112,6 +112,21 @@ TEST(EquityReportJsonTest, RejectsIncompleteDocuments) {
                    .ok());
 }
 
+TEST(EquityReportJsonTest, RejectsAZoneCountTheDocumentDoesNotHold) {
+  // The delta column grows entry by entry, so a corrupt count fails at the
+  // first missing entry instead of sizing a 32 GB column.
+  const EquityReport report = SampleReport();
+  std::string json = EquityReportJson(report);
+  const std::string zones = "\"zones\": " + std::to_string(report.zones);
+  const size_t at = json.find(zones);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, zones.size(), "\"zones\": 4000000000");
+  auto parsed = ParseEquityReportJson(json);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("mac_delta_s["), std::string::npos)
+      << parsed.status();
+}
+
 TEST(FormatEquityReportTest, RendersDeterministically) {
   EquityReport report = SampleReport();
   std::string text = FormatEquityReport(report);

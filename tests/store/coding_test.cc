@@ -169,6 +169,23 @@ TEST(FixedColumn, DoubleBitsRoundTripExactly) {
   }
 }
 
+TEST(FixedColumn, EmptyColumnReadsFromAnEmptyBuffer) {
+  // An empty payload has no bytes to point at: the read must copy nothing
+  // rather than hand memcpy a null pointer (UBSAN aborts on that).
+  ByteReader empty(nullptr, 0);
+  std::vector<double> out = {1.0};
+  ASSERT_TRUE(empty.ReadFixedColumn(0, &out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(empty.exhausted());
+
+  std::vector<uint8_t> buffer;
+  PutFixedColumn(&buffer, std::vector<double>{});
+  ByteReader reader(buffer.data(), buffer.size());
+  ASSERT_TRUE(ReadFixedColumn(&reader, &out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(FixedColumn, RejectsCountBeyondPayload) {
   std::vector<uint8_t> buffer;
   PutVarint64(&buffer, 1000);  // claims 1000 doubles, provides none

@@ -58,5 +58,26 @@ TEST(FormatTest, LongOutput) {
   EXPECT_EQ(out.back(), '!');
 }
 
+TEST(ParseDoubleTest, AcceptsPaddedNumbersAndNamesTheContext) {
+  auto value = ParseDouble(" 2.5e1\t", "stop_lat");
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(value.value(), 25.0);
+  for (const char* bad : {"", "  ", "1.5x", "x1", "1 2"}) {
+    auto parsed = ParseDouble(bad, "stop_lat");
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().message(),
+              std::string("bad number '") + bad + "' in stop_lat");
+  }
+}
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonEscape("school"), "school");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("l1\nl2\r\t"), "l1\\nl2\\r\\t");
+  EXPECT_EQ(JsonEscape(std::string("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \x7f"), "caf\xc3\xa9 \x7f");
+}
+
 }  // namespace
 }  // namespace staq::util

@@ -53,6 +53,7 @@
 #include "exp/diff.h"
 #include "exp/json.h"
 #include "exp/runner.h"
+#include "exp/text.h"
 #include "core/labeling.h"
 #include "gtfs/gtfs_csv.h"
 #include "router/router.h"
@@ -207,27 +208,12 @@ util::Result<synth::CitySpec> SpecFor(const std::string& name, double scale,
   return util::Status::InvalidArgument("unknown city: " + name);
 }
 
-util::Result<synth::PoiCategory> CategoryFor(const std::string& name) {
-  for (int c = 0; c < synth::kNumPoiCategories; ++c) {
-    auto category = static_cast<synth::PoiCategory>(c);
-    if (name == synth::PoiCategoryName(category)) return category;
-  }
-  return util::Status::InvalidArgument("unknown poi category: " + name);
-}
-
 util::Result<gtfs::TimeInterval> IntervalFor(const std::string& name) {
   if (name == "am") return gtfs::WeekdayAmPeak();
   if (name == "offpeak") return gtfs::WeekdayOffPeak();
   if (name == "pm") return gtfs::WeekdayPmPeak();
   if (name == "sunday") return gtfs::SundayMorning();
   return util::Status::InvalidArgument("unknown interval: " + name);
-}
-
-util::Result<ml::ModelKind> ModelFor(const std::string& name) {
-  for (ml::ModelKind kind : ml::AllModelKinds()) {
-    if (name == ml::ModelKindName(kind)) return kind;
-  }
-  return util::Status::InvalidArgument("unknown model: " + name);
 }
 
 /// The projection used for GTFS export/import of saved cities.
@@ -325,9 +311,9 @@ int RunQuery(const Args& args) {
     std::fprintf(stderr, "%s\n", city.status().ToString().c_str());
     return 1;
   }
-  auto category = CategoryFor(args.Get("poi", "school"));
+  auto category = synth::PoiCategoryFromName(args.Get("poi", "school"));
   auto interval = IntervalFor(args.Get("interval", "am"));
-  auto model = ModelFor(args.Get("model", "MLP"));
+  auto model = ml::ModelKindFromName(args.Get("model", "MLP"));
   if (!category.ok() || !interval.ok() || !model.ok()) {
     std::fprintf(stderr, "%s\n",
                  (!category.ok()   ? category.status()
@@ -500,7 +486,7 @@ int RunSnapshotSave(const Args& args) {
   // warm labeling (the expensive part a warm start wants to skip): an exact
   // query builds it as the server builds every state.
   if (args.Has("poi")) {
-    auto category = CategoryFor(args.Get("poi", "school"));
+    auto category = synth::PoiCategoryFromName(args.Get("poi", "school"));
     if (!category.ok()) {
       std::fprintf(stderr, "%s\n", category.status().ToString().c_str());
       return 1;
@@ -721,19 +707,6 @@ int RunWal(int argc, char** argv, const Args& args) {
   return RunWalVerify(args);
 }
 
-util::Result<std::string> ReadTextFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return util::Status::IoError("cannot open: " + path);
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
-  return text;
-}
-
 bool WriteTextFile(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -864,22 +837,10 @@ int RunBenchDiff(const Args& args) {
   for (const exp::BenchPolicy& bench_policy : policy.value().benches()) {
     const std::string& name = bench_policy.bench;
     std::printf("== bench %s ==\n", name.c_str());
-    auto LoadDoc = [&](const std::string& path, const char* what)
-        -> util::Result<exp::JsonDoc> {
-      auto text = ReadTextFile(path);
-      if (!text.ok()) {
-        return util::Status::IoError(std::string(what) + " document missing: " +
-                                     text.status().message());
-      }
-      auto doc = exp::JsonDoc::Parse(text.value());
-      if (!doc.ok()) {
-        return util::Status::InvalidArgument(path + ": " +
-                                             doc.status().message());
-      }
-      return doc;
-    };
-    auto run_doc = LoadDoc(BaselinePath(run_dir, name), "run");
-    auto base_doc = LoadDoc(BaselinePath(baselines, name), "baseline");
+    auto run_doc = exp::LoadFile(BaselinePath(run_dir, name), "run document",
+                                 &exp::JsonDoc::Parse);
+    auto base_doc = exp::LoadFile(BaselinePath(baselines, name),
+                                  "baseline document", &exp::JsonDoc::Parse);
     if (!run_doc.ok() || !base_doc.ok()) {
       std::fprintf(stderr, "  FAIL %s\n",
                    (!run_doc.ok() ? run_doc.status() : base_doc.status())
@@ -957,7 +918,7 @@ int RunScenarioRun(const Args& args) {
     return UsageFor("scenario run", kScenarioUsage);
   }
   auto pack = scenario::ScenarioPack::Load(args.Get("pack", ""));
-  auto category = CategoryFor(args.Get("poi", "school"));
+  auto category = synth::PoiCategoryFromName(args.Get("poi", "school"));
   auto interval = IntervalFor(args.Get("interval", "am"));
   if (!pack.ok() || !category.ok() || !interval.ok()) {
     std::fprintf(stderr, "%s\n",
@@ -1023,15 +984,10 @@ int RunScenarioReport(const Args& args) {
     std::fprintf(stderr, "scenario report: --in FILE is required\n");
     return UsageFor("scenario report", kScenarioUsage);
   }
-  auto text = ReadTextFile(args.Get("in", ""));
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  auto report = scenario::ParseEquityReportJson(text.value());
+  auto report = exp::LoadFile(args.Get("in", ""), "report",
+                              &scenario::ParseEquityReportJson);
   if (!report.ok()) {
-    std::fprintf(stderr, "%s: %s\n", args.Get("in", "").c_str(),
-                 report.status().ToString().c_str());
+    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
   }
   std::printf("%s", scenario::FormatEquityReport(report.value()).c_str());

@@ -10,6 +10,15 @@
 // outputs the training paths once matched against their slower originals
 // are pinned by TrainingPathGoldenTest (tests/ml/model_golden_test.cc).
 //
+// The `ssr_fit` row times core::FitSsr, an SSR answer's two target fits,
+// on the serve shape (MLP, 324 zones, 32 labeled): the caller fitting both
+// targets, then the caller with one idle-priority helper (the server's
+// split), the medians of kGatedRepeats + 1 and kGatedRepeats runs (the
+// first caller run is the reference answer). It prints both and their
+// ratio, and exits 1 unless every helped answer equals the caller's own bit
+// for bit. The ratio is reported, not gated: on a shared host an
+// idle-priority helper gets only the cores nothing else wants.
+//
 // Fit throughput (`fit_zones_per_s`) is gated against the checked-in
 // baseline by bench/baselines/policy.rules. The gated COREG fit and
 // predict times are the median of kGatedRepeats runs on fresh models: at
@@ -24,6 +33,7 @@
 
 #include "bench_common.h"
 #include "bench_registry.h"
+#include "core/pipeline.h"
 #include "ml/coreg.h"
 #include "ml/gnn.h"
 #include "ml/mean_teacher.h"
@@ -31,6 +41,7 @@
 #include "ml/ols.h"
 #include "testing_dataset.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace staq::bench {
 namespace {
@@ -102,6 +113,63 @@ void CheckRepeatFit(const MakeModel& make, const ml::Dataset& data,
       r->fit.coreg_pseudo_labels == repeat.coreg_pseudo_labels;
 }
 
+/// core::FitSsr on the serve shape (an MLP answer over 324 zones, 32 of
+/// them labeled): timed with the caller fitting both targets and with one
+/// idle-priority helper, and whether every helped answer equalled the
+/// caller's own bit for bit.
+struct SsrFitReport {
+  size_t zones = 324;
+  size_t labeled = 0;
+  double caller_s = 0.0;
+  double helped_s = 0.0;
+  bool bit_identical = true;
+};
+
+SsrFitReport RunSsrFit(uint64_t seed) {
+  SsrFitReport r;
+  core::SsrSample sample;
+  sample.dataset = MakeZoneLikeDataset(r.zones, 20, 0.1, seed);
+  sample.result.labeled = sample.dataset.labeled;
+  r.labeled = sample.dataset.labeled.size();
+  // MAC is the dataset's target; ACSD a second smooth surface over it.
+  std::vector<core::ZoneLabel> labels;
+  for (uint32_t z : sample.dataset.labeled) {
+    core::ZoneLabel label;
+    label.mac = sample.dataset.y[z];
+    label.acsd = 0.2 * label.mac +
+                 150.0 * std::cos(sample.dataset.positions[z].x / 1700.0);
+    labels.push_back(label);
+  }
+  sample.dataset.y.clear();
+  core::PipelineConfig config;
+  config.model = ml::ModelKind::kMlp;
+  config.seed = seed;
+
+  const auto fit = [&](util::ThreadPool* helpers, std::vector<double>* s) {
+    util::Stopwatch watch;
+    auto run = core::FitSsr(sample, labels, config, helpers);
+    s->push_back(watch.ElapsedSeconds());
+    if (!run.ok()) {
+      std::fprintf(stderr, "FATAL: FitSsr failed: %s\n",
+                   run.status().ToString().c_str());
+      std::exit(1);
+    }
+    return std::move(run).value();
+  };
+  std::vector<double> caller_s, helped_s;
+  const core::PipelineResult alone = fit(nullptr, &caller_s);
+  for (int rep = 0; rep < kGatedRepeats; ++rep) {
+    fit(nullptr, &caller_s);
+    const core::PipelineResult helped =
+        fit(&util::ThreadPool::Idle(), &helped_s);
+    r.bit_identical = r.bit_identical && BitIdentical(helped.mac, alone.mac) &&
+                      BitIdentical(helped.acsd, alone.acsd);
+  }
+  r.caller_s = Summarise(caller_s).p50_ms;
+  r.helped_s = Summarise(helped_s).p50_ms;
+  return r;
+}
+
 }  // namespace
 
 exp::RunResult RunMlBench() {
@@ -166,7 +234,19 @@ exp::RunResult RunMlBench() {
       return {1, ""};
     }
   }
-  std::printf("  repeat fits bit-identical to the timed fits\n\n");
+  std::printf("  repeat fits bit-identical to the timed fits\n");
+
+  const SsrFitReport ssr_fit = RunSsrFit(BenchSeed());
+  if (!ssr_fit.bit_identical) {
+    std::fprintf(stderr,
+                 "FATAL: FitSsr with a helper is not bit-identical to the "
+                 "caller's own fit\n");
+    return {1, ""};
+  }
+  std::printf("  ssr_fit (MLP, %zu zones, %zu labeled): caller %.4f s, "
+              "one idle helper %.4f s, %.2fx; answers bit-identical\n\n",
+              ssr_fit.zones, ssr_fit.labeled, ssr_fit.caller_s,
+              ssr_fit.helped_s, ssr_fit.caller_s / ssr_fit.helped_s);
 
   std::printf("  %-7s %10s %12s %10s %12s\n", "model", "fit_s",
               "fit zones/s", "predict_s", "zones/s");
@@ -201,6 +281,15 @@ exp::RunResult RunMlBench() {
     w.EndObject();
   }
   w.EndArray();
+  w.BeginObject("ssr_fit");
+  w.String("model", "MLP");
+  w.Uint("zones", ssr_fit.zones);
+  w.Uint("labeled", ssr_fit.labeled);
+  w.Fixed("caller_s", ssr_fit.caller_s, 6);
+  w.Fixed("helped_s", ssr_fit.helped_s, 6);
+  w.Fixed("speedup", ssr_fit.caller_s / ssr_fit.helped_s, 3);
+  w.Bool("bit_identical", true);
+  w.EndObject();
   w.EndObject();
   std::string json = w.Take();
   EmitBenchJson("ml", json);

@@ -1,5 +1,9 @@
 #include "core/pipeline.h"
 
+#include <memory>
+
+#include "util/failpoint.h"
+#include "util/parallel_loop.h"
 #include "util/stopwatch.h"
 
 namespace staq::core {
@@ -13,6 +17,10 @@ void ClampNonNegative(std::vector<double>* values) {
     if (v < 0.0) v = 0.0;
   }
 }
+
+/// An SSR answer's two targets, in fit order: MAC, then ACSD.
+constexpr double ZoneLabel::*kTargets[2] = {&ZoneLabel::mac,
+                                            &ZoneLabel::acsd};
 
 /// The model's predictions, with each labeled zone's exact `measure` in
 /// place of its own.
@@ -129,34 +137,65 @@ util::Result<SsrSample> DrawSsrSample(
 
 util::Result<PipelineResult> FitSsr(SsrSample sample,
                                     const std::vector<ZoneLabel>& labels,
-                                    const PipelineConfig& config) {
+                                    const PipelineConfig& config,
+                                    util::ThreadPool* helpers) {
   PipelineResult result = std::move(sample.result);
-  ml::Dataset& dataset = sample.dataset;
   util::Stopwatch watch;
 
   // --- SSR training + transductive inference, one model per target --------
-  dataset.y.assign(dataset.positions.size(), 0.0);  // one per zone
-  for (size_t i = 0; i < result.labeled.size(); ++i) {
-    dataset.y[result.labeled[i]] = labels[i].mac;
+  // Target t fits kTargets[t] under config.seed + t. The items own what
+  // they touch: a straggling helper may still be fitting after this
+  // returns (util/parallel_loop.h).
+  struct Fits {
+    std::vector<double> predictions[2];
+    util::Status status[2];
+  };
+  auto fits = std::make_shared<Fits>();
+  const util::LoopTask fit =
+      [dataset = std::make_shared<const ml::Dataset>(std::move(sample.dataset)),
+       shared_labels = std::make_shared<const std::vector<ZoneLabel>>(labels),
+       fits, kind = config.model,
+       seed = config.seed](size_t target) -> util::LoopStore {
+    ml::Dataset data = *dataset;  // this target's own y
+    data.y.assign(data.positions.size(), 0.0);  // one per zone
+    for (size_t i = 0; i < data.labeled.size(); ++i) {
+      data.y[data.labeled[i]] = (*shared_labels)[i].*kTargets[target];
+    }
+    // Fault site (tests): a target's fit, its inputs built, failing or
+    // stalling.
+    STAQ_FAILPOINT("core.fit_ssr.target");
+    auto model = ml::CreateModel(kind, seed + target);
+    util::Status status = model->Fit(data);
+    std::vector<double> predictions;
+    if (status.ok()) predictions = model->Predict();
+    return [fits, target, status = std::move(status),
+            predictions = std::move(predictions)]() mutable {
+      fits->status[target] = std::move(status);
+      fits->predictions[target] = std::move(predictions);
+    };
+  };
+  if (helpers == nullptr) {
+    for (size_t target = 0; target < 2; ++target) fit(target)();
+  } else {
+    util::ParallelLoop(*helpers, 2, 1, [fit](bool helper) -> util::LoopTask {
+      if (!helper) return fit;
+      return [fit](size_t target) {
+        // Fault site (tests): the helper failing or stalling on its target.
+        STAQ_FAILPOINT("core.fit_ssr.helper");
+        return fit(target);
+      };
+    });
   }
-  auto mac_model = ml::CreateModel(config.model, config.seed);
-  STAQ_RETURN_NOT_OK(mac_model->Fit(dataset));
-  std::vector<double> mac_pred = mac_model->Predict();
-
-  for (size_t i = 0; i < result.labeled.size(); ++i) {
-    dataset.y[result.labeled[i]] = labels[i].acsd;
-  }
-  auto acsd_model = ml::CreateModel(config.model, config.seed + 1);
-  STAQ_RETURN_NOT_OK(acsd_model->Fit(dataset));
-  std::vector<double> acsd_pred = acsd_model->Predict();
   result.timings.training_s = watch.ElapsedSeconds();
+  STAQ_RETURN_NOT_OK(fits->status[0]);
+  STAQ_RETURN_NOT_OK(fits->status[1]);
 
-  ClampNonNegative(&mac_pred);
-  ClampNonNegative(&acsd_pred);
-  result.mac =
-      Blend(std::move(mac_pred), result.labeled, labels, &ZoneLabel::mac);
-  result.acsd =
-      Blend(std::move(acsd_pred), result.labeled, labels, &ZoneLabel::acsd);
+  ClampNonNegative(&fits->predictions[0]);
+  ClampNonNegative(&fits->predictions[1]);
+  result.mac = Blend(std::move(fits->predictions[0]), result.labeled, labels,
+                     kTargets[0]);
+  result.acsd = Blend(std::move(fits->predictions[1]), result.labeled, labels,
+                      kTargets[1]);
   return result;
 }
 

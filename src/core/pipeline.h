@@ -21,6 +21,10 @@
 #include "router/router.h"
 #include "synth/city_builder.h"
 
+namespace staq::util {
+class ThreadPool;
+}  // namespace staq::util
+
 namespace staq::core {
 
 /// Per-run configuration (one cell of the paper's sweeps).
@@ -104,9 +108,15 @@ util::Result<SsrSample> DrawSsrSample(
 /// under config.seed, ACSD under config.seed + 1) over the sample and its
 /// `labels` (one per zone of sample.result.labeled, in that order), the
 /// predictions clamped non-negative and the labeled zones' values kept.
+/// The two fits are the two items of one util::ParallelLoop: with
+/// `helpers`, one helper task on that pool may fit a target while the
+/// calling thread fits the other (and takes over a stalled helper's);
+/// without, the caller fits MAC, then ACSD. Each fit is a pure function of
+/// the sample and its seed, so the answer is the same bits either way.
 util::Result<PipelineResult> FitSsr(SsrSample sample,
                                     const std::vector<ZoneLabel>& labels,
-                                    const PipelineConfig& config);
+                                    const PipelineConfig& config,
+                                    util::ThreadPool* helpers = nullptr);
 
 /// Orchestrates the full solution over one city and time interval. The
 /// constructor performs the offline phase (isochrones + hop trees + router

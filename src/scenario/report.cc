@@ -1,5 +1,8 @@
 #include "scenario/report.h"
 
+#include <cmath>
+#include <limits>
+
 #include "core/measures.h"
 #include "exp/json.h"
 #include "util/check.h"
@@ -183,6 +186,25 @@ util::Status ReadNumber(const exp::JsonDoc& doc, const std::string& path,
   return util::Status::OK();
 }
 
+/// Reads the count at `path`: kInvalidArgument unless it is a whole number
+/// that `T` holds (converting any other double to `T` is undefined).
+template <typename T>
+util::Status ReadCount(const exp::JsonDoc& doc, const std::string& path,
+                       T* out) {
+  double number = 0;
+  if (auto st = ReadNumber(doc, path, &number); !st.ok()) return st;
+  // 2^digits, the first whole number T cannot hold; exact as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(number >= 0.0 && number < limit && number == std::floor(number))) {
+    return util::Status::InvalidArgument(
+        "equity report JSON: field '" + path +
+        "' is not a count (a whole number in [0, 2^" +
+        std::to_string(std::numeric_limits<T>::digits) + "))");
+  }
+  *out = static_cast<T>(number);
+  return util::Status::OK();
+}
+
 util::Status ReadSide(const exp::JsonDoc& doc, const std::string& prefix,
                       EquitySide* side) {
   struct {
@@ -200,11 +222,9 @@ util::Status ReadSide(const exp::JsonDoc& doc, const std::string& prefix,
     if (!st.ok()) return st;
   }
   for (size_t c = 0; c < 4; ++c) {
-    double count = 0;
-    auto st = ReadNumber(
-        doc, prefix + util::Format(".class_counts[%zu]", c), &count);
+    auto st = ReadCount(doc, prefix + util::Format(".class_counts[%zu]", c),
+                        &side->class_counts[c]);
     if (!st.ok()) return st;
-    side->class_counts[c] = static_cast<uint32_t>(count);
   }
   return util::Status::OK();
 }
@@ -227,9 +247,7 @@ util::Result<EquityReport> ParseEquityReportJson(const std::string& text) {
   report.scenario = scenario->str;
   report.city = city->str;
 
-  double number = 0;
-  if (auto st = ReadNumber(d, "zones", &number); !st.ok()) return st;
-  report.zones = static_cast<uint32_t>(number);
+  if (auto st = ReadCount(d, "zones", &report.zones); !st.ok()) return st;
 
   for (size_t i = 0;; ++i) {
     const exp::JsonScalar* spec = d.Find(util::Format("disruptions[%zu]", i));
@@ -244,32 +262,35 @@ util::Result<EquityReport> ParseEquityReportJson(const std::string& text) {
     for (size_t j = 0; j < 4; ++j) {
       // A migration cell may legitimately be absent only if the whole row
       // flattened away; require every cell (the writer always emits 16).
-      auto st = ReadNumber(d, util::Format("migration[%zu][%zu]", i, j),
-                           &number);
+      auto st = ReadCount(d, util::Format("migration[%zu][%zu]", i, j),
+                          &report.migration[i][j]);
       if (!st.ok()) return st;
-      report.migration[i][j] = static_cast<uint32_t>(number);
     }
   }
 
   // Grown entry by entry: a corrupt `zones` count must not size a buffer.
   for (size_t z = 0; z < report.zones; ++z) {
-    auto st = ReadNumber(d, util::Format("mac_delta_s[%zu]", z), &number);
+    double delta = 0;
+    auto st = ReadNumber(d, util::Format("mac_delta_s[%zu]", z), &delta);
     if (!st.ok()) return st;
-    report.mac_delta_s.push_back(number);
+    report.mac_delta_s.push_back(delta);
   }
 
-  if (auto st = ReadNumber(d, "worst_zone", &number); !st.ok()) return st;
-  report.worst.zone = static_cast<uint32_t>(number);
-  if (auto st = ReadNumber(d, "worst_mac_delta_s", &number); !st.ok()) {
+  if (auto st = ReadCount(d, "worst_zone", &report.worst.zone); !st.ok()) {
     return st;
   }
-  report.worst.mac_delta_s = number;
+  if (auto st = ReadNumber(d, "worst_mac_delta_s", &report.worst.mac_delta_s);
+      !st.ok()) {
+    return st;
+  }
   if (auto st = ReadNumber(d, "mutation_seconds", &report.mutation_seconds);
       !st.ok()) {
     return st;
   }
-  if (auto st = ReadNumber(d, "mutation_spqs", &number); !st.ok()) return st;
-  report.mutation_spqs = static_cast<uint64_t>(number);
+  if (auto st = ReadCount(d, "mutation_spqs", &report.mutation_spqs);
+      !st.ok()) {
+    return st;
+  }
   return report;
 }
 

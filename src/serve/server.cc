@@ -751,7 +751,13 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     for (uint32_t z : labeled) labels.push_back(state->labels[z]);
     // Fault site (tests): an SSR answer parked between labeling and fit.
     STAQ_FAILPOINT("serve.ssr.fit");
-    auto run = core::FitSsr(std::move(sample).value(), labels, config);
+    // The two targets' fits may split over one idle-priority helper, as a
+    // cold build's zones do; a one-worker server never starts the idle
+    // pool, and the uncached oracle fits both on this thread.
+    util::ThreadPool* fit_helpers =
+        use_caches && context_cap_ > 1 ? &util::ThreadPool::Idle() : nullptr;
+    auto run = core::FitSsr(std::move(sample).value(), labels, config,
+                            fit_helpers);
     if (!run.ok()) return run.status();
     result.mac = std::move(run.value().mac);
     result.acsd = std::move(run.value().acsd);

@@ -1,12 +1,19 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <future>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "synth/city_spec.h"
 #include "testing/digest.h"
+#include "testing/label_state.h"
 #include "testing/test_city.h"
+#include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace staq::core {
 namespace {
@@ -225,6 +232,151 @@ TEST(GroundTruthDigestTest, CsaGacLabelsMatchRecordedDigest) {
     }
   }
 }
+
+/// The inputs of core::FitSsr over one city's school TODAM: the sample of
+/// `config` and its zones' exact labels.
+class FitSsrInputs {
+ public:
+  explicit FitSsrInputs(const synth::City* city)
+      : city_(city), pipeline_(city, gtfs::WeekdayAmPeak()) {
+    pois_ = city->PoisOf(synth::PoiCategory::kSchool);
+    GravityConfig gravity = CalibratedGravityConfig(city->spec);
+    gravity.sample_rate_per_hour = 4;
+    todam_ = pipeline_.BuildGravityTodam(pois_, gravity, 1);
+    truth_ =
+        pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
+  }
+
+  SsrSample Sample(const PipelineConfig& config) const {
+    auto sample = DrawSsrSample(*city_, pipeline_.feature_extractor(), pois_,
+                                todam_, config);
+    if (!sample.ok()) std::abort();
+    return std::move(sample).value();
+  }
+
+  std::vector<ZoneLabel> Labels(const SsrSample& sample) const {
+    std::vector<ZoneLabel> labels;
+    for (uint32_t z : sample.result.labeled) {
+      ZoneLabel label;
+      label.mac = truth_.mac[z];
+      label.acsd = truth_.acsd[z];
+      labels.push_back(label);
+    }
+    return labels;
+  }
+
+ private:
+  const synth::City* city_;
+  SsrPipeline pipeline_;
+  std::vector<synth::Poi> pois_;
+  Todam todam_;
+  GroundTruth truth_;
+};
+
+void ExpectSameBits(const PipelineResult& got, const PipelineResult& want) {
+  ASSERT_EQ(got.mac.size(), want.mac.size());
+  ASSERT_EQ(got.acsd.size(), want.acsd.size());
+  for (size_t z = 0; z < want.mac.size(); ++z) {
+    EXPECT_EQ(testing::DoubleBits(got.mac[z]), testing::DoubleBits(want.mac[z]))
+        << "mac zone " << z;
+    EXPECT_EQ(testing::DoubleBits(got.acsd[z]),
+              testing::DoubleBits(want.acsd[z]))
+        << "acsd zone " << z;
+  }
+}
+
+// core::FitSsr fits its two targets as the two items of one parallel loop.
+// Each fit is a pure function of the sample and its seed, so a fit whose
+// helper takes one target must equal the caller fitting both, bit for bit:
+// every model kind, two budgets, both city families. The helper pool is a
+// normal-priority pool of one worker, so the helper joins nearly every fit.
+TEST(FitSsrTest, HelperSplitEqualsCallerOnly) {
+  util::ThreadPool pool(1);
+  constexpr char kHelperSite[] = "core.fit_ssr.helper";
+  const uint64_t helper_hits = util::FailPoints::HitCount(kHelperSite);
+  for (const synth::CitySpec& spec :
+       {synth::CitySpec::Brindale(0.05, 7), synth::CitySpec::Covely(0.06, 5)}) {
+    SCOPED_TRACE(spec.name);
+    auto built = synth::BuildCity(spec);
+    ASSERT_TRUE(built.ok()) << built.status();
+    const synth::City city = std::move(built).value();
+    const FitSsrInputs inputs(&city);
+    for (double beta : {0.05, 0.10}) {
+      for (ml::ModelKind kind : ml::AllModelKinds()) {
+        SCOPED_TRACE(::testing::Message()
+                     << ml::ModelKindName(kind) << " beta " << beta);
+        PipelineConfig config;
+        config.beta = beta;
+        config.model = kind;
+        config.seed = 11;
+        const SsrSample sample = inputs.Sample(config);
+        const std::vector<ZoneLabel> labels = inputs.Labels(sample);
+        auto alone = FitSsr(sample, labels, config);
+        ASSERT_TRUE(alone.ok()) << alone.status();
+        ASSERT_EQ(alone.value().mac.size(), city.zones.size());
+        auto helped = FitSsr(sample, labels, config, &pool);
+        ASSERT_TRUE(helped.ok()) << helped.status();
+        ExpectSameBits(helped.value(), alone.value());
+      }
+    }
+  }
+#if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS
+  // The split was exercised: the helper fitted at least one target.
+  EXPECT_GT(util::FailPoints::HitCount(kHelperSite), helper_hits);
+#else
+  (void)helper_hits;
+#endif
+}
+
+#if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS
+// The two fits provably overlap: the first participant to reach its fit
+// (its target's inputs built) waits there until the other has built its
+// own and reached its fit too, so both fits run at once. Sharing anything
+// the targets write (one `y` for both, say) then changes an answer.
+TEST(FitSsrTest, OverlappingFitsEqualCallerOnly) {
+  constexpr char kTargetSite[] = "core.fit_ssr.target";
+  util::ThreadPool pool(1);
+  const synth::City city = testing::TinyCity();
+  const FitSsrInputs inputs(&city);
+  for (ml::ModelKind kind : ml::AllModelKinds()) {
+    SCOPED_TRACE(ml::ModelKindName(kind));
+    PipelineConfig config;
+    config.beta = 0.2;
+    config.model = kind;
+    config.seed = 5;
+    const SsrSample sample = inputs.Sample(config);
+    const std::vector<ZoneLabel> labels = inputs.Labels(sample);
+    auto alone = FitSsr(sample, labels, config);
+    ASSERT_TRUE(alone.ok()) << alone.status();
+
+    // A helper whose submission found the pool's lock busy never joins,
+    // and the parked caller would wait for it in vain: such a fit gets
+    // released after a while and another try.
+    bool overlapped = false;
+    for (int attempt = 0; attempt < 3 && !overlapped; ++attempt) {
+      const uint64_t hits = util::FailPoints::HitCount(kTargetSite);
+      util::FailPointConfig park_first = util::FailPointConfig::Block();
+      park_first.limit = 1;
+      util::FailPoints::Arm(kTargetSite, park_first);
+      auto helped = std::async(std::launch::async, [&] {
+        return FitSsr(sample, labels, config, &pool);
+      });
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!(overlapped =
+                   util::FailPoints::HitCount(kTargetSite) >= hits + 2) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      util::FailPoints::Disarm(kTargetSite);
+      auto answer = helped.get();
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      ExpectSameBits(answer.value(), alone.value());
+    }
+    EXPECT_TRUE(overlapped) << "the fit's helper never joined";
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace staq::core

@@ -127,6 +127,69 @@ TEST(EquityReportJsonTest, RejectsAZoneCountTheDocumentDoesNotHold) {
       << parsed.status();
 }
 
+/// `json` with `value`, where it first follows `needle`, replaced by
+/// `replacement`; empty when `json` has no `needle` + `value`.
+std::string ReplaceValue(std::string json, const std::string& needle,
+                         const std::string& value,
+                         const std::string& replacement) {
+  const size_t at = json.find(needle + value);
+  if (at == std::string::npos) return "";
+  json.replace(at + needle.size(), value.size(), replacement);
+  return json;
+}
+
+TEST(EquityReportJsonTest, RejectsCountsThatAreNotWholeNumbersInRange) {
+  // Every integer field is read as a count: a negative, fractional or
+  // out-of-range number is refused with kInvalidArgument naming the field,
+  // never converted (an out-of-range conversion is undefined behaviour).
+  EquityReport report = SampleReport();
+  report.before.class_counts[2] = 9137;
+  report.migration[3][1] = 9173;
+  report.worst.zone = 3;
+  const std::string json = EquityReportJson(report);
+  struct Field {
+    std::string needle;  // text right before the value
+    std::string value;   // the value as rendered
+    std::string path;    // the field's path in the error
+  };
+  const Field fields[] = {
+      {"\"zones\": ", std::to_string(report.zones), "zones"},
+      {", ", "9137", "before.class_counts[2]"},
+      {", ", "9173", "migration[3][1]"},
+      {"\"worst_zone\": ", "3", "worst_zone"},
+  };
+  for (const Field& field : fields) {
+    for (const char* bad : {"-1", "2.5", "4294967296", "1e300"}) {
+      SCOPED_TRACE(field.path + " = " + bad);
+      const std::string corrupt =
+          ReplaceValue(json, field.needle, field.value, bad);
+      ASSERT_FALSE(corrupt.empty());
+      auto parsed = ParseEquityReportJson(corrupt);
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find("'" + field.path + "'"),
+                std::string::npos)
+          << parsed.status();
+    }
+  }
+  // `mutation_spqs` is 64-bit: 2^32 is a count, 2^64 is not.
+  const std::string spqs = std::to_string(report.mutation_spqs);
+  for (const char* bad : {"-1", "2.5", "18446744073709551616", "1e300"}) {
+    SCOPED_TRACE(std::string("mutation_spqs = ") + bad);
+    auto parsed = ParseEquityReportJson(
+        ReplaceValue(json, "\"mutation_spqs\": ", spqs, bad));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("'mutation_spqs'"),
+              std::string::npos)
+        << parsed.status();
+  }
+  auto wide = ParseEquityReportJson(
+      ReplaceValue(json, "\"mutation_spqs\": ", spqs, "4294967296"));
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(wide.value().mutation_spqs, uint64_t{1} << 32);
+}
+
 TEST(FormatEquityReportTest, RendersDeterministically) {
   EquityReport report = SampleReport();
   std::string text = FormatEquityReport(report);

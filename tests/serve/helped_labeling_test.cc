@@ -10,7 +10,10 @@
 // still queued (run under STAQ_ASAN via the `faultinjection` label); a
 // helper fault degrades into a clean kInternal with the epoch intact; a
 // helper parked while taking or returning its context holds up no
-// request; and an SSR answer holds no context while it fits.
+// request; and an SSR answer holds no context while it fits. An SSR
+// answer's two target fits split over one idle-priority helper the same
+// way: the owning thread takes over a parked fit helper's target, and a
+// throwing one fails that answer alone.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -20,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -422,6 +426,89 @@ TEST_F(HelperFaultTest, HelperFaultRollsThePatchBack) {
                            server_->base_city().Centre())
                   .ok());
   ExpectEpochMatchesSerialRebuild(*server_);
+}
+
+/// An MLP SSR request: its two target fits take long enough that the
+/// fit's helper has time to join.
+AqRequest MlpSsrRequest(uint64_t seed) {
+  AqRequest request = SsrRequest();
+  request.options.model = ml::ModelKind::kMlp;
+  request.options.seed = seed;
+  return request;
+}
+
+/// Submits MLP SSR requests (seeds from 5, at most three) until one's fit
+/// helper reaches `helper_event`: the owning thread waits on its own target
+/// meanwhile, so the fit provably has a helper in it. A fit whose helper
+/// was never submitted (the idle pool's lock was busy) proves nothing, so
+/// the next request gets the chance. Returns each request's answer; the
+/// last one is the helped fit's.
+template <typename Pred>
+std::vector<std::pair<AqRequest, util::Result<core::AccessQueryResult>>>
+SubmitUntilAFitHelperArrives(AqServer& server, Pred helper_event) {
+  std::vector<std::pair<AqRequest, util::Result<core::AccessQueryResult>>>
+      answers;
+  for (uint64_t seed = 5; seed < 8; ++seed) {
+    FailPointConfig park_caller = FailPointConfig::Block();
+    park_caller.limit = 1;
+    FailPoints::Arm("core.fit_ssr.target", park_caller);
+    const AqRequest request = MlpSsrRequest(seed);
+    AqTicket ticket = server.Submit(request);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    bool arrived = false;
+    while (!(arrived = helper_event()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    FailPoints::Disarm("core.fit_ssr.target");
+    answers.emplace_back(request, ticket.Get());
+    if (arrived) break;
+  }
+  return answers;
+}
+
+TEST_F(HelperFaultTest, CallerFitsTheTargetOfAParkedFitHelper) {
+  FailPoints::Arm("core.fit_ssr.helper", FailPointConfig::Block());
+  auto answers = SubmitUntilAFitHelperArrives(*server_, [] {
+    return FailPoints::BlockedCount("core.fit_ssr.helper") >= 1;
+  });
+  // The owning thread fitted its target, waited out the grace and fitted
+  // the parked helper's target itself: the answer is complete while the
+  // helper is still parked.
+  EXPECT_GE(FailPoints::BlockedCount("core.fit_ssr.helper"), 1u)
+      << "no fit got a helper";
+  for (auto& [request, answer] : answers) {
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    auto serial = server_->QueryUncached(request);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    ExpectSameAnswer(answer.value(), serial.value());
+  }
+  // Released, the straggler finds its target stored and drops its fit.
+  FailPoints::Disarm("core.fit_ssr.helper");
+  ExpectHelpedMatchesSerial(*server_, MlpSsrRequest(9));
+}
+
+TEST_F(HelperFaultTest, FitHelperFaultFailsOneAnswerCleanly) {
+  FailPoints::Arm("core.fit_ssr.helper", FailPointConfig::Throw());
+  auto answers = SubmitUntilAFitHelperArrives(*server_, [] {
+    return FailPoints::TripCount("core.fit_ssr.helper") >= 1;
+  });
+  ASSERT_GE(FailPoints::TripCount("core.fit_ssr.helper"), 1u)
+      << "no fit got a helper";
+  // Only the answer whose helper threw fails, with a status.
+  for (size_t i = 0; i + 1 < answers.size(); ++i) {
+    EXPECT_TRUE(answers[i].second.ok()) << answers[i].second.status();
+  }
+  const auto& [request, failed] = answers.back();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kInternal);
+
+  // The server stays usable: the same request then succeeds, and equals
+  // the uncached answer.
+  FailPoints::Disarm("core.fit_ssr.helper");
+  ExpectHelpedMatchesSerial(*server_, request);
+  EXPECT_EQ(server_->stats().failed, 1u);
 }
 
 TEST(HelperParkingTest, NoRequestWaitsOnAHelperParkedInItsLeaseOrRelease) {

@@ -429,8 +429,9 @@ size_t ProcessThreads() {
 }
 
 // A one-worker server has no spare context for a helper, so its zone
-// loops run on the caller alone: its cold builds and patches start no
-// thread (the process-wide idle pool stays unstarted). Each ctest case is
+// loops run on the caller alone and an SSR answer fits both targets on
+// its worker: its cold builds, patches and MLP fits start no thread (the
+// process-wide idle pool stays unstarted). Each ctest case is
 // a fresh process, so nothing started the pool earlier; run in one
 // process with other cases, the count is merely already settled.
 TEST(OneWorkerServerTest, ZoneLoopsStartNoHelperThreads) {
@@ -447,10 +448,17 @@ TEST(OneWorkerServerTest, ZoneLoopsStartNoHelperThreads) {
                           server.base_city().Centre())
                   .ok());
   ASSERT_TRUE(server.Query(FastExactRequest()).ok());
+  AqRequest mlp = FastSsrRequest();
+  mlp.options.model = ml::ModelKind::kMlp;
+  auto ssr = server.Query(mlp);
+  ASSERT_TRUE(ssr.ok()) << ssr.status();
   EXPECT_EQ(ProcessThreads(), threads);
   auto golden = server.QueryUncached(FastExactRequest());
   ASSERT_TRUE(golden.ok()) << golden.status();
   ExpectSameAnswer(server.Query(FastExactRequest()).value(), golden.value());
+  auto ssr_golden = server.QueryUncached(mlp);
+  ASSERT_TRUE(ssr_golden.ok()) << ssr_golden.status();
+  ExpectSameAnswer(ssr.value(), ssr_golden.value());
 }
 
 #if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS

@@ -187,8 +187,9 @@ TEST(SsrFeatureMemoTest, WarmStartAndReplicaReplayBuildTheirOwnMatrices) {
 }
 
 // The independent SSR reference (testing/exact_reference.h) shares no
-// server code: it draws the edit-stable TODAM itself, runs
-// SsrPipeline::Run on a pipeline of its own and finalizes with the scalar
+// server code: it draws the edit-stable TODAM itself, labels its sample
+// over a router of its own, fits the two targets with a serial two-model
+// fit of its own (not core::FitSsr) and finalizes with the scalar
 // measures. A served answer (memoised features, sample labeled through the
 // serving loop) and an uncached one must both equal it bit for bit, SPQs
 // included, on both city families, under JT and a non-default GAC, for

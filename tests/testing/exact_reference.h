@@ -10,10 +10,13 @@
 // trips — labels it with SsrPipeline::ComputeGroundTruth (one LabelZones
 // pass per cost definition, sharing nothing) and finalizes with the scalar
 // oracle's FinalizeAccessQueryResult (scalar_oracle.h), which the library
-// no longer contains. An SSR answer runs SsrPipeline::Run over the same
-// TODAM on the reference's own pipeline (features extracted afresh from
-// the TODAM's α rows, the sample labeled by the pipeline's own engine) and
-// finalizes the same way. Tests and bench_load's measure_eval gate check
+// no longer contains. An SSR answer draws its sample over the same TODAM
+// with core::DrawSsrSample (features extracted afresh from the TODAM's α
+// rows), labels it with a LabelingEngine over the reference's own router,
+// fits MAC under the seed and then ACSD under seed + 1 with a serial
+// two-model fit of its own (sharing no fit code with core::FitSsr, so a
+// fault in how FitSsr hands its targets out shows), and finalizes the
+// same way. Tests and bench_load's measure_eval gate check
 // the server against it.
 #pragma once
 
@@ -24,6 +27,8 @@
 #include "core/access_query.h"
 #include "core/pipeline.h"
 #include "core/todam.h"
+#include "ml/model_factory.h"
+#include "router/router.h"
 #include "synth/city_builder.h"
 #include "testing/scalar_oracle.h"
 #include "util/status.h"
@@ -38,6 +43,7 @@ class ExactReference {
       : city_(city),
         interval_(interval),
         pipeline_(city, interval),
+        router_(&city->feed, router::RouterOptions{}),
         pois_(city->pois) {}
 
   /// Mirrors a server's AddPoi: `poi` carries the id the server assigned.
@@ -89,13 +95,24 @@ class ExactReference {
     config.cost = options.cost;
     config.gac = options.gac;
     config.seed = options.seed;
-    auto run = pipeline_.Run(pois, todam, config);
-    if (!run.ok()) return run.status();
+    auto drawn = core::DrawSsrSample(*city_, pipeline_.feature_extractor(),
+                                     pois, todam, config);
+    if (!drawn.ok()) return drawn.status();
+    const ml::Dataset& sample = drawn.value().dataset;
+    core::LabelingEngine labeler(city_, &router_, options.gac);
+    const std::vector<core::ZoneLabel> labels = labeler.LabelZones(
+        todam, sample.labeled, pois, options.cost, interval_.day);
+    auto mac = FitTarget(options.model, options.seed, sample, labels,
+                         &core::ZoneLabel::mac);
+    if (!mac.ok()) return mac.status();
+    auto acsd = FitTarget(options.model, options.seed + 1, sample, labels,
+                          &core::ZoneLabel::acsd);
+    if (!acsd.ok()) return acsd.status();
     core::AccessQueryResult result;
     result.gravity_trips = todam.num_trips();
-    result.mac = std::move(run.value().mac);
-    result.acsd = std::move(run.value().acsd);
-    result.spqs = run.value().spqs;
+    result.mac = std::move(mac).value();
+    result.acsd = std::move(acsd).value();
+    result.spqs = labeler.spq_count();
     testing::FinalizeAccessQueryResult(city_->zones, &result);
     return result;
   }
@@ -107,6 +124,30 @@ class ExactReference {
       if (poi.category == category) pois.push_back(poi);
     }
     return pois;
+  }
+
+  /// One SSR target, fitted on its own: a `kind` model under `seed` over
+  /// `sample` with `measure` of each labeled zone as its target, the
+  /// predictions clamped non-negative and each labeled zone's own value
+  /// kept.
+  static util::Result<std::vector<double>> FitTarget(
+      ml::ModelKind kind, uint64_t seed, ml::Dataset sample,
+      const std::vector<core::ZoneLabel>& labels,
+      double core::ZoneLabel::*measure) {
+    sample.y.assign(sample.num_instances(), 0.0);
+    for (size_t i = 0; i < sample.labeled.size(); ++i) {
+      sample.y[sample.labeled[i]] = labels[i].*measure;
+    }
+    auto model = ml::CreateModel(kind, seed);
+    if (auto status = model->Fit(sample); !status.ok()) return status;
+    std::vector<double> values = model->Predict();
+    for (double& v : values) {
+      if (v < 0.0) v = 0.0;
+    }
+    for (size_t i = 0; i < sample.labeled.size(); ++i) {
+      values[sample.labeled[i]] = labels[i].*measure;
+    }
+    return values;
   }
 
   /// The edit-stable TODAM of `options` over `pois`, α rows included.
@@ -123,6 +164,7 @@ class ExactReference {
   const synth::City* city_;
   gtfs::TimeInterval interval_;
   core::SsrPipeline pipeline_;
+  router::Router router_;
   std::vector<synth::Poi> pois_;
 };
 

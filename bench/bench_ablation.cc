@@ -51,12 +51,10 @@ void FeatureAblation(BenchCity& bc, util::CsvTable* csv) {
   std::printf("\n--- B. feature-group ablation (%s, vax centres, MLP, "
               "beta=5%%) ---\n", bc.name.c_str());
   auto pois = bc.city->PoisOf(synth::PoiCategory::kVaxCenter);
-  core::Todam todam =
-      bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
-  core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-      pois, todam, core::CostKind::kJourneyTime);
-  ml::Matrix full = bc.pipeline->feature_extractor().ExtractZoneMatrix(
-      pois, todam.alpha());
+  core::Todam todam = bc.harness->GravityTodam(pois, bc.gravity, BenchSeed());
+  const std::vector<core::ZoneLabel> truth = bc.harness->Truth(
+      synth::PoiCategory::kVaxCenter, todam, core::CostKind::kJourneyTime);
+  ml::Matrix full = bc.harness->Features(pois, todam);
 
   struct Group {
     const char* name;
@@ -88,7 +86,8 @@ void FeatureAblation(BenchCity& bc, util::CsvTable* csv) {
     config.beta = 0.05;
     config.model = ml::ModelKind::kMlp;
     config.seed = BenchSeed();
-    auto run = bc.pipeline->Run(pois, todam, config, &masked, 0.0);
+    auto run = bc.harness->Run(synth::PoiCategory::kVaxCenter, todam, config,
+                               &masked);
     if (!run.ok()) continue;
     core::EvaluationMetrics m = Evaluate(truth, run.value());
     std::printf("%-15s %10.3f %10.2f %10.3f\n", group.name, m.mac_corr,
@@ -109,15 +108,14 @@ void KeepScaleSweep(BenchCity& bc, util::CsvTable* csv) {
   for (double factor : {0.25, 0.5, 1.0, 2.0}) {
     core::GravityConfig gravity = bc.gravity;
     gravity.keep_scale *= factor;
-    core::Todam todam =
-        bc.pipeline->BuildGravityTodam(pois, gravity, BenchSeed());
-    core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-        pois, todam, core::CostKind::kJourneyTime);
+    core::Todam todam = bc.harness->GravityTodam(pois, gravity, BenchSeed());
+    const std::vector<core::ZoneLabel> truth = bc.harness->Truth(
+        synth::PoiCategory::kSchool, todam, core::CostKind::kJourneyTime);
     core::PipelineConfig config;
     config.beta = 0.10;
     config.model = ml::ModelKind::kMlp;
     config.seed = BenchSeed();
-    auto run = bc.pipeline->Run(pois, todam, config);
+    auto run = bc.harness->Run(synth::PoiCategory::kSchool, todam, config);
     if (!run.ok()) continue;
     core::EvaluationMetrics m = Evaluate(truth, run.value());
     std::printf("%10.2f %12llu %10.2f %10.3f %12.2f\n", gravity.keep_scale,
@@ -135,14 +133,10 @@ void SamplingStrategyComparison(BenchCity& bc, util::CsvTable* csv) {
   std::printf("\n--- D. sampling strategies (%s, vax centres, MLP) ---\n",
               bc.name.c_str());
   auto pois = bc.city->PoisOf(synth::PoiCategory::kVaxCenter);
-  core::Todam todam =
-      bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
-  core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-      pois, todam, core::CostKind::kJourneyTime);
-  util::Stopwatch watch;
-  ml::Matrix features = bc.pipeline->feature_extractor().ExtractZoneMatrix(
-      pois, todam.alpha());
-  double features_s = watch.ElapsedSeconds();
+  core::Todam todam = bc.harness->GravityTodam(pois, bc.gravity, BenchSeed());
+  const std::vector<core::ZoneLabel> truth = bc.harness->Truth(
+      synth::PoiCategory::kVaxCenter, todam, core::CostKind::kJourneyTime);
+  ml::Matrix features = bc.harness->Features(pois, todam);
 
   std::printf("%-16s %8s %10s %10s\n", "strategy", "beta", "mac_corr",
               "mae_min");
@@ -156,7 +150,8 @@ void SamplingStrategyComparison(BenchCity& bc, util::CsvTable* csv) {
       config.model = ml::ModelKind::kMlp;
       config.sampling = strategy;
       config.seed = BenchSeed();
-      auto run = bc.pipeline->Run(pois, todam, config, &features, features_s);
+      auto run = bc.harness->Run(synth::PoiCategory::kVaxCenter, todam,
+                                 config, &features);
       if (!run.ok()) continue;
       core::EvaluationMetrics m = Evaluate(truth, run.value());
       std::printf("%-16s %7.0f%% %10.3f %10.2f\n",

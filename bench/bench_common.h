@@ -32,6 +32,7 @@
 #include "core/access_query.h"
 #include "core/pipeline.h"
 #include "synth/city_builder.h"
+#include "testing/ssr_harness.h"
 #include "util/csv.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -150,15 +151,31 @@ inline std::vector<synth::PoiCategory> PaperCategories() {
 // ---------------------------------------------------------------------------
 // Cities
 
-/// One evaluation city with its pipeline and calibrated gravity settings.
-/// The city lives behind a unique_ptr so the pipeline's pointer to it stays
-/// valid when a BenchCity is moved (e.g. into a vector).
+/// One evaluation city on the paper harness (testing/ssr_harness.h), with
+/// its calibrated gravity settings: a serve::ScenarioStore holds the city
+/// and its offline phase, every SSR run is Scenario::AnswerSsr — the
+/// server's SSR path — and the ground truth labels every zone through
+/// Scenario::LabelZoneBlocks, on one SerialZoneLoop. What the harness keeps
+/// of its own is the TODAM: §III's row-normalised gravity draw, keyed by
+/// POI index. The harness lives behind a unique_ptr, so a BenchCity stays
+/// valid when moved (e.g. into a vector).
 struct BenchCity {
   std::string name;
-  std::unique_ptr<synth::City> city;
-  std::unique_ptr<core::SsrPipeline> pipeline;
+  std::unique_ptr<testing::SsrHarness> harness;
+  const synth::City* city = nullptr;  // the harness's
   core::GravityConfig gravity;
 };
+
+/// The share of `truth`'s trips that walk the whole way.
+inline double WalkOnlyFraction(const std::vector<core::ZoneLabel>& truth) {
+  uint64_t walk_only = 0, trips = 0;
+  for (const core::ZoneLabel& label : truth) {
+    walk_only += label.num_walk_only;
+    trips += label.num_trips;
+  }
+  return trips > 0 ? static_cast<double>(walk_only) / static_cast<double>(trips)
+                   : 0.0;
+}
 
 inline BenchCity MakeBenchCity(const synth::CitySpec& spec) {
   BenchCity bc;
@@ -169,9 +186,8 @@ inline BenchCity MakeBenchCity(const synth::CitySpec& spec) {
                  built.status().ToString().c_str());
     std::exit(1);
   }
-  bc.city = std::make_unique<synth::City>(std::move(built).value());
-  bc.pipeline = std::make_unique<core::SsrPipeline>(bc.city.get(),
-                                                    gtfs::WeekdayAmPeak());
+  bc.harness = std::make_unique<testing::SsrHarness>(std::move(built).value());
+  bc.city = &bc.harness->city();
   bc.gravity = core::CalibratedGravityConfig(spec);
   bc.gravity.sample_rate_per_hour = BenchRate();
   return bc;

@@ -27,21 +27,18 @@ exp::RunResult RunFig3Bench() {
     for (synth::PoiCategory category : PaperCategories()) {
       auto pois = bc.city->PoisOf(category);
       core::Todam todam =
-          bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
-      core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-          pois, todam, core::CostKind::kJourneyTime);
+          bc.harness->GravityTodam(pois, bc.gravity, BenchSeed());
+      const std::vector<core::ZoneLabel> truth =
+          bc.harness->Truth(category, todam, core::CostKind::kJourneyTime);
 
       // Features are identical across budgets and models: extract once.
-      util::Stopwatch feature_watch;
-      ml::Matrix features = bc.pipeline->feature_extractor().ExtractZoneMatrix(
-          pois, todam.alpha());
-      double features_s = feature_watch.ElapsedSeconds();
+      ml::Matrix features = bc.harness->Features(pois, todam);
 
       std::printf("\n%s / %s  (|P|=%zu, |M_g|=%llu, walk-only=%.1f%%)\n",
                   bc.name.c_str(), synth::PoiCategoryName(category),
                   pois.size(),
                   static_cast<unsigned long long>(todam.num_trips()),
-                  100 * truth.walk_only_fraction);
+                  100 * WalkOnlyFraction(truth));
       std::printf("%-7s", "model");
       for (double beta : budgets) std::printf("  b=%-4.0f%%", beta * 100);
       std::printf("   (JT MAE, minutes)\n");
@@ -54,8 +51,7 @@ exp::RunResult RunFig3Bench() {
           config.model = model;
           config.cost = core::CostKind::kJourneyTime;
           config.seed = BenchSeed();
-          auto run = bc.pipeline->Run(pois, todam, config, &features,
-                                      features_s);
+          auto run = bc.harness->Run(category, todam, config, &features);
           if (!run.ok()) {
             std::printf("  %7s", "err");
             continue;
@@ -68,7 +64,7 @@ exp::RunResult RunFig3Bench() {
                util::CsvTable::Num(metrics.mac_mae / 60.0, 3),
                util::CsvTable::Num(metrics.mac_corr, 3),
                util::CsvTable::Num(static_cast<int64_t>(run.value().spqs)),
-               util::CsvTable::Num(static_cast<int64_t>(truth.spqs))});
+               util::CsvTable::Num(static_cast<int64_t>(todam.num_trips()))});
         }
         std::printf("\n");
       }

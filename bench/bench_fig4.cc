@@ -24,18 +24,15 @@ exp::RunResult RunFig4Bench() {
 
   for (BenchCity& bc : MakeBothCities()) {
     auto pois = bc.city->PoisOf(synth::PoiCategory::kVaxCenter);
-    core::Todam todam =
-        bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
-    core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-        pois, todam, core::CostKind::kGeneralizedCost);
+    core::Todam todam = bc.harness->GravityTodam(pois, bc.gravity, BenchSeed());
+    const std::vector<core::ZoneLabel> truth =
+        bc.harness->Truth(synth::PoiCategory::kVaxCenter, todam,
+                          core::CostKind::kGeneralizedCost);
 
-    util::Stopwatch feature_watch;
-    ml::Matrix features = bc.pipeline->feature_extractor().ExtractZoneMatrix(
-        pois, todam.alpha());
-    double features_s = feature_watch.ElapsedSeconds();
+    ml::Matrix features = bc.harness->Features(pois, todam);
 
     std::printf("\n=== %s (|P|=%zu, walk-only=%.1f%%) ===\n", bc.name.c_str(),
-                pois.size(), 100 * truth.walk_only_fraction);
+                pois.size(), 100 * WalkOnlyFraction(truth));
 
     // One run per (model, budget); the four grids print from stored
     // metrics.
@@ -47,8 +44,8 @@ exp::RunResult RunFig4Bench() {
         config.model = model;
         config.cost = core::CostKind::kGeneralizedCost;
         config.seed = BenchSeed();
-        auto run =
-            bc.pipeline->Run(pois, todam, config, &features, features_s);
+        auto run = bc.harness->Run(synth::PoiCategory::kVaxCenter, todam,
+                                   config, &features);
         if (!run.ok()) continue;
         core::EvaluationMetrics m = Evaluate(truth, run.value());
         grid[{static_cast<int>(model), beta}] = m;

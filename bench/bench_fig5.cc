@@ -63,17 +63,19 @@ exp::RunResult RunFig5Bench() {
   for (MapSpec& map_spec : maps) {
     BenchCity bc = MakeBenchCity(map_spec.spec);
     auto pois = bc.city->PoisOf(synth::PoiCategory::kVaxCenter);
-    core::Todam todam =
-        bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
-    core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-        pois, todam, core::CostKind::kGeneralizedCost);
+    core::Todam todam = bc.harness->GravityTodam(pois, bc.gravity, BenchSeed());
+    const std::vector<core::ZoneLabel> truth =
+        bc.harness->Truth(synth::PoiCategory::kVaxCenter, todam,
+                          core::CostKind::kGeneralizedCost);
+    std::vector<double> truth_mac;
+    for (const core::ZoneLabel& label : truth) truth_mac.push_back(label.mac);
 
     core::PipelineConfig config;
     config.beta = map_spec.beta;
     config.model = ml::ModelKind::kMlp;
     config.cost = core::CostKind::kGeneralizedCost;
     config.seed = BenchSeed();
-    auto run = bc.pipeline->Run(pois, todam, config);
+    auto run = bc.harness->Run(synth::PoiCategory::kVaxCenter, todam, config);
     if (!run.ok()) {
       std::fprintf(stderr, "run failed: %s\n",
                    run.status().ToString().c_str());
@@ -85,7 +87,7 @@ exp::RunResult RunFig5Bench() {
                 bc.name.c_str(), map_spec.beta * 100, m.mac_corr,
                 m.mac_mae / 60);
 
-    AsciiChoropleth(*bc.city, truth.mac, "ground truth");
+    AsciiChoropleth(*bc.city, truth_mac, "ground truth");
     AsciiChoropleth(*bc.city, run.value().mac, "SSR prediction");
 
     std::vector<uint8_t> labeled(bc.city->zones.size(), 0);
@@ -95,7 +97,7 @@ exp::RunResult RunFig5Bench() {
                         util::CsvTable::Num(static_cast<int64_t>(z)),
                         util::CsvTable::Num(bc.city->zones[z].centroid.x, 1),
                         util::CsvTable::Num(bc.city->zones[z].centroid.y, 1),
-                        util::CsvTable::Num(truth.mac[z], 1),
+                        util::CsvTable::Num(truth_mac[z], 1),
                         util::CsvTable::Num(run.value().mac[z], 1),
                         util::CsvTable::Num(static_cast<int64_t>(labeled[z]))});
     }

@@ -219,7 +219,7 @@ exp::RunResult RunLoadBench() {
   base.seed = BenchSeed();
 
   // The scalar foil: one independent ground-truth pass per member,
-  // sharing nothing, on a pipeline of its own (offline phase untimed).
+  // sharing nothing, on an offline phase of its own (untimed).
   testing::ExactReference reference(&eval_server.base_city(),
                                     gtfs::WeekdayAmPeak());
   std::vector<core::AccessQueryResult> scalar;

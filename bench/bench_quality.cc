@@ -58,17 +58,17 @@ exp::RunResult RunQualityBench() {
 
   BenchCity bc = MakeBenchCity(spec);
   auto pois = bc.city->PoisOf(category.value());
-  core::Todam todam =
-      bc.pipeline->BuildGravityTodam(pois, bc.gravity, BenchSeed());
-  core::GroundTruth truth = bc.pipeline->ComputeGroundTruth(
-      pois, todam, core::CostKind::kJourneyTime);
+  core::Todam todam = bc.harness->GravityTodam(pois, bc.gravity, BenchSeed());
+  const std::vector<core::ZoneLabel> truth =
+      bc.harness->Truth(category.value(), todam, core::CostKind::kJourneyTime);
+  const uint64_t truth_spqs = todam.num_trips();  // one SPQ per trip
 
   core::PipelineConfig config;
   config.beta = beta;
   config.model = model.value();
   config.cost = core::CostKind::kJourneyTime;
   config.seed = BenchSeed();
-  auto run = bc.pipeline->Run(pois, todam, config);
+  auto run = bc.harness->Run(category.value(), todam, config);
   if (!run.ok()) {
     std::fprintf(stderr, "pipeline run failed: %s\n",
                  run.status().ToString().c_str());
@@ -77,13 +77,13 @@ exp::RunResult RunQualityBench() {
   core::EvaluationMetrics m = Evaluate(truth, run.value());
   const double spq_reduction_pct =
       100.0 * (1.0 - static_cast<double>(run.value().spqs) /
-                         static_cast<double>(truth.spqs));
+                         static_cast<double>(truth_spqs));
 
   std::printf("  jt_mae=%.2f min  mac_corr=%.3f  class_acc=%.3f  "
               "SPQs %llu vs %llu truth (%.1f%% fewer)\n",
               m.mac_mae / 60.0, m.mac_corr, m.class_accuracy,
               static_cast<unsigned long long>(run.value().spqs),
-              static_cast<unsigned long long>(truth.spqs), spq_reduction_pct);
+              static_cast<unsigned long long>(truth_spqs), spq_reduction_pct);
 
   JsonWriter w;
   w.BeginObject();
@@ -103,7 +103,7 @@ exp::RunResult RunQualityBench() {
   w.Fixed("mac_corr", m.mac_corr, 4);
   w.Fixed("class_accuracy", m.class_accuracy, 4);
   w.Uint("spqs", run.value().spqs);
-  w.Uint("truth_spqs", truth.spqs);
+  w.Uint("truth_spqs", truth_spqs);
   w.Fixed("spq_reduction_pct", spq_reduction_pct, 2);
   w.Fixed("labeling_s", run.value().timings.labeling_s, 6);
   w.Fixed("training_s", run.value().timings.training_s, 6);

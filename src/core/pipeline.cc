@@ -36,19 +36,24 @@ std::vector<double> Blend(std::vector<double> predictions,
 
 }  // namespace
 
-EvaluationMetrics Evaluate(const GroundTruth& truth,
+EvaluationMetrics Evaluate(const std::vector<ZoneLabel>& truth,
                            const PipelineResult& result) {
+  std::vector<double> truth_mac, truth_acsd;
+  for (const ZoneLabel& label : truth) {
+    truth_mac.push_back(label.mac);
+    truth_acsd.push_back(label.acsd);
+  }
   // Metrics are computed over the unlabeled zones: those are the ones the
   // model actually inferred.
-  std::vector<uint8_t> is_labeled(truth.mac.size(), 0);
+  std::vector<uint8_t> is_labeled(truth.size(), 0);
   for (uint32_t z : result.labeled) is_labeled[z] = 1;
 
   std::vector<double> t_mac, p_mac, t_acsd, p_acsd;
-  for (size_t z = 0; z < truth.mac.size(); ++z) {
+  for (size_t z = 0; z < truth.size(); ++z) {
     if (is_labeled[z]) continue;
-    t_mac.push_back(truth.mac[z]);
+    t_mac.push_back(truth_mac[z]);
     p_mac.push_back(result.mac[z]);
-    t_acsd.push_back(truth.acsd[z]);
+    t_acsd.push_back(truth_acsd[z]);
     p_acsd.push_back(result.acsd[z]);
   }
 
@@ -62,45 +67,25 @@ EvaluationMetrics Evaluate(const GroundTruth& truth,
     // Classification uses the full-population thresholds (class boundaries
     // are defined over all zones), then accuracy over the unlabeled set.
     std::vector<int> truth_classes =
-        ClassifyAccessibility(truth.mac, truth.acsd);
+        ClassifyAccessibility(truth_mac, truth_acsd);
     std::vector<int> pred_classes =
         ClassifyAccessibility(result.mac, result.acsd);
     std::vector<int> t_cls, p_cls;
-    for (size_t z = 0; z < truth.mac.size(); ++z) {
+    for (size_t z = 0; z < truth.size(); ++z) {
       if (is_labeled[z]) continue;
       t_cls.push_back(truth_classes[z]);
       p_cls.push_back(pred_classes[z]);
     }
     m.class_accuracy = ml::ClassificationAccuracy(t_cls, p_cls);
   }
-  m.fie = FairnessIndexError(truth.mac, result.mac);
+  m.fie = FairnessIndexError(truth_mac, result.mac);
   return m;
-}
-
-SsrPipeline::SsrPipeline(const synth::City* city, gtfs::TimeInterval interval)
-    : city_(city), interval_(interval) {
-  util::Stopwatch watch;
-  isochrones_ = std::make_unique<IsochroneSet>(*city_, IsochroneConfig{});
-  hop_trees_ = std::make_unique<HopTreeSet>(*city_, *isochrones_, interval_);
-  router_ = std::make_unique<router::Router>(&city_->feed,
-                                             router::RouterOptions{});
-  features_ = std::make_unique<FeatureExtractor>(city_, isochrones_.get(),
-                                                 hop_trees_.get());
-  offline_s_ = watch.ElapsedSeconds();
-}
-
-Todam SsrPipeline::BuildGravityTodam(const std::vector<synth::Poi>& pois,
-                                     const GravityConfig& gravity,
-                                     uint64_t seed) const {
-  TodamBuilder builder(city_->zones, pois, interval_, gravity);
-  return builder.BuildGravity(seed);
 }
 
 util::Result<SsrSample> DrawSsrSample(
     const synth::City& city, const FeatureExtractor& features_extractor,
     const std::vector<synth::Poi>& pois, const Todam& todam,
-    const PipelineConfig& config, const ml::Matrix* precomputed_features,
-    double precomputed_features_s) {
+    const PipelineConfig& config, const ml::Matrix* precomputed_features) {
   if (config.cost == CostKind::kGeneralizedCost && !config.gac.Valid()) {
     return util::Status::InvalidArgument(
         "invalid GAC weights (negative λ or non-positive value of time)");
@@ -114,7 +99,6 @@ util::Result<SsrSample> DrawSsrSample(
   ml::Matrix& features = sample.dataset.x;
   if (precomputed_features != nullptr) {
     features = *precomputed_features;
-    result.timings.features_s = precomputed_features_s;
   } else {
     features = features_extractor.ExtractZoneMatrix(pois, todam.alpha());
     result.timings.features_s = watch.ElapsedSeconds();
@@ -197,53 +181,6 @@ util::Result<PipelineResult> FitSsr(SsrSample sample,
   result.acsd = Blend(std::move(fits->predictions[1]), result.labeled, labels,
                       kTargets[1]);
   return result;
-}
-
-util::Result<PipelineResult> SsrPipeline::Run(
-    const std::vector<synth::Poi>& pois, const Todam& todam,
-    const PipelineConfig& config, const ml::Matrix* precomputed_features,
-    double precomputed_features_s) {
-  auto drawn = DrawSsrSample(*city_, *features_, pois, todam, config,
-                             precomputed_features, precomputed_features_s);
-  if (!drawn.ok()) return drawn.status();
-  SsrSample& sample = drawn.value();
-
-  // --- labeling (SPQs) -----------------------------------------------------
-  util::Stopwatch watch;
-  LabelingEngine labeler(city_, router_.get(), config.gac);
-  const std::vector<ZoneLabel> labels = labeler.LabelZones(
-      todam, sample.result.labeled, pois, config.cost, interval_.day);
-  sample.result.spqs = labeler.spq_count();
-  sample.result.timings.labeling_s = watch.ElapsedSeconds();
-  return FitSsr(std::move(sample), labels, config);
-}
-
-GroundTruth SsrPipeline::ComputeGroundTruth(
-    const std::vector<synth::Poi>& pois, const Todam& todam, CostKind cost,
-    router::GacWeights gac) {
-  GroundTruth truth;
-  util::Stopwatch watch;
-  std::vector<uint32_t> all(city_->zones.size());
-  for (uint32_t z = 0; z < all.size(); ++z) all[z] = z;
-  LabelingEngine labeler(city_, router_.get(), gac);
-  const std::vector<ZoneLabel> labels =
-      labeler.LabelZones(todam, all, pois, cost, interval_.day);
-  truth.spqs = labeler.spq_count();
-  truth.labeling_s = watch.ElapsedSeconds();
-
-  truth.mac.resize(labels.size());
-  truth.acsd.resize(labels.size());
-  uint64_t walk_only = 0, trips = 0;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    truth.mac[i] = labels[i].mac;
-    truth.acsd[i] = labels[i].acsd;
-    walk_only += labels[i].num_walk_only;
-    trips += labels[i].num_trips;
-  }
-  truth.walk_only_fraction =
-      trips > 0 ? static_cast<double>(walk_only) / static_cast<double>(trips)
-                : 0.0;
-  return truth;
 }
 
 }  // namespace staq::core

@@ -1,8 +1,11 @@
-// End-to-end SSR solution (paper Fig. 1): offline pre-computation, online
-// feature extraction, β-budget sampling, labeling via SPQs, SSR training
-// and transductive inference, with per-stage wall-clock accounting for
-// Table II. The stages around labeling take no router, so a server labels
-// the sample through its own zone loop between them (serve/scenario.h).
+// The SSR solution's stages around labeling (paper Fig. 1): online feature
+// extraction and β-budget sampling (DrawSsrSample), then SSR training and
+// transductive inference (FitSsr), with per-stage wall-clock accounting for
+// Table II, and the quality metrics of an answer against exact labels.
+// None of these stages routes: serve::Scenario::AnswerSsr composes them
+// around labeling the sample through a zone loop (serve/scenario.h), for
+// the server and the paper benches alike. The offline phase is the
+// scenario's (serve::OfflineState).
 #pragma once
 
 #include <memory>
@@ -10,15 +13,12 @@
 
 #include "core/active_learning.h"
 #include "core/features.h"
-#include "core/hoptree.h"
-#include "core/isochrone.h"
 #include "core/labeling.h"
 #include "core/measures.h"
 #include "core/sampling.h"
 #include "core/todam.h"
 #include "ml/metrics.h"
 #include "ml/model_factory.h"
-#include "router/router.h"
 #include "synth/city_builder.h"
 
 namespace staq::util {
@@ -60,15 +60,6 @@ struct PipelineResult {
   uint64_t spqs = 0;
 };
 
-/// The naive baseline: every zone labeled exactly.
-struct GroundTruth {
-  std::vector<double> mac;
-  std::vector<double> acsd;
-  double labeling_s = 0.0;
-  uint64_t spqs = 0;
-  double walk_only_fraction = 0.0;
-};
-
 /// The Fig. 3 / Fig. 4 quality metrics of one run against ground truth,
 /// computed over the unlabeled zones (the inference targets).
 struct EvaluationMetrics {
@@ -80,7 +71,8 @@ struct EvaluationMetrics {
   double fie = 0.0;  // fairness index error, over all zones
 };
 
-EvaluationMetrics Evaluate(const GroundTruth& truth,
+/// `truth` holds every zone's exact label, in zone order.
+EvaluationMetrics Evaluate(const std::vector<ZoneLabel>& truth,
                            const PipelineResult& result);
 
 /// An SSR run's β sample, before it is labeled.
@@ -95,14 +87,13 @@ struct SsrSample {
 /// Feature extraction and β-budget sample selection: the SSR stages before
 /// labeling, none of which routes. `pois` may differ from `city.pois`
 /// (scenario edits). `precomputed_features`, when non-null, stands in for
-/// the zone feature matrix (costed at `precomputed_features_s`).
+/// the zone feature matrix, and the sample's features_s is then 0.
 /// kInvalidArgument on GAC weights that cannot be labeled under.
 util::Result<SsrSample> DrawSsrSample(
     const synth::City& city, const FeatureExtractor& features,
     const std::vector<synth::Poi>& pois, const Todam& todam,
     const PipelineConfig& config,
-    const ml::Matrix* precomputed_features = nullptr,
-    double precomputed_features_s = 0.0);
+    const ml::Matrix* precomputed_features = nullptr);
 
 /// SSR training and transductive inference: one model per target (MAC
 /// under config.seed, ACSD under config.seed + 1) over the sample and its
@@ -117,55 +108,5 @@ util::Result<PipelineResult> FitSsr(SsrSample sample,
                                     const std::vector<ZoneLabel>& labels,
                                     const PipelineConfig& config,
                                     util::ThreadPool* helpers = nullptr);
-
-/// Orchestrates the full solution over one city and time interval. The
-/// constructor performs the offline phase (isochrones + hop trees + router
-/// tables, under the default isochrone and router configurations) and
-/// records its cost separately.
-class SsrPipeline {
- public:
-  SsrPipeline(const synth::City* city, gtfs::TimeInterval interval);
-
-  const synth::City& city() const { return *city_; }
-  const gtfs::TimeInterval& interval() const { return interval_; }
-  double offline_seconds() const { return offline_s_; }
-  const IsochroneSet& isochrones() const { return *isochrones_; }
-  const HopTreeSet& hop_trees() const { return *hop_trees_; }
-  const FeatureExtractor& feature_extractor() const { return *features_; }
-
-  /// Builds the gravity TODAM M_g over a POI set.
-  Todam BuildGravityTodam(const std::vector<synth::Poi>& pois,
-                          const GravityConfig& gravity, uint64_t seed) const;
-
-  /// One SSR run: DrawSsrSample, a LabelingEngine::LabelZones pass over the
-  /// sample, then FitSsr. `todam` must have been built over `pois`.
-  ///
-  /// When sweeping β / model / cost over a fixed POI set (Figs. 3 and 4),
-  /// the zone feature matrix is identical across runs; pass it via
-  /// `precomputed_features` (with the wall-clock it cost via
-  /// `precomputed_features_s`) to avoid re-extracting, and the timing is
-  /// carried into the result unchanged.
-  util::Result<PipelineResult> Run(
-      const std::vector<synth::Poi>& pois, const Todam& todam,
-      const PipelineConfig& config,
-      const ml::Matrix* precomputed_features = nullptr,
-      double precomputed_features_s = 0.0);
-
-  /// The naive baseline: labels every zone with SPQs (paper Table II
-  /// "Label Cost") in one LabelingEngine::LabelZones pass on the calling
-  /// thread. Parallel labeling is the serving loop's (serve/server.h).
-  GroundTruth ComputeGroundTruth(const std::vector<synth::Poi>& pois,
-                                 const Todam& todam, CostKind cost,
-                                 router::GacWeights gac = {});
-
- private:
-  const synth::City* city_;
-  gtfs::TimeInterval interval_;
-  double offline_s_ = 0.0;
-  std::unique_ptr<IsochroneSet> isochrones_;
-  std::unique_ptr<HopTreeSet> hop_trees_;
-  std::unique_ptr<router::Router> router_;
-  std::unique_ptr<FeatureExtractor> features_;
-};
 
 }  // namespace staq::core

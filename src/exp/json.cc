@@ -8,16 +8,6 @@
 
 namespace staq::exp {
 
-const char* JsonKindName(JsonKind kind) {
-  switch (kind) {
-    case JsonKind::kNull: return "null";
-    case JsonKind::kBool: return "bool";
-    case JsonKind::kNumber: return "number";
-    case JsonKind::kString: return "string";
-  }
-  return "?";
-}
-
 bool JsonScalar::SameAs(const JsonScalar& other) const {
   if (kind != other.kind) return false;
   switch (kind) {

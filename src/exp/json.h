@@ -24,8 +24,6 @@ namespace staq::exp {
 
 enum class JsonKind : uint8_t { kNull, kBool, kNumber, kString };
 
-const char* JsonKindName(JsonKind kind);
-
 /// One scalar leaf of a JSON document.
 struct JsonScalar {
   JsonKind kind = JsonKind::kNull;

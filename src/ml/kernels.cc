@@ -158,10 +158,6 @@ void Axpy(size_t n, double alpha, const double* x, double* y) {
   for (size_t i = 0; i < n; ++i) ys[i] += alpha * xs[i];
 }
 
-void Scale(size_t n, double alpha, double* x) {
-  for (size_t i = 0; i < n; ++i) x[i] *= alpha;
-}
-
 double Dot(size_t n, const double* a, const double* b) {
   double acc = 0.0;
   for (size_t i = 0; i < n; ++i) acc += a[i] * b[i];

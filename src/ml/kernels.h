@@ -48,9 +48,6 @@ void GemmAtBt(size_t k, size_t m, size_t n, const double* a, size_t lda,
 /// y[i] += alpha * x[i] for i in [0, n).
 void Axpy(size_t n, double alpha, const double* x, double* y);
 
-/// x[i] *= alpha for i in [0, n).
-void Scale(size_t n, double alpha, double* x);
-
 /// Sum of a[i] * b[i], single accumulator ascending i.
 double Dot(size_t n, const double* a, const double* b);
 

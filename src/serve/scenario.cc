@@ -65,6 +65,21 @@ uint64_t NewNetworkId() {
 
 }  // namespace
 
+void SerialZoneLoop::Run(const Scenario& scenario, size_t n,
+                         const ZoneLoopBody& body) {
+  core::LabelingEngine* engine = engine_;
+  if (engine == nullptr) {
+    if (own_ == nullptr || own_->network_id != scenario.network_id()) {
+      own_.reset();  // its engine routes over the old network
+      own_ = std::make_unique<OwnEngine>(scenario.city_ptr(),
+                                         scenario.router_options(),
+                                         scenario.network_id());
+    }
+    engine = &own_->engine;
+  }
+  for (size_t i = 0; i < n; ++i) body(*engine, i)();
+}
+
 std::vector<uint32_t> AllZones(size_t count) {
   std::vector<uint32_t> all(count);
   std::iota(all.begin(), all.end(), 0u);
@@ -213,6 +228,46 @@ void Scenario::LabelZoneBlocks(
     };
   };
   loop.Run(*this, core::NumZoneBlocks(shared_zones->size()), label_block);
+}
+
+util::Result<core::PipelineResult> Scenario::AnswerSsr(
+    ZoneLoop& loop, synth::PoiCategory category, const core::Todam& todam,
+    const core::PipelineConfig& config, const ml::Matrix* features,
+    util::ThreadPool* fit_helpers) const {
+  auto drawn = core::DrawSsrSample(*base_, *offline_->features,
+                                   PoisOf(category), todam, config, features);
+  if (!drawn.ok()) return drawn.status();
+  core::SsrSample& sample = drawn.value();
+
+  // The sample labels like an exact build, over its own zones' trips.
+  const std::vector<uint32_t>& labeled = sample.result.labeled;
+  std::vector<uint8_t> in_sample(todam.num_zones(), 0);
+  for (uint32_t z : labeled) in_sample[z] = 1;
+  std::vector<size_t> offsets = {0};
+  std::vector<core::TripEntry> trips;
+  for (uint32_t z = 0; z < todam.num_zones(); ++z) {
+    if (in_sample[z]) {
+      const std::span<const core::TripEntry> zone_trips = todam.TripsFor(z);
+      trips.insert(trips.end(), zone_trips.begin(), zone_trips.end());
+    }
+    offsets.push_back(trips.size());
+  }
+  auto state = ExactLabelState::Unlabeled(
+      core::Todam::FromParts(std::move(offsets), std::move(trips), {}));
+  LabelKey key;
+  key.category = category;
+  key.cost = config.cost;
+  key.gac = config.gac;
+  util::Stopwatch watch;
+  LabelZoneBlocks(loop, key, state, labeled);
+  sample.result.timings.labeling_s = watch.ElapsedSeconds();
+  sample.result.spqs = state->todam.num_trips();  // one SPQ per trip
+  std::vector<core::ZoneLabel> labels;
+  for (uint32_t z : labeled) labels.push_back(state->labels[z]);
+
+  // Fault site (tests): an SSR answer parked between labeling and fit.
+  STAQ_FAILPOINT("serve.ssr.fit");
+  return core::FitSsr(std::move(sample), labels, config, fit_helpers);
 }
 
 std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(

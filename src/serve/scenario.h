@@ -49,7 +49,8 @@
 // Zones are labeled one way: a build, a patch, a batch capture and an SSR
 // answer's β sample all run Scenario::LabelZoneBlocks through a ZoneLoop —
 // the serving loop of an AqServer (which a store's patches use too) or a
-// SerialZoneLoop over one engine.
+// SerialZoneLoop over one engine. SSR answers are answered one way too:
+// Scenario::AnswerSsr, for the server and the paper benches alike.
 #pragma once
 
 #include <atomic>
@@ -68,6 +69,7 @@
 #include "core/hoptree.h"
 #include "core/isochrone.h"
 #include "core/labeling.h"
+#include "core/pipeline.h"
 #include "core/todam.h"
 #include "ml/matrix.h"
 #include "router/router.h"
@@ -265,18 +267,38 @@ class ZoneLoop {
 };
 
 /// Labels and stores each item in order on the calling thread, on one
-/// engine (not owned) that its caller built for the network of the
-/// scenarios it runs for.
+/// engine.
 class SerialZoneLoop : public ZoneLoop {
  public:
-  explicit SerialZoneLoop(core::LabelingEngine& engine) : engine_(engine) {}
+  /// Labels on an engine of its own, built over the network of the
+  /// scenario it runs for and built again whenever a later scenario's
+  /// network differs: the loop to hand a store, which gets its loop before
+  /// it owns a city an engine could route over.
+  SerialZoneLoop() = default;
+  /// Labels on `engine` (not owned), which its caller built for the
+  /// network of the scenarios the loop runs for.
+  explicit SerialZoneLoop(core::LabelingEngine& engine) : engine_(&engine) {}
 
-  void Run(const Scenario&, size_t n, const ZoneLoopBody& body) override {
-    for (size_t i = 0; i < n; ++i) body(engine_, i)();
-  }
+  void Run(const Scenario& scenario, size_t n,
+           const ZoneLoopBody& body) override;
 
  private:
-  core::LabelingEngine& engine_;
+  /// A default-constructed loop's engine and the network it routes over.
+  struct OwnEngine {
+    OwnEngine(std::shared_ptr<const synth::City> city_in,
+              const router::RouterOptions& options, uint64_t network)
+        : city(std::move(city_in)),
+          router(&city->feed, options),
+          engine(city.get(), &router),
+          network_id(network) {}
+    std::shared_ptr<const synth::City> city;
+    router::Router router;
+    core::LabelingEngine engine;
+    uint64_t network_id;
+  };
+
+  core::LabelingEngine* engine_ = nullptr;
+  std::unique_ptr<OwnEngine> own_;
 };
 
 /// Every zone id of a city with `count` zones, ascending.
@@ -383,6 +405,20 @@ class Scenario {
       const std::shared_ptr<ExactLabelState>& state,
       std::vector<uint32_t> zones,
       const std::shared_ptr<core::TripCostColumns>& capture = nullptr) const;
+
+  /// One SSR answer over `todam`, a TODAM over this scenario's POIs of
+  /// `category`, in four steps: core::DrawSsrSample (`features`, when
+  /// non-null, stands in for the zone feature matrix the offline state's
+  /// extractor would aggregate over the TODAM's α rows); a state over the
+  /// sampled zones' trips alone; LabelZoneBlocks of the sampled zones
+  /// through `loop` under config.cost and config.gac, timed into
+  /// timings.labeling_s, one SPQ per trip; and core::FitSsr, offered
+  /// `fit_helpers`. The server answers over StableTodam; the paper benches
+  /// over their own index-keyed gravity TODAM (bench/bench_common.h).
+  util::Result<core::PipelineResult> AnswerSsr(
+      ZoneLoop& loop, synth::PoiCategory category, const core::Todam& todam,
+      const core::PipelineConfig& config, const ml::Matrix* features,
+      util::ThreadPool* fit_helpers) const;
 
   /// Label states the scenario currently holds materialised (ready, not
   /// in-flight). Mutations patch these into the next epoch; a state still

@@ -657,6 +657,21 @@ void AqServer::AnswerGroup(const std::vector<AqRequest>& requests,
   }
 }
 
+class AqServer::LeasedSerialLoop : public ZoneLoop {
+ public:
+  explicit LeasedSerialLoop(AqServer& server) : server_(server) {}
+
+  void Run(const Scenario& scenario, size_t n,
+           const ZoneLoopBody& body) override {
+    auto context = server_.AcquireContext(NetworkOf(scenario));
+    SerialZoneLoop(context->engine).Run(scenario, n, body);
+    server_.ReleaseContext(std::move(context));
+  }
+
+ private:
+  AqServer& server_;
+};
+
 util::Result<core::AccessQueryResult> AqServer::Execute(
     const AqRequest& request, const Scenario& scenario, bool use_caches) {
   util::Stopwatch watch(clock_);
@@ -674,26 +689,17 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     return util::Status::NotFound("no POIs of requested category in scenario");
   }
 
-  // Zones label through the serving loop; uncached (the oracle the helped
-  // loop is checked against), serially on one context leased for the
-  // labeling alone (DESIGN.md §16.4). A throw drops that context.
-  const auto label_zones = [&](const auto& label) {
-    if (use_caches) return label(*this);
-    auto context = AcquireContext(NetworkOf(scenario));
-    SerialZoneLoop serial(context->engine);
-    label(serial);
-    ReleaseContext(std::move(context));
-  };
+  // Zones label through the serving loop, or uncached on one leased context.
+  LeasedSerialLoop leased(*this);
+  ZoneLoop& loop = use_caches ? static_cast<ZoneLoop&>(*this) : leased;
 
   const LabelKey key = LabelKeyFor(request);
   core::AccessQueryResult result;
   if (request.options.exact) {
-    std::shared_ptr<const ExactLabelState> state;
     bool built = !use_caches;
-    label_zones([&](ZoneLoop& loop) {
-      state = use_caches ? scenario.GetOrBuildLabelState(key, loop, &built)
-                         : scenario.BuildLabelState(key, loop);
-    });
+    std::shared_ptr<const ExactLabelState> state =
+        use_caches ? scenario.GetOrBuildLabelState(key, loop, &built)
+                   : scenario.BuildLabelState(key, loop);
     if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     // One SPQ per trip, however the state was built, patched or restored.
     result.gravity_trips = state->todam.num_trips();
@@ -724,41 +730,15 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
           todam.alpha(), &built);
       if (built) ssr_feature_builds_.fetch_add(1, std::memory_order_relaxed);
     }
-    auto sample = core::DrawSsrSample(scenario.base_city(),
-                                      *scenario.offline().features, pois,
-                                      todam, config, features.get());
-    if (!sample.ok()) return sample.status();
-    // The sample labels like an exact build, over its own zones' trips.
-    const std::vector<uint32_t>& labeled = sample.value().result.labeled;
-    std::vector<uint8_t> in_sample(todam.num_zones(), 0);
-    for (uint32_t z : labeled) in_sample[z] = 1;
-    std::vector<size_t> offsets = {0};
-    std::vector<core::TripEntry> trips;
-    for (uint32_t z = 0; z < todam.num_zones(); ++z) {
-      if (in_sample[z]) {
-        const std::span<const core::TripEntry> zone_trips = todam.TripsFor(z);
-        trips.insert(trips.end(), zone_trips.begin(), zone_trips.end());
-      }
-      offsets.push_back(trips.size());
-    }
-    auto state = ExactLabelState::Unlabeled(
-        core::Todam::FromParts(std::move(offsets), std::move(trips), {}));
-    label_zones([&](ZoneLoop& loop) {
-      scenario.LabelZoneBlocks(loop, key, state, labeled);
-    });
-    result.spqs = state->todam.num_trips();
-    std::vector<core::ZoneLabel> labels;
-    for (uint32_t z : labeled) labels.push_back(state->labels[z]);
-    // Fault site (tests): an SSR answer parked between labeling and fit.
-    STAQ_FAILPOINT("serve.ssr.fit");
     // The two targets' fits may split over one idle-priority helper, as a
     // cold build's zones do; a one-worker server never starts the idle
     // pool, and the uncached oracle fits both on this thread.
     util::ThreadPool* fit_helpers =
         use_caches && context_cap_ > 1 ? &util::ThreadPool::Idle() : nullptr;
-    auto run = core::FitSsr(std::move(sample).value(), labels, config,
-                            fit_helpers);
+    auto run = scenario.AnswerSsr(loop, request.category, todam, config,
+                                  features.get(), fit_helpers);
     if (!run.ok()) return run.status();
+    result.spqs = run.value().spqs;
     result.mac = std::move(run.value().mac);
     result.acsd = std::move(run.value().acsd);
   }

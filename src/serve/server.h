@@ -380,6 +380,10 @@ class AqServer : private ZoneLoop {
   /// the idle pool is never started.
   void Run(const Scenario& scenario, size_t n,
            const ZoneLoopBody& body) override;
+  /// The uncached path's zone loop (the oracle the helped loop is checked
+  /// against): each Run labels serially on one context leased for that
+  /// labeling alone (DESIGN.md §16.4); a throw drops the context.
+  class LeasedSerialLoop;
 
   /// Counts the zone-loop helpers that may still touch this server — a
   /// straggler can outlive the loop it helped — and makes ~AqServer wait

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "testing/ssr_harness.h"
 #include "testing/test_city.h"
 #include "testing/test_data.h"
 
@@ -142,13 +143,13 @@ TEST(ActiveLearningTest, FeatureDiverseHandlesConstantFeatures) {
 }
 
 TEST(ActiveLearningTest, PipelineRunsWithEachStrategy) {
-  synth::City city = testing::SmallCity();
-  SsrPipeline pipeline(&city, gtfs::WeekdayAmPeak());
-  auto pois = city.PoisOf(synth::PoiCategory::kVaxCenter);
+  testing::SsrHarness harness(testing::SmallCity());
+  const synth::PoiCategory category = synth::PoiCategory::kVaxCenter;
+  auto pois = harness.city().PoisOf(category);
   GravityConfig gravity;
   gravity.sample_rate_per_hour = 4;
   gravity.keep_scale = 2.0;
-  Todam todam = pipeline.BuildGravityTodam(pois, gravity, 1);
+  Todam todam = harness.GravityTodam(pois, gravity, 1);
 
   for (SamplingStrategy strategy :
        {SamplingStrategy::kRandom, SamplingStrategy::kSpatialSpread,
@@ -158,9 +159,9 @@ TEST(ActiveLearningTest, PipelineRunsWithEachStrategy) {
     config.model = ml::ModelKind::kOls;
     config.sampling = strategy;
     config.seed = 2;
-    auto run = pipeline.Run(pois, todam, config);
+    auto run = harness.Run(category, todam, config);
     ASSERT_TRUE(run.ok()) << SamplingStrategyName(strategy);
-    EXPECT_EQ(run.value().mac.size(), city.zones.size());
+    EXPECT_EQ(run.value().mac.size(), harness.city().zones.size());
   }
 }
 

@@ -11,6 +11,7 @@
 #include "synth/city_spec.h"
 #include "testing/digest.h"
 #include "testing/label_state.h"
+#include "testing/ssr_harness.h"
 #include "testing/test_city.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -18,16 +19,21 @@
 namespace staq::core {
 namespace {
 
+// The paper harness's SSR path (testing/ssr_harness.h): Scenario::AnswerSsr
+// over the index-keyed gravity TODAM, and its ground truth.
 class PipelineTest : public ::testing::Test {
  protected:
-  PipelineTest()
-      : city_(testing::SmallCity()),
-        pipeline_(&city_, gtfs::WeekdayAmPeak()) {
-    pois_ = city_.PoisOf(synth::PoiCategory::kVaxCenter);
-    GravityConfig gravity = CalibratedGravityConfig(city_.spec);
+  static constexpr synth::PoiCategory kCategory =
+      synth::PoiCategory::kVaxCenter;
+
+  PipelineTest() : harness_(testing::SmallCity()) {
+    pois_ = city().PoisOf(kCategory);
+    GravityConfig gravity = CalibratedGravityConfig(city().spec);
     gravity.sample_rate_per_hour = 4;  // keep the test fast
-    todam_ = pipeline_.BuildGravityTodam(pois_, gravity, 1);
+    todam_ = harness_.GravityTodam(pois_, gravity, 1);
   }
+
+  const synth::City& city() const { return harness_.city(); }
 
   PipelineConfig FastConfig(ml::ModelKind model, double beta) {
     PipelineConfig config;
@@ -37,26 +43,35 @@ class PipelineTest : public ::testing::Test {
     return config;
   }
 
-  synth::City city_;
-  SsrPipeline pipeline_;
+  util::Result<PipelineResult> Run(const PipelineConfig& config,
+                                   const ml::Matrix* features = nullptr) {
+    return harness_.Run(kCategory, todam_, config, features);
+  }
+
+  std::vector<ZoneLabel> Truth(CostKind cost) {
+    return harness_.Truth(kCategory, todam_, cost);
+  }
+
+  testing::SsrHarness harness_;
   std::vector<synth::Poi> pois_;
   Todam todam_;
 };
 
 TEST_F(PipelineTest, OfflinePhaseRecorded) {
-  EXPECT_GT(pipeline_.offline_seconds(), 0.0);
-  EXPECT_EQ(pipeline_.isochrones().size(), city_.zones.size());
-  EXPECT_EQ(pipeline_.hop_trees().num_zones(), city_.zones.size());
+  const serve::OfflineState& offline = harness_.scenario().offline();
+  EXPECT_GT(offline.build_seconds, 0.0);
+  EXPECT_EQ(offline.isochrones->size(), city().zones.size());
+  EXPECT_EQ(offline.hop_trees->num_zones(), city().zones.size());
 }
 
 TEST_F(PipelineTest, RunProducesFullCoverage) {
-  auto run = pipeline_.Run(pois_, todam_, FastConfig(ml::ModelKind::kOls, 0.2));
+  auto run = Run(FastConfig(ml::ModelKind::kOls, 0.2));
   ASSERT_TRUE(run.ok()) << run.status();
   const PipelineResult& result = run.value();
-  EXPECT_EQ(result.mac.size(), city_.zones.size());
-  EXPECT_EQ(result.acsd.size(), city_.zones.size());
+  EXPECT_EQ(result.mac.size(), city().zones.size());
+  EXPECT_EQ(result.acsd.size(), city().zones.size());
   EXPECT_EQ(result.labeled.size(),
-            static_cast<size_t>(std::ceil(0.2 * city_.zones.size())));
+            static_cast<size_t>(std::ceil(0.2 * city().zones.size())));
   for (size_t z = 0; z < result.mac.size(); ++z) {
     EXPECT_GE(result.mac[z], 0.0);
     EXPECT_GE(result.acsd[z], 0.0);
@@ -68,52 +83,54 @@ TEST_F(PipelineTest, RunProducesFullCoverage) {
 }
 
 TEST_F(PipelineTest, LabeledZonesCarryExactValues) {
-  auto run = pipeline_.Run(pois_, todam_, FastConfig(ml::ModelKind::kOls, 0.2));
+  auto run = Run(FastConfig(ml::ModelKind::kOls, 0.2));
   ASSERT_TRUE(run.ok());
-  GroundTruth truth =
-      pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
+  const std::vector<ZoneLabel> truth = Truth(CostKind::kJourneyTime);
   for (uint32_t z : run.value().labeled) {
-    EXPECT_NEAR(run.value().mac[z], truth.mac[z], 1e-9);
-    EXPECT_NEAR(run.value().acsd[z], truth.acsd[z], 1e-9);
+    EXPECT_NEAR(run.value().mac[z], truth[z].mac, 1e-9);
+    EXPECT_NEAR(run.value().acsd[z], truth[z].acsd, 1e-9);
   }
 }
 
 TEST_F(PipelineTest, SpqCountProportionalToBeta) {
-  auto small = pipeline_.Run(pois_, todam_, FastConfig(ml::ModelKind::kOls, 0.05));
-  auto large = pipeline_.Run(pois_, todam_, FastConfig(ml::ModelKind::kOls, 0.5));
+  auto small = Run(FastConfig(ml::ModelKind::kOls, 0.05));
+  auto large = Run(FastConfig(ml::ModelKind::kOls, 0.5));
   ASSERT_TRUE(small.ok() && large.ok());
   EXPECT_LT(small.value().spqs, large.value().spqs);
-  GroundTruth truth =
-      pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
-  EXPECT_LT(large.value().spqs, truth.spqs);
-  EXPECT_EQ(truth.spqs, todam_.num_trips());
+  EXPECT_LT(large.value().spqs, todam_.num_trips());
+  // One SPQ per trip of the sampled zones.
+  uint64_t sampled_trips = 0;
+  for (uint32_t z : large.value().labeled) {
+    sampled_trips += todam_.TripsFor(z).size();
+  }
+  EXPECT_EQ(large.value().spqs, sampled_trips);
 }
 
 TEST_F(PipelineTest, PrecomputedFeaturesReproduceRun) {
-  ml::Matrix features = pipeline_.feature_extractor().ExtractZoneMatrix(
-      pois_, todam_.alpha());
+  ml::Matrix features = harness_.Features(pois_, todam_);
   PipelineConfig config = FastConfig(ml::ModelKind::kOls, 0.2);
-  auto with = pipeline_.Run(pois_, todam_, config, &features, 0.123);
-  auto without = pipeline_.Run(pois_, todam_, config);
+  auto with = Run(config, &features);
+  auto without = Run(config);
   ASSERT_TRUE(with.ok() && without.ok());
   EXPECT_EQ(with.value().mac, without.value().mac);
-  EXPECT_DOUBLE_EQ(with.value().timings.features_s, 0.123);
+  EXPECT_EQ(with.value().timings.features_s, 0.0);
 }
 
 TEST_F(PipelineTest, GroundTruthCoversAllZones) {
-  GroundTruth truth =
-      pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
-  EXPECT_EQ(truth.mac.size(), city_.zones.size());
-  EXPECT_EQ(truth.spqs, todam_.num_trips());
-  EXPECT_GE(truth.walk_only_fraction, 0.0);
-  EXPECT_LE(truth.walk_only_fraction, 1.0);
-  EXPECT_GT(truth.labeling_s, 0.0);
+  const std::vector<ZoneLabel> truth = Truth(CostKind::kJourneyTime);
+  EXPECT_EQ(truth.size(), city().zones.size());
+  uint64_t trips = 0, walk_only = 0;
+  for (const ZoneLabel& label : truth) {
+    trips += label.num_trips;
+    walk_only += label.num_walk_only;
+  }
+  EXPECT_EQ(trips, todam_.num_trips());
+  EXPECT_LE(walk_only, trips);
 }
 
 TEST_F(PipelineTest, EvaluationMetricsSensible) {
-  GroundTruth truth =
-      pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
-  auto run = pipeline_.Run(pois_, todam_, FastConfig(ml::ModelKind::kMlp, 0.3));
+  const std::vector<ZoneLabel> truth = Truth(CostKind::kJourneyTime);
+  auto run = Run(FastConfig(ml::ModelKind::kMlp, 0.3));
   ASSERT_TRUE(run.ok());
   EvaluationMetrics metrics = Evaluate(truth, run.value());
   EXPECT_GE(metrics.mac_mae, 0.0);
@@ -127,11 +144,12 @@ TEST_F(PipelineTest, EvaluationMetricsSensible) {
 }
 
 TEST_F(PipelineTest, PerfectPredictionGivesZeroErrors) {
-  GroundTruth truth =
-      pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
+  const std::vector<ZoneLabel> truth = Truth(CostKind::kJourneyTime);
   PipelineResult perfect;
-  perfect.mac = truth.mac;
-  perfect.acsd = truth.acsd;
+  for (const ZoneLabel& label : truth) {
+    perfect.mac.push_back(label.mac);
+    perfect.acsd.push_back(label.acsd);
+  }
   perfect.labeled = {0, 1};
   EvaluationMetrics metrics = Evaluate(truth, perfect);
   EXPECT_DOUBLE_EQ(metrics.mac_mae, 0.0);
@@ -141,7 +159,7 @@ TEST_F(PipelineTest, PerfectPredictionGivesZeroErrors) {
 }
 
 TEST_F(PipelineTest, RejectsInvalidBeta) {
-  auto run = pipeline_.Run(pois_, todam_, FastConfig(ml::ModelKind::kOls, 0.0));
+  auto run = Run(FastConfig(ml::ModelKind::kOls, 0.0));
   EXPECT_FALSE(run.ok());
 }
 
@@ -149,19 +167,19 @@ TEST_F(PipelineTest, RejectsInvalidGacWeights) {
   PipelineConfig config = FastConfig(ml::ModelKind::kOls, 0.2);
   config.cost = CostKind::kGeneralizedCost;
   config.gac.value_of_time = 0.0;  // division by zero in Eq. 1
-  EXPECT_FALSE(pipeline_.Run(pois_, todam_, config).ok());
+  EXPECT_FALSE(Run(config).ok());
   config.gac = router::GacWeights{};
   config.gac.lambda_wt = -1.0;
-  EXPECT_FALSE(pipeline_.Run(pois_, todam_, config).ok());
+  EXPECT_FALSE(Run(config).ok());
   // JT runs ignore GAC weights entirely.
   config.cost = CostKind::kJourneyTime;
-  EXPECT_TRUE(pipeline_.Run(pois_, todam_, config).ok());
+  EXPECT_TRUE(Run(config).ok());
 }
 
 TEST_F(PipelineTest, DeterministicForSameConfig) {
   PipelineConfig config = FastConfig(ml::ModelKind::kMlp, 0.2);
-  auto a = pipeline_.Run(pois_, todam_, config);
-  auto b = pipeline_.Run(pois_, todam_, config);
+  auto a = Run(config);
+  auto b = Run(config);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().mac, b.value().mac);
   EXPECT_EQ(a.value().acsd, b.value().acsd);
@@ -171,28 +189,27 @@ TEST_F(PipelineTest, DeterministicForSameConfig) {
 TEST_F(PipelineTest, GacCostKindRunsEndToEnd) {
   PipelineConfig config = FastConfig(ml::ModelKind::kOls, 0.2);
   config.cost = CostKind::kGeneralizedCost;
-  auto run = pipeline_.Run(pois_, todam_, config);
+  auto run = Run(config);
   ASSERT_TRUE(run.ok());
-  GroundTruth jt_truth =
-      pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
-  GroundTruth gac_truth = pipeline_.ComputeGroundTruth(
-      pois_, todam_, CostKind::kGeneralizedCost);
+  const std::vector<ZoneLabel> jt_truth = Truth(CostKind::kJourneyTime);
+  const std::vector<ZoneLabel> gac_truth = Truth(CostKind::kGeneralizedCost);
   // Generalized costs dominate raw journey times on average.
   double jt_mean = 0, gac_mean = 0;
-  for (size_t z = 0; z < jt_truth.mac.size(); ++z) {
-    jt_mean += jt_truth.mac[z];
-    gac_mean += gac_truth.mac[z];
+  for (size_t z = 0; z < jt_truth.size(); ++z) {
+    jt_mean += jt_truth[z].mac;
+    gac_mean += gac_truth[z].mac;
   }
   EXPECT_GT(gac_mean, jt_mean);
 }
 
-// Cross-commit golden for the paper pipeline's exact GAC labels routed by
-// the connection scan: every zone's MAC and ACSD plus the SPQ count of
-// SsrPipeline::ComputeGroundTruth, on both city families, two categories
-// and two TODAM seeds. GAC reads the legs of each journey, so this pins
-// the pipeline to the legs serve answers with. Recorded on a pipeline
-// configured for the connection scan while the library still defaulted to
-// a label-correcting search; the default pipeline now matches it.
+// Cross-commit golden for the paper harness's exact GAC labels routed by
+// the connection scan: every zone's MAC and ACSD plus the SPQ count (one
+// per trip) of every zone of the harness's index-keyed TODAM labeled
+// through Scenario::LabelZoneBlocks, on both city families, two
+// categories and two TODAM seeds. GAC reads the legs of each journey, so
+// this pins the harness to the legs serve answers with. Recorded on a
+// pipeline configured for the connection scan while the library still
+// defaulted to a label-correcting search.
 TEST(GroundTruthDigestTest, CsaGacLabelsMatchRecordedDigest) {
   struct Case {
     synth::CitySpec spec;
@@ -212,18 +229,19 @@ TEST(GroundTruthDigestTest, CsaGacLabelsMatchRecordedDigest) {
   for (const Case& c : cases) {
     auto built = synth::BuildCity(c.spec);
     ASSERT_TRUE(built.ok());
-    const synth::City city = std::move(built).value();
-    SsrPipeline pipeline(&city, gtfs::WeekdayAmPeak());
+    testing::SsrHarness harness(std::move(built).value());
     const GravityConfig gravity = CalibratedGravityConfig(c.spec);
     for (size_t k = 0; k < 2; ++k) {
-      const std::vector<synth::Poi> pois = city.PoisOf(categories[k]);
+      const std::vector<synth::Poi> pois =
+          harness.city().PoisOf(categories[k]);
       for (size_t s = 0; s < 2; ++s) {
-        const Todam todam = pipeline.BuildGravityTodam(pois, gravity, seeds[s]);
-        const GroundTruth truth = pipeline.ComputeGroundTruth(
-            pois, todam, CostKind::kGeneralizedCost);
-        std::vector<double> bits = truth.mac;
-        bits.insert(bits.end(), truth.acsd.begin(), truth.acsd.end());
-        bits.push_back(static_cast<double>(truth.spqs));
+        const Todam todam = harness.GravityTodam(pois, gravity, seeds[s]);
+        const std::vector<ZoneLabel> truth = harness.Truth(
+            categories[k], todam, CostKind::kGeneralizedCost);
+        std::vector<double> bits;
+        for (const ZoneLabel& label : truth) bits.push_back(label.mac);
+        for (const ZoneLabel& label : truth) bits.push_back(label.acsd);
+        bits.push_back(static_cast<double>(todam.num_trips()));
         const uint64_t digest = testing::HexFloatDigest(bits);
         EXPECT_EQ(digest, c.digests[k][s])
             << c.spec.name << " category " << k << " seed " << seeds[s]
@@ -237,19 +255,21 @@ TEST(GroundTruthDigestTest, CsaGacLabelsMatchRecordedDigest) {
 /// `config` and its zones' exact labels.
 class FitSsrInputs {
  public:
-  explicit FitSsrInputs(const synth::City* city)
-      : city_(city), pipeline_(city, gtfs::WeekdayAmPeak()) {
-    pois_ = city->PoisOf(synth::PoiCategory::kSchool);
-    GravityConfig gravity = CalibratedGravityConfig(city->spec);
+  explicit FitSsrInputs(synth::City city) : harness_(std::move(city)) {
+    pois_ = harness_.city().PoisOf(synth::PoiCategory::kSchool);
+    GravityConfig gravity = CalibratedGravityConfig(harness_.city().spec);
     gravity.sample_rate_per_hour = 4;
-    todam_ = pipeline_.BuildGravityTodam(pois_, gravity, 1);
-    truth_ =
-        pipeline_.ComputeGroundTruth(pois_, todam_, CostKind::kJourneyTime);
+    todam_ = harness_.GravityTodam(pois_, gravity, 1);
+    truth_ = harness_.Truth(synth::PoiCategory::kSchool, todam_,
+                            CostKind::kJourneyTime);
   }
 
+  size_t num_zones() const { return harness_.city().zones.size(); }
+
   SsrSample Sample(const PipelineConfig& config) const {
-    auto sample = DrawSsrSample(*city_, pipeline_.feature_extractor(), pois_,
-                                todam_, config);
+    auto sample =
+        DrawSsrSample(harness_.city(), *harness_.scenario().offline().features,
+                      pois_, todam_, config);
     if (!sample.ok()) std::abort();
     return std::move(sample).value();
   }
@@ -258,19 +278,18 @@ class FitSsrInputs {
     std::vector<ZoneLabel> labels;
     for (uint32_t z : sample.result.labeled) {
       ZoneLabel label;
-      label.mac = truth_.mac[z];
-      label.acsd = truth_.acsd[z];
+      label.mac = truth_[z].mac;
+      label.acsd = truth_[z].acsd;
       labels.push_back(label);
     }
     return labels;
   }
 
  private:
-  const synth::City* city_;
-  SsrPipeline pipeline_;
+  testing::SsrHarness harness_;
   std::vector<synth::Poi> pois_;
   Todam todam_;
-  GroundTruth truth_;
+  std::vector<ZoneLabel> truth_;
 };
 
 void ExpectSameBits(const PipelineResult& got, const PipelineResult& want) {
@@ -299,8 +318,7 @@ TEST(FitSsrTest, HelperSplitEqualsCallerOnly) {
     SCOPED_TRACE(spec.name);
     auto built = synth::BuildCity(spec);
     ASSERT_TRUE(built.ok()) << built.status();
-    const synth::City city = std::move(built).value();
-    const FitSsrInputs inputs(&city);
+    const FitSsrInputs inputs(std::move(built).value());
     for (double beta : {0.05, 0.10}) {
       for (ml::ModelKind kind : ml::AllModelKinds()) {
         SCOPED_TRACE(::testing::Message()
@@ -313,7 +331,7 @@ TEST(FitSsrTest, HelperSplitEqualsCallerOnly) {
         const std::vector<ZoneLabel> labels = inputs.Labels(sample);
         auto alone = FitSsr(sample, labels, config);
         ASSERT_TRUE(alone.ok()) << alone.status();
-        ASSERT_EQ(alone.value().mac.size(), city.zones.size());
+        ASSERT_EQ(alone.value().mac.size(), inputs.num_zones());
         auto helped = FitSsr(sample, labels, config, &pool);
         ASSERT_TRUE(helped.ok()) << helped.status();
         ExpectSameBits(helped.value(), alone.value());
@@ -336,8 +354,7 @@ TEST(FitSsrTest, HelperSplitEqualsCallerOnly) {
 TEST(FitSsrTest, OverlappingFitsEqualCallerOnly) {
   constexpr char kTargetSite[] = "core.fit_ssr.target";
   util::ThreadPool pool(1);
-  const synth::City city = testing::TinyCity();
-  const FitSsrInputs inputs(&city);
+  const FitSsrInputs inputs(testing::TinyCity());
   for (ml::ModelKind kind : ml::AllModelKinds()) {
     SCOPED_TRACE(ml::ModelKindName(kind));
     PipelineConfig config;

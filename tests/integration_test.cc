@@ -1,11 +1,13 @@
 // End-to-end integration tests: the full paper pipeline — synthetic city ->
 // gravity TODAM -> offline structures -> SSR run -> access measures —
 // checked against the ground-truth (naive) computation for the qualitative
-// properties the paper reports.
+// properties the paper reports. The SSR runs and the ground truth go
+// through the paper harness's path (testing/ssr_harness.h): the server's.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
 #include "serve/server.h"
+#include "testing/ssr_harness.h"
 #include "testing/test_city.h"
 
 namespace staq {
@@ -13,39 +15,40 @@ namespace {
 
 class IntegrationTest : public ::testing::Test {
  protected:
+  static constexpr synth::PoiCategory kCategory = synth::PoiCategory::kSchool;
+
   IntegrationTest()
-      : city_(std::move(synth::BuildCity(synth::CitySpec::Covely(0.15, 17)))
-                  .value()),
-        pipeline_(&city_, gtfs::WeekdayAmPeak()) {
-    pois_ = city_.PoisOf(synth::PoiCategory::kSchool);
-    core::GravityConfig gravity = core::CalibratedGravityConfig(city_.spec);
+      : harness_(std::move(synth::BuildCity(synth::CitySpec::Covely(0.15, 17)))
+                     .value()) {
+    pois_ = city().PoisOf(kCategory);
+    core::GravityConfig gravity = core::CalibratedGravityConfig(city().spec);
     gravity.sample_rate_per_hour = 4;
-    todam_ = pipeline_.BuildGravityTodam(pois_, gravity, 1);
-    truth_ = pipeline_.ComputeGroundTruth(pois_, todam_,
-                                          core::CostKind::kJourneyTime);
+    todam_ = harness_.GravityTodam(pois_, gravity, 1);
+    truth_ = harness_.Truth(kCategory, todam_, core::CostKind::kJourneyTime);
   }
+
+  const synth::City& city() const { return harness_.city(); }
 
   core::EvaluationMetrics RunModel(ml::ModelKind model, double beta) {
     core::PipelineConfig config;
     config.beta = beta;
     config.model = model;
     config.seed = 4;
-    auto run = pipeline_.Run(pois_, todam_, config);
+    auto run = harness_.Run(kCategory, todam_, config);
     EXPECT_TRUE(run.ok());
     return Evaluate(truth_, run.value());
   }
 
-  synth::City city_;
-  core::SsrPipeline pipeline_;
+  testing::SsrHarness harness_;
   std::vector<synth::Poi> pois_;
   core::Todam todam_;
-  core::GroundTruth truth_;
+  std::vector<core::ZoneLabel> truth_;
 };
 
 TEST_F(IntegrationTest, GravityMatrixShrinksTheWorkload) {
-  core::GravityConfig gravity = core::CalibratedGravityConfig(city_.spec);
+  core::GravityConfig gravity = core::CalibratedGravityConfig(city().spec);
   gravity.sample_rate_per_hour = 4;
-  core::TodamBuilder builder(city_.zones, pois_, gtfs::WeekdayAmPeak(),
+  core::TodamBuilder builder(city().zones, pois_, gtfs::WeekdayAmPeak(),
                              gravity);
   // The paper's headline: the gravity construction removes most trips.
   EXPECT_LT(static_cast<double>(todam_.num_trips()),
@@ -72,12 +75,12 @@ TEST_F(IntegrationTest, SsrCutsLabelingCost) {
   config.beta = 0.05;
   config.model = ml::ModelKind::kOls;
   config.seed = 4;
-  auto run = pipeline_.Run(pois_, todam_, config);
+  auto run = harness_.Run(kCategory, todam_, config);
   ASSERT_TRUE(run.ok());
   // The SPQ saving is the paper's central claim: at beta=5% the solution
-  // issues ~5% of the naive SPQs.
+  // issues ~5% of the naive SPQs (one per trip).
   double spq_fraction = static_cast<double>(run.value().spqs) /
-                        static_cast<double>(truth_.spqs);
+                        static_cast<double>(todam_.num_trips());
   EXPECT_LT(spq_fraction, 0.10);
   EXPECT_GT(spq_fraction, 0.01);
 }

@@ -5,6 +5,7 @@
 #include "core/pipeline.h"
 #include "router/router.h"
 #include "synth/city_builder.h"
+#include "testing/ssr_harness.h"
 #include "util/rng.h"
 
 namespace staq {
@@ -108,19 +109,19 @@ TEST_P(CityPropertyTest, GravityCountLockstepHoldsOnAnyCity) {
 }
 
 TEST_P(CityPropertyTest, PipelinePredictionsAreFiniteAndNonNegative) {
-  synth::City city = BuildSeededCity();
-  core::SsrPipeline pipeline(&city, gtfs::WeekdayAmPeak());
-  auto pois = city.PoisOf(synth::PoiCategory::kVaxCenter);
+  testing::SsrHarness harness(BuildSeededCity());
+  const synth::PoiCategory category = synth::PoiCategory::kVaxCenter;
+  auto pois = harness.city().PoisOf(category);
   core::GravityConfig gravity;
   gravity.sample_rate_per_hour = 3;
   gravity.keep_scale = 2.0;
-  core::Todam todam = pipeline.BuildGravityTodam(pois, gravity, GetParam());
+  core::Todam todam = harness.GravityTodam(pois, gravity, GetParam());
 
   core::PipelineConfig config;
   config.beta = 0.25;
   config.model = ml::ModelKind::kOls;
   config.seed = GetParam();
-  auto run = pipeline.Run(pois, todam, config);
+  auto run = harness.Run(category, todam, config);
   ASSERT_TRUE(run.ok());
   for (size_t z = 0; z < run.value().mac.size(); ++z) {
     EXPECT_TRUE(std::isfinite(run.value().mac[z]));

@@ -252,6 +252,59 @@ TEST(SsrReferenceTest, ServedAndUncachedAnswersEqualAnIndependentPipelineRun) {
   }
 }
 
+// The paper benches and the server answer SSR queries one way:
+// Scenario::AnswerSsr over a request's edit-stable TODAM, run through a
+// SerialZoneLoop of its own (as the benches run it, over their own TODAM),
+// equals the server's uncached answer bit for bit — MAC, ACSD and SPQs —
+// on both city families, for OLS, COREG and MLP, under JT and GAC.
+TEST(AnswerSsrTest, SerialLoopRunEqualsQueryUncached) {
+  for (bool brindale : {true, false}) {
+    SCOPED_TRACE(brindale ? "brindale" : "covely");
+    synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
+                                    : synth::CitySpec::Covely(0.04, 22);
+    auto city = synth::BuildCity(spec);
+    ASSERT_TRUE(city.ok()) << city.status();
+    AqServer server(std::move(city).value(), gtfs::WeekdayAmPeak(),
+                    Threads(2));
+    const std::shared_ptr<const Scenario> scenario = server.Snapshot();
+    SerialZoneLoop loop;
+    uint64_t seed = 1;
+    for (bool gac : {false, true}) {
+      for (ml::ModelKind model : {ml::ModelKind::kOls, ml::ModelKind::kCoreg,
+                                  ml::ModelKind::kMlp}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (gac ? "GAC " : "JT ") << ml::ModelKindName(model));
+        AqRequest request =
+            SsrRequest(synth::PoiCategory::kSchool, seed++, model, 0.1);
+        if (gac) request.options.cost = core::CostKind::kGeneralizedCost;
+        core::PipelineConfig config;
+        config.beta = request.options.beta;
+        config.model = request.options.model;
+        config.cost = request.options.cost;
+        config.gac = request.options.gac;
+        config.seed = request.options.seed;
+        const core::Todam todam = scenario->StableTodam(
+            LabelKeyFor(request), scenario->PoisOf(request.category));
+        auto run = scenario->AnswerSsr(loop, request.category, todam, config,
+                                       /*features=*/nullptr,
+                                       /*fit_helpers=*/nullptr);
+        ASSERT_TRUE(run.ok()) << run.status();
+        auto uncached = server.QueryUncached(request);
+        ASSERT_TRUE(uncached.ok()) << uncached.status();
+        EXPECT_GT(run.value().spqs, 0u);
+        EXPECT_EQ(run.value().spqs, uncached.value().spqs);
+        ASSERT_EQ(run.value().mac.size(), uncached.value().mac.size());
+        for (size_t z = 0; z < run.value().mac.size(); ++z) {
+          EXPECT_EQ(run.value().mac[z], uncached.value().mac[z])
+              << "zone " << z;
+          EXPECT_EQ(run.value().acsd[z], uncached.value().acsd[z])
+              << "zone " << z;
+        }
+      }
+    }
+  }
+}
+
 #if defined(STAQ_FAILPOINTS) && STAQ_FAILPOINTS
 
 using util::FailPointConfig;

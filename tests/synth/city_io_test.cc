@@ -9,6 +9,7 @@
 #include "graph/dijkstra.h"
 #include "gtfs/gtfs_csv.h"
 #include "router/router.h"
+#include "testing/ssr_harness.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -80,18 +81,19 @@ TEST(CityIoTest, LoadedCityRunsTheFullPipeline) {
   std::string dir = FreshDir("pipeline");
   City loaded = RoundTrip(original, dir);
 
-  core::SsrPipeline pipeline(&loaded, gtfs::WeekdayAmPeak());
-  auto pois = loaded.PoisOf(PoiCategory::kVaxCenter);
+  const size_t zones = loaded.zones.size();
+  testing::SsrHarness harness(std::move(loaded));
+  auto pois = harness.city().PoisOf(PoiCategory::kVaxCenter);
   ASSERT_FALSE(pois.empty());
   core::GravityConfig gravity;
   gravity.sample_rate_per_hour = 4;
-  core::Todam todam = pipeline.BuildGravityTodam(pois, gravity, 1);
+  core::Todam todam = harness.GravityTodam(pois, gravity, 1);
   core::PipelineConfig config;
   config.beta = 0.2;
   config.model = ml::ModelKind::kOls;
-  auto run = pipeline.Run(pois, todam, config);
+  auto run = harness.Run(PoiCategory::kVaxCenter, todam, config);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(run.value().mac.size(), loaded.zones.size());
+  EXPECT_EQ(run.value().mac.size(), zones);
   fs::remove_all(dir);
 }
 

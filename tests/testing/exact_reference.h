@@ -7,16 +7,19 @@
 // independently: it draws the edit-stable TODAM itself —
 // TodamBuilder::BuildGravityStable over the StableGravityNorms of the
 // *base* city's POIs of the category, so a POI edit moves no other zone's
-// trips — labels it with SsrPipeline::ComputeGroundTruth (one LabelZones
-// pass per cost definition, sharing nothing) and finalizes with the scalar
-// oracle's FinalizeAccessQueryResult (scalar_oracle.h), which the library
-// no longer contains. An SSR answer draws its sample over the same TODAM
-// with core::DrawSsrSample (features extracted afresh from the TODAM's α
-// rows), labels it with a LabelingEngine over the reference's own router,
-// fits MAC under the seed and then ACSD under seed + 1 with a serial
-// two-model fit of its own (sharing no fit code with core::FitSsr, so a
-// fault in how FitSsr hands its targets out shows), and finalizes the
-// same way. Tests and bench_load's measure_eval gate check
+// trips — labels every zone with one LabelingEngine::LabelZones pass per
+// cost definition over a router of its own, sharing nothing, and finalizes
+// with the scalar oracle's FinalizeAccessQueryResult (scalar_oracle.h),
+// which the library no longer contains. An SSR answer draws its sample
+// over the same TODAM with core::DrawSsrSample (features extracted afresh
+// from the TODAM's α rows by the reference's own offline phase:
+// isochrones, hop trees and a feature extractor), labels it with one
+// LabelZones pass, fits MAC under the seed and then ACSD under seed + 1
+// with a serial two-model fit of its own (sharing no fit code with
+// core::FitSsr, so a fault in how FitSsr hands its targets out shows), and
+// finalizes the same way. It uses no serve code — not
+// serve::Scenario::AnswerSsr, which the server and the paper benches
+// answer SSR queries with. Tests and bench_load's measure_eval gate check
 // the server against it.
 #pragma once
 
@@ -25,6 +28,10 @@
 #include <vector>
 
 #include "core/access_query.h"
+#include "core/features.h"
+#include "core/hoptree.h"
+#include "core/isochrone.h"
+#include "core/labeling.h"
 #include "core/pipeline.h"
 #include "core/todam.h"
 #include "ml/model_factory.h"
@@ -37,14 +44,19 @@ namespace staq::testing {
 
 class ExactReference {
  public:
-  /// Runs the offline phase for `interval` on a pipeline of its own. The
+  /// Runs the offline phase for `interval` on structures of its own. The
   /// POI set starts as `city`'s; `city` must outlive the reference.
   ExactReference(const synth::City* city, gtfs::TimeInterval interval)
       : city_(city),
         interval_(interval),
-        pipeline_(city, interval),
+        isochrones_(*city, core::IsochroneConfig{}),
+        hop_trees_(*city, isochrones_, interval),
+        features_(city, &isochrones_, &hop_trees_),
         router_(&city->feed, router::RouterOptions{}),
         pois_(city->pois) {}
+  // The feature extractor points into the reference's own structures.
+  ExactReference(const ExactReference&) = delete;
+  ExactReference& operator=(const ExactReference&) = delete;
 
   /// Mirrors a server's AddPoi: `poi` carries the id the server assigned.
   void AddPoi(const synth::Poi& poi) { pois_.push_back(poi); }
@@ -68,13 +80,18 @@ class ExactReference {
       return util::Status::NotFound("no POIs of requested category");
     }
     core::Todam todam = StableTodam(category, pois, options);
-    core::GroundTruth truth = pipeline_.ComputeGroundTruth(
-        pois, todam, options.cost, options.gac);
+    std::vector<uint32_t> all(city_->zones.size());
+    for (uint32_t z = 0; z < all.size(); ++z) all[z] = z;
+    core::LabelingEngine labeler(city_, &router_, options.gac);
+    const std::vector<core::ZoneLabel> labels =
+        labeler.LabelZones(todam, all, pois, options.cost, interval_.day);
     core::AccessQueryResult result;
     result.gravity_trips = todam.num_trips();
-    result.mac = std::move(truth.mac);
-    result.acsd = std::move(truth.acsd);
-    result.spqs = truth.spqs;
+    for (const core::ZoneLabel& label : labels) {
+      result.mac.push_back(label.mac);
+      result.acsd.push_back(label.acsd);
+    }
+    result.spqs = labeler.spq_count();
     testing::FinalizeAccessQueryResult(city_->zones, &result);
     return result;
   }
@@ -95,8 +112,7 @@ class ExactReference {
     config.cost = options.cost;
     config.gac = options.gac;
     config.seed = options.seed;
-    auto drawn = core::DrawSsrSample(*city_, pipeline_.feature_extractor(),
-                                     pois, todam, config);
+    auto drawn = core::DrawSsrSample(*city_, features_, pois, todam, config);
     if (!drawn.ok()) return drawn.status();
     const ml::Dataset& sample = drawn.value().dataset;
     core::LabelingEngine labeler(city_, &router_, options.gac);
@@ -163,7 +179,9 @@ class ExactReference {
 
   const synth::City* city_;
   gtfs::TimeInterval interval_;
-  core::SsrPipeline pipeline_;
+  core::IsochroneSet isochrones_;
+  core::HopTreeSet hop_trees_;
+  core::FeatureExtractor features_;
   router::Router router_;
   std::vector<synth::Poi> pois_;
 };

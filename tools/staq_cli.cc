@@ -54,9 +54,7 @@
 #include "exp/json.h"
 #include "exp/runner.h"
 #include "exp/text.h"
-#include "core/labeling.h"
 #include "gtfs/gtfs_csv.h"
-#include "router/router.h"
 #include "scenario/pack.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
@@ -542,15 +540,9 @@ int RunSnapshotLoad(const Args& args) {
   }
   // Stand the serving state up for real — the point of `load` is proving
   // the file warm-starts, not just that it parses. The store's loop labels
-  // serially over the restored network: the default walk speed times the
-  // persisted scale, as the store derives it.
+  // serially over the restored network, as the store derives it.
   uint64_t source_epoch = restored.value().source_epoch;
-  std::shared_ptr<const synth::City> city = restored.value().city;
-  router::RouterOptions network;
-  network.walk.speed_mps *= restored.value().walk_scale;
-  router::Router router(&city->feed, network);
-  core::LabelingEngine engine(city.get(), &router);
-  serve::SerialZoneLoop loop(engine);
+  serve::SerialZoneLoop loop;
   serve::ScenarioStore store(std::move(restored).value(), loop);
   auto scenario = store.Acquire();
   std::printf("loaded %s\n", args.Get("in", "").c_str());
